@@ -8,7 +8,8 @@ Most textbooks use the transposed (row) convention; everything in this
 package is written in the column convention.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,30 +18,35 @@ from .errors import BadScheduleError, BadStateError, NonGeneratorError
 _GEN_TOL = 1e-12
 
 
+def piece_index(starts, t):
+    """Index of the schedule piece in force at time t, for sorted piece
+    starts: right-continuous, and clamped to the first piece before it
+    starts and to the last piece after it."""
+    return max(bisect_right(starts, t) - 1, 0)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """A finite-state chain on [0, horizon] with a piecewise-constant
     generator schedule.
 
     ``schedule`` is a tuple of (start_time, matrix) pairs covering
-    [0, horizon]: piece k applies on [start_k, start_{k+1}).
+    [0, horizon]: piece k applies on [start_k, start_{k+1}). ``starts``
+    holds the start times.
     """
 
     n_states: int
     schedule: tuple
     initial_state: int
     horizon: float
+    starts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", tuple(s for s, _ in self.schedule))
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
-        starts = [s for s, _ in self.schedule]
-        k = int(np.searchsorted(starts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.schedule) - 1)
-        return self.schedule[k][1]
-
-    @property
-    def schedule_starts(self):
-        return np.array([s for s, _ in self.schedule])
+        return self.schedule[piece_index(self.starts, t)][1]
 
     def breakpoints(self):
         """Interior schedule boundaries, strictly inside (0, horizon)."""
@@ -176,7 +182,7 @@ def simulate_path(spec, seed):
     (memorylessness). Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    boundaries = list(spec.schedule_starts[1:]) + [spec.horizon]
+    boundaries = list(spec.starts[1:]) + [spec.horizon]
     jump_times = []
     states = [spec.initial_state]
     t = 0.0
@@ -210,7 +216,7 @@ def simulate_path(spec, seed):
 def _drift_integral_between(spec, t0, t1, state):
     """Exact integral of A_u e_state du over [t0, t1] (state constant)."""
     total = np.zeros(spec.n_states)
-    cuts = [t0] + [s for s in spec.schedule_starts if t0 < s < t1] + [t1]
+    cuts = [t0] + [s for s in spec.starts if t0 < s < t1] + [t1]
     for a, b in zip(cuts[:-1], cuts[1:]):
         gen = spec.generator_at(a)
         total += gen[:, state] * (b - a)
@@ -229,7 +235,7 @@ def martingale_path(path, spec, grid_steps):
     out = np.zeros((grid.size, n))
     drift = np.zeros(n)
     events = sorted(set(path.jump_times.tolist()) | set(grid.tolist())
-                    | {s for s in spec.schedule_starts if 0 < s < spec.horizon})
+                    | {s for s in spec.starts if 0 < s < spec.horizon})
     prev = 0.0
     x0 = np.zeros(n)
     x0[spec.initial_state] = 1.0

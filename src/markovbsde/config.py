@@ -189,6 +189,8 @@ def _build_driver(spec, market):
 
 
 def _build_payoff(spec, chain, curves=None):
+    if spec is None:
+        return None
     kind = spec["kind"]
     if kind == "constant":
         val = float(spec["value"])

@@ -11,7 +11,6 @@ from .bsde import MarkovDriver
 from .chain import check_contraction, rate_bound_m, simulate_path
 from .errors import DimensionMismatchError, SingularPhiError
 from .grids import StateGridFunction, sample_on_grid
-from .market import short_rate, sigma_matrix
 from .rbsde import Obstacle, solve_reflected
 
 
@@ -42,10 +41,9 @@ class HedgeStrategy:
 
 def hedge_driver(market, t, state, v, z):
     """Pricing driver: -r v + r z_i - ((A' - Gamma') z)_i at state i."""
-    r = short_rate(market, t, state)
-    a = market.chain.generator_at(t)
-    gamma = market.gamma_at(t)
-    return -r * v + r * z[state] - float(((a.T - gamma.T) @ z)[state])
+    piece = market.piece_at(t)
+    r = float(piece.rates[state])
+    return -r * v + r * z[state] - float((piece.drift @ z)[state])
 
 
 def make_hedge_driver(market):
@@ -68,11 +66,10 @@ def driver_constants(market, grid_steps=32):
     grid = np.linspace(0.0, chain.horizon, grid_steps + 1)
     c1 = c4 = c5 = 0.0
     for t in grid:
-        a = chain.generator_at(t)
-        gamma = market.gamma_at(t)
-        diff = a - gamma
+        piece = market.piece_at(t)
+        diff = piece.drift.T  # A - Gamma
         for i in range(chain.n_states):
-            r = short_rate(market, t, i)
+            r = float(piece.rates[i])
             c1 = max(c1, float(np.linalg.norm(diff[:, i])))
             c4 = max(c4, abs(r))
             vec = diff[:, i].copy()
@@ -133,7 +130,7 @@ def extract_hedge(market, curves, solution):
         h[k] = np.linalg.solve(phi, z[k])
     # state-frozen bond account
     dt = grid[1] - grid[0]
-    rates = np.array([[short_rate(market, t, i) for i in range(n)] for t in grid])
+    rates = np.array([market.piece_at(t).rates for t in grid])
     bond = np.ones((grid.size, n))
     for k in range(1, grid.size):
         bond[k] = bond[k - 1] * np.exp(0.5 * (rates[k - 1] + rates[k]) * dt)
@@ -173,10 +170,9 @@ def replicate_forward(market, curves, strategy, solution, payoff, path,
         if not mask.any():
             continue
         t0 = float(lefts[mask][0])
-        gamma = market.gamma_at(t0)
-        rates = np.array([short_rate(market, t0, i) for i in range(n)])
-        drift[mask] = -(stock_leg[1:][mask] @ gamma)
-        bond_leg[mask] = strategy.h0[1:][mask] * rates * strategy.bond[1:][mask]
+        piece = market.piece_at(t0)
+        drift[mask] = -(stock_leg[1:][mask] @ piece.gamma)
+        bond_leg[mask] = strategy.h0[1:][mask] * piece.rates * strategy.bond[1:][mask]
     states = path.states_at(grid)
     v = solution.v.values
     i0, i1 = states[:-1], states[1:]
@@ -205,13 +201,12 @@ def _discounted_h_matrix(market, solution):
     z = solution.z.values
     out = np.empty((grid.size, n))
     for k, t in enumerate(grid):
-        a = market.chain.generator_at(t)
-        gamma = market.gamma_at(t)
-        sig = sigma_matrix(market.c_at(t))
+        piece = market.piece_at(t)
+        a, sig = piece.a, piece.sigma
         zv = z[k]
-        lin = (a.T - gamma.T) @ zv
+        lin = piece.drift @ zv
         for i in range(n):
-            r = short_rate(market, t, i)
+            r = float(piece.rates[i])
             cross = float(np.sum(a[:, i] * sig[i, :] * (zv - zv[i])))
             out[k, i] = -r * zv[i] + float(lin[i]) - cross
     return out

@@ -3,11 +3,11 @@ Gamma matrices, the short rate, stock-price curves from the dividend ODE
 and pathwise consistency checks of their dynamics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, piece_index
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
@@ -48,12 +48,6 @@ def _freeze_schedule(entries, shape, horizon, what):
     return frozen
 
 
-def _schedule_at(schedule, t):
-    starts = [s for s, _ in schedule]
-    k = int(np.searchsorted(starts, t, side="right")) - 1
-    return schedule[min(max(k, 0), len(schedule) - 1)][1]
-
-
 def sigma_matrix(c, t=None):
     """Jump-factor matrix of the discount function: entry (i, j) is
     exp(C_ii - C_ij) - 1, with an exactly zero diagonal."""
@@ -75,8 +69,38 @@ def gamma_matrix(a, c, d, t=None):
 
 
 @dataclass(frozen=True)
+class MarketPiece:
+    """Rate data in force on one piece of the merged A, C and D schedules.
+    Every array is read-only."""
+
+    a: np.ndarray      # generator A
+    c: np.ndarray
+    d: np.ndarray
+    sigma: np.ndarray  # sigma_matrix(C)
+    gamma: np.ndarray  # gamma_matrix(A, C, D)
+    drift: np.ndarray  # A' - Gamma', the z-coefficient of the pricing driver
+    rates: np.ndarray  # short rate per state, D_i - sigma_i . A_{:,i}
+
+
+def _market_piece(a, c, d):
+    sig = sigma_matrix(c)
+    gamma = gamma_matrix(a, c, d)
+    drift = a.T - gamma.T
+    rates = np.array([d[i] - sig[i, :] @ a[:, i] for i in range(d.size)])
+    for arr in (sig, gamma, drift, rates):
+        arr.setflags(write=False)
+    return MarketPiece(a=a, c=c, d=d, sigma=sig, gamma=gamma, drift=drift,
+                       rates=rates)
+
+
+@dataclass(frozen=True)
 class MarketSpec:
-    """Chain plus discount data C(t), D(t) and per-stock dividend vectors."""
+    """Chain plus discount data C(t), D(t) and per-stock dividend vectors.
+
+    ``pieces`` holds the rate data of each piece of the merged A, C and D
+    schedules, computed once; piece k applies on
+    [piece_starts[k], piece_starts[k + 1]).
+    """
 
     chain: ChainSpec
     c_schedule: tuple
@@ -84,15 +108,35 @@ class MarketSpec:
     dividends: tuple
     n_stocks: int
     r_max: float = 1.0
+    piece_starts: tuple = field(init=False, repr=False, compare=False)
+    pieces: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c_starts = tuple(s for s, _ in self.c_schedule)
+        d_starts = tuple(s for s, _ in self.d_schedule)
+        starts = tuple(sorted({0.0} | set(c_starts) | set(d_starts)
+                              | set(self.chain.starts)))
+        pieces = tuple(
+            _market_piece(self.chain.generator_at(t),
+                          self.c_schedule[piece_index(c_starts, t)][1],
+                          self.d_schedule[piece_index(d_starts, t)][1])
+            for t in starts)
+        object.__setattr__(self, "piece_starts", starts)
+        object.__setattr__(self, "pieces", pieces)
+
+    def piece_at(self, t):
+        """Rate data in force at time t (right-continuous pieces, clamped
+        to the first and last piece outside [0, horizon))."""
+        return self.pieces[piece_index(self.piece_starts, t)]
 
     def c_at(self, t):
-        return _schedule_at(self.c_schedule, t)
+        return self.piece_at(t).c
 
     def d_at(self, t):
-        return _schedule_at(self.d_schedule, t)
+        return self.piece_at(t).d
 
     def gamma_at(self, t):
-        return gamma_matrix(self.chain.generator_at(t), self.c_at(t), self.d_at(t))
+        return self.piece_at(t).gamma
 
     def breakpoints(self):
         pts = set(self.chain.breakpoints())
@@ -106,8 +150,8 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
     """Validate and freeze the market data.
 
     The short rate implied by (C, D, A) must lie in [0, r_max] everywhere
-    (it is piecewise constant, so checking each piece/state is exact), and
-    dividends must be entrywise positive.
+    (it is piecewise constant, so checking each piece and state of the
+    market's rate table is exact), and dividends must be entrywise positive.
     """
     n = chain.n_states
     cs = _freeze_schedule(c_schedule, (n, n), chain.horizon, "C")
@@ -121,11 +165,8 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
         d.setflags(write=False)
     market = MarketSpec(chain=chain, c_schedule=cs, d_schedule=ds,
                         dividends=divs, n_stocks=len(divs), r_max=float(r_max))
-    starts = sorted({0.0} | {s for s, _ in cs} | {s for s, _ in ds}
-                    | set(chain.schedule_starts.tolist()))
-    for t in starts:
-        for i in range(n):
-            r = short_rate(market, t, i)
+    for t, piece in zip(market.piece_starts, market.pieces):
+        for i, r in enumerate(piece.rates):
             if r < -1e-12 or r > market.r_max + 1e-12:
                 raise RateBoundViolatedError(
                     f"short rate {r:.6g} outside [0, {market.r_max}] "
@@ -135,10 +176,7 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
 
 def short_rate(market, t, state, strict=False):
     """r(t, i) = D_i - (sigma A)_{ii} with X frozen at state i."""
-    d = market.d_at(t)
-    sig = sigma_matrix(market.c_at(t))
-    a = market.chain.generator_at(t)
-    r = float(d[state] - sig[state, :] @ a[:, state])
+    r = float(market.piece_at(t).rates[state])
     if strict and (r < 0.0 or r > market.r_max):
         raise RateBoundViolatedError(
             f"short rate {r:.6g} outside [0, {market.r_max}]")
@@ -233,10 +271,9 @@ def sdf_dynamics_residual(market, path, grid_steps):
             continue
         state = path.state_at(prev)
         dt = t - prev
-        r = short_rate(market, prev, state)
-        sig = sigma_matrix(market.c_at(prev))
-        a = market.chain.generator_at(prev)
-        comp = float(sig[state, :] @ a[:, state])  # X' sigma A X
+        piece = market.piece_at(prev)
+        r = float(piece.rates[state])
+        comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
         pi = pi * np.exp(-r * dt) - pi * comp * dt
         j = np.searchsorted(jt, t)
         idx = None
@@ -246,7 +283,7 @@ def sdf_dynamics_residual(market, path, grid_steps):
             idx = j - 1
         if idx is not None:
             old, new = int(path.states[idx]), int(path.states[idx + 1])
-            pi += pi * sigma_matrix(market.c_at(t))[old, new]
+            pi += pi * market.piece_at(t).sigma[old, new]
         while gi < grid.size and grid[gi] <= t + 1e-15:
             worst = max(worst, abs(pi - closed[gi]))
             gi += 1
@@ -279,27 +316,24 @@ class StockCurves:
         return np.transpose(self.s, (1, 2, 0))
 
 
-def stock_curves(market, horizon_extension=None, steps=1000):
+def stock_curves(market, steps=1000):
     """Solve the dividend ODE ds/dt + Gamma' s = -delta backward.
 
-    Seeded at an extended horizon with the stationary solution of the final
-    piece, -(Gamma')^{-1} delta, then integrated down onto [0, T] with RK4.
-    For time-homogeneous data the seed is the exact solution. Gamma' must
-    be stable (all eigenvalue real parts negative) and the resulting prices
-    strictly positive on [0, T].
+    Seeded at T with the stationary point of the final piece,
+    -(Gamma_end')^{-1} delta, then integrated down onto [0, T] with RK4,
+    split at schedule breakpoints so that each sub-step sees a constant
+    Gamma. For time-homogeneous data the seed is the exact solution.
+    Gamma_end' must be stable (all eigenvalue real parts negative) and the
+    resulting prices strictly positive on [0, T].
     """
     chain = market.chain
     horizon = chain.horizon
-    if horizon_extension is None:
-        horizon_extension = 10.0 * horizon
     gamma_end = market.gamma_at(horizon).T
     eig = np.linalg.eigvals(gamma_end)
     if np.any(eig.real >= -1e-12):
         raise UnstableGammaError(
             f"Gamma' eigenvalue real parts {np.sort(eig.real)} not all negative")
     grid = uniform_grid(horizon, steps)
-    dt = grid[1] - grid[0]
-    n_ext = int(np.ceil(horizon_extension / dt))
     breakpts = market.breakpoints()
     curves = np.empty((market.n_stocks, grid.size, chain.n_states))
     for j, delta in enumerate(market.dividends):
@@ -321,10 +355,6 @@ def stock_curves(market, horizon_extension=None, steps=1000):
                 sv = sv - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             return sv
 
-        t = horizon + n_ext * dt
-        for _ in range(n_ext):
-            s = step_down(t, t - dt, s)
-            t -= dt
         curves[j, -1] = s
         for k in range(grid.size - 2, -1, -1):
             s = step_down(grid[k + 1], grid[k], s)
@@ -356,11 +386,10 @@ def stock_sde_residual(market, curves, path, grid_steps):
                 continue
             dt = t - prev
             state = path.state_at(prev)
-            a = market.chain.generator_at(prev)
-            gamma = market.gamma_at(prev)
+            piece = market.piece_at(prev)
             s_vec = curve.interp(prev)
-            drift = float(((a.T - gamma.T) @ s_vec)[state] - delta[state])
-            comp = float(s_vec @ a[:, state])
+            drift = float((piece.drift @ s_vec)[state] - delta[state])
+            comp = float(s_vec @ piece.a[:, state])
             val += (drift - comp) * dt
             jdx = np.searchsorted(jt, t)
             idx = None

@@ -165,6 +165,15 @@ def test_price_american_and_plot_data(tmp_path):
     assert (out / "value_vs_time.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["solve-rbsde", "price-american", "hedge"])
+def test_payoff_jobs_without_payoff_exit_2(tmp_path, capsys, subcommand):
+    # twostate.yaml has no payoff section
+    rc = run_cli(subcommand, "--config", str(CONFIGS / "twostate.yaml"),
+                 "--out", str(tmp_path / "o"), "--steps", "20")
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_plot_data_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

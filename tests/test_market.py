@@ -203,6 +203,113 @@ def test_stock_sde_residual_first_order_decay():
     assert r1 / r2 == pytest.approx(2.0, rel=0.2)
 
 
+# --------------------------------------------------- off-grid piece markets
+
+G1 = np.array([[-1.0, 0.5, 0.3], [0.6, -0.9, 0.4], [0.4, 0.4, -0.7]])
+G2 = np.array([[-0.5, 1.2, 0.2], [0.2, -1.5, 0.6], [0.3, 0.3, -0.8]])
+G3 = np.array([[-1.4, 0.3, 0.9], [0.7, -0.6, 0.5], [0.7, 0.3, -1.4]])
+C1 = np.array([[0.0, 0.02, 0.01], [0.03, 0.0, 0.02], [0.01, 0.04, 0.0]])
+C2 = np.array([[0.0, 0.01, 0.03], [0.02, 0.0, 0.01], [0.02, 0.01, 0.0]])
+DIVS3 = [[1.0, 1.5, 2.0], [2.0, 1.0, 1.2], [1.3, 2.2, 0.9]]
+# A, C and D each break at their own off-grid times
+A_SCHED = [(0.0, G1), (0.31, G2), (0.67, G3)]
+C_SCHED = [(0.0, C1), (0.4537, C2)]
+D_SCHED = [(0.0, [0.04, 0.06, 0.05]), (0.2129, [0.07, 0.03, 0.05]),
+           (0.8123, [0.05, 0.08, 0.02])]
+
+
+def value_at(schedule, t):
+    """The last piece starting at or before t, else the first piece."""
+    val = schedule[0][1]
+    for start, v in schedule:
+        if start <= t:
+            val = v
+    return np.asarray(val, dtype=float)
+
+
+def test_rate_table_matches_direct_formulas():
+    mkt = build_market_spec(build_chain_spec(3, A_SCHED, 0, 1.0),
+                            c_schedule=C_SCHED, d_schedule=D_SCHED,
+                            dividends=DIVS3)
+    starts = sorted({s for sched in (A_SCHED, C_SCHED, D_SCHED)
+                     for s, _ in sched})
+    assert mkt.piece_starts == tuple(starts)
+    ends = starts[1:] + [1.0]
+    probes = (starts + [0.5 * (a + b) for a, b in zip(starts, ends)]
+              + [s - 1e-12 for s in starts[1:]] + [-0.5, -1e-12, 1.0, 1.5])
+    for t in probes:
+        a, c, d = (value_at(s, t) for s in (A_SCHED, C_SCHED, D_SCHED))
+        assert np.array_equal(mkt.chain.generator_at(t), a)
+        assert np.array_equal(mkt.c_at(t), c) and np.array_equal(mkt.d_at(t), d)
+        gamma = mkt.gamma_at(t)
+        assert np.array_equal(
+            gamma, gamma_matrix(mkt.chain.generator_at(t), mkt.c_at(t), mkt.d_at(t)))
+        sig = sigma_matrix(c)
+        for i in range(3):
+            assert short_rate(mkt, t, i) == float(d[i] - sig[i, :] @ a[:, i])
+        piece = mkt.piece_at(t)
+        assert piece.gamma is gamma
+        for arr in (piece.sigma, piece.gamma, piece.drift, piece.rates):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            gamma[0, 0] = 0.0
+
+
+def _expm(m):
+    """Matrix exponential by scaling and squaring of a 20-term Taylor sum."""
+    norm = np.abs(m).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0 else 0
+    x = m / 2.0 ** squarings
+    out = term = np.eye(m.shape[0])
+    for k in range(1, 20):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _gamma_entrywise(a, c, d):
+    n = a.shape[0]
+    return np.array([[a[i, j] - d[i] if i == j else a[i, j] * np.exp(c[j, j] - c[j, i])
+                      for j in range(n)] for i in range(n)])
+
+
+def test_stock_curves_match_exact_piecewise_solution():
+    starts = [0.0, 0.3137, 0.6871]  # off the 200-step grid
+    d = np.array([0.04, 0.06, 0.05])
+    mkt = build_market_spec(
+        build_chain_spec(3, list(zip(starts, [G1, G2, G3])), 0, 1.0),
+        c_schedule=C1, d_schedule=d, dividends=DIVS3)
+    steps = 200
+    curves = stock_curves(mkt, steps=steps)
+    grid = curves.grid
+    gts = [_gamma_entrywise(g, C1, d).T for g in (G1, G2, G3)]
+    ends = starts[1:] + [1.0]
+    for j, delta in enumerate(np.asarray(DIVS3)):
+        # seed: the stationary point of the last piece
+        assert np.array_equal(
+            curves.s[j, -1],
+            np.linalg.solve(gamma_matrix(G3, C1, d).T, -delta))
+        # per piece, backward from its end: s* + e^{Gamma'(end - t)}(s_end - s*)
+        exact = np.empty((grid.size, 3))
+        s_end = np.linalg.solve(gts[-1], -delta)
+        dev = 0.0
+        for k in range(2, -1, -1):
+            star = np.linalg.solve(gts[k], -delta)
+            for idx in np.nonzero((grid >= starts[k]) & (grid <= ends[k]))[0]:
+                exact[idx] = star + _expm(gts[k] * (ends[k] - grid[idx])) @ (s_end - star)
+                dev = max(dev, float(np.abs(exact[idx] - star).max()))
+            s_end = star + _expm(gts[k] * (ends[k] - starts[k])) @ (s_end - star)
+        # RK4 on s' = -Gamma'(s - s*): the local error is the Taylor
+        # remainder (h Gamma')^5 / 5! (s - s*), so the global error is at
+        # most T dt^4 |Gamma'|^5 / 120 max|s - s*|
+        lip = max(np.linalg.norm(g, 2) for g in gts)
+        tol = mkt.chain.horizon * (1.0 / steps) ** 4 * lip ** 5 / 120.0 * dev
+        assert dev > 0.1  # the pieces move the curves
+        assert np.abs(curves.s[j] - exact).max() < tol
+
+
 def test_curves_csv_rows():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
