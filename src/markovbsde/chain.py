@@ -32,7 +32,11 @@ class ChainSpec:
 
     ``schedule`` is a tuple of (start_time, matrix) pairs covering
     [0, horizon]: piece k applies on [start_k, start_{k+1}). ``starts``
-    holds the start times.
+    holds the start times. Per piece k and state i, computed once:
+    ``jumps[k][i]`` is the jump table that ``simulate_path`` reads,
+    (1 / exit rate, jump CDF), or None when state i is absorbing there (see
+    ``_jump_table``); ``psi[k][i]`` is the read-only quadratic-variation
+    density with X frozen at state i.
     """
 
     n_states: int
@@ -40,9 +44,15 @@ class ChainSpec:
     initial_state: int
     horizon: float
     starts: tuple = field(init=False, repr=False, compare=False)
+    jumps: tuple = field(init=False, repr=False, compare=False)
+    psi: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "starts", tuple(s for s, _ in self.schedule))
+        for name, build in (("jumps", _jump_table), ("psi", _psi)):
+            object.__setattr__(self, name, tuple(
+                tuple(build(a, i) for i in range(self.n_states))
+                for _, a in self.schedule))
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
@@ -51,6 +61,30 @@ class ChainSpec:
     def breakpoints(self):
         """Interior schedule boundaries, strictly inside (0, horizon)."""
         return [s for s, _ in self.schedule[1:] if 0.0 < s < self.horizon]
+
+
+def _jump_table(a, state):
+    """(1 / exit rate, jump CDF) of ``state`` under generator ``a``, or None
+    when the state is absorbing.
+
+    The CDF is built as ``Generator.choice`` builds it from the jump
+    probabilities A[:, state] / exit rate: cumulative sum, then division by
+    the last entry. Off-diagonal rates in the validation tolerance below
+    zero count as zero, and the division normalises a column whose sum is
+    off by a tolerated amount. A state whose exit rate -A[state, state] is
+    not positive, or which has no positive off-diagonal rate, is absorbing.
+    """
+    rate = -a[state, state]
+    if rate <= 0.0:
+        return None
+    probs = np.maximum(a[:, state], 0.0)
+    probs[state] = 0.0
+    probs /= rate
+    cdf = probs.cumsum()
+    if cdf[-1] <= 0.0:
+        return None
+    cdf /= cdf[-1]
+    return float(1.0 / rate), tuple(cdf.tolist())
 
 
 @dataclass(frozen=True)
@@ -67,9 +101,10 @@ class ChainPath:
         st = np.asarray(self.states, dtype=int)
         if st.size != jt.size + 1:
             raise ValueError("states must have one more entry than jump_times")
-        if jt.size and (np.any(np.diff(jt) <= 0) or jt[0] <= 0 or jt[-1] > self.horizon):
+        if jt.size and ((jt[1:] <= jt[:-1]).any() or not 0 < jt[0]
+                        or not jt[-1] <= self.horizon):
             raise ValueError("jump times must be strictly increasing in (0, T]")
-        if np.any(st[1:] == st[:-1]):
+        if (st[1:] == st[:-1]).any():
             raise ValueError("self-jumps are not representable")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", st)
@@ -86,14 +121,30 @@ class ChainPath:
         """Vectorized state_at."""
         return self.states[np.searchsorted(self.jump_times, times, side="right")]
 
+    def jump_at(self, t):
+        """Index k of the jump at time t (from states[k] to states[k + 1]),
+        or None when the path does not jump at t."""
+        k = int(np.searchsorted(self.jump_times, t))
+        return k if k < self.jump_times.size and self.jump_times[k] == t else None
+
     def segments(self):
         """Constant-state segments as (t0, t1, state) triples covering [0, T]."""
-        edges = np.concatenate(([0.0], self.jump_times, [self.horizon]))
-        return [
-            (edges[k], edges[k + 1], int(self.states[k]))
-            for k in range(self.states.size)
-            if edges[k + 1] > edges[k]
-        ]
+        edges = [0.0, *self.jump_times.tolist(), self.horizon]
+        return [(edges[k], edges[k + 1], state)
+                for k, state in enumerate(self.states.tolist())
+                if edges[k + 1] > edges[k]]
+
+    def stretches(self, cuts, starts):
+        """Stretches of constant state and constant schedule piece, in time
+        order, as (t0, t1, state, piece) tuples covering [0, T].
+
+        Each constant-state segment is cut at the times in ``cuts`` strictly
+        inside it; ``piece`` is ``piece_index(starts, t0)``.
+        """
+        for t0, t1, state in self.segments():
+            inner = [s for s in cuts if t0 < s < t1]
+            for a, b in zip([t0, *inner], [*inner, t1]):
+                yield a, b, state, piece_index(starts, a)
 
 
 @dataclass(frozen=True)
@@ -179,34 +230,38 @@ def simulate_path(spec, seed):
 
     Holding times are exponential at the current diagonal rate; a holding
     time reaching a schedule boundary is resampled from the boundary on
-    (memorylessness). Deterministic for a fixed seed.
+    (memorylessness). The state after a jump is drawn from the jump table
+    of ``spec.jumps`` with one ``rng.random()`` and a right-sided search of
+    the CDF, which is how ``Generator.choice`` samples: for any generator
+    ``choice`` accepts, the path and the stream position after each draw
+    equal those of ``rng.choice(n_states, p=A[:, i] / rate)``.
+
+    Determinism contract: the path is a fixed function of (spec, seed),
+    drawn from ``numpy.random.default_rng(seed)``; the CLI's CSVs rest on
+    this stream. Off-diagonal rates within the validation tolerance below
+    zero never carry a jump, and states without a positive off-diagonal
+    rate are absorbing (see ``_jump_table``).
     """
     rng = np.random.default_rng(seed)
-    boundaries = list(spec.starts[1:]) + [spec.horizon]
+    boundaries = spec.starts[1:] + (spec.horizon,)
+    last = len(boundaries) - 1
     jump_times = []
     states = [spec.initial_state]
     t = 0.0
     piece = 0
     state = spec.initial_state
     while t < spec.horizon:
-        a = spec.schedule[piece][1]
-        rate = -a[state, state]
+        table = spec.jumps[piece][state]
         end = boundaries[piece]
-        if rate <= 0.0:
-            hold = np.inf
-        else:
-            hold = rng.exponential(1.0 / rate)
+        hold = np.inf if table is None else rng.exponential(table[0])
         if t + hold >= end:
             t = end
-            if piece + 1 < len(spec.schedule):
+            if piece < last:
                 piece += 1
                 continue
             break
         t += hold
-        probs = a[:, state].copy()
-        probs[state] = 0.0
-        probs /= rate
-        state = int(rng.choice(spec.n_states, p=probs))
+        state = bisect_right(table[1], rng.random())
         jump_times.append(t)
         states.append(state)
     return ChainPath(jump_times=np.array(jump_times), states=np.array(states, dtype=int),
@@ -255,17 +310,25 @@ def martingale_path(path, spec, grid_steps):
     return out
 
 
-def psi_matrix(spec, t, state):
-    """Quadratic-variation density with X frozen at the given state."""
-    if not 0 <= state < spec.n_states:
-        raise BadStateError(f"state {state} outside [0, {spec.n_states})")
-    a = spec.generator_at(t)
-    x = np.zeros(spec.n_states)
+def _psi(a, state):
+    """Quadratic-variation density under generator ``a`` with X frozen at
+    the given state; read-only."""
+    x = np.zeros(a.shape[0])
     x[state] = 1.0
     psi = np.diag(a @ x) - np.outer(x, a[:, state]) - np.outer(a[:, state], x)
     # diag(x) A' has row `state` equal to column `state` of A; A diag(x)
     # mirrors it in the column. Written with outer products for symmetry.
     psi[state, state] = -a[state, state]
+    psi.setflags(write=False)
+    return psi
+
+
+def psi_matrix(spec, t, state):
+    """Quadratic-variation density with X frozen at the given state (the
+    read-only matrix of ``spec.psi``)."""
+    if not 0 <= state < spec.n_states:
+        raise BadStateError(f"state {state} outside [0, {spec.n_states})")
+    psi = spec.psi[piece_index(spec.starts, t)][state]
     return PsiMatrix(matrix=psi, state=int(state), time=float(t))
 
 

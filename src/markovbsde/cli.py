@@ -153,18 +153,21 @@ def _cmd_hedge(config, out):
 
 def _cmd_verify(config, out):
     reports = {}
+    solver = config.solver
     z = np.zeros(config.chain.n_states)
     z[0] = 1.0
-    reports["isometry"] = isometry_check(config.chain, z,
-                                         n_paths=config.solver.n_paths,
-                                         seed_base=config.solver.seed)
+    # both checks run on the paths of seeds seed .. seed + n_paths - 1
+    paths = [simulate_path(config.chain, solver.seed + p)
+             for p in range(solver.n_paths)]
+    reports["isometry"] = isometry_check(config.chain, z, n_paths=solver.n_paths,
+                                         seed_base=solver.seed, paths=paths)
     if config.market is not None:
         claim = config.terminal
         if claim is None:
             claim = np.ones(config.chain.n_states)
         reports["european_consistency"] = european_consistency(
-            config.market, claim, n_paths=config.solver.n_paths,
-            steps=min(config.solver.steps, 400), seed_base=config.solver.seed)
+            config.market, claim, n_paths=solver.n_paths,
+            steps=min(solver.steps, 400), seed_base=solver.seed, paths=paths)
     _write_csv(out / "verify_report.csv",
                ("check_name", "lhs", "rhs", "std_error", "pass"),
                report_csv_rows(reports))

@@ -80,6 +80,7 @@ class MarketPiece:
     gamma: np.ndarray  # gamma_matrix(A, C, D)
     drift: np.ndarray  # A' - Gamma', the z-coefficient of the pricing driver
     rates: np.ndarray  # short rate per state, D_i - sigma_i . A_{:,i}
+    log_jump: np.ndarray  # C_ii - C_ij, the log-factor of a jump i -> j
 
 
 def _market_piece(a, c, d):
@@ -87,10 +88,11 @@ def _market_piece(a, c, d):
     gamma = gamma_matrix(a, c, d)
     drift = a.T - gamma.T
     rates = np.array([d[i] - sig[i, :] @ a[:, i] for i in range(d.size)])
-    for arr in (sig, gamma, drift, rates):
+    log_jump = np.diag(c)[:, None] - c
+    for arr in (sig, gamma, drift, rates, log_jump):
         arr.setflags(write=False)
     return MarketPiece(a=a, c=c, d=d, sigma=sig, gamma=gamma, drift=drift,
-                       rates=rates)
+                       rates=rates, log_jump=log_jump)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,8 @@ class MarketSpec:
 
     ``pieces`` holds the rate data of each piece of the merged A, C and D
     schedules, computed once; piece k applies on
-    [piece_starts[k], piece_starts[k + 1]).
+    [piece_starts[k], piece_starts[k + 1]). ``breakpoints()`` returns the
+    interior boundaries of the three schedules, also computed once.
     """
 
     chain: ChainSpec
@@ -110,6 +113,7 @@ class MarketSpec:
     r_max: float = 1.0
     piece_starts: tuple = field(init=False, repr=False, compare=False)
     pieces: tuple = field(init=False, repr=False, compare=False)
+    _breakpoints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c_starts = tuple(s for s, _ in self.c_schedule)
@@ -121,8 +125,12 @@ class MarketSpec:
                           self.c_schedule[piece_index(c_starts, t)][1],
                           self.d_schedule[piece_index(d_starts, t)][1])
             for t in starts)
+        pts = set(self.chain.breakpoints())
+        for sched in (self.c_schedule, self.d_schedule):
+            pts |= {s for s, _ in sched[1:] if 0 < s < self.chain.horizon}
         object.__setattr__(self, "piece_starts", starts)
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
 
     def piece_at(self, t):
         """Rate data in force at time t (right-continuous pieces, clamped
@@ -139,10 +147,9 @@ class MarketSpec:
         return self.piece_at(t).gamma
 
     def breakpoints(self):
-        pts = set(self.chain.breakpoints())
-        for sched in (self.c_schedule, self.d_schedule):
-            pts |= {s for s, _ in sched[1:] if 0 < s < self.chain.horizon}
-        return sorted(pts)
+        """Sorted interior boundaries of the A, C and D schedules, strictly
+        inside (0, horizon)."""
+        return self._breakpoints
 
 
 def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
@@ -183,15 +190,6 @@ def short_rate(market, t, state, strict=False):
     return r
 
 
-def _sdf_log_events(market, path):
-    """(time, log-increment kind) sweep data: per constant-state segment the
-    D-drift rate, plus the exact jump log-factors C_ii - C_ij."""
-    cuts = sorted({0.0, path.horizon}
-                  | set(path.jump_times.tolist())
-                  | {s for s in market.breakpoints()})
-    return cuts
-
-
 def sdf_path(market, path, grid_steps):
     """Discount factor along one path on a uniform grid, closed form.
 
@@ -202,32 +200,22 @@ def sdf_path(market, path, grid_steps):
     vectorized interpolation.
     """
     grid = uniform_grid(path.horizon, grid_steps)
-    jt = path.jump_times
-    events = np.unique(np.concatenate(
-        ([0.0], jt, np.asarray(market.breakpoints(), dtype=float),
-         [path.horizon])))
+    stretches = list(path.stretches(market.breakpoints(), market.piece_starts))
+    events = np.array([0.0] + [t1 for _, t1, _, _ in stretches])
     # log pi immediately after each event, plus the drift slope of the
-    # segment starting there
+    # stretch starting there
     log_after = np.zeros(events.size)
     slopes = np.zeros(events.size - 1)
     acc = 0.0
-    for k in range(1, events.size):
-        t0, t1 = events[k - 1], events[k]
-        state = path.state_at(t0)
-        slope = -float(market.d_at(t0)[state])
-        slopes[k - 1] = slope
+    for k, (t0, t1, state, piece) in enumerate(stretches):
+        slope = -float(market.pieces[piece].d[state])
+        slopes[k] = slope
         acc += slope * (t1 - t0)
-        j = int(np.searchsorted(jt, t1))
-        idx = None
-        if j < jt.size and jt[j] == t1:
-            idx = j
-        elif j > 0 and jt[j - 1] == t1:
-            idx = j - 1
+        idx = path.jump_at(t1)
         if idx is not None:
             old, new = int(path.states[idx]), int(path.states[idx + 1])
-            c = market.c_at(t1)
-            acc += c[old, old] - c[old, new]
-        log_after[k] = acc
+            acc += market.piece_at(t1).log_jump[old, new]
+        log_after[k + 1] = acc
     pos = np.searchsorted(events, grid, side="right") - 1
     at_end = pos >= events.size - 1
     pos = np.minimum(pos, events.size - 2)
@@ -239,14 +227,12 @@ def sdf_path(market, path, grid_steps):
 def terminal_sdf(market, path):
     """Exact discount factor at the horizon for one path."""
     acc = 0.0
-    for t0, t1, state in path.segments():
-        cuts = [t0] + [s for s in market.breakpoints() if t0 < s < t1] + [t1]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            acc -= market.d_at(a)[state] * (b - a)
+    for t0, t1, state, piece in path.stretches(market.breakpoints(),
+                                               market.piece_starts):
+        acc -= market.pieces[piece].d[state] * (t1 - t0)
     for idx, t in enumerate(path.jump_times):
         old, new = int(path.states[idx]), int(path.states[idx + 1])
-        c = market.c_at(t)
-        acc += c[old, old] - c[old, new]
+        acc += market.piece_at(t).log_jump[old, new]
     return float(np.exp(acc))
 
 
@@ -260,12 +246,12 @@ def sdf_dynamics_residual(market, path, grid_steps):
     """
     grid = uniform_grid(path.horizon, grid_steps)
     closed = sdf_path(market, path, grid_steps)
-    cuts = sorted(set(grid.tolist()) | set(_sdf_log_events(market, path)))
+    cuts = sorted(set(grid.tolist()) | set(path.jump_times.tolist())
+                  | set(market.breakpoints()))
     pi = 1.0
     worst = 0.0
     gi = 1
     prev = 0.0
-    jt = path.jump_times
     for t in cuts:
         if t <= prev:
             continue
@@ -275,12 +261,7 @@ def sdf_dynamics_residual(market, path, grid_steps):
         r = float(piece.rates[state])
         comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
         pi = pi * np.exp(-r * dt) - pi * comp * dt
-        j = np.searchsorted(jt, t)
-        idx = None
-        if j < jt.size and abs(jt[j] - t) < 1e-15:
-            idx = j
-        elif j > 0 and abs(jt[j - 1] - t) < 1e-15:
-            idx = j - 1
+        idx = path.jump_at(t)
         if idx is not None:
             old, new = int(path.states[idx]), int(path.states[idx + 1])
             pi += pi * market.piece_at(t).sigma[old, new]
@@ -391,12 +372,7 @@ def stock_sde_residual(market, curves, path, grid_steps):
             drift = float((piece.drift @ s_vec)[state] - delta[state])
             comp = float(s_vec @ piece.a[:, state])
             val += (drift - comp) * dt
-            jdx = np.searchsorted(jt, t)
-            idx = None
-            if jdx < jt.size and abs(jt[jdx] - t) < 1e-15:
-                idx = jdx
-            elif jdx > 0 and abs(jt[jdx - 1] - t) < 1e-15:
-                idx = jdx - 1
+            idx = path.jump_at(t)
             if idx is not None:
                 old, new = int(path.states[idx]), int(path.states[idx + 1])
                 sv = curve.interp(t)

@@ -1,6 +1,8 @@
 """Chain core: validation, simulation, the martingale decomposition, the
 Psi calculus, the pseudoinverse and the contraction check."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from markovbsde import (ChainPath, build_chain_spec, check_contraction,
                         martingale_path, mc_estimate, pseudoinverse,
                         psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from markovbsde.chain import path_to_csv_rows
+from markovbsde.config import load_config
 from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
 
@@ -86,6 +89,81 @@ def test_simulated_paths_are_well_formed(two_state_chain):
         assert np.all((0 <= p.states) & (p.states < 2))
 
 
+def choice_oracle(spec, seed):
+    """The simulation loop written with numpy's own sampler: holding times
+    from ``rng.exponential``, each jump from ``rng.choice``."""
+    rng = np.random.default_rng(seed)
+    ends = list(spec.starts[1:]) + [spec.horizon]
+    times, states = [], [spec.initial_state]
+    t, piece, state = 0.0, 0, spec.initial_state
+    while True:
+        a = spec.schedule[piece][1]
+        rate = -a[state, state]
+        hold = rng.exponential(1.0 / rate) if rate > 0 else np.inf
+        if t + hold >= ends[piece]:
+            if piece + 1 == len(ends):
+                return np.array(times), np.array(states)
+            t, piece = ends[piece], piece + 1
+            continue
+        t += hold
+        probs = a[:, state].copy()
+        probs[state] = 0.0
+        state = int(rng.choice(spec.n_states, p=probs / rate))
+        times.append(t)
+        states.append(state)
+
+
+def stream_chains():
+    """Random chains (N = 1..5, absorbing states, 1-4 pieces starting off
+    any grid) and the bundled configs' chains."""
+    rng = np.random.default_rng(2024)
+    chains = []
+    for k in range(16):
+        n = 1 + k % 5
+        starts = [0.0] + sorted(rng.uniform(0.05, 0.95, k % 4).tolist())
+        pieces = []
+        for start in starts:
+            a = random_generator(rng, n, scale=float(rng.choice([0.5, 3.0, 20.0])))
+            if n > 1 and k % 3 == 0:
+                a[:, rng.integers(n)] = 0.0  # an absorbing state
+            pieces.append((start, a))
+        chains.append(build_chain_spec(n, pieces, int(rng.integers(n)), 1.0))
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    return chains + [load_config(str(p)).chain for p in sorted(configs.glob("*.yaml"))]
+
+
+def test_simulate_path_reproduces_the_choice_stream():
+    chains = stream_chains()
+    assert {c.n_states for c in chains} >= {1, 2, 3, 4, 5}
+    assert {len(c.schedule) for c in chains} == {1, 2, 3, 4}
+    jumps = 0
+    for spec in chains:
+        for seed in range(200):
+            path = simulate_path(spec, seed)
+            times, states = choice_oracle(spec, seed)
+            assert np.array_equal(path.jump_times, times)
+            assert np.array_equal(path.states, states)
+            jumps += path.n_jumps
+    assert jumps > 10_000
+
+
+@pytest.mark.parametrize("a, horizon", [
+    # off-diagonal -5e-13 out of state 0, inside the validation tolerance
+    ([[-1.0, 0.5, 0.5], [1.0 + 5e-13, -1.0, 0.5], [-5e-13, 0.5, -1.0]], 1.0),
+    # column 0 sums to 5e-9, inside the tolerance 1e-12 * max|A|
+    ([[-1e-3, 1e4], [1e-3 + 5e-9, -1e4]], 3000.0),
+])
+def test_simulate_path_on_tolerated_generators(a, horizon):
+    spec = build_chain_spec(len(a), a, 0, horizon)
+    from_zero = 0
+    for seed in range(200):
+        path = simulate_path(spec, seed)
+        after_zero = path.states[1:][path.states[:-1] == 0]
+        assert np.all(after_zero == 1)  # never along the zero rate 0 -> 2
+        from_zero += after_zero.size
+    assert from_zero > 100
+
+
 def test_path_state_lookup_is_right_continuous():
     p = ChainPath(jump_times=np.array([0.25, 0.5]), states=np.array([0, 1, 0]),
                   horizon=1.0, seed=0)
@@ -94,6 +172,11 @@ def test_path_state_lookup_is_right_continuous():
     assert p.state_at(0.49) == 1
     assert p.state_at(0.5) == 0
     assert p.segments() == [(0.0, 0.25, 0), (0.25, 0.5, 1), (0.5, 1.0, 0)]
+    assert ([p.jump_at(t) for t in (0.0, 0.25, 0.3, 0.5, 1.0)]
+            == [None, 0, None, 1, None])
+    # cut at 0.4 and 0.5 (a jump time already); pieces start at 0 and 0.4
+    assert list(p.stretches([0.4, 0.5], (0.0, 0.4))) == [
+        (0.0, 0.25, 0, 0), (0.25, 0.4, 1, 0), (0.4, 0.5, 1, 1), (0.5, 1.0, 0, 1)]
 
 
 def test_path_rejects_malformed_data():

@@ -11,6 +11,8 @@ import pytest
 from markovbsde.cli import main
 from markovbsde.config import load_config
 from markovbsde.errors import ConfigError
+from markovbsde.montecarlo import (european_consistency, isometry_check,
+                                   report_csv_rows)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -201,6 +203,28 @@ def test_verify_subcommand(tmp_path):
     names = {r["check_name"] for r in rows}
     assert names == {"isometry", "european_consistency"}
     assert all(r["pass"] == "True" for r in rows)
+
+
+def test_verify_report_equals_separate_checks(tmp_path):
+    # verify draws each path once for both checks; the report must equal
+    # the two checks run apart, each drawing the same seeds itself
+    out = tmp_path / "ver"
+    assert run_cli("verify", "--config", str(CONFIGS / "market_regime.yaml"),
+                   "--out", str(out), "--paths", "400", "--seed", "7",
+                   "--steps", "100") == 0
+    cfg = load_config(str(CONFIGS / "market_regime.yaml"))
+    z = np.zeros(cfg.chain.n_states)
+    z[0] = 1.0
+    reports = {
+        "isometry": isometry_check(cfg.chain, z, 400, seed_base=7),
+        "european_consistency": european_consistency(
+            cfg.market, cfg.terminal, 400, steps=100, seed_base=7)}
+    want = [(name, lhs, rhs, se, str(ok))
+            for name, lhs, rhs, se, ok in report_csv_rows(reports)]
+    got = [(r["check_name"], float(r["lhs"]), float(r["rhs"]),
+            float(r["std_error"]), r["pass"])
+           for r in read_csv(out / "verify_report.csv")]
+    assert got == want
 
 
 def test_cli_requires_config(capsys):

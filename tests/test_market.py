@@ -4,8 +4,8 @@ stock curves and pathwise SDE residuals."""
 import numpy as np
 import pytest
 
-from markovbsde import (build_chain_spec, build_market_spec, gamma_matrix,
-                        sdf_dynamics_residual, sdf_path, short_rate,
+from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
+                        gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
 from markovbsde.market import curves_to_csv_rows
@@ -234,6 +234,7 @@ def test_rate_table_matches_direct_formulas():
     starts = sorted({s for sched in (A_SCHED, C_SCHED, D_SCHED)
                      for s, _ in sched})
     assert mkt.piece_starts == tuple(starts)
+    assert mkt.breakpoints() == tuple(starts[1:])
     ends = starts[1:] + [1.0]
     probes = (starts + [0.5 * (a + b) for a, b in zip(starts, ends)]
               + [s - 1e-12 for s in starts[1:]] + [-0.5, -1e-12, 1.0, 1.5])
@@ -249,10 +250,32 @@ def test_rate_table_matches_direct_formulas():
             assert short_rate(mkt, t, i) == float(d[i] - sig[i, :] @ a[:, i])
         piece = mkt.piece_at(t)
         assert piece.gamma is gamma
-        for arr in (piece.sigma, piece.gamma, piece.drift, piece.rates):
+        for i in range(3):
+            for j in range(3):
+                assert piece.log_jump[i, j] == c[i, i] - c[i, j]
+        for arr in (piece.sigma, piece.gamma, piece.drift, piece.rates,
+                    piece.log_jump):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             gamma[0, 0] = 0.0
+
+
+def test_terminal_sdf_sums_over_off_grid_stretches():
+    mkt = build_market_spec(build_chain_spec(3, A_SCHED, 0, 1.0),
+                            c_schedule=C_SCHED, d_schedule=D_SCHED,
+                            dividends=DIVS3)
+    # jumps 0 -> 2 -> 1 at 0.1 and 0.4537, the second one exactly where C
+    # changes (C2 applies, right-continuity); D and A change in between
+    path = ChainPath(jump_times=np.array([0.1, 0.4537]), states=np.array([0, 2, 1]),
+                     horizon=1.0, seed=0)
+    d1, d2, d3 = (np.asarray(d) for _, d in D_SCHED)
+    drift = (d1[0] * 0.1 + d1[2] * (0.2129 - 0.1) + d2[2] * (0.4537 - 0.2129)
+             + d2[1] * (0.8123 - 0.4537) + d3[1] * (1.0 - 0.8123))
+    jumps = (C1[0, 0] - C1[0, 2]) + (C2[2, 2] - C2[2, 1])
+    assert terminal_sdf(mkt, path) == pytest.approx(np.exp(jumps - drift),
+                                                    rel=1e-14)
+    assert sdf_path(mkt, path, 7)[-1] == pytest.approx(np.exp(jumps - drift),
+                                                       rel=1e-14)
 
 
 def _expm(m):

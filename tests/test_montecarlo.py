@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from markovbsde import (ChainPath, build_market_spec, european_consistency,
-                        isometry_check, mc_estimate, simulate_path)
+from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
+                        european_consistency, isometry_check, mc_estimate,
+                        simulate_path)
 from markovbsde.montecarlo import (report_csv_rows, seminorm_time_integral,
                                    stochastic_integral)
 from markovbsde.errors import NonFiniteError
@@ -51,6 +52,51 @@ def test_seminorm_time_integral_on_manual_path(two_state_chain):
                      horizon=1.0, seed=0)
     got = seminorm_time_integral(two_state_chain, z, path)
     assert got == pytest.approx(9.0, abs=1e-14)
+
+
+# a three-state chain whose generator changes at two off-grid times
+A_SCHED = [(0.0, np.array([[-1.0, 0.5, 0.3], [0.6, -0.9, 0.4], [0.4, 0.4, -0.7]])),
+           (0.3137, np.array([[-0.5, 1.2, 0.2], [0.2, -1.5, 0.6], [0.3, 0.3, -0.8]])),
+           (0.6871, np.array([[-1.4, 0.3, 0.9], [0.7, -0.6, 0.5], [0.7, 0.3, -1.4]]))]
+# jumps 0 -> 2 -> 1 at 0.2 and 0.5: five stretches of constant state and
+# generator, as (duration, state, piece)
+HAND_PATH = ChainPath(jump_times=np.array([0.2, 0.5]), states=np.array([0, 2, 1]),
+                      horizon=1.0, seed=0)
+HAND_STRETCHES = [(0.2, 0, 0), (0.3137 - 0.2, 2, 0), (0.5 - 0.3137, 2, 1),
+                  (0.6871 - 0.5, 1, 1), (1.0 - 0.6871, 1, 2)]
+
+
+def test_functionals_sum_over_off_grid_stretches():
+    spec = build_chain_spec(3, A_SCHED, 0, 1.0)
+    z = np.array([2.0, -1.0, 0.5])
+    # int z'dM: jump increments minus the compensator sum of z'A e_i du
+    jumps = (z[2] - z[0]) + (z[1] - z[2])
+    compensator = sum(dt * sum(z[j] * A_SCHED[k][1][j, i] for j in range(3))
+                      for dt, i, k in HAND_STRETCHES)
+    assert stochastic_integral(spec, z, HAND_PATH) == pytest.approx(
+        jumps - compensator, abs=1e-14)
+    # ||z||^2 at state i is sum_{j != i} A_ji (z_j - z_i)^2
+    seminorm = sum(dt * sum(A_SCHED[k][1][j, i] * (z[j] - z[i]) ** 2
+                            for j in range(3) if j != i)
+                   for dt, i, k in HAND_STRETCHES)
+    assert seminorm_time_integral(spec, z, HAND_PATH) == pytest.approx(
+        seminorm, abs=1e-14)
+
+
+def test_checks_take_the_drawn_paths(market_c0):
+    chain = market_c0.chain
+    z = np.array([1.0, 0.0])
+    paths = [simulate_path(chain, 40 + p) for p in range(300)]
+    assert isometry_check(chain, z, 300, seed_base=40, paths=paths) == \
+        isometry_check(chain, z, 300, seed_base=40)
+    claim = np.array([1.0, 2.0])
+    assert european_consistency(market_c0, claim, 300, steps=50, seed_base=40,
+                                paths=paths) == \
+        european_consistency(market_c0, claim, 300, steps=50, seed_base=40)
+    with pytest.raises(ValueError):
+        isometry_check(chain, z, 300, seed_base=41, paths=paths)
+    with pytest.raises(ValueError):
+        isometry_check(chain, z, 299, seed_base=40, paths=paths)
 
 
 def test_martingale_integral_has_zero_mean(two_state_chain):
