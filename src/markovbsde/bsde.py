@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_contraction
+from .chain import check_contraction, split_down
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -104,11 +104,6 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     return 0.5 * (lo + hi)
 
 
-def _segment_cuts(spec, t0, t1):
-    cuts = [t1] + [s for s in spec.breakpoints() if t0 < s < t1][::-1] + [t0]
-    return cuts  # decreasing in time
-
-
 def _rk4_step(spec, driver, t_hi, t_lo, y):
     """One backward RK4 sweep from t_hi down to t_lo, split at schedule
     breakpoints so each sub-step sees a constant generator."""
@@ -121,7 +116,7 @@ def _rk4_step(spec, driver, t_hi, t_lo, y):
             out[i] = -at_y[i] - driver.evaluate(t, i, yv[i], yv)
         return out
 
-    cuts = _segment_cuts(spec, t_lo, t_hi)
+    cuts = split_down(spec.breakpoints(), t_lo, t_hi)
     for a_t, b_t in zip(cuts[:-1], cuts[1:]):
         h = b_t - a_t  # negative
         gen = spec.generator_at(0.5 * (a_t + b_t))
@@ -134,7 +129,7 @@ def _rk4_step(spec, driver, t_hi, t_lo, y):
 
 
 def _implicit_step(spec, driver, t_hi, t_lo, y):
-    cuts = _segment_cuts(spec, t_lo, t_hi)
+    cuts = split_down(spec.breakpoints(), t_lo, t_hi)
     n = y.size
     lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
     for a_t, b_t in zip(cuts[:-1], cuts[1:]):
@@ -153,7 +148,8 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     """Integrate the backward state-space reduction on a uniform grid.
 
     scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
-    node is the given vector exactly; no integration touches it.
+    node is the given vector exactly; no integration touches it. A failed
+    ``check_contraction`` warns, or raises under ``strict_contraction``.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.n_states,):
@@ -163,7 +159,7 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     if scheme not in ("explicit_rk4", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if driver.lipschitz_z > 0:
-        report = check_contraction(spec, driver.lipschitz_z, grid_steps=16)
+        report = check_contraction(spec, driver.lipschitz_z)
         if not report["holds"]:
             msg = (f"z-Lipschitz contraction fails, margin "
                    f"{report['worst_margin']:.3g} at {report['worst_time_state']}")
@@ -189,7 +185,7 @@ def _node_derivatives(spec, driver, sol):
     n = vals.shape[1]
     d = np.empty_like(vals)
     for k, t in enumerate(grid):
-        a = spec.generator_at(min(t, spec.horizon * (1 - 1e-15)))
+        a = spec.generator_at(t)
         at_y = a.T @ vals[k]
         for i in range(n):
             d[k, i] = -at_y[i] - driver.evaluate(t, i, vals[k, i], vals[k])
@@ -240,7 +236,7 @@ def pathwise_residual(solution, path, spec, driver, terminal):
         return driver.evaluate(t, i, y[i], y)
 
     def comp_at(t, i):
-        a = spec.generator_at(min(t, spec.horizon * (1 - 1e-15)))
+        a = spec.generator_at(t)
         return float(curve(t) @ a[:, i])
 
     def simpson(fn, a, b, i):
@@ -298,7 +294,7 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
             raise PreconditionUnmetError(
                 f"driver ordering fails at t={t:.4g}, state={i}")
     if driver1.lipschitz_z > 0:
-        report = check_contraction(spec, driver1.lipschitz_z, grid_steps=16)
+        report = check_contraction(spec, driver1.lipschitz_z)
         if not report["holds"]:
             raise ContractionViolatedError(
                 f"driver1 violates the contraction condition, margin "

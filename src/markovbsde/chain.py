@@ -8,7 +8,7 @@ Most textbooks use the transposed (row) convention; everything in this
 package is written in the column convention.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,18 +25,66 @@ def piece_index(starts, t):
     return max(bisect_right(starts, t) - 1, 0)
 
 
+def split_down(breakpoints, t_lo, t_hi):
+    """[t_lo, t_hi] cut at the sorted ``breakpoints`` strictly inside it:
+    the ends of its constant-piece sub-steps, in decreasing time."""
+    return [t_hi, *[b for b in reversed(breakpoints) if t_lo < b < t_hi], t_lo]
+
+
+def freeze_schedule(entries, shape, horizon, what, check):
+    """Validate and freeze a piecewise-constant schedule on [0, horizon).
+
+    ``entries`` is a bare value of the given shape or (start, value) pairs.
+    The rules, shared by A, C and D, else ``BadScheduleError``: a positive,
+    finite horizon; at least one piece; finite, distinct starts, the first
+    within 1e-12 of 0 (stored as 0.0), the last below the horizon.
+    ``check(value)`` validates one value, raising the caller's error type,
+    and returns it as a float array. Returns a tuple of (start, read-only
+    array) pairs sorted by start.
+    """
+    if not 0.0 < horizon < np.inf:
+        raise BadScheduleError(f"horizon must be positive and finite, got {horizon}")
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.shape == shape:
+        # a bare value means a constant schedule
+        entries = [(0.0, arr)]
+    pieces = []
+    for entry in entries:
+        try:
+            start, value = entry
+        except (TypeError, ValueError) as exc:
+            raise BadScheduleError(
+                f"{what} schedule entry {entry!r} is not (start, value)") from exc
+        pieces.append((float(start), check(value).copy()))
+    if not pieces:
+        raise BadScheduleError(f"empty {what} schedule")
+    pieces.sort(key=lambda p: p[0])
+    starts = [s for s, _ in pieces]
+    if not (np.all(np.isfinite(starts)) and abs(starts[0]) <= _GEN_TOL
+            and all(a < b for a, b in zip(starts, starts[1:]))
+            and starts[-1] < horizon):
+        raise BadScheduleError(
+            f"{what} schedule starts {starts} do not partition [0, {horizon})")
+    for _, value in pieces:
+        value.setflags(write=False)
+    return ((0.0, pieces[0][1]), *pieces[1:])
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """A finite-state chain on [0, horizon] with a piecewise-constant
     generator schedule.
 
-    ``schedule`` is a tuple of (start_time, matrix) pairs covering
-    [0, horizon]: piece k applies on [start_k, start_{k+1}). ``starts``
-    holds the start times. Per piece k and state i, computed once:
-    ``jumps[k][i]`` is the jump table that ``simulate_path`` reads,
-    (1 / exit rate, jump CDF), or None when state i is absorbing there (see
-    ``_jump_table``); ``psi[k][i]`` is the read-only quadratic-variation
-    density with X frozen at state i.
+    ``schedule`` is a tuple of (start_time, matrix) pairs from
+    ``freeze_schedule``: piece k applies on [start_k, start_{k+1}), and
+    start_0 = 0.0. ``starts`` holds the start times. Per piece k and state
+    i, computed once: ``jumps[k][i]`` is the jump table that
+    ``simulate_path`` reads, (1 / exit rate, jump CDF), or None when state i
+    is absorbing there (see ``_jump_table``); ``psi[k][i]`` is the read-only
+    quadratic-variation density with X frozen at state i.
     """
 
     n_states: int
@@ -59,8 +107,8 @@ class ChainSpec:
         return self.schedule[piece_index(self.starts, t)][1]
 
     def breakpoints(self):
-        """Interior schedule boundaries, strictly inside (0, horizon)."""
-        return [s for s, _ in self.schedule[1:] if 0.0 < s < self.horizon]
+        """Interior schedule boundaries: the piece starts after the first."""
+        return self.starts[1:]
 
 
 def _jump_table(a, state):
@@ -138,11 +186,11 @@ class ChainPath:
         """Stretches of constant state and constant schedule piece, in time
         order, as (t0, t1, state, piece) tuples covering [0, T].
 
-        Each constant-state segment is cut at the times in ``cuts`` strictly
-        inside it; ``piece`` is ``piece_index(starts, t0)``.
+        Each constant-state segment is cut at the times of the sorted
+        ``cuts`` strictly inside it; ``piece`` is ``piece_index(starts, t0)``.
         """
         for t0, t1, state in self.segments():
-            inner = [s for s in cuts if t0 < s < t1]
+            inner = cuts[bisect_right(cuts, t0):bisect_left(cuts, t1)]
             for a, b in zip([t0, *inner], [*inner, t1]):
                 yield a, b, state, piece_index(starts, a)
 
@@ -175,49 +223,19 @@ def build_chain_spec(n_states, generator_schedule, initial_state, horizon):
     """Validate and freeze a chain specification.
 
     ``generator_schedule`` is either a single matrix (constant generator) or
-    a list of (start_time, matrix) pairs with start times partitioning
-    [0, horizon).
+    a list of (start_time, matrix) pairs under the rules of
+    ``freeze_schedule``; a matrix that is no generator raises
+    ``NonGeneratorError``.
     """
     n_states = int(n_states)
     if n_states < 1:
         raise BadStateError("need at least one state")
-    horizon = float(horizon)
-    if not horizon > 0:
-        raise BadScheduleError("horizon must be positive")
     if not 0 <= int(initial_state) < n_states:
         raise BadStateError(f"initial state {initial_state} outside [0, {n_states})")
-
-    sched = generator_schedule
-    try:
-        arr = np.asarray(sched, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is not None and arr.ndim == 2 and arr.shape == (n_states, n_states):
-        # a bare matrix means a constant generator
-        sched = [(0.0, arr)]
-
-    pieces = []
-    for entry in sched:
-        try:
-            start, mat = entry
-        except (TypeError, ValueError) as exc:
-            raise BadScheduleError(f"schedule entry {entry!r} is not (start, matrix)") from exc
-        pieces.append((float(start), _validate_generator(mat, n_states)))
-    if not pieces:
-        raise BadScheduleError("empty generator schedule")
-    pieces.sort(key=lambda p: p[0])
-    starts = [s for s, _ in pieces]
-    if abs(starts[0]) > _GEN_TOL:
-        raise BadScheduleError("schedule must start at time 0")
-    if len(set(starts)) != len(starts):
-        raise BadScheduleError("overlapping schedule pieces")
-    if starts[-1] >= horizon:
-        raise BadScheduleError("schedule piece starts at or after the horizon")
-    frozen = tuple((s, m.copy()) for s, m in pieces)
-    for _, m in frozen:
-        m.setflags(write=False)
-    return ChainSpec(n_states=n_states, schedule=frozen, initial_state=int(initial_state),
-                     horizon=horizon)
+    schedule = freeze_schedule(generator_schedule, (n_states, n_states), float(horizon),
+                               "generator", lambda a: _validate_generator(a, n_states))
+    return ChainSpec(n_states=n_states, schedule=schedule,
+                     initial_state=int(initial_state), horizon=float(horizon))
 
 
 def rate_bound_m(spec):
@@ -268,41 +286,24 @@ def simulate_path(spec, seed):
                      horizon=spec.horizon, seed=int(seed))
 
 
-def _drift_integral_between(spec, t0, t1, state):
-    """Exact integral of A_u e_state du over [t0, t1] (state constant)."""
-    total = np.zeros(spec.n_states)
-    cuts = [t0] + [s for s in spec.starts if t0 < s < t1] + [t1]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        gen = spec.generator_at(a)
-        total += gen[:, state] * (b - a)
-    return total
-
-
 def martingale_path(path, spec, grid_steps):
     """Martingale part M_t = X_t - X_0 - int A_u X_u du on a uniform grid.
 
-    The drift integral is closed form on each constant-state,
-    constant-generator stretch; within-step jump times are honored exactly.
+    The drift integral is closed form on each stretch of constant state and
+    constant generator piece; within-step jump times are honored exactly.
     Returns a (grid_steps+1, N) array.
     """
     grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
     n = spec.n_states
     out = np.zeros((grid.size, n))
     drift = np.zeros(n)
-    events = sorted(set(path.jump_times.tolist()) | set(grid.tolist())
-                    | {s for s in spec.starts if 0 < s < spec.horizon})
-    prev = 0.0
     x0 = np.zeros(n)
     x0[spec.initial_state] = 1.0
     grid_idx = 1
-    out[0] = 0.0
-    for t in events:
-        if t <= prev:
-            continue
-        state = path.state_at(prev)
-        drift = drift + _drift_integral_between(spec, prev, t, state)
-        prev = t
-        while grid_idx < grid.size and grid[grid_idx] <= t + 1e-15:
+    cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
+    for t0, t1, state, piece in path.stretches(cuts, spec.starts):
+        drift = drift + spec.schedule[piece][1][:, state] * (t1 - t0)
+        while grid_idx < grid.size and grid[grid_idx] <= t1 + 1e-15:
             x = np.zeros(n)
             x[path.state_at(grid[grid_idx])] = 1.0
             out[grid_idx] = x - x0 - drift
@@ -357,28 +358,26 @@ def pseudoinverse(q, tol=1e-10):
     return (v * inv) @ v.T
 
 
-def check_contraction(spec, lipschitz_z, grid_steps=64):
+def check_contraction(spec, lipschitz_z):
     """Evaluate the fixed-point condition l2 * ||Psi^+||_F * sqrt(6m) < 1
-    at every grid node and state.
+    on every schedule piece and state (Psi is constant on each piece).
 
     Returns a dict with the overall verdict, the worst margin
-    1 - l2 ||Psi^+|| sqrt(6m), and where it is attained.
+    1 - l2 ||Psi^+|| sqrt(6m), and the (piece start, state) attaining it.
     """
     if lipschitz_z < 0:
         raise ValueError("lipschitz_z must be nonnegative")
     m = rate_bound_m(spec)
-    grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
     worst = np.inf
     worst_at = (0.0, 0)
-    for t in grid:
-        for i in range(spec.n_states):
-            psi = psi_matrix(spec, t, i).matrix
+    for start, psis in zip(spec.starts, spec.psi):
+        for i, psi in enumerate(psis):
             pinv = pseudoinverse(psi)
             norm = float(np.sqrt(np.trace(pinv.T @ pinv)))
             margin = 1.0 - lipschitz_z * norm * np.sqrt(6.0 * m)
             if margin < worst:
                 worst = margin
-                worst_at = (float(t), i)
+                worst_at = (start, i)
     return {"holds": bool(worst > 0.0), "worst_margin": float(worst),
             "worst_time_state": worst_at}
 

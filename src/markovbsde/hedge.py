@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import MarkovDriver
-from .chain import check_contraction, rate_bound_m, simulate_path
+from .chain import check_contraction, piece_index, rate_bound_m, simulate_path
 from .errors import DimensionMismatchError, SingularPhiError
 from .grids import StateGridFunction, sample_on_grid
 from .rbsde import Obstacle, solve_reflected
@@ -54,19 +54,17 @@ def make_hedge_driver(market):
         lipschitz_y=rep["c4"], lipschitz_z=rep["c6"])
 
 
-def driver_constants(market, grid_steps=32):
+def driver_constants(market):
     """Bounds entering the contraction condition of the pricing driver.
 
     c1 bounds |(A - Gamma)X|, c4 the short rate, c5 the full z-coefficient
     |(-r + (A - Gamma))X|; c6 converts to a combined Lipschitz constant
     (the Euclidean z-slope scaled by sqrt(3m) to sit against the
-    quadratic-variation seminorm).
+    quadratic-variation seminorm). Maxima run over ``market.pieces``.
     """
     chain = market.chain
-    grid = np.linspace(0.0, chain.horizon, grid_steps + 1)
     c1 = c4 = c5 = 0.0
-    for t in grid:
-        piece = market.piece_at(t)
+    for piece in market.pieces:
         diff = piece.drift.T  # A - Gamma
         for i in range(chain.n_states):
             r = float(piece.rates[i])
@@ -80,11 +78,11 @@ def driver_constants(market, grid_steps=32):
     return {"c1": c1, "c4": c4, "c5": c5, "c6": c6, "m": m}
 
 
-def contraction_report(market, grid_steps=32):
+def contraction_report(market):
     """Recompute the driver constants and delegate to the chain-level
-    contraction check with l2 = c6."""
-    consts = driver_constants(market, grid_steps)
-    report = check_contraction(market.chain, consts["c6"], grid_steps=grid_steps)
+    contraction check with l2 = c6; both run per schedule piece."""
+    consts = driver_constants(market)
+    report = check_contraction(market.chain, consts["c6"])
     report.update(consts)
     return report
 
@@ -139,8 +137,7 @@ def extract_hedge(market, curves, solution):
     return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, k=solution.k)
 
 
-def replicate_forward(market, curves, strategy, solution, payoff, path,
-                      grid_steps=None):
+def replicate_forward(market, curves, strategy, solution, payoff, path):
     """Simulate the self-financing wealth equation forward along a path and
     compare with the priced value surface.
 
@@ -150,8 +147,6 @@ def replicate_forward(market, curves, strategy, solution, payoff, path,
     correct strategy tracks the value to machine precision.
     """
     grid = solution.grid
-    if grid_steps is not None and grid_steps != grid.size - 1:
-        raise ValueError("replication runs on the pricing grid")
     dt = grid[1] - grid[0]
     n = market.chain.n_states
     steps = grid.size - 1
@@ -163,14 +158,9 @@ def replicate_forward(market, curves, strategy, solution, payoff, path,
     stock_leg = np.einsum("knj,kj->kn", phis, strategy.h)  # (K+1, N)
     drift = np.empty((steps, n))
     bond_leg = np.empty((steps, n))
-    lefts = grid[:-1]
-    edges = [0.0] + list(market.breakpoints()) + [grid[-1]]
-    for a_t, b_t in zip(edges[:-1], edges[1:]):
-        mask = (lefts >= a_t - 1e-12) & (lefts < b_t - 1e-12)
-        if not mask.any():
-            continue
-        t0 = float(lefts[mask][0])
-        piece = market.piece_at(t0)
+    piece_of = np.array([piece_index(market.piece_starts, t) for t in grid[:-1]])
+    for k, piece in enumerate(market.pieces):
+        mask = piece_of == k
         drift[mask] = -(stock_leg[1:][mask] @ piece.gamma)
         bond_leg[mask] = strategy.h0[1:][mask] * piece.rates * strategy.bond[1:][mask]
     states = path.states_at(grid)
@@ -212,8 +202,7 @@ def _discounted_h_matrix(market, solution):
     return out
 
 
-def discounted_value_check(market, payoff, solution, n_paths, grid_steps=None,
-                           seed_base=0):
+def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     """Monte Carlo check of the discounted optimal-stopping representation.
 
     For each path: stop at the first touch of the obstacle, accumulate the

@@ -7,48 +7,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, piece_index
+from .chain import ChainSpec, freeze_schedule, piece_index, split_down
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
 
 
-def _freeze_schedule(entries, shape, horizon, what):
-    """Normalize a value or a list of (start, value) pairs into a frozen
-    piecewise-constant schedule on [0, horizon)."""
-    if entries is None:
-        entries = [(0.0, np.zeros(shape))]
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is not None and arr.shape == shape:
-        # a bare value means a constant schedule
-        entries = [(0.0, arr)]
-    pieces = []
-    for entry in entries:
-        try:
-            start, val = entry
-        except (TypeError, ValueError) as exc:
-            raise BadScheduleError(
-                f"{what} schedule entry is not (start, value): {entry!r}") from exc
-        arr = np.asarray(val, dtype=float)
-        if arr.shape != shape:
-            raise BadScheduleError(f"{what} piece has shape {arr.shape}, want {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise BadScheduleError(f"{what} piece has non-finite entries")
-        pieces.append((float(start), arr))
-    pieces.sort(key=lambda p: p[0])
-    starts = [s for s, _ in pieces]
-    if abs(starts[0]) > 1e-12 or len(set(starts)) != len(starts) or starts[-1] >= horizon:
-        raise BadScheduleError(f"{what} schedule must partition [0, horizon)")
-    frozen = tuple((s, a.copy()) for s, a in pieces)
-    for _, a in frozen:
-        a.setflags(write=False)
-    return frozen
+def _check_discount(value, shape, what):
+    """Value check of the C and D schedules: the shape, and finite entries."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise BadScheduleError(f"{what} piece has shape {arr.shape}, want {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise BadScheduleError(f"{what} piece has non-finite entries")
+    return arr
 
 
-def sigma_matrix(c, t=None):
+def sigma_matrix(c):
     """Jump-factor matrix of the discount function: entry (i, j) is
     exp(C_ii - C_ij) - 1, with an exactly zero diagonal."""
     c = np.asarray(c, dtype=float)
@@ -57,7 +32,7 @@ def sigma_matrix(c, t=None):
     return sig
 
 
-def gamma_matrix(a, c, d, t=None):
+def gamma_matrix(a, c, d):
     """Discount-adjusted rate matrix: diagonal A_ii - D_i, off-diagonal
     A_ij exp(C_jj - C_ji)."""
     a = np.asarray(a, dtype=float)
@@ -101,8 +76,8 @@ class MarketSpec:
 
     ``pieces`` holds the rate data of each piece of the merged A, C and D
     schedules, computed once; piece k applies on
-    [piece_starts[k], piece_starts[k + 1]). ``breakpoints()`` returns the
-    interior boundaries of the three schedules, also computed once.
+    [piece_starts[k], piece_starts[k + 1]), the merged starts of the three
+    schedules.
     """
 
     chain: ChainSpec
@@ -113,24 +88,18 @@ class MarketSpec:
     r_max: float = 1.0
     piece_starts: tuple = field(init=False, repr=False, compare=False)
     pieces: tuple = field(init=False, repr=False, compare=False)
-    _breakpoints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c_starts = tuple(s for s, _ in self.c_schedule)
         d_starts = tuple(s for s, _ in self.d_schedule)
-        starts = tuple(sorted({0.0} | set(c_starts) | set(d_starts)
-                              | set(self.chain.starts)))
+        starts = tuple(sorted(set(c_starts) | set(d_starts) | set(self.chain.starts)))
         pieces = tuple(
             _market_piece(self.chain.generator_at(t),
                           self.c_schedule[piece_index(c_starts, t)][1],
                           self.d_schedule[piece_index(d_starts, t)][1])
             for t in starts)
-        pts = set(self.chain.breakpoints())
-        for sched in (self.c_schedule, self.d_schedule):
-            pts |= {s for s, _ in sched[1:] if 0 < s < self.chain.horizon}
         object.__setattr__(self, "piece_starts", starts)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
 
     def piece_at(self, t):
         """Rate data in force at time t (right-continuous pieces, clamped
@@ -147,22 +116,26 @@ class MarketSpec:
         return self.piece_at(t).gamma
 
     def breakpoints(self):
-        """Sorted interior boundaries of the A, C and D schedules, strictly
-        inside (0, horizon)."""
-        return self._breakpoints
+        """Interior boundaries of the merged A, C and D schedules: the piece
+        starts after the first."""
+        return self.piece_starts[1:]
 
 
 def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
                       r_max=1.0):
     """Validate and freeze the market data.
 
-    The short rate implied by (C, D, A) must lie in [0, r_max] everywhere
-    (it is piecewise constant, so checking each piece and state of the
-    market's rate table is exact), and dividends must be entrywise positive.
+    C (N x N values) and D (length-N values), zero by default, follow the
+    rules of ``chain.freeze_schedule``. The short rate implied by (C, D, A)
+    must lie in [0, r_max] everywhere (it is piecewise constant, so checking
+    each piece and state of the market's rate table is exact), and dividends
+    must be entrywise positive.
     """
     n = chain.n_states
-    cs = _freeze_schedule(c_schedule, (n, n), chain.horizon, "C")
-    ds = _freeze_schedule(d_schedule, (n,), chain.horizon, "D")
+    cs = freeze_schedule(np.zeros((n, n)) if c_schedule is None else c_schedule, (n, n),
+                         chain.horizon, "C", lambda c: _check_discount(c, (n, n), "C"))
+    ds = freeze_schedule(np.zeros(n) if d_schedule is None else d_schedule, (n,),
+                         chain.horizon, "D", lambda d: _check_discount(d, (n,), "D"))
     divs = tuple(np.asarray(d, dtype=float).copy() for d in dividends)
     for j, d in enumerate(divs):
         if d.shape != (n,):
@@ -246,29 +219,23 @@ def sdf_dynamics_residual(market, path, grid_steps):
     """
     grid = uniform_grid(path.horizon, grid_steps)
     closed = sdf_path(market, path, grid_steps)
-    cuts = sorted(set(grid.tolist()) | set(path.jump_times.tolist())
-                  | set(market.breakpoints()))
+    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
     pi = 1.0
     worst = 0.0
     gi = 1
-    prev = 0.0
-    for t in cuts:
-        if t <= prev:
-            continue
-        state = path.state_at(prev)
-        dt = t - prev
-        piece = market.piece_at(prev)
+    for t0, t1, state, k in path.stretches(cuts, market.piece_starts):
+        dt = t1 - t0
+        piece = market.pieces[k]
         r = float(piece.rates[state])
         comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
         pi = pi * np.exp(-r * dt) - pi * comp * dt
-        idx = path.jump_at(t)
+        idx = path.jump_at(t1)
         if idx is not None:
             old, new = int(path.states[idx]), int(path.states[idx + 1])
-            pi += pi * market.piece_at(t).sigma[old, new]
-        while gi < grid.size and grid[gi] <= t + 1e-15:
+            pi += pi * market.piece_at(t1).sigma[old, new]
+        while gi < grid.size and grid[gi] <= t1 + 1e-15:
             worst = max(worst, abs(pi - closed[gi]))
             gi += 1
-        prev = t
     return float(worst)
 
 
@@ -324,10 +291,10 @@ def stock_curves(market, steps=1000):
         def step_down(t_hi, t_lo, sv):
             # split at schedule breakpoints so each RK4 sub-step sees a
             # constant Gamma (the ODE coefficients are piecewise constant)
-            cuts = [t_hi] + [b for b in breakpts if t_lo < b < t_hi][::-1] + [t_lo]
+            cuts = split_down(breakpts, t_lo, t_hi)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 h = a - b
-                g = market.gamma_at(min(0.5 * (a + b), horizon * (1 - 1e-15))).T
+                g = market.gamma_at(0.5 * (a + b)).T
                 rhs = lambda v: -g @ v - delta
                 k1 = rhs(sv)
                 k2 = rhs(sv - 0.5 * h * k1)
@@ -351,37 +318,29 @@ def stock_sde_residual(market, curves, path, grid_steps):
     term with exact jump handling) along the path and compare with the
     direct evaluation s(t)'X_t. Max over stocks and grid nodes."""
     grid = uniform_grid(path.horizon, grid_steps)
+    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
+    stretches = list(path.stretches(cuts, market.piece_starts))
     worst = 0.0
-    jt = path.jump_times
     for j in range(curves.n_stocks):
         curve = curves.curve(j)
         delta = np.asarray(market.dividends[j], dtype=float)
-        s_price = curve.interp(0.0)[path.state_at(0.0)]
-        cuts = sorted(set(grid.tolist()) | set(jt.tolist())
-                      | set(market.breakpoints()))
+        val = curve.interp(0.0)[path.state_at(0.0)]
         gi = 1
-        prev = 0.0
-        val = s_price
-        for t in cuts:
-            if t <= prev:
-                continue
-            dt = t - prev
-            state = path.state_at(prev)
-            piece = market.piece_at(prev)
-            s_vec = curve.interp(prev)
+        for t0, t1, state, k in stretches:
+            piece = market.pieces[k]
+            s_vec = curve.interp(t0)
             drift = float((piece.drift @ s_vec)[state] - delta[state])
             comp = float(s_vec @ piece.a[:, state])
-            val += (drift - comp) * dt
-            idx = path.jump_at(t)
+            val += (drift - comp) * (t1 - t0)
+            idx = path.jump_at(t1)
             if idx is not None:
                 old, new = int(path.states[idx]), int(path.states[idx + 1])
-                sv = curve.interp(t)
+                sv = curve.interp(t1)
                 val += float(sv[new] - sv[old])
-            while gi < grid.size and grid[gi] <= t + 1e-15:
+            while gi < grid.size and grid[gi] <= t1 + 1e-15:
                 direct = curve.interp(grid[gi])[path.state_at(grid[gi])]
                 worst = max(worst, abs(val - direct))
                 gi += 1
-            prev = t
     return float(worst)
 
 

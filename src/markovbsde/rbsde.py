@@ -37,7 +37,8 @@ def constant_obstacle(level):
 
 @dataclass(frozen=True)
 class RbsdeSolution:
-    """Triple (value, canonical integrand, reflection) on a uniform grid.
+    """Triple (value, canonical integrand, reflection) on a uniform grid;
+    the integrand is z = v, and ``z`` wraps the same array as ``v``.
 
     ``k`` holds the cumulative per-state reflection with k(0) = 0;
     ``step_pushes[j]`` is the push applied over [t_j, t_{j+1}).
@@ -95,7 +96,7 @@ def _assemble(grid, vals, pushes, trace=None):
     k_vals = np.zeros((steps + 1, n))
     k_vals[1:] = np.cumsum(pushes, axis=0)
     sg = lambda a: StateGridFunction(grid=grid, values=a)
-    return RbsdeSolution(v=sg(vals), z=sg(vals.copy()), k=sg(k_vals),
+    return RbsdeSolution(v=sg(vals), z=sg(vals), k=sg(k_vals),
                          step_pushes=pushes, penalization_trace=list(trace or []))
 
 

@@ -85,6 +85,17 @@ def test_contraction_warns_and_strict_raises(two_state_chain):
         solve_bsde(two_state_chain, drv, np.ones(2), 50, strict_contraction=True)
 
 
+def test_strict_contraction_sees_a_short_piece():
+    # the violating piece [0.51, 0.56) holds no node of a 16-step grid
+    spec = build_chain_spec(2, [(0.0, SYM), (0.51, 0.05 * SYM), (0.56, SYM)],
+                            0, 1.0)
+    drv = MarkovDriver(evaluate=lambda t, i, y, z: 0.0, lipschitz_z=0.1)
+    with pytest.warns(RuntimeWarning, match=r"-2\.46 at \(0\.51, 0\)"):
+        solve_bsde(spec, drv, np.ones(2), 50)
+    with pytest.raises(ContractionViolatedError):
+        solve_bsde(spec, drv, np.ones(2), 50, strict_contraction=True)
+
+
 def test_solver_input_validation(two_state_chain):
     with pytest.raises(ValueError):
         solve_bsde(two_state_chain, zero_driver(), np.ones(3), 50)

@@ -36,6 +36,8 @@ def test_build_rejects_nonzero_column_sums():
 def test_build_rejects_wrong_shape():
     with pytest.raises(NonGeneratorError):
         build_chain_spec(3, SYM, 0, 1.0)
+    with pytest.raises(NonGeneratorError):
+        build_chain_spec(2, [(0.0, SYM), (0.5, np.eye(3))], 0, 1.0)
 
 
 def test_build_rejects_bad_initial_state():
@@ -50,6 +52,22 @@ def test_build_rejects_bad_schedule():
         build_chain_spec(2, [(0.0, SYM), (1.5, SYM)], 0, 1.0)  # past horizon
     with pytest.raises(BadScheduleError):
         build_chain_spec(2, SYM, 0, -1.0)
+    nan, inf = float("nan"), float("inf")
+    for sched, horizon in [([], 1.0),
+                           ([(0.0, SYM), (nan, 2.0 * SYM)], 1.0),
+                           ([(0.0, SYM), (inf, 2.0 * SYM)], 1.0),
+                           ([(nan, SYM)], 1.0),
+                           (SYM, inf), (SYM, nan)]:
+        with pytest.raises(BadScheduleError):
+            build_chain_spec(2, sched, 0, horizon)
+
+
+def test_first_start_near_zero_is_stored_as_zero():
+    for first in (1e-13, -1e-13):
+        spec = build_chain_spec(2, [(0.5, 2.0 * SYM), (first, SYM)], 0, 1.0)
+        assert spec.starts == (0.0, 0.5)
+        assert spec.schedule[0][0] == 0.0
+        assert spec.breakpoints() == (0.5,)
 
 
 def test_schedule_lookup_is_right_continuous():
@@ -58,7 +76,7 @@ def test_schedule_lookup_is_right_continuous():
     assert np.array_equal(spec.generator_at(0.3), SYM)
     assert np.array_equal(spec.generator_at(0.5), b)
     assert np.array_equal(spec.generator_at(0.9), b)
-    assert spec.breakpoints() == [0.5]
+    assert spec.breakpoints() == (0.5,)
 
 
 def test_rate_bound_is_max_frobenius_over_schedule():
@@ -215,6 +233,21 @@ def test_martingale_path_on_a_known_path(two_state_chain):
     assert np.allclose(m[3], np.array([-1.0, 1.0]) - drift, atol=1e-14)
 
 
+def test_martingale_path_across_an_off_grid_breakpoint():
+    # generator SYM on [0, 0.3), 2 SYM after; one jump 0 -> 1 at t = 0.5
+    spec = build_chain_spec(2, [(0.0, SYM), (0.3, 2.0 * SYM)], 0, 1.0)
+    p = ChainPath(jump_times=np.array([0.5]), states=np.array([0, 1]),
+                  horizon=1.0, seed=0)
+    m = martingale_path(p, spec, grid_steps=4)
+    e0, e1 = np.array([-1.0, 1.0]), np.array([1.0, -1.0])  # SYM e_0, SYM e_1
+    assert np.allclose(m[1], -0.25 * e0, atol=1e-14)
+    # X jumps at t = 0.5 itself, so M_{0.5} = e_1 - e_0 - drift
+    assert np.allclose(m[2], np.array([-1.0, 1.0]) - (0.3 * e0 + 0.2 * 2.0 * e0),
+                       atol=1e-14)
+    drift = 0.3 * e0 + 0.2 * 2.0 * e0 + 0.25 * 2.0 * e1
+    assert np.allclose(m[3], np.array([-1.0, 1.0]) - drift, atol=1e-14)
+
+
 def test_martingale_terminal_mean_is_zero(two_state_chain):
     # E[M_T] = 0 componentwise
     for comp in range(2):
@@ -299,6 +332,17 @@ def test_contraction_margin_example(two_state_chain):
     rep = check_contraction(two_state_chain, 0.6)
     assert not rep["holds"]
     assert rep["worst_margin"] < 0
+
+
+def test_contraction_is_checked_on_every_piece():
+    # the slow piece [0.51, 0.56) has ||Psi^+||_F = 10 against 1/2 on the
+    # others; m = ||SYM||_F = 2, so its margin is 1 - 0.1 * 10 * sqrt(12)
+    spec = build_chain_spec(2, [(0.0, SYM), (0.51, 0.05 * SYM), (0.56, SYM)],
+                            0, 1.0)
+    rep = check_contraction(spec, 0.1)
+    assert not rep["holds"]
+    assert rep["worst_margin"] == pytest.approx(1.0 - np.sqrt(12.0), abs=1e-12)
+    assert rep["worst_time_state"] == (0.51, 0)
 
 
 def test_contraction_rejects_negative_lipschitz(two_state_chain):

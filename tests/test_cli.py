@@ -176,6 +176,15 @@ def test_payoff_jobs_without_payoff_exit_2(tmp_path, capsys, subcommand):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["C_schedule", "D_schedule"])
+def test_empty_discount_schedule_exits_2(tmp_path, capsys, key):
+    cfg = MINIMAL + f"market:\n  {key}: []\n"
+    rc = run_cli("validate", "--config", write_yaml(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_plot_data_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -49,6 +49,16 @@ def test_driver_constants_bound_two_state(market_c0):
                                          abs=1e-14)
 
 
+def test_driver_constants_cover_short_pieces(two_state_chain):
+    # the rate 0.5 on [0.51, 0.52) falls between the nodes of a 32-step grid
+    mkt = build_market_spec(two_state_chain,
+                            d_schedule=[(0.0, [0.05, 0.05]), (0.51, [0.5, 0.5]),
+                                        (0.52, [0.05, 0.05])],
+                            dividends=[[1.0, 2.0], [2.0, 1.0]])
+    assert driver_constants(mkt)["c4"] == 0.5
+    assert contraction_report(mkt)["c4"] == 0.5
+
+
 def test_contraction_holds_for_mild_market(market_c0):
     rep = contraction_report(market_c0)
     assert rep["holds"]
@@ -125,6 +135,23 @@ def test_replication_tracks_value_to_machine_precision(market_c0, curves_c0,
         assert rep["max_gap"] < 1e-10
         assert rep["dominates"]
         assert rep["terminal_gap"] < 1e-10
+
+
+def test_replication_reads_the_piece_of_each_left_node():
+    # a piece start 5e-13 above the node t = 0.5: the backward scheme reads
+    # the first piece at that node and the second piece from the next one
+    chain = build_chain_spec(2, [(0.0, SYM), (0.5 + 5e-13, 3.0 * SYM)], 0, 1.0)
+    mkt = build_market_spec(chain, d_schedule=[0.05, 0.05],
+                            dividends=[[1.0, 2.0], [2.0, 1.0]])
+    curves = stock_curves(mkt, steps=200)
+    curve = curves.curve(0)
+    put = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    sol = price_american(mkt, put, 200)
+    strat = extract_hedge(mkt, curves, sol)
+    for seed in range(20):
+        rep = replicate_forward(mkt, curves, strat, sol, put,
+                                simulate_path(chain, seed))
+        assert rep["max_gap"] < 1e-10
 
 
 def test_discounted_value_check_passes(market_c0_s1):

@@ -96,6 +96,35 @@ def test_schedule_shape_validation():
     with pytest.raises(BadScheduleError):
         build_market_spec(chain(), d_schedule=[(0.5, [0.05, 0.05])],
                           dividends=[[1.0, 1.0]])
+    with pytest.raises(BadScheduleError):
+        build_market_spec(chain(), c_schedule=[(0.0, np.zeros((2, 2))),
+                                               (0.5, np.zeros((3, 3)))])
+    with pytest.raises(BadScheduleError):
+        build_market_spec(chain(), d_schedule=[(0.0, [0.05, 0.05]),
+                                               (0.5, [0.05, 0.05, 0.05])])
+    with pytest.raises(BadScheduleError):
+        build_market_spec(chain(), d_schedule=[(0.0, [0.05, np.nan])])
+
+
+def test_build_rejects_empty_and_nonfinite_discount_schedules():
+    nan = float("nan")
+    d = [0.05, 0.05]
+    for kw in [{"c_schedule": []}, {"d_schedule": []},
+               {"d_schedule": [(0.0, d), (nan, d)]},
+               {"c_schedule": [(nan, np.zeros((2, 2)))]}]:
+        with pytest.raises(BadScheduleError):
+            build_market_spec(chain(), **kw)
+
+
+def test_discount_start_near_zero_is_stored_as_zero():
+    c = np.array([[0.0, 0.01], [0.02, 0.0]])
+    mkt = build_market_spec(chain(), c_schedule=[(-1e-13, c)],
+                            d_schedule=[(1e-13, [0.05, 0.05]),
+                                        (0.5, [0.06, 0.06])])
+    assert mkt.c_schedule[0][0] == 0.0
+    assert mkt.d_schedule[0][0] == 0.0
+    assert mkt.piece_starts == (0.0, 0.5)
+    assert mkt.breakpoints() == (0.5,)
 
 
 # ----------------------------------------------------------- discount factor

@@ -39,6 +39,8 @@ def test_reflection_is_nonnegative_and_k_starts_at_zero(two_state_chain):
     # the value dominates the obstacle at every node
     g = sol.v.values - np.array([[0.6 - 0.3 * t] * 2 for t in sol.grid])
     assert g.min() >= -1e-12
+    # the canonical integrand z = v wraps the value array, not a copy
+    assert sol.z.values is sol.v.values
 
 
 def test_snell_oracle_agrees_exactly(two_state_chain):
