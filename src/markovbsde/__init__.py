@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 
 from .bsde import (BsdeSolution, MarkovDriver, comparison_check,
                    discount_driver, pathwise_residual, solve_bsde, zero_driver)
-from .chain import (ChainPath, ChainSpec, PsiMatrix, build_chain_spec,
+from .chain import (ChainPath, ChainSpec, build_chain_spec,
                     check_contraction, martingale_path, pseudoinverse,
                     psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from .grids import StateGridFunction, uniform_grid
-from .hedge import (HedgeStrategy, Payoff, contraction_report,
+from .hedge import (HedgeStrategy, contraction_report,
                     discounted_value_check, extract_hedge, hedge_driver,
                     make_hedge_driver, price_american, replicate_forward)
 from .market import (MarketSpec, StockCurves, build_market_spec, gamma_matrix,

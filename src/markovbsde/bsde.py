@@ -223,53 +223,43 @@ def pathwise_residual(solution, path, spec, driver, terminal):
 
     The stochastic integral uses exact jump increments y_j - y_i minus the
     compensator integral of y'A X; time integrals use Hermite-Simpson
-    quadrature so the residual tracks the scheme error.
+    quadrature on each stretch of constant state and constant generator
+    piece (``ChainPath.stretches`` cut at the grid nodes and the schedule
+    breakpoints), with that stretch's generator, so the residual tracks
+    the scheme error.
     """
     terminal = np.asarray(terminal, dtype=float)
     grid = solution.grid
-    vals = solution.values
-    deriv = _node_derivatives(spec, driver, solution)
-    curve = _HermiteCurve(solution, deriv)
+    curve = _HermiteCurve(solution, _node_derivatives(spec, driver, solution))
 
     def f_at(t, i):
         y = curve(t)
         return driver.evaluate(t, i, y[i], y)
 
-    def comp_at(t, i):
-        a = spec.generator_at(t)
-        return float(curve(t) @ a[:, i])
+    def simpson(fn, a, b):
+        return (b - a) / 6.0 * (fn(a) + 4.0 * fn(0.5 * (a + b)) + fn(b))
 
-    def simpson(fn, a, b, i):
-        return (b - a) / 6.0 * (fn(a, i) + 4.0 * fn(0.5 * (a + b), i) + fn(b, i))
-
+    # forward integrals of f and of y' dM over [0, t], read at the grid nodes
+    f_cum = np.zeros(grid.size)
+    m_cum = np.zeros(grid.size)
+    f_int = m_int = 0.0
+    gi = 1
+    cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
+    for t0, t1, i, piece in path.stretches(cuts, spec.starts):
+        col = spec.schedule[piece][1][:, i]
+        f_int += simpson(lambda t: f_at(t, i), t0, t1)
+        m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
+        idx = path.jump_at(t1)
+        if idx is not None:
+            yj = curve(t1)
+            m_int += float(yj[path.states[idx + 1]] - yj[path.states[idx]])
+        while gi < grid.size and grid[gi] <= t1 + 1e-15:
+            f_cum[gi], m_cum[gi] = f_int, m_int
+            gi += 1
+    y_path = solution.values[np.arange(grid.size), path.states_at(grid)]
     xi_term = float(terminal[path.state_at(spec.horizon)])
-    # accumulate integrals backward from T
-    f_int = 0.0
-    m_int = 0.0
-    worst = 0.0
-    breakpts = spec.breakpoints()
-    for k in range(grid.size - 1, -1, -1):
-        y_here = float(vals[k, path.state_at(grid[k])]) if k > 0 else \
-            float(vals[0, path.states[0]])
-        rhs = xi_term + f_int - m_int
-        worst = max(worst, abs(y_here - rhs))
-        if k == 0:
-            break
-        a_t, b_t = grid[k - 1], grid[k]
-        cuts = sorted({a_t, b_t}
-                      | {t for t in path.jump_times if a_t < t < b_t}
-                      | {t for t in breakpts if a_t < t < b_t})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            state = path.state_at(lo)
-            f_int += simpson(f_at, lo, hi, state)
-            m_int -= simpson(comp_at, lo, hi, state)
-        for t in path.jump_times:
-            if a_t < t <= b_t:
-                idx = int(np.searchsorted(path.jump_times, t))
-                old, new = int(path.states[idx]), int(path.states[idx + 1])
-                yj = curve(t)
-                m_int += float(yj[new] - yj[old])
-    return float(worst)
+    rhs = xi_term + (f_cum[-1] - f_cum) - (m_cum[-1] - m_cum)
+    return float(np.abs(y_path - rhs).max())
 
 
 def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
@@ -278,7 +268,8 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
     give y1 <= y2 everywhere (up to 1e-9).
 
     The driver ordering is spot-checked on random (t, state, y, z)
-    quadruples; driver1 must satisfy the contraction condition.
+    quadruples; driver1 must satisfy the contraction condition, checked by
+    its ``solve_bsde`` under ``strict_contraction``.
     """
     t1 = np.asarray(terminal1, dtype=float)
     t2 = np.asarray(terminal2, dtype=float)
@@ -293,13 +284,7 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
         if driver1.evaluate(t, i, y, z) > driver2.evaluate(t, i, y, z) + 1e-12:
             raise PreconditionUnmetError(
                 f"driver ordering fails at t={t:.4g}, state={i}")
-    if driver1.lipschitz_z > 0:
-        report = check_contraction(spec, driver1.lipschitz_z)
-        if not report["holds"]:
-            raise ContractionViolatedError(
-                f"driver1 violates the contraction condition, margin "
-                f"{report['worst_margin']:.3g}")
-    sol1 = solve_bsde(spec, driver1, t1, steps)
+    sol1 = solve_bsde(spec, driver1, t1, steps, strict_contraction=True)
     sol2 = solve_bsde(spec, driver2, t2, steps)
     gap = sol1.values - sol2.values
     max_violation = float(gap.max())

@@ -175,33 +175,21 @@ class ChainPath:
         k = int(np.searchsorted(self.jump_times, t))
         return k if k < self.jump_times.size and self.jump_times[k] == t else None
 
-    def segments(self):
-        """Constant-state segments as (t0, t1, state) triples covering [0, T]."""
-        edges = [0.0, *self.jump_times.tolist(), self.horizon]
-        return [(edges[k], edges[k + 1], state)
-                for k, state in enumerate(self.states.tolist())
-                if edges[k + 1] > edges[k]]
-
     def stretches(self, cuts, starts):
         """Stretches of constant state and constant schedule piece, in time
         order, as (t0, t1, state, piece) tuples covering [0, T].
 
-        Each constant-state segment is cut at the times of the sorted
-        ``cuts`` strictly inside it; ``piece`` is ``piece_index(starts, t0)``.
+        Each constant-state segment between jumps is cut at the times of the
+        sorted ``cuts`` strictly inside it; ``piece`` is
+        ``piece_index(starts, t0)``.
         """
-        for t0, t1, state in self.segments():
+        edges = [0.0, *self.jump_times.tolist(), self.horizon]
+        for t0, t1, state in zip(edges[:-1], edges[1:], self.states.tolist()):
+            if t1 <= t0:  # a jump at the horizon
+                continue
             inner = cuts[bisect_right(cuts, t0):bisect_left(cuts, t1)]
             for a, b in zip([t0, *inner], [*inner, t1]):
                 yield a, b, state, piece_index(starts, a)
-
-
-@dataclass(frozen=True)
-class PsiMatrix:
-    """Quadratic-variation density at (time, state): d<X,X> = Psi dt."""
-
-    matrix: np.ndarray
-    state: int
-    time: float
 
 
 def _validate_generator(a, n_states):
@@ -325,19 +313,17 @@ def _psi(a, state):
 
 
 def psi_matrix(spec, t, state):
-    """Quadratic-variation density with X frozen at the given state (the
-    read-only matrix of ``spec.psi``)."""
+    """Quadratic-variation density d<X,X> = Psi dt at time t with X frozen
+    at the given state: the read-only matrix of ``spec.psi``."""
     if not 0 <= state < spec.n_states:
         raise BadStateError(f"state {state} outside [0, {spec.n_states})")
-    psi = spec.psi[piece_index(spec.starts, t)][state]
-    return PsiMatrix(matrix=psi, state=int(state), time=float(t))
+    return spec.psi[piece_index(spec.starts, t)][state]
 
 
 def seminorm_sq(c, psi):
     """Squared seminorm c' Psi c (instantaneous variance of c' dM)."""
-    mat = psi.matrix if isinstance(psi, PsiMatrix) else np.asarray(psi, dtype=float)
     c = np.asarray(c, dtype=float)
-    val = float(c @ mat @ c)
+    val = float(c @ np.asarray(psi, dtype=float) @ c)
     return max(val, 0.0)
 
 

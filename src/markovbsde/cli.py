@@ -96,11 +96,11 @@ def _cmd_solve_rbsde(config, out):
     terminal = config.terminal
     if terminal is None:
         terminal = payoff.terminal(config.chain.horizon, config.chain.n_states)
-    sol = solve_reflected(config.chain, driver, terminal, payoff.obstacle(),
+    sol = solve_reflected(config.chain, driver, terminal, payoff,
                           config.solver.steps)
     _write_csv(out / "rbsde_solution.csv", ("time", "state", "v", "z", "k"),
                rbsde_to_csv_rows(sol))
-    limit = penalization_limit(config.chain, driver, terminal, payoff.obstacle(),
+    limit = penalization_limit(config.chain, driver, terminal, payoff,
                                min(config.solver.steps, 400),
                                config.solver.penalization_tol)
     _write_csv(out / "penalization_trace.csv", ("n", "sup_distance"),
@@ -118,8 +118,8 @@ def _cmd_price_american(config, out):
                          strict_contraction=config.solver.strict_contraction)
     _write_csv(out / "american_solution.csv", ("time", "state", "v", "z", "k"),
                rbsde_to_csv_rows(sol))
-    g_rows = [(float(t), i, payoff.g(float(t), i))
-              for t in sol.grid for i in range(config.chain.n_states)]
+    g_rows = [(float(t), i, float(sol.g[k, i]))
+              for k, t in enumerate(sol.grid) for i in range(config.chain.n_states)]
     _write_csv(out / "payoff_surface.csv", ("time", "state", "g"), g_rows)
     return 0
 
@@ -143,7 +143,7 @@ def _cmd_hedge(config, out):
     ok = True
     for p in range(min(config.solver.n_paths, 20)):
         path = simulate_path(config.chain, config.solver.seed + p)
-        rep = replicate_forward(config.market, curves, strat, sol, payoff, path)
+        rep = replicate_forward(strat, sol, path)
         ok = ok and rep["dominates"] and rep["max_gap"] < 1e-6
         rows.append((p, rep["max_gap"], rep["terminal_gap"], rep["dominates"]))
     _write_csv(out / "replication_report.csv",

@@ -13,8 +13,9 @@ import yaml
 from .bsde import MarkovDriver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
-from .hedge import Payoff, make_hedge_driver
+from .hedge import make_hedge_driver
 from .market import build_market_spec
+from .rbsde import Obstacle
 
 SCHEMA_VERSION = 1
 
@@ -194,7 +195,7 @@ def _build_payoff(spec, chain, curves=None):
     kind = spec["kind"]
     if kind == "constant":
         val = float(spec["value"])
-        return Payoff(g=lambda t, i: val)
+        return Obstacle(g=lambda t, i: val)
     if kind == "affine":
         a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
         b = np.atleast_1d(np.asarray(spec.get("b", 0.0), dtype=float))
@@ -202,12 +203,12 @@ def _build_payoff(spec, chain, curves=None):
             a = np.full(chain.n_states, a[0])
         if b.size == 1:
             b = np.full(chain.n_states, b[0])
-        return Payoff(g=lambda t, i: float(a[i] + b[i] * t))
+        return Obstacle(g=lambda t, i: float(a[i] + b[i] * t))
     if kind == "put_on_stock":
         if curves is None:
             raise ConfigError("put_on_stock payoff needs stock curves")
         strike = float(spec["strike"])
         stock = int(spec.get("stock", 0))
         curve = curves.curve(stock)
-        return Payoff(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
+        return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
     raise ConfigError(f"unknown payoff kind {kind!r}")

@@ -8,35 +8,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import MarkovDriver
-from .chain import check_contraction, piece_index, rate_bound_m, simulate_path
-from .errors import DimensionMismatchError, SingularPhiError
+from .chain import check_contraction, rate_bound_m, simulate_path
+from .errors import (ContractionViolatedError, DimensionMismatchError,
+                     SingularPhiError)
 from .grids import StateGridFunction, sample_on_grid
-from .rbsde import Obstacle, solve_reflected
-
-
-@dataclass(frozen=True)
-class Payoff:
-    """Exercise value g(t, state); the terminal claim is g(T, .)."""
-
-    g: callable
-
-    def terminal(self, horizon, n_states):
-        return np.array([self.g(horizon, i) for i in range(n_states)])
-
-    def obstacle(self):
-        return Obstacle(g=self.g, terminal_compatible=True)
+from .market import sdf_path
+from .rbsde import solve_reflected
 
 
 @dataclass(frozen=True)
 class HedgeStrategy:
     """Stock holdings h (per time), bond holdings h0 and bond account B
-    (per time and state), plus the reflection process of the price."""
+    (per time and state), plus the reflection process of the price and the
+    path-independent terms of the wealth equation: the stock leg phi h, and
+    per step and state the wealth change between jumps (``carry``)."""
 
     grid: np.ndarray
-    h: np.ndarray        # (K+1, n) stock holdings
-    h0: np.ndarray       # (K+1, N) bond holdings
-    bond: np.ndarray     # (K+1, N) state-frozen bond account
+    h: np.ndarray          # (K+1, n) stock holdings
+    h0: np.ndarray         # (K+1, N) bond holdings
+    bond: np.ndarray       # (K+1, N) state-frozen bond account
     k: StateGridFunction
+    stock_leg: np.ndarray  # (K+1, N) phi h
+    carry: np.ndarray      # (K, N) drift and bond leg, minus the push
 
 
 def hedge_driver(market, t, state, v, z):
@@ -89,24 +82,27 @@ def contraction_report(market):
 
 def price_american(market, payoff, steps, strict_contraction=False):
     """Price the American claim as the reflected BSDE with the pricing
-    driver, obstacle g and terminal g(T, .)."""
+    driver, the obstacle ``payoff`` and terminal g(T, .). Under
+    ``strict_contraction`` a pricing driver that fails the contraction
+    check raises ``ContractionViolatedError``."""
+    driver = make_hedge_driver(market)
     if strict_contraction:
-        rep = contraction_report(market)
+        rep = check_contraction(market.chain, driver.lipschitz_z)
         if not rep["holds"]:
-            from .errors import ContractionViolatedError
             raise ContractionViolatedError(
                 f"pricing driver violates the contraction condition, "
                 f"margin {rep['worst_margin']:.3g}")
-    driver = make_hedge_driver(market)
     terminal = payoff.terminal(market.chain.horizon, market.chain.n_states)
-    return solve_reflected(market.chain, driver, terminal, payoff.obstacle(), steps)
+    return solve_reflected(market.chain, driver, terminal, payoff, steps)
 
 
 def extract_hedge(market, curves, solution):
     """Solve phi h = z at every node for the stock holdings, then read the
     bond holdings off the accounting identity V = h0 B + sum h_j S_j.
 
-    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du).
+    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), by the
+    trapezoid rule over the node rates. The strategy also carries the
+    path-independent terms that ``replicate_forward`` gathers along a path.
     """
     n = market.chain.n_states
     if market.n_stocks != n:
@@ -117,65 +113,56 @@ def extract_hedge(market, curves, solution):
     if curves.grid.size != grid.size or abs(curves.grid[-1] - grid[-1]) > 1e-12:
         raise ValueError("stock curves and solution must share the grid")
     phis = curves.phi_all()  # (K+1, N, n)
-    z = solution.z.values
-    h = np.empty((grid.size, market.n_stocks))
-    for k in range(grid.size):
-        phi = phis[k]
-        sv = np.linalg.svd(phi, compute_uv=False)
-        if sv[-1] < 1e-10 * max(sv[0], 1.0):
-            raise SingularPhiError(
-                f"phi singular at t={grid[k]:.6g} (smallest sv {sv[-1]:.3g})")
-        h[k] = np.linalg.solve(phi, z[k])
-    # state-frozen bond account
+    sv = np.linalg.svd(phis, compute_uv=False)
+    singular = np.nonzero(sv[:, -1] < 1e-10 * np.maximum(sv[:, 0], 1.0))[0]
+    if singular.size:
+        k = singular[0]
+        raise SingularPhiError(
+            f"phi singular at t={grid[k]:.6g} (smallest sv {sv[k, -1]:.3g})")
+    h = np.linalg.solve(phis, solution.z.values[:, :, None])[:, :, 0]
+    # the piece in force at each node; the first piece starts at 0.0
+    piece_of = np.searchsorted(market.piece_starts, grid, side="right") - 1
+    rates = np.array([piece.rates for piece in market.pieces])[piece_of]
     dt = grid[1] - grid[0]
-    rates = np.array([market.piece_at(t).rates for t in grid])
     bond = np.ones((grid.size, n))
-    for k in range(1, grid.size):
-        bond[k] = bond[k - 1] * np.exp(0.5 * (rates[k - 1] + rates[k]) * dt)
+    bond[1:] = np.cumprod(np.exp(0.5 * (rates[:-1] + rates[1:]) * dt), axis=0)
     stock_leg = np.einsum("knj,kj->kn", phis, h)
     h0 = (solution.v.values - stock_leg) / bond
-    return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, k=solution.k)
-
-
-def replicate_forward(market, curves, strategy, solution, payoff, path):
-    """Simulate the self-financing wealth equation forward along a path and
-    compare with the priced value surface.
-
-    Per step the bond leg, the stock drift (price drift plus dividends),
-    the exact jump increments of the stock leg and the consumption dK are
-    applied; the drift mirrors the backward scheme's endpoint choices so a
-    correct strategy tracks the value to machine precision.
-    """
-    grid = solution.grid
-    dt = grid[1] - grid[0]
-    n = market.chain.n_states
-    steps = grid.size - 1
     # per-(step, state) drift of the risky leg, with holdings and stock
     # vectors at the step's right node and rate matrices at its left node;
     # per stock, price drift plus dividend minus the jump compensator
     # telescopes to -(Gamma' s), so the drift is -(Gamma' phi h)
-    phis = curves.phi_all()
-    stock_leg = np.einsum("knj,kj->kn", phis, strategy.h)  # (K+1, N)
-    drift = np.empty((steps, n))
-    bond_leg = np.empty((steps, n))
-    piece_of = np.array([piece_index(market.piece_starts, t) for t in grid[:-1]])
+    drift = np.empty((grid.size - 1, n))
+    bond_leg = np.empty((grid.size - 1, n))
     for k, piece in enumerate(market.pieces):
-        mask = piece_of == k
+        mask = piece_of[:-1] == k
         drift[mask] = -(stock_leg[1:][mask] @ piece.gamma)
-        bond_leg[mask] = strategy.h0[1:][mask] * piece.rates * strategy.bond[1:][mask]
-    states = path.states_at(grid)
-    v = solution.v.values
+        bond_leg[mask] = h0[1:][mask] * piece.rates * bond[1:][mask]
+    carry = dt * (drift + bond_leg) - solution.step_pushes
+    return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, k=solution.k,
+                         stock_leg=stock_leg, carry=carry)
+
+
+def replicate_forward(strategy, solution, path):
+    """Simulate the self-financing wealth equation forward along a path and
+    compare with the priced value surface and the obstacle.
+
+    Per step the wealth moves by the strategy's ``carry`` in the state left
+    behind (bond leg, stock drift and the consumption dK) plus, on a jump,
+    the exact increment of the stock leg. The drift mirrors the backward
+    scheme's endpoint choices, so a correct strategy tracks the value to
+    machine precision.
+    """
+    idx = np.arange(solution.grid.size)
+    states = path.states_at(solution.grid)
     i0, i1 = states[:-1], states[1:]
-    ks = np.arange(steps)
-    inc = dt * (drift[ks, i0] + bond_leg[ks, i0]) - solution.step_pushes[ks, i0]
+    inc = strategy.carry[idx[:-1], i0]
     jump = i1 != i0
-    right_leg = stock_leg[1:]
+    right_leg = strategy.stock_leg[1:]
     inc[jump] += right_leg[jump, i1[jump]] - right_leg[jump, i0[jump]]
-    wealth = np.empty(grid.size)
-    wealth[0] = float(v[0, states[0]])
-    wealth[1:] = wealth[0] + np.cumsum(inc)
-    target = v[np.arange(grid.size), states]
-    payoff_path = np.array([payoff.g(t, int(s)) for t, s in zip(grid, states)])
+    target = solution.v.values[idx, states]
+    wealth = np.concatenate(([target[0]], target[0] + np.cumsum(inc)))
+    payoff_path = solution.g[idx, states]
     max_gap = float(np.abs(wealth - target).max())
     dominates = bool(np.all(wealth >= payoff_path - 1e-9))
     terminal_gap = float(abs(wealth[-1] - payoff_path[-1]))
@@ -211,8 +198,6 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     errors. Also checks the deflated value dominates the deflated payoff
     along every path.
     """
-    from .market import sdf_path as _sdf_path
-
     grid = solution.grid
     steps = grid.size - 1
     dt = grid[1] - grid[0]
@@ -225,7 +210,7 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     domination_ok = True
     for p in range(n_paths):
         path = simulate_path(market.chain, seed_base + p)
-        pi = _sdf_path(market, path, steps)
+        pi = sdf_path(market, path, grid)
         states = path.states_at(grid)
         v_path = v[idx, states]
         g_path = g_mat[idx, states]

@@ -163,8 +163,8 @@ def short_rate(market, t, state, strict=False):
     return r
 
 
-def sdf_path(market, path, grid_steps):
-    """Discount factor along one path on a uniform grid, closed form.
+def sdf_path(market, path, grid):
+    """Discount factor along one path at the times of ``grid``, closed form.
 
     The dX integral of the exponent is a pure-jump Stieltjes sum, so the
     discount factor is exp of minus the D-drift integral times the exact
@@ -172,7 +172,6 @@ def sdf_path(market, path, grid_steps):
     linear between jump/schedule events, so the grid values come from one
     vectorized interpolation.
     """
-    grid = uniform_grid(path.horizon, grid_steps)
     stretches = list(path.stretches(market.breakpoints(), market.piece_starts))
     events = np.array([0.0] + [t1 for _, t1, _, _ in stretches])
     # log pi immediately after each event, plus the drift slope of the
@@ -218,7 +217,7 @@ def sdf_dynamics_residual(market, path, grid_steps):
     linearly in the step size and vanishes when C = 0.
     """
     grid = uniform_grid(path.horizon, grid_steps)
-    closed = sdf_path(market, path, grid_steps)
+    closed = sdf_path(market, path, grid)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
     pi = 1.0
     worst = 0.0

@@ -18,16 +18,20 @@ from .grids import StateGridFunction, sample_on_grid, uniform_grid
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Lower barrier g(t, state), continuous in t per state."""
+    """Lower barrier g(t, state), continuous in t per state. As the payoff
+    of an American claim, g is the exercise value and g(T, .) the terminal
+    claim."""
 
     g: callable
-    terminal_compatible: bool = True
 
     def sample(self, grid, n_states):
         vals = sample_on_grid(self.g, grid, n_states)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("obstacle produced non-finite values")
         return vals
+
+    def terminal(self, horizon, n_states):
+        return np.array([self.g(horizon, i) for i in range(n_states)])
 
 
 def constant_obstacle(level):
@@ -41,13 +45,15 @@ class RbsdeSolution:
     the integrand is z = v, and ``z`` wraps the same array as ``v``.
 
     ``k`` holds the cumulative per-state reflection with k(0) = 0;
-    ``step_pushes[j]`` is the push applied over [t_j, t_{j+1}).
+    ``step_pushes[j]`` is the push applied over [t_j, t_{j+1}); ``g`` is
+    the (K+1, N) obstacle sampled on the grid, once per solve.
     """
 
     v: StateGridFunction
     z: StateGridFunction
     k: StateGridFunction
     step_pushes: np.ndarray
+    g: np.ndarray
     penalization_trace: list = field(default_factory=list)
 
     @property
@@ -90,14 +96,15 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     return vals, pushes
 
 
-def _assemble(grid, vals, pushes, trace=None):
+def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
     # k(t_m) accumulates the pushes applied on steps fully inside [0, t_m]
     steps, n = pushes.shape
     k_vals = np.zeros((steps + 1, n))
     k_vals[1:] = np.cumsum(pushes, axis=0)
     sg = lambda a: StateGridFunction(grid=grid, values=a)
     return RbsdeSolution(v=sg(vals), z=sg(vals), k=sg(k_vals),
-                         step_pushes=pushes, penalization_trace=list(trace or []))
+                         step_pushes=pushes, g=obstacle_vals,
+                         penalization_trace=list(trace or []))
 
 
 def solve_reflected(spec, driver, terminal, obstacle, steps):
@@ -110,10 +117,9 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     terminal = np.asarray(terminal, dtype=float)
     grid = uniform_grid(spec.horizon, steps)
     obstacle_vals = obstacle.sample(grid, spec.n_states)
-    if obstacle.terminal_compatible:
-        _check_terminal(terminal, obstacle_vals[-1])
+    _check_terminal(terminal, obstacle_vals[-1])
     vals, pushes = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
-    return _assemble(grid, vals, pushes)
+    return _assemble(grid, vals, pushes, obstacle_vals)
 
 
 def snell_oracle(spec, driver, terminal, obstacle, steps):
@@ -200,29 +206,27 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol,
     # k^n density is n (v^n - g)^-; trapezoid per step
     density = n * np.maximum(obstacle_vals - vals, 0.0)
     pushes = 0.5 * (density[:-1] + density[1:]) * (grid[1] - grid[0])
-    return _assemble(grid, vals, pushes, trace=trace)
+    return _assemble(grid, vals, pushes, obstacle_vals, trace=trace)
 
 
-def skorokhod_integral(solution, obstacle):
-    """Trapezoidal evaluation of int (v - g) dk per state, maximized over
-    states. Near zero exactly when the reflection only acts on contact.
+def skorokhod_integral(solution):
+    """Trapezoidal evaluation of int (v - g) dk per state against the
+    solution's obstacle, maximized over states. Near zero exactly when the
+    reflection only acts on contact.
     """
-    grid = solution.grid
-    n = solution.values.shape[1]
-    gap = solution.values - obstacle.sample(grid, n)
+    gap = solution.values - solution.g
     avg = 0.5 * (gap[:-1] + gap[1:])
     per_state = np.abs(np.sum(avg * solution.step_pushes, axis=0))
     return float(per_state.max())
 
 
-def optimal_stop_time(solution, obstacle, path):
+def optimal_stop_time(solution, path):
     """First grid time along the path at which the value touches the
-    obstacle; horizon if it never does."""
+    solution's obstacle; horizon if it never does."""
     grid = solution.grid
     states = path.states_at(grid)
-    g_vals = obstacle.sample(grid, solution.values.shape[1])
     idx = np.arange(grid.size)
-    touching = solution.values[idx, states] <= g_vals[idx, states] + 1e-9
+    touching = solution.values[idx, states] <= solution.g[idx, states] + 1e-9
     hits = np.nonzero(touching)[0]
     return float(grid[hits[0]]) if hits.size else float(grid[-1])
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from markovbsde import (Payoff, build_chain_spec, build_market_spec,
+from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         stock_curves)
 
 
@@ -57,4 +57,4 @@ def curves_c0(market_c0):
 def put_payoff(curves_c0):
     """Strike-30 put on stock 0 (prices 29.76 / 30.24 by state)."""
     curve = curves_c0.curve(0)
-    return Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    return Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))

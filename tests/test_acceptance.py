@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markovbsde import (MarkovDriver, Obstacle, Payoff, build_chain_spec,
+from markovbsde import (MarkovDriver, Obstacle, build_chain_spec,
                         build_market_spec, comparison_check, constant_obstacle,
                         discount_driver, discounted_value_check, extract_hedge,
                         gamma_matrix, isometry_check, penalization_limit,
@@ -46,7 +46,7 @@ def test_criterion_01_psi_calculus_suite(capsys):
         n = int(rng.integers(2, 7))
         spec = build_chain_spec(n, random_generator(rng, n), 0, 1.0)
         i = int(rng.integers(n))
-        psi = psi_matrix(spec, float(rng.uniform(0.0, 1.0)), i).matrix
+        psi = psi_matrix(spec, float(rng.uniform(0.0, 1.0)), i)
         ok = (np.abs(psi - psi.T).max() <= 1e-10
               and np.linalg.eigvalsh(psi).min() >= -1e-10
               and np.abs(psi.sum(axis=0)).max() <= 1e-10
@@ -173,12 +173,12 @@ def test_criterion_05_rbsde_triple_consistency(capsys):
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=400)
     curve = curves.curve(0)
-    put = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     psol = price_american(mkt, put, 400)
-    sk_worst = max(sk_worst, skorokhod_integral(psol, put.obstacle()))
+    sk_worst = max(sk_worst, skorokhod_integral(psol))
     for drv_i, xi_i, obs_i in cases:
         sol = solve_reflected(spec, drv_i, xi_i, obs_i, 400)
-        sk_worst = max(sk_worst, skorokhod_integral(sol, obs_i))
+        sk_worst = max(sk_worst, skorokhod_integral(sol))
 
     ok = (snell_gap <= 1e-12 and pen_gap < 1e-3 and mono_violations == 0
           and sk_worst < 1e-9)
@@ -265,7 +265,7 @@ def test_criterion_08_american_vs_oracle(capsys, market_c0, put_payoff):
         dp_gap = max(dp_gap, float(np.abs(sol.values[k] - v).max()))
     # inactive obstacle: European value and no reflection
     claim = np.array([1.0, 2.0])
-    payoff = Payoff(g=lambda t, i: claim[i] if t >= 1.0 else -10.0)
+    payoff = Obstacle(g=lambda t, i: claim[i] if t >= 1.0 else -10.0)
     am = price_american(market_c0, payoff, 800)
     k_mass = float(np.abs(am.k.values).max())
     eur = solve_bsde(market_c0.chain, make_hedge_driver(market_c0), claim, 800)
@@ -280,7 +280,7 @@ def test_criterion_09_hedging(capsys, market_c0):
     steps = 10_000
     curves = stock_curves(market_c0, steps=steps)
     curve = curves.curve(0)
-    put = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     sol = price_american(market_c0, put, steps)
     strat = extract_hedge(market_c0, curves, sol)
     phi_res = float(np.abs(np.einsum("knj,kj->kn", curves.phi_all(), strat.h)
@@ -289,8 +289,7 @@ def test_criterion_09_hedging(capsys, market_c0):
     term_gap = 0.0
     dominated = True
     for seed in range(100):
-        rep = replicate_forward(market_c0, curves, strat, sol, put,
-                                simulate_path(market_c0.chain, seed))
+        rep = replicate_forward(strat, sol, simulate_path(market_c0.chain, seed))
         max_gap = max(max_gap, rep["max_gap"])
         term_gap = max(term_gap, rep["terminal_gap"])
         dominated = dominated and rep["dominates"]
@@ -303,7 +302,7 @@ def test_criterion_09_hedging(capsys, market_c0):
 def test_criterion_10_discounted_representation(capsys, market_c0_s1):
     curves = stock_curves(market_c0_s1, steps=200)
     curve = curves.curve(0)
-    put = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     sol = price_american(market_c0_s1, put, 200)
     rep = discounted_value_check(market_c0_s1, put, sol, n_paths=100_000,
                                  seed_base=0)

@@ -124,6 +124,20 @@ def test_pathwise_residual_small_and_decaying(two_state_chain):
     assert res[1] < res[0]
 
 
+def test_pathwise_residual_converges_across_a_breakpoint():
+    # the generator triples at t = 0.3; each stretch integrates with its own
+    # piece, so the residual decays at second order or better
+    chain = build_chain_spec(2, [(0.0, SYM), (0.3, 3.0 * SYM)], 0, 1.0)
+    drv = discount_driver(0.1)
+    xi = np.array([1.0, 0.4])
+    res = []
+    for steps in (50, 100, 200, 400):
+        sol = solve_bsde(chain, drv, xi, steps)
+        res.append(max(pathwise_residual(sol, simulate_path(chain, seed), chain,
+                                         drv, xi) for seed in range(5)))
+    assert all(a >= 3.0 * b for a, b in zip(res, res[1:])), res
+
+
 def test_comparison_holds_on_ordered_instance(two_state_chain):
     d1 = MarkovDriver(evaluate=lambda t, i, y, z: -0.2 * y, lipschitz_y=0.2)
     d2 = MarkovDriver(evaluate=lambda t, i, y, z: -0.2 * y + 0.3, lipschitz_y=0.2)

@@ -189,7 +189,8 @@ def test_path_state_lookup_is_right_continuous():
     assert p.state_at(0.25) == 1
     assert p.state_at(0.49) == 1
     assert p.state_at(0.5) == 0
-    assert p.segments() == [(0.0, 0.25, 0), (0.25, 0.5, 1), (0.5, 1.0, 0)]
+    assert list(p.stretches((), (0.0,))) == [
+        (0.0, 0.25, 0, 0), (0.25, 0.5, 1, 0), (0.5, 1.0, 0, 0)]
     assert ([p.jump_at(t) for t in (0.0, 0.25, 0.3, 0.5, 1.0)]
             == [None, 0, None, 1, None])
     # cut at 0.4 and 0.5 (a jump time already); pieces start at 0 and 0.4
@@ -261,7 +262,7 @@ def test_martingale_terminal_mean_is_zero(two_state_chain):
 # ------------------------------------------------------------- Psi calculus
 
 def test_psi_two_state_example(two_state_chain):
-    psi = psi_matrix(two_state_chain, 0.0, 0).matrix
+    psi = psi_matrix(two_state_chain, 0.0, 0)
     assert np.allclose(psi, np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-14)
 
 
@@ -279,7 +280,7 @@ def test_psi_structure_random(seed, n):
     a = random_generator(rng, n)
     spec = build_chain_spec(n, a, 0, 1.0)
     i = int(rng.integers(n))
-    psi = psi_matrix(spec, 0.0, i).matrix
+    psi = psi_matrix(spec, 0.0, i)
     assert np.allclose(psi, psi.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(psi) >= -1e-10)
     assert np.allclose(psi.sum(axis=0), 0.0, atol=1e-10)

@@ -5,13 +5,14 @@ optimal-stopping check."""
 import numpy as np
 import pytest
 
-from markovbsde import (Payoff, build_chain_spec, build_market_spec,
+from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         discounted_value_check, extract_hedge, hedge_driver,
                         make_hedge_driver, price_american, replicate_forward,
                         simulate_path, solve_bsde, stock_curves)
 from markovbsde.hedge import (contraction_report, driver_constants,
                               hedge_to_csv_rows)
-from markovbsde.errors import DimensionMismatchError, SingularPhiError
+from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
+                               SingularPhiError)
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -65,6 +66,19 @@ def test_contraction_holds_for_mild_market(market_c0):
     assert rep["worst_margin"] > 0.5
 
 
+def test_strict_pricing_checks_the_pricing_driver(two_state_chain, market_c0,
+                                                  put_payoff):
+    # r = 0.9: c6 ||Psi^+||_F sqrt(6m) = 0.9 * 0.5 * sqrt(12) > 1
+    mkt = build_market_spec(two_state_chain, d_schedule=[0.9, 0.9],
+                            dividends=[[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ContractionViolatedError):
+        price_american(mkt, Obstacle(g=lambda t, i: 0.1), 50,
+                       strict_contraction=True)
+    sol = price_american(market_c0, put_payoff, 50, strict_contraction=True)
+    assert np.array_equal(sol.values,
+                          price_american(market_c0, put_payoff, 50).values)
+
+
 def test_price_matches_independent_discounted_dp(market_c0, put_payoff):
     steps = 400
     sol = price_american(market_c0, put_payoff, steps)
@@ -84,7 +98,7 @@ def test_price_matches_independent_discounted_dp(market_c0, put_payoff):
 
 def test_inactive_obstacle_matches_european(market_c0):
     claim = np.array([1.0, 2.0])
-    payoff = Payoff(g=lambda t, i: claim[i] if t >= 1.0 else -10.0)
+    payoff = Obstacle(g=lambda t, i: claim[i] if t >= 1.0 else -10.0)
     sol = price_american(market_c0, payoff, 800)
     assert np.abs(sol.k.values).max() == 0.0
     ref = solve_bsde(market_c0.chain, make_hedge_driver(market_c0), claim, 800)
@@ -103,11 +117,37 @@ def test_extract_hedge_solves_phi_h_equals_z(market_c0, curves_c0, put_payoff):
     assert np.abs(recon - sol.v.values).max() < 1e-12
 
 
+def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
+    # the batched solve, the per-node piece lookup and the cumulative bond
+    # product repeat the per-node arithmetic exactly; the short rate
+    # changes at 0.5123, between two nodes of the 200-step grid
+    mkt = build_market_spec(two_state_chain,
+                            d_schedule=[(0.0, [0.05, 0.05]), (0.5123, [0.2, 0.1])],
+                            dividends=[[1.0, 2.0], [2.0, 1.0]])
+    curves = stock_curves(mkt, steps=200)
+    curve = curves.curve(0)
+    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    sol = price_american(mkt, put, 200)
+    strat = extract_hedge(mkt, curves, sol)
+    grid = sol.grid
+    dt = grid[1] - grid[0]
+    h = np.empty_like(strat.h)
+    bond = np.ones_like(strat.bond)
+    for k, t in enumerate(grid):
+        h[k] = np.linalg.solve(curves.phi_all()[k], sol.z.values[k])
+        if k:
+            rates = mkt.piece_at(grid[k - 1]).rates + mkt.piece_at(t).rates
+            bond[k] = bond[k - 1] * np.exp(0.5 * rates * dt)
+    assert np.array_equal(strat.h, h)
+    assert np.array_equal(strat.bond, bond)
+    assert not np.array_equal(bond[:, 0], bond[:, 1])
+
+
 def test_extract_hedge_requires_square_system(two_state_chain):
     mkt = build_market_spec(two_state_chain, d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0]])
     curves = stock_curves(mkt, steps=100)
-    payoff = Payoff(g=lambda t, i: 0.1)
+    payoff = Obstacle(g=lambda t, i: 0.1)
     sol = price_american(mkt, payoff, 100)
     with pytest.raises(DimensionMismatchError):
         extract_hedge(mkt, curves, sol)
@@ -118,7 +158,7 @@ def test_extract_hedge_rejects_singular_phi(two_state_chain):
     mkt = build_market_spec(two_state_chain, d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [1.0, 2.0]])
     curves = stock_curves(mkt, steps=100)
-    payoff = Payoff(g=lambda t, i: 0.1)
+    payoff = Obstacle(g=lambda t, i: 0.1)
     sol = price_american(mkt, payoff, 100)
     with pytest.raises(SingularPhiError):
         extract_hedge(mkt, curves, sol)
@@ -130,8 +170,7 @@ def test_replication_tracks_value_to_machine_precision(market_c0, curves_c0,
     strat = extract_hedge(market_c0, curves_c0, sol)
     for seed in range(10):
         path = simulate_path(market_c0.chain, seed)
-        rep = replicate_forward(market_c0, curves_c0, strat, sol, put_payoff,
-                                path)
+        rep = replicate_forward(strat, sol, path)
         assert rep["max_gap"] < 1e-10
         assert rep["dominates"]
         assert rep["terminal_gap"] < 1e-10
@@ -145,19 +184,18 @@ def test_replication_reads_the_piece_of_each_left_node():
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=200)
     curve = curves.curve(0)
-    put = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     sol = price_american(mkt, put, 200)
     strat = extract_hedge(mkt, curves, sol)
     for seed in range(20):
-        rep = replicate_forward(mkt, curves, strat, sol, put,
-                                simulate_path(chain, seed))
+        rep = replicate_forward(strat, sol, simulate_path(chain, seed))
         assert rep["max_gap"] < 1e-10
 
 
 def test_discounted_value_check_passes(market_c0_s1):
     curves = stock_curves(market_c0_s1, steps=200)
     curve = curves.curve(0)
-    payoff = Payoff(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    payoff = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     sol = price_american(market_c0_s1, payoff, 200)
     rep = discounted_value_check(market_c0_s1, payoff, sol, n_paths=5000,
                                  seed_base=0)

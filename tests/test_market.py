@@ -133,13 +133,14 @@ def test_sdf_path_c0_is_pure_discount():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.08],
                             dividends=[[1.0, 1.0]])
     path = simulate_path(mkt.chain, 4)
-    pi = sdf_path(mkt, path, 100)
     grid = np.linspace(0.0, 1.0, 101)
+    pi = sdf_path(mkt, path, grid)
     # independent accumulation of exp(-int D'X du)
     d = np.array([0.05, 0.08])
     expected = np.array([
         np.exp(-sum(d[s] * (min(t1, t) - min(t0, t))
-                    for t0, t1, s in path.segments())) for t in grid])
+                    for t0, t1, s, _ in path.stretches((), (0.0,))))
+        for t in grid])
     assert np.abs(pi - expected).max() < 1e-13
 
 
@@ -153,7 +154,7 @@ def test_sdf_jump_factor_is_exact():
     pi_t = terminal_sdf(mkt, path)
     expected = np.exp(-0.3 * 0.5) * np.exp(c[0, 0] - c[0, 1]) * np.exp(-0.1 * 0.5)
     assert pi_t == pytest.approx(expected, abs=1e-15)
-    pi = sdf_path(mkt, path, 10)
+    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 11))
     assert pi[0] == 1.0
     assert pi[-1] == pytest.approx(pi_t, abs=1e-15)
     # right-continuity at the jump node
@@ -167,7 +168,7 @@ def test_sdf_path_matches_terminal_on_simulated_paths():
                             dividends=[[1.0, 1.0]])
     for seed in range(30):
         path = simulate_path(mkt.chain, seed)
-        pi = sdf_path(mkt, path, 57)
+        pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 58))
         assert pi[-1] == pytest.approx(terminal_sdf(mkt, path), abs=1e-13)
 
 
@@ -303,8 +304,8 @@ def test_terminal_sdf_sums_over_off_grid_stretches():
     jumps = (C1[0, 0] - C1[0, 2]) + (C2[2, 2] - C2[2, 1])
     assert terminal_sdf(mkt, path) == pytest.approx(np.exp(jumps - drift),
                                                     rel=1e-14)
-    assert sdf_path(mkt, path, 7)[-1] == pytest.approx(np.exp(jumps - drift),
-                                                       rel=1e-14)
+    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 8))
+    assert pi[-1] == pytest.approx(np.exp(jumps - drift), rel=1e-14)
 
 
 def _expm(m):

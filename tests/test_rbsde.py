@@ -37,8 +37,10 @@ def test_reflection_is_nonnegative_and_k_starts_at_zero(two_state_chain):
     assert np.all(sol.step_pushes >= 0.0)
     assert np.all(np.diff(sol.k.values, axis=0) >= -1e-15)
     # the value dominates the obstacle at every node
-    g = sol.v.values - np.array([[0.6 - 0.3 * t] * 2 for t in sol.grid])
-    assert g.min() >= -1e-12
+    g = np.array([[0.6 - 0.3 * t] * 2 for t in sol.grid])
+    assert (sol.v.values - g).min() >= -1e-12
+    # the solution carries the obstacle it was solved against
+    assert np.array_equal(sol.g, g)
     # the canonical integrand z = v wraps the value array, not a copy
     assert sol.z.values is sol.v.values
 
@@ -117,7 +119,7 @@ def test_skorokhod_integral_vanishes_on_exact_solutions(two_state_chain):
     ]
     for drv, xi, obs in cases:
         sol = solve_reflected(two_state_chain, drv, xi, obs, 400)
-        assert skorokhod_integral(sol, obs) < 1e-9
+        assert skorokhod_integral(sol) < 1e-9
 
 
 def test_optimal_stop_time(two_state_chain):
@@ -126,11 +128,11 @@ def test_optimal_stop_time(two_state_chain):
     drv = discount_driver(0.1)
     sol = solve_reflected(two_state_chain, drv, np.array([1.0, 2.0]),
                           constant_obstacle(-10.0), 100)
-    assert optimal_stop_time(sol, constant_obstacle(-10.0), path) == 1.0
+    assert optimal_stop_time(sol, path) == 1.0
     # fully active obstacle: touches immediately
     obs = decreasing_obstacle(1.0)
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2), obs, 100)
-    assert optimal_stop_time(sol, obs, path) == 0.0
+    assert optimal_stop_time(sol, path) == 0.0
 
 
 def test_rbsde_csv_rows(two_state_chain):
