@@ -1,0 +1,62 @@
+"""Digest every CLI output on the bundled configs.
+
+Runs each subcommand, then ``plot-data`` on that job's output directory,
+on every config in ``configs/`` at a fixed seed, grid and path count, in a
+temporary directory. Prints one ``<sha256>  <config>/<job>/<file>`` line
+per CSV written and one ``exit <code>  <config>/<job>`` line per run, all
+sorted. The output is a fixed function of the source tree: two runs of one
+checkout print the same lines, and so do two checkouts whose CSVs are
+byte-identical.
+
+    python scripts/cli_digests.py > digests.txt
+
+The package is imported from ``src/`` next to this script.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from markovbsde import cli  # noqa: E402
+
+SEED, STEPS, PATHS = 0, 250, 500
+
+
+def digest_lines(configs, out_root):
+    """Run every subcommand and ``plot-data`` after it on each (name, path)
+    of ``configs``, writing under ``out_root``; returns the sorted lines."""
+    lines = []
+    for name, config in configs:
+        for job in cli.SUBCOMMANDS:
+            if job == "plot-data":
+                continue
+            out = Path(out_root) / name / job
+            argv = [job, "--config", str(config), "--out", str(out),
+                    "--seed", str(SEED), "--steps", str(STEPS), "--paths", str(PATHS)]
+            for label, args in ((job, argv), (f"{job}/plot-data",
+                                              ["plot-data", "--out", str(out)])):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(args)
+                lines.append(f"exit {code}  {name}/{label}")
+            if out.is_dir():
+                for csv in out.rglob("*.csv"):
+                    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {name}/{job}/{csv.relative_to(out)}")
+    return sorted(lines)
+
+
+def main():
+    configs = [(p.stem, p) for p in sorted((ROOT / "configs").glob("*.yaml"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in digest_lines(configs, tmp):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,8 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
     dy_i/dt = -(A'(t) y(t))_i - f(t, i, y_i(t), y(t)),   y(T) = terminal,
 
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
+``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``),
+the residual's Hermite slopes and the reflected predictor of ``rbsde``.
 """
 
 import warnings
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_contraction, split_down
+from .chain import check_contraction, rk4_down, split_down
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -104,28 +106,14 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     return 0.5 * (lo + hi)
 
 
-def _rk4_step(spec, driver, t_hi, t_lo, y):
-    """One backward RK4 sweep from t_hi down to t_lo, split at schedule
-    breakpoints so each sub-step sees a constant generator."""
-    n = y.size
-
-    def rhs(t, yv, a):
-        out = np.empty(n)
-        at_y = a.T @ yv
-        for i in range(n):
-            out[i] = -at_y[i] - driver.evaluate(t, i, yv[i], yv)
-        return out
-
-    cuts = split_down(spec.breakpoints(), t_lo, t_hi)
-    for a_t, b_t in zip(cuts[:-1], cuts[1:]):
-        h = b_t - a_t  # negative
-        gen = spec.generator_at(0.5 * (a_t + b_t))
-        k1 = rhs(a_t, y, gen)
-        k2 = rhs(a_t + 0.5 * h, y + 0.5 * h * k1, gen)
-        k3 = rhs(a_t + 0.5 * h, y + 0.5 * h * k2, gen)
-        k4 = rhs(b_t, y + h * k3, gen)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _rhs(gen, driver, t, y):
+    """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
+    the generator ``gen``, for every state i."""
+    at_y = gen.T @ y
+    out = np.empty(y.size)
+    for i in range(y.size):
+        out[i] = -at_y[i] - driver.evaluate(t, i, y[i], y)
+    return out
 
 
 def _implicit_step(spec, driver, t_hi, t_lo, y):
@@ -170,51 +158,55 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     grid = uniform_grid(spec.horizon, steps)
     values = np.empty((steps + 1, spec.n_states))
     values[-1] = terminal
-    step_fn = _rk4_step if scheme == "explicit_rk4" else _implicit_step
+
+    def field(t_mid):
+        gen = spec.generator_at(t_mid)
+        return lambda t, y: _rhs(gen, driver, t, y)
+
     for k in range(steps - 1, -1, -1):
-        values[k] = step_fn(spec, driver, grid[k + 1], grid[k], values[k + 1])
+        if scheme == "explicit_rk4":
+            values[k] = rk4_down(spec.breakpoints(), grid[k + 1], grid[k],
+                                 values[k + 1], field)
+        else:
+            values[k] = _implicit_step(spec, driver, grid[k + 1], grid[k],
+                                       values[k + 1])
         if not np.all(np.isfinite(values[k])):
             raise NonFiniteError(f"driver blow-up at t={grid[k]:.6g}")
     return BsdeSolution(y=StateGridFunction(grid=grid, values=values),
                         scheme=scheme, steps=int(steps))
 
 
-def _node_derivatives(spec, driver, sol):
-    """dy/dt at each grid node from the reduced ODE right-hand side."""
-    grid, vals = sol.grid, sol.values
-    n = vals.shape[1]
-    d = np.empty_like(vals)
-    for k, t in enumerate(grid):
-        a = spec.generator_at(t)
-        at_y = a.T @ vals[k]
-        for i in range(n):
-            d[k, i] = -at_y[i] - driver.evaluate(t, i, vals[k, i], vals[k])
-    return d
+def _hermite_curve(spec, driver, sol):
+    """t -> y(t), the cubic Hermite interpolant of the grid values with
+    slopes dy/dt from the reduced ODE. Each step takes the slope at either
+    end under the generator of its own piece there: at a breakpoint on a
+    node, the step ending there takes the left limit and the step starting
+    there the right limit."""
+    grid, vals, dt = sol.grid, sol.values, sol.y.step
+    lo = np.empty((grid.size - 1, vals.shape[1]))
+    hi = np.empty_like(lo)
+    for k in range(grid.size - 1):
+        cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
+        lo[k] = _rhs(spec.generator_at(0.5 * (cuts[-2] + grid[k])), driver,
+                     grid[k], vals[k])
+        hi[k] = _rhs(spec.generator_at(0.5 * (grid[k + 1] + cuts[1])), driver,
+                     grid[k + 1], vals[k + 1])
 
-
-class _HermiteCurve:
-    """Cubic Hermite interpolant of the grid values using ODE derivatives."""
-
-    def __init__(self, sol, deriv):
-        self.grid = sol.grid
-        self.vals = sol.values
-        self.deriv = deriv
-        self.dt = sol.y.step
-
-    def __call__(self, t):
-        g = self.grid
-        if t <= g[0]:
-            return self.vals[0]
-        if t >= g[-1]:
-            return self.vals[-1]
-        k = min(int((t - g[0]) / self.dt), g.size - 2)
-        s = (t - g[k]) / self.dt
+    def curve(t):
+        if t <= grid[0]:
+            return vals[0]
+        if t >= grid[-1]:
+            return vals[-1]
+        k = min(int((t - grid[0]) / dt), grid.size - 2)
+        s = (t - grid[k]) / dt
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (h00 * self.vals[k] + h10 * self.dt * self.deriv[k]
-                + h01 * self.vals[k + 1] + h11 * self.dt * self.deriv[k + 1])
+        return (h00 * vals[k] + h10 * dt * lo[k]
+                + h01 * vals[k + 1] + h11 * dt * hi[k])
+
+    return curve
 
 
 def pathwise_residual(solution, path, spec, driver, terminal):
@@ -230,7 +222,7 @@ def pathwise_residual(solution, path, spec, driver, terminal):
     """
     terminal = np.asarray(terminal, dtype=float)
     grid = solution.grid
-    curve = _HermiteCurve(solution, _node_derivatives(spec, driver, solution))
+    curve = _hermite_curve(spec, driver, solution)
 
     def f_at(t, i):
         y = curve(t)
@@ -245,14 +237,13 @@ def pathwise_residual(solution, path, spec, driver, terminal):
     f_int = m_int = 0.0
     gi = 1
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    for t0, t1, i, piece in path.stretches(cuts, spec.starts):
+    for t0, t1, i, piece, to in path.stretches(cuts, spec.starts):
         col = spec.schedule[piece][1][:, i]
         f_int += simpson(lambda t: f_at(t, i), t0, t1)
         m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
-        idx = path.jump_at(t1)
-        if idx is not None:
+        if to is not None:
             yj = curve(t1)
-            m_int += float(yj[path.states[idx + 1]] - yj[path.states[idx]])
+            m_int += float(yj[to] - yj[i])
         while gi < grid.size and grid[gi] <= t1 + 1e-15:
             f_cum[gi], m_cum[gi] = f_int, m_int
             gi += 1
@@ -263,11 +254,11 @@ def pathwise_residual(solution, path, spec, driver, terminal):
 
 
 def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
-                     rng_seed=0, n_probe=64):
+                     rng_seed=0):
     """Order two BSDE solutions: terminal1 <= terminal2 and f1 <= f2 must
     give y1 <= y2 everywhere (up to 1e-9).
 
-    The driver ordering is spot-checked on random (t, state, y, z)
+    The driver ordering is spot-checked on 64 random (t, state, y, z)
     quadruples; driver1 must satisfy the contraction condition, checked by
     its ``solve_bsde`` under ``strict_contraction``.
     """
@@ -276,7 +267,7 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
     if np.any(t1 > t2 + 1e-12):
         raise PreconditionUnmetError("terminal conditions are not ordered")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(n_probe):
+    for _ in range(64):
         t = rng.uniform(0.0, spec.horizon)
         i = int(rng.integers(spec.n_states))
         y = rng.normal(scale=2.0)

@@ -1,6 +1,7 @@
-"""Finite-state Markov chain core: generator schedules, simulation,
-martingale decomposition, the quadratic-variation matrix calculus and the
-pseudoinverse-based contraction check.
+"""Finite-state Markov chain core: generator schedules, the backward RK4
+stepper for piecewise-constant coefficients, simulation, the path walk by
+stretches, martingale decomposition, the quadratic-variation matrix
+calculus and the pseudoinverse-based contraction check.
 
 Convention: rate matrices act on indicator columns, dX = A X dt + dM, so
 A[i, j] is the rate of jumping j -> i and every column of A sums to zero.
@@ -29,6 +30,23 @@ def split_down(breakpoints, t_lo, t_hi):
     """[t_lo, t_hi] cut at the sorted ``breakpoints`` strictly inside it:
     the ends of its constant-piece sub-steps, in decreasing time."""
     return [t_hi, *[b for b in reversed(breakpoints) if t_lo < b < t_hi], t_lo]
+
+
+def rk4_down(breakpoints, t_hi, t_lo, y, field):
+    """One classical RK4 step of dy/dt = f(t, y) backward from t_hi to t_lo
+    for piecewise-constant coefficients: the step is cut by ``split_down``,
+    and each sub-step integrates ``field(t_mid)``, the f of the piece that
+    holds the sub-step's midpoint t_mid."""
+    cuts = split_down(breakpoints, t_lo, t_hi)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        h = a - b
+        f = field(0.5 * (a + b))
+        k1 = f(a, y)
+        k2 = f(a - 0.5 * h, y - 0.5 * h * k1)
+        k3 = f(a - 0.5 * h, y - 0.5 * h * k2)
+        k4 = f(b, y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def freeze_schedule(entries, shape, horizon, what, check):
@@ -169,27 +187,24 @@ class ChainPath:
         """Vectorized state_at."""
         return self.states[np.searchsorted(self.jump_times, times, side="right")]
 
-    def jump_at(self, t):
-        """Index k of the jump at time t (from states[k] to states[k + 1]),
-        or None when the path does not jump at t."""
-        k = int(np.searchsorted(self.jump_times, t))
-        return k if k < self.jump_times.size and self.jump_times[k] == t else None
-
     def stretches(self, cuts, starts):
         """Stretches of constant state and constant schedule piece, in time
-        order, as (t0, t1, state, piece) tuples covering [0, T].
+        order, as (t0, t1, state, piece, to) tuples covering [0, T].
 
         Each constant-state segment between jumps is cut at the times of the
         sorted ``cuts`` strictly inside it; ``piece`` is
-        ``piece_index(starts, t0)``.
+        ``piece_index(starts, t0)``, and ``to`` is the state the path jumps
+        to at t1, or None when it does not jump there.
         """
         edges = [0.0, *self.jump_times.tolist(), self.horizon]
-        for t0, t1, state in zip(edges[:-1], edges[1:], self.states.tolist()):
+        states = self.states.tolist()
+        targets = [*states[1:], None]
+        for t0, t1, state, to in zip(edges[:-1], edges[1:], states, targets):
             if t1 <= t0:  # a jump at the horizon
                 continue
             inner = cuts[bisect_right(cuts, t0):bisect_left(cuts, t1)]
             for a, b in zip([t0, *inner], [*inner, t1]):
-                yield a, b, state, piece_index(starts, a)
+                yield a, b, state, piece_index(starts, a), to if b == t1 else None
 
 
 def _validate_generator(a, n_states):
@@ -289,7 +304,7 @@ def martingale_path(path, spec, grid_steps):
     x0[spec.initial_state] = 1.0
     grid_idx = 1
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    for t0, t1, state, piece in path.stretches(cuts, spec.starts):
+    for t0, t1, state, piece, _ in path.stretches(cuts, spec.starts):
         drift = drift + spec.schedule[piece][1][:, state] * (t1 - t0)
         while grid_idx < grid.size and grid[grid_idx] <= t1 + 1e-15:
             x = np.zeros(n)

@@ -5,17 +5,17 @@ terminal, solver, output_dir. Driver and payoff selectors name built-ins;
 all cross-field dimension checks run before any job starts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .bsde import MarkovDriver
+from .bsde import MarkovDriver, discount_driver, zero_driver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
 from .hedge import make_hedge_driver
 from .market import build_market_spec
-from .rbsde import Obstacle
+from .rbsde import Obstacle, constant_obstacle
 
 SCHEMA_VERSION = 1
 
@@ -170,14 +170,12 @@ def _validate_payoff_spec(spec, chain, market):
 def _build_driver(spec, market):
     kind = spec["kind"]
     if kind == "zero":
-        return MarkovDriver(evaluate=lambda t, i, y, z: 0.0)
+        return zero_driver()
     if kind == "constant":
         val = float(spec["value"])
         return MarkovDriver(evaluate=lambda t, i, y, z: val)
     if kind == "discount":
-        rate = float(spec["rate"])
-        return MarkovDriver(evaluate=lambda t, i, y, z: -rate * y,
-                            lipschitz_y=abs(rate))
+        return discount_driver(spec["rate"])
     if kind == "affine":
         a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
         b = float(spec.get("b", 0.0))
@@ -194,8 +192,7 @@ def _build_payoff(spec, chain, curves=None):
         return None
     kind = spec["kind"]
     if kind == "constant":
-        val = float(spec["value"])
-        return Obstacle(g=lambda t, i: val)
+        return constant_obstacle(spec["value"])
     if kind == "affine":
         a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
         b = np.atleast_1d(np.asarray(spec.get("b", 0.0), dtype=float))

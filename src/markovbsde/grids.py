@@ -41,11 +41,6 @@ class StateGridFunction:
     def step(self):
         return (self.grid[-1] - self.grid[0]) / self.n_steps
 
-    def node_index(self, t):
-        """Nearest grid node at or below t (clamped to the grid)."""
-        k = int(np.floor((t - self.grid[0]) / self.step + 1e-12))
-        return min(max(k, 0), self.n_steps)
-
     def interp(self, t):
         """Linear interpolation in t, vector valued."""
         t = float(t)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, freeze_schedule, piece_index, split_down
+from .chain import ChainSpec, freeze_schedule, piece_index, rk4_down
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
@@ -106,15 +106,6 @@ class MarketSpec:
         to the first and last piece outside [0, horizon))."""
         return self.pieces[piece_index(self.piece_starts, t)]
 
-    def c_at(self, t):
-        return self.piece_at(t).c
-
-    def d_at(self, t):
-        return self.piece_at(t).d
-
-    def gamma_at(self, t):
-        return self.piece_at(t).gamma
-
     def breakpoints(self):
         """Interior boundaries of the merged A, C and D schedules: the piece
         starts after the first."""
@@ -154,13 +145,9 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
     return market
 
 
-def short_rate(market, t, state, strict=False):
+def short_rate(market, t, state):
     """r(t, i) = D_i - (sigma A)_{ii} with X frozen at state i."""
-    r = float(market.piece_at(t).rates[state])
-    if strict and (r < 0.0 or r > market.r_max):
-        raise RateBoundViolatedError(
-            f"short rate {r:.6g} outside [0, {market.r_max}]")
-    return r
+    return float(market.piece_at(t).rates[state])
 
 
 def sdf_path(market, path, grid):
@@ -173,20 +160,18 @@ def sdf_path(market, path, grid):
     vectorized interpolation.
     """
     stretches = list(path.stretches(market.breakpoints(), market.piece_starts))
-    events = np.array([0.0] + [t1 for _, t1, _, _ in stretches])
+    events = np.array([0.0] + [t1 for _, t1, _, _, _ in stretches])
     # log pi immediately after each event, plus the drift slope of the
     # stretch starting there
     log_after = np.zeros(events.size)
     slopes = np.zeros(events.size - 1)
     acc = 0.0
-    for k, (t0, t1, state, piece) in enumerate(stretches):
+    for k, (t0, t1, state, piece, to) in enumerate(stretches):
         slope = -float(market.pieces[piece].d[state])
         slopes[k] = slope
         acc += slope * (t1 - t0)
-        idx = path.jump_at(t1)
-        if idx is not None:
-            old, new = int(path.states[idx]), int(path.states[idx + 1])
-            acc += market.piece_at(t1).log_jump[old, new]
+        if to is not None:
+            acc += market.piece_at(t1).log_jump[state, to]
         log_after[k + 1] = acc
     pos = np.searchsorted(events, grid, side="right") - 1
     at_end = pos >= events.size - 1
@@ -199,8 +184,8 @@ def sdf_path(market, path, grid):
 def terminal_sdf(market, path):
     """Exact discount factor at the horizon for one path."""
     acc = 0.0
-    for t0, t1, state, piece in path.stretches(market.breakpoints(),
-                                               market.piece_starts):
+    for t0, t1, state, piece, _ in path.stretches(market.breakpoints(),
+                                                  market.piece_starts):
         acc -= market.pieces[piece].d[state] * (t1 - t0)
     for idx, t in enumerate(path.jump_times):
         old, new = int(path.states[idx]), int(path.states[idx + 1])
@@ -222,16 +207,14 @@ def sdf_dynamics_residual(market, path, grid_steps):
     pi = 1.0
     worst = 0.0
     gi = 1
-    for t0, t1, state, k in path.stretches(cuts, market.piece_starts):
+    for t0, t1, state, k, to in path.stretches(cuts, market.piece_starts):
         dt = t1 - t0
         piece = market.pieces[k]
         r = float(piece.rates[state])
         comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
         pi = pi * np.exp(-r * dt) - pi * comp * dt
-        idx = path.jump_at(t1)
-        if idx is not None:
-            old, new = int(path.states[idx]), int(path.states[idx + 1])
-            pi += pi * market.piece_at(t1).sigma[old, new]
+        if to is not None:
+            pi += pi * market.piece_at(t1).sigma[state, to]
         while gi < grid.size and grid[gi] <= t1 + 1e-15:
             worst = max(worst, abs(pi - closed[gi]))
             gi += 1
@@ -254,12 +237,9 @@ class StockCurves:
     def curve(self, j):
         return StateGridFunction(grid=self.grid, values=self.s[j])
 
-    def phi(self, k):
-        """N x n matrix whose columns are the stock vectors at node k."""
-        return self.s[:, k, :].T
-
     def phi_all(self):
-        """(K+1, N, n) stack of the phi matrices."""
+        """(K+1, N, n) stack of the N x n matrices phi whose columns are
+        the stock vectors at each node."""
         return np.transpose(self.s, (1, 2, 0))
 
 
@@ -267,15 +247,15 @@ def stock_curves(market, steps=1000):
     """Solve the dividend ODE ds/dt + Gamma' s = -delta backward.
 
     Seeded at T with the stationary point of the final piece,
-    -(Gamma_end')^{-1} delta, then integrated down onto [0, T] with RK4,
-    split at schedule breakpoints so that each sub-step sees a constant
-    Gamma. For time-homogeneous data the seed is the exact solution.
+    -(Gamma_end')^{-1} delta, then integrated down onto [0, T] with
+    ``chain.rk4_down``, so that each sub-step sees a constant Gamma. For
+    time-homogeneous data the seed is the exact solution.
     Gamma_end' must be stable (all eigenvalue real parts negative) and the
     resulting prices strictly positive on [0, T].
     """
     chain = market.chain
     horizon = chain.horizon
-    gamma_end = market.gamma_at(horizon).T
+    gamma_end = market.piece_at(horizon).gamma.T
     eig = np.linalg.eigvals(gamma_end)
     if np.any(eig.real >= -1e-12):
         raise UnstableGammaError(
@@ -287,24 +267,13 @@ def stock_curves(market, steps=1000):
         delta = np.asarray(delta, dtype=float)
         s = np.linalg.solve(gamma_end, -delta)
 
-        def step_down(t_hi, t_lo, sv):
-            # split at schedule breakpoints so each RK4 sub-step sees a
-            # constant Gamma (the ODE coefficients are piecewise constant)
-            cuts = split_down(breakpts, t_lo, t_hi)
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                h = a - b
-                g = market.gamma_at(0.5 * (a + b)).T
-                rhs = lambda v: -g @ v - delta
-                k1 = rhs(sv)
-                k2 = rhs(sv - 0.5 * h * k1)
-                k3 = rhs(sv - 0.5 * h * k2)
-                k4 = rhs(sv - h * k3)
-                sv = sv - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            return sv
+        def field(t_mid):
+            g = market.piece_at(t_mid).gamma.T
+            return lambda t, v: -g @ v - delta
 
         curves[j, -1] = s
         for k in range(grid.size - 2, -1, -1):
-            s = step_down(grid[k + 1], grid[k], s)
+            s = rk4_down(breakpts, grid[k + 1], grid[k], s, field)
             curves[j, k] = s
     lo, hi = float(curves.min()), float(curves.max())
     if lo <= 0.0:
@@ -325,17 +294,15 @@ def stock_sde_residual(market, curves, path, grid_steps):
         delta = np.asarray(market.dividends[j], dtype=float)
         val = curve.interp(0.0)[path.state_at(0.0)]
         gi = 1
-        for t0, t1, state, k in stretches:
+        for t0, t1, state, k, to in stretches:
             piece = market.pieces[k]
             s_vec = curve.interp(t0)
             drift = float((piece.drift @ s_vec)[state] - delta[state])
             comp = float(s_vec @ piece.a[:, state])
             val += (drift - comp) * (t1 - t0)
-            idx = path.jump_at(t1)
-            if idx is not None:
-                old, new = int(path.states[idx]), int(path.states[idx + 1])
+            if to is not None:
                 sv = curve.interp(t1)
-                val += float(sv[new] - sv[old])
+                val += float(sv[to] - sv[state])
             while gi < grid.size and grid[gi] <= t1 + 1e-15:
                 direct = curve.interp(grid[gi])[path.state_at(grid[gi])]
                 worst = max(worst, abs(val - direct))

@@ -15,7 +15,7 @@ from .bsde import solve_bsde
 from .chain import ChainSpec, seminorm_sq, simulate_path
 from .errors import NonFiniteError
 from .hedge import make_hedge_driver
-from .market import MarketSpec, terminal_sdf
+from .market import terminal_sdf
 
 
 @dataclass(frozen=True)
@@ -26,19 +26,12 @@ class McEstimate:
     seed_base: int
 
 
-def _chain_of(spec_or_market):
-    if isinstance(spec_or_market, MarketSpec):
-        return spec_or_market.chain
-    if isinstance(spec_or_market, ChainSpec):
-        return spec_or_market
-    raise TypeError(f"expected ChainSpec or MarketSpec, got {type(spec_or_market)}")
-
-
-def mc_estimate(spec_or_market, functional, n_paths, seed_base=0):
-    """Sample mean and standard error of a path functional."""
+def mc_estimate(chain, functional, n_paths, seed_base=0):
+    """Sample mean and standard error of a path functional of ``chain``."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    chain = _chain_of(spec_or_market)
+    if not isinstance(chain, ChainSpec):
+        raise TypeError(f"expected ChainSpec, got {type(chain)}")
     samples = np.empty(n_paths)
     for p in range(n_paths):
         seed = seed_base + p
@@ -71,7 +64,7 @@ def stochastic_integral(spec, z, path):
     for idx in range(path.n_jumps):
         old, new = int(path.states[idx]), int(path.states[idx + 1])
         total += z[new] - z[old]
-    for t0, t1, state, piece in path.stretches(spec.breakpoints(), spec.starts):
+    for t0, t1, state, piece, _ in path.stretches(spec.breakpoints(), spec.starts):
         total -= float(z @ spec.schedule[piece][1][:, state]) * (t1 - t0)
     return total
 
@@ -80,7 +73,7 @@ def seminorm_time_integral(spec, z, path):
     """Exact pathwise int ||z||^2_{X_u} du for a constant vector z, from
     the per-piece Psi matrices of ``spec.psi``."""
     total = 0.0
-    for t0, t1, state, piece in path.stretches(spec.breakpoints(), spec.starts):
+    for t0, t1, state, piece, _ in path.stretches(spec.breakpoints(), spec.starts):
         total += seminorm_sq(z, spec.psi[piece][state]) * (t1 - t0)
     return total
 

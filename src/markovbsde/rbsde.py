@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import MarkovDriver, solve_bsde
+from .bsde import MarkovDriver, _rhs, solve_bsde
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid, uniform_grid
 
@@ -72,8 +72,12 @@ def _check_terminal(terminal, obstacle_vals_T):
 
 
 def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
-    """Shared backward recursion: explicit predictor then projection on the
-    obstacle. Returns (values, per-step pushes)."""
+    """Shared backward recursion: explicit Euler predictor then projection
+    on the obstacle. Returns (values, per-step pushes).
+
+    Each step takes the generator in force at its left node and is not cut
+    at a breakpoint that falls between two nodes.
+    """
     n = spec.n_states
     steps = grid.size - 1
     dt = grid[1] - grid[0]
@@ -82,13 +86,7 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     vals[-1] = terminal
     for k in range(steps - 1, -1, -1):
         t = grid[k]
-        a = spec.generator_at(t)
-        y_next = vals[k + 1]
-        at_y = a.T @ y_next
-        pred = np.empty(n)
-        for i in range(n):
-            pred[i] = y_next[i] + dt * (at_y[i]
-                                        + driver.evaluate(t, i, y_next[i], y_next))
+        pred = vals[k + 1] - dt * _rhs(spec.generator_at(t), driver, t, vals[k + 1])
         vals[k] = np.maximum(obstacle_vals[k], pred)
         pushes[k] = vals[k] - pred
         if not np.all(np.isfinite(vals[k])):
@@ -150,20 +148,16 @@ def penalized_driver(driver, obstacle, n):
                         lipschitz_z=driver.lipschitz_z)
 
 
-def solve_penalized(spec, driver, terminal, obstacle, n, steps,
-                    scheme=None):
+def solve_penalized(spec, driver, terminal, obstacle, n, steps):
     """Solve the penalized BSDE for penalty level n.
 
-    Implicit Euler is forced whenever n * dt >= 1: the penalty makes the
-    reduced system stiff and the explicit scheme unstable.
+    Implicit Euler whenever n * dt >= 1, explicit RK4 below: the penalty
+    makes the reduced system stiff and the explicit scheme unstable.
     """
     if n < 1:
         raise ValueError("penalty level must be >= 1")
     dt = spec.horizon / steps
-    if scheme is None:
-        scheme = "implicit_euler" if n * dt >= 1.0 else "explicit_rk4"
-    elif scheme == "explicit_rk4" and n * dt >= 1.0:
-        scheme = "implicit_euler"
+    scheme = "implicit_euler" if n * dt >= 1.0 else "explicit_rk4"
     return solve_bsde(spec, penalized_driver(driver, obstacle, n),
                       np.asarray(terminal, dtype=float), steps, scheme=scheme)
 
@@ -188,15 +182,17 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol,
     if n_start is None:
         n_start = max(4, int(np.ceil(steps / spec.horizon)))
     n = int(n_start)
-    prev = solve_penalized(spec, driver, terminal, obstacle, n, steps,
-                           scheme="implicit_euler")
+    if n < 1:
+        raise ValueError("penalty level must be >= 1")
+    prev = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
+                      scheme="implicit_euler")
     while True:
         n *= 2
         if n > n_cap:
             raise NoConvergenceError(
                 f"penalty cap {n_cap} reached without tol {tol}", trace=trace)
-        cur = solve_penalized(spec, driver, terminal, obstacle, n, steps,
-                              scheme="implicit_euler")
+        cur = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal,
+                         steps, scheme="implicit_euler")
         dist = float(np.abs(cur.values - prev.values).max())
         trace.append((n, dist))
         prev = cur

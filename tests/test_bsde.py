@@ -125,8 +125,9 @@ def test_pathwise_residual_small_and_decaying(two_state_chain):
 
 
 def test_pathwise_residual_converges_across_a_breakpoint():
-    # the generator triples at t = 0.3; each stretch integrates with its own
-    # piece, so the residual decays at second order or better
+    # the generator triples at t = 0.3, a grid node; each stretch integrates
+    # with its own piece and each step's Hermite curve takes its own piece's
+    # slopes, so the residual decays at fourth order, not second
     chain = build_chain_spec(2, [(0.0, SYM), (0.3, 3.0 * SYM)], 0, 1.0)
     drv = discount_driver(0.1)
     xi = np.array([1.0, 0.4])
@@ -135,7 +136,7 @@ def test_pathwise_residual_converges_across_a_breakpoint():
         sol = solve_bsde(chain, drv, xi, steps)
         res.append(max(pathwise_residual(sol, simulate_path(chain, seed), chain,
                                          drv, xi) for seed in range(5)))
-    assert all(a >= 3.0 * b for a, b in zip(res, res[1:])), res
+    assert all(a >= 8.0 * b for a, b in zip(res, res[1:])), res
 
 
 def test_comparison_holds_on_ordered_instance(two_state_chain):

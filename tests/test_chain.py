@@ -189,13 +189,17 @@ def test_path_state_lookup_is_right_continuous():
     assert p.state_at(0.25) == 1
     assert p.state_at(0.49) == 1
     assert p.state_at(0.5) == 0
+    # each stretch names the state a jump at its end enters, or None
     assert list(p.stretches((), (0.0,))) == [
-        (0.0, 0.25, 0, 0), (0.25, 0.5, 1, 0), (0.5, 1.0, 0, 0)]
-    assert ([p.jump_at(t) for t in (0.0, 0.25, 0.3, 0.5, 1.0)]
-            == [None, 0, None, 1, None])
+        (0.0, 0.25, 0, 0, 1), (0.25, 0.5, 1, 0, 0), (0.5, 1.0, 0, 0, None)]
     # cut at 0.4 and 0.5 (a jump time already); pieces start at 0 and 0.4
     assert list(p.stretches([0.4, 0.5], (0.0, 0.4))) == [
-        (0.0, 0.25, 0, 0), (0.25, 0.4, 1, 0), (0.4, 0.5, 1, 1), (0.5, 1.0, 0, 1)]
+        (0.0, 0.25, 0, 0, 1), (0.25, 0.4, 1, 0, None), (0.4, 0.5, 1, 1, 0),
+        (0.5, 1.0, 0, 1, None)]
+    # a jump at the horizon ends the last stretch
+    p = ChainPath(jump_times=np.array([0.25, 1.0]), states=np.array([0, 1, 0]),
+                  horizon=1.0, seed=0)
+    assert list(p.stretches((), (0.0,))) == [(0.0, 0.25, 0, 0, 1), (0.25, 1.0, 1, 0, 0)]
 
 
 def test_path_rejects_malformed_data():

@@ -139,7 +139,7 @@ def test_sdf_path_c0_is_pure_discount():
     d = np.array([0.05, 0.08])
     expected = np.array([
         np.exp(-sum(d[s] * (min(t1, t) - min(t0, t))
-                    for t0, t1, s, _ in path.stretches((), (0.0,))))
+                    for t0, t1, s, _, _ in path.stretches((), (0.0,))))
         for t in grid])
     assert np.abs(pi - expected).max() < 1e-13
 
@@ -195,7 +195,7 @@ def test_stationary_stock_curve_exact():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=500)
-    gamma_t = mkt.gamma_at(0.0).T
+    gamma_t = mkt.piece_at(0.0).gamma.T
     for j, delta in enumerate(([1.0, 2.0], [2.0, 1.0])):
         target = np.linalg.solve(gamma_t, -np.asarray(delta))
         assert np.abs(curves.s[j] - target[None, :]).max() < 1e-12
@@ -271,15 +271,12 @@ def test_rate_table_matches_direct_formulas():
     for t in probes:
         a, c, d = (value_at(s, t) for s in (A_SCHED, C_SCHED, D_SCHED))
         assert np.array_equal(mkt.chain.generator_at(t), a)
-        assert np.array_equal(mkt.c_at(t), c) and np.array_equal(mkt.d_at(t), d)
-        gamma = mkt.gamma_at(t)
-        assert np.array_equal(
-            gamma, gamma_matrix(mkt.chain.generator_at(t), mkt.c_at(t), mkt.d_at(t)))
+        piece = mkt.piece_at(t)
+        assert np.array_equal(piece.c, c) and np.array_equal(piece.d, d)
+        assert np.array_equal(piece.gamma, gamma_matrix(a, c, d))
         sig = sigma_matrix(c)
         for i in range(3):
             assert short_rate(mkt, t, i) == float(d[i] - sig[i, :] @ a[:, i])
-        piece = mkt.piece_at(t)
-        assert piece.gamma is gamma
         for i in range(3):
             for j in range(3):
                 assert piece.log_jump[i, j] == c[i, i] - c[i, j]
@@ -287,7 +284,7 @@ def test_rate_table_matches_direct_formulas():
                     piece.log_jump):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            gamma[0, 0] = 0.0
+            piece.gamma[0, 0] = 0.0
 
 
 def test_terminal_sdf_sums_over_off_grid_stretches():

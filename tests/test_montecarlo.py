@@ -26,6 +26,8 @@ def test_mc_estimate_validates_inputs(two_state_chain):
         mc_estimate(two_state_chain, lambda p: float("nan"), 10)
     with pytest.raises(TypeError):
         mc_estimate("not a chain", lambda p: 0.0, 10)
+    with pytest.raises(TypeError):  # a market's paths are its chain's
+        mc_estimate(build_market_spec(two_state_chain), lambda p: 0.0, 10)
 
 
 def test_jump_count_mean(two_state_chain):

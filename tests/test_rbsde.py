@@ -109,6 +109,9 @@ def test_penalization_limit_cap_raises_with_trace(two_state_chain):
         penalization_limit(two_state_chain, drv, np.zeros(2), obs, 100,
                            1e-12, n_start=1, n_cap=16)
     assert len(exc.value.trace) >= 1
+    with pytest.raises(ValueError):
+        penalization_limit(two_state_chain, drv, np.zeros(2), obs, 100, 1e-3,
+                           n_start=0)
 
 
 def test_skorokhod_integral_vanishes_on_exact_solutions(two_state_chain):
