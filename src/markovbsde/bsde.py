@@ -281,12 +281,3 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
     max_violation = float(gap.max())
     return {"holds": bool(max_violation <= 1e-9),
             "max_violation": max_violation}
-
-
-def solution_to_csv_rows(solution):
-    """(time, state, y_value) rows."""
-    rows = []
-    for k, t in enumerate(solution.grid):
-        for i in range(solution.values.shape[1]):
-            rows.append((float(t), i, float(solution.values[k, i])))
-    return rows

@@ -381,11 +381,3 @@ def check_contraction(spec, lipschitz_z):
                 worst_at = (start, i)
     return {"holds": bool(worst > 0.0), "worst_margin": float(worst),
             "worst_time_state": worst_at}
-
-
-def path_to_csv_rows(path):
-    """(jump_index, time, state) rows, including the start point at index -1."""
-    rows = [(-1, 0.0, int(path.states[0]))]
-    for k, (t, s) in enumerate(zip(path.jump_times, path.states[1:])):
-        rows.append((k, float(t), int(s)))
-    return rows

@@ -13,15 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import solution_to_csv_rows, solve_bsde
-from .chain import path_to_csv_rows, simulate_path
+from .bsde import solve_bsde
+from .chain import simulate_path
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
-from .hedge import (contraction_report, extract_hedge, hedge_to_csv_rows,
-                    price_american, replicate_forward)
-from .market import curves_to_csv_rows, stock_curves
-from .montecarlo import european_consistency, isometry_check, report_csv_rows
-from .rbsde import penalization_limit, rbsde_to_csv_rows, solve_reflected
+from .hedge import (contraction_report, extract_hedge, price_american,
+                    replicate_forward)
+from .market import stock_curves
+from .montecarlo import european_consistency, isometry_check
+from .rbsde import penalization_limit, solve_reflected
 
 SUBCOMMANDS = ("validate", "simulate", "solve-bsde", "solve-rbsde",
                "price-american", "hedge", "verify", "plot-data")
@@ -46,11 +46,36 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def _resolve_payoff(config):
-    curves = None
-    if config.payoff_spec and config.payoff_spec.get("kind") == "put_on_stock":
-        curves = stock_curves(config.market, steps=config.solver.steps)
-    return config.build_payoff(curves=curves), curves
+def grid_rows(grid, *columns):
+    """(time, state, value of each column) rows, node by node and state by
+    state, from (K+1, N) arrays on ``grid``."""
+    cols = [c.tolist() for c in columns]
+    for k, t in enumerate(grid.tolist()):
+        for i in range(len(cols[0][k])):
+            yield (t, i, *(c[k][i] for c in cols))
+
+
+def curve_rows(curves):
+    """(time, stock, state, price) rows."""
+    s = curves.s.tolist()
+    for k, t in enumerate(curves.grid.tolist()):
+        for j in range(curves.n_stocks):
+            for i, price in enumerate(s[j][k]):
+                yield (t, j, i, price)
+
+
+def path_rows(path):
+    """(jump_index, time, state) rows, including the start point at index -1."""
+    yield (-1, 0.0, int(path.states[0]))
+    for k, (t, s) in enumerate(zip(path.jump_times, path.states[1:])):
+        yield (k, float(t), int(s))
+
+
+def report_rows(named_reports):
+    """(check_name, lhs, rhs, std_error, pass) rows from a dict of reports."""
+    for name, rep in named_reports.items():
+        yield (name, float(rep["lhs"]), float(rep["rhs"]),
+               float(rep["std_error"]), bool(rep["pass"]))
 
 
 def _cmd_validate(config, out):
@@ -71,26 +96,25 @@ def _cmd_simulate(config, out):
     for p in range(n):
         path = simulate_path(config.chain, config.solver.seed + p)
         _write_csv(out / f"path_{p:04d}.csv", ("jump_index", "time", "state"),
-                   path_to_csv_rows(path))
+                   path_rows(path))
     return 0
 
 
 def _cmd_solve_bsde(config, out):
     driver = config.build_driver()
-    terminal = config.terminal
-    if terminal is None:
+    if config.terminal is None:
         raise ConfigError("solve-bsde needs a 'terminal' vector")
-    sol = solve_bsde(config.chain, driver, terminal, config.solver.steps,
+    sol = solve_bsde(config.chain, driver, config.terminal, config.solver.steps,
                      scheme=config.solver.scheme,
                      strict_contraction=config.solver.strict_contraction)
     _write_csv(out / "bsde_solution.csv", ("time", "state", "y_value"),
-               solution_to_csv_rows(sol))
+               grid_rows(sol.grid, sol.values))
     return 0
 
 
 def _cmd_solve_rbsde(config, out):
     driver = config.build_driver()
-    payoff, _ = _resolve_payoff(config)
+    payoff = config.build_payoff()
     if payoff is None:
         raise ConfigError("solve-rbsde needs a 'payoff' section as the obstacle")
     terminal = config.terminal
@@ -99,7 +123,7 @@ def _cmd_solve_rbsde(config, out):
     sol = solve_reflected(config.chain, driver, terminal, payoff,
                           config.solver.steps)
     _write_csv(out / "rbsde_solution.csv", ("time", "state", "v", "z", "k"),
-               rbsde_to_csv_rows(sol))
+               grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
     limit = penalization_limit(config.chain, driver, terminal, payoff,
                                min(config.solver.steps, 400),
                                config.solver.penalization_tol)
@@ -109,7 +133,7 @@ def _cmd_solve_rbsde(config, out):
 
 
 def _cmd_price_american(config, out):
-    payoff, _ = _resolve_payoff(config)
+    payoff = config.build_payoff()
     if payoff is None:
         raise ConfigError("price-american needs a 'payoff' section")
     if config.market is None:
@@ -117,28 +141,28 @@ def _cmd_price_american(config, out):
     sol = price_american(config.market, payoff, config.solver.steps,
                          strict_contraction=config.solver.strict_contraction)
     _write_csv(out / "american_solution.csv", ("time", "state", "v", "z", "k"),
-               rbsde_to_csv_rows(sol))
-    g_rows = [(float(t), i, float(sol.g[k, i]))
-              for k, t in enumerate(sol.grid) for i in range(config.chain.n_states)]
-    _write_csv(out / "payoff_surface.csv", ("time", "state", "g"), g_rows)
+               grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
+    _write_csv(out / "payoff_surface.csv", ("time", "state", "g"),
+               grid_rows(sol.grid, sol.g))
     return 0
 
 
 def _cmd_hedge(config, out):
-    payoff, curves = _resolve_payoff(config)
-    if payoff is None or config.market is None:
+    if config.payoff is None or config.market is None:
         raise ConfigError("hedge needs 'payoff' and 'market' sections")
-    if curves is None:
-        curves = stock_curves(config.market, steps=config.solver.steps)
+    curves = stock_curves(config.market, steps=config.solver.steps)
+    payoff = config.build_payoff(curves=curves)
     sol = price_american(config.market, payoff, config.solver.steps,
                          strict_contraction=config.solver.strict_contraction)
     strat = extract_hedge(config.market, curves, sol)
-    n = config.market.n_stocks
+    n_states, n = config.chain.n_states, config.market.n_stocks
+    # each stock holding is one number per node, the same in every state
+    holdings = [np.repeat(strat.h[:, [j]], n_states, axis=1) for j in range(n)]
     _write_csv(out / "hedge.csv",
                ("time", "state", "V", "K", *[f"h_{j + 1}" for j in range(n)], "h0"),
-               hedge_to_csv_rows(sol, strat))
+               grid_rows(sol.grid, sol.values, sol.k.values, *holdings, strat.h0))
     _write_csv(out / "stock_curves.csv", ("time", "stock", "state", "price"),
-               curves_to_csv_rows(curves))
+               curve_rows(curves))
     rows = []
     ok = True
     for p in range(min(config.solver.n_paths, 20)):
@@ -170,7 +194,7 @@ def _cmd_verify(config, out):
             steps=min(solver.steps, 400), seed_base=solver.seed, paths=paths)
     _write_csv(out / "verify_report.csv",
                ("check_name", "lhs", "rhs", "std_error", "pass"),
-               report_csv_rows(reports))
+               report_rows(reports))
     return 0 if all(r["pass"] for r in reports.values()) else 1
 
 
@@ -178,33 +202,26 @@ def emit_plot_data(result_dir):
     """Derive tidy plot-ready CSVs from a previous run's outputs."""
     result_dir = Path(result_dir)
     produced = []
-    value_file = None
-    for name in ("american_solution.csv", "rbsde_solution.csv", "bsde_solution.csv"):
-        if (result_dir / name).exists():
-            value_file = result_dir / name
-            break
+    names = ("american_solution.csv", "rbsde_solution.csv", "bsde_solution.csv")
+    value_file = next((result_dir / n for n in names if (result_dir / n).exists()), None)
     if value_file is not None:
         with open(value_file) as fh:
-            rows = list(csv.DictReader(fh))
-        val_key = "v" if "v" in rows[0] else "y_value"
-        tidy = [(r["time"], r["state"], r[val_key]) for r in rows]
+            vrows = list(csv.DictReader(fh))
+        val_key = "v" if "v" in vrows[0] else "y_value"
+        tidy = [(r["time"], r["state"], r[val_key]) for r in vrows]
         _write_csv(result_dir / "value_vs_time.csv", ("time", "state", "value"), tidy)
         produced.append("value_vs_time.csv")
     payoff_file = result_dir / "payoff_surface.csv"
     if value_file is not None and payoff_file.exists():
-        with open(value_file) as fh:
-            vrows = list(csv.DictReader(fh))
         with open(payoff_file) as fh:
-            grows = list(csv.DictReader(fh))
-        gmap = {(r["time"], r["state"]): float(r["g"]) for r in grows}
+            gmap = {(r["time"], r["state"]): float(r["g"]) for r in csv.DictReader(fh)}
         boundary = {}
         for r in vrows:
             key = (r["time"], r["state"])
             if key in gmap and float(r["v"]) <= gmap[key] + 1e-9:
                 state = int(r["state"])
                 t = float(r["time"])
-                boundary.setdefault(state, t)
-                boundary[state] = min(boundary[state], t)
+                boundary[state] = min(boundary.get(state, t), t)
         states = sorted({int(r["state"]) for r in vrows})
         horizon = max(float(r["time"]) for r in vrows)
         rows = [(s, boundary.get(s, horizon)) for s in states]

@@ -1,11 +1,13 @@
 """Declarative run configuration: one YAML file per experiment.
 
 Top-level keys: schema_version, chain, market (optional), driver, payoff,
-terminal, solver, output_dir. Driver and payoff selectors name built-ins;
-all cross-field dimension checks run before any job starts.
+terminal, solver, output_dir. Driver and payoff selectors name built-ins.
+One reader per section converts and checks each field as it reads it, so
+a malformed value raises ``ConfigError`` at load, before any job starts.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -14,7 +16,7 @@ from .bsde import MarkovDriver, discount_driver, zero_driver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
 from .hedge import make_hedge_driver
-from .market import build_market_spec
+from .market import build_market_spec, stock_curves
 from .rbsde import Obstacle, constant_obstacle
 
 SCHEMA_VERSION = 1
@@ -32,24 +34,70 @@ class SolverSettings:
 
 @dataclass
 class RunConfig:
+    """A loaded run. ``driver`` builds the MarkovDriver; ``payoff`` builds
+    the payoff Obstacle from stock curves and a step count, or is None
+    without a payoff section."""
+
     chain: object
     market: object
-    driver_spec: dict
-    payoff_spec: dict
+    driver: object
+    payoff: object
     terminal: np.ndarray
     solver: SolverSettings
     output_dir: str
 
     def build_driver(self):
-        return _build_driver(self.driver_spec, self.market)
+        return self.driver()
 
     def build_payoff(self, curves=None):
-        return _build_payoff(self.payoff_spec, self.chain, curves)
+        """The payoff as an Obstacle, or None. A payoff on a stock price
+        reads ``curves``; without them it computes them at ``solver.steps``."""
+        if self.payoff is None:
+            return None
+        return self.payoff(curves, self.solver.steps)
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _section(raw, key):
+    """raw[key] as a mapping; None when the key is missing or null."""
+    value = raw.get(key)
+    _require(value is None or isinstance(value, dict),
+             f"'{key}' must be a mapping, got {value!r}")
+    return value
+
+
+def _float(value, what):
+    """One finite number; a missing field reads as None and fails here."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    _require(np.isfinite(out), f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _integer(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _vector(value, n, what, broadcast=False):
+    """A list of n numbers as a float vector. With ``broadcast``, a single
+    number or a one-entry list applies to every state."""
+    if broadcast and not isinstance(value, list):
+        value = [value]
+    sizes = (1, n) if broadcast else (n,)
+    _require(isinstance(value, list) and len(value) in sizes,
+             f"{what} must be {'a number or ' if broadcast else ''}"
+             f"a list of {n} numbers, got {value!r}")
+    vec = np.array([_float(x, what) for x in value])
+    return np.full(n, vec[0]) if vec.size != n else vec
 
 
 def _parse_schedule(entries, key_name):
@@ -63,6 +111,71 @@ def _parse_schedule(entries, key_name):
     return out
 
 
+def _read_driver(spec, n, market):
+    """The driver section, as a builder of its MarkovDriver."""
+    kind = spec.get("kind")
+    if kind == "zero":
+        return zero_driver
+    if kind == "constant":
+        value = _float(spec.get("value"), "driver.value")
+        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: value)
+    if kind == "discount":
+        return partial(discount_driver, _float(spec.get("rate"), "driver.rate"))
+    if kind == "affine":
+        a = _vector(spec.get("a", 0.0), n, "driver.a", broadcast=True)
+        b = _float(spec.get("b", 0.0), "driver.b")
+        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: float(a[i]) + b * y,
+                                    lipschitz_y=abs(b))
+    if kind == "hedge":
+        _require(market is not None, "hedge driver needs a market section")
+        return partial(make_hedge_driver, market)
+    raise ConfigError(f"unknown driver kind {kind!r}")
+
+
+def _read_payoff(spec, n, market):
+    """The payoff section, as a builder (curves, steps) -> Obstacle."""
+    kind = spec.get("kind")
+    if kind == "constant":
+        value = _float(spec.get("value"), "payoff.value")
+        return lambda curves, steps: constant_obstacle(value)
+    if kind == "affine":
+        a = _vector(spec.get("a", 0.0), n, "payoff.a", broadcast=True)
+        b = _vector(spec.get("b", 0.0), n, "payoff.b", broadcast=True)
+        return lambda curves, steps: Obstacle(g=lambda t, i: float(a[i] + b[i] * t))
+    if kind == "put_on_stock":
+        _require(market is not None, "put_on_stock payoff needs a market section")
+        strike = _float(spec.get("strike"), "payoff.strike")
+        stock = _integer(spec.get("stock", 0), "payoff.stock")
+        _require(0 <= stock < market.n_stocks,
+                 f"stock index {stock} outside [0, {market.n_stocks})")
+
+        def build(curves, steps):
+            if curves is None:
+                curves = stock_curves(market, steps=steps)
+            curve = curves.curve(stock)
+            return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
+        return build
+    raise ConfigError(f"unknown payoff kind {kind!r}")
+
+
+def _read_solver(raw):
+    """The solver section over the defaults of ``SolverSettings``."""
+    solver = SolverSettings()
+    for key, read in (("steps", _integer), ("penalization_tol", _float),
+                      ("n_paths", _integer), ("seed", _integer)):
+        if key in raw:
+            setattr(solver, key, read(raw[key], f"solver.{key}"))
+    solver.scheme = raw.get("scheme", solver.scheme)
+    solver.strict_contraction = raw.get("strict_contraction", solver.strict_contraction)
+    _require(solver.steps >= 2, "solver.steps must be >= 2")
+    _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
+             f"unknown scheme {solver.scheme!r}")
+    _require(isinstance(solver.strict_contraction, bool),
+             f"solver.strict_contraction must be true or false, "
+             f"got {solver.strict_contraction!r}")
+    return solver
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -74,8 +187,8 @@ def load_config(path):
     _require(version == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    chain_raw = raw.get("chain")
-    _require(isinstance(chain_raw, dict), "config needs a 'chain' section")
+    chain_raw = _section(raw, "chain")
+    _require(chain_raw is not None, "config needs a 'chain' section")
     try:
         chain = build_chain_spec(
             n_states=chain_raw.get("n_states"),
@@ -86,10 +199,11 @@ def load_config(path):
         )
     except (MarkovBsdeError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid chain section: {exc}") from exc
+    n = chain.n_states
 
     market = None
-    if "market" in raw and raw["market"] is not None:
-        mk = raw["market"]
+    mk = _section(raw, "market")
+    if mk is not None:
         try:
             market = build_market_spec(
                 chain,
@@ -103,109 +217,15 @@ def load_config(path):
         except (MarkovBsdeError, TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"invalid market section: {exc}") from exc
 
-    solver_raw = raw.get("solver", {}) or {}
-    solver = SolverSettings(
-        steps=int(solver_raw.get("steps", 1000)),
-        scheme=str(solver_raw.get("scheme", "explicit_rk4")),
-        penalization_tol=float(solver_raw.get("penalization_tol", 1e-3)),
-        n_paths=int(solver_raw.get("n_paths", 20000)),
-        seed=int(solver_raw.get("seed", 0)),
-        strict_contraction=bool(solver_raw.get("strict_contraction", False)),
-    )
-    _require(solver.steps >= 2, "solver.steps must be >= 2")
-    _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
-             f"unknown scheme {solver.scheme!r}")
-
+    solver = _read_solver(_section(raw, "solver") or {})
     terminal = raw.get("terminal")
     if terminal is not None:
-        terminal = np.asarray(terminal, dtype=float)
-        _require(terminal.shape == (chain.n_states,),
-                 f"terminal must have {chain.n_states} entries")
+        terminal = _vector(terminal, n, "terminal")
+    driver = _read_driver(_section(raw, "driver") or {"kind": "zero"}, n, market)
+    payoff = _section(raw, "payoff")
+    if payoff is not None:
+        payoff = _read_payoff(payoff, n, market)
 
-    driver_spec = raw.get("driver", {"kind": "zero"}) or {"kind": "zero"}
-    payoff_spec = raw.get("payoff")
-    _validate_driver_spec(driver_spec, chain, market)
-    if payoff_spec is not None:
-        _validate_payoff_spec(payoff_spec, chain, market)
-
-    return RunConfig(chain=chain, market=market, driver_spec=driver_spec,
-                     payoff_spec=payoff_spec, terminal=terminal, solver=solver,
+    return RunConfig(chain=chain, market=market, driver=driver, payoff=payoff,
+                     terminal=terminal, solver=solver,
                      output_dir=str(raw.get("output_dir", "out")))
-
-
-def _validate_driver_spec(spec, chain, market):
-    kind = spec.get("kind")
-    _require(kind in ("zero", "constant", "discount", "affine", "hedge"),
-             f"unknown driver kind {kind!r}")
-    if kind == "constant":
-        _require("value" in spec, "constant driver needs 'value'")
-    if kind == "discount":
-        _require("rate" in spec, "discount driver needs 'rate'")
-    if kind == "affine":
-        a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
-        _require(a.size in (1, chain.n_states),
-                 "affine driver 'a' must be scalar or length-N")
-    if kind == "hedge":
-        _require(market is not None, "hedge driver needs a market section")
-
-
-def _validate_payoff_spec(spec, chain, market):
-    kind = spec.get("kind")
-    _require(kind in ("constant", "affine", "put_on_stock"),
-             f"unknown payoff kind {kind!r}")
-    if kind == "constant":
-        _require("value" in spec, "constant payoff needs 'value'")
-    if kind == "affine":
-        a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
-        _require(a.size in (1, chain.n_states),
-                 "affine payoff 'a' must be scalar or length-N")
-    if kind == "put_on_stock":
-        _require(market is not None, "put_on_stock payoff needs a market section")
-        _require("strike" in spec, "put_on_stock payoff needs 'strike'")
-        stock = int(spec.get("stock", 0))
-        _require(0 <= stock < market.n_stocks,
-                 f"stock index {stock} outside [0, {market.n_stocks})")
-
-
-def _build_driver(spec, market):
-    kind = spec["kind"]
-    if kind == "zero":
-        return zero_driver()
-    if kind == "constant":
-        val = float(spec["value"])
-        return MarkovDriver(evaluate=lambda t, i, y, z: val)
-    if kind == "discount":
-        return discount_driver(spec["rate"])
-    if kind == "affine":
-        a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
-        b = float(spec.get("b", 0.0))
-        get_a = (lambda i: float(a[0])) if a.size == 1 else (lambda i: float(a[i]))
-        return MarkovDriver(evaluate=lambda t, i, y, z: get_a(i) + b * y,
-                            lipschitz_y=abs(b))
-    if kind == "hedge":
-        return make_hedge_driver(market)
-    raise ConfigError(f"unknown driver kind {kind!r}")
-
-
-def _build_payoff(spec, chain, curves=None):
-    if spec is None:
-        return None
-    kind = spec["kind"]
-    if kind == "constant":
-        return constant_obstacle(spec["value"])
-    if kind == "affine":
-        a = np.atleast_1d(np.asarray(spec.get("a", 0.0), dtype=float))
-        b = np.atleast_1d(np.asarray(spec.get("b", 0.0), dtype=float))
-        if a.size == 1:
-            a = np.full(chain.n_states, a[0])
-        if b.size == 1:
-            b = np.full(chain.n_states, b[0])
-        return Obstacle(g=lambda t, i: float(a[i] + b[i] * t))
-    if kind == "put_on_stock":
-        if curves is None:
-            raise ConfigError("put_on_stock payoff needs stock curves")
-        strike = float(spec["strike"])
-        stock = int(spec.get("stock", 0))
-        curve = curves.curve(stock)
-        return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
-    raise ConfigError(f"unknown payoff kind {kind!r}")

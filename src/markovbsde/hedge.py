@@ -218,12 +218,9 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
             domination_ok = False
         touch = np.nonzero(v_path <= g_path + 1e-9)[0]
         stop = int(touch[0]) if touch.size else steps
-        integrand = pi * h_mat[idx, states]
-        if stop > 0:
-            seg = integrand[: stop + 1]
-            integral = float(np.sum(0.5 * (seg[:-1] + seg[1:])) * dt)
-        else:
-            integral = 0.0
+        # trapezoid over [0, t_stop]; no steps, and 0.0, when stopping at 0
+        seg = (pi * h_mat[idx, states])[: stop + 1]
+        integral = float(np.sum(0.5 * (seg[:-1] + seg[1:])) * dt)
         samples[p] = integral + pi[stop] * g_path[stop]
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
@@ -232,17 +229,3 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     return {"mc_value": mean, "std_error": se, "solver_value": target,
             "pass": bool(passed), "dominates": domination_ok,
             "n_paths": int(n_paths)}
-
-
-def hedge_to_csv_rows(solution, strategy):
-    """(time, state, V, K, h_1..h_n, h0) rows."""
-    rows = []
-    grid = solution.grid
-    n = solution.values.shape[1]
-    for k, t in enumerate(grid):
-        for i in range(n):
-            rows.append((float(t), i, float(solution.v.values[k, i]),
-                         float(solution.k.values[k, i]),
-                         *[float(x) for x in strategy.h[k]],
-                         float(strategy.h0[k, i])))
-    return rows

@@ -227,8 +227,6 @@ class StockCurves:
 
     grid: np.ndarray
     s: np.ndarray  # (n_stocks, K+1, N)
-    price_floor: float
-    price_cap: float
 
     @property
     def n_stocks(self):
@@ -275,10 +273,10 @@ def stock_curves(market, steps=1000):
         for k in range(grid.size - 2, -1, -1):
             s = rk4_down(breakpts, grid[k + 1], grid[k], s, field)
             curves[j, k] = s
-    lo, hi = float(curves.min()), float(curves.max())
-    if lo <= 0.0:
-        raise NonPositivePricesError(f"stock component hit {lo:.6g} <= 0")
-    return StockCurves(grid=grid, s=curves, price_floor=lo, price_cap=hi)
+    # a market without stocks has no prices to check
+    if market.n_stocks and curves.min() <= 0.0:
+        raise NonPositivePricesError(f"stock component hit {curves.min():.6g} <= 0")
+    return StockCurves(grid=grid, s=curves)
 
 
 def stock_sde_residual(market, curves, path, grid_steps):
@@ -308,13 +306,3 @@ def stock_sde_residual(market, curves, path, grid_steps):
                 worst = max(worst, abs(val - direct))
                 gi += 1
     return float(worst)
-
-
-def curves_to_csv_rows(curves):
-    """(time, stock, state, price) rows."""
-    rows = []
-    for k, t in enumerate(curves.grid):
-        for j in range(curves.n_stocks):
-            for i in range(curves.s.shape[2]):
-                rows.append((float(t), j, i, float(curves.s[j, k, i])))
-    return rows

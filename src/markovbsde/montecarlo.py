@@ -119,15 +119,3 @@ def european_consistency(market, terminal_claim, n_paths, steps=400,
     passed = abs(mean - bsde_value) <= 3.0 * se + 1e-12
     return {"lhs": bsde_value, "rhs": mean, "std_error": se,
             "pass": bool(passed), "n_paths": int(n_paths)}
-
-
-def report_csv_rows(named_reports):
-    """(check_name, lhs, rhs, std_error, pass) rows from a dict of reports."""
-    rows = []
-    for name, rep in named_reports.items():
-        lhs = rep.get("lhs", rep.get("solver_value", float("nan")))
-        rhs = rep.get("rhs", rep.get("mc_value", float("nan")))
-        rows.append((name, float(lhs), float(rhs),
-                     float(rep.get("std_error", float("nan"))),
-                     bool(rep["pass"])))
-    return rows

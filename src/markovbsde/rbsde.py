@@ -225,14 +225,3 @@ def optimal_stop_time(solution, path):
     touching = solution.values[idx, states] <= solution.g[idx, states] + 1e-9
     hits = np.nonzero(touching)[0]
     return float(grid[hits[0]]) if hits.size else float(grid[-1])
-
-
-def rbsde_to_csv_rows(solution):
-    """(time, state, v, z, k) rows."""
-    rows = []
-    for k, t in enumerate(solution.grid):
-        for i in range(solution.values.shape[1]):
-            rows.append((float(t), i, float(solution.v.values[k, i]),
-                         float(solution.z.values[k, i]),
-                         float(solution.k.values[k, i])))
-    return rows

@@ -7,7 +7,7 @@ import pytest
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
                         discount_driver, pathwise_residual, simulate_path,
                         solve_bsde, zero_driver)
-from markovbsde.bsde import solution_to_csv_rows
+from markovbsde.cli import grid_rows
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
 
@@ -170,10 +170,12 @@ def test_comparison_requires_contraction_for_driver1(two_state_chain):
 
 
 def test_solution_csv_rows(two_state_chain):
+    # the CLI's bsde_solution.csv rows: (time, state, y_value)
     sol = solve_bsde(two_state_chain, zero_driver(), np.ones(2), 10)
-    rows = solution_to_csv_rows(sol)
+    rows = list(grid_rows(sol.grid, sol.values))
     assert len(rows) == 11 * 2
     assert rows[0][0] == 0.0 and rows[-1][2] == 1.0
+    assert [r[1] for r in rows[:4]] == [0, 1, 0, 1]
 
 
 def test_random_chains_preserve_constants():

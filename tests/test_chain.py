@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from markovbsde import (ChainPath, build_chain_spec, check_contraction,
                         martingale_path, mc_estimate, pseudoinverse,
                         psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
-from markovbsde.chain import path_to_csv_rows
+from markovbsde.cli import path_rows
 from markovbsde.config import load_config
 from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
@@ -365,6 +365,6 @@ def test_random_chain_builder_round_trip():
 
 def test_path_csv_rows(two_state_chain):
     p = simulate_path(two_state_chain, 3)
-    rows = path_to_csv_rows(p)
+    rows = list(path_rows(p))
     assert rows[0] == (-1, 0.0, two_state_chain.initial_state)
     assert len(rows) == p.n_jumps + 1

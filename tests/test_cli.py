@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markovbsde.cli import main
+from markovbsde.cli import main, report_rows
 from markovbsde.config import load_config
 from markovbsde.errors import ConfigError
-from markovbsde.montecarlo import (european_consistency, isometry_check,
-                                   report_csv_rows)
+from markovbsde.montecarlo import european_consistency, isometry_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,6 +84,49 @@ def test_config_rejects_payoff_without_market(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_yaml(
             tmp_path, MINIMAL + "payoff: {kind: put_on_stock, strike: 30.0}\n"))
+
+
+MARKET = MINIMAL + """\
+market:
+  D_schedule: [{start: 0.0, vector: [0.05, 0.05]}]
+  dividends: [[1.0, 2.0], [2.0, 1.0]]
+"""
+
+# field -> (the job that reads it, a config with that field malformed)
+MALFORMED = {
+    "driver.rate": ("solve-bsde", MINIMAL + "driver: {kind: discount, rate: abc}\n"),
+    "driver.value": ("solve-bsde", MINIMAL + "driver: {kind: constant, value: x}\n"),
+    "driver.a": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: x}\n"),
+    "driver.b": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: 0.1, b: x}\n"),
+    "driver not a mapping": ("solve-bsde", MINIMAL + "driver: hedge\n"),
+    "payoff.value": ("solve-rbsde", MINIMAL + "payoff: {kind: constant, value: x}\n"),
+    "payoff.a": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: x}\n"),
+    "payoff.b": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: 0.1, b: x}\n"),
+    "payoff.b length": ("solve-rbsde",
+                        MINIMAL + "payoff: {kind: affine, a: 0.1, b: [0.1, 0.2, 0.3]}\n"),
+    "payoff.strike": ("price-american",
+                      MARKET + "payoff: {kind: put_on_stock, strike: abc}\n"),
+    "payoff.stock": ("price-american",
+                     MARKET + "payoff: {kind: put_on_stock, strike: 30.0, stock: abc}\n"),
+    "solver not a mapping": ("solve-bsde", MINIMAL.replace(
+        "solver: {steps: 100, n_paths: 50, seed: 0}", "solver: [1, 2]")),
+    "solver.steps": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: abc")),
+    "terminal": ("solve-bsde", MINIMAL.replace("[1.0, 0.0]", "[a, b]")),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED)
+def test_malformed_field_exits_2_at_load(tmp_path, capsys, field):
+    # every field is read once, at load, into a ConfigError: validate and
+    # the job that uses the field both exit 2
+    job, text = MALFORMED[field]
+    path = write_yaml(tmp_path, text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    for subcommand in ("validate", job):
+        assert run_cli(subcommand, "--config", path,
+                       "--out", str(tmp_path / subcommand)) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- CLI runs
@@ -185,6 +227,20 @@ def test_empty_discount_schedule_exits_2(tmp_path, capsys, key):
     assert "config error" in capsys.readouterr().err
 
 
+def test_hedge_without_stocks_is_a_typed_error(tmp_path, capsys):
+    # a market without dividends has no stocks to hedge with: the job ends
+    # with the hedge extraction's dimension check, not a traceback
+    cfg = MINIMAL + """\
+market:
+  D_schedule: [{start: 0.0, vector: [0.05, 0.05]}]
+payoff: {kind: constant, value: 0.5}
+"""
+    rc = run_cli("hedge", "--config", write_yaml(tmp_path, cfg),
+                 "--out", str(tmp_path / "o"), "--steps", "20")
+    assert rc == 1
+    assert "DimensionMismatchError" in capsys.readouterr().err
+
+
 def test_plot_data_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -229,7 +285,7 @@ def test_verify_report_equals_separate_checks(tmp_path):
         "european_consistency": european_consistency(
             cfg.market, cfg.terminal, 400, steps=100, seed_base=7)}
     want = [(name, lhs, rhs, se, str(ok))
-            for name, lhs, rhs, se, ok in report_csv_rows(reports)]
+            for name, lhs, rhs, se, ok in report_rows(reports)]
     got = [(r["check_name"], float(r["lhs"]), float(r["rhs"]),
             float(r["std_error"]), r["pass"])
            for r in read_csv(out / "verify_report.csv")]

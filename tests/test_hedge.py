@@ -2,6 +2,9 @@
 constants, hedge extraction, forward replication and the discounted
 optimal-stopping check."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,13 @@ from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         discounted_value_check, extract_hedge, hedge_driver,
                         make_hedge_driver, price_american, replicate_forward,
                         simulate_path, solve_bsde, stock_curves)
-from markovbsde.hedge import (contraction_report, driver_constants,
-                              hedge_to_csv_rows)
+from markovbsde.cli import main
+from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
                                SingularPhiError)
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_driver_collapses_to_discounting_when_c0(market_c0):
@@ -204,9 +208,17 @@ def test_discounted_value_check_passes(market_c0_s1):
     assert rep["std_error"] > 0.0
 
 
-def test_hedge_csv_rows(market_c0, curves_c0, put_payoff):
-    sol = price_american(market_c0, put_payoff, 1000)
-    strat = extract_hedge(market_c0, curves_c0, sol)
-    rows = hedge_to_csv_rows(sol, strat)
-    assert len(rows) == 1001 * 2
-    assert len(rows[0]) == 4 + market_c0.n_stocks + 1
+def test_hedge_csv_rows(tmp_path):
+    # the CLI's hedge.csv: (time, state, V, K, h_1..h_n, h0) per node and
+    # state, each stock holding repeated across the states of its node
+    out = tmp_path / "h"
+    assert main(["hedge", "--config", str(CONFIGS / "market_put.yaml"),
+                 "--out", str(out), "--steps", "1000", "--paths", "1"]) == 0
+    with open(out / "hedge.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time", "state", "V", "K", "h_1", "h_2", "h0"]
+    assert len(rows) == 1 + 1001 * 2
+    assert all(len(r) == 4 + 2 + 1 for r in rows)
+    for a, b in zip(rows[1::2], rows[2::2]):
+        assert a[0] == b[0] and (a[1], b[1]) == ("0", "1")
+        assert a[4:6] == b[4:6]

@@ -8,7 +8,7 @@ from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
-from markovbsde.market import curves_to_csv_rows
+from markovbsde.cli import curve_rows
 from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
                                UnstableGammaError)
 
@@ -213,6 +213,14 @@ def test_stock_curves_require_stable_gamma():
         stock_curves(mkt, steps=100)
 
 
+def test_stock_curves_without_stocks_are_empty():
+    # no dividends, no stocks: there is no price to check, so no error
+    mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05])
+    curves = stock_curves(mkt, steps=10)
+    assert curves.s.shape == (0, 11, 2)
+    assert curves.n_stocks == 0
+
+
 def test_stock_sde_residual_stationary_machine_precision():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0]])
@@ -364,6 +372,8 @@ def test_curves_csv_rows():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=10)
-    rows = curves_to_csv_rows(curves)
+    rows = list(curve_rows(curves))
     assert len(rows) == 11 * 2 * 2
     assert all(r[3] > 0 for r in rows)
+    assert [r[1:3] for r in rows[:4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert rows[5] == (curves.grid[1], 0, 1, curves.s[0, 1, 1])

@@ -6,8 +6,8 @@ import pytest
 from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
                         european_consistency, isometry_check, mc_estimate,
                         simulate_path)
-from markovbsde.montecarlo import (report_csv_rows, seminorm_time_integral,
-                                   stochastic_integral)
+from markovbsde.cli import report_rows
+from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 from markovbsde.errors import NonFiniteError
 
 
@@ -132,10 +132,11 @@ def test_european_consistency_c_nonzero(two_state_chain):
 
 
 def test_report_csv_rows():
-    rows = report_csv_rows({
+    # the CLI's verify_report.csv rows: (check_name, lhs, rhs, std_error, pass)
+    rows = list(report_rows({
         "a": {"lhs": 1.0, "rhs": 1.1, "std_error": 0.05, "pass": True},
-        "b": {"solver_value": 2.0, "mc_value": 1.9, "std_error": 0.04,
-              "pass": False},
-    })
+        "b": {"lhs": 2.0, "rhs": 1.9, "std_error": 0.04, "pass": np.False_,
+              "n_paths": 10},
+    }))
     assert rows[0] == ("a", 1.0, 1.1, 0.05, True)
     assert rows[1] == ("b", 2.0, 1.9, 0.04, False)

@@ -9,7 +9,8 @@ from markovbsde import (MarkovDriver, Obstacle, constant_obstacle,
                         penalization_limit, simulate_path, skorokhod_integral,
                         snell_oracle, solve_bsde, solve_reflected,
                         zero_driver)
-from markovbsde.rbsde import rbsde_to_csv_rows, solve_penalized
+from markovbsde.cli import grid_rows
+from markovbsde.rbsde import solve_penalized
 from markovbsde.errors import (NoConvergenceError, ObstacleIncompatibleError)
 
 from conftest import random_chain
@@ -141,9 +142,11 @@ def test_optimal_stop_time(two_state_chain):
 def test_rbsde_csv_rows(two_state_chain):
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
                           decreasing_obstacle(1.0), 10)
-    rows = rbsde_to_csv_rows(sol)
+    # the CLI's rbsde_solution.csv rows: (time, state, v, z, k)
+    rows = list(grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
     assert len(rows) == 11 * 2
     assert rows[0][2] == pytest.approx(1.0, abs=1e-12)   # V(0) = T
+    assert rows[-1][4] == sol.k.values[-1, 1]
 
 
 def test_reflected_on_random_chains_dominates_obstacle():
