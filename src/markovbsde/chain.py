@@ -1,7 +1,8 @@
 """Finite-state Markov chain core: generator schedules, the backward RK4
-stepper for piecewise-constant coefficients, simulation, the path walk by
-stretches, martingale decomposition, the quadratic-variation matrix
-calculus and the pseudoinverse-based contraction check.
+stepper for piecewise-constant coefficients, simulation into batches of
+paths, the batched path walk by stretches, martingale decomposition, the
+quadratic-variation matrix calculus and the pseudoinverse-based
+contraction check.
 
 Convention: rate matrices act on indicator columns, dX = A X dt + dM, so
 A[i, j] is the rate of jumping j -> i and every column of A sums to zero.
@@ -9,14 +10,18 @@ Most textbooks use the transposed (row) convention; everything in this
 package is written in the column convention.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadScheduleError, BadStateError, NonGeneratorError
+from .errors import (BadScheduleError, BadStateError, NonGeneratorError,
+                     TooFewPathsError)
 
 _GEN_TOL = 1e-12
+# Paths per batch of the Monte Carlo checks, which bounds the size of their
+# (paths x terms) and (paths x grid nodes) tables.
+_CHUNK = 64
 
 
 def piece_index(starts, t):
@@ -153,27 +158,140 @@ def _jump_table(a, state):
     return float(1.0 / rate), tuple(cdf.tolist())
 
 
+def counts_at(rows, values, n_rows, times):
+    """(n_rows, len(times)) counts of each row's ``values`` at or below
+    each of the sorted ``times``; ``rows`` names each value's row."""
+    width = times.size + 1
+    hist = np.bincount(rows * width + np.searchsorted(times, values),
+                       minlength=n_rows * width)
+    return np.cumsum(hist.reshape(n_rows, width), axis=1)[:, :-1]
+
+
+def path_sums(n_paths, rows, terms):
+    """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
+    ``terms`` in their given order (``rows`` names each term's path),
+    padded with the total: ``np.cumsum`` adds left to right, as a loop
+    over the terms does."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    counts = np.bincount(rows, minlength=n_paths)
+    cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.zeros((n_paths, 1 + counts.max(initial=0)))
+    table[rows, cols] = terms[order]
+    return np.cumsum(table, axis=1)
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """Many trajectories in one ragged store: path p, drawn from seeds[p],
+    jumps at the times jump_times[offsets[p]:offsets[p + 1]] through the
+    states states[offsets[p] + p:offsets[p + 1] + p + 1]. Its jump times
+    must increase strictly in (0, horizon], and no jump may keep the
+    state."""
+
+    offsets: np.ndarray
+    jump_times: np.ndarray
+    states: np.ndarray
+    horizon: float
+    seeds: tuple
+
+    def __post_init__(self):
+        offsets = np.asarray(self.offsets, dtype=np.intp)
+        times = np.asarray(self.jump_times, dtype=float)
+        states = np.asarray(self.states, dtype=np.intp)
+        n = len(self.seeds)
+        if (offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != times.size
+                or states.size != times.size + n
+                or np.count_nonzero(offsets[1:] < offsets[:-1])):
+            raise ValueError("states must have one more entry than jump_times")
+        before = np.empty(times.size + 1)  # the path's previous jump time, or 0
+        before[1:] = times
+        before[offsets[:-1]] = 0.0
+        if np.count_nonzero((times > before[:-1]) & (times <= self.horizon)) < times.size:
+            raise ValueError("jump times must be strictly increasing in (0, T]")
+        same = states[1:] == states[:-1]
+        same[offsets[1:-1] + np.arange(n - 1)] = False  # one path's end, the next's start
+        if np.count_nonzero(same):
+            raise ValueError("self-jumps are not representable")
+        for name, value in (("offsets", offsets), ("jump_times", times),
+                            ("states", states), ("seeds", tuple(map(int, self.seeds)))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_paths(self):
+        return len(self.seeds)
+
+    def path(self, p):
+        """Path p as a ChainPath."""
+        a, b = self.offsets[p], self.offsets[p + 1]
+        return ChainPath(self.jump_times[a:b], self.states[a + p:b + p + 1],
+                         self.horizon, self.seeds[p])
+
+    def chunks(self):
+        """The batch as consecutive batches of at most ``_CHUNK`` paths."""
+        for lo in range(0, self.n_paths, _CHUNK):
+            hi = min(lo + _CHUNK, self.n_paths)
+            a, b = self.offsets[lo], self.offsets[hi]
+            yield PathBatch(self.offsets[lo:hi + 1] - a, self.jump_times[a:b],
+                            self.states[a + lo:b + hi], self.horizon, self.seeds[lo:hi])
+
+    def states_at(self, times):
+        """(paths, len(times)) states occupied at the sorted ``times``
+        (right-continuous)."""
+        paths = np.arange(self.n_paths)
+        jumps = counts_at(np.repeat(paths, np.diff(self.offsets)), self.jump_times,
+                          self.n_paths, np.asarray(times, dtype=float))
+        return self.states[jumps + (self.offsets[:-1] + paths)[:, None]]
+
+    def stretches(self, cuts, starts):
+        """Stretches of constant state and constant schedule piece of every
+        path, as flat arrays (path, t0, t1, state, piece, to) in path, then
+        time order. Each segment between jumps is cut at the ``cuts``
+        strictly inside it; ``piece`` is ``piece_index(starts, t0)``, and
+        ``to`` is the state entered by a jump at t1, or -1 without one.
+        """
+        n = self.n_paths
+        paths = np.arange(n)
+        cuts = np.asarray(cuts, dtype=float)
+        cuts = cuts[(cuts > 0.0) & (cuts < self.horizon)]
+        # every path's events, sorted: its start, jumps, cuts and horizon;
+        # at equal times the jump comes first and the others are dropped
+        path = np.concatenate([paths, np.repeat(paths, np.diff(self.offsets)),
+                               np.repeat(paths, cuts.size), paths])
+        time = np.concatenate([np.zeros(n), self.jump_times, np.tile(cuts, n),
+                               np.full(n, self.horizon)])
+        kind = np.repeat([0, 1, 2, 3], [n, self.jump_times.size, n * cuts.size, n])
+        order = np.lexsort((kind, time, path))
+        path, time, kind = path[order], time[order], kind[order]
+        keep = np.ones(path.size, dtype=bool)
+        keep[1:] = (path[1:] != path[:-1]) | (time[1:] != time[:-1])
+        path, time, jump = path[keep], time[keep], kind[keep] == 1
+        state = self.states[np.cumsum(jump) + path]  # jumps so far, past the path's start
+        inner = path[1:] == path[:-1]
+        t0 = time[:-1][inner]
+        piece = np.maximum(np.searchsorted(starts, t0, side="right") - 1, 0)
+        return (path[:-1][inner], t0, time[1:][inner], state[:-1][inner], piece,
+                np.where(jump[1:], state[1:], -1)[inner])
+
+
 @dataclass(frozen=True)
 class ChainPath:
-    """One realized trajectory: jump times in (0, T] and visited states."""
+    """One realized trajectory: jump times in (0, T] and visited states,
+    under the rules of ``PathBatch``. ``batch`` holds it as a PathBatch of
+    one."""
 
     jump_times: np.ndarray
     states: np.ndarray
     horizon: float
     seed: int
+    batch: PathBatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        st = np.asarray(self.states, dtype=int)
-        if st.size != jt.size + 1:
-            raise ValueError("states must have one more entry than jump_times")
-        if jt.size and ((jt[1:] <= jt[:-1]).any() or not 0 < jt[0]
-                        or not jt[-1] <= self.horizon):
-            raise ValueError("jump times must be strictly increasing in (0, T]")
-        if (st[1:] == st[:-1]).any():
-            raise ValueError("self-jumps are not representable")
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "states", st)
+        batch = PathBatch([0, np.size(self.jump_times)], self.jump_times, self.states,
+                          self.horizon, (self.seed,))
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "jump_times", batch.jump_times)
+        object.__setattr__(self, "states", batch.states)
 
     @property
     def n_jumps(self):
@@ -188,23 +306,12 @@ class ChainPath:
         return self.states[np.searchsorted(self.jump_times, times, side="right")]
 
     def stretches(self, cuts, starts):
-        """Stretches of constant state and constant schedule piece, in time
-        order, as (t0, t1, state, piece, to) tuples covering [0, T].
-
-        Each constant-state segment between jumps is cut at the times of the
-        sorted ``cuts`` strictly inside it; ``piece`` is
-        ``piece_index(starts, t0)``, and ``to`` is the state the path jumps
-        to at t1, or None when it does not jump there.
-        """
-        edges = [0.0, *self.jump_times.tolist(), self.horizon]
-        states = self.states.tolist()
-        targets = [*states[1:], None]
-        for t0, t1, state, to in zip(edges[:-1], edges[1:], states, targets):
-            if t1 <= t0:  # a jump at the horizon
-                continue
-            inner = cuts[bisect_right(cuts, t0):bisect_left(cuts, t1)]
-            for a, b in zip([t0, *inner], [*inner, t1]):
-                yield a, b, state, piece_index(starts, a), to if b == t1 else None
+        """The stretches of ``PathBatch.stretches`` as (t0, t1, state,
+        piece, to) tuples in time order, with to None without a jump."""
+        _, t0, t1, state, piece, to = self.batch.stretches(cuts, starts)
+        for a, b, i, k, j in zip(t0.tolist(), t1.tolist(), state.tolist(),
+                                 piece.tolist(), to.tolist()):
+            yield a, b, i, k, None if j < 0 else j
 
 
 def _validate_generator(a, n_states):
@@ -246,8 +353,9 @@ def rate_bound_m(spec):
     return max(float(np.sqrt(np.trace(a.T @ a))) for _, a in spec.schedule)
 
 
-def simulate_path(spec, seed):
-    """Draw one trajectory, exact in distribution.
+def simulate_paths(spec, seeds):
+    """Draw one trajectory per seed into a PathBatch, exact in
+    distribution.
 
     Holding times are exponential at the current diagonal rate; a holding
     time reaching a schedule boundary is resampled from the boundary on
@@ -257,60 +365,84 @@ def simulate_path(spec, seed):
     ``choice`` accepts, the path and the stream position after each draw
     equal those of ``rng.choice(n_states, p=A[:, i] / rate)``.
 
-    Determinism contract: the path is a fixed function of (spec, seed),
-    drawn from ``numpy.random.default_rng(seed)``; the CLI's CSVs rest on
-    this stream. Off-diagonal rates within the validation tolerance below
-    zero never carry a jump, and states without a positive off-diagonal
-    rate are absorbing (see ``_jump_table``).
+    Determinism contract: path p is a fixed function of (spec, seeds[p]),
+    drawn from its own ``Generator(PCG64(seeds[p]))``, the generator
+    ``numpy.random.default_rng(seeds[p])`` builds; the CLI's CSVs rest on
+    this stream, and a batch draws the same paths as its seeds one at a
+    time. Off-diagonal rates within the validation tolerance below zero
+    never carry a jump, and states without a positive off-diagonal rate are
+    absorbing (see ``_jump_table``).
     """
-    rng = np.random.default_rng(seed)
+    seeds = tuple(seeds)
     boundaries = spec.starts[1:] + (spec.horizon,)
     last = len(boundaries) - 1
+    offsets = [0]
     jump_times = []
-    states = [spec.initial_state]
-    t = 0.0
-    piece = 0
-    state = spec.initial_state
-    while t < spec.horizon:
-        table = spec.jumps[piece][state]
-        end = boundaries[piece]
-        hold = np.inf if table is None else rng.exponential(table[0])
-        if t + hold >= end:
-            t = end
-            if piece < last:
-                piece += 1
-                continue
-            break
-        t += hold
-        state = bisect_right(table[1], rng.random())
-        jump_times.append(t)
+    states = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        t = 0.0
+        piece = 0
+        state = spec.initial_state
         states.append(state)
-    return ChainPath(jump_times=np.array(jump_times), states=np.array(states, dtype=int),
-                     horizon=spec.horizon, seed=int(seed))
+        while t < spec.horizon:
+            table = spec.jumps[piece][state]
+            end = boundaries[piece]
+            hold = np.inf if table is None else rng.exponential(table[0])
+            if t + hold >= end:
+                t = end
+                if piece < last:
+                    piece += 1
+                    continue
+                break
+            t += hold
+            state = bisect_right(table[1], rng.random())
+            jump_times.append(t)
+            states.append(state)
+        offsets.append(len(jump_times))
+    return PathBatch(offsets=offsets, jump_times=jump_times, states=states,
+                     horizon=spec.horizon, seeds=seeds)
+
+
+def simulate_path(spec, seed):
+    """One trajectory: path 0 of ``simulate_paths(spec, [seed])``."""
+    return simulate_paths(spec, [seed]).path(0)
+
+
+def path_chunks(spec, seeds, paths=None):
+    """The paths of ``seeds``, at least two as a standard error needs, in
+    consecutive batches of at most ``_CHUNK`` paths: cut from ``paths``
+    when given, which must hold exactly those seeds, else drawn batch by
+    batch."""
+    seeds = tuple(seeds)
+    if len(seeds) < 2:
+        raise TooFewPathsError(f"a Monte Carlo estimate needs at least 2 paths, "
+                               f"got {len(seeds)}")
+    if paths is None:
+        return (simulate_paths(spec, seeds[lo:lo + _CHUNK])
+                for lo in range(0, len(seeds), _CHUNK))
+    if paths.seeds != seeds:
+        raise ValueError(f"paths must be those of seeds {seeds[0]} .. {seeds[-1]}")
+    return paths.chunks()
 
 
 def martingale_path(path, spec, grid_steps):
     """Martingale part M_t = X_t - X_0 - int A_u X_u du on a uniform grid.
 
     The drift integral is closed form on each stretch of constant state and
-    constant generator piece; within-step jump times are honored exactly.
-    Returns a (grid_steps+1, N) array.
+    constant generator piece, cut at the grid nodes; within-step jump times
+    are honored exactly. Returns a (grid_steps+1, N) array.
     """
     grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
-    n = spec.n_states
-    out = np.zeros((grid.size, n))
-    drift = np.zeros(n)
-    x0 = np.zeros(n)
-    x0[spec.initial_state] = 1.0
-    grid_idx = 1
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    for t0, t1, state, piece, _ in path.stretches(cuts, spec.starts):
-        drift = drift + spec.schedule[piece][1][:, state] * (t1 - t0)
-        while grid_idx < grid.size and grid[grid_idx] <= t1 + 1e-15:
-            x = np.zeros(n)
-            x[path.state_at(grid[grid_idx])] = 1.0
-            out[grid_idx] = x - x0 - drift
-            grid_idx += 1
+    _, t0, t1, state, piece, _ = path.batch.stretches(cuts, spec.starts)
+    columns = np.array([a for _, a in spec.schedule])[piece, :, state]
+    drift = np.cumsum(columns * (t1 - t0)[:, None], axis=0)
+    # each node reads the drift after the first stretch that reaches it
+    reach = np.searchsorted(t1 + 1e-15, grid)
+    eye = np.eye(spec.n_states)
+    out = eye[path.states_at(grid)] - eye[spec.initial_state] - drift[reach]
+    out[0] = 0.0
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_bsde
-from .chain import simulate_path
+from .chain import simulate_path, simulate_paths
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
@@ -180,9 +180,10 @@ def _cmd_verify(config, out):
     solver = config.solver
     z = np.zeros(config.chain.n_states)
     z[0] = 1.0
+    if solver.n_paths < 2:
+        raise ConfigError(f"verify needs at least 2 paths, got {solver.n_paths}")
     # both checks run on the paths of seeds seed .. seed + n_paths - 1
-    paths = [simulate_path(config.chain, solver.seed + p)
-             for p in range(solver.n_paths)]
+    paths = simulate_paths(config.chain, range(solver.seed, solver.seed + solver.n_paths))
     reports["isometry"] = isometry_check(config.chain, z, n_paths=solver.n_paths,
                                          seed_base=solver.seed, paths=paths)
     if config.market is not None:
@@ -248,15 +249,12 @@ def run(config_path, subcommand, out_dir=None, seed=None, steps=None,
     if subcommand == "plot-data":
         emit_plot_data(out_dir or ".")
         return 0
-    config = load_config(config_path)
-    if seed is not None:
-        config.solver.seed = int(seed)
-    if steps is not None:
-        config.solver.steps = int(steps)
-    if paths is not None:
-        config.solver.n_paths = int(paths)
+    overrides = {key: value for key, value in
+                 (("seed", seed), ("steps", steps), ("n_paths", paths))
+                 if value is not None}
     if strict_contraction:
-        config.solver.strict_contraction = True
+        overrides["strict_contraction"] = True
+    config = load_config(config_path, overrides)
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     dispatch = {
         "validate": _cmd_validate,

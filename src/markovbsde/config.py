@@ -168,6 +168,7 @@ def _read_solver(raw):
     solver.scheme = raw.get("scheme", solver.scheme)
     solver.strict_contraction = raw.get("strict_contraction", solver.strict_contraction)
     _require(solver.steps >= 2, "solver.steps must be >= 2")
+    _require(solver.n_paths >= 1, "solver.n_paths must be >= 1")
     _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
              f"unknown scheme {solver.scheme!r}")
     _require(isinstance(solver.strict_contraction, bool),
@@ -176,7 +177,10 @@ def _read_solver(raw):
     return solver
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """Read and check the run configuration at ``path``. ``overrides``
+    maps solver fields to values that replace the file's; they pass the
+    same checks."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -217,7 +221,7 @@ def load_config(path):
         except (MarkovBsdeError, TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"invalid market section: {exc}") from exc
 
-    solver = _read_solver(_section(raw, "solver") or {})
+    solver = _read_solver({**(_section(raw, "solver") or {}), **(overrides or {})})
     terminal = raw.get("terminal")
     if terminal is not None:
         terminal = _vector(terminal, n, "terminal")

@@ -25,6 +25,11 @@ class NonFiniteError(MarkovBsdeError):
     """A solver or functional produced a non-finite value."""
 
 
+class TooFewPathsError(MarkovBsdeError, ValueError):
+    """A Monte Carlo estimate got fewer than the two paths a standard error
+    needs."""
+
+
 class PreconditionUnmetError(MarkovBsdeError):
     """Sampled ordering preconditions of a comparison run failed."""
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import MarkovDriver
-from .chain import check_contraction, rate_bound_m, simulate_path
+from .chain import check_contraction, path_chunks, rate_bound_m
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
 from .grids import StateGridFunction, sample_on_grid
@@ -173,20 +173,37 @@ def replicate_forward(strategy, solution, path):
 def _discounted_h_matrix(market, solution):
     """Per-(node, state) value of the discounted driver applied to the
     undeflated canonical integrand; linear in the deflator."""
-    grid = solution.grid
-    n = market.chain.n_states
-    z = solution.z.values
-    out = np.empty((grid.size, n))
-    for k, t in enumerate(grid):
+    out = np.empty(solution.z.values.shape)
+    for k, (t, zv) in enumerate(zip(solution.grid, solution.z.values)):
         piece = market.piece_at(t)
-        a, sig = piece.a, piece.sigma
-        zv = z[k]
-        lin = piece.drift @ zv
-        for i in range(n):
-            r = float(piece.rates[i])
-            cross = float(np.sum(a[:, i] * sig[i, :] * (zv - zv[i])))
-            out[k, i] = -r * zv[i] + float(lin[i]) - cross
+        # row i: sum_j A_ji sigma_ij (z_j - z_i), summed as one row of N
+        cross = np.sum(piece.a.T * piece.sigma * (zv - zv[:, None]), axis=1)
+        out[k] = -piece.rates * zv + piece.drift @ zv - cross
     return out
+
+
+def _stopped_values(market, batch, solution, h_mat, g_mat):
+    """Per path of the batch: the discounted driver integral up to the
+    first touch of the obstacle plus the deflated payoff there; and whether
+    the deflated value dominates the deflated payoff all along. The
+    batch's (paths x nodes) tables live until this returns."""
+    grid = solution.grid
+    idx = np.arange(grid.size)
+    pi = sdf_path(market, batch, grid)
+    states = batch.states_at(grid)
+    v_path = solution.v.values[idx, states]
+    g_path = g_mat[idx, states]
+    dominates = not np.any(pi * v_path < pi * g_path - 1e-9)
+    touch = v_path <= g_path + 1e-9
+    stop = np.where(touch.any(axis=1), touch.argmax(axis=1), grid.size - 1)
+    # trapezoid over [0, t_stop]; no steps, and 0.0, when stopping at 0.
+    # One reduction per path over its own slice groups the terms as the
+    # sum of that slice alone does.
+    seg = pi * h_mat[idx, states]
+    trap = 0.5 * (seg[:, :-1] + seg[:, 1:])
+    integral = np.array([np.add.reduce(row[:k]) for row, k in zip(trap, stop)])
+    rows = np.arange(batch.n_paths)
+    return integral * (grid[1] - grid[0]) + pi[rows, stop] * g_path[rows, stop], dominates
 
 
 def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
@@ -196,36 +213,18 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     discounted driver integral up to the stop and add the deflated payoff
     there; the average must match the time-zero value within 3 standard
     errors. Also checks the deflated value dominates the deflated payoff
-    along every path.
+    along every path. Paths are drawn and checked batch by batch.
     """
-    grid = solution.grid
-    steps = grid.size - 1
-    dt = grid[1] - grid[0]
-    n = market.chain.n_states
+    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths))
     h_mat = _discounted_h_matrix(market, solution)
-    g_mat = sample_on_grid(payoff.g, grid, n)
-    v = solution.v.values
-    idx = np.arange(grid.size)
-    samples = np.empty(n_paths)
-    domination_ok = True
-    for p in range(n_paths):
-        path = simulate_path(market.chain, seed_base + p)
-        pi = sdf_path(market, path, grid)
-        states = path.states_at(grid)
-        v_path = v[idx, states]
-        g_path = g_mat[idx, states]
-        if np.any(pi * v_path < pi * g_path - 1e-9):
-            domination_ok = False
-        touch = np.nonzero(v_path <= g_path + 1e-9)[0]
-        stop = int(touch[0]) if touch.size else steps
-        # trapezoid over [0, t_stop]; no steps, and 0.0, when stopping at 0
-        seg = (pi * h_mat[idx, states])[: stop + 1]
-        integral = float(np.sum(0.5 * (seg[:-1] + seg[1:])) * dt)
-        samples[p] = integral + pi[stop] * g_path[stop]
+    g_mat = sample_on_grid(payoff.g, solution.grid, market.chain.n_states)
+    samples, dominates = zip(*(_stopped_values(market, batch, solution, h_mat, g_mat)
+                               for batch in chunks))
+    samples = np.concatenate(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
-    target = float(v[0, market.chain.initial_state])
+    target = float(solution.v.values[0, market.chain.initial_state])
     passed = abs(mean - target) <= 3.0 * se + 1e-12
     return {"mc_value": mean, "std_error": se, "solver_value": target,
-            "pass": bool(passed), "dominates": domination_ok,
+            "pass": bool(passed), "dominates": all(dominates),
             "n_paths": int(n_paths)}

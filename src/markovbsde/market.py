@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, freeze_schedule, piece_index, rk4_down
+from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, piece_index,
+                    rk4_down)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
@@ -150,47 +151,56 @@ def short_rate(market, t, state):
     return float(market.piece_at(t).rates[state])
 
 
-def sdf_path(market, path, grid):
-    """Discount factor along one path at the times of ``grid``, closed form.
+def _log_jumps(market, t1, state, to):
+    """Log-factor C_ii - C_ij of the jump i -> j = ``to`` at the end t1 of
+    each stretch, or 0.0 where the stretch ends without a jump."""
+    table = np.array([piece.log_jump for piece in market.pieces])
+    piece = np.maximum(np.searchsorted(market.piece_starts, t1, side="right") - 1, 0)
+    return np.where(to >= 0, table[piece, state, to], 0.0)
+
+
+def sdf_path(market, paths, grid):
+    """Discount factor along each path of the batch at the sorted times of
+    ``grid``, closed form, as a (paths, len(grid)) array.
 
     The dX integral of the exponent is a pure-jump Stieltjes sum, so the
     discount factor is exp of minus the D-drift integral times the exact
     jump factors exp(C_ii - C_ij). Starts at 1. The log is piecewise
-    linear between jump/schedule events, so the grid values come from one
-    vectorized interpolation.
+    linear between jump/schedule events: its value after each stretch is a
+    running sum over the path's stretches, and the grid values interpolate
+    it.
     """
-    stretches = list(path.stretches(market.breakpoints(), market.piece_starts))
-    events = np.array([0.0] + [t1 for _, t1, _, _, _ in stretches])
-    # log pi immediately after each event, plus the drift slope of the
-    # stretch starting there
-    log_after = np.zeros(events.size)
-    slopes = np.zeros(events.size - 1)
-    acc = 0.0
-    for k, (t0, t1, state, piece, to) in enumerate(stretches):
-        slope = -float(market.pieces[piece].d[state])
-        slopes[k] = slope
-        acc += slope * (t1 - t0)
-        if to is not None:
-            acc += market.piece_at(t1).log_jump[state, to]
-        log_after[k + 1] = acc
-    pos = np.searchsorted(events, grid, side="right") - 1
-    at_end = pos >= events.size - 1
-    pos = np.minimum(pos, events.size - 2)
-    log_pi = log_after[pos] + slopes[pos] * (grid - events[pos])
-    log_pi[at_end] = log_after[-1]
-    return np.exp(log_pi)
+    n = paths.n_paths
+    path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
+                                                     market.piece_starts)
+    slopes = -np.array([p.d for p in market.pieces])[piece, state]
+    steps = np.column_stack([slopes * (t1 - t0), _log_jumps(market, t1, state, to)])
+    # log pi at 0 and after each stretch (even columns), then the total
+    sums = path_sums(n, np.repeat(path, 2), steps.ravel())
+    count = np.bincount(path, minlength=n)
+    first = np.cumsum(count) - count
+    start = sums[path, 2 * (np.arange(path.size) - first[path])]
+    # the stretch in force at each grid time, clamped to the path's last
+    k = counts_at(path, t1, n, grid)
+    at_end = k >= count[:, None]
+    k += first[:, None]
+    np.minimum(k, (first + count - 1)[:, None], out=k)
+    log_pi = start[k] + slopes[k] * (grid - t0[k])
+    np.copyto(log_pi, sums[:, -1:], where=at_end)
+    return np.exp(log_pi, out=log_pi)
 
 
-def terminal_sdf(market, path):
-    """Exact discount factor at the horizon for one path."""
-    acc = 0.0
-    for t0, t1, state, piece, _ in path.stretches(market.breakpoints(),
-                                                  market.piece_starts):
-        acc -= market.pieces[piece].d[state] * (t1 - t0)
-    for idx, t in enumerate(path.jump_times):
-        old, new = int(path.states[idx]), int(path.states[idx + 1])
-        acc += market.piece_at(t).log_jump[old, new]
-    return float(np.exp(acc))
+def terminal_sdf(market, paths):
+    """Exact discount factor at the horizon for each path of the batch: the
+    D-drift of every stretch, then the log-factor of every jump."""
+    path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
+                                                     market.piece_starts)
+    d = np.array([p.d for p in market.pieces])
+    jump = to >= 0
+    rows = np.concatenate([path, path[jump]])
+    terms = np.concatenate([-(d[piece, state] * (t1 - t0)),
+                            _log_jumps(market, t1, state, to)[jump]])
+    return np.exp(path_sums(paths.n_paths, rows, terms)[:, -1])
 
 
 def sdf_dynamics_residual(market, path, grid_steps):
@@ -202,7 +212,7 @@ def sdf_dynamics_residual(market, path, grid_steps):
     linearly in the step size and vanishes when C = 0.
     """
     grid = uniform_grid(path.horizon, grid_steps)
-    closed = sdf_path(market, path, grid)
+    closed = sdf_path(market, path.batch, grid)[0]
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
     pi = 1.0
     worst = 0.0

@@ -3,8 +3,10 @@ simulation to the analytic solvers.
 
 Functionals receive exact jump paths, so stochastic integrals against the
 chain martingale carry no time-discretization bias; only dt integrals use
-quadrature. All estimates are deterministic given (seed_base, n_paths),
-with path p drawn from seed_base + p.
+quadrature. They take a ``PathBatch`` and return one value per path, each
+summed left to right as a loop over the path would. All estimates are
+deterministic given (seed_base, n_paths), with path p drawn from
+seed_base + p, and run in batches of ``chain._CHUNK`` paths.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .chain import ChainSpec, seminorm_sq, simulate_path
+from .chain import ChainSpec, path_chunks, path_sums, seminorm_sq
 from .errors import NonFiniteError
 from .hedge import make_hedge_driver
 from .market import terminal_sdf
@@ -27,70 +29,59 @@ class McEstimate:
 
 
 def mc_estimate(chain, functional, n_paths, seed_base=0):
-    """Sample mean and standard error of a path functional of ``chain``."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    """Sample mean and standard error of a path functional of ``chain``,
+    called on each path as a ChainPath."""
     if not isinstance(chain, ChainSpec):
         raise TypeError(f"expected ChainSpec, got {type(chain)}")
-    samples = np.empty(n_paths)
-    for p in range(n_paths):
-        seed = seed_base + p
-        val = float(functional(simulate_path(chain, seed)))
-        if not np.isfinite(val):
-            raise NonFiniteError(f"functional returned {val} for seed {seed}")
-        samples[p] = val
+    samples = []
+    for batch in path_chunks(chain, range(seed_base, seed_base + n_paths)):
+        for p, seed in enumerate(batch.seeds):
+            val = float(functional(batch.path(p)))
+            if not np.isfinite(val):
+                raise NonFiniteError(f"functional returned {val} for seed {seed}")
+            samples.append(val)
+    samples = np.array(samples)
     return McEstimate(mean=float(samples.mean()),
                       std_error=float(samples.std(ddof=1) / np.sqrt(n_paths)),
                       n_paths=int(n_paths), seed_base=int(seed_base))
 
 
-def _paths(chain, n_paths, seed_base, paths):
-    """The paths of seeds seed_base .. seed_base + n_paths - 1: ``paths``
-    when given (checked against those seeds), else drawn one at a time."""
-    if paths is None:
-        return (simulate_path(chain, seed_base + p) for p in range(n_paths))
-    if [path.seed for path in paths] != list(range(seed_base, seed_base + n_paths)):
-        raise ValueError(f"paths must be those of seeds {seed_base} .. "
-                         f"{seed_base + n_paths - 1}")
-    return paths
-
-
-def stochastic_integral(spec, z, path):
-    """Exact pathwise int z' dM for a constant vector z: jump increments
-    minus the drift compensator z'A e_i, per stretch of constant state i
-    and constant generator A."""
+def stochastic_integral(spec, z, paths):
+    """Exact pathwise int z' dM for a constant vector z, per path of the
+    batch: the jump increments, then minus the drift compensator z'A e_i
+    of each stretch of constant state i and constant generator A."""
     z = np.asarray(z, dtype=float)
-    total = 0.0
-    for idx in range(path.n_jumps):
-        old, new = int(path.states[idx]), int(path.states[idx + 1])
-        total += z[new] - z[old]
-    for t0, t1, state, piece, _ in path.stretches(spec.breakpoints(), spec.starts):
-        total -= float(z @ spec.schedule[piece][1][:, state]) * (t1 - t0)
-    return total
+    za = np.array([[z @ a[:, i] for i in range(spec.n_states)]
+                   for _, a in spec.schedule])
+    path, t0, t1, state, piece, to = paths.stretches(spec.breakpoints(), spec.starts)
+    jump = to >= 0
+    rows = np.concatenate([path[jump], path])
+    terms = np.concatenate([z[to[jump]] - z[state[jump]],
+                            -(za[piece, state] * (t1 - t0))])
+    return path_sums(paths.n_paths, rows, terms)[:, -1]
 
 
-def seminorm_time_integral(spec, z, path):
-    """Exact pathwise int ||z||^2_{X_u} du for a constant vector z, from
-    the per-piece Psi matrices of ``spec.psi``."""
-    total = 0.0
-    for t0, t1, state, piece, _ in path.stretches(spec.breakpoints(), spec.starts):
-        total += seminorm_sq(z, spec.psi[piece][state]) * (t1 - t0)
-    return total
+def seminorm_time_integral(spec, z, paths):
+    """Exact pathwise int ||z||^2_{X_u} du for a constant vector z, per
+    path of the batch, from the per-piece Psi matrices of ``spec.psi``."""
+    sq = np.array([[seminorm_sq(z, psi) for psi in psis] for psis in spec.psi])
+    path, t0, t1, state, piece, _ = paths.stretches(spec.breakpoints(), spec.starts)
+    return path_sums(paths.n_paths, path, sq[piece, state] * (t1 - t0))[:, -1]
 
 
 def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):
     """Check E[(int z'dM)^2] against E[int ||z||^2 du] on shared paths.
 
     The per-path difference of the two functionals must have mean within 3
-    standard errors of zero. ``paths``, when given, are the already drawn
-    paths of seeds seed_base .. seed_base + n_paths - 1.
+    standard errors of zero. ``paths``, when given, is the already drawn
+    PathBatch of seeds seed_base .. seed_base + n_paths - 1.
     """
     z = np.asarray(z, dtype=float)
-    lhs = np.empty(n_paths)
-    rhs = np.empty(n_paths)
-    for p, path in enumerate(_paths(spec, n_paths, seed_base, paths)):
-        lhs[p] = stochastic_integral(spec, z, path) ** 2
-        rhs[p] = seminorm_time_integral(spec, z, path)
+    parts = [(stochastic_integral(spec, z, batch), seminorm_time_integral(spec, z, batch))
+             for batch in path_chunks(spec, range(seed_base, seed_base + n_paths), paths)]
+    lhs, rhs = (np.concatenate(column) for column in zip(*parts))
+    # squared with the C library's pow, as float ** 2 squares
+    lhs = np.float_power(lhs, 2)
     diff = lhs - rhs
     se = float(diff.std(ddof=1) / np.sqrt(n_paths))
     passed = abs(float(diff.mean())) <= 3.0 * se + 1e-12
@@ -104,16 +95,18 @@ def european_consistency(market, terminal_claim, n_paths, steps=400,
     """Compare the BSDE value of a terminal claim under the pricing driver
     with the Monte Carlo deflated expectation E[pi_T claim'X_T].
 
-    ``paths``, when given, are the already drawn paths of seeds
+    ``paths``, when given, is the already drawn PathBatch of seeds
     seed_base .. seed_base + n_paths - 1.
     """
+    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths), paths)
     claim = np.asarray(terminal_claim, dtype=float)
     driver = make_hedge_driver(market)
     sol = solve_bsde(market.chain, driver, claim, steps)
     bsde_value = float(sol.values[0, market.chain.initial_state])
-    samples = np.empty(n_paths)
-    for p, path in enumerate(_paths(market.chain, n_paths, seed_base, paths)):
-        samples[p] = terminal_sdf(market, path) * claim[path.states[-1]]
+    horizon = np.array([market.chain.horizon])
+    samples = np.concatenate([
+        terminal_sdf(market, batch) * claim[batch.states_at(horizon)[:, 0]]
+        for batch in chunks])
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
     passed = abs(mean - bsde_value) <= 3.0 * se + 1e-12

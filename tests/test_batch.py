@@ -1,0 +1,189 @@
+"""The batched path layer against the per-path reference loops of
+``path_reference``: every batched functional must equal its loop bit for
+bit, on random chains and markets and on hand-made edge paths."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import path_reference as ref
+from markovbsde import (ChainPath, Obstacle, PathBatch, build_chain_spec,
+                        build_market_spec, discounted_value_check,
+                        european_consistency, isometry_check, price_american,
+                        simulate_path, simulate_paths, stock_curves)
+from markovbsde.chain import _CHUNK
+from markovbsde.errors import MarkovBsdeError
+from markovbsde.hedge import _discounted_h_matrix
+from markovbsde.market import sdf_path, terminal_sdf
+from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
+
+from conftest import random_generator
+
+
+def random_market(rng):
+    """N = 1..5, 1-4 generator pieces starting off any grid, some absorbing
+    states, and C and D schedules with breakpoints of their own."""
+    n = int(rng.integers(1, 6))
+    starts = [0.0] + sorted(rng.uniform(0.05, 0.95, int(rng.integers(0, 4))).tolist())
+    pieces = []
+    for start in starts:
+        a = random_generator(rng, n, scale=float(rng.choice([0.5, 3.0])))
+        if n > 1 and rng.random() < 0.5:
+            a[:, rng.integers(n)] = 0.0  # an absorbing state
+        pieces.append((start, a))
+    chain = build_chain_spec(n, pieces, int(rng.integers(n)), 1.0)
+    c = [(s, rng.uniform(-0.03, 0.03, (n, n))) for s in (0.0, rng.uniform(0.05, 0.95))]
+    d = [(s, rng.uniform(1.5, 2.0, n)) for s in (0.0, rng.uniform(0.05, 0.95))]
+    return build_market_spec(chain, c_schedule=c, d_schedule=d, r_max=10.0)
+
+
+def edge_paths(market, grid):
+    """No jump; one jump exactly at a breakpoint of the market and of the
+    chain, at a grid node and at the horizon; one path with all of them."""
+    x0, n = market.chain.initial_state, market.chain.n_states
+    paths = [ChainPath(jump_times=[], states=[x0], horizon=1.0, seed=0)]
+    if n > 1:
+        y = (x0 + 1) % n
+        times = sorted({market.breakpoints()[0], *market.chain.breakpoints()[:1],
+                        float(grid[grid.size // 2]), 1.0})
+        paths += [ChainPath(jump_times=[t], states=[x0, y], horizon=1.0, seed=0)
+                  for t in times]
+        paths.append(ChainPath(jump_times=times, horizon=1.0, seed=0,
+                               states=[(x0, y)[k % 2] for k in range(len(times) + 1)]))
+    return paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batched_functionals_equal_the_path_loops(seed):
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    spec = market.chain
+    grid = np.linspace(0.0, 1.0, int(rng.integers(1, 40)) + 1)
+    paths = edge_paths(market, grid) + [simulate_path(spec, s) for s in range(15)]
+    batch = ref.batch_of(paths)
+    z = rng.normal(size=spec.n_states)
+    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
+    for path in paths:
+        assert list(path.stretches(cuts, market.piece_starts)) == \
+            list(ref.stretches(path, cuts, market.piece_starts))
+    for got, want in [
+            (stochastic_integral(spec, z, batch),
+             [ref.stochastic_integral(spec, z, p) for p in paths]),
+            (seminorm_time_integral(spec, z, batch),
+             [ref.seminorm_time_integral(spec, z, p) for p in paths]),
+            (terminal_sdf(market, batch), [ref.terminal_sdf(market, p) for p in paths]),
+            (sdf_path(market, batch, grid),
+             [ref.sdf_path(market, p, grid) for p in paths]),
+            (batch.states_at(grid), [p.states_at(grid) for p in paths])]:
+        assert np.array_equal(got, np.array(want))
+    # the discounted driver table of discounted_value_check, node by node
+    sol = SimpleNamespace(grid=grid, z=SimpleNamespace(
+        values=rng.normal(size=(grid.size, spec.n_states))))
+    assert np.array_equal(_discounted_h_matrix(market, sol),
+                          ref.discounted_h_matrix(market, sol))
+
+
+def put_market():
+    """A three-state, two-piece market with C != 0 and a put on a stock
+    that is exercised early in some states only."""
+    rng = np.random.default_rng(7)
+    chain = build_chain_spec(3, [(0.0, random_generator(rng, 3)),
+                                 (0.4137, random_generator(rng, 3))], 1, 1.0)
+    c = rng.uniform(-0.03, 0.03, (3, 3))
+    market = build_market_spec(chain, c_schedule=c, d_schedule=[1.0, 1.1, 1.2],
+                               dividends=[[1.0, 1.3, 1.6]], r_max=10.0)
+    curve = stock_curves(market, steps=50).curve(0)
+    strike = 1.05 * float(curve.values[0].max())
+    put = Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
+    return market, put, price_american(market, put, 50)
+
+
+# the put market's rates break the sufficient contraction condition; the
+# checks compared here do not rely on it
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction")
+def test_checks_equal_the_path_loops_across_a_chunk_boundary():
+    market, put, sol = put_market()
+    n_paths = _CHUNK + 3
+    got = discounted_value_check(market, put, sol, n_paths, seed_base=5)
+    assert got == ref.discounted_value_check(market, put, sol, n_paths, seed_base=5)
+    assert got["dominates"] and got["std_error"] > 0.0
+    z = np.array([1.0, -0.5, 2.0])
+    assert isometry_check(market.chain, z, n_paths, seed_base=5) == \
+        ref.isometry_check(market.chain, z, n_paths, seed_base=5)
+    claim = np.array([1.0, 2.0, 0.5])
+    rep = european_consistency(market, claim, n_paths, steps=50, seed_base=5)
+    samples = ref.european_samples(market, claim, n_paths, seed_base=5)
+    assert rep["rhs"] == float(samples.mean())
+    assert rep["std_error"] == float(samples.std(ddof=1) / np.sqrt(n_paths))
+
+
+@pytest.mark.parametrize("n_paths", [-3, 0, 1])
+def test_checks_refuse_fewer_than_two_paths(n_paths):
+    market, put, sol = put_market()
+    with pytest.raises(MarkovBsdeError):
+        isometry_check(market.chain, np.ones(3), n_paths)
+    with pytest.raises(MarkovBsdeError):
+        european_consistency(market, np.ones(3), n_paths, steps=50)
+    with pytest.raises(MarkovBsdeError):
+        discounted_value_check(market, put, sol, n_paths)
+
+
+def test_batches_draw_seed_by_seed():
+    market, _, _ = put_market()
+    spec = market.chain
+    seeds = range(100, 100 + _CHUNK + 3)
+    batch = simulate_paths(spec, seeds)
+    chunks = list(batch.chunks())
+    assert batch.seeds == tuple(seeds)
+    assert [c.seeds for c in chunks] == [tuple(seeds[:_CHUNK]), tuple(seeds[_CHUNK:])]
+    # path p of the batch, of its chunk, of a batch of one and simulate_path
+    for p in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 2):
+        one = simulate_paths(spec, [seeds[p]])
+        assert one.path(0).seed == seeds[p]
+        for path in (batch.path(p), chunks[p // _CHUNK].path(p % _CHUNK),
+                     simulate_path(spec, seeds[p])):
+            assert np.array_equal(path.jump_times, one.jump_times)
+            assert np.array_equal(path.states, one.states)
+            assert path.seed == seeds[p]
+
+
+GOOD = ([0.2, 0.7], [0, 1, 0])
+MALFORMED = [
+    ([0.5], [0]),                 # one state too few
+    ([0.5], [0, 1, 0]),           # one state too many
+    ([0.5, 0.4], [0, 1, 0]),      # decreasing jump times
+    ([0.5, 0.5], [0, 1, 0]),      # a repeated jump time
+    ([0.0], [0, 1]),              # a jump at time 0
+    ([1.5], [0, 1]),              # a jump after the horizon
+    ([np.nan], [0, 1]),           # a jump at no time
+    ([0.5], [0, 0]),              # a self-jump
+]
+
+
+@pytest.mark.parametrize("jump_times, states", MALFORMED)
+def test_batch_rejects_what_a_path_rejects(jump_times, states):
+    with pytest.raises(ValueError):
+        ChainPath(jump_times=jump_times, states=states, horizon=1.0, seed=0)
+    for first, second in ((GOOD, (jump_times, states)), ((jump_times, states), GOOD)):
+        with pytest.raises(ValueError):
+            PathBatch(offsets=[0, len(first[0]), len(first[0]) + len(second[0])],
+                      jump_times=first[0] + second[0], states=first[1] + second[1],
+                      horizon=1.0, seeds=(0, 1))
+
+
+def test_batch_accepts_what_only_looks_wrong_across_paths():
+    # path 1 starts in the state path 0 ends in, at an earlier time
+    batch = PathBatch(offsets=[0, 2, 3], jump_times=[0.2, 0.7, 0.1],
+                      states=[0, 1, 0, 0, 1], horizon=1.0, seeds=(0, 1))
+    assert batch.path(1).states.tolist() == [0, 1]
+    assert batch.states_at([0.05, 0.15]).tolist() == [[0, 0], [0, 1]]
+    with pytest.raises(ValueError):  # offsets that miss a jump time
+        PathBatch(offsets=[0, 2, 2], jump_times=[0.2, 0.7, 0.1],
+                  states=[0, 1, 0, 0, 1], horizon=1.0, seeds=(0, 1))
+    with pytest.raises(ValueError):  # one seed per path
+        PathBatch(offsets=[0, 2, 3], jump_times=[0.2, 0.7, 0.1],
+                  states=[0, 1, 0, 0, 1], horizon=1.0, seeds=(0,))

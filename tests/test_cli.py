@@ -111,6 +111,7 @@ MALFORMED = {
     "solver not a mapping": ("solve-bsde", MINIMAL.replace(
         "solver: {steps: 100, n_paths: 50, seed: 0}", "solver: [1, 2]")),
     "solver.steps": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: abc")),
+    "solver.n_paths": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: 0")),
     "terminal": ("solve-bsde", MINIMAL.replace("[1.0, 0.0]", "[a, b]")),
 }
 
@@ -127,6 +128,25 @@ def test_malformed_field_exits_2_at_load(tmp_path, capsys, field):
         assert run_cli(subcommand, "--config", path,
                        "--out", str(tmp_path / subcommand)) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("job, config, flags", [
+    ("solve-bsde", "twostate.yaml", ["--steps", "1"]),
+    ("price-american", "market_put.yaml", ["--steps", "1"]),
+    ("validate", "market_put.yaml", ["--steps", "1"]),
+    ("simulate", "twostate.yaml", ["--paths", "0"]),
+    ("verify", "twostate.yaml", ["--paths", "0"]),
+    ("verify", "twostate.yaml", ["--paths", "1"]),
+    ("verify", "twostate.yaml", ["--paths", "-3"]),
+])
+def test_bad_override_exits_2(tmp_path, capsys, job, config, flags):
+    # a command-line override passes the checks the same value in the file
+    # passes, and verify needs two paths for a standard error
+    out = tmp_path / "out"
+    assert run_cli(job, "--config", str(CONFIGS / config), "--out", str(out),
+                   *flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- CLI runs

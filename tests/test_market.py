@@ -134,7 +134,7 @@ def test_sdf_path_c0_is_pure_discount():
                             dividends=[[1.0, 1.0]])
     path = simulate_path(mkt.chain, 4)
     grid = np.linspace(0.0, 1.0, 101)
-    pi = sdf_path(mkt, path, grid)
+    pi = sdf_path(mkt, path.batch, grid)[0]
     # independent accumulation of exp(-int D'X du)
     d = np.array([0.05, 0.08])
     expected = np.array([
@@ -151,10 +151,10 @@ def test_sdf_jump_factor_is_exact():
     from markovbsde import ChainPath
     path = ChainPath(jump_times=np.array([0.5]), states=np.array([0, 1]),
                      horizon=1.0, seed=0)
-    pi_t = terminal_sdf(mkt, path)
+    pi_t = terminal_sdf(mkt, path.batch)[0]
     expected = np.exp(-0.3 * 0.5) * np.exp(c[0, 0] - c[0, 1]) * np.exp(-0.1 * 0.5)
     assert pi_t == pytest.approx(expected, abs=1e-15)
-    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 11))
+    pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 11))[0]
     assert pi[0] == 1.0
     assert pi[-1] == pytest.approx(pi_t, abs=1e-15)
     # right-continuity at the jump node
@@ -168,8 +168,8 @@ def test_sdf_path_matches_terminal_on_simulated_paths():
                             dividends=[[1.0, 1.0]])
     for seed in range(30):
         path = simulate_path(mkt.chain, seed)
-        pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 58))
-        assert pi[-1] == pytest.approx(terminal_sdf(mkt, path), abs=1e-13)
+        pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 58))[0]
+        assert pi[-1] == pytest.approx(terminal_sdf(mkt, path.batch)[0], abs=1e-13)
 
 
 def test_sdf_dynamics_residual_zero_when_c0():
@@ -307,9 +307,9 @@ def test_terminal_sdf_sums_over_off_grid_stretches():
     drift = (d1[0] * 0.1 + d1[2] * (0.2129 - 0.1) + d2[2] * (0.4537 - 0.2129)
              + d2[1] * (0.8123 - 0.4537) + d3[1] * (1.0 - 0.8123))
     jumps = (C1[0, 0] - C1[0, 2]) + (C2[2, 2] - C2[2, 1])
-    assert terminal_sdf(mkt, path) == pytest.approx(np.exp(jumps - drift),
-                                                    rel=1e-14)
-    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 8))
+    assert terminal_sdf(mkt, path.batch)[0] == pytest.approx(np.exp(jumps - drift),
+                                                          rel=1e-14)
+    pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 8))[0]
     assert pi[-1] == pytest.approx(np.exp(jumps - drift), rel=1e-14)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
                         european_consistency, isometry_check, mc_estimate,
-                        simulate_path)
+                        simulate_paths)
 from markovbsde.cli import report_rows
 from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 from markovbsde.errors import NonFiniteError
@@ -43,7 +43,7 @@ def test_stochastic_integral_on_manual_path(two_state_chain):
     # jump part: z_1 - z_0 = 3; compensator: int z'A X du
     # = 0.25 * z'(-1, 1) + 0.75 * z'(1, -1) = 0.25*3 + 0.75*(-3)
     expected = 3.0 - (0.25 * 3.0 + 0.75 * (-3.0))
-    got = stochastic_integral(two_state_chain, z, path)
+    got = stochastic_integral(two_state_chain, z, path.batch)[0]
     assert got == pytest.approx(expected, abs=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_seminorm_time_integral_on_manual_path(two_state_chain):
     z = np.array([2.0, 5.0])
     path = ChainPath(jump_times=np.array([0.25]), states=np.array([0, 1]),
                      horizon=1.0, seed=0)
-    got = seminorm_time_integral(two_state_chain, z, path)
+    got = seminorm_time_integral(two_state_chain, z, path.batch)[0]
     assert got == pytest.approx(9.0, abs=1e-14)
 
 
@@ -75,20 +75,20 @@ def test_functionals_sum_over_off_grid_stretches():
     jumps = (z[2] - z[0]) + (z[1] - z[2])
     compensator = sum(dt * sum(z[j] * A_SCHED[k][1][j, i] for j in range(3))
                       for dt, i, k in HAND_STRETCHES)
-    assert stochastic_integral(spec, z, HAND_PATH) == pytest.approx(
+    assert stochastic_integral(spec, z, HAND_PATH.batch)[0] == pytest.approx(
         jumps - compensator, abs=1e-14)
     # ||z||^2 at state i is sum_{j != i} A_ji (z_j - z_i)^2
     seminorm = sum(dt * sum(A_SCHED[k][1][j, i] * (z[j] - z[i]) ** 2
                             for j in range(3) if j != i)
                    for dt, i, k in HAND_STRETCHES)
-    assert seminorm_time_integral(spec, z, HAND_PATH) == pytest.approx(
+    assert seminorm_time_integral(spec, z, HAND_PATH.batch)[0] == pytest.approx(
         seminorm, abs=1e-14)
 
 
 def test_checks_take_the_drawn_paths(market_c0):
     chain = market_c0.chain
     z = np.array([1.0, 0.0])
-    paths = [simulate_path(chain, 40 + p) for p in range(300)]
+    paths = simulate_paths(chain, range(40, 340))
     assert isometry_check(chain, z, 300, seed_base=40, paths=paths) == \
         isometry_check(chain, z, 300, seed_base=40)
     claim = np.array([1.0, 2.0])
@@ -104,7 +104,7 @@ def test_checks_take_the_drawn_paths(market_c0):
 def test_martingale_integral_has_zero_mean(two_state_chain):
     z = np.array([1.0, -1.0])
     est = mc_estimate(two_state_chain,
-                      lambda p: stochastic_integral(two_state_chain, z, p),
+                      lambda p: stochastic_integral(two_state_chain, z, p.batch)[0],
                       n_paths=5000, seed_base=77)
     assert abs(est.mean) <= 4.0 * est.std_error
 
