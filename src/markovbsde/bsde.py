@@ -209,14 +209,14 @@ def _hermite_curve(spec, driver, sol):
     return curve
 
 
-def pathwise_residual(solution, path, spec, driver, terminal):
+def pathwise_residual(solution, paths, spec, driver, terminal):
     """Max discrepancy, over grid nodes, between both sides of the backward
-    equation evaluated along one realized path.
+    equation evaluated along each path of the batch: one value per path.
 
     The stochastic integral uses exact jump increments y_j - y_i minus the
     compensator integral of y'A X; time integrals use Hermite-Simpson
     quadrature on each stretch of constant state and constant generator
-    piece (``ChainPath.stretches`` cut at the grid nodes and the schedule
+    piece (``PathBatch.stretches`` cut at the grid nodes and the schedule
     breakpoints), with that stretch's generator, so the residual tracks
     the scheme error.
     """
@@ -232,25 +232,27 @@ def pathwise_residual(solution, path, spec, driver, terminal):
         return (b - a) / 6.0 * (fn(a) + 4.0 * fn(0.5 * (a + b)) + fn(b))
 
     # forward integrals of f and of y' dM over [0, t], read at the grid nodes
-    f_cum = np.zeros(grid.size)
-    m_cum = np.zeros(grid.size)
-    f_int = m_int = 0.0
-    gi = 1
+    f_cum = np.zeros((paths.n_paths, grid.size))
+    m_cum = np.zeros_like(f_cum)
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    for t0, t1, i, piece, to in path.stretches(cuts, spec.starts):
+    walk = paths.stretches(cuts, spec.starts)
+    for p, t0, t1, i, piece, to in zip(*(a.tolist() for a in walk)):
+        if t0 == 0.0:  # the path's first stretch
+            f_int = m_int = 0.0
+            gi = 1
         col = spec.schedule[piece][1][:, i]
         f_int += simpson(lambda t: f_at(t, i), t0, t1)
         m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
-        if to is not None:
+        if to >= 0:
             yj = curve(t1)
             m_int += float(yj[to] - yj[i])
         while gi < grid.size and grid[gi] <= t1 + 1e-15:
-            f_cum[gi], m_cum[gi] = f_int, m_int
+            f_cum[p, gi], m_cum[p, gi] = f_int, m_int
             gi += 1
-    y_path = solution.values[np.arange(grid.size), path.states_at(grid)]
-    xi_term = float(terminal[path.state_at(spec.horizon)])
-    rhs = xi_term + (f_cum[-1] - f_cum) - (m_cum[-1] - m_cum)
-    return float(np.abs(y_path - rhs).max())
+    states = paths.states_at(grid)
+    y_path = solution.values[np.arange(grid.size), states]
+    rhs = terminal[states[:, -1:]] + (f_cum[:, -1:] - f_cum) - (m_cum[:, -1:] - m_cum)
+    return np.abs(y_path - rhs).max(axis=1)
 
 
 def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,

@@ -105,7 +105,7 @@ class ChainSpec:
     ``freeze_schedule``: piece k applies on [start_k, start_{k+1}), and
     start_0 = 0.0. ``starts`` holds the start times. Per piece k and state
     i, computed once: ``jumps[k][i]`` is the jump table that
-    ``simulate_path`` reads, (1 / exit rate, jump CDF), or None when state i
+    ``simulate_paths`` reads, (1 / exit rate, jump CDF), or None when state i
     is absorbing there (see ``_jump_table``); ``psi[k][i]`` is the read-only
     quadratic-variation density with X frozen at state i.
     """
@@ -169,14 +169,14 @@ def counts_at(rows, values, n_rows, times):
 
 def path_sums(n_paths, rows, terms):
     """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
-    ``terms`` in their given order (``rows`` names each term's path),
-    padded with the total: ``np.cumsum`` adds left to right, as a loop
-    over the terms does."""
+    ``terms`` (numbers, or rows added entry by entry) in their given order
+    (``rows`` names each term's path), padded with the total: ``np.cumsum``
+    adds left to right, as a loop over the terms does."""
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     counts = np.bincount(rows, minlength=n_paths)
     cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    table = np.zeros((n_paths, 1 + counts.max(initial=0)))
+    table = np.zeros((n_paths, 1 + counts.max(initial=0), *terms.shape[1:]))
     table[rows, cols] = terms[order]
     return np.cumsum(table, axis=1)
 
@@ -220,12 +220,6 @@ class PathBatch:
     @property
     def n_paths(self):
         return len(self.seeds)
-
-    def path(self, p):
-        """Path p as a ChainPath."""
-        a, b = self.offsets[p], self.offsets[p + 1]
-        return ChainPath(self.jump_times[a:b], self.states[a + p:b + p + 1],
-                         self.horizon, self.seeds[p])
 
     def chunks(self):
         """The batch as consecutive batches of at most ``_CHUNK`` paths."""
@@ -272,46 +266,6 @@ class PathBatch:
         piece = np.maximum(np.searchsorted(starts, t0, side="right") - 1, 0)
         return (path[:-1][inner], t0, time[1:][inner], state[:-1][inner], piece,
                 np.where(jump[1:], state[1:], -1)[inner])
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One realized trajectory: jump times in (0, T] and visited states,
-    under the rules of ``PathBatch``. ``batch`` holds it as a PathBatch of
-    one."""
-
-    jump_times: np.ndarray
-    states: np.ndarray
-    horizon: float
-    seed: int
-    batch: PathBatch = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        batch = PathBatch([0, np.size(self.jump_times)], self.jump_times, self.states,
-                          self.horizon, (self.seed,))
-        object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "jump_times", batch.jump_times)
-        object.__setattr__(self, "states", batch.states)
-
-    @property
-    def n_jumps(self):
-        return self.jump_times.size
-
-    def state_at(self, t):
-        """State occupied at time t (right-continuous)."""
-        return int(self.states[np.searchsorted(self.jump_times, t, side="right")])
-
-    def states_at(self, times):
-        """Vectorized state_at."""
-        return self.states[np.searchsorted(self.jump_times, times, side="right")]
-
-    def stretches(self, cuts, starts):
-        """The stretches of ``PathBatch.stretches`` as (t0, t1, state,
-        piece, to) tuples in time order, with to None without a jump."""
-        _, t0, t1, state, piece, to = self.batch.stretches(cuts, starts)
-        for a, b, i, k, j in zip(t0.tolist(), t1.tolist(), state.tolist(),
-                                 piece.tolist(), to.tolist()):
-            yield a, b, i, k, None if j < 0 else j
 
 
 def _validate_generator(a, n_states):
@@ -405,8 +359,8 @@ def simulate_paths(spec, seeds):
 
 
 def simulate_path(spec, seed):
-    """One trajectory: path 0 of ``simulate_paths(spec, [seed])``."""
-    return simulate_paths(spec, [seed]).path(0)
+    """One trajectory, as the PathBatch ``simulate_paths(spec, [seed])``."""
+    return simulate_paths(spec, [seed])
 
 
 def path_chunks(spec, seeds, paths=None):
@@ -426,23 +380,25 @@ def path_chunks(spec, seeds, paths=None):
     return paths.chunks()
 
 
-def martingale_path(path, spec, grid_steps):
-    """Martingale part M_t = X_t - X_0 - int A_u X_u du on a uniform grid.
+def martingale_path(paths, spec, grid_steps):
+    """Martingale part M_t = X_t - X_0 - int A_u X_u du of each path of the
+    batch on a uniform grid, as a (paths, grid_steps+1, N) array.
 
     The drift integral is closed form on each stretch of constant state and
     constant generator piece, cut at the grid nodes; within-step jump times
-    are honored exactly. Returns a (grid_steps+1, N) array.
+    are honored exactly. Its running sum over a path's stretches is read at
+    each node after the stretch that ends there.
     """
     grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    _, t0, t1, state, piece, _ = path.batch.stretches(cuts, spec.starts)
+    path, t0, t1, state, piece, _ = paths.stretches(cuts, spec.starts)
     columns = np.array([a for _, a in spec.schedule])[piece, :, state]
-    drift = np.cumsum(columns * (t1 - t0)[:, None], axis=0)
-    # each node reads the drift after the first stretch that reaches it
-    reach = np.searchsorted(t1 + 1e-15, grid)
+    drift = path_sums(paths.n_paths, path, columns * (t1 - t0)[:, None])
+    reach = counts_at(path, t1, paths.n_paths, grid)
     eye = np.eye(spec.n_states)
-    out = eye[path.states_at(grid)] - eye[spec.initial_state] - drift[reach]
-    out[0] = 0.0
+    out = (eye[paths.states_at(grid)] - eye[spec.initial_state]
+           - drift[np.arange(paths.n_paths)[:, None], reach])
+    out[:, 0] = 0.0
     return out
 
 

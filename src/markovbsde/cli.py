@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_bsde
-from .chain import simulate_path, simulate_paths
+from .chain import simulate_paths
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
@@ -64,11 +64,12 @@ def curve_rows(curves):
                 yield (t, j, i, price)
 
 
-def path_rows(path):
-    """(jump_index, time, state) rows, including the start point at index -1."""
-    yield (-1, 0.0, int(path.states[0]))
-    for k, (t, s) in enumerate(zip(path.jump_times, path.states[1:])):
-        yield (k, float(t), int(s))
+def path_rows(paths, p):
+    """(jump_index, time, state) rows of path p of the batch, including the
+    start point at index -1."""
+    a, b = paths.offsets[p], paths.offsets[p + 1]
+    times = [0.0, *paths.jump_times[a:b].tolist()]
+    return zip(range(-1, b - a), times, paths.states[a + p:b + p + 1].tolist())
 
 
 def report_rows(named_reports):
@@ -92,11 +93,11 @@ def _cmd_validate(config, out):
 
 
 def _cmd_simulate(config, out):
-    n = min(config.solver.n_paths, 100)
-    for p in range(n):
-        path = simulate_path(config.chain, config.solver.seed + p)
+    seed, n_paths = config.solver.seed, min(config.solver.n_paths, 100)
+    paths = simulate_paths(config.chain, range(seed, seed + n_paths))
+    for p in range(n_paths):
         _write_csv(out / f"path_{p:04d}.csv", ("jump_index", "time", "state"),
-                   path_rows(path))
+                   path_rows(paths, p))
     return 0
 
 
@@ -163,16 +164,13 @@ def _cmd_hedge(config, out):
                grid_rows(sol.grid, sol.values, sol.k.values, *holdings, strat.h0))
     _write_csv(out / "stock_curves.csv", ("time", "stock", "state", "price"),
                curve_rows(curves))
-    rows = []
-    ok = True
-    for p in range(min(config.solver.n_paths, 20)):
-        path = simulate_path(config.chain, config.solver.seed + p)
-        rep = replicate_forward(strat, sol, path)
-        ok = ok and rep["dominates"] and rep["max_gap"] < 1e-6
-        rows.append((p, rep["max_gap"], rep["terminal_gap"], rep["dominates"]))
+    seed, n_paths = config.solver.seed, min(config.solver.n_paths, 20)
+    paths = simulate_paths(config.chain, range(seed, seed + n_paths))
+    rep = replicate_forward(strat, sol, paths)
     _write_csv(out / "replication_report.csv",
-               ("path", "max_gap", "terminal_gap", "dominates"), rows)
-    return 0 if ok else 1
+               ("path", "max_gap", "terminal_gap", "dominates"),
+               zip(range(n_paths), rep["max_gap"], rep["terminal_gap"], rep["dominates"]))
+    return 0 if np.all(rep["dominates"] & (rep["max_gap"] < 1e-6)) else 1
 
 
 def _cmd_verify(config, out):

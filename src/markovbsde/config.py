@@ -81,10 +81,11 @@ def _float(value, what):
 
 
 def _integer(value, what):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    """One integer: an int that is not a bool, or a float of integral value."""
+    _require((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+             or (isinstance(value, float) and value.is_integer()),
+             f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _vector(value, n, what, broadcast=False):
@@ -169,6 +170,7 @@ def _read_solver(raw):
     solver.strict_contraction = raw.get("strict_contraction", solver.strict_contraction)
     _require(solver.steps >= 2, "solver.steps must be >= 2")
     _require(solver.n_paths >= 1, "solver.n_paths must be >= 1")
+    _require(solver.seed >= 0, "solver.seed must be >= 0")
     _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
              f"unknown scheme {solver.scheme!r}")
     _require(isinstance(solver.strict_contraction, bool),
@@ -195,10 +197,11 @@ def load_config(path, overrides=None):
     _require(chain_raw is not None, "config needs a 'chain' section")
     try:
         chain = build_chain_spec(
-            n_states=chain_raw.get("n_states"),
+            n_states=_integer(chain_raw.get("n_states"), "chain.n_states"),
             generator_schedule=_parse_schedule(
                 chain_raw.get("generator_schedule", []), "chain"),
-            initial_state=chain_raw.get("initial_state", 0),
+            initial_state=_integer(chain_raw.get("initial_state", 0),
+                                   "chain.initial_state"),
             horizon=chain_raw.get("horizon"),
         )
     except (MarkovBsdeError, TypeError, ValueError) as exc:

@@ -102,7 +102,7 @@ def extract_hedge(market, curves, solution):
 
     The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), by the
     trapezoid rule over the node rates. The strategy also carries the
-    path-independent terms that ``replicate_forward`` gathers along a path.
+    path-independent terms that ``replicate_forward`` gathers along paths.
     """
     n = market.chain.n_states
     if market.n_stocks != n:
@@ -143,9 +143,11 @@ def extract_hedge(market, curves, solution):
                          stock_leg=stock_leg, carry=carry)
 
 
-def replicate_forward(strategy, solution, path):
-    """Simulate the self-financing wealth equation forward along a path and
-    compare with the priced value surface and the obstacle.
+def replicate_forward(strategy, solution, paths):
+    """Simulate the self-financing wealth equation forward along each path
+    of the batch and compare with the priced value surface and the
+    obstacle. Returns (paths,) arrays of the largest gap to the value, of
+    whether the wealth dominates the payoff, and of the terminal gap.
 
     Per step the wealth moves by the strategy's ``carry`` in the state left
     behind (bond leg, stock drift and the consumption dK) plus, on a jump,
@@ -154,20 +156,19 @@ def replicate_forward(strategy, solution, path):
     machine precision.
     """
     idx = np.arange(solution.grid.size)
-    states = path.states_at(solution.grid)
-    i0, i1 = states[:-1], states[1:]
+    states = paths.states_at(solution.grid)
+    i0, i1 = states[:, :-1], states[:, 1:]
     inc = strategy.carry[idx[:-1], i0]
-    jump = i1 != i0
-    right_leg = strategy.stock_leg[1:]
-    inc[jump] += right_leg[jump, i1[jump]] - right_leg[jump, i0[jump]]
+    leg = strategy.stock_leg
+    p, k = np.nonzero(i1 != i0)  # the steps with a jump, which move the stock leg
+    inc[p, k] += leg[k + 1, i1[p, k]] - leg[k + 1, i0[p, k]]
     target = solution.v.values[idx, states]
-    wealth = np.concatenate(([target[0]], target[0] + np.cumsum(inc)))
+    wealth = np.concatenate((target[:, :1], target[:, :1] + np.cumsum(inc, axis=1)),
+                            axis=1)
     payoff_path = solution.g[idx, states]
-    max_gap = float(np.abs(wealth - target).max())
-    dominates = bool(np.all(wealth >= payoff_path - 1e-9))
-    terminal_gap = float(abs(wealth[-1] - payoff_path[-1]))
-    return {"max_gap": max_gap, "dominates": dominates,
-            "terminal_gap": terminal_gap}
+    return {"max_gap": np.abs(wealth - target).max(axis=1),
+            "dominates": np.all(wealth >= payoff_path - 1e-9, axis=1),
+            "terminal_gap": np.abs(wealth[:, -1] - payoff_path[:, -1])}
 
 
 def _discounted_h_matrix(market, solution):

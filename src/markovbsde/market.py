@@ -203,32 +203,35 @@ def terminal_sdf(market, paths):
     return np.exp(path_sums(paths.n_paths, rows, terms)[:, -1])
 
 
-def sdf_dynamics_residual(market, path, grid_steps):
+def sdf_dynamics_residual(market, paths, grid_steps):
     """Integrate the discount SDE (rate drift plus the martingale term with
-    exact jump handling) and compare with the closed form.
+    exact jump handling) along each path of the batch and compare with the
+    closed form: the max gap over the grid nodes, one value per path.
 
     The pure-rate factor is applied exactly per step; the compensator of
     the martingale term uses an Euler increment, so the residual decays
     linearly in the step size and vanishes when C = 0.
     """
-    grid = uniform_grid(path.horizon, grid_steps)
-    closed = sdf_path(market, path.batch, grid)[0]
+    grid = uniform_grid(paths.horizon, grid_steps)
+    closed = sdf_path(market, paths, grid)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    pi = 1.0
-    worst = 0.0
-    gi = 1
-    for t0, t1, state, k, to in path.stretches(cuts, market.piece_starts):
+    walk = paths.stretches(cuts, market.piece_starts)
+    worst = np.zeros(paths.n_paths)
+    for p, t0, t1, state, k, to in zip(*(a.tolist() for a in walk)):
+        if t0 == 0.0:  # the path's first stretch
+            pi = 1.0
+            gi = 1
         dt = t1 - t0
         piece = market.pieces[k]
         r = float(piece.rates[state])
         comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
         pi = pi * np.exp(-r * dt) - pi * comp * dt
-        if to is not None:
+        if to >= 0:
             pi += pi * market.piece_at(t1).sigma[state, to]
         while gi < grid.size and grid[gi] <= t1 + 1e-15:
-            worst = max(worst, abs(pi - closed[gi]))
+            worst[p] = max(worst[p], abs(pi - closed[p, gi]))
             gi += 1
-    return float(worst)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -289,30 +292,32 @@ def stock_curves(market, steps=1000):
     return StockCurves(grid=grid, s=curves)
 
 
-def stock_sde_residual(market, curves, path, grid_steps):
+def stock_sde_residual(market, curves, paths, grid_steps):
     """Integrate the stock dynamics (drift, dividends and the martingale
-    term with exact jump handling) along the path and compare with the
-    direct evaluation s(t)'X_t. Max over stocks and grid nodes."""
-    grid = uniform_grid(path.horizon, grid_steps)
+    term with exact jump handling) along each path of the batch and compare
+    with the direct evaluation s(t)'X_t. Max over stocks and grid nodes, one
+    value per path."""
+    grid = uniform_grid(paths.horizon, grid_steps)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    stretches = list(path.stretches(cuts, market.piece_starts))
-    worst = 0.0
-    for j in range(curves.n_stocks):
+    walk = [a.tolist() for a in paths.stretches(cuts, market.piece_starts)]
+    states = paths.states_at(grid)
+    worst = np.zeros(paths.n_paths)
+    for j, delta in enumerate(market.dividends):
         curve = curves.curve(j)
-        delta = np.asarray(market.dividends[j], dtype=float)
-        val = curve.interp(0.0)[path.state_at(0.0)]
-        gi = 1
-        for t0, t1, state, k, to in stretches:
+        for p, t0, t1, state, k, to in zip(*walk):
+            if t0 == 0.0:  # the path's first stretch
+                val = curve.interp(0.0)[state]
+                gi = 1
             piece = market.pieces[k]
             s_vec = curve.interp(t0)
             drift = float((piece.drift @ s_vec)[state] - delta[state])
             comp = float(s_vec @ piece.a[:, state])
             val += (drift - comp) * (t1 - t0)
-            if to is not None:
+            if to >= 0:
                 sv = curve.interp(t1)
                 val += float(sv[to] - sv[state])
             while gi < grid.size and grid[gi] <= t1 + 1e-15:
-                direct = curve.interp(grid[gi])[path.state_at(grid[gi])]
-                worst = max(worst, abs(val - direct))
+                direct = curve.interp(grid[gi])[states[p, gi]]
+                worst[p] = max(worst[p], abs(val - direct))
                 gi += 1
-    return float(worst)
+    return worst

@@ -30,17 +30,21 @@ class McEstimate:
 
 def mc_estimate(chain, functional, n_paths, seed_base=0):
     """Sample mean and standard error of a path functional of ``chain``,
-    called on each path as a ChainPath."""
+    called on each batch of paths and returning one value per path."""
     if not isinstance(chain, ChainSpec):
         raise TypeError(f"expected ChainSpec, got {type(chain)}")
     samples = []
     for batch in path_chunks(chain, range(seed_base, seed_base + n_paths)):
-        for p, seed in enumerate(batch.seeds):
-            val = float(functional(batch.path(p)))
-            if not np.isfinite(val):
-                raise NonFiniteError(f"functional returned {val} for seed {seed}")
-            samples.append(val)
-    samples = np.array(samples)
+        vals = np.asarray(functional(batch), dtype=float)
+        if vals.shape != (batch.n_paths,):
+            raise ValueError(f"functional returned shape {vals.shape} for "
+                             f"{batch.n_paths} paths")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise NonFiniteError(f"functional returned {vals[bad[0]]} for seed "
+                                 f"{batch.seeds[bad[0]]}")
+        samples.append(vals)
+    samples = np.concatenate(samples)
     return McEstimate(mean=float(samples.mean()),
                       std_error=float(samples.std(ddof=1) / np.sqrt(n_paths)),
                       n_paths=int(n_paths), seed_base=int(seed_base))

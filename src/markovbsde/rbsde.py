@@ -216,12 +216,11 @@ def skorokhod_integral(solution):
     return float(per_state.max())
 
 
-def optimal_stop_time(solution, path):
-    """First grid time along the path at which the value touches the
-    solution's obstacle; horizon if it never does."""
+def optimal_stop_time(solution, paths):
+    """First grid time along each path of the batch at which the value
+    touches the solution's obstacle; horizon if it never does."""
     grid = solution.grid
-    states = path.states_at(grid)
+    states = paths.states_at(grid)
     idx = np.arange(grid.size)
     touching = solution.values[idx, states] <= solution.g[idx, states] + 1e-9
-    hits = np.nonzero(touching)[0]
-    return float(grid[hits[0]]) if hits.size else float(grid[-1])
+    return np.where(touching.any(axis=1), grid[touching.argmax(axis=1)], grid[-1])

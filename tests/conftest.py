@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
-                        stock_curves)
+from markovbsde import (Obstacle, PathBatch, build_chain_spec,
+                        build_market_spec, stock_curves)
 
 
 def random_generator(rng, n, scale=2.0):
@@ -14,6 +14,13 @@ def random_generator(rng, n, scale=2.0):
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
     return a
+
+
+def one_path(jump_times, states):
+    """The hand-built path (jump times, visited states) on [0, 1] as a
+    PathBatch of one."""
+    return PathBatch(offsets=[0, len(jump_times)], jump_times=jump_times,
+                     states=states, horizon=1.0, seeds=(0,))
 
 
 def random_chain(rng, n_low=2, n_high=4, horizon=1.0, scale=2.0):

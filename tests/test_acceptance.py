@@ -18,9 +18,9 @@ from markovbsde import (MarkovDriver, Obstacle, build_chain_spec,
                         price_american, pseudoinverse, psi_matrix,
                         rate_bound_m, replicate_forward, sdf_dynamics_residual,
                         seminorm_sq, short_rate, sigma_matrix, simulate_path,
-                        skorokhod_integral, snell_oracle, solve_bsde,
-                        solve_reflected, stock_curves, stock_sde_residual,
-                        zero_driver)
+                        simulate_paths, skorokhod_integral, snell_oracle,
+                        solve_bsde, solve_reflected, stock_curves,
+                        stock_sde_residual, zero_driver)
 from markovbsde.hedge import make_hedge_driver
 from markovbsde.montecarlo import european_consistency
 from markovbsde.rbsde import solve_penalized
@@ -229,8 +229,8 @@ def test_criterion_07_market_identities(capsys):
     mkt_c = build_market_spec(chain, c_schedule=c, d_schedule=[0.05, 0.05],
                               dividends=[[1.0, 2.0]])
     path = simulate_path(chain, 7)
-    pi_half = sdf_dynamics_residual(mkt_c, path, 5000)
-    pi_full = sdf_dynamics_residual(mkt_c, path, 10_000)
+    pi_half = sdf_dynamics_residual(mkt_c, path, 5000)[0]
+    pi_full = sdf_dynamics_residual(mkt_c, path, 10_000)[0]
     pi_ok = pi_full < 1e-8 and 1.6 < pi_half / pi_full < 2.4
 
     # stock SDE residual: gently time-varying dividends, first-order decay
@@ -239,8 +239,8 @@ def test_criterion_07_market_identities(capsys):
         d_schedule=[(0.0, [0.05, 0.05]), (0.5, [0.05 + 2e-5, 0.05 + 1e-5])],
         dividends=[[1.0, 2.0]])
     curves_t = stock_curves(mkt_t, steps=10_000)
-    s_half = stock_sde_residual(mkt_t, curves_t, path, 5000)
-    s_full = stock_sde_residual(mkt_t, curves_t, path, 10_000)
+    s_half = stock_sde_residual(mkt_t, curves_t, path, 5000)[0]
+    s_full = stock_sde_residual(mkt_t, curves_t, path, 10_000)[0]
     s_ok = s_full < 1e-8 and 1.6 < s_half / s_full < 2.4
 
     ok = collapse_ok and stat_res < 1e-12 and pi_ok and s_ok
@@ -285,14 +285,10 @@ def test_criterion_09_hedging(capsys, market_c0):
     strat = extract_hedge(market_c0, curves, sol)
     phi_res = float(np.abs(np.einsum("knj,kj->kn", curves.phi_all(), strat.h)
                            - sol.z.values).max())
-    max_gap = 0.0
-    term_gap = 0.0
-    dominated = True
-    for seed in range(100):
-        rep = replicate_forward(strat, sol, simulate_path(market_c0.chain, seed))
-        max_gap = max(max_gap, rep["max_gap"])
-        term_gap = max(term_gap, rep["terminal_gap"])
-        dominated = dominated and rep["dominates"]
+    rep = replicate_forward(strat, sol, simulate_paths(market_c0.chain, range(100)))
+    max_gap = float(rep["max_gap"].max())
+    term_gap = float(rep["terminal_gap"].max())
+    dominated = bool(np.all(rep["dominates"]))
     ok = phi_res < 1e-12 and max_gap < 1e-6 and dominated and term_gap < 1e-9
     report(capsys, 9, "hedging and forward replication (100 paths)", ok,
            f"phi-h residual {phi_res:.1e}, max gap {max_gap:.1e}, "

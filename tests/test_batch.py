@@ -1,6 +1,8 @@
 """The batched path layer against the per-path reference loops of
 ``path_reference``: every batched functional must equal its loop bit for
-bit, on random chains and markets and on hand-made edge paths."""
+bit, on random chains and markets and on hand-made edge paths; and every
+path consumer must give each path of a batch what it gives that path
+alone."""
 
 from types import SimpleNamespace
 
@@ -10,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import path_reference as ref
-from markovbsde import (ChainPath, Obstacle, PathBatch, build_chain_spec,
-                        build_market_spec, discounted_value_check,
-                        european_consistency, isometry_check, price_american,
-                        simulate_path, simulate_paths, stock_curves)
+from markovbsde import (Obstacle, PathBatch, build_chain_spec, build_market_spec,
+                        discount_driver, discounted_value_check,
+                        european_consistency, isometry_check, martingale_path,
+                        optimal_stop_time, pathwise_residual, price_american,
+                        replicate_forward, sdf_dynamics_residual, simulate_path,
+                        simulate_paths, solve_bsde, stock_curves,
+                        stock_sde_residual, uniform_grid)
 from markovbsde.chain import _CHUNK
 from markovbsde.errors import MarkovBsdeError
 from markovbsde.hedge import _discounted_h_matrix
 from markovbsde.market import sdf_path, terminal_sdf
 from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 
-from conftest import random_generator
+from conftest import one_path, random_generator
 
 
 def random_market(rng):
@@ -41,18 +46,17 @@ def random_market(rng):
 
 
 def edge_paths(market, grid):
-    """No jump; one jump exactly at a breakpoint of the market and of the
-    chain, at a grid node and at the horizon; one path with all of them."""
+    """As (jump times, states): no jump; one jump exactly at a breakpoint of
+    the market and of the chain, at a grid node and at the horizon; one
+    path with all of them."""
     x0, n = market.chain.initial_state, market.chain.n_states
-    paths = [ChainPath(jump_times=[], states=[x0], horizon=1.0, seed=0)]
+    paths = [([], [x0])]
     if n > 1:
         y = (x0 + 1) % n
         times = sorted({market.breakpoints()[0], *market.chain.breakpoints()[:1],
                         float(grid[grid.size // 2]), 1.0})
-        paths += [ChainPath(jump_times=[t], states=[x0, y], horizon=1.0, seed=0)
-                  for t in times]
-        paths.append(ChainPath(jump_times=times, horizon=1.0, seed=0,
-                               states=[(x0, y)[k % 2] for k in range(len(times) + 1)]))
+        paths += [([t], [x0, y]) for t in times]
+        paths.append((times, [(x0, y)[k % 2] for k in range(len(times) + 1)]))
     return paths
 
 
@@ -63,28 +67,68 @@ def test_batched_functionals_equal_the_path_loops(seed):
     market = random_market(rng)
     spec = market.chain
     grid = np.linspace(0.0, 1.0, int(rng.integers(1, 40)) + 1)
-    paths = edge_paths(market, grid) + [simulate_path(spec, s) for s in range(15)]
+    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(15)]
     batch = ref.batch_of(paths)
     z = rng.normal(size=spec.n_states)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    for path in paths:
-        assert list(path.stretches(cuts, market.piece_starts)) == \
-            list(ref.stretches(path, cuts, market.piece_starts))
+    path, *walk = batch.stretches(cuts, market.piece_starts)
+    for p, (times, states) in enumerate(paths):
+        assert list(zip(*(a[path == p].tolist() for a in walk))) == \
+            list(ref.stretches(times, states, 1.0, cuts, market.piece_starts))
     for got, want in [
             (stochastic_integral(spec, z, batch),
-             [ref.stochastic_integral(spec, z, p) for p in paths]),
+             [ref.stochastic_integral(spec, z, *p) for p in paths]),
             (seminorm_time_integral(spec, z, batch),
-             [ref.seminorm_time_integral(spec, z, p) for p in paths]),
-            (terminal_sdf(market, batch), [ref.terminal_sdf(market, p) for p in paths]),
+             [ref.seminorm_time_integral(spec, z, *p) for p in paths]),
+            (terminal_sdf(market, batch), [ref.terminal_sdf(market, *p) for p in paths]),
             (sdf_path(market, batch, grid),
-             [ref.sdf_path(market, p, grid) for p in paths]),
-            (batch.states_at(grid), [p.states_at(grid) for p in paths])]:
+             [ref.sdf_path(market, *p, grid) for p in paths]),
+            (batch.states_at(grid), [ref.states_at(*p, grid) for p in paths])]:
         assert np.array_equal(got, np.array(want))
     # the discounted driver table of discounted_value_check, node by node
     sol = SimpleNamespace(grid=grid, z=SimpleNamespace(
         values=rng.normal(size=(grid.size, spec.n_states))))
     assert np.array_equal(_discounted_h_matrix(market, sol),
                           ref.discounted_h_matrix(market, sol))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_path_consumers_give_each_path_what_it_gets_alone(seed):
+    # paths without a jump next to jumps at the horizon, at breakpoints and
+    # at a grid node, in random order: a consumer whose per-path state
+    # leaked into the next path would differ from its one-path batch
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    spec, n = market.chain, market.chain.n_states
+    steps = int(rng.integers(4, 30))
+    grid = uniform_grid(1.0, steps)
+    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(8)]
+    paths = [paths[k] for k in rng.permutation(len(paths))]
+    stocked = build_market_spec(spec, c_schedule=market.c_schedule,
+                                d_schedule=market.d_schedule, r_max=10.0,
+                                dividends=[rng.uniform(1.0, 2.0, n)])
+    curves = stock_curves(stocked, steps=200)
+    driver, xi = discount_driver(0.3), rng.uniform(0.5, 1.5, n)
+    sol = solve_bsde(spec, driver, xi, steps)
+    # replication and stopping only gather these along the paths
+    values = rng.normal(size=(steps + 1, n))
+    surface = SimpleNamespace(grid=grid, v=SimpleNamespace(values=values),
+                              values=values, g=rng.normal(size=(steps + 1, n)) - 0.5)
+    strategy = SimpleNamespace(carry=rng.normal(size=(steps, n)),
+                               stock_leg=rng.normal(size=(steps + 1, n)))
+    consumers = [
+        lambda b: martingale_path(b, spec, steps),
+        lambda b: pathwise_residual(sol, b, spec, driver, xi),
+        lambda b: sdf_dynamics_residual(market, b, steps),
+        lambda b: stock_sde_residual(stocked, curves, b, steps),
+        lambda b: np.column_stack([*replicate_forward(strategy, surface, b).values()]),
+        lambda b: optimal_stop_time(surface, b)]
+    for consumer in consumers:
+        got = consumer(ref.batch_of(paths))
+        assert len(got) == len(paths)
+        for p, path in enumerate(paths):
+            assert np.array_equal(got[p], consumer(ref.batch_of([path]))[0])
 
 
 def put_market():
@@ -143,12 +187,12 @@ def test_batches_draw_seed_by_seed():
     # path p of the batch, of its chunk, of a batch of one and simulate_path
     for p in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 2):
         one = simulate_paths(spec, [seeds[p]])
-        assert one.path(0).seed == seeds[p]
-        for path in (batch.path(p), chunks[p // _CHUNK].path(p % _CHUNK),
-                     simulate_path(spec, seeds[p])):
-            assert np.array_equal(path.jump_times, one.jump_times)
-            assert np.array_equal(path.states, one.states)
-            assert path.seed == seeds[p]
+        assert one.seeds == simulate_path(spec, seeds[p]).seeds == (seeds[p],)
+        for times, states in (ref.path_of(batch, p),
+                              ref.path_of(chunks[p // _CHUNK], p % _CHUNK),
+                              ref.path_of(simulate_path(spec, seeds[p]), 0)):
+            assert np.array_equal(times, one.jump_times)
+            assert np.array_equal(states, one.states)
 
 
 GOOD = ([0.2, 0.7], [0, 1, 0])
@@ -167,7 +211,7 @@ MALFORMED = [
 @pytest.mark.parametrize("jump_times, states", MALFORMED)
 def test_batch_rejects_what_a_path_rejects(jump_times, states):
     with pytest.raises(ValueError):
-        ChainPath(jump_times=jump_times, states=states, horizon=1.0, seed=0)
+        one_path(jump_times, states)
     for first, second in ((GOOD, (jump_times, states)), ((jump_times, states), GOOD)):
         with pytest.raises(ValueError):
             PathBatch(offsets=[0, len(first[0]), len(first[0]) + len(second[0])],
@@ -179,7 +223,7 @@ def test_batch_accepts_what_only_looks_wrong_across_paths():
     # path 1 starts in the state path 0 ends in, at an earlier time
     batch = PathBatch(offsets=[0, 2, 3], jump_times=[0.2, 0.7, 0.1],
                       states=[0, 1, 0, 0, 1], horizon=1.0, seeds=(0, 1))
-    assert batch.path(1).states.tolist() == [0, 1]
+    assert ref.path_of(batch, 1)[1].tolist() == [0, 1]
     assert batch.states_at([0.05, 0.15]).tolist() == [[0, 0], [0, 1]]
     with pytest.raises(ValueError):  # offsets that miss a jump time
         PathBatch(offsets=[0, 2, 2], jump_times=[0.2, 0.7, 0.1],

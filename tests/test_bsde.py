@@ -6,7 +6,7 @@ import pytest
 
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
                         discount_driver, pathwise_residual, simulate_path,
-                        solve_bsde, zero_driver)
+                        simulate_paths, solve_bsde, zero_driver)
 from markovbsde.cli import grid_rows
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
@@ -119,7 +119,7 @@ def test_pathwise_residual_small_and_decaying(two_state_chain):
     res = []
     for steps in (100, 400):
         sol = solve_bsde(two_state_chain, drv, xi, steps)
-        res.append(pathwise_residual(sol, path, two_state_chain, drv, xi))
+        res.append(pathwise_residual(sol, path, two_state_chain, drv, xi)[0])
     assert res[0] < 1e-8
     assert res[1] < res[0]
 
@@ -134,8 +134,8 @@ def test_pathwise_residual_converges_across_a_breakpoint():
     res = []
     for steps in (50, 100, 200, 400):
         sol = solve_bsde(chain, drv, xi, steps)
-        res.append(max(pathwise_residual(sol, simulate_path(chain, seed), chain,
-                                         drv, xi) for seed in range(5)))
+        res.append(pathwise_residual(sol, simulate_paths(chain, range(5)), chain,
+                                     drv, xi).max())
     assert all(a >= 8.0 * b for a, b in zip(res, res[1:])), res
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovbsde import (ChainPath, build_chain_spec, check_contraction,
+from markovbsde import (build_chain_spec, check_contraction,
                         martingale_path, mc_estimate, pseudoinverse,
                         psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from markovbsde.cli import path_rows
@@ -16,7 +16,7 @@ from markovbsde.config import load_config
 from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
 
-from conftest import random_chain, random_generator
+from conftest import one_path, random_chain, random_generator
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -100,7 +100,7 @@ def test_simulated_paths_are_well_formed(two_state_chain):
     for seed in range(50):
         p = simulate_path(two_state_chain, seed)
         assert p.states[0] == two_state_chain.initial_state
-        if p.n_jumps:
+        if p.jump_times.size:
             assert np.all(np.diff(p.jump_times) > 0)
             assert p.jump_times[0] > 0 and p.jump_times[-1] <= p.horizon
         assert np.all(p.states[1:] != p.states[:-1])
@@ -161,7 +161,7 @@ def test_simulate_path_reproduces_the_choice_stream():
             times, states = choice_oracle(spec, seed)
             assert np.array_equal(path.jump_times, times)
             assert np.array_equal(path.states, states)
-            jumps += path.n_jumps
+            jumps += path.jump_times.size
     assert jumps > 10_000
 
 
@@ -182,42 +182,39 @@ def test_simulate_path_on_tolerated_generators(a, horizon):
     assert from_zero > 100
 
 
+def walk_rows(path, cuts, starts):
+    """The stretches of a path as (t0, t1, state, piece, to) tuples."""
+    _, *walk = path.stretches(cuts, starts)
+    return list(zip(*(a.tolist() for a in walk)))
+
+
 def test_path_state_lookup_is_right_continuous():
-    p = ChainPath(jump_times=np.array([0.25, 0.5]), states=np.array([0, 1, 0]),
-                  horizon=1.0, seed=0)
-    assert p.state_at(0.0) == 0
-    assert p.state_at(0.25) == 1
-    assert p.state_at(0.49) == 1
-    assert p.state_at(0.5) == 0
-    # each stretch names the state a jump at its end enters, or None
-    assert list(p.stretches((), (0.0,))) == [
-        (0.0, 0.25, 0, 0, 1), (0.25, 0.5, 1, 0, 0), (0.5, 1.0, 0, 0, None)]
+    p = one_path([0.25, 0.5], [0, 1, 0])
+    assert p.states_at([0.0, 0.25, 0.49, 0.5]).tolist() == [[0, 1, 1, 0]]
+    # each stretch names the state a jump at its end enters, or -1
+    assert walk_rows(p, (), (0.0,)) == [
+        (0.0, 0.25, 0, 0, 1), (0.25, 0.5, 1, 0, 0), (0.5, 1.0, 0, 0, -1)]
     # cut at 0.4 and 0.5 (a jump time already); pieces start at 0 and 0.4
-    assert list(p.stretches([0.4, 0.5], (0.0, 0.4))) == [
-        (0.0, 0.25, 0, 0, 1), (0.25, 0.4, 1, 0, None), (0.4, 0.5, 1, 1, 0),
-        (0.5, 1.0, 0, 1, None)]
+    assert walk_rows(p, [0.4, 0.5], (0.0, 0.4)) == [
+        (0.0, 0.25, 0, 0, 1), (0.25, 0.4, 1, 0, -1), (0.4, 0.5, 1, 1, 0),
+        (0.5, 1.0, 0, 1, -1)]
     # a jump at the horizon ends the last stretch
-    p = ChainPath(jump_times=np.array([0.25, 1.0]), states=np.array([0, 1, 0]),
-                  horizon=1.0, seed=0)
-    assert list(p.stretches((), (0.0,))) == [(0.0, 0.25, 0, 0, 1), (0.25, 1.0, 1, 0, 0)]
+    p = one_path([0.25, 1.0], [0, 1, 0])
+    assert walk_rows(p, (), (0.0,)) == [(0.0, 0.25, 0, 0, 1), (0.25, 1.0, 1, 0, 0)]
 
 
 def test_path_rejects_malformed_data():
     with pytest.raises(ValueError):
-        ChainPath(jump_times=np.array([0.5]), states=np.array([0]),
-                  horizon=1.0, seed=0)
+        one_path([0.5], [0])
     with pytest.raises(ValueError):
-        ChainPath(jump_times=np.array([0.5, 0.4]), states=np.array([0, 1, 0]),
-                  horizon=1.0, seed=0)
+        one_path([0.5, 0.4], [0, 1, 0])
     with pytest.raises(ValueError):
-        ChainPath(jump_times=np.array([0.5]), states=np.array([0, 0]),
-                  horizon=1.0, seed=0)
+        one_path([0.5], [0, 0])
 
 
 def test_mean_occupancy_matches_closed_form(two_state_chain):
     # P(X_T = 0 | X_0 = 0) = 1/2 + 1/2 e^{-2T} for the symmetric rate-1 chain
-    est = mc_estimate(two_state_chain,
-                      lambda p: 1.0 if p.state_at(1.0) == 0 else 0.0,
+    est = mc_estimate(two_state_chain, lambda b: b.states_at([1.0])[:, 0] == 0,
                       n_paths=20000, seed_base=0)
     target = 0.5 + 0.5 * np.exp(-2.0)
     assert abs(est.mean - target) <= 4.0 * est.std_error
@@ -227,9 +224,7 @@ def test_mean_occupancy_matches_closed_form(two_state_chain):
 
 def test_martingale_path_on_a_known_path(two_state_chain):
     # one jump 0 -> 1 at t = 0.5: M_t = X_t - X_0 - int A X du piecewise
-    p = ChainPath(jump_times=np.array([0.5]), states=np.array([0, 1]),
-                  horizon=1.0, seed=0)
-    m = martingale_path(p, two_state_chain, grid_steps=4)
+    m = martingale_path(one_path([0.5], [0, 1]), two_state_chain, grid_steps=4)[0]
     # before the jump (t = 0.25): drift integral = t * A e_0 = t * (-1, 1)
     assert np.allclose(m[1], np.array([0.0, 0.0]) - 0.25 * np.array([-1.0, 1.0]),
                        atol=1e-14)
@@ -241,9 +236,7 @@ def test_martingale_path_on_a_known_path(two_state_chain):
 def test_martingale_path_across_an_off_grid_breakpoint():
     # generator SYM on [0, 0.3), 2 SYM after; one jump 0 -> 1 at t = 0.5
     spec = build_chain_spec(2, [(0.0, SYM), (0.3, 2.0 * SYM)], 0, 1.0)
-    p = ChainPath(jump_times=np.array([0.5]), states=np.array([0, 1]),
-                  horizon=1.0, seed=0)
-    m = martingale_path(p, spec, grid_steps=4)
+    m = martingale_path(one_path([0.5], [0, 1]), spec, grid_steps=4)[0]
     e0, e1 = np.array([-1.0, 1.0]), np.array([1.0, -1.0])  # SYM e_0, SYM e_1
     assert np.allclose(m[1], -0.25 * e0, atol=1e-14)
     # X jumps at t = 0.5 itself, so M_{0.5} = e_1 - e_0 - drift
@@ -258,7 +251,7 @@ def test_martingale_terminal_mean_is_zero(two_state_chain):
     for comp in range(2):
         est = mc_estimate(
             two_state_chain,
-            lambda p: martingale_path(p, two_state_chain, grid_steps=1)[-1][comp],
+            lambda b: martingale_path(b, two_state_chain, grid_steps=1)[:, -1, comp],
             n_paths=5000, seed_base=100)
         assert abs(est.mean) <= 4.0 * est.std_error + 1e-12
 
@@ -365,6 +358,6 @@ def test_random_chain_builder_round_trip():
 
 def test_path_csv_rows(two_state_chain):
     p = simulate_path(two_state_chain, 3)
-    rows = list(path_rows(p))
+    rows = list(path_rows(p, 0))
     assert rows[0] == (-1, 0.0, two_state_chain.initial_state)
-    assert len(rows) == p.n_jumps + 1
+    assert len(rows) == p.jump_times.size + 1

@@ -112,8 +112,28 @@ MALFORMED = {
         "solver: {steps: 100, n_paths: 50, seed: 0}", "solver: [1, 2]")),
     "solver.steps": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: abc")),
     "solver.n_paths": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: 0")),
+    "solver.seed": ("simulate", MINIMAL.replace("seed: 0", "seed: -1")),
+    # integer fields take integers and integral floats, never a truncation
+    "solver.steps fraction": ("solve-bsde", MINIMAL.replace("steps: 100",
+                                                            "steps: 250.9")),
+    "solver.n_paths bool": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: true")),
+    "payoff.stock fraction": ("price-american", MARKET + (
+        "payoff: {kind: put_on_stock, strike: 30.0, stock: 0.9}\n")),
+    "chain.n_states fraction": ("solve-bsde", MINIMAL.replace("n_states: 2",
+                                                              "n_states: 2.5")),
+    "chain.initial_state fraction": ("solve-bsde", MINIMAL.replace(
+        "initial_state: 0", "initial_state: 0.5")),
+    "chain.initial_state bool": ("solve-bsde", MINIMAL.replace(
+        "initial_state: 0", "initial_state: true")),
     "terminal": ("solve-bsde", MINIMAL.replace("[1.0, 0.0]", "[a, b]")),
 }
+
+
+def test_integer_fields_take_integral_floats(tmp_path):
+    cfg = load_config(write_yaml(tmp_path, MINIMAL.replace("steps: 100", "steps: 250.0")
+                                 .replace("n_states: 2", "n_states: 2.0")))
+    assert cfg.solver.steps == 250 and type(cfg.solver.steps) is int
+    assert cfg.chain.n_states == 2
 
 
 @pytest.mark.parametrize("field", MALFORMED)
@@ -138,6 +158,10 @@ def test_malformed_field_exits_2_at_load(tmp_path, capsys, field):
     ("verify", "twostate.yaml", ["--paths", "0"]),
     ("verify", "twostate.yaml", ["--paths", "1"]),
     ("verify", "twostate.yaml", ["--paths", "-3"]),
+    ("verify", "twostate.yaml", ["--seed", "-1"]),
+    ("simulate", "twostate.yaml", ["--seed", "-1"]),
+    ("hedge", "market_put.yaml", ["--seed", "-1"]),
+    ("solve-bsde", "twostate.yaml", ["--seed", "-1"]),
 ])
 def test_bad_override_exits_2(tmp_path, capsys, job, config, flags):
     # a command-line override passes the checks the same value in the file

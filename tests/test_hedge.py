@@ -11,7 +11,7 @@ import pytest
 from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         discounted_value_check, extract_hedge, hedge_driver,
                         make_hedge_driver, price_american, replicate_forward,
-                        simulate_path, solve_bsde, stock_curves)
+                        simulate_paths, solve_bsde, stock_curves)
 from markovbsde.cli import main
 from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
@@ -172,12 +172,11 @@ def test_replication_tracks_value_to_machine_precision(market_c0, curves_c0,
                                                        put_payoff):
     sol = price_american(market_c0, put_payoff, 1000)
     strat = extract_hedge(market_c0, curves_c0, sol)
-    for seed in range(10):
-        path = simulate_path(market_c0.chain, seed)
-        rep = replicate_forward(strat, sol, path)
-        assert rep["max_gap"] < 1e-10
-        assert rep["dominates"]
-        assert rep["terminal_gap"] < 1e-10
+    rep = replicate_forward(strat, sol, simulate_paths(market_c0.chain, range(10)))
+    assert rep["max_gap"].shape == (10,)
+    assert np.all(rep["max_gap"] < 1e-10)
+    assert np.all(rep["dominates"])
+    assert np.all(rep["terminal_gap"] < 1e-10)
 
 
 def test_replication_reads_the_piece_of_each_left_node():
@@ -191,9 +190,8 @@ def test_replication_reads_the_piece_of_each_left_node():
     put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
     sol = price_american(mkt, put, 200)
     strat = extract_hedge(mkt, curves, sol)
-    for seed in range(20):
-        rep = replicate_forward(strat, sol, simulate_path(chain, seed))
-        assert rep["max_gap"] < 1e-10
+    rep = replicate_forward(strat, sol, simulate_paths(chain, range(20)))
+    assert np.all(rep["max_gap"] < 1e-10)
 
 
 def test_discounted_value_check_passes(market_c0_s1):

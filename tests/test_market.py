@@ -4,13 +4,15 @@ stock curves and pathwise SDE residuals."""
 import numpy as np
 import pytest
 
-from markovbsde import (ChainPath, build_chain_spec, build_market_spec,
+from markovbsde import (build_chain_spec, build_market_spec,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
 from markovbsde.cli import curve_rows
 from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
                                UnstableGammaError)
+
+from conftest import one_path
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -134,12 +136,13 @@ def test_sdf_path_c0_is_pure_discount():
                             dividends=[[1.0, 1.0]])
     path = simulate_path(mkt.chain, 4)
     grid = np.linspace(0.0, 1.0, 101)
-    pi = sdf_path(mkt, path.batch, grid)[0]
+    pi = sdf_path(mkt, path, grid)[0]
     # independent accumulation of exp(-int D'X du)
     d = np.array([0.05, 0.08])
+    _, t0s, t1s, states, _, _ = path.stretches((), (0.0,))
     expected = np.array([
         np.exp(-sum(d[s] * (min(t1, t) - min(t0, t))
-                    for t0, t1, s, _, _ in path.stretches((), (0.0,))))
+                    for t0, t1, s in zip(t0s.tolist(), t1s.tolist(), states.tolist())))
         for t in grid])
     assert np.abs(pi - expected).max() < 1e-13
 
@@ -148,13 +151,11 @@ def test_sdf_jump_factor_is_exact():
     c = np.array([[0.0, 0.2], [0.5, 0.0]])
     mkt = build_market_spec(chain(), c_schedule=c, d_schedule=[0.3, 0.1],
                             dividends=[[1.0, 1.0]])
-    from markovbsde import ChainPath
-    path = ChainPath(jump_times=np.array([0.5]), states=np.array([0, 1]),
-                     horizon=1.0, seed=0)
-    pi_t = terminal_sdf(mkt, path.batch)[0]
+    path = one_path([0.5], [0, 1])
+    pi_t = terminal_sdf(mkt, path)[0]
     expected = np.exp(-0.3 * 0.5) * np.exp(c[0, 0] - c[0, 1]) * np.exp(-0.1 * 0.5)
     assert pi_t == pytest.approx(expected, abs=1e-15)
-    pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 11))[0]
+    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 11))[0]
     assert pi[0] == 1.0
     assert pi[-1] == pytest.approx(pi_t, abs=1e-15)
     # right-continuity at the jump node
@@ -168,15 +169,15 @@ def test_sdf_path_matches_terminal_on_simulated_paths():
                             dividends=[[1.0, 1.0]])
     for seed in range(30):
         path = simulate_path(mkt.chain, seed)
-        pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 58))[0]
-        assert pi[-1] == pytest.approx(terminal_sdf(mkt, path.batch)[0], abs=1e-13)
+        pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 58))[0]
+        assert pi[-1] == pytest.approx(terminal_sdf(mkt, path)[0], abs=1e-13)
 
 
 def test_sdf_dynamics_residual_zero_when_c0():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.08],
                             dividends=[[1.0, 1.0]])
     path = simulate_path(mkt.chain, 7)
-    assert sdf_dynamics_residual(mkt, path, 500) < 1e-13
+    assert sdf_dynamics_residual(mkt, path, 500)[0] < 1e-13
 
 
 def test_sdf_dynamics_residual_first_order():
@@ -184,8 +185,8 @@ def test_sdf_dynamics_residual_first_order():
     mkt = build_market_spec(chain(), c_schedule=c, d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 1.0]])
     path = simulate_path(mkt.chain, 7)
-    r1 = sdf_dynamics_residual(mkt, path, 1000)
-    r2 = sdf_dynamics_residual(mkt, path, 2000)
+    r1 = sdf_dynamics_residual(mkt, path, 1000)[0]
+    r2 = sdf_dynamics_residual(mkt, path, 2000)[0]
     assert r1 / r2 == pytest.approx(2.0, rel=0.2)
 
 
@@ -226,7 +227,7 @@ def test_stock_sde_residual_stationary_machine_precision():
                             dividends=[[1.0, 2.0]])
     curves = stock_curves(mkt, steps=400)
     path = simulate_path(mkt.chain, 5)
-    assert stock_sde_residual(mkt, curves, path, 400) < 1e-12
+    assert stock_sde_residual(mkt, curves, path, 400)[0] < 1e-12
 
 
 def test_stock_sde_residual_first_order_decay():
@@ -236,8 +237,8 @@ def test_stock_sde_residual_first_order_decay():
                             dividends=[[1.0, 2.0]])
     curves = stock_curves(mkt, steps=4000)
     path = simulate_path(mkt.chain, 7)
-    r1 = stock_sde_residual(mkt, curves, path, 1000)
-    r2 = stock_sde_residual(mkt, curves, path, 2000)
+    r1 = stock_sde_residual(mkt, curves, path, 1000)[0]
+    r2 = stock_sde_residual(mkt, curves, path, 2000)[0]
     assert r1 / r2 == pytest.approx(2.0, rel=0.2)
 
 
@@ -301,15 +302,13 @@ def test_terminal_sdf_sums_over_off_grid_stretches():
                             dividends=DIVS3)
     # jumps 0 -> 2 -> 1 at 0.1 and 0.4537, the second one exactly where C
     # changes (C2 applies, right-continuity); D and A change in between
-    path = ChainPath(jump_times=np.array([0.1, 0.4537]), states=np.array([0, 2, 1]),
-                     horizon=1.0, seed=0)
+    path = one_path([0.1, 0.4537], [0, 2, 1])
     d1, d2, d3 = (np.asarray(d) for _, d in D_SCHED)
     drift = (d1[0] * 0.1 + d1[2] * (0.2129 - 0.1) + d2[2] * (0.4537 - 0.2129)
              + d2[1] * (0.8123 - 0.4537) + d3[1] * (1.0 - 0.8123))
     jumps = (C1[0, 0] - C1[0, 2]) + (C2[2, 2] - C2[2, 1])
-    assert terminal_sdf(mkt, path.batch)[0] == pytest.approx(np.exp(jumps - drift),
-                                                          rel=1e-14)
-    pi = sdf_path(mkt, path.batch, np.linspace(0.0, 1.0, 8))[0]
+    assert terminal_sdf(mkt, path)[0] == pytest.approx(np.exp(jumps - drift), rel=1e-14)
+    pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 8))[0]
     assert pi[-1] == pytest.approx(np.exp(jumps - drift), rel=1e-14)
 
 

@@ -132,11 +132,11 @@ def test_optimal_stop_time(two_state_chain):
     drv = discount_driver(0.1)
     sol = solve_reflected(two_state_chain, drv, np.array([1.0, 2.0]),
                           constant_obstacle(-10.0), 100)
-    assert optimal_stop_time(sol, path) == 1.0
+    assert optimal_stop_time(sol, path).tolist() == [1.0]
     # fully active obstacle: touches immediately
     obs = decreasing_obstacle(1.0)
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2), obs, 100)
-    assert optimal_stop_time(sol, path) == 0.0
+    assert optimal_stop_time(sol, path).tolist() == [0.0]
 
 
 def test_rbsde_csv_rows(two_state_chain):
