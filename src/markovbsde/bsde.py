@@ -9,6 +9,9 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
 ``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``),
 the residual's Hermite slopes and the reflected predictor of ``rbsde``.
+A driver that carries its ``AffineForm`` makes the system linear on each
+piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then step it
+with per-piece matrices and never call the driver back.
 """
 
 import warnings
@@ -16,10 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_contraction, rk4_down, split_down
+from .chain import check_contraction, piece_index, rk4_down, rk4_maps, split_down
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """f(t, i, y, z) = alpha[k, i] y + (gz[k] z)_i + beta[k, i] on the piece
+    k in force at t, which starts at starts[k]; with an ``obstacle``, plus
+    the penalty n (g(t, i) - y)^+. ``alpha``, ``gz`` and ``beta`` broadcast
+    to (pieces, N), (pieces, N, N) and (pieces, N)."""
+
+    starts: tuple = (0.0,)
+    alpha: object = 0.0
+    gz: object = 0.0
+    beta: object = 0.0
+    obstacle: object = None
+    n: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -27,12 +45,15 @@ class MarkovDriver:
     """Driver f(t, state, y, z) with its Lipschitz constants.
 
     ``lipschitz_y`` bounds the y-increment, ``lipschitz_z`` the increment
-    against the quadratic-variation seminorm.
+    against the quadratic-variation seminorm. ``affine``, when given, is
+    the same f as an ``AffineForm``, which the solvers use in place of
+    ``evaluate``.
     """
 
     evaluate: callable
     lipschitz_y: float = 0.0
     lipschitz_z: float = 0.0
+    affine: AffineForm = None
 
 
 @dataclass(frozen=True)
@@ -53,7 +74,7 @@ class BsdeSolution:
 
 
 def zero_driver():
-    return MarkovDriver(evaluate=lambda t, i, y, z: 0.0)
+    return MarkovDriver(evaluate=lambda t, i, y, z: 0.0, affine=AffineForm())
 
 
 def discount_driver(rate):
@@ -116,6 +137,64 @@ def _rhs(gen, driver, t, y):
     return out
 
 
+def _linear_pieces(spec, form):
+    """The merged pieces of the chain and the affine form ``form``: their
+    starts, and per piece A' + G, alpha and beta."""
+    starts = sorted(set(spec.starts) | set(form.starts))
+    n = spec.n_states
+    shape = (len(form.starts), n)
+    k = [piece_index(form.starts, t) for t in starts]
+    a_g = (np.array([spec.generator_at(t).T for t in starts])
+           + np.broadcast_to(form.gz, shape + (n,))[k])
+    return (starts, a_g, np.broadcast_to(form.alpha, shape)[k],
+            np.broadcast_to(form.beta, shape)[k])
+
+
+def _linear_rk4(spec, form, grid):
+    """RK4 steps of y' = -M y - beta as y -> P y + c, cut at every
+    breakpoint of the chain and the form: one ``chain.rk4_maps`` matrix
+    acting on [y; 1]."""
+    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    n = spec.n_states
+    aug = np.zeros((len(starts), n + 1, n + 1))
+    aug[:, :n, :n] = a_g + alpha[:, :, None] * np.eye(n)
+    aug[:, :n, n] = beta
+    maps, which = rk4_maps(starts, aug, grid)
+    p, c = maps[:, :n, :n], maps[:, :n, n]
+    return lambda k, y: p[which[k]] @ y + c[which[k]]
+
+
+def _linear_implicit(spec, form, grid):
+    """Implicit Euler steps of the affine form on the sub-steps of
+    ``_implicit_step``, in closed form per state. With z frozen at the top
+    value y, b + h beta' = y + h ((A' + G) y + beta), and v = (b + h beta') /
+    (1 - h alpha) where that is at least g, else (b + h beta' + h n g) /
+    (1 - h alpha + h n). Coefficients and g are those at the bottom time."""
+    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
+        raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
+    if form.obstacle is not None:
+        g_grid = form.obstacle.sample(grid, spec.n_states)
+
+    def step(k, y):
+        cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
+        for a_t, b_t in zip(cuts[:-1], cuts[1:]):
+            h = a_t - b_t
+            p = piece_index(starts, b_t)
+            num = y + h * (a_g[p] @ y + beta[p])
+            den = 1.0 - h * alpha[p]
+            y = num / den
+            if form.obstacle is not None:
+                if b_t == grid[k]:
+                    g = g_grid[k]
+                else:
+                    g = form.obstacle.sample([b_t], y.size)[0]
+                y = np.where(y < g, (num + h * form.n * g) / (den + h * form.n), y)
+        return y
+
+    return step
+
+
 def _implicit_step(spec, driver, t_hi, t_lo, y):
     cuts = split_down(spec.breakpoints(), t_lo, t_hi)
     n = y.size
@@ -136,7 +215,10 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     """Integrate the backward state-space reduction on a uniform grid.
 
     scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
-    node is the given vector exactly; no integration touches it. A failed
+    node is the given vector exactly; no integration touches it. A driver
+    with an affine form is stepped in closed form: RK4 by per-piece step
+    matrices (a penalized form falls back to ``evaluate`` there), implicit
+    Euler by ``_linear_implicit``. A failed
     ``check_contraction`` warns, or raises under ``strict_contraction``.
     """
     terminal = np.asarray(terminal, dtype=float)
@@ -158,19 +240,25 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     grid = uniform_grid(spec.horizon, steps)
     values = np.empty((steps + 1, spec.n_states))
     values[-1] = terminal
+    form = driver.affine
 
     def field(t_mid):
         gen = spec.generator_at(t_mid)
         return lambda t, y: _rhs(gen, driver, t, y)
 
+    if form is not None and scheme == "implicit_euler":
+        step = _linear_implicit(spec, form, grid)
+    elif form is not None and form.obstacle is None:
+        step = _linear_rk4(spec, form, grid)
+    elif scheme == "explicit_rk4":
+        def step(k, y):
+            return rk4_down(spec.breakpoints(), grid[k + 1], grid[k], y, field)
+    else:
+        def step(k, y):
+            return _implicit_step(spec, driver, grid[k + 1], grid[k], y)
     for k in range(steps - 1, -1, -1):
-        if scheme == "explicit_rk4":
-            values[k] = rk4_down(spec.breakpoints(), grid[k + 1], grid[k],
-                                 values[k + 1], field)
-        else:
-            values[k] = _implicit_step(spec, driver, grid[k + 1], grid[k],
-                                       values[k + 1])
-        if not np.all(np.isfinite(values[k])):
+        values[k] = step(k, values[k + 1])
+        if not np.isfinite(values[k]).all():
             raise NonFiniteError(f"driver blow-up at t={grid[k]:.6g}")
     return BsdeSolution(y=StateGridFunction(grid=grid, values=values),
                         scheme=scheme, steps=int(steps))

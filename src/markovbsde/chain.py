@@ -1,8 +1,8 @@
 """Finite-state Markov chain core: generator schedules, the backward RK4
-stepper for piecewise-constant coefficients, simulation into batches of
-paths, the batched path walk by stretches, martingale decomposition, the
-quadratic-variation matrix calculus and the pseudoinverse-based
-contraction check.
+stepper for piecewise-constant coefficients and its step matrices for
+linear equations, simulation into batches of paths, the batched path walk
+by stretches, martingale decomposition, the quadratic-variation matrix
+calculus and the pseudoinverse-based contraction check.
 
 Convention: rate matrices act on indicator columns, dX = A X dt + dM, so
 A[i, j] is the rate of jumping j -> i and every column of A sums to zero.
@@ -52,6 +52,30 @@ def rk4_down(breakpoints, t_hi, t_lo, y, field):
         k4 = f(b, y - h * k3)
         y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def rk4_maps(starts, mats, grid):
+    """The RK4 steps of z' = -L z down the uniform ``grid`` as matrices,
+    for L = mats[p] on the piece p that starts at starts[p]: the step from
+    grid[k + 1] to grid[k] is z -> maps[which[k]] @ z. Each map is
+    ``rk4_down`` run on the identity; the steps inside one piece share its
+    map, and a step that holds a breakpoint has its own."""
+    breaks = list(starts[1:])
+    eye = np.eye(mats.shape[-1])
+
+    def field(t_mid):
+        m = mats[piece_index(starts, t_mid)]
+        return lambda t, z: -(m @ z)
+
+    lo, hi = grid[:-1], grid[1:]
+    piece = np.searchsorted(starts, lo, side="right") - 1
+    cut = np.searchsorted(breaks, hi) > np.searchsorted(breaks, lo, side="right")
+    which = np.where(cut, len(starts) + np.cumsum(cut) - 1, piece)
+    maps = []
+    for m in range(len(starts) + np.count_nonzero(cut)):
+        k = np.flatnonzero(which == m)[:1]  # a piece may hold no whole step
+        maps.append(rk4_down(breaks, hi[k[0]], lo[k[0]], eye, field) if k.size else eye)
+    return np.array(maps), which
 
 
 def freeze_schedule(entries, shape, horizon, what, check):

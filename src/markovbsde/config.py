@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .bsde import MarkovDriver, discount_driver, zero_driver
+from .bsde import AffineForm, MarkovDriver, discount_driver, zero_driver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
 from .hedge import make_hedge_driver
@@ -119,14 +119,16 @@ def _read_driver(spec, n, market):
         return zero_driver
     if kind == "constant":
         value = _float(spec.get("value"), "driver.value")
-        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: value)
+        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: value,
+                                    affine=AffineForm(beta=value))
     if kind == "discount":
         return partial(discount_driver, _float(spec.get("rate"), "driver.rate"))
     if kind == "affine":
         a = _vector(spec.get("a", 0.0), n, "driver.a", broadcast=True)
         b = _float(spec.get("b", 0.0), "driver.b")
         return lambda: MarkovDriver(evaluate=lambda t, i, y, z: float(a[i]) + b * y,
-                                    lipschitz_y=abs(b))
+                                    lipschitz_y=abs(b),
+                                    affine=AffineForm(alpha=b, beta=a))
     if kind == "hedge":
         _require(market is not None, "hedge driver needs a market section")
         return partial(make_hedge_driver, market)
@@ -142,7 +144,9 @@ def _read_payoff(spec, n, market):
     if kind == "affine":
         a = _vector(spec.get("a", 0.0), n, "payoff.a", broadcast=True)
         b = _vector(spec.get("b", 0.0), n, "payoff.b", broadcast=True)
-        return lambda curves, steps: Obstacle(g=lambda t, i: float(a[i] + b[i] * t))
+        return lambda curves, steps: Obstacle(
+            g=lambda t, i: float(a[i] + b[i] * t),
+            values=lambda times: a + b * times[:, None])
     if kind == "put_on_stock":
         _require(market is not None, "put_on_stock payoff needs a market section")
         strike = _float(spec.get("strike"), "payoff.strike")
@@ -154,7 +158,15 @@ def _read_payoff(spec, n, market):
             if curves is None:
                 curves = stock_curves(market, steps=steps)
             curve = curves.curve(stock)
-            return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
+
+            def values(times):
+                # the curve's rows on its grid, one interpolation per time off it
+                on_grid = np.array_equal(times, curve.grid)
+                prices = curve.values if on_grid else [curve.interp(t) for t in times]
+                return np.maximum(strike - np.asarray(prices), 0.0)
+
+            return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0),
+                            values=values)
         return build
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
@@ -183,9 +195,12 @@ def load_config(path, overrides=None):
     """Read and check the run configuration at ``path``. ``overrides``
     maps solver fields to values that replace the file's; they pass the
     same checks."""
+    # bytes, so that the parser reports a bad encoding as a YAMLError; the
+    # libyaml loader where it is built, else the pure-Python one
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            raw = yaml.load(fh, Loader=loader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a mapping")

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import MarkovDriver
+from .bsde import AffineForm, MarkovDriver
 from .chain import check_contraction, path_chunks, rate_bound_m
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
-from .grids import StateGridFunction, sample_on_grid
+from .grids import StateGridFunction
 from .market import sdf_path
 from .rbsde import solve_reflected
 
@@ -40,11 +40,15 @@ def hedge_driver(market, t, state, v, z):
 
 
 def make_hedge_driver(market):
-    """MarkovDriver wrapper with measured Lipschitz constants."""
+    """MarkovDriver wrapper with measured Lipschitz constants. Its affine
+    form holds, per market piece, alpha = -r and G = diag(r) - (A' - Gamma')."""
     rep = driver_constants(market)
+    rates = np.array([piece.rates for piece in market.pieces])
+    gz = np.array([np.diag(piece.rates) - piece.drift for piece in market.pieces])
     return MarkovDriver(
         evaluate=lambda t, i, v, z: hedge_driver(market, t, i, v, z),
-        lipschitz_y=rep["c4"], lipschitz_z=rep["c6"])
+        lipschitz_y=rep["c4"], lipschitz_z=rep["c6"],
+        affine=AffineForm(starts=market.piece_starts, alpha=-rates, gz=gz))
 
 
 def driver_constants(market):
@@ -218,7 +222,7 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     """
     chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths))
     h_mat = _discounted_h_matrix(market, solution)
-    g_mat = sample_on_grid(payoff.g, solution.grid, market.chain.n_states)
+    g_mat = payoff.sample(solution.grid, market.chain.n_states)
     samples, dominates = zip(*(_stopped_values(market, batch, solution, h_mat, g_mat)
                                for batch in chunks))
     samples = np.concatenate(samples)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, piece_index,
-                    rk4_down)
+                    rk4_maps)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
@@ -258,9 +258,10 @@ def stock_curves(market, steps=1000):
     """Solve the dividend ODE ds/dt + Gamma' s = -delta backward.
 
     Seeded at T with the stationary point of the final piece,
-    -(Gamma_end')^{-1} delta, then integrated down onto [0, T] with
-    ``chain.rk4_down``, so that each sub-step sees a constant Gamma. For
-    time-homogeneous data the seed is the exact solution.
+    -(Gamma_end')^{-1} delta, then integrated down onto [0, T] by the RK4
+    step matrices of ``chain.rk4_maps``, all stocks at once, so that each
+    sub-step sees a constant Gamma. For time-homogeneous data the seed is
+    the exact solution.
     Gamma_end' must be stable (all eigenvalue real parts negative) and the
     resulting prices strictly positive on [0, T].
     """
@@ -272,20 +273,22 @@ def stock_curves(market, steps=1000):
         raise UnstableGammaError(
             f"Gamma' eigenvalue real parts {np.sort(eig.real)} not all negative")
     grid = uniform_grid(horizon, steps)
-    breakpts = market.breakpoints()
-    curves = np.empty((market.n_stocks, grid.size, chain.n_states))
-    for j, delta in enumerate(market.dividends):
-        delta = np.asarray(delta, dtype=float)
-        s = np.linalg.solve(gamma_end, -delta)
-
-        def field(t_mid):
-            g = market.piece_at(t_mid).gamma.T
-            return lambda t, v: -g @ v - delta
-
-        curves[j, -1] = s
-        for k in range(grid.size - 2, -1, -1):
-            s = rk4_down(breakpts, grid[k + 1], grid[k], s, field)
-            curves[j, k] = s
+    n, m = chain.n_states, market.n_stocks
+    deltas = np.reshape(market.dividends, (m, n)).T
+    # [S; I] with S' = -Gamma' S - deltas, one column per stock
+    aug = np.zeros((len(market.pieces), n + m, n + m))
+    aug[:, :n, :n] = [piece.gamma.T for piece in market.pieces]
+    aug[:, :n, n:] = deltas
+    maps, which = rk4_maps(market.piece_starts, aug, grid)
+    p, c = maps[:, :n, :n], maps[:, :n, n:]
+    # a stack of one-column solves: each stock's seed rounds as its own solve
+    s = np.linalg.solve(gamma_end, -deltas.T[:, :, None])[:, :, 0].T
+    curves = np.empty((grid.size, n, m))
+    curves[-1] = s
+    for k in range(grid.size - 2, -1, -1):
+        s = p[which[k]] @ s + c[which[k]]
+        curves[k] = s
+    curves = curves.transpose(2, 0, 1)
     # a market without stocks has no prices to check
     if market.n_stocks and curves.min() <= 0.0:
         raise NonPositivePricesError(f"stock component hit {curves.min():.6g} <= 0")

@@ -7,11 +7,11 @@ formula arrived at from two directions (constraint reflection vs optimal
 stopping); both entry points are kept and must agree to machine precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import MarkovDriver, _rhs, solve_bsde
+from .bsde import MarkovDriver, _linear_pieces, _rhs, solve_bsde
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid, uniform_grid
 
@@ -20,18 +20,25 @@ from .grids import StateGridFunction, sample_on_grid, uniform_grid
 class Obstacle:
     """Lower barrier g(t, state), continuous in t per state. As the payoff
     of an American claim, g is the exercise value and g(T, .) the terminal
-    claim."""
+    claim. ``values``, when given, is g in array form: sorted times -> the
+    (len(times), N) array of g there, which sampling uses in place of one
+    call of g per time and state."""
 
     g: callable
+    values: callable = None
 
-    def sample(self, grid, n_states):
-        vals = sample_on_grid(self.g, grid, n_states)
+    def sample(self, times, n_states):
+        times = np.asarray(times, dtype=float)
+        if self.values is None:
+            vals = sample_on_grid(self.g, times, n_states)
+        else:
+            vals = self.values(times)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("obstacle produced non-finite values")
         return vals
 
     def terminal(self, horizon, n_states):
-        return np.array([self.g(horizon, i) for i in range(n_states)])
+        return self.sample([horizon], n_states)[0]
 
 
 def constant_obstacle(level):
@@ -75,23 +82,34 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     """Shared backward recursion: explicit Euler predictor then projection
     on the obstacle. Returns (values, per-step pushes).
 
-    Each step takes the generator in force at its left node and is not cut
-    at a breakpoint that falls between two nodes.
+    Each step takes the generator and driver in force at its left node and
+    is not cut at a breakpoint that falls between two nodes. With an affine
+    form the predictor is one matrix per piece, (I + dt M) v + dt beta.
     """
     n = spec.n_states
     steps = grid.size - 1
     dt = grid[1] - grid[0]
     vals = np.empty((steps + 1, n))
-    pushes = np.zeros((steps, n))
+    preds = np.empty((steps, n))
     vals[-1] = terminal
+    form = driver.affine
+    if form is not None and form.obstacle is None:
+        starts, a_g, alpha, beta = _linear_pieces(spec, form)
+        q = np.eye(n) + dt * (a_g + alpha[:, :, None] * np.eye(n))
+        c = dt * beta
+        piece = (np.searchsorted(starts, grid, side="right") - 1).tolist()
+
+        def predict(k, v):
+            return q[piece[k]] @ v + c[piece[k]]
+    else:
+        def predict(k, v):
+            return v - dt * _rhs(spec.generator_at(grid[k]), driver, grid[k], v)
     for k in range(steps - 1, -1, -1):
-        t = grid[k]
-        pred = vals[k + 1] - dt * _rhs(spec.generator_at(t), driver, t, vals[k + 1])
-        vals[k] = np.maximum(obstacle_vals[k], pred)
-        pushes[k] = vals[k] - pred
-        if not np.all(np.isfinite(vals[k])):
-            raise NonFiniteError(f"reflected sweep blew up at t={t:.6g}")
-    return vals, pushes
+        preds[k] = predict(k, vals[k + 1])
+        np.maximum(obstacle_vals[k], preds[k], out=vals[k])
+        if not np.isfinite(vals[k]).all():
+            raise NonFiniteError(f"reflected sweep blew up at t={grid[k]:.6g}")
+    return vals, vals[:-1] - preds
 
 
 def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
@@ -135,17 +153,21 @@ def snell_oracle(spec, driver, terminal, obstacle, steps):
 
 
 def penalized_driver(driver, obstacle, n):
-    """f + n * (v - g(t))^-, the penalty approximation of the reflection."""
+    """f + n * (v - g(t))^-, the penalty approximation of the reflection.
+    An unpenalized affine form of f carries over with the obstacle and n."""
     base = driver.evaluate
     g = obstacle.g
     n = float(n)
+    form = None  # a second penalty has no affine form
+    if driver.affine is not None and driver.affine.obstacle is None:
+        form = replace(driver.affine, obstacle=obstacle, n=n)
 
     def evaluate(t, i, y, z):
         return base(t, i, y, z) + n * max(g(t, i) - y, 0.0)
 
     return MarkovDriver(evaluate=evaluate,
                         lipschitz_y=driver.lipschitz_y + n,
-                        lipschitz_z=driver.lipschitz_z)
+                        lipschitz_z=driver.lipschitz_z, affine=form)
 
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):

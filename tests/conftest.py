@@ -16,6 +16,20 @@ def random_generator(rng, n, scale=2.0):
     return a
 
 
+def expm(m):
+    """Matrix exponential by scaling and squaring of a 20-term Taylor sum."""
+    norm = np.abs(m).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0 else 0
+    x = m / 2.0 ** squarings
+    out = term = np.eye(m.shape[0])
+    for k in range(1, 20):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def one_path(jump_times, states):
     """The hand-built path (jump times, visited states) on [0, 1] as a
     PathBatch of one."""

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from markovbsde.cli import main, report_rows
+from markovbsde.cli import _fmt, _write_csv, main, report_rows
 from markovbsde.config import load_config
 from markovbsde.errors import ConfigError
 from markovbsde.montecarlo import european_consistency, isometry_check
@@ -48,6 +49,32 @@ def test_load_bundled_configs():
         cfg = load_config(str(CONFIGS / name))
         assert cfg.chain.n_states == 2
         assert cfg.solver.steps == 1000
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml is not built")
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_libyaml_and_python_loaders_agree(path, monkeypatch):
+    fast, text = yaml.CSafeLoader, path.read_bytes()
+    assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+    used = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    load_config(path)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    load_config(path)
+    assert used == [fast, yaml.SafeLoader]
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes((CONFIGS / "twostate.yaml").read_bytes() + b"# caf\xe9\n")
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_config_rejects_wrong_schema_version(tmp_path):
@@ -345,3 +372,19 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    header = ("time", "state, quoted", 'say "x"')
+    rows = [(-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300),
+            (np.float64(0.1), np.int64(-7), np.bool_(True), np.bool_(False), True, 3),
+            ("a,b", 'say "hi"', "plain", "line\nbreak", "", 2.5),
+            (np.float32(0.1), None, np.str_("x,y"), 0, False, -1e-300),
+            ("",), (), [1.0, 2]]
+    _write_csv(tmp_path / "new.csv", header, iter(rows))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

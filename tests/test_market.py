@@ -12,7 +12,7 @@ from markovbsde.cli import curve_rows
 from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
                                UnstableGammaError)
 
-from conftest import one_path
+from conftest import expm, one_path
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -312,20 +312,6 @@ def test_terminal_sdf_sums_over_off_grid_stretches():
     assert pi[-1] == pytest.approx(np.exp(jumps - drift), rel=1e-14)
 
 
-def _expm(m):
-    """Matrix exponential by scaling and squaring of a 20-term Taylor sum."""
-    norm = np.abs(m).sum(axis=0).max()
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0 else 0
-    x = m / 2.0 ** squarings
-    out = term = np.eye(m.shape[0])
-    for k in range(1, 20):
-        term = term @ x / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _gamma_entrywise(a, c, d):
     n = a.shape[0]
     return np.array([[a[i, j] - d[i] if i == j else a[i, j] * np.exp(c[j, j] - c[j, i])
@@ -355,9 +341,9 @@ def test_stock_curves_match_exact_piecewise_solution():
         for k in range(2, -1, -1):
             star = np.linalg.solve(gts[k], -delta)
             for idx in np.nonzero((grid >= starts[k]) & (grid <= ends[k]))[0]:
-                exact[idx] = star + _expm(gts[k] * (ends[k] - grid[idx])) @ (s_end - star)
+                exact[idx] = star + expm(gts[k] * (ends[k] - grid[idx])) @ (s_end - star)
                 dev = max(dev, float(np.abs(exact[idx] - star).max()))
-            s_end = star + _expm(gts[k] * (ends[k] - starts[k])) @ (s_end - star)
+            s_end = star + expm(gts[k] * (ends[k] - starts[k])) @ (s_end - star)
         # RK4 on s' = -Gamma'(s - s*): the local error is the Taylor
         # remainder (h Gamma')^5 / 5! (s - s*), so the global error is at
         # most T dt^4 |Gamma'|^5 / 120 max|s - s*|
