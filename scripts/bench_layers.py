@@ -1,7 +1,7 @@
 """Time each pricing layer at fixed sizes and write the record as JSON.
 
 For each bundled market config with a put payoff and each grid size
-K = 1e3 and 1e4, times (best of ``--repeats``) ``stock_curves``,
+K = 1e3 and 1e4, times (best of 3) ``stock_curves``,
 ``solve_bsde`` under both schemes, ``solve_reflected``,
 ``penalization_limit``, ``price_american``, ``extract_hedge`` and
 ``replicate_forward`` on 100 paths, all with the config's pricing driver
@@ -13,8 +13,9 @@ The record also holds the machine, the versions and the git revision.
     python scripts/bench_layers.py --out BENCH.json [--compare OLD.json]
 
 With ``--compare`` it prints, per layer, the ratio of the new time to the
-one in OLD.json, in seconds and in kernel units. The package is imported
-from ``src/`` next to this script.
+one in OLD.json, in seconds and in kernel units, and keeps OLD.json's
+record in the new one as its ``baseline``. The package is imported from
+``src/`` next to this script.
 """
 
 import argparse
@@ -45,6 +46,7 @@ from run import reference_kernel  # noqa: E402
 CONFIGS = ("market_put", "market_pieces")
 SIZES = (1000, 10000)
 PATHS = 100
+REPEATS = 3
 
 
 def layers(cfg, steps):
@@ -75,9 +77,9 @@ def layers(cfg, steps):
     ]
 
 
-def best_time(call, repeats):
+def best_time(call):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = perf_counter()
         call()
         times.append(perf_counter() - t0)
@@ -104,7 +106,7 @@ def revision():
     return out.stdout.strip() + ("+modified" if dirty.stdout.strip() else "")
 
 
-def measure(repeats):
+def measure():
     warnings.simplefilter("ignore", RuntimeWarning)
     kernel = kernel_time()
     times = {}
@@ -113,7 +115,7 @@ def measure(repeats):
         for steps in SIZES:
             for layer, call in layers(cfg, steps):
                 key = f"{name} K={steps} {layer}"
-                times[key] = best_time(call, repeats)
+                times[key] = best_time(call)
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
     kernel += kernel_time()
     unit = statistics.median(kernel)
@@ -123,7 +125,7 @@ def measure(repeats):
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "pyyaml": yaml.__version__},
         "revision": revision(),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "kernel_s": unit,
         "layers": {key: {"s": t, "ref": t / unit} for key, t in times.items()},
     }
@@ -141,12 +143,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH.json", help="record to write")
     parser.add_argument("--compare", default=None, help="earlier record to compare with")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    record = measure(args.repeats)
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    record = measure()
     if args.compare:
-        compare(record, json.loads(Path(args.compare).read_text()))
+        old = json.loads(Path(args.compare).read_text())
+        old.pop("baseline", None)
+        compare(record, old)
+        record["baseline"] = old
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -16,6 +16,7 @@ with per-piece matrices and never call the driver back.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,13 +48,27 @@ class MarkovDriver:
     ``lipschitz_y`` bounds the y-increment, ``lipschitz_z`` the increment
     against the quadratic-variation seminorm. ``affine``, when given, is
     the same f as an ``AffineForm``, which the solvers use in place of
-    ``evaluate``.
+    ``evaluate``; without an ``evaluate``, f is read off the (unpenalized)
+    form.
     """
 
-    evaluate: callable
+    evaluate: callable = None
     lipschitz_y: float = 0.0
     lipschitz_z: float = 0.0
     affine: AffineForm = None
+
+    def __post_init__(self):
+        if self.evaluate is None:
+            object.__setattr__(self, "evaluate", partial(_affine_value, self.affine))
+
+
+def _affine_value(form, t, i, y, z):
+    """f(t, i, y, z) = alpha_i y + (G z)_i + beta_i of the form's piece at t."""
+    k = piece_index(form.starts, t)
+    shape = (len(form.starts), len(z))
+    return (np.broadcast_to(form.alpha, shape)[k, i] * y
+            + np.broadcast_to(form.gz, shape + shape[1:])[k, i] @ z
+            + np.broadcast_to(form.beta, shape)[k, i])
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class BsdeSolution:
 
 
 def zero_driver():
-    return MarkovDriver(evaluate=lambda t, i, y, z: 0.0, affine=AffineForm())
+    return MarkovDriver(affine=AffineForm())
 
 
 def discount_driver(rate):

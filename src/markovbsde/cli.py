@@ -37,50 +37,27 @@ def _fmt(x):
     return str(x)
 
 
-# printf conversions of the cell types _fmt formats, giving the same text
+# %-conversions of the cell types that _fmt writes, giving the same text
 _CONVERSIONS = {bool: "%s", np.bool_: "%s", int: "%d", np.int64: "%d",
                 float: "%.17g", np.float64: "%.17g"}
 
 
-def _row_format(shape):
-    """The %-format, line end included, of a row whose cells have the types
-    ``shape``; None if a cell has another type, which ``_fmt`` and
-    ``csv.writer`` then write."""
-    if not all(t in _CONVERSIONS for t in shape):
-        return None
-    return ",".join(_CONVERSIONS[t] for t in shape) + "\r\n"
-
-
-def _has_shape(row, shape):
-    """Whether the cells of ``row`` have the types ``shape``. An index loop:
-    a tuple of the types would be one more container per row for the
-    cyclic garbage collector to count."""
-    if shape is None or len(row) != len(shape):
-        return False
-    for j in range(len(row)):
-        if type(row[j]) is not shape[j]:
-            return False
-    return True
-
-
 def _write_csv(path, header, rows):
     """Write the header and rows as ``csv.writer`` writes ``_fmt`` of each
-    cell, with one format string per run of rows of one shape (the types
-    of their cells)."""
+    cell. A row of numbers and booleans goes through one %-format string
+    of its cell types; any other row through ``csv.writer``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    shape = fmt = None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             row = tuple(row)
-            if not _has_shape(row, shape):
-                shape = tuple(map(type, row))
-                fmt = _row_format(shape)
-            if fmt is None:
+            try:
+                line = ",".join([_CONVERSIONS[type(x)] for x in row]) % row
+            except KeyError:
                 writer.writerow([_fmt(x) for x in row])
             else:
-                fh.write(fmt % row)
+                fh.write(line + "\r\n")
 
 
 def grid_rows(grid, *columns):

@@ -119,15 +119,13 @@ def _read_driver(spec, n, market):
         return zero_driver
     if kind == "constant":
         value = _float(spec.get("value"), "driver.value")
-        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: value,
-                                    affine=AffineForm(beta=value))
+        return lambda: MarkovDriver(affine=AffineForm(beta=value))
     if kind == "discount":
         return partial(discount_driver, _float(spec.get("rate"), "driver.rate"))
     if kind == "affine":
         a = _vector(spec.get("a", 0.0), n, "driver.a", broadcast=True)
         b = _float(spec.get("b", 0.0), "driver.b")
-        return lambda: MarkovDriver(evaluate=lambda t, i, y, z: float(a[i]) + b * y,
-                                    lipschitz_y=abs(b),
+        return lambda: MarkovDriver(lipschitz_y=abs(b),
                                     affine=AffineForm(alpha=b, beta=a))
     if kind == "hedge":
         _require(market is not None, "hedge driver needs a market section")
@@ -144,9 +142,7 @@ def _read_payoff(spec, n, market):
     if kind == "affine":
         a = _vector(spec.get("a", 0.0), n, "payoff.a", broadcast=True)
         b = _vector(spec.get("b", 0.0), n, "payoff.b", broadcast=True)
-        return lambda curves, steps: Obstacle(
-            g=lambda t, i: float(a[i] + b[i] * t),
-            values=lambda times: a + b * times[:, None])
+        return lambda curves, steps: Obstacle(values=lambda times: a + b * times[:, None])
     if kind == "put_on_stock":
         _require(market is not None, "put_on_stock payoff needs a market section")
         strike = _float(spec.get("strike"), "payoff.strike")
@@ -165,8 +161,7 @@ def _read_payoff(spec, n, market):
                 prices = curve.values if on_grid else [curve.interp(t) for t in times]
                 return np.maximum(strike - np.asarray(prices), 0.0)
 
-            return Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0),
-                            values=values)
+            return Obstacle(values=values)
         return build
     raise ConfigError(f"unknown payoff kind {kind!r}")
 

@@ -22,10 +22,14 @@ class Obstacle:
     of an American claim, g is the exercise value and g(T, .) the terminal
     claim. ``values``, when given, is g in array form: sorted times -> the
     (len(times), N) array of g there, which sampling uses in place of one
-    call of g per time and state."""
+    call of g per time and state; without a ``g``, g is read off it."""
 
-    g: callable
+    g: callable = None
     values: callable = None
+
+    def __post_init__(self):
+        if self.g is None:
+            object.__setattr__(self, "g", lambda t, i: self.values(np.array([t]))[0, i])
 
     def sample(self, times, n_states):
         times = np.asarray(times, dtype=float)

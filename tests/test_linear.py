@@ -15,15 +15,18 @@ from hypothesis import strategies as st
 from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import AffineForm, _linear_implicit, _scalar_implicit
+from markovbsde.bsde import zero_driver
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import uniform_grid
-from markovbsde.hedge import make_hedge_driver
+from markovbsde.hedge import hedge_driver, make_hedge_driver
+from markovbsde.market import stock_curves
 from markovbsde.rbsde import penalized_driver
 
 from conftest import expm
 
-PIECES = Path(__file__).resolve().parents[1] / "configs" / "market_pieces.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PIECES = CONFIGS / "market_pieces.yaml"
 
 
 def gamma_t(a, c, d):
@@ -196,3 +199,47 @@ def test_closed_form_implicit_step_rejects_non_positive_denominator():
                           affine=AffineForm(alpha=20.0))
     with pytest.raises(NonFiniteError):
         solve_bsde(spec, driver, np.ones(1), 10, scheme="implicit_euler")
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_read_off_the_form_is_the_pricing_driver(n, seed):
+    """A driver given only its affine form evaluates f from it: for the
+    pricing driver's form that is the paper's -r v + r z_i - ((A' - Gamma') z)_i,
+    on every piece and at the breakpoints themselves."""
+    rng = np.random.default_rng(seed)
+    market, _ = random_market(rng, n, *(off_grid(rng, 1, 40) for _ in "ACD"))
+    driver = MarkovDriver(affine=make_hedge_driver(market).affine)
+    times = [*market.piece_starts, *rng.uniform(0.0, 1.0, 10)]
+    for t in times:
+        i = int(rng.integers(n))
+        y, z = rng.normal(), rng.normal(size=n)
+        want = hedge_driver(market, t, i, y, z)
+        assert abs(driver.evaluate(t, i, y, z) - want) <= 1e-13 * (1.0 + abs(want))
+    assert zero_driver().evaluate(0.5, 0, 2.0, np.ones(n)) == 0.0
+
+
+def test_config_kinds_read_f_and_g_off_their_array_forms(tmp_path):
+    """The config's constant and affine drivers evaluate the YAML's f, and
+    its affine and put payoffs sample the YAML's g, one time at a time."""
+    raw = yaml.safe_load((CONFIGS / "market_regime.yaml").read_text())
+    cfg = load_config(CONFIGS / "market_regime.yaml")
+    z = np.array([0.3, -0.2])
+    for driver, f in (({"kind": "constant", "value": 0.7}, lambda i, y: 0.7),
+                      ({"kind": "affine", "a": [0.1, -0.2], "b": -0.5},
+                       lambda i, y: [0.1, -0.2][i] - 0.5 * y)):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({**raw, "driver": driver}))
+        built = load_config(path).build_driver()
+        for t, i, y in ((0.0, 0, 1.5), (0.4, 1, -2.0), (1.0, 1, 0.25)):
+            assert built.evaluate(t, i, y, z) == f(i, y)
+    affine = cfg.build_payoff()
+    put = load_config(CONFIGS / "market_put.yaml")
+    curves = stock_curves(put.market, steps=50)
+    put_payoff = put.build_payoff(curves)
+    curve = curves.curve(0)
+    strike = yaml.safe_load((CONFIGS / "market_put.yaml").read_text())["payoff"]["strike"]
+    for t in (0.0, 0.013, 0.5, 1.0):
+        for i in range(2):
+            assert affine.g(t, i) == [0.4, 0.6][i]
+            assert put_payoff.g(t, i) == max(strike - float(curve.interp(t)[i]), 0.0)
