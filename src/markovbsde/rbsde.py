@@ -111,8 +111,10 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     for k in range(steps - 1, -1, -1):
         preds[k] = predict(k, vals[k + 1])
         np.maximum(obstacle_vals[k], preds[k], out=vals[k])
-        if not np.isfinite(vals[k]).all():
-            raise NonFiniteError(f"reflected sweep blew up at t={grid[k]:.6g}")
+    # the sweep runs down from the horizon: the last non-finite row blew up first
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"reflected sweep blew up at t={grid[bad[-1]]:.6g}")
     return vals, vals[:-1] - preds
 
 

@@ -9,9 +9,11 @@ from markovbsde import (MarkovDriver, Obstacle, constant_obstacle,
                         penalization_limit, simulate_path, skorokhod_integral,
                         snell_oracle, solve_bsde, solve_reflected,
                         zero_driver)
+from markovbsde.bsde import AffineForm
 from markovbsde.cli import grid_rows
 from markovbsde.rbsde import solve_penalized
-from markovbsde.errors import (NoConvergenceError, ObstacleIncompatibleError)
+from markovbsde.errors import (NoConvergenceError, NonFiniteError,
+                               ObstacleIncompatibleError)
 
 from conftest import random_chain
 
@@ -159,3 +161,15 @@ def test_reflected_on_random_chains_dominates_obstacle():
         sol = solve_reflected(spec, zero_driver(), xi, obs, 120)
         assert sol.values.min() >= lvl - 1e-12
         assert np.all(sol.step_pushes >= 0.0)
+
+
+def test_reflected_sweep_names_the_first_node_that_blows_up(two_state_chain):
+    """A sweep that overflows raises at the first non-finite node down from
+    the horizon, for a callback and an affine driver alike."""
+    square = MarkovDriver(lambda t, i, y, z: 50.0 * y * y, lipschitz_y=1.0)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.55$"):
+        solve_reflected(two_state_chain, square, np.full(2, 5.0), constant_obstacle(0.0), 20)
+    # the predictor multiplies by about 1 + 5e198 per step: inf two nodes down
+    steep = MarkovDriver(affine=AffineForm(alpha=1e200))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.9$"):
+        solve_reflected(two_state_chain, steep, np.ones(2), constant_obstacle(0.0), 20)
