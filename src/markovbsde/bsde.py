@@ -16,7 +16,6 @@ with per-piece matrices and never call the driver back.
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -59,16 +58,26 @@ class MarkovDriver:
 
     def __post_init__(self):
         if self.evaluate is None:
-            object.__setattr__(self, "evaluate", partial(_affine_value, self.affine))
+            object.__setattr__(self, "evaluate", _affine_evaluate(self.affine))
 
 
-def _affine_value(form, t, i, y, z):
-    """f(t, i, y, z) = alpha_i y + (G z)_i + beta_i of the form's piece at t."""
-    k = piece_index(form.starts, t)
-    shape = (len(form.starts), len(z))
-    return (np.broadcast_to(form.alpha, shape)[k, i] * y
-            + np.broadcast_to(form.gz, shape + shape[1:])[k, i] @ z
-            + np.broadcast_to(form.beta, shape)[k, i])
+def _affine_evaluate(form):
+    """f(t, i, y, z) = alpha_i y + (G z)_i + beta_i of the form's piece at t,
+    with the form's arrays broadcast once per number of states."""
+    arrays = {}
+
+    def evaluate(t, i, y, z):
+        n = len(z)
+        if n not in arrays:
+            shape = (len(form.starts), n)
+            arrays[n] = (np.broadcast_to(form.alpha, shape),
+                         np.broadcast_to(form.gz, shape + (n,)),
+                         np.broadcast_to(form.beta, shape))
+        alpha, gz, beta = arrays[n]
+        k = piece_index(form.starts, t)
+        return alpha[k, i] * y + gz[k, i] @ z + beta[k, i]
+
+    return evaluate
 
 
 @dataclass(frozen=True)
