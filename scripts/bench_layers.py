@@ -1,11 +1,21 @@
-"""Time each pricing layer at fixed sizes and write the record as JSON.
+"""Time each pricing and path layer at fixed sizes and write the record
+as JSON.
 
-For each bundled market config with a put payoff and each grid size
-K = 1e3 and 1e4, times (best of 3) ``stock_curves``,
-``solve_bsde`` under both schemes, ``solve_reflected``,
-``penalization_limit``, ``price_american``, ``extract_hedge`` and
-``replicate_forward`` on 100 paths, all with the config's pricing driver
-and payoff. Each time is given in seconds and in units of
+For each bundled market config with a put payoff, times (best of 3):
+
+- at each grid size K = 1e3 and 1e4: ``stock_curves``, ``solve_bsde``
+  under both schemes, ``solve_reflected``, ``penalization_limit``,
+  ``price_american``, ``extract_hedge`` and ``replicate_forward`` on 100
+  paths, all with the config's pricing driver and payoff;
+- at each path count P = 1e4 and 1e5, on the paths of seeds 0 .. P - 1:
+  ``simulate_paths``; ``sdf_path`` on a grid of 201 nodes, over the batch
+  cut into batches of 1e4 paths (one table of 1e5 paths by 201 nodes
+  would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
+  (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
+  batch; and ``discounted_value_check`` of the put priced at K = 200,
+  which draws its own paths.
+
+Each time is given in seconds and in units of
 ``benchmark/run.py``'s ``reference_kernel`` (the median of its runs before
 and after the layers), which cancels part of the CPU's changes of speed.
 The record also holds the machine, the versions and the git revision.
@@ -36,16 +46,22 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from markovbsde import (extract_hedge, penalization_limit, price_american,  # noqa: E402
+from markovbsde import (PathBatch, discounted_value_check, extract_hedge,  # noqa: E402
+                        isometry_check, penalization_limit, price_american,
                         replicate_forward, simulate_paths, solve_bsde,
                         solve_reflected, stock_curves)
 from markovbsde.config import load_config  # noqa: E402
 from markovbsde.hedge import make_hedge_driver  # noqa: E402
+from markovbsde.market import sdf_path, terminal_sdf  # noqa: E402
+from markovbsde.montecarlo import stochastic_integral  # noqa: E402
 from run import reference_kernel  # noqa: E402
 
 CONFIGS = ("market_put", "market_pieces")
 SIZES = (1000, 10000)
 PATHS = 100
+MC_PATHS = (10_000, 100_000)
+MC_STEPS = 200
+SDF_BATCH = 10_000
 REPEATS = 3
 
 
@@ -74,6 +90,37 @@ def layers(cfg, steps):
         ("extract_hedge", lambda: extract_hedge(market, curves, priced)),
         (f"replicate_forward {PATHS} paths",
          lambda: replicate_forward(strategy, priced, paths)),
+    ]
+
+
+def batches(paths, size):
+    """The batch cut into consecutive batches of ``size`` paths."""
+    for lo in range(0, paths.n_paths, size):
+        hi = min(lo + size, paths.n_paths)
+        a, b = paths.offsets[lo], paths.offsets[hi]
+        yield PathBatch(paths.offsets[lo:hi + 1] - a, paths.jump_times[a:b],
+                        paths.states[a + lo:b + hi], paths.horizon, paths.seeds[lo:hi])
+
+
+def path_layers(cfg, n_paths):
+    """(name, call) of each path layer on the config at ``n_paths`` paths;
+    the inputs of each call are made before it is timed."""
+    market, chain = cfg.market, cfg.chain
+    curves = stock_curves(market, steps=MC_STEPS)
+    payoff = cfg.build_payoff(curves=curves)
+    priced = price_american(market, payoff, MC_STEPS)
+    grid = np.linspace(0.0, chain.horizon, MC_STEPS + 1)
+    z = np.eye(chain.n_states)[0]
+    paths = simulate_paths(chain, range(n_paths))
+    return [
+        ("simulate_paths", lambda: simulate_paths(chain, range(n_paths))),
+        (f"sdf_path {grid.size} nodes",
+         lambda: [sdf_path(market, batch, grid) for batch in batches(paths, SDF_BATCH)]),
+        ("terminal_sdf", lambda: terminal_sdf(market, paths)),
+        ("stochastic_integral", lambda: stochastic_integral(chain, z, paths)),
+        ("isometry_check", lambda: isometry_check(chain, z, n_paths, paths=paths)),
+        (f"discounted_value_check K={MC_STEPS}",
+         lambda: discounted_value_check(market, payoff, priced, n_paths)),
     ]
 
 
@@ -112,9 +159,11 @@ def measure():
     times = {}
     for name in CONFIGS:
         cfg = load_config(ROOT / "configs" / f"{name}.yaml")
-        for steps in SIZES:
-            for layer, call in layers(cfg, steps):
-                key = f"{name} K={steps} {layer}"
+        sizes = [(f"K={steps}", layers, steps) for steps in SIZES]
+        sizes += [(f"P={n}", path_layers, n) for n in MC_PATHS]
+        for size, build, arg in sizes:
+            for layer, call in build(cfg, arg):
+                key = f"{name} {size} {layer}"
                 times[key] = best_time(call)
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
     kernel += kernel_time()

@@ -48,7 +48,8 @@ class MarkovDriver:
     against the quadratic-variation seminorm. ``affine``, when given, is
     the same f as an ``AffineForm``, which the solvers use in place of
     ``evaluate``; without an ``evaluate``, f is read off the (unpenalized)
-    form.
+    form, and an f read off one form is read again off the form a copy
+    made by ``dataclasses.replace`` holds.
     """
 
     evaluate: callable = None
@@ -57,7 +58,8 @@ class MarkovDriver:
     affine: AffineForm = None
 
     def __post_init__(self):
-        if self.evaluate is None:
+        if self.evaluate is None \
+                or getattr(self.evaluate, "form", self.affine) is not self.affine:
             object.__setattr__(self, "evaluate", _affine_evaluate(self.affine))
 
 
@@ -77,6 +79,7 @@ def _affine_evaluate(form):
         k = piece_index(form.starts, t)
         return alpha[k, i] * y + gz[k, i] @ z + beta[k, i]
 
+    evaluate.form = form
     return evaluate
 
 

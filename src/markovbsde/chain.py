@@ -17,11 +17,13 @@ import numpy as np
 
 from .errors import (BadScheduleError, BadStateError, NonGeneratorError,
                      TooFewPathsError)
+from .seeding import pcg64_states
 
 _GEN_TOL = 1e-12
-# Paths per batch of the Monte Carlo checks, which bounds the size of their
-# (paths x terms) and (paths x grid nodes) tables.
-_CHUNK = 64
+# Table cells per batch of the Monte Carlo checks: each cuts its paths into
+# batches whose widest (paths x columns) table holds at most this many, as
+# 64 paths of 256 columns do.
+_CELLS = 64 * 256
 
 
 def piece_index(starts, t):
@@ -191,6 +193,12 @@ def counts_at(rows, values, n_rows, times):
     return np.cumsum(hist.reshape(n_rows, width), axis=1)[:, :-1]
 
 
+def path_totals(n_paths, rows, terms):
+    """Each path's total of ``path_sums``, in an array of its own: the
+    table goes when this returns."""
+    return path_sums(n_paths, rows, terms)[:, -1].copy()
+
+
 def path_sums(n_paths, rows, terms):
     """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
     ``terms`` (numbers, or rows added entry by entry) in their given order
@@ -245,21 +253,37 @@ class PathBatch:
     def n_paths(self):
         return len(self.seeds)
 
-    def chunks(self):
-        """The batch as consecutive batches of at most ``_CHUNK`` paths."""
-        for lo in range(0, self.n_paths, _CHUNK):
-            hi = min(lo + _CHUNK, self.n_paths)
+    def chunks(self, width):
+        """The batch as consecutive batches of as many paths as tables
+        ``width`` columns wide can have within ``_CELLS`` cells, at least
+        one."""
+        size = max(1, _CELLS // width)
+        for lo in range(0, self.n_paths, size):
+            hi = min(lo + size, self.n_paths)
             a, b = self.offsets[lo], self.offsets[hi]
             yield PathBatch(self.offsets[lo:hi + 1] - a, self.jump_times[a:b],
                             self.states[a + lo:b + hi], self.horizon, self.seeds[lo:hi])
 
+    def sum_width(self, n_cuts):
+        """Columns of a ``path_sums`` table over this batch with up to one
+        term per jump and one per stretch, the stretches cut at ``n_cuts``
+        times: 2 + n_cuts + twice the most jumps of a path."""
+        return 2 + n_cuts + 2 * int(np.diff(self.offsets).max(initial=0))
+
     def states_at(self, times):
         """(paths, len(times)) states occupied at the sorted ``times``
-        (right-continuous)."""
+        (right-continuous): each state repeated for the times from its
+        jump, or the path's start, to the path's next jump."""
+        times = np.asarray(times, dtype=float)
         paths = np.arange(self.n_paths)
-        jumps = counts_at(np.repeat(paths, np.diff(self.offsets)), self.jump_times,
-                          self.n_paths, np.asarray(times, dtype=float))
-        return self.states[jumps + (self.offsets[:-1] + paths)[:, None]]
+        first = self.offsets[:-1] + paths  # each path's start in ``states``
+        start = np.zeros(self.states.size, dtype=np.intp)
+        jumped = np.ones(self.states.size, dtype=bool)
+        jumped[first] = False
+        start[jumped] = np.searchsorted(times, self.jump_times)
+        end = np.roll(start, -1)
+        end[self.offsets[1:] + paths] = times.size  # each path's last state
+        return np.repeat(self.states, end - start).reshape(self.n_paths, times.size)
 
     def stretches(self, cuts, starts):
         """Stretches of constant state and constant schedule piece of every
@@ -344,21 +368,26 @@ def simulate_paths(spec, seeds):
     equal those of ``rng.choice(n_states, p=A[:, i] / rate)``.
 
     Determinism contract: path p is a fixed function of (spec, seeds[p]),
-    drawn from its own ``Generator(PCG64(seeds[p]))``, the generator
+    drawn from the stream of ``Generator(PCG64(seeds[p]))``, the generator
     ``numpy.random.default_rng(seeds[p])`` builds; the CLI's CSVs rest on
     this stream, and a batch draws the same paths as its seeds one at a
-    time. Off-diagonal rates within the validation tolerance below zero
-    never carry a jump, and states without a positive off-diagonal rate are
-    absorbing (see ``_jump_table``).
+    time. The seeds' PCG64 states are computed in one pass
+    (``seeding.pcg64_states``), and one generator draws every path from its
+    seed's state; a seed numpy refuses raises numpy's error. Off-diagonal
+    rates within the validation tolerance below zero never carry a jump,
+    and states without a positive off-diagonal rate are absorbing (see
+    ``_jump_table``).
     """
     seeds = tuple(seeds)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     boundaries = spec.starts[1:] + (spec.horizon,)
     last = len(boundaries) - 1
     offsets = [0]
     jump_times = []
     states = []
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    for seeded in pcg64_states(seeds):
+        bitgen.state = seeded
         t = 0.0
         piece = 0
         state = spec.initial_state
@@ -387,21 +416,21 @@ def simulate_path(spec, seed):
     return simulate_paths(spec, [seed])
 
 
-def path_chunks(spec, seeds, paths=None):
-    """The paths of ``seeds``, at least two as a standard error needs, in
-    consecutive batches of at most ``_CHUNK`` paths: cut from ``paths``
-    when given, which must hold exactly those seeds, else drawn batch by
-    batch."""
+def path_chunks(spec, seeds, width, paths=None):
+    """The paths of ``seeds``, at least two as a standard error needs, as
+    the consecutive batches ``batch.chunks(width(batch))`` of the batch of
+    them all: ``paths`` when given, which must hold exactly those seeds,
+    else drawn in one ``simulate_paths`` call. ``width(batch)`` is the
+    column count of the caller's widest per-path table."""
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise TooFewPathsError(f"a Monte Carlo estimate needs at least 2 paths, "
                                f"got {len(seeds)}")
     if paths is None:
-        return (simulate_paths(spec, seeds[lo:lo + _CHUNK])
-                for lo in range(0, len(seeds), _CHUNK))
-    if paths.seeds != seeds:
+        paths = simulate_paths(spec, seeds)
+    elif paths.seeds != seeds:
         raise ValueError(f"paths must be those of seeds {seeds[0]} .. {seeds[-1]}")
-    return paths.chunks()
+    return paths.chunks(width(paths))
 
 
 def martingale_path(paths, spec, grid_steps):

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, piece_index,
-                    rk4_maps)
+from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, path_totals,
+                    piece_index, rk4_maps)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import StateGridFunction, uniform_grid
@@ -200,7 +200,7 @@ def terminal_sdf(market, paths):
     rows = np.concatenate([path, path[jump]])
     terms = np.concatenate([-(d[piece, state] * (t1 - t0)),
                             _log_jumps(market, t1, state, to)[jump]])
-    return np.exp(path_sums(paths.n_paths, rows, terms)[:, -1])
+    return np.exp(path_totals(paths.n_paths, rows, terms))
 
 
 def sdf_dynamics_residual(market, paths, grid_steps):

@@ -6,7 +6,11 @@ chain martingale carry no time-discretization bias; only dt integrals use
 quadrature. They take a ``PathBatch`` and return one value per path, each
 summed left to right as a loop over the path would. All estimates are
 deterministic given (seed_base, n_paths), with path p drawn from
-seed_base + p, and run in batches of ``chain._CHUNK`` paths.
+seed_base + p. Each check draws its paths in one pass and runs its
+functionals batch by batch, each batch as many paths as its widest
+per-path table fits in ``chain._CELLS`` cells: the padded ``path_sums``
+row of the stretch functionals, a few dozen columns, gives batches of
+hundreds of paths; a functional ``mc_estimate`` cannot see into gets 64.
 """
 
 from dataclasses import dataclass
@@ -14,10 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .chain import ChainSpec, path_chunks, path_sums, seminorm_sq
+from .chain import ChainSpec, path_chunks, path_totals, seminorm_sq
 from .errors import NonFiniteError
 from .hedge import make_hedge_driver
 from .market import terminal_sdf
+
+# Columns taken for the tables of a functional that ``mc_estimate`` cannot
+# see into: batches of 64 paths within ``chain._CELLS``.
+_OPAQUE_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,8 @@ def mc_estimate(chain, functional, n_paths, seed_base=0):
     if not isinstance(chain, ChainSpec):
         raise TypeError(f"expected ChainSpec, got {type(chain)}")
     samples = []
-    for batch in path_chunks(chain, range(seed_base, seed_base + n_paths)):
+    for batch in path_chunks(chain, range(seed_base, seed_base + n_paths),
+                             lambda paths: _OPAQUE_WIDTH):
         vals = np.asarray(functional(batch), dtype=float)
         if vals.shape != (batch.n_paths,):
             raise ValueError(f"functional returned shape {vals.shape} for "
@@ -62,7 +71,7 @@ def stochastic_integral(spec, z, paths):
     rows = np.concatenate([path[jump], path])
     terms = np.concatenate([z[to[jump]] - z[state[jump]],
                             -(za[piece, state] * (t1 - t0))])
-    return path_sums(paths.n_paths, rows, terms)[:, -1]
+    return path_totals(paths.n_paths, rows, terms)
 
 
 def seminorm_time_integral(spec, z, paths):
@@ -70,7 +79,7 @@ def seminorm_time_integral(spec, z, paths):
     path of the batch, from the per-piece Psi matrices of ``spec.psi``."""
     sq = np.array([[seminorm_sq(z, psi) for psi in psis] for psis in spec.psi])
     path, t0, t1, state, piece, _ = paths.stretches(spec.breakpoints(), spec.starts)
-    return path_sums(paths.n_paths, path, sq[piece, state] * (t1 - t0))[:, -1]
+    return path_totals(paths.n_paths, path, sq[piece, state] * (t1 - t0))
 
 
 def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):
@@ -81,8 +90,10 @@ def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):
     PathBatch of seeds seed_base .. seed_base + n_paths - 1.
     """
     z = np.asarray(z, dtype=float)
+    chunks = path_chunks(spec, range(seed_base, seed_base + n_paths),
+                         lambda batch: batch.sum_width(len(spec.breakpoints())), paths)
     parts = [(stochastic_integral(spec, z, batch), seminorm_time_integral(spec, z, batch))
-             for batch in path_chunks(spec, range(seed_base, seed_base + n_paths), paths)]
+             for batch in chunks]
     lhs, rhs = (np.concatenate(column) for column in zip(*parts))
     # squared with the C library's pow, as float ** 2 squares
     lhs = np.float_power(lhs, 2)
@@ -102,7 +113,8 @@ def european_consistency(market, terminal_claim, n_paths, steps=400,
     ``paths``, when given, is the already drawn PathBatch of seeds
     seed_base .. seed_base + n_paths - 1.
     """
-    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths), paths)
+    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths),
+                         lambda batch: batch.sum_width(len(market.breakpoints())), paths)
     claim = np.asarray(terminal_claim, dtype=float)
     driver = make_hedge_driver(market)
     sol = solve_bsde(market.chain, driver, claim, steps)

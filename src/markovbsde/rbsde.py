@@ -22,14 +22,16 @@ class Obstacle:
     of an American claim, g is the exercise value and g(T, .) the terminal
     claim. ``values``, when given, is g in array form: sorted times -> the
     (len(times), N) array of g there, which sampling uses in place of one
-    call of g per time and state; without a ``g``, g is read off it."""
+    call of g per time and state; without a ``g``, g is read off it, and
+    a g read off one ``values`` is read again off the ``values`` a copy
+    made by ``dataclasses.replace`` holds."""
 
     g: callable = None
     values: callable = None
 
     def __post_init__(self):
-        if self.g is None:
-            object.__setattr__(self, "g", lambda t, i: self.values(np.array([t]))[0, i])
+        if self.g is None or getattr(self.g, "values", self.values) is not self.values:
+            object.__setattr__(self, "g", _values_g(self.values))
 
     def sample(self, times, n_states):
         times = np.asarray(times, dtype=float)
@@ -43,6 +45,15 @@ class Obstacle:
 
     def terminal(self, horizon, n_states):
         return self.sample([horizon], n_states)[0]
+
+
+def _values_g(values):
+    """g(t, i) read off the array form ``values``, one time at a time."""
+    def g(t, i):
+        return values(np.array([t]))[0, i]
+
+    g.values = values
+    return g
 
 
 def constant_obstacle(level):

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import path_reference as ref
 from markovbsde import (Obstacle, PathBatch, build_chain_spec, build_market_spec,
-                        discount_driver, discounted_value_check,
+                        chain, discount_driver, discounted_value_check,
                         european_consistency, isometry_check, martingale_path,
-                        optimal_stop_time, pathwise_residual, price_american,
-                        replicate_forward, sdf_dynamics_residual, simulate_path,
-                        simulate_paths, solve_bsde, stock_curves,
+                        mc_estimate, optimal_stop_time, pathwise_residual,
+                        price_american, replicate_forward, sdf_dynamics_residual,
+                        simulate_path, simulate_paths, solve_bsde, stock_curves,
                         stock_sde_residual, uniform_grid)
-from markovbsde.chain import _CHUNK
+from markovbsde.chain import counts_at
 from markovbsde.errors import MarkovBsdeError
 from markovbsde.hedge import _discounted_h_matrix
 from markovbsde.market import sdf_path, terminal_sdf
@@ -92,6 +92,28 @@ def test_batched_functionals_equal_the_path_loops(seed):
                           ref.discounted_h_matrix(market, sol))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_states_at_equals_the_counts_form(seed):
+    # the jumps at or below each time, counted per path, index the states
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    grid = uniform_grid(1.0, int(rng.integers(1, 20)))
+    drawn = simulate_paths(market.chain, rng.integers(0, 10_000, 10))
+    paths = edge_paths(market, grid) + [ref.path_of(drawn, p) for p in range(10)]
+    paths = [paths[k] for k in rng.permutation(len(paths))]
+    batch = ref.batch_of(paths)
+    # no times; then times on jumps, on each other, at 0 and at the horizon
+    picks = rng.choice(batch.jump_times, min(batch.jump_times.size, 5), replace=False)
+    for times in (np.empty(0), np.sort(np.concatenate(
+            [grid, picks, picks[:2], rng.uniform(0.0, 1.0, int(rng.integers(0, 30)))]))):
+        p = np.arange(batch.n_paths)
+        jumps = counts_at(np.repeat(p, np.diff(batch.offsets)), batch.jump_times,
+                          batch.n_paths, times)
+        want = batch.states[jumps + (batch.offsets[:-1] + p)[:, None]]
+        assert np.array_equal(batch.states_at(times), want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_path_consumers_give_each_path_what_it_gets_alone(seed):
@@ -146,23 +168,47 @@ def put_market():
     return market, put, price_american(market, put, 50)
 
 
+@pytest.fixture
+def batch_counts(monkeypatch):
+    """A cell budget of a few hundred, so that every check cuts its paths
+    into several batches; the list of how many batches each cut gave."""
+    monkeypatch.setattr(chain, "_CELLS", 300)
+    counts = []
+    cut = PathBatch.chunks
+
+    def chunks(batch, width):
+        pieces = list(cut(batch, width))
+        counts.append(len(pieces))
+        return iter(pieces)
+
+    monkeypatch.setattr(PathBatch, "chunks", chunks)
+    return counts
+
+
 # the put market's rates break the sufficient contraction condition; the
 # checks compared here do not rely on it
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction")
-def test_checks_equal_the_path_loops_across_a_chunk_boundary():
+def test_checks_equal_the_path_loops_across_a_chunk_boundary(batch_counts):
     market, put, sol = put_market()
-    n_paths = _CHUNK + 3
+    spec, n_paths = market.chain, 67
     got = discounted_value_check(market, put, sol, n_paths, seed_base=5)
     assert got == ref.discounted_value_check(market, put, sol, n_paths, seed_base=5)
     assert got["dominates"] and got["std_error"] > 0.0
     z = np.array([1.0, -0.5, 2.0])
-    assert isometry_check(market.chain, z, n_paths, seed_base=5) == \
-        ref.isometry_check(market.chain, z, n_paths, seed_base=5)
+    assert isometry_check(spec, z, n_paths, seed_base=5) == \
+        ref.isometry_check(spec, z, n_paths, seed_base=5)
     claim = np.array([1.0, 2.0, 0.5])
     rep = european_consistency(market, claim, n_paths, steps=50, seed_base=5)
     samples = ref.european_samples(market, claim, n_paths, seed_base=5)
     assert rep["rhs"] == float(samples.mean())
     assert rep["std_error"] == float(samples.std(ddof=1) / np.sqrt(n_paths))
+    est = mc_estimate(spec, lambda b: stochastic_integral(spec, z, b), n_paths,
+                      seed_base=5)
+    samples = np.array([ref.stochastic_integral(spec, z, *ref.draw(spec, 5 + p))
+                        for p in range(n_paths)])
+    assert est.mean == float(samples.mean())
+    assert est.std_error == float(samples.std(ddof=1) / np.sqrt(n_paths))
+    assert len(batch_counts) == 4 and min(batch_counts) > 1
 
 
 @pytest.mark.parametrize("n_paths", [-3, 0, 1])
@@ -176,20 +222,23 @@ def test_checks_refuse_fewer_than_two_paths(n_paths):
         discounted_value_check(market, put, sol, n_paths)
 
 
-def test_batches_draw_seed_by_seed():
+def test_batches_draw_seed_by_seed(monkeypatch):
+    monkeypatch.setattr(chain, "_CELLS", 16 * 20)  # 16 paths of width 20
+    size = 16
     market, _, _ = put_market()
     spec = market.chain
-    seeds = range(100, 100 + _CHUNK + 3)
+    seeds = range(100, 100 + 2 * size + 3)
     batch = simulate_paths(spec, seeds)
-    chunks = list(batch.chunks())
+    chunks = list(batch.chunks(20))
     assert batch.seeds == tuple(seeds)
-    assert [c.seeds for c in chunks] == [tuple(seeds[:_CHUNK]), tuple(seeds[_CHUNK:])]
+    assert [c.seeds for c in chunks] == [tuple(seeds[:size]), tuple(seeds[size:2 * size]),
+                                         tuple(seeds[2 * size:])]
     # path p of the batch, of its chunk, of a batch of one and simulate_path
-    for p in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 2):
+    for p in (0, 1, size - 1, size, 2 * size + 2):
         one = simulate_paths(spec, [seeds[p]])
         assert one.seeds == simulate_path(spec, seeds[p]).seeds == (seeds[p],)
         for times, states in (ref.path_of(batch, p),
-                              ref.path_of(chunks[p // _CHUNK], p % _CHUNK),
+                              ref.path_of(chunks[p // size], p % size),
                               ref.path_of(simulate_path(spec, seeds[p]), 0)):
             assert np.array_equal(times, one.jump_times)
             assert np.array_equal(states, one.states)

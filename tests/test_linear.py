@@ -243,3 +243,25 @@ def test_config_kinds_read_f_and_g_off_their_array_forms(tmp_path):
         for i in range(2):
             assert affine.g(t, i) == [0.4, 0.6][i]
             assert put_payoff.g(t, i) == max(strike - float(curve.interp(t)[i]), 0.0)
+
+
+def test_replace_reads_f_and_g_off_the_new_form():
+    """A copy made by dataclasses.replace with a new form or new values
+    evaluates f or g from them; a callback given by the user stays."""
+    z = np.array([0.5, -1.0])
+    driver = MarkovDriver(affine=AffineForm(beta=1.0))
+    moved = replace(driver, affine=AffineForm(alpha=[0.5, 0.25], beta=2.0))
+    assert driver.evaluate(0.3, 1, 4.0, z) == 1.0
+    assert moved.evaluate(0.3, 1, 4.0, z) == 0.25 * 4.0 + 2.0
+    assert replace(moved, lipschitz_y=1.0).evaluate(0.3, 0, 4.0, z) == 4.0
+    own = replace(MarkovDriver(evaluate=lambda t, i, y, z: -y, affine=AffineForm(beta=1.0)),
+                  affine=AffineForm(beta=2.0))
+    assert own.evaluate(0.3, 0, 4.0, z) == -4.0
+    obstacle = Obstacle(values=lambda times: np.full((times.size, 2), 1.0))
+    raised = replace(obstacle, values=lambda times: np.column_stack([times, 2.0 * times]))
+    assert obstacle.g(0.5, 1) == 1.0
+    assert raised.g(0.5, 1) == 1.0 and raised.g(0.25, 0) == 0.25
+    assert raised.sample([0.25], 2).tolist() == [[0.25, 0.5]]
+    kept = replace(Obstacle(g=lambda t, i: 3.0, values=obstacle.values),
+                   values=raised.values)
+    assert kept.g(0.5, 1) == 3.0
