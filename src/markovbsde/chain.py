@@ -379,7 +379,7 @@ def simulate_paths(spec, seeds):
     ``_jump_table``).
     """
     seeds = tuple(seeds)
-    bitgen = np.random.PCG64(0)
+    bitgen = np.random.PCG64(0)  # put in each seed's state below
     rng = np.random.Generator(bitgen)
     boundaries = spec.starts[1:] + (spec.horizon,)
     last = len(boundaries) - 1
