@@ -359,9 +359,10 @@ def simulate_paths(spec, seeds):
     """Draw one trajectory per seed into a PathBatch, exact in
     distribution.
 
-    Holding times are exponential at the current diagonal rate; a holding
-    time reaching a schedule boundary is resampled from the boundary on
-    (memorylessness). The state after a jump is drawn from the jump table
+    Holding times are exponential at the current diagonal rate, drawn as
+    the mean times ``rng.standard_exponential()``, which is
+    ``rng.exponential(mean)`` bit for bit; a holding time reaching a
+    schedule boundary is resampled from the boundary on (memorylessness). The state after a jump is drawn from the jump table
     of ``spec.jumps`` with one ``rng.random()`` and a right-sided search of
     the CDF, which is how ``Generator.choice`` samples: for any generator
     ``choice`` accepts, the path and the stream position after each draw
@@ -381,6 +382,8 @@ def simulate_paths(spec, seeds):
     seeds = tuple(seeds)
     bitgen = np.random.PCG64(0)  # put in each seed's state below
     rng = np.random.Generator(bitgen)
+    exponential, uniform = rng.standard_exponential, rng.random
+    jumps = spec.jumps
     boundaries = spec.starts[1:] + (spec.horizon,)
     last = len(boundaries) - 1
     offsets = [0]
@@ -392,10 +395,10 @@ def simulate_paths(spec, seeds):
         piece = 0
         state = spec.initial_state
         states.append(state)
-        while t < spec.horizon:
-            table = spec.jumps[piece][state]
+        while True:  # until the last piece's boundary, the horizon
+            table = jumps[piece][state]
             end = boundaries[piece]
-            hold = np.inf if table is None else rng.exponential(table[0])
+            hold = np.inf if table is None else table[0] * exponential()
             if t + hold >= end:
                 t = end
                 if piece < last:
@@ -403,7 +406,7 @@ def simulate_paths(spec, seeds):
                     continue
                 break
             t += hold
-            state = bisect_right(table[1], rng.random())
+            state = bisect_right(table[1], uniform())
             jump_times.append(t)
             states.append(state)
         offsets.append(len(jump_times))
