@@ -7,8 +7,8 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
     dy_i/dt = -(A'(t) y(t))_i - f(t, i, y_i(t), y(t)),   y(T) = terminal,
 
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
-``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``),
-the residual's Hermite slopes and the reflected predictor of ``rbsde``.
+``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``)
+and the reflected predictor of ``rbsde``.
 A driver that carries its ``AffineForm`` makes the system linear on each
 piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then step it
 with per-piece matrices and never call the driver back.
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_contraction, piece_index, rk4_down, rk4_maps, split_down
+from .chain import (check_contraction, piece_index, pieces_at, rk4_down, rk4_maps,
+                    split_down, sums_at)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -292,34 +293,34 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
 
 
 def _hermite_curve(spec, driver, sol):
-    """t -> y(t), the cubic Hermite interpolant of the grid values with
-    slopes dy/dt from the reduced ODE. Each step takes the slope at either
-    end under the generator of its own piece there: at a breakpoint on a
-    node, the step ending there takes the left limit and the step starting
-    there the right limit."""
-    grid, vals, dt = sol.grid, sol.values, sol.y.step
-    lo = np.empty((grid.size - 1, vals.shape[1]))
-    hi = np.empty_like(lo)
-    for k in range(grid.size - 1):
-        cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
-        lo[k] = _rhs(spec.generator_at(0.5 * (cuts[-2] + grid[k])), driver,
-                     grid[k], vals[k])
-        hi[k] = _rhs(spec.generator_at(0.5 * (grid[k + 1] + cuts[1])), driver,
-                     grid[k + 1], vals[k + 1])
+    """times -> (len(times), N) values y(t), the cubic Hermite interpolant
+    of the grid values with slopes dy/dt = -A'y - f from the reduced ODE,
+    f read once per node. Each step takes the slope at either end under
+    the generator of its own piece there: at a breakpoint on a node, the
+    step ending there takes the left limit and the step starting there the
+    right limit."""
+    grid, vals = sol.grid, sol.values
+    steps = grid.size - 1
+    dt = (grid[-1] - grid[0]) / steps
+    f = np.array([[driver.evaluate(t, i, y[i], y) for i in range(y.size)]
+                  for t, y in zip(grid.tolist(), vals)])
+    gens_t = np.array([a.T for _, a in spec.schedule])
+    lo = -(gens_t[pieces_at(spec.starts, grid[:-1])] @ vals[:-1, :, None])[:, :, 0] - f[:-1]
+    hi = -(gens_t[pieces_at(spec.starts, grid[1:], side="left")]
+           @ vals[1:, :, None])[:, :, 0] - f[1:]
 
-    def curve(t):
-        if t <= grid[0]:
-            return vals[0]
-        if t >= grid[-1]:
-            return vals[-1]
-        k = min(int((t - grid[0]) / dt), grid.size - 2)
-        s = (t - grid[k]) / dt
+    def curve(times):
+        k = np.clip(((times - grid[0]) / dt).astype(np.intp), 0, steps - 1)
+        s = ((times - grid[k]) / dt)[:, None]
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (h00 * vals[k] + h10 * dt * lo[k]
-                + h01 * vals[k + 1] + h11 * dt * hi[k])
+        out = (h00 * vals[k] + h10 * dt * lo[k]
+               + h01 * vals[k + 1] + h11 * dt * hi[k])
+        out[times <= grid[0]] = vals[0]
+        out[times >= grid[-1]] = vals[-1]
+        return out
 
     return curve
 
@@ -333,37 +334,29 @@ def pathwise_residual(solution, paths, spec, driver, terminal):
     quadrature on each stretch of constant state and constant generator
     piece (``PathBatch.stretches`` cut at the grid nodes and the schedule
     breakpoints), with that stretch's generator, so the residual tracks
-    the scheme error.
+    the scheme error. The integrals over [0, t] are running sums over the
+    stretches, read at the grid nodes (``chain.sums_at``); f is called
+    once per Simpson point.
     """
     terminal = np.asarray(terminal, dtype=float)
     grid = solution.grid
     curve = _hermite_curve(spec, driver, solution)
-
-    def f_at(t, i):
-        y = curve(t)
-        return driver.evaluate(t, i, y[i], y)
-
-    def simpson(fn, a, b):
-        return (b - a) / 6.0 * (fn(a) + 4.0 * fn(0.5 * (a + b)) + fn(b))
-
-    # forward integrals of f and of y' dM over [0, t], read at the grid nodes
-    f_cum = np.zeros((paths.n_paths, grid.size))
-    m_cum = np.zeros_like(f_cum)
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    walk = paths.stretches(cuts, spec.starts)
-    for p, t0, t1, i, piece, to in zip(*(a.tolist() for a in walk)):
-        if t0 == 0.0:  # the path's first stretch
-            f_int = m_int = 0.0
-            gi = 1
-        col = spec.schedule[piece][1][:, i]
-        f_int += simpson(lambda t: f_at(t, i), t0, t1)
-        m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
-        if to >= 0:
-            yj = curve(t1)
-            m_int += float(yj[to] - yj[i])
-        while gi < grid.size and grid[gi] <= t1 + 1e-15:
-            f_cum[p, gi], m_cum[p, gi] = f_int, m_int
-            gi += 1
+    path, t0, t1, state, piece, to = paths.stretches(cuts, spec.starts)
+    cols = np.array([a for _, a in spec.schedule])[piece, :, state]
+    f_int = np.zeros(path.size)
+    m_int = np.zeros(path.size)
+    for t, weight in ((t0, 1.0), (0.5 * (t0 + t1), 4.0), (t1, 1.0)):
+        ys = curve(t)
+        f_int += weight * np.array([driver.evaluate(u, i, y[i], y) for u, i, y
+                                    in zip(t.tolist(), state.tolist(), ys)])
+        m_int -= weight * np.einsum("sn,sn->s", ys, cols)
+    rows = np.arange(path.size)
+    jumped = np.where(to >= 0, ys[rows, to] - ys[rows, state], 0.0)  # ys at t1
+    terms = np.column_stack([f_int, m_int]) * ((t1 - t0) / 6.0)[:, None]
+    terms[:, 1] += jumped
+    # forward integrals of f and of y' dM over [0, t], read at the grid nodes
+    f_cum, m_cum = np.moveaxis(sums_at(paths.n_paths, path, terms, t1, grid), 2, 0)
     states = paths.states_at(grid)
     y_path = solution.values[np.arange(grid.size), states]
     rhs = terminal[states[:, -1:]] + (f_cum[:, -1:] - f_cum) - (m_cum[:, -1:] - m_cum)

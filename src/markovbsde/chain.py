@@ -33,6 +33,12 @@ def piece_index(starts, t):
     return max(bisect_right(starts, t) - 1, 0)
 
 
+def pieces_at(starts, times, side="right"):
+    """``piece_index`` of each of ``times``, as an array; with
+    ``side="left"``, the piece in force just before each time."""
+    return np.maximum(np.searchsorted(starts, times, side=side) - 1, 0)
+
+
 def split_down(breakpoints, t_lo, t_hi):
     """[t_lo, t_hi] cut at the sorted ``breakpoints`` strictly inside it:
     the ends of its constant-piece sub-steps, in decreasing time."""
@@ -70,7 +76,7 @@ def rk4_maps(starts, mats, grid):
         return lambda t, z: -(m @ z)
 
     lo, hi = grid[:-1], grid[1:]
-    piece = np.searchsorted(starts, lo, side="right") - 1
+    piece = pieces_at(starts, lo)
     cut = np.searchsorted(breaks, hi) > np.searchsorted(breaks, lo, side="right")
     which = np.where(cut, len(starts) + np.cumsum(cut) - 1, piece)
     maps = []
@@ -199,18 +205,29 @@ def path_totals(n_paths, rows, terms):
     return path_sums(n_paths, rows, terms)[:, -1].copy()
 
 
-def path_sums(n_paths, rows, terms):
+def path_sums(n_paths, rows, terms, op=np.add):
     """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
     ``terms`` (numbers, or rows added entry by entry) in their given order
-    (``rows`` names each term's path), padded with the total: ``np.cumsum``
-    adds left to right, as a loop over the terms does."""
+    (``rows`` names each term's path), padded with the total: ``accumulate``
+    adds left to right, as a loop over the terms does. With
+    ``op=np.multiply``, running products from 1.0."""
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     counts = np.bincount(rows, minlength=n_paths)
     cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    table = np.zeros((n_paths, 1 + counts.max(initial=0), *terms.shape[1:]))
+    shape = (n_paths, 1 + counts.max(initial=0), *terms.shape[1:])
+    # np.zeros leaves the pages of a large table untouched until written
+    table = np.zeros(shape) if op is np.add else np.ones(shape)
     table[rows, cols] = terms[order]
-    return np.cumsum(table, axis=1)
+    return op.accumulate(table, axis=1)
+
+
+def sums_at(n_paths, rows, terms, ends, times, op=np.add):
+    """(n_paths, len(times), ...) running sums (or products) of ``path_sums``
+    read at the sorted ``times``: at each, the sum over the path's terms
+    whose ``ends`` are at or below it, for terms in time order."""
+    reach = counts_at(rows, ends, n_paths, times)
+    return path_sums(n_paths, rows, terms, op)[np.arange(n_paths)[:, None], reach]
 
 
 @dataclass(frozen=True)
@@ -256,9 +273,9 @@ class PathBatch:
     def chunks(self, width):
         """The batch as consecutive batches of as many paths as tables
         ``width`` columns wide can have within ``_CELLS`` cells, at least
-        one."""
+        one; a batch without paths as one batch without paths."""
         size = max(1, _CELLS // width)
-        for lo in range(0, self.n_paths, size):
+        for lo in range(0, max(self.n_paths, 1), size):
             hi = min(lo + size, self.n_paths)
             a, b = self.offsets[lo], self.offsets[hi]
             yield PathBatch(self.offsets[lo:hi + 1] - a, self.jump_times[a:b],
@@ -311,8 +328,8 @@ class PathBatch:
         state = self.states[np.cumsum(jump) + path]  # jumps so far, past the path's start
         inner = path[1:] == path[:-1]
         t0 = time[:-1][inner]
-        piece = np.maximum(np.searchsorted(starts, t0, side="right") - 1, 0)
-        return (path[:-1][inner], t0, time[1:][inner], state[:-1][inner], piece,
+        return (path[:-1][inner], t0, time[1:][inner], state[:-1][inner],
+                pieces_at(starts, t0),
                 np.where(jump[1:], state[1:], -1)[inner])
 
 
@@ -449,11 +466,9 @@ def martingale_path(paths, spec, grid_steps):
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
     path, t0, t1, state, piece, _ = paths.stretches(cuts, spec.starts)
     columns = np.array([a for _, a in spec.schedule])[piece, :, state]
-    drift = path_sums(paths.n_paths, path, columns * (t1 - t0)[:, None])
-    reach = counts_at(path, t1, paths.n_paths, grid)
+    drift = sums_at(paths.n_paths, path, columns * (t1 - t0)[:, None], t1, grid)
     eye = np.eye(spec.n_states)
-    out = (eye[paths.states_at(grid)] - eye[spec.initial_state]
-           - drift[np.arange(paths.n_paths)[:, None], reach])
+    out = eye[paths.states_at(grid)] - eye[spec.initial_state] - drift
     out[:, 0] = 0.0
     return out
 

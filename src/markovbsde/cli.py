@@ -138,7 +138,7 @@ def _cmd_solve_rbsde(config, out):
     sol = solve_reflected(config.chain, driver, terminal, payoff,
                           config.solver.steps)
     _write_csv(out / "rbsde_solution.csv", ("time", "state", "v", "z", "k"),
-               grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
+               grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
     limit = penalization_limit(config.chain, driver, terminal, payoff,
                                min(config.solver.steps, 400),
                                config.solver.penalization_tol)
@@ -156,7 +156,7 @@ def _cmd_price_american(config, out):
     sol = price_american(config.market, payoff, config.solver.steps,
                          strict_contraction=config.solver.strict_contraction)
     _write_csv(out / "american_solution.csv", ("time", "state", "v", "z", "k"),
-               grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
+               grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
     _write_csv(out / "payoff_surface.csv", ("time", "state", "g"),
                grid_rows(sol.grid, sol.g))
     return 0

@@ -15,6 +15,7 @@ import yaml
 from .bsde import AffineForm, MarkovDriver, discount_driver, zero_driver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
+from .grids import interp
 from .hedge import make_hedge_driver
 from .market import build_market_spec, stock_curves
 from .rbsde import Obstacle, constant_obstacle
@@ -153,13 +154,13 @@ def _read_payoff(spec, n, market):
         def build(curves, steps):
             if curves is None:
                 curves = stock_curves(market, steps=steps)
-            curve = curves.curve(stock)
+            grid, curve = curves.grid, curves.s[stock]
 
             def values(times):
-                # the curve's rows on its grid, one interpolation per time off it
-                on_grid = np.array_equal(times, curve.grid)
-                prices = curve.values if on_grid else [curve.interp(t) for t in times]
-                return np.maximum(strike - np.asarray(prices), 0.0)
+                # the curve's rows on its grid, interpolated off it
+                on_grid = np.array_equal(times, grid)
+                prices = curve if on_grid else interp(grid, curve, times)
+                return np.maximum(strike - prices, 0.0)
 
             return Obstacle(values=values)
         return build

@@ -9,8 +9,8 @@ import numpy as np
 class StateGridFunction:
     """A function [0, T] -> R^N sampled on a uniform time grid.
 
-    ``values[k]`` is the R^N slice at ``grid[k]``. Used for value curves,
-    obstacles, reflection processes and stock-price components alike.
+    ``values[k]`` is the R^N slice at ``grid[k]``. Used for value curves
+    and reflection processes.
     """
 
     grid: np.ndarray
@@ -33,31 +33,26 @@ class StateGridFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_steps(self):
-        return self.grid.size - 1
-
-    @property
-    def step(self):
-        return (self.grid[-1] - self.grid[0]) / self.n_steps
-
-    def interp(self, t):
-        """Linear interpolation in t, vector valued."""
-        t = float(t)
-        if t <= self.grid[0]:
-            return self.values[0].copy()
-        if t >= self.grid[-1]:
-            return self.values[-1].copy()
-        x = (t - self.grid[0]) / self.step
-        k = min(int(x), self.n_steps - 1)
-        w = x - k
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
 
 def uniform_grid(horizon, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return np.linspace(0.0, float(horizon), int(steps) + 1)
+
+
+def interp(grid, values, times):
+    """Linear interpolation in t of the slices ``values[k]`` at the nodes
+    ``grid[k]`` of a uniform grid, as a (len(times), ...) array: one slice
+    per time, the first and the last slice outside the grid."""
+    times = np.asarray(times, dtype=float)
+    n_steps = grid.size - 1
+    x = np.clip((times - grid[0]) / ((grid[-1] - grid[0]) / n_steps), 0.0, n_steps)
+    k = np.minimum(x.astype(np.intp), n_steps - 1)
+    w = (x - k).reshape(-1, *(1,) * (values.ndim - 1))
+    out = (1.0 - w) * values[k] + w * values[k + 1]
+    out[times <= grid[0]] = values[0]
+    out[times >= grid[-1]] = values[-1]
+    return out
 
 
 def sample_on_grid(fn, grid, n_states):

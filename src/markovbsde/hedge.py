@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AffineForm, MarkovDriver
-from .chain import check_contraction, path_chunks, rate_bound_m
+from .chain import check_contraction, path_chunks, pieces_at, rate_bound_m
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
-from .grids import StateGridFunction
 from .market import sdf_path
 from .rbsde import solve_reflected
 
@@ -19,15 +18,14 @@ from .rbsde import solve_reflected
 @dataclass(frozen=True)
 class HedgeStrategy:
     """Stock holdings h (per time), bond holdings h0 and bond account B
-    (per time and state), plus the reflection process of the price and the
-    path-independent terms of the wealth equation: the stock leg phi h, and
-    per step and state the wealth change between jumps (``carry``)."""
+    (per time and state), plus the path-independent terms of the wealth
+    equation: the stock leg phi h, and per step and state the wealth change
+    between jumps (``carry``)."""
 
     grid: np.ndarray
     h: np.ndarray          # (K+1, n) stock holdings
     h0: np.ndarray         # (K+1, N) bond holdings
     bond: np.ndarray       # (K+1, N) state-frozen bond account
-    k: StateGridFunction
     stock_leg: np.ndarray  # (K+1, N) phi h
     carry: np.ndarray      # (K, N) drift and bond leg, minus the push
 
@@ -123,9 +121,8 @@ def extract_hedge(market, curves, solution):
         k = singular[0]
         raise SingularPhiError(
             f"phi singular at t={grid[k]:.6g} (smallest sv {sv[k, -1]:.3g})")
-    h = np.linalg.solve(phis, solution.z.values[:, :, None])[:, :, 0]
-    # the piece in force at each node; the first piece starts at 0.0
-    piece_of = np.searchsorted(market.piece_starts, grid, side="right") - 1
+    h = np.linalg.solve(phis, solution.values[:, :, None])[:, :, 0]
+    piece_of = pieces_at(market.piece_starts, grid)  # the piece in force at each node
     rates = np.array([piece.rates for piece in market.pieces])[piece_of]
     dt = grid[1] - grid[0]
     bond = np.ones((grid.size, n))
@@ -143,8 +140,8 @@ def extract_hedge(market, curves, solution):
         drift[mask] = -(stock_leg[1:][mask] @ piece.gamma)
         bond_leg[mask] = h0[1:][mask] * piece.rates * bond[1:][mask]
     carry = dt * (drift + bond_leg) - solution.step_pushes
-    return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, k=solution.k,
-                         stock_leg=stock_leg, carry=carry)
+    return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, stock_leg=stock_leg,
+                         carry=carry)
 
 
 def replicate_forward(strategy, solution, paths):
@@ -157,8 +154,16 @@ def replicate_forward(strategy, solution, paths):
     behind (bond leg, stock drift and the consumption dK) plus, on a jump,
     the exact increment of the stock leg. The drift mirrors the backward
     scheme's endpoint choices, so a correct strategy tracks the value to
-    machine precision.
+    machine precision. The paths run in batches whose (paths x nodes)
+    tables fit in ``chain._CELLS`` cells.
     """
+    parts = [_replicate(strategy, solution, batch)
+             for batch in paths.chunks(solution.grid.size)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _replicate(strategy, solution, paths):
+    """``replicate_forward`` on one batch, whose tables go when this returns."""
     idx = np.arange(solution.grid.size)
     states = paths.states_at(solution.grid)
     i0, i1 = states[:, :-1], states[:, 1:]
@@ -166,7 +171,7 @@ def replicate_forward(strategy, solution, paths):
     leg = strategy.stock_leg
     p, k = np.nonzero(i1 != i0)  # the steps with a jump, which move the stock leg
     inc[p, k] += leg[k + 1, i1[p, k]] - leg[k + 1, i0[p, k]]
-    target = solution.v.values[idx, states]
+    target = solution.values[idx, states]
     wealth = np.concatenate((target[:, :1], target[:, :1] + np.cumsum(inc, axis=1)),
                             axis=1)
     payoff_path = solution.g[idx, states]
@@ -177,13 +182,17 @@ def replicate_forward(strategy, solution, paths):
 
 def _discounted_h_matrix(market, solution):
     """Per-(node, state) value of the discounted driver applied to the
-    undeflated canonical integrand; linear in the deflator."""
-    out = np.empty(solution.z.values.shape)
-    for k, (t, zv) in enumerate(zip(solution.grid, solution.z.values)):
-        piece = market.piece_at(t)
+    undeflated canonical integrand; linear in the deflator. Built per
+    schedule piece, on the nodes where it is in force."""
+    z = solution.values
+    out = np.empty(z.shape)
+    piece_of = pieces_at(market.piece_starts, solution.grid)
+    for k, piece in enumerate(market.pieces):
+        mask = piece_of == k
+        zk = z[mask]
         # row i: sum_j A_ji sigma_ij (z_j - z_i), summed as one row of N
-        cross = np.sum(piece.a.T * piece.sigma * (zv - zv[:, None]), axis=1)
-        out[k] = -piece.rates * zv + piece.drift @ zv - cross
+        cross = np.sum(piece.a.T * piece.sigma * (zk[:, None, :] - zk[:, :, None]), axis=2)
+        out[mask] = -piece.rates * zk + (piece.drift @ zk[:, :, None])[:, :, 0] - cross
     return out
 
 
@@ -196,7 +205,7 @@ def _stopped_values(market, batch, solution, h_mat, g_mat):
     idx = np.arange(grid.size)
     pi = sdf_path(market, batch, grid)
     states = batch.states_at(grid)
-    v_path = solution.v.values[idx, states]
+    v_path = solution.values[idx, states]
     g_path = g_mat[idx, states]
     dominates = not np.any(pi * v_path < pi * g_path - 1e-9)
     touch = v_path <= g_path + 1e-9
@@ -234,7 +243,7 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     samples = np.concatenate(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
-    target = float(solution.v.values[0, market.chain.initial_state])
+    target = float(solution.values[0, market.chain.initial_state])
     passed = abs(mean - target) <= 3.0 * se + 1e-12
     return {"mc_value": mean, "std_error": se, "solver_value": target,
             "pass": bool(passed), "dominates": all(dominates),

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, path_totals,
-                    piece_index, rk4_maps)
+                    piece_index, pieces_at, rk4_maps, sums_at)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
-from .grids import StateGridFunction, uniform_grid
+from .grids import interp, uniform_grid
 
 
 def _check_discount(value, shape, what):
@@ -155,8 +155,7 @@ def _log_jumps(market, t1, state, to):
     """Log-factor C_ii - C_ij of the jump i -> j = ``to`` at the end t1 of
     each stretch, or 0.0 where the stretch ends without a jump."""
     table = np.array([piece.log_jump for piece in market.pieces])
-    piece = np.maximum(np.searchsorted(market.piece_starts, t1, side="right") - 1, 0)
-    return np.where(to >= 0, table[piece, state, to], 0.0)
+    return np.where(to >= 0, table[pieces_at(market.piece_starts, t1), state, to], 0.0)
 
 
 def sdf_path(market, paths, grid):
@@ -208,30 +207,25 @@ def sdf_dynamics_residual(market, paths, grid_steps):
     exact jump handling) along each path of the batch and compare with the
     closed form: the max gap over the grid nodes, one value per path.
 
-    The pure-rate factor is applied exactly per step; the compensator of
+    The pure-rate factor is applied exactly per stretch; the compensator of
     the martingale term uses an Euler increment, so the residual decays
-    linearly in the step size and vanishes when C = 0.
+    linearly in the step size and vanishes when C = 0. The integrated
+    factor is a running product over the stretches (``chain.sums_at``), not
+    the exp of a sum of logs: a stretch's factor exp(-r dt) - comp dt is
+    not positive when dt is large.
     """
     grid = uniform_grid(paths.horizon, grid_steps)
-    closed = sdf_path(market, paths, grid)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    walk = paths.stretches(cuts, market.piece_starts)
-    worst = np.zeros(paths.n_paths)
-    for p, t0, t1, state, k, to in zip(*(a.tolist() for a in walk)):
-        if t0 == 0.0:  # the path's first stretch
-            pi = 1.0
-            gi = 1
-        dt = t1 - t0
-        piece = market.pieces[k]
-        r = float(piece.rates[state])
-        comp = float(piece.sigma[state, :] @ piece.a[:, state])  # X' sigma A X
-        pi = pi * np.exp(-r * dt) - pi * comp * dt
-        if to >= 0:
-            pi += pi * market.piece_at(t1).sigma[state, to]
-        while gi < grid.size and grid[gi] <= t1 + 1e-15:
-            worst[p] = max(worst[p], abs(pi - closed[p, gi]))
-            gi += 1
-    return worst
+    path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
+    rates = np.array([p.rates for p in market.pieces])
+    # X' sigma A X per piece and state
+    comp = np.array([np.einsum("ij,ji->i", p.sigma, p.a) for p in market.pieces])
+    sigma = np.array([p.sigma for p in market.pieces])
+    dt = t1 - t0
+    jump = np.where(to >= 0, sigma[pieces_at(market.piece_starts, t1), state, to], 0.0)
+    factors = (np.exp(-rates[piece, state] * dt) - comp[piece, state] * dt) * (1.0 + jump)
+    pi = sums_at(paths.n_paths, path, factors, t1, grid, op=np.multiply)
+    return np.abs(pi - sdf_path(market, paths, grid)).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -244,9 +238,6 @@ class StockCurves:
     @property
     def n_stocks(self):
         return self.s.shape[0]
-
-    def curve(self, j):
-        return StateGridFunction(grid=self.grid, values=self.s[j])
 
     def phi_all(self):
         """(K+1, N, n) stack of the N x n matrices phi whose columns are
@@ -299,28 +290,21 @@ def stock_sde_residual(market, curves, paths, grid_steps):
     """Integrate the stock dynamics (drift, dividends and the martingale
     term with exact jump handling) along each path of the batch and compare
     with the direct evaluation s(t)'X_t. Max over stocks and grid nodes, one
-    value per path."""
+    value per path. Each stretch takes its drift and compensator at its
+    start, with the stock vectors interpolated linearly in t."""
     grid = uniform_grid(paths.horizon, grid_steps)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    walk = [a.tolist() for a in paths.stretches(cuts, market.piece_starts)]
-    states = paths.states_at(grid)
-    worst = np.zeros(paths.n_paths)
-    for j, delta in enumerate(market.dividends):
-        curve = curves.curve(j)
-        for p, t0, t1, state, k, to in zip(*walk):
-            if t0 == 0.0:  # the path's first stretch
-                val = curve.interp(0.0)[state]
-                gi = 1
-            piece = market.pieces[k]
-            s_vec = curve.interp(t0)
-            drift = float((piece.drift @ s_vec)[state] - delta[state])
-            comp = float(s_vec @ piece.a[:, state])
-            val += (drift - comp) * (t1 - t0)
-            if to >= 0:
-                sv = curve.interp(t1)
-                val += float(sv[to] - sv[state])
-            while gi < grid.size and grid[gi] <= t1 + 1e-15:
-                direct = curve.interp(grid[gi])[states[p, gi]]
-                worst[p] = max(worst[p], abs(val - direct))
-                gi += 1
-    return worst
+    path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
+    s = curves.s.transpose(1, 0, 2)  # (K+1, stocks, N)
+    s0 = interp(curves.grid, s, t0)
+    drift = np.array([p.drift for p in market.pieces])[piece, state]
+    a_col = np.array([p.a for p in market.pieces])[piece, :, state]
+    deltas = np.reshape(market.dividends, (market.n_stocks, market.chain.n_states))
+    slope = (np.einsum("sn,smn->sm", drift, s0) - deltas[:, state].T
+             - np.einsum("smn,sn->sm", s0, a_col))
+    s1, rows = interp(curves.grid, s, t1), np.arange(path.size)
+    jumped = np.where((to >= 0)[:, None], s1[rows, :, to] - s1[rows, :, state], 0.0)
+    terms = slope * (t1 - t0)[:, None] + jumped
+    direct = interp(curves.grid, s, grid)[np.arange(grid.size), :, paths.states_at(grid)]
+    val = direct[:, :1] + sums_at(paths.n_paths, path, terms, t1, grid)
+    return np.abs(val - direct).max(axis=(1, 2), initial=0.0)

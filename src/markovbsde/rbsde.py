@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bsde import MarkovDriver, _linear_pieces, _rhs, solve_bsde
+from .chain import pieces_at
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid, uniform_grid
 
@@ -63,8 +64,8 @@ def constant_obstacle(level):
 
 @dataclass(frozen=True)
 class RbsdeSolution:
-    """Triple (value, canonical integrand, reflection) on a uniform grid;
-    the integrand is z = v, and ``z`` wraps the same array as ``v``.
+    """Value and reflection on a uniform grid; the canonical integrand is
+    z = v, so ``v`` serves as both.
 
     ``k`` holds the cumulative per-state reflection with k(0) = 0;
     ``step_pushes[j]`` is the push applied over [t_j, t_{j+1}); ``g`` is
@@ -72,7 +73,6 @@ class RbsdeSolution:
     """
 
     v: StateGridFunction
-    z: StateGridFunction
     k: StateGridFunction
     step_pushes: np.ndarray
     g: np.ndarray
@@ -112,7 +112,7 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
         q = np.eye(n) + dt * (a_g + alpha[:, :, None] * np.eye(n))
         c = dt * beta
-        piece = (np.searchsorted(starts, grid, side="right") - 1).tolist()
+        piece = pieces_at(starts, grid).tolist()
 
         def predict(k, v):
             return q[piece[k]] @ v + c[piece[k]]
@@ -135,7 +135,7 @@ def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
     k_vals = np.zeros((steps + 1, n))
     k_vals[1:] = np.cumsum(pushes, axis=0)
     sg = lambda a: StateGridFunction(grid=grid, values=a)
-    return RbsdeSolution(v=sg(vals), z=sg(vals), k=sg(k_vals),
+    return RbsdeSolution(v=sg(vals), k=sg(k_vals),
                          step_pushes=pushes, g=obstacle_vals,
                          penalization_trace=list(trace or []))
 

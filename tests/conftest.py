@@ -5,6 +5,7 @@ import pytest
 
 from markovbsde import (Obstacle, PathBatch, build_chain_spec,
                         build_market_spec, stock_curves)
+from markovbsde.grids import interp
 
 
 def random_generator(rng, n, scale=2.0):
@@ -28,6 +29,13 @@ def expm(m):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def put_on(curves, strike):
+    """The put max(strike - s_0(t), 0) on stock 0 of ``curves``, linear in t
+    between their nodes, as a callback obstacle."""
+    return Obstacle(g=lambda t, i: max(
+        strike - float(interp(curves.grid, curves.s[0], [t])[0, i]), 0.0))
 
 
 def one_path(jump_times, states):
@@ -77,5 +85,4 @@ def curves_c0(market_c0):
 @pytest.fixture(scope="session")
 def put_payoff(curves_c0):
     """Strike-30 put on stock 0 (prices 29.76 / 30.24 by state)."""
-    curve = curves_c0.curve(0)
-    return Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    return put_on(curves_c0, 30.0)

@@ -7,6 +7,11 @@ batched code must reproduce them bit for bit: every sum here runs left to
 right in the same term order, and the trapezoid of
 ``discounted_value_check`` is one ``np.sum`` per path. Each path is
 given as raw arrays: its jump times and the states it visits.
+
+The pathwise residuals, their one-step-at-a-time Hermite curve and the
+scalar linear interpolation are the loops the package ran before they too
+became array work; the batched residuals sum in another order and must
+equal them to rounding.
 """
 
 from bisect import bisect_left, bisect_right
@@ -14,8 +19,9 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from markovbsde import PathBatch, seminorm_sq, simulate_path
-from markovbsde.chain import piece_index
-from markovbsde.grids import sample_on_grid
+from markovbsde.bsde import _rhs
+from markovbsde.chain import piece_index, split_down
+from markovbsde.grids import sample_on_grid, uniform_grid
 
 
 def batch_of(paths, horizon=1.0):
@@ -137,7 +143,7 @@ def european_samples(market, claim, n_paths, seed_base=0):
 def discounted_h_matrix(market, solution):
     grid = solution.grid
     n = market.chain.n_states
-    z = solution.z.values
+    z = solution.values
     out = np.empty((grid.size, n))
     for k, t in enumerate(grid):
         piece = market.piece_at(t)
@@ -182,3 +188,133 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     return {"mc_value": mean, "std_error": se, "solver_value": target,
             "pass": bool(passed), "dominates": domination_ok,
             "n_paths": int(n_paths)}
+
+
+def interp_at(grid, values, t):
+    """The rows of ``values`` on the uniform ``grid`` interpolated linearly
+    at the one time t, the first and last row outside the grid."""
+    t = float(t)
+    if t <= grid[0]:
+        return values[0].copy()
+    if t >= grid[-1]:
+        return values[-1].copy()
+    n_steps = grid.size - 1
+    x = (t - grid[0]) / ((grid[-1] - grid[0]) / n_steps)
+    k = min(int(x), n_steps - 1)
+    w = x - k
+    return (1.0 - w) * values[k] + w * values[k + 1]
+
+
+def hermite_curve(spec, driver, sol):
+    """t -> y(t), the cubic Hermite interpolant of the grid values, with
+    each step's end slopes from ``_rhs`` under the generator of the step's
+    own piece at that end."""
+    grid, vals = sol.grid, sol.values
+    dt = (grid[-1] - grid[0]) / (grid.size - 1)
+    lo = np.empty((grid.size - 1, vals.shape[1]))
+    hi = np.empty_like(lo)
+    for k in range(grid.size - 1):
+        cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
+        lo[k] = _rhs(spec.generator_at(0.5 * (cuts[-2] + grid[k])), driver,
+                     grid[k], vals[k])
+        hi[k] = _rhs(spec.generator_at(0.5 * (grid[k + 1] + cuts[1])), driver,
+                     grid[k + 1], vals[k + 1])
+
+    def curve(t):
+        if t <= grid[0]:
+            return vals[0]
+        if t >= grid[-1]:
+            return vals[-1]
+        k = min(int((t - grid[0]) / dt), grid.size - 2)
+        s = (t - grid[k]) / dt
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return (h00 * vals[k] + h10 * dt * lo[k]
+                + h01 * vals[k + 1] + h11 * dt * hi[k])
+
+    return curve
+
+
+def _nodes_after(grid, walk):
+    """For each stretch of ``walk``, the grid nodes past 0 read after it:
+    those at or below its end that no earlier stretch read."""
+    gi = 1
+    for stretch in walk:
+        first = gi
+        while gi < grid.size and grid[gi] <= stretch[1] + 1e-15:
+            gi += 1
+        yield stretch, range(first, gi)
+
+
+def pathwise_residual(solution, spec, driver, terminal, times, states):
+    grid = solution.grid
+    curve = hermite_curve(spec, driver, solution)
+
+    def f_at(t, i):
+        y = curve(t)
+        return driver.evaluate(t, i, y[i], y)
+
+    def simpson(fn, a, b):
+        return (b - a) / 6.0 * (fn(a) + 4.0 * fn(0.5 * (a + b)) + fn(b))
+
+    f_cum = np.zeros(grid.size)
+    m_cum = np.zeros(grid.size)
+    f_int = m_int = 0.0
+    cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
+    walk = stretches(times, states, spec.horizon, cuts, spec.starts)
+    for (t0, t1, i, piece, to), nodes in _nodes_after(grid, walk):
+        col = spec.schedule[piece][1][:, i]
+        f_int += simpson(lambda t: f_at(t, i), t0, t1)
+        m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
+        if to >= 0:
+            yj = curve(t1)
+            m_int += float(yj[to] - yj[i])
+        for gi in nodes:
+            f_cum[gi], m_cum[gi] = f_int, m_int
+    at = states_at(times, states, grid)
+    rhs = terminal[at[-1]] + (f_cum[-1] - f_cum) - (m_cum[-1] - m_cum)
+    return np.abs(solution.values[np.arange(grid.size), at] - rhs).max()
+
+
+def sdf_dynamics_residual(market, grid_steps, times, states):
+    grid = uniform_grid(market.chain.horizon, grid_steps)
+    closed = sdf_path(market, times, states, grid)
+    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
+    walk = stretches(times, states, market.chain.horizon, cuts, market.piece_starts)
+    pi, worst = 1.0, 0.0
+    for (t0, t1, state, k, to), nodes in _nodes_after(grid, walk):
+        dt = t1 - t0
+        piece = market.pieces[k]
+        r = float(piece.rates[state])
+        comp = float(piece.sigma[state, :] @ piece.a[:, state])
+        pi = pi * np.exp(-r * dt) - pi * comp * dt
+        if to >= 0:
+            pi += pi * market.piece_at(t1).sigma[state, to]
+        for gi in nodes:
+            worst = max(worst, abs(pi - closed[gi]))
+    return worst
+
+
+def stock_sde_residual(market, curves, grid_steps, times, states):
+    grid = uniform_grid(market.chain.horizon, grid_steps)
+    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
+    walk = list(stretches(times, states, market.chain.horizon, cuts,
+                          market.piece_starts))
+    at = states_at(times, states, grid)
+    worst = 0.0
+    for s, delta in zip(curves.s, market.dividends):
+        val = interp_at(curves.grid, s, 0.0)[at[0]]
+        for (t0, t1, state, k, to), nodes in _nodes_after(grid, walk):
+            piece = market.pieces[k]
+            s_vec = interp_at(curves.grid, s, t0)
+            drift = float((piece.drift @ s_vec)[state] - delta[state])
+            comp = float(s_vec @ piece.a[:, state])
+            val += (drift - comp) * (t1 - t0)
+            if to >= 0:
+                sv = interp_at(curves.grid, s, t1)
+                val += float(sv[to] - sv[state])
+            for gi in nodes:
+                worst = max(worst, abs(val - interp_at(curves.grid, s, grid[gi])[at[gi]]))
+    return worst

@@ -25,7 +25,7 @@ from markovbsde.hedge import make_hedge_driver
 from markovbsde.montecarlo import european_consistency
 from markovbsde.rbsde import solve_penalized
 
-from conftest import random_chain, random_generator
+from conftest import put_on, random_chain, random_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -172,8 +172,7 @@ def test_criterion_05_rbsde_triple_consistency(capsys):
                             d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=400)
-    curve = curves.curve(0)
-    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = put_on(curves, 30.0)
     psol = price_american(mkt, put, 400)
     sk_worst = max(sk_worst, skorokhod_integral(psol))
     for drv_i, xi_i, obs_i in cases:
@@ -279,12 +278,11 @@ def test_criterion_08_american_vs_oracle(capsys, market_c0, put_payoff):
 def test_criterion_09_hedging(capsys, market_c0):
     steps = 10_000
     curves = stock_curves(market_c0, steps=steps)
-    curve = curves.curve(0)
-    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = put_on(curves, 30.0)
     sol = price_american(market_c0, put, steps)
     strat = extract_hedge(market_c0, curves, sol)
     phi_res = float(np.abs(np.einsum("knj,kj->kn", curves.phi_all(), strat.h)
-                           - sol.z.values).max())
+                           - sol.values).max())
     rep = replicate_forward(strat, sol, simulate_paths(market_c0.chain, range(100)))
     max_gap = float(rep["max_gap"].max())
     term_gap = float(rep["terminal_gap"].max())
@@ -297,8 +295,7 @@ def test_criterion_09_hedging(capsys, market_c0):
 
 def test_criterion_10_discounted_representation(capsys, market_c0_s1):
     curves = stock_curves(market_c0_s1, steps=200)
-    curve = curves.curve(0)
-    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = put_on(curves, 30.0)
     sol = price_american(market_c0_s1, put, 200)
     rep = discounted_value_check(market_c0_s1, put, sol, n_paths=100_000,
                                  seed_base=0)

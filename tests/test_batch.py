@@ -12,20 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import path_reference as ref
-from markovbsde import (Obstacle, PathBatch, build_chain_spec, build_market_spec,
+from markovbsde import (MarkovDriver, PathBatch, build_chain_spec, build_market_spec,
                         chain, discount_driver, discounted_value_check,
                         european_consistency, isometry_check, martingale_path,
                         mc_estimate, optimal_stop_time, pathwise_residual,
                         price_american, replicate_forward, sdf_dynamics_residual,
                         simulate_path, simulate_paths, solve_bsde, stock_curves,
                         stock_sde_residual, uniform_grid)
+from markovbsde.bsde import _hermite_curve
 from markovbsde.chain import counts_at
 from markovbsde.errors import MarkovBsdeError
 from markovbsde.hedge import _discounted_h_matrix
 from markovbsde.market import sdf_path, terminal_sdf
 from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 
-from conftest import one_path, random_generator
+from conftest import one_path, put_on, random_generator
 
 
 def random_market(rng):
@@ -86,10 +87,50 @@ def test_batched_functionals_equal_the_path_loops(seed):
             (batch.states_at(grid), [ref.states_at(*p, grid) for p in paths])]:
         assert np.array_equal(got, np.array(want))
     # the discounted driver table of discounted_value_check, node by node
-    sol = SimpleNamespace(grid=grid, z=SimpleNamespace(
-        values=rng.normal(size=(grid.size, spec.n_states))))
+    sol = SimpleNamespace(grid=grid, values=rng.normal(size=(grid.size, spec.n_states)))
     assert np.array_equal(_discounted_h_matrix(market, sol),
                           ref.discounted_h_matrix(market, sol))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batched_residuals_equal_the_path_loops(seed):
+    # the residuals are differences of values of order 1 to 40, summed in
+    # another order than the loops sum them: an absolute bound
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    n = market.chain.n_states
+    steps = int(rng.integers(2, 40))
+    grid = uniform_grid(1.0, steps)
+    # one more generator piece, starting on a node: there the Hermite curve
+    # takes the left limit of the slope below and the right limit above
+    pieces = dict(market.chain.schedule)
+    pieces[float(grid[int(rng.integers(1, steps))])] = random_generator(rng, n)
+    spec = build_chain_spec(n, list(pieces.items()), market.chain.initial_state, 1.0)
+    market = build_market_spec(spec, c_schedule=market.c_schedule,
+                               d_schedule=market.d_schedule, r_max=10.0,
+                               dividends=rng.uniform(1.0, 2.0, (2, n)))
+    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(10)]
+    batch = ref.batch_of(paths)
+    curves = stock_curves(market, steps=int(rng.integers(3, 100)))
+    b = rng.normal(size=n)
+    driver = MarkovDriver(evaluate=lambda t, i, y, z: b[i] * t - 0.3 * y + np.sin(z.sum()),
+                          lipschitz_y=0.3)
+    xi = rng.uniform(0.5, 1.5, n)
+    sol = solve_bsde(spec, driver, xi, steps)
+    times = np.concatenate([grid, rng.uniform(0.0, 1.0, 30), spec.breakpoints()])
+    want = ref.hermite_curve(spec, driver, sol)
+    assert np.abs(_hermite_curve(spec, driver, sol)(times)
+                  - np.array([want(t) for t in times])).max() <= 1e-12
+    for got, want in [
+            (pathwise_residual(sol, batch, spec, driver, xi),
+             [ref.pathwise_residual(sol, spec, driver, xi, *p) for p in paths]),
+            (sdf_dynamics_residual(market, batch, steps),
+             [ref.sdf_dynamics_residual(market, steps, *p) for p in paths]),
+            (stock_sde_residual(market, curves, batch, steps),
+             [ref.stock_sde_residual(market, curves, steps, *p) for p in paths])]:
+        assert got.shape == (len(paths),)
+        assert np.abs(got - np.array(want)).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,8 +176,8 @@ def test_path_consumers_give_each_path_what_it_gets_alone(seed):
     sol = solve_bsde(spec, driver, xi, steps)
     # replication and stopping only gather these along the paths
     values = rng.normal(size=(steps + 1, n))
-    surface = SimpleNamespace(grid=grid, v=SimpleNamespace(values=values),
-                              values=values, g=rng.normal(size=(steps + 1, n)) - 0.5)
+    surface = SimpleNamespace(grid=grid, values=values,
+                              g=rng.normal(size=(steps + 1, n)) - 0.5)
     strategy = SimpleNamespace(carry=rng.normal(size=(steps, n)),
                                stock_leg=rng.normal(size=(steps + 1, n)))
     consumers = [
@@ -162,9 +203,8 @@ def put_market():
     c = rng.uniform(-0.03, 0.03, (3, 3))
     market = build_market_spec(chain, c_schedule=c, d_schedule=[1.0, 1.1, 1.2],
                                dividends=[[1.0, 1.3, 1.6]], r_max=10.0)
-    curve = stock_curves(market, steps=50).curve(0)
-    strike = 1.05 * float(curve.values[0].max())
-    put = Obstacle(g=lambda t, i: max(strike - float(curve.interp(t)[i]), 0.0))
+    curves = stock_curves(market, steps=50)
+    put = put_on(curves, 1.05 * float(curves.s[0, 0].max()))
     return market, put, price_american(market, put, 50)
 
 
@@ -209,6 +249,25 @@ def test_checks_equal_the_path_loops_across_a_chunk_boundary(batch_counts):
     assert est.mean == float(samples.mean())
     assert est.std_error == float(samples.std(ddof=1) / np.sqrt(n_paths))
     assert len(batch_counts) == 4 and min(batch_counts) > 1
+
+
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction")
+def test_replication_in_batches_equals_one_batch(batch_counts, monkeypatch):
+    market, _, sol = put_market()
+    rng = np.random.default_rng(9)
+    # replication only gathers the strategy's terms along the paths
+    strategy = SimpleNamespace(carry=rng.normal(size=(50, 3)),
+                               stock_leg=rng.normal(size=(51, 3)))
+    paths = simulate_paths(market.chain, range(23))
+    cut = replicate_forward(strategy, sol, paths)
+    monkeypatch.setattr(chain, "_CELLS", 10 ** 6)
+    whole = replicate_forward(strategy, sol, paths)
+    assert batch_counts == [5, 1]  # 300 cells hold 5 paths of 51 nodes
+    for key, value in whole.items():
+        assert value.shape == (23,)
+        assert np.array_equal(cut[key], value)
+    empty = replicate_forward(strategy, sol, simulate_paths(market.chain, []))
+    assert [value.shape for value in empty.values()] == [(0,)] * 3
 
 
 @pytest.mark.parametrize("n_paths", [-3, 0, 1])

@@ -17,6 +17,8 @@ from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
                                SingularPhiError)
 
+from conftest import put_on
+
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,7 +115,7 @@ def test_extract_hedge_solves_phi_h_equals_z(market_c0, curves_c0, put_payoff):
     sol = price_american(market_c0, put_payoff, 1000)
     strat = extract_hedge(market_c0, curves_c0, sol)
     phis = curves_c0.phi_all()
-    resid = np.einsum("knj,kj->kn", phis, strat.h) - sol.z.values
+    resid = np.einsum("knj,kj->kn", phis, strat.h) - sol.values
     assert np.abs(resid).max() < 1e-12
     # accounting identity V = h0 B + sum h_j S_j holds by construction
     stock_leg = np.einsum("knj,kj->kn", phis, strat.h)
@@ -129,8 +131,7 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
                             d_schedule=[(0.0, [0.05, 0.05]), (0.5123, [0.2, 0.1])],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=200)
-    curve = curves.curve(0)
-    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = put_on(curves, 30.0)
     sol = price_american(mkt, put, 200)
     strat = extract_hedge(mkt, curves, sol)
     grid = sol.grid
@@ -138,7 +139,7 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
     h = np.empty_like(strat.h)
     bond = np.ones_like(strat.bond)
     for k, t in enumerate(grid):
-        h[k] = np.linalg.solve(curves.phi_all()[k], sol.z.values[k])
+        h[k] = np.linalg.solve(curves.phi_all()[k], sol.values[k])
         if k:
             rates = mkt.piece_at(grid[k - 1]).rates + mkt.piece_at(t).rates
             bond[k] = bond[k - 1] * np.exp(0.5 * rates * dt)
@@ -186,8 +187,7 @@ def test_replication_reads_the_piece_of_each_left_node():
     mkt = build_market_spec(chain, d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=200)
-    curve = curves.curve(0)
-    put = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    put = put_on(curves, 30.0)
     sol = price_american(mkt, put, 200)
     strat = extract_hedge(mkt, curves, sol)
     rep = replicate_forward(strat, sol, simulate_paths(chain, range(20)))
@@ -196,8 +196,7 @@ def test_replication_reads_the_piece_of_each_left_node():
 
 def test_discounted_value_check_passes(market_c0_s1):
     curves = stock_curves(market_c0_s1, steps=200)
-    curve = curves.curve(0)
-    payoff = Obstacle(g=lambda t, i: max(30.0 - float(curve.interp(t)[i]), 0.0))
+    payoff = put_on(curves, 30.0)
     sol = price_american(market_c0_s1, payoff, 200)
     rep = discounted_value_check(market_c0_s1, payoff, sol, n_paths=5000,
                                  seed_base=0)

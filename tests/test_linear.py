@@ -18,7 +18,7 @@ from markovbsde.bsde import AffineForm, _linear_implicit, _scalar_implicit
 from markovbsde.bsde import zero_driver
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
-from markovbsde.grids import uniform_grid
+from markovbsde.grids import interp, uniform_grid
 from markovbsde.hedge import hedge_driver, make_hedge_driver
 from markovbsde.market import stock_curves
 from markovbsde.rbsde import penalized_driver
@@ -237,12 +237,11 @@ def test_config_kinds_read_f_and_g_off_their_array_forms(tmp_path):
     put = load_config(CONFIGS / "market_put.yaml")
     curves = stock_curves(put.market, steps=50)
     put_payoff = put.build_payoff(curves)
-    curve = curves.curve(0)
     strike = yaml.safe_load((CONFIGS / "market_put.yaml").read_text())["payoff"]["strike"]
     for t in (0.0, 0.013, 0.5, 1.0):
         for i in range(2):
             assert affine.g(t, i) == [0.4, 0.6][i]
-            assert put_payoff.g(t, i) == max(strike - float(curve.interp(t)[i]), 0.0)
+            assert put_payoff.g(t, i) == max(strike - float(interp(curves.grid, curves.s[0], [t])[0, i]), 0.0)
 
 
 def test_replace_reads_f_and_g_off_the_new_form():

@@ -9,9 +9,11 @@ from markovbsde import (build_chain_spec, build_market_spec,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
 from markovbsde.cli import curve_rows
+from markovbsde.grids import interp, uniform_grid
 from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
                                UnstableGammaError)
 
+import path_reference as ref
 from conftest import expm, one_path
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -220,6 +222,21 @@ def test_stock_curves_without_stocks_are_empty():
     curves = stock_curves(mkt, steps=10)
     assert curves.s.shape == (0, 11, 2)
     assert curves.n_stocks == 0
+    assert stock_sde_residual(mkt, curves, simulate_path(mkt.chain, 0), 10).tolist() == [0.0]
+
+
+def test_interp_equals_the_scalar_formula():
+    # before, on, between and after the nodes, for slices of one and of
+    # two axes: bit for bit the one-time formula of path_reference
+    rng = np.random.default_rng(4)
+    for steps in (1, 2, 7, 50, 333, 1000):
+        grid = uniform_grid(rng.uniform(0.5, 3.0), steps)
+        times = np.concatenate([[-1.0, -1e-300, grid[-1] + 1e-12, grid[-1] + 2.0], grid,
+                                rng.uniform(grid[0], grid[-1], 50)])
+        for shape in ((3,), (2, 4)):
+            values = rng.normal(size=(grid.size, *shape))
+            want = np.array([ref.interp_at(grid, values, t) for t in times])
+            assert np.array_equal(interp(grid, values, times), want)
 
 
 def test_stock_sde_residual_stationary_machine_precision():

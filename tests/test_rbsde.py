@@ -44,8 +44,6 @@ def test_reflection_is_nonnegative_and_k_starts_at_zero(two_state_chain):
     assert (sol.v.values - g).min() >= -1e-12
     # the solution carries the obstacle it was solved against
     assert np.array_equal(sol.g, g)
-    # the canonical integrand z = v wraps the value array, not a copy
-    assert sol.z.values is sol.v.values
 
 
 def test_snell_oracle_agrees_exactly(two_state_chain):
@@ -145,7 +143,7 @@ def test_rbsde_csv_rows(two_state_chain):
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
                           decreasing_obstacle(1.0), 10)
     # the CLI's rbsde_solution.csv rows: (time, state, v, z, k)
-    rows = list(grid_rows(sol.grid, sol.v.values, sol.z.values, sol.k.values))
+    rows = list(grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
     assert len(rows) == 11 * 2
     assert rows[0][2] == pytest.approx(1.0, abs=1e-12)   # V(0) = T
     assert rows[-1][4] == sol.k.values[-1, 1]
