@@ -1,5 +1,5 @@
-"""Time each pricing and path layer at fixed sizes and write the record
-as JSON.
+"""Time each pricing and path layer at fixed sizes, and each CLI job end
+to end, and write the record as JSON.
 
 For each bundled market config with a put payoff, times (best of 3):
 
@@ -13,7 +13,12 @@ For each bundled market config with a put payoff, times (best of 3):
   would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
   (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
   batch; and ``discounted_value_check`` of the put priced at K = 200,
-  which draws its own paths.
+  which draws its own paths;
+- end to end, on every bundled config at ``--steps 250`` and the
+  config's own seed and path count: each CLI subcommand through
+  ``cli.main``, writing to a temporary directory, and ``plot-data`` on
+  the output of ``solve-bsde``. A job that exits non-zero (a config
+  without the sections it needs) is left out.
 
 Each time is given in seconds and in units of
 ``benchmark/run.py``'s ``reference_kernel`` (the median of its runs before
@@ -29,12 +34,15 @@ record in the new one as its ``baseline``. The package is imported from
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from time import perf_counter
@@ -46,7 +54,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from markovbsde import (PathBatch, discounted_value_check, extract_hedge,  # noqa: E402
+from markovbsde import (PathBatch, cli, discounted_value_check, extract_hedge,  # noqa: E402
                         isometry_check, penalization_limit, price_american,
                         replicate_forward, simulate_paths, solve_bsde,
                         solve_reflected, stock_curves)
@@ -62,6 +70,7 @@ PATHS = 100
 MC_PATHS = (10_000, 100_000)
 MC_STEPS = 200
 SDF_BATCH = 10_000
+CLI_STEPS = 250
 REPEATS = 3
 
 
@@ -124,6 +133,25 @@ def path_layers(cfg, n_paths):
     ]
 
 
+def cli_jobs(config, out):
+    """(name, argv) of each CLI job on the config file ``config``, writing
+    under ``out``: every subcommand, then plot-data on solve-bsde's output."""
+    jobs = []
+    for job in cli.SUBCOMMANDS:
+        if job == "plot-data":
+            jobs.append((f"cli {job}", [job, "--out", str(out / "solve-bsde")]))
+        else:
+            jobs.append((f"cli {job}", [job, "--config", str(config), "--out",
+                                        str(out / job), "--steps", str(CLI_STEPS)]))
+    return jobs
+
+
+def run_cli(argv):
+    """cli.main(argv) with its messages to standard error dropped."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 def best_time(call):
     times = []
     for _ in range(REPEATS):
@@ -165,6 +193,16 @@ def measure():
             for layer, call in build(cfg, arg):
                 key = f"{name} {size} {layer}"
                 times[key] = best_time(call)
+                print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted((ROOT / "configs").glob("*.yaml")):
+            for job, argv in cli_jobs(config, Path(tmp) / config.stem):
+                key = f"{config.stem} K={CLI_STEPS} {job}"
+                code = run_cli(argv)
+                if code != 0:
+                    print(f"  skipped, exit {code}  {key}", file=sys.stderr)
+                    continue
+                times[key] = best_time(lambda: run_cli(argv))
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
     kernel += kernel_time()
     unit = statistics.median(kernel)

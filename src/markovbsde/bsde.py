@@ -197,27 +197,38 @@ def _linear_implicit(spec, form, grid):
     ``_implicit_step``, in closed form per state. With z frozen at the top
     value y, b + h beta' = y + h ((A' + G) y + beta), and v = (b + h beta') /
     (1 - h alpha) where that is at least g, else (b + h beta' + h n g) /
-    (1 - h alpha + h n). Coefficients and g are those at the bottom time."""
+    (1 - h alpha + h n). Coefficients and g are those at the bottom time.
+
+    The sub-steps run between the grid nodes and the chain breakpoints
+    strictly between nodes, in time order; each one's h, piece,
+    denominators and obstacle row are tabled once per solve, and step k
+    runs sub-steps first[k + 1] - 1 down to first[k]."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
-    if form.obstacle is not None:
-        g_grid = form.obstacle.sample(grid, spec.n_states)
+    breaks = np.array(spec.breakpoints(), dtype=float)
+    inner = breaks[grid[np.searchsorted(grid, breaks)] != breaks]  # off the nodes
+    times = np.sort(np.concatenate([grid, inner]))
+    first = np.searchsorted(times, grid)
+    bottom, h = times[:-1], np.diff(times)
+    piece = pieces_at(starts, bottom)
+    den = 1.0 - h[:, None] * alpha[piece]
+    penalized = form.obstacle is not None
+    if penalized:
+        g = np.empty_like(den)
+        g[first[:-1]] = form.obstacle.sample(grid, spec.n_states)[:-1]
+        if inner.size:
+            g[np.searchsorted(times, inner)] = form.obstacle.sample(inner, spec.n_states)
+        hn = h * form.n
+        hng, den_n = hn[:, None] * g, den + hn[:, None]
+    first, piece = first.tolist(), piece.tolist()
 
     def step(k, y):
-        cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
-        for a_t, b_t in zip(cuts[:-1], cuts[1:]):
-            h = a_t - b_t
-            p = piece_index(starts, b_t)
-            num = y + h * (a_g[p] @ y + beta[p])
-            den = 1.0 - h * alpha[p]
-            y = num / den
-            if form.obstacle is not None:
-                if b_t == grid[k]:
-                    g = g_grid[k]
-                else:
-                    g = form.obstacle.sample([b_t], y.size)[0]
-                y = np.where(y < g, (num + h * form.n * g) / (den + h * form.n), y)
+        for s in range(first[k + 1] - 1, first[k] - 1, -1):
+            num = y + h[s] * (a_g[piece[s]] @ y + beta[piece[s]])
+            y = num / den[s]
+            if penalized:
+                y = np.where(y < g[s], (num + hng[s]) / den_n[s], y)
         return y
 
     return step

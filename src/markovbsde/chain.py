@@ -20,9 +20,10 @@ from .errors import (BadScheduleError, BadStateError, NonGeneratorError,
 from .seeding import pcg64_states
 
 _GEN_TOL = 1e-12
-# Table cells per batch of the Monte Carlo checks: each cuts its paths into
-# batches whose widest (paths x columns) table holds at most this many, as
-# 64 paths of 256 columns do.
+# Table cells per batch: the Monte Carlo checks cut their paths into batches
+# whose widest (paths x columns) table holds at most this many, as 64 paths
+# of 256 columns do; the CLI writes its grid files in blocks of nodes of at
+# most this many bytes, about 128 a field of text.
 _CELLS = 64 * 256
 
 

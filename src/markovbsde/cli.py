@@ -7,6 +7,8 @@ floats so runs round-trip losslessly. Exit codes: 0 ok, 1 failed check,
 
 import argparse
 import csv
+import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_bsde
-from .chain import simulate_paths
+from .chain import _CELLS, simulate_paths
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
@@ -37,45 +39,44 @@ def _fmt(x):
     return str(x)
 
 
-# %-conversions of the cell types that _fmt writes, giving the same text
-_CONVERSIONS = {bool: "%s", np.bool_: "%s", int: "%d", np.int64: "%d",
-                float: "%.17g", np.float64: "%.17g"}
-
-
 def _write_csv(path, header, rows):
     """Write the header and rows as ``csv.writer`` writes ``_fmt`` of each
-    cell. A row of numbers and booleans goes through one %-format string
-    of its cell types; any other row through ``csv.writer``."""
+    cell."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            row = tuple(row)
-            try:
-                line = ",".join([_CONVERSIONS[type(x)] for x in row]) % row
-            except KeyError:
-                writer.writerow([_fmt(x) for x in row])
-            else:
-                fh.write(line + "\r\n")
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
-def grid_rows(grid, *columns):
-    """(time, state, value of each column) rows, node by node and state by
-    state, from (K+1, N) arrays on ``grid``."""
-    cols = [c.tolist() for c in columns]
-    for k, t in enumerate(grid.tolist()):
-        for i in range(len(cols[0][k])):
-            yield (t, i, *(c[k][i] for c in cols))
-
-
-def curve_rows(curves):
-    """(time, stock, state, price) rows."""
-    s = curves.s.tolist()
-    for k, t in enumerate(curves.grid.tolist()):
-        for j in range(curves.n_stocks):
-            for i, price in enumerate(s[j][k]):
-                yield (t, j, i, price)
+def _write_grid(path, header, grid, *columns, labels=None):
+    """Write the rows (time, label, value in each column) of arrays on
+    ``grid``, node by node and entry by entry, as ``_write_csv`` writes
+    them. ``labels`` holds the text of a node's M entries, by default the
+    state numbers of the first column; each column is a (K+1, M) array, or
+    (K+1, 1) for one value per node, the same in every entry. Lines are
+    made as they are written, in blocks of at most ``chain._CELLS // 128``
+    fields, in which each distinct array is formatted once."""
+    fmt = "%.17g".__mod__
+    if labels is None:
+        labels = [str(i) for i in range(columns[0].shape[1])]
+    m, ids = len(labels), [id(c) for c in columns]
+    size = max(1, _CELLS // max(1, 128 * m * (len(columns) + 2)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, grid.size, size):
+            texts = {}
+            for c in columns:
+                if id(c) not in texts:
+                    text = map(fmt, c[lo:lo + size].flat)
+                    if c.shape[1] != m:  # one value per node, in each of its entries
+                        text = (x for x in text for _ in labels)
+                    # an array passed twice is formatted once
+                    texts[id(c)] = list(text) if ids.count(id(c)) > 1 else text
+            times = (t for t in map(fmt, grid[lo:lo + size]) for _ in labels)
+            lines = zip(times, itertools.cycle(labels), *[texts[i] for i in ids])
+            fh.writelines(",".join(line) + "\r\n" for line in lines)
 
 
 def path_rows(paths, p):
@@ -122,8 +123,8 @@ def _cmd_solve_bsde(config, out):
     sol = solve_bsde(config.chain, driver, config.terminal, config.solver.steps,
                      scheme=config.solver.scheme,
                      strict_contraction=config.solver.strict_contraction)
-    _write_csv(out / "bsde_solution.csv", ("time", "state", "y_value"),
-               grid_rows(sol.grid, sol.values))
+    _write_grid(out / "bsde_solution.csv", ("time", "state", "y_value"),
+                sol.grid, sol.values)
     return 0
 
 
@@ -137,8 +138,8 @@ def _cmd_solve_rbsde(config, out):
         terminal = payoff.terminal(config.chain.horizon, config.chain.n_states)
     sol = solve_reflected(config.chain, driver, terminal, payoff,
                           config.solver.steps)
-    _write_csv(out / "rbsde_solution.csv", ("time", "state", "v", "z", "k"),
-               grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
+    _write_grid(out / "rbsde_solution.csv", ("time", "state", "v", "z", "k"),
+                sol.grid, sol.values, sol.values, sol.k.values)
     limit = penalization_limit(config.chain, driver, terminal, payoff,
                                min(config.solver.steps, 400),
                                config.solver.penalization_tol)
@@ -155,10 +156,9 @@ def _cmd_price_american(config, out):
         raise ConfigError("price-american needs a 'market' section")
     sol = price_american(config.market, payoff, config.solver.steps,
                          strict_contraction=config.solver.strict_contraction)
-    _write_csv(out / "american_solution.csv", ("time", "state", "v", "z", "k"),
-               grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
-    _write_csv(out / "payoff_surface.csv", ("time", "state", "g"),
-               grid_rows(sol.grid, sol.g))
+    _write_grid(out / "american_solution.csv", ("time", "state", "v", "z", "k"),
+                sol.grid, sol.values, sol.values, sol.k.values)
+    _write_grid(out / "payoff_surface.csv", ("time", "state", "g"), sol.grid, sol.g)
     return 0
 
 
@@ -170,14 +170,16 @@ def _cmd_hedge(config, out):
     sol = price_american(config.market, payoff, config.solver.steps,
                          strict_contraction=config.solver.strict_contraction)
     strat = extract_hedge(config.market, curves, sol)
-    n_states, n = config.chain.n_states, config.market.n_stocks
+    n, s = config.market.n_stocks, curves.s
     # each stock holding is one number per node, the same in every state
-    holdings = [np.repeat(strat.h[:, [j]], n_states, axis=1) for j in range(n)]
-    _write_csv(out / "hedge.csv",
-               ("time", "state", "V", "K", *[f"h_{j + 1}" for j in range(n)], "h0"),
-               grid_rows(sol.grid, sol.values, sol.k.values, *holdings, strat.h0))
-    _write_csv(out / "stock_curves.csv", ("time", "stock", "state", "price"),
-               curve_rows(curves))
+    _write_grid(out / "hedge.csv",
+                ("time", "state", "V", "K", *[f"h_{j + 1}" for j in range(n)], "h0"),
+                sol.grid, sol.values, sol.k.values, *[strat.h[:, [j]] for j in range(n)],
+                strat.h0)
+    # node-major rows: each node's prices stock by stock, state by state
+    _write_grid(out / "stock_curves.csv", ("time", "stock", "state", "price"),
+                curves.grid, s.transpose(1, 0, 2).reshape(s.shape[1], -1),
+                labels=[f"{j},{i}" for j in range(n) for i in range(s.shape[2])])
     seed, n_paths = config.solver.seed, min(config.solver.n_paths, 20)
     paths = simulate_paths(config.chain, range(seed, seed + n_paths))
     rep = replicate_forward(strat, sol, paths)
@@ -280,7 +282,10 @@ def run(config_path, subcommand, out_dir=None, seed=None, steps=None,
     return dispatch[subcommand](config, out)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line's parser, built once per process: ``parse_args``
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="markovbsde",
         description="BSDE/RBSDE solvers and American-option superhedging "
@@ -293,6 +298,11 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--paths", type=int, default=None)
     parser.add_argument("--strict-contraction", action="store_true")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.subcommand != "plot-data" and not args.config:
         parser.error("--config is required for this subcommand")

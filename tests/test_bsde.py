@@ -7,11 +7,12 @@ import pytest
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
                         discount_driver, pathwise_residual, simulate_path,
                         simulate_paths, solve_bsde, zero_driver)
-from markovbsde.cli import grid_rows
+from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
 
 from conftest import random_chain
+from csv_reference import read_rows
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -169,10 +170,11 @@ def test_comparison_requires_contraction_for_driver1(two_state_chain):
         comparison_check(two_state_chain, d1, np.zeros(2), d2, np.ones(2), 50)
 
 
-def test_solution_csv_rows(two_state_chain):
+def test_solution_csv_rows(two_state_chain, tmp_path):
     # the CLI's bsde_solution.csv rows: (time, state, y_value)
     sol = solve_bsde(two_state_chain, zero_driver(), np.ones(2), 10)
-    rows = list(grid_rows(sol.grid, sol.values))
+    _write_grid(tmp_path / "y.csv", ("time", "state", "y_value"), sol.grid, sol.values)
+    rows = read_rows(tmp_path / "y.csv")
     assert len(rows) == 11 * 2
     assert rows[0][0] == 0.0 and rows[-1][2] == 1.0
     assert [r[1] for r in rows[:4]] == [0, 1, 0, 1]

@@ -3,16 +3,22 @@ determinism and the plot-data derivations."""
 
 import csv
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovbsde.cli import _fmt, _write_csv, main, report_rows
+from markovbsde.chain import _CELLS
+from markovbsde.cli import _fmt, _write_csv, _write_grid, main, report_rows
 from markovbsde.config import load_config
 from markovbsde.errors import ConfigError
 from markovbsde.montecarlo import european_consistency, isometry_check
+
+import csv_reference as ref
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -382,9 +388,62 @@ def test_csv_writer_matches_csv_module(tmp_path):
             (np.float32(0.1), None, np.str_("x,y"), 0, False, -1e-300),
             ("",), (), [1.0, 2]]
     _write_csv(tmp_path / "new.csv", header, iter(rows))
+    ref.write_rows(tmp_path / "rows.csv", header, iter(rows))
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+SPECIAL = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300])
+
+
+def grid_values(rng, shape):
+    """Floats over the whole exponent range, a fifth of them special."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    special = rng.uniform(size=shape) < 0.2
+    x[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return x
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), stocks=st.integers(0, 3),
+       edge=st.sampled_from([-1, 0, 1, None]), seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_writer_matches_row_writer(n, stocks, edge, seed):
+    """The column writer writes the bytes of the row writer over the rows
+    of ``grid_rows`` and ``curve_rows``: for K + 1 one node below, at and
+    one node above the edge of a writer's block of nodes (or a few nodes),
+    with an array passed twice and (K+1, 1) columns, as hedge.csv and
+    rbsde_solution.csv pass them, and with the stock-major prices of
+    stock_curves.csv."""
+    rng = np.random.default_rng(seed)
+
+    def nodes(m, n_columns):
+        block = _CELLS // max(1, 128 * m * (n_columns + 2))
+        return int(rng.integers(1, 9)) if edge is None else block + edge
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        n_columns = 4 + stocks
+        size = nodes(n, n_columns)
+        grid = np.linspace(0.0, rng.uniform(0.1, 10.0), size)
+        v, k, h0 = (grid_values(rng, (size, n)) for _ in range(3))
+        holdings = [grid_values(rng, (size, 1)) for _ in range(stocks)]
+        header = ("time", "state", "v", "z", "k", *[f"h_{j}" for j in range(stocks)], "h0")
+        _write_grid(tmp / "new.csv", header, grid, v, v, k, *holdings, h0)
+        ref.write_rows(tmp / "ref.csv", header, ref.grid_rows(
+            grid, v, v, k, *[np.repeat(h, n, axis=1) for h in holdings], h0))
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+        size = nodes(stocks * n, 1)
+        grid = np.linspace(0.0, 1.0, size)
+        s = grid_values(rng, (stocks, size, n))
+        header = ("time", "stock", "state", "price")
+        _write_grid(tmp / "new.csv", header, grid,
+                    s.transpose(1, 0, 2).reshape(size, -1),
+                    labels=[f"{j},{i}" for j in range(stocks) for i in range(n)])
+        ref.write_rows(tmp / "ref.csv", header, ref.curve_rows(grid, s))
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()

@@ -24,6 +24,7 @@ from markovbsde.market import stock_curves
 from markovbsde.rbsde import penalized_driver
 
 from conftest import expm
+from step_reference import linear_implicit
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PIECES = CONFIGS / "market_pieces.yaml"
@@ -191,6 +192,51 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def chain_starts(rng, kinds, grid):
+    """0.0 and a chain breakpoint per kind: on a node, strictly inside a
+    step, two strictly inside one step, or strictly inside the last step."""
+    steps = grid.size - 1
+    starts = {0.0}
+    for kind in kinds:
+        k = steps - 1 if kind == "last" else int(rng.integers(1, steps - 1))
+        if kind == "node":
+            starts.add(float(grid[k]))
+        else:
+            for u in rng.uniform(0.05, 0.95, 2 if kind == "pair" else 1):
+                starts.add(float(grid[k] + u * (grid[k + 1] - grid[k])))
+    return sorted(starts)
+
+
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 30),
+       kinds=st.lists(st.sampled_from(["node", "inside", "pair", "last"]),
+                      min_size=1, max_size=4),
+       obstacle=st.sampled_from([None, "g", "values"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, seed):
+    """The implicit Euler sweep on its sub-step table equals the loop that
+    cuts and looks up each sub-step as it goes, bit for bit, plain and
+    penalized, with chain breakpoints on nodes, inside steps, two in one
+    step and in the last step, and C and D breakpoints of their own."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps))
+    driver = make_hedge_driver(market)
+    if obstacle is not None:
+        level, slope = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 0.5, n)
+        values = lambda times: level * (1.0 - slope * np.asarray(times)[:, None])
+        g = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t)) if obstacle == "g" \
+            else Obstacle(values=values)
+        driver = penalized_driver(driver, g, float(rng.integers(4, 2 ** 20)))
+    tabled = _linear_implicit(market.chain, driver.affine, grid)
+    looped = linear_implicit(market.chain, driver.affine, grid)
+    y = z = rng.uniform(0.5, 1.5, n)
+    for k in range(steps - 1, -1, -1):
+        y, z = tabled(k, y), looped(k, z)
+        assert np.array_equal(y, z), k
 
 
 def test_closed_form_implicit_step_rejects_non_positive_denominator():

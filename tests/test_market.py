@@ -8,12 +8,13 @@ from markovbsde import (build_chain_spec, build_market_spec,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
-from markovbsde.cli import curve_rows
+from markovbsde.cli import _write_grid
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
                                UnstableGammaError)
 
 import path_reference as ref
+from csv_reference import read_rows
 from conftest import expm, one_path
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -370,11 +371,15 @@ def test_stock_curves_match_exact_piecewise_solution():
         assert np.abs(curves.s[j] - exact).max() < tol
 
 
-def test_curves_csv_rows():
+def test_curves_csv_rows(tmp_path):
+    # the CLI's stock_curves.csv rows: (time, stock, state, price)
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=10)
-    rows = list(curve_rows(curves))
+    _write_grid(tmp_path / "s.csv", ("time", "stock", "state", "price"), curves.grid,
+                curves.s.transpose(1, 0, 2).reshape(11, 4),
+                labels=["0,0", "0,1", "1,0", "1,1"])
+    rows = read_rows(tmp_path / "s.csv")
     assert len(rows) == 11 * 2 * 2
     assert all(r[3] > 0 for r in rows)
     assert [r[1:3] for r in rows[:4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -10,12 +10,13 @@ from markovbsde import (MarkovDriver, Obstacle, constant_obstacle,
                         snell_oracle, solve_bsde, solve_reflected,
                         zero_driver)
 from markovbsde.bsde import AffineForm
-from markovbsde.cli import grid_rows
+from markovbsde.cli import _write_grid
 from markovbsde.rbsde import solve_penalized
 from markovbsde.errors import (NoConvergenceError, NonFiniteError,
                                ObstacleIncompatibleError)
 
 from conftest import random_chain
+from csv_reference import read_rows
 
 
 def decreasing_obstacle(horizon):
@@ -139,11 +140,13 @@ def test_optimal_stop_time(two_state_chain):
     assert optimal_stop_time(sol, path).tolist() == [0.0]
 
 
-def test_rbsde_csv_rows(two_state_chain):
+def test_rbsde_csv_rows(two_state_chain, tmp_path):
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
                           decreasing_obstacle(1.0), 10)
     # the CLI's rbsde_solution.csv rows: (time, state, v, z, k)
-    rows = list(grid_rows(sol.grid, sol.values, sol.values, sol.k.values))
+    _write_grid(tmp_path / "v.csv", ("time", "state", "v", "z", "k"), sol.grid,
+                sol.values, sol.values, sol.k.values)
+    rows = read_rows(tmp_path / "v.csv")
     assert len(rows) == 11 * 2
     assert rows[0][2] == pytest.approx(1.0, abs=1e-12)   # V(0) = T
     assert rows[-1][4] == sol.k.values[-1, 1]
