@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (check_contraction, piece_index, pieces_at, rk4_down, rk4_maps,
-                    split_down, sums_at)
+from .chain import (affine_rk4, check_contraction, piece_index, pieces_at, rk4_down,
+                    substeps, sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -85,20 +85,11 @@ def _affine_evaluate(form):
 
 
 @dataclass(frozen=True)
-class BsdeSolution:
-    """Backward solution on a uniform grid; Y_t = y'X_t, Z_t = y(t)."""
+class BsdeSolution(StateGridFunction):
+    """Backward solution y on a uniform grid; Y_t = y'X_t, Z_t = y(t)."""
 
-    y: StateGridFunction
     scheme: str
     steps: int
-
-    @property
-    def grid(self):
-        return self.y.grid
-
-    @property
-    def values(self):
-        return self.y.values
 
 
 def zero_driver():
@@ -178,38 +169,20 @@ def _linear_pieces(spec, form):
             np.broadcast_to(form.beta, shape)[k])
 
 
-def _linear_rk4(spec, form, grid):
-    """RK4 steps of y' = -M y - beta as y -> P y + c, cut at every
-    breakpoint of the chain and the form: one ``chain.rk4_maps`` matrix
-    acting on [y; 1]."""
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    n = spec.n_states
-    aug = np.zeros((len(starts), n + 1, n + 1))
-    aug[:, :n, :n] = a_g + alpha[:, :, None] * np.eye(n)
-    aug[:, :n, n] = beta
-    maps, which = rk4_maps(starts, aug, grid)
-    p, c = maps[:, :n, :n], maps[:, :n, n]
-    return lambda k, y: p[which[k]] @ y + c[which[k]]
-
-
 def _linear_implicit(spec, form, grid):
     """Implicit Euler steps of the affine form on the sub-steps of
-    ``_implicit_step``, in closed form per state. With z frozen at the top
-    value y, b + h beta' = y + h ((A' + G) y + beta), and v = (b + h beta') /
-    (1 - h alpha) where that is at least g, else (b + h beta' + h n g) /
-    (1 - h alpha + h n). Coefficients and g are those at the bottom time.
+    ``chain.substeps`` at the chain breakpoints, in closed form per state.
+    With z frozen at the top value y, b + h beta' = y + h ((A' + G) y +
+    beta), and v = (b + h beta') / (1 - h alpha) where that is at least g,
+    else (b + h beta' + h n g) / (1 - h alpha + h n). Coefficients and g
+    are those at the bottom time.
 
-    The sub-steps run between the grid nodes and the chain breakpoints
-    strictly between nodes, in time order; each one's h, piece,
-    denominators and obstacle row are tabled once per solve, and step k
-    runs sub-steps first[k + 1] - 1 down to first[k]."""
+    Each sub-step's h, piece, denominators and obstacle row are tabled
+    once per solve."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
-    breaks = np.array(spec.breakpoints(), dtype=float)
-    inner = breaks[grid[np.searchsorted(grid, breaks)] != breaks]  # off the nodes
-    times = np.sort(np.concatenate([grid, inner]))
-    first = np.searchsorted(times, grid)
+    times, first = substeps(spec.breakpoints(), grid)
     bottom, h = times[:-1], np.diff(times)
     piece = pieces_at(starts, bottom)
     den = 1.0 - h[:, None] * alpha[piece]
@@ -217,8 +190,9 @@ def _linear_implicit(spec, form, grid):
     if penalized:
         g = np.empty_like(den)
         g[first[:-1]] = form.obstacle.sample(grid, spec.n_states)[:-1]
-        if inner.size:
-            g[np.searchsorted(times, inner)] = form.obstacle.sample(inner, spec.n_states)
+        off = np.delete(np.arange(bottom.size), first[:-1])  # breakpoints off the nodes
+        if off.size:
+            g[off] = form.obstacle.sample(bottom[off], spec.n_states)
         hn = h * form.n
         hng, den_n = hn[:, None] * g, den + hn[:, None]
     first, piece = first.tolist(), piece.tolist()
@@ -234,19 +208,30 @@ def _linear_implicit(spec, form, grid):
     return step
 
 
-def _implicit_step(spec, driver, t_hi, t_lo, y):
-    cuts = split_down(spec.breakpoints(), t_lo, t_hi)
-    n = y.size
+def _callback_step(spec, driver, scheme, grid):
+    """step(k, y) of ``driver.evaluate`` down from grid[k + 1]: per sub-step
+    of ``chain.substeps`` at the chain breakpoints, under its piece's
+    generator, one RK4 step of the reduced ODE or one implicit Euler step,
+    each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
+    times, first = substeps(spec.breakpoints(), grid)
+    gens = [spec.schedule[p][1] for p in pieces_at(spec.starts, times[:-1])]
     lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
-    for a_t, b_t in zip(cuts[:-1], cuts[1:]):
-        dt = a_t - b_t
-        gen = spec.generator_at(0.5 * (a_t + b_t))
-        b = y + dt * (gen.T @ y)
-        new = np.empty(n)
-        for i in range(n):
-            new[i] = _scalar_implicit(driver.evaluate, b_t, i, b[i], dt, y, lip)
-        y = new
-    return y
+
+    def rk4(s, y):
+        return rk4_down(lambda t, y: _rhs(gens[s], driver, t, y), times[s + 1], times[s], y)
+
+    def implicit(s, y):
+        h = times[s + 1] - times[s]
+        b = y + h * (gens[s].T @ y)
+        return np.array([_scalar_implicit(driver.evaluate, times[s], i, b[i], h, y, lip)
+                         for i in range(y.size)])
+
+    def step(k, y):
+        for s in range(first[k + 1] - 1, first[k] - 1, -1):
+            y = rk4(s, y) if scheme == "explicit_rk4" else implicit(s, y)
+        return y
+
+    return step
 
 
 def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
@@ -257,8 +242,8 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     node is the given vector exactly; no integration touches it. A driver
     with an affine form is stepped in closed form: RK4 by per-piece step
     matrices (a penalized form falls back to ``evaluate`` there), implicit
-    Euler by ``_linear_implicit``. A failed
-    ``check_contraction`` warns, or raises under ``strict_contraction``.
+    Euler by ``_linear_implicit``. A failed ``check_contraction`` warns,
+    or raises under ``strict_contraction``.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.n_states,):
@@ -277,30 +262,17 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     grid = uniform_grid(spec.horizon, steps)
-    values = np.empty((steps + 1, spec.n_states))
-    values[-1] = terminal
     form = driver.affine
-
-    def field(t_mid):
-        gen = spec.generator_at(t_mid)
-        return lambda t, y: _rhs(gen, driver, t, y)
-
     if form is not None and scheme == "implicit_euler":
         step = _linear_implicit(spec, form, grid)
     elif form is not None and form.obstacle is None:
-        step = _linear_rk4(spec, form, grid)
-    elif scheme == "explicit_rk4":
-        def step(k, y):
-            return rk4_down(spec.breakpoints(), grid[k + 1], grid[k], y, field)
+        starts, a_g, alpha, beta = _linear_pieces(spec, form)
+        step = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta,
+                          grid)
     else:
-        def step(k, y):
-            return _implicit_step(spec, driver, grid[k + 1], grid[k], y)
-    for k in range(steps - 1, -1, -1):
-        values[k] = step(k, values[k + 1])
-        if not np.isfinite(values[k]).all():
-            raise NonFiniteError(f"driver blow-up at t={grid[k]:.6g}")
-    return BsdeSolution(y=StateGridFunction(grid=grid, values=values),
-                        scheme=scheme, steps=int(steps))
+        step = _callback_step(spec, driver, scheme, grid)
+    values = sweep(step, terminal, grid, "driver blow-up")
+    return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 
 def _hermite_curve(spec, driver, sol):

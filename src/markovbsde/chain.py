@@ -1,8 +1,8 @@
-"""Finite-state Markov chain core: generator schedules, the backward RK4
-stepper for piecewise-constant coefficients and its step matrices for
-linear equations, simulation into batches of paths, the batched path walk
-by stretches, martingale decomposition, the quadratic-variation matrix
-calculus and the pseudoinverse-based contraction check.
+"""Finite-state Markov chain core: generator schedules, the backward sweep
+of every solver with its sub-step table and RK4 step maps, simulation into
+batches of paths, the batched path walk by stretches, martingale
+decomposition, the quadratic-variation matrix calculus and the
+pseudoinverse-based contraction check.
 
 Convention: rate matrices act on indicator columns, dX = A X dt + dM, so
 A[i, j] is the rate of jumping j -> i and every column of A sums to zero.
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadScheduleError, BadStateError, NonGeneratorError,
-                     TooFewPathsError)
+from .errors import (BadScheduleError, BadStateError, NonFiniteError,
+                     NonGeneratorError, TooFewPathsError)
 from .seeding import pcg64_states
 
 _GEN_TOL = 1e-12
@@ -40,51 +40,78 @@ def pieces_at(starts, times, side="right"):
     return np.maximum(np.searchsorted(starts, times, side=side) - 1, 0)
 
 
-def split_down(breakpoints, t_lo, t_hi):
-    """[t_lo, t_hi] cut at the sorted ``breakpoints`` strictly inside it:
-    the ends of its constant-piece sub-steps, in decreasing time."""
-    return [t_hi, *[b for b in reversed(breakpoints) if t_lo < b < t_hi], t_lo]
+def substeps(breaks, grid):
+    """(times, first): the grid nodes and the sorted ``breaks`` strictly
+    between two nodes, in increasing time, and the index of each node in
+    times. Step k down from grid[k + 1] runs the sub-steps s = first[k + 1]
+    - 1 down to first[k], from times[s + 1] to times[s] under the piece in
+    force at times[s]."""
+    breaks = np.asarray(breaks, dtype=float)
+    inner = breaks[(grid[0] < breaks) & (breaks < grid[-1])]
+    inner = inner[grid[np.searchsorted(grid, inner)] != inner]  # off the nodes
+    times = np.sort(np.concatenate([grid, inner]))
+    return times, np.searchsorted(times, grid)
 
 
-def rk4_down(breakpoints, t_hi, t_lo, y, field):
-    """One classical RK4 step of dy/dt = f(t, y) backward from t_hi to t_lo
-    for piecewise-constant coefficients: the step is cut by ``split_down``,
-    and each sub-step integrates ``field(t_mid)``, the f of the piece that
-    holds the sub-step's midpoint t_mid."""
-    cuts = split_down(breakpoints, t_lo, t_hi)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        h = a - b
-        f = field(0.5 * (a + b))
-        k1 = f(a, y)
-        k2 = f(a - 0.5 * h, y - 0.5 * h * k1)
-        k3 = f(a - 0.5 * h, y - 0.5 * h * k2)
-        k4 = f(b, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def rk4_down(f, t_hi, t_lo, y):
+    """One classical RK4 step of dy/dt = f(t, y) backward from t_hi to t_lo,
+    for an f that is smooth in t on the whole step."""
+    h = t_hi - t_lo
+    k1 = f(t_hi, y)
+    k2 = f(t_hi - 0.5 * h, y - 0.5 * h * k1)
+    k3 = f(t_hi - 0.5 * h, y - 0.5 * h * k2)
+    k4 = f(t_lo, y - h * k3)
+    return y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_maps(starts, mats, grid):
-    """The RK4 steps of z' = -L z down the uniform ``grid`` as matrices,
-    for L = mats[p] on the piece p that starts at starts[p]: the step from
-    grid[k + 1] to grid[k] is z -> maps[which[k]] @ z. Each map is
-    ``rk4_down`` run on the identity; the steps inside one piece share its
-    map, and a step that holds a breakpoint has its own."""
-    breaks = list(starts[1:])
-    eye = np.eye(mats.shape[-1])
-
-    def field(t_mid):
-        m = mats[piece_index(starts, t_mid)]
-        return lambda t, z: -(m @ z)
-
-    lo, hi = grid[:-1], grid[1:]
-    piece = pieces_at(starts, lo)
-    cut = np.searchsorted(breaks, hi) > np.searchsorted(breaks, lo, side="right")
-    which = np.where(cut, len(starts) + np.cumsum(cut) - 1, piece)
+def affine_rk4(starts, mats, rhs, grid):
+    """step(k, y) -> P y + c, the RK4 step of y' = -M y - B from grid[k + 1]
+    down to grid[k], for M = mats[p] and B = rhs[p] on the piece p from
+    starts[p]; ``rhs`` is (pieces, N) for a vector y, (pieces, N, m) for an
+    N x m matrix y. Each map is the RK4 sub-steps of ``substeps`` run once
+    on the identity of [y; 1]: the steps inside one piece share the map of
+    the first of them, and a step that holds a breakpoint has its own."""
+    times, first = substeps(starts[1:], grid)
+    piece = pieces_at(starts, times[:-1])
+    n = mats.shape[-1]
+    b = rhs.reshape(len(starts), n, -1)
+    aug = np.zeros((len(starts), n + b.shape[-1], n + b.shape[-1]))
+    aug[:, :n, :n] = mats
+    aug[:, :n, n:] = b
+    cut = np.diff(first) > 1
+    which = np.where(cut, len(starts) + np.cumsum(cut) - 1, piece[first[:-1]])
     maps = []
     for m in range(len(starts) + np.count_nonzero(cut)):
-        k = np.flatnonzero(which == m)[:1]  # a piece may hold no whole step
-        maps.append(rk4_down(breaks, hi[k[0]], lo[k[0]], eye, field) if k.size else eye)
-    return np.array(maps), which
+        z = np.eye(aug.shape[-1])  # the map of a piece that holds no whole step
+        for k in np.flatnonzero(which == m)[:1]:
+            for s in range(first[k + 1] - 1, first[k] - 1, -1):
+                z = rk4_down(lambda t, z: -(aug[piece[s]] @ z), times[s + 1], times[s], z)
+        maps.append(z)
+    maps = np.array(maps)
+    # a vector y takes an offset vector, so that P y + c adds as vectors
+    p, c = maps[:, :n, :n], (maps[:, :n, n] if rhs.ndim == 2 else maps[:, :n, n:])
+    return lambda k, y: p[which[k]] @ y + c[which[k]]
+
+
+def sweep(step, top, grid, what, floor=None):
+    """values[k] = step(k, values[k + 1]) down the ``grid`` from values[-1] =
+    ``top``, as a (len(grid), *top.shape) array. With a ``floor``, each row
+    is raised to at least floor[k] after its step, and the sweep returns
+    (values, pushes), pushes[k] what row k was raised by. One check after
+    the loop raises ``NonFiniteError`` "{what} at t=..." at the highest
+    node that is not finite: the first the sweep reached."""
+    values = np.empty((grid.size, *np.shape(top)))
+    values[-1] = top
+    # without a floor each step writes its row of values itself
+    preds = values[:-1] if floor is None else np.empty_like(values[:-1])
+    for k in range(grid.size - 2, -1, -1):
+        preds[k] = step(k, values[k + 1])
+        if floor is not None:
+            np.maximum(floor[k], preds[k], out=values[k])
+    bad = np.flatnonzero(~np.isfinite(values.reshape(grid.size, -1)).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{what} at t={grid[bad[-1]]:.6g}")
+    return values if floor is None else (values, values[:-1] - preds)
 
 
 def freeze_schedule(entries, shape, horizon, what, check):
@@ -502,11 +529,11 @@ def seminorm_sq(c, psi):
     return max(val, 0.0)
 
 
-def pseudoinverse(q, tol=1e-10):
+def pseudoinverse(q):
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
     Symmetric eigendecomposition; eigenvalues with magnitude at most
-    tol * max|eigenvalue| are treated as exact zeros.
+    1e-10 * max|eigenvalue| are treated as exact zeros.
     """
     q = np.asarray(q, dtype=float)
     if not np.allclose(q, q.T, atol=1e-10 * max(1.0, np.abs(q).max())):
@@ -515,7 +542,7 @@ def pseudoinverse(q, tol=1e-10):
     top = np.abs(w).max() if w.size else 0.0
     if top == 0.0:
         return np.zeros_like(q)
-    inv = np.where(np.abs(w) > tol * top, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    inv = np.where(np.abs(w) > 1e-10 * top, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return (v * inv) @ v.T
 
 

@@ -128,7 +128,7 @@ def extract_hedge(market, curves, solution):
     bond = np.ones((grid.size, n))
     bond[1:] = np.cumprod(np.exp(0.5 * (rates[:-1] + rates[1:]) * dt), axis=0)
     stock_leg = np.einsum("knj,kj->kn", phis, h)
-    h0 = (solution.v.values - stock_leg) / bond
+    h0 = (solution.values - stock_leg) / bond
     # per-(step, state) drift of the risky leg, with holdings and stock
     # vectors at the step's right node and rate matrices at its left node;
     # per stock, price drift plus dividend minus the jump compensator

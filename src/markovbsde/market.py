@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, counts_at, freeze_schedule, path_sums, path_totals,
-                    piece_index, pieces_at, rk4_maps, sums_at)
+from .chain import (ChainSpec, affine_rk4, counts_at, freeze_schedule, path_sums,
+                    path_totals, piece_index, pieces_at, sums_at, sweep)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import interp, uniform_grid
@@ -250,11 +250,12 @@ def stock_curves(market, steps=1000):
 
     Seeded at T with the stationary point of the final piece,
     -(Gamma_end')^{-1} delta, then integrated down onto [0, T] by the RK4
-    step matrices of ``chain.rk4_maps``, all stocks at once, so that each
+    step maps of ``chain.affine_rk4``, all stocks at once, so that each
     sub-step sees a constant Gamma. For time-homogeneous data the seed is
     the exact solution.
     Gamma_end' must be stable (all eigenvalue real parts negative) and the
-    resulting prices strictly positive on [0, T].
+    resulting prices finite (else ``NonFiniteError``) and strictly
+    positive on [0, T].
     """
     chain = market.chain
     horizon = chain.horizon
@@ -266,20 +267,12 @@ def stock_curves(market, steps=1000):
     grid = uniform_grid(horizon, steps)
     n, m = chain.n_states, market.n_stocks
     deltas = np.reshape(market.dividends, (m, n)).T
-    # [S; I] with S' = -Gamma' S - deltas, one column per stock
-    aug = np.zeros((len(market.pieces), n + m, n + m))
-    aug[:, :n, :n] = [piece.gamma.T for piece in market.pieces]
-    aug[:, :n, n:] = deltas
-    maps, which = rk4_maps(market.piece_starts, aug, grid)
-    p, c = maps[:, :n, :n], maps[:, :n, n:]
+    # S' = -Gamma' S - deltas, one column per stock
+    step = affine_rk4(market.piece_starts, np.array([p.gamma.T for p in market.pieces]),
+                      np.broadcast_to(deltas, (len(market.pieces), n, m)), grid)
     # a stack of one-column solves: each stock's seed rounds as its own solve
     s = np.linalg.solve(gamma_end, -deltas.T[:, :, None])[:, :, 0].T
-    curves = np.empty((grid.size, n, m))
-    curves[-1] = s
-    for k in range(grid.size - 2, -1, -1):
-        s = p[which[k]] @ s + c[which[k]]
-        curves[k] = s
-    curves = curves.transpose(2, 0, 1)
+    curves = sweep(step, s, grid, "stock curve blow-up").transpose(2, 0, 1)
     # a market without stocks has no prices to check
     if market.n_stocks and curves.min() <= 0.0:
         raise NonPositivePricesError(f"stock component hit {curves.min():.6g} <= 0")

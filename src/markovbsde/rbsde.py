@@ -12,9 +12,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bsde import MarkovDriver, _linear_pieces, _rhs, solve_bsde
-from .chain import pieces_at
+from .chain import pieces_at, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid, uniform_grid
+
+_PENALTY_CAP = 2 ** 20  # the highest penalty level penalization_limit tries
 
 
 @dataclass(frozen=True)
@@ -63,28 +65,19 @@ def constant_obstacle(level):
 
 
 @dataclass(frozen=True)
-class RbsdeSolution:
-    """Value and reflection on a uniform grid; the canonical integrand is
-    z = v, so ``v`` serves as both.
+class RbsdeSolution(StateGridFunction):
+    """Value v and reflection on a uniform grid; the canonical integrand
+    is z = v, so ``values`` serves as both.
 
     ``k`` holds the cumulative per-state reflection with k(0) = 0;
     ``step_pushes[j]`` is the push applied over [t_j, t_{j+1}); ``g`` is
     the (K+1, N) obstacle sampled on the grid, once per solve.
     """
 
-    v: StateGridFunction
     k: StateGridFunction
     step_pushes: np.ndarray
     g: np.ndarray
     penalization_trace: list = field(default_factory=list)
-
-    @property
-    def grid(self):
-        return self.v.grid
-
-    @property
-    def values(self):
-        return self.v.values
 
 
 def _check_terminal(terminal, obstacle_vals_T):
@@ -102,11 +95,7 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     form the predictor is one matrix per piece, (I + dt M) v + dt beta.
     """
     n = spec.n_states
-    steps = grid.size - 1
     dt = grid[1] - grid[0]
-    vals = np.empty((steps + 1, n))
-    preds = np.empty((steps, n))
-    vals[-1] = terminal
     form = driver.affine
     if form is not None and form.obstacle is None:
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
@@ -119,14 +108,7 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     else:
         def predict(k, v):
             return v - dt * _rhs(spec.generator_at(grid[k]), driver, grid[k], v)
-    for k in range(steps - 1, -1, -1):
-        preds[k] = predict(k, vals[k + 1])
-        np.maximum(obstacle_vals[k], preds[k], out=vals[k])
-    # the sweep runs down from the horizon: the last non-finite row blew up first
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-    if bad.size:
-        raise NonFiniteError(f"reflected sweep blew up at t={grid[bad[-1]]:.6g}")
-    return vals, vals[:-1] - preds
+    return sweep(predict, terminal, grid, "reflected sweep blew up", floor=obstacle_vals)
 
 
 def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
@@ -134,8 +116,8 @@ def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
     steps, n = pushes.shape
     k_vals = np.zeros((steps + 1, n))
     k_vals[1:] = np.cumsum(pushes, axis=0)
-    sg = lambda a: StateGridFunction(grid=grid, values=a)
-    return RbsdeSolution(v=sg(vals), k=sg(k_vals),
+    return RbsdeSolution(grid=grid, values=vals,
+                         k=StateGridFunction(grid=grid, values=k_vals),
                          step_pushes=pushes, g=obstacle_vals,
                          penalization_trace=list(trace or []))
 
@@ -201,16 +183,16 @@ def solve_penalized(spec, driver, terminal, obstacle, n, steps):
                       np.asarray(terminal, dtype=float), steps, scheme=scheme)
 
 
-def penalization_limit(spec, driver, terminal, obstacle, steps, tol,
-                       n_start=None, n_cap=2 ** 20):
+def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     """Double the penalty until successive solutions move less than tol in
     sup norm; reconstruct the reflection by quadrature of the penalty term.
 
     Every level uses implicit Euler so the whole family shares one scheme:
     mixing schemes across the stiffness threshold would break the monotone
     decay of the successive distances. The doubling starts at n of order
-    1/dt by default; below that the penalty is too weak for the distance
-    sequence to have entered its decaying O(1/n) tail.
+    1/dt; below that the penalty is too weak for the distance sequence to
+    have entered its decaying O(1/n) tail. It stops with
+    ``NoConvergenceError`` past n = ``_PENALTY_CAP``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -218,18 +200,14 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol,
     grid = uniform_grid(spec.horizon, steps)
     obstacle_vals = obstacle.sample(grid, spec.n_states)
     trace = []
-    if n_start is None:
-        n_start = max(4, int(np.ceil(steps / spec.horizon)))
-    n = int(n_start)
-    if n < 1:
-        raise ValueError("penalty level must be >= 1")
+    n = max(4, int(np.ceil(steps / spec.horizon)))
     prev = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
                       scheme="implicit_euler")
     while True:
         n *= 2
-        if n > n_cap:
+        if n > _PENALTY_CAP:
             raise NoConvergenceError(
-                f"penalty cap {n_cap} reached without tol {tol}", trace=trace)
+                f"penalty cap {_PENALTY_CAP} reached without tol {tol}", trace=trace)
         cur = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal,
                          steps, scheme="implicit_euler")
         dist = float(np.abs(cur.values - prev.values).max())

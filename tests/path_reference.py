@@ -20,8 +20,10 @@ import numpy as np
 
 from markovbsde import PathBatch, seminorm_sq, simulate_path
 from markovbsde.bsde import _rhs
-from markovbsde.chain import piece_index, split_down
+from markovbsde.chain import piece_index
 from markovbsde.grids import sample_on_grid, uniform_grid
+
+from step_reference import split_down
 
 
 def batch_of(paths, horizon=1.0):
@@ -164,7 +166,7 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     n = market.chain.n_states
     h_mat = discounted_h_matrix(market, solution)
     g_mat = sample_on_grid(payoff.g, grid, n)
-    v = solution.v.values
+    v = solution.values
     idx = np.arange(grid.size)
     samples = np.empty(n_paths)
     domination_ok = True

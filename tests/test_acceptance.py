@@ -195,7 +195,7 @@ def test_criterion_06_decreasing_obstacle_exact(capsys):
         obs = Obstacle(g=lambda t, i: spec.horizon - t)
         sol = solve_reflected(spec, zero_driver(), np.zeros(spec.n_states),
                               obs, 500)
-        v_err = np.abs(sol.v.values
+        v_err = np.abs(sol.values
                        - (spec.horizon - sol.grid)[:, None]).max()
         k_err = np.abs(sol.k.values - sol.grid[:, None]).max()
         worst = max(worst, float(v_err), float(k_err))

@@ -7,6 +7,7 @@ import pytest
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
                         discount_driver, pathwise_residual, simulate_path,
                         simulate_paths, solve_bsde, zero_driver)
+from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
@@ -111,6 +112,19 @@ def test_driver_blow_up_raises(two_state_chain):
     drv = MarkovDriver(evaluate=lambda t, i, y, z: y * y * 1e6)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         solve_bsde(two_state_chain, drv, np.array([10.0, 10.0]), 10)
+
+
+def test_bsde_sweep_names_the_first_node_that_blows_up(two_state_chain):
+    """One finiteness check after the sweep names the first non-finite node
+    down from the horizon, for a callback and an affine driver alike; the
+    callback implicit step fails on its own."""
+    square = MarkovDriver(lambda t, i, y, z: 50.0 * y * y, lipschitz_y=1.0)
+    steep = MarkovDriver(affine=AffineForm(alpha=1e200))
+    for driver, node in ((square, "0.85"), (steep, "0.95")):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"t={node}$"):
+            solve_bsde(two_state_chain, driver, np.full(2, 5.0), 20)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        solve_bsde(two_state_chain, square, np.full(2, 5.0), 20, scheme="implicit_euler")
 
 
 def test_pathwise_residual_small_and_decaying(two_state_chain):

@@ -120,7 +120,7 @@ def test_extract_hedge_solves_phi_h_equals_z(market_c0, curves_c0, put_payoff):
     # accounting identity V = h0 B + sum h_j S_j holds by construction
     stock_leg = np.einsum("knj,kj->kn", phis, strat.h)
     recon = strat.h0 * strat.bond + stock_leg
-    assert np.abs(recon - sol.v.values).max() < 1e-12
+    assert np.abs(recon - sol.values).max() < 1e-12
 
 
 def test_extract_hedge_equals_the_per_node_loops(two_state_chain):

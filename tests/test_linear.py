@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
-from markovbsde.bsde import AffineForm, _linear_implicit, _scalar_implicit
-from markovbsde.bsde import zero_driver
+from markovbsde.bsde import (AffineForm, _callback_step, _linear_implicit,
+                            _linear_pieces, _scalar_implicit, zero_driver)
+from markovbsde.chain import affine_rk4, sweep
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
@@ -23,8 +24,8 @@ from markovbsde.hedge import hedge_driver, make_hedge_driver
 from markovbsde.market import stock_curves
 from markovbsde.rbsde import penalized_driver
 
+import step_reference as ref
 from conftest import expm
-from step_reference import linear_implicit
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PIECES = CONFIGS / "market_pieces.yaml"
@@ -84,10 +85,11 @@ def test_pricing_bsde_is_fourth_order_across_market_breakpoints():
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
 
 
-def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,)):
+def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,), stocks=0):
     """A market on an n-state chain with absorbing states, one generator per
-    entry of ``starts``, and C and D schedules on their own starts. As
-    C >= 0 off the diagonal, every short rate is at least its D entry."""
+    entry of ``starts``, C and D schedules on their own starts, and
+    ``stocks`` dividend vectors. As C >= 0 off the diagonal, every short
+    rate is at least its D entry."""
     gens = []
     for _ in starts:
         a = rng.uniform(0.2, 2.0, size=(n, n))
@@ -103,7 +105,8 @@ def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,)):
     ds = [rng.uniform(0.01, 0.1, n) for _ in d_starts]
     chain = build_chain_spec(n, list(zip(starts, gens)), 0, 1.0)
     market = build_market_spec(chain, c_schedule=list(zip(c_starts, cs)),
-                               d_schedule=list(zip(d_starts, ds)), r_max=10.0)
+                               d_schedule=list(zip(d_starts, ds)), r_max=10.0,
+                               dividends=rng.uniform(0.5, 2.0, (stocks, n)) if stocks else ())
     return market, [(list(starts), gens), (list(c_starts), cs), (list(d_starts), ds)]
 
 
@@ -194,6 +197,10 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
+# where chain_starts puts each chain breakpoint
+KINDS = st.lists(st.sampled_from(["node", "inside", "pair", "last"]), min_size=1, max_size=4)
+
+
 def chain_starts(rng, kinds, grid):
     """0.0 and a chain breakpoint per kind: on a node, strictly inside a
     step, two strictly inside one step, or strictly inside the last step."""
@@ -211,9 +218,7 @@ def chain_starts(rng, kinds, grid):
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 4), steps=st.integers(3, 30),
-       kinds=st.lists(st.sampled_from(["node", "inside", "pair", "last"]),
-                      min_size=1, max_size=4),
+@given(n=st.integers(1, 4), steps=st.integers(3, 30), kinds=KINDS,
        obstacle=st.sampled_from([None, "g", "values"]), seed=st.integers(0, 2 ** 32 - 1))
 def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, seed):
     """The implicit Euler sweep on its sub-step table equals the loop that
@@ -232,11 +237,102 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
             else Obstacle(values=values)
         driver = penalized_driver(driver, g, float(rng.integers(4, 2 ** 20)))
     tabled = _linear_implicit(market.chain, driver.affine, grid)
-    looped = linear_implicit(market.chain, driver.affine, grid)
+    looped = ref.linear_implicit(market.chain, driver.affine, grid)
     y = z = rng.uniform(0.5, 1.5, n)
     for k in range(steps - 1, -1, -1):
         y, z = tabled(k, y), looped(k, z)
         assert np.array_equal(y, z), k
+
+
+def penalty_obstacle(rng, n):
+    """A callback obstacle below a terminal of about 1, falling in t."""
+    level, slope = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.5, n)
+    return Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 20), kinds=KINDS,
+       scheme=st.sampled_from(["explicit_rk4", "implicit_euler"]),
+       penalized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme,
+                                                         penalized, seed):
+    """The callback RK4 and implicit Euler steps on ``chain.substeps``
+    equal the steps that cut and look up each sub-step as they go, bit
+    for bit, with chain breakpoints on nodes, inside steps, two in one step
+    and in the last step, and C and D breakpoints of the driver's own."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps))
+    driver = replace(make_hedge_driver(market), affine=None)
+    if penalized:
+        driver = penalized_driver(driver, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
+    tabled = _callback_step(market.chain, driver, scheme, grid)
+    looped = ref.callback_step(market.chain, driver, scheme, grid)
+    y = z = rng.uniform(0.5, 1.5, n)
+    for k in range(steps - 1, -1, -1):
+        y, z = tabled(k, y), looped(k, z)
+        assert np.array_equal(y, z), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 30), kinds=KINDS,
+       stocks=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
+    """``chain.affine_rk4`` equals the ``rk4_maps`` matrices on [y; 1] bit
+    for bit: with a vector right-hand side, the affine form's steps cut at
+    the chain's breakpoints and the form's own off-grid ones; with a matrix
+    one, the stock curves cut at the market's."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps), stocks)
+    form = make_hedge_driver(market).affine
+    form = replace(form, beta=rng.normal(size=(len(form.starts), n)))
+    starts, a_g, alpha, beta = _linear_pieces(market.chain, form)
+    mapped = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(n), beta, grid)
+    looped = ref.linear_rk4(market.chain, form, grid)
+    y = z = rng.uniform(0.5, 1.5, n)
+    for k in range(steps - 1, -1, -1):
+        y, z = mapped(k, y), looped(k, z)
+        assert np.array_equal(y, z), k
+    curves = stock_curves(market, steps=steps).s.transpose(1, 2, 0)
+    assert np.array_equal(curves, ref.stock_loop(market, grid, curves[-1]))
+
+
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 20), kinds=KINDS,
+       driver=st.sampled_from(["affine", "penalized", "callback"]),
+       scheme=st.sampled_from(["explicit_rk4", "implicit_euler"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, seed):
+    """``solve_bsde`` on ``chain.sweep`` equals the loop that checked every
+    step, over the reference step of each driver and scheme, and a sweep
+    with a floor equals the reflected loop, values and pushes, bit for bit."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps))
+    drv = make_hedge_driver(market)
+    if driver == "callback":
+        drv = replace(drv, affine=None)
+    elif driver == "penalized":
+        drv = penalized_driver(drv, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
+    chain = market.chain
+    if drv.affine is not None and scheme == "implicit_euler":
+        step = ref.linear_implicit(chain, drv.affine, grid)
+    elif driver == "affine":
+        step = ref.linear_rk4(chain, drv.affine, grid)
+    else:
+        step = ref.callback_step(chain, drv, scheme, grid)
+    terminal = rng.uniform(0.8, 1.2, n)
+    got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
+    assert np.array_equal(got, ref.bsde_loop(step, terminal, grid))
+    floor = rng.uniform(0.5, 1.5, (steps + 1, n))
+    got = sweep(step, terminal, grid, "blow-up", floor=floor)
+    want = ref.reflected_loop(step, terminal, floor, grid)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_closed_form_implicit_step_rejects_non_positive_denominator():

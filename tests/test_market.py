@@ -10,7 +10,7 @@ from markovbsde import (build_chain_spec, build_market_spec,
                         stock_sde_residual, terminal_sdf)
 from markovbsde.cli import _write_grid
 from markovbsde.grids import interp, uniform_grid
-from markovbsde.errors import (BadScheduleError, RateBoundViolatedError,
+from markovbsde.errors import (BadScheduleError, NonFiniteError, RateBoundViolatedError,
                                UnstableGammaError)
 
 import path_reference as ref
@@ -215,6 +215,15 @@ def test_stock_curves_require_stable_gamma():
     mkt = build_market_spec(chain(), dividends=[[1.0, 1.0]])
     with pytest.raises(UnstableGammaError):
         stock_curves(mkt, steps=100)
+
+
+def test_stock_curves_raise_on_non_finite_prices():
+    # the stationary seed 1e308 / 0.5 overflows; inf is not <= 0, so only
+    # the sweep's finiteness check stops it
+    mkt = build_market_spec(chain(), d_schedule=[0.5, 0.5], dividends=[[1e308, 1e308]],
+                            r_max=10.0)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=1$"):
+        stock_curves(mkt, steps=10)
 
 
 def test_stock_curves_without_stocks_are_empty():

@@ -29,7 +29,7 @@ def test_decreasing_obstacle_exact(two_state_chain):
                           decreasing_obstacle(1.0), 500)
     expected_v = (1.0 - sol.grid)[:, None] * np.ones((1, 2))
     expected_k = sol.grid[:, None] * np.ones((1, 2))
-    assert np.abs(sol.v.values - expected_v).max() < 1e-12
+    assert np.abs(sol.values - expected_v).max() < 1e-12
     assert np.abs(sol.k.values - expected_k).max() < 1e-12
 
 
@@ -42,7 +42,7 @@ def test_reflection_is_nonnegative_and_k_starts_at_zero(two_state_chain):
     assert np.all(np.diff(sol.k.values, axis=0) >= -1e-15)
     # the value dominates the obstacle at every node
     g = np.array([[0.6 - 0.3 * t] * 2 for t in sol.grid])
-    assert (sol.v.values - g).min() >= -1e-12
+    assert (sol.values - g).min() >= -1e-12
     # the solution carries the obstacle it was solved against
     assert np.array_equal(sol.g, g)
 
@@ -53,7 +53,7 @@ def test_snell_oracle_agrees_exactly(two_state_chain):
     obs = Obstacle(g=lambda t, i: 0.7 - 0.4 * t + 0.05 * i)
     sol = solve_reflected(two_state_chain, drv, xi, obs, 250)
     oracle = snell_oracle(two_state_chain, drv, xi, obs, 250)
-    assert np.abs(sol.v.values - oracle.values).max() == 0.0
+    assert np.abs(sol.values - oracle.values).max() == 0.0
 
 
 def test_inactive_obstacle_reduces_to_bsde(two_state_chain):
@@ -63,7 +63,7 @@ def test_inactive_obstacle_reduces_to_bsde(two_state_chain):
     assert np.abs(sol.k.values).max() == 0.0
     ref = solve_bsde(two_state_chain, drv, xi, 800)
     # Euler vs RK4: agreement to scheme accuracy
-    assert np.abs(sol.v.values - ref.values).max() < 5e-4
+    assert np.abs(sol.values - ref.values).max() < 5e-4
 
 
 def test_terminal_incompatible_obstacle_raises(two_state_chain):
@@ -108,12 +108,8 @@ def test_penalization_limit_cap_raises_with_trace(two_state_chain):
     drv = zero_driver()
     obs = decreasing_obstacle(1.0)
     with pytest.raises(NoConvergenceError) as exc:
-        penalization_limit(two_state_chain, drv, np.zeros(2), obs, 100,
-                           1e-12, n_start=1, n_cap=16)
+        penalization_limit(two_state_chain, drv, np.zeros(2), obs, 100, 1e-12)
     assert len(exc.value.trace) >= 1
-    with pytest.raises(ValueError):
-        penalization_limit(two_state_chain, drv, np.zeros(2), obs, 100, 1e-3,
-                           n_start=0)
 
 
 def test_skorokhod_integral_vanishes_on_exact_solutions(two_state_chain):
