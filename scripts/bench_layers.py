@@ -7,8 +7,10 @@ For each bundled market config with a put payoff, times (best of 3):
   under both schemes, ``solve_reflected``, ``penalization_limit``,
   ``price_american``, ``extract_hedge`` and ``replicate_forward`` on 100
   paths, all with the config's pricing driver and payoff;
-- at each path count P = 1e4 and 1e5, on the paths of seeds 0 .. P - 1:
-  ``simulate_paths``; ``sdf_path`` on a grid of 201 nodes, over the batch
+- at each path count P = 1e4 and 1e5, on the paths 0 .. P - 1:
+  ``simulate_paths`` (the per-seed stream) and ``draw_paths`` (the
+  uniformized stream of the Monte Carlo checks); on the batch
+  ``draw_paths`` drew, ``sdf_path`` on a grid of 201 nodes, over the batch
   cut into batches of 1e4 paths (one table of 1e5 paths by 201 nodes
   would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
   (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
@@ -18,7 +20,9 @@ For each bundled market config with a put payoff, times (best of 3):
   config's own seed and path count: each CLI subcommand through
   ``cli.main``, writing to a temporary directory, and ``plot-data`` on
   the output of ``solve-bsde``. A job that exits non-zero (a config
-  without the sections it needs) is left out.
+  without the sections it needs) is left out;
+- the Tier-1 test suite's wall time, one run of ``python -m pytest -q``
+  from the repository root in a child process.
 
 Each time is given in seconds and in units of
 ``benchmark/run.py``'s ``reference_kernel`` (the median of its runs before
@@ -54,8 +58,8 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from markovbsde import (PathBatch, cli, discounted_value_check, extract_hedge,  # noqa: E402
-                        isometry_check, penalization_limit, price_american,
+from markovbsde import (PathBatch, cli, discounted_value_check, draw_paths,  # noqa: E402
+                        extract_hedge, isometry_check, penalization_limit, price_american,
                         replicate_forward, simulate_paths, solve_bsde,
                         solve_reflected, stock_curves)
 from markovbsde.config import load_config  # noqa: E402
@@ -120,9 +124,10 @@ def path_layers(cfg, n_paths):
     priced = price_american(market, payoff, MC_STEPS)
     grid = np.linspace(0.0, chain.horizon, MC_STEPS + 1)
     z = np.eye(chain.n_states)[0]
-    paths = simulate_paths(chain, range(n_paths))
+    paths = draw_paths(chain, 0, n_paths)
     return [
         ("simulate_paths", lambda: simulate_paths(chain, range(n_paths))),
+        ("draw_paths", lambda: draw_paths(chain, 0, n_paths)),
         (f"sdf_path {grid.size} nodes",
          lambda: [sdf_path(market, batch, grid) for batch in batches(paths, SDF_BATCH)]),
         ("terminal_sdf", lambda: terminal_sdf(market, paths)),
@@ -170,6 +175,18 @@ def kernel_time(runs=30):
     return times
 
 
+def tier1_time():
+    """Wall time of one run of the Tier-1 tests, or None if they fail."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    elapsed = perf_counter() - t0
+    print(done.stdout.strip().splitlines()[-1], file=sys.stderr)
+    return elapsed if done.returncode == 0 else None
+
+
 def revision():
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
@@ -204,6 +221,10 @@ def measure():
                     continue
                 times[key] = best_time(lambda: run_cli(argv))
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
+    tier1 = tier1_time()
+    if tier1 is not None:
+        times["tier-1 tests"] = tier1
+        print(f"{tier1:10.6f} s  tier-1 tests", file=sys.stderr)
     kernel += kernel_time()
     unit = statistics.median(kernel)
     return {

@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .bsde import (BsdeSolution, MarkovDriver, comparison_check,
                    discount_driver, pathwise_residual, solve_bsde, zero_driver)
 from .chain import (ChainSpec, PathBatch, build_chain_spec,
-                    check_contraction, martingale_path, pseudoinverse,
+                    check_contraction, draw_paths, martingale_path, pseudoinverse,
                     psi_matrix, rate_bound_m, seminorm_sq, simulate_path,
                     simulate_paths)
 from .grids import StateGridFunction, uniform_grid

@@ -14,6 +14,7 @@ piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then step it
 with per-piece matrices and never call the driver back.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -106,8 +107,13 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     """Solve v = b + dt * f(t, i, v, zref) for v.
 
     Newton with a secant slope, bisection fallback. The implicit part is
-    only the local v-dependence; the z argument stays frozen at zref.
+    only the local v-dependence; the z argument stays frozen at zref. A
+    non-finite b is returned as it is, and nan where no root is bracketed:
+    ``chain.sweep`` then names the node.
     """
+    if not math.isfinite(b):
+        return b
+
     def phi(v):
         return v - b - dt * f(t, i, v, zref)
 
@@ -134,7 +140,7 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
         hi += span
         span *= 2.0
     else:
-        raise NonFiniteError("implicit step failed to bracket a root")
+        return np.nan
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if phi(mid) <= 0:
@@ -175,10 +181,16 @@ def _linear_implicit(spec, form, grid):
     With z frozen at the top value y, b + h beta' = y + h ((A' + G) y +
     beta), and v = (b + h beta') / (1 - h alpha) where that is at least g,
     else (b + h beta' + h n g) / (1 - h alpha + h n). Coefficients and g
-    are those at the bottom time.
+    are those at the bottom time: the step(k, y) of ``_implicit_levels``
+    at the form's own n."""
+    return _implicit_levels(spec, form, grid)(form.n)
 
-    Each sub-step's h, piece, denominators and obstacle row are tabled
-    once per solve."""
+
+def _implicit_levels(spec, form, grid):
+    """n -> the step(k, y) of ``_linear_implicit`` with the penalty level n
+    in place of form.n. Each sub-step's h, piece, denominators and
+    obstacle row are tabled once, for every level; a level adds only its
+    h n terms."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
@@ -193,19 +205,24 @@ def _linear_implicit(spec, form, grid):
         off = np.delete(np.arange(bottom.size), first[:-1])  # breakpoints off the nodes
         if off.size:
             g[off] = form.obstacle.sample(bottom[off], spec.n_states)
-        hn = h * form.n
-        hng, den_n = hn[:, None] * g, den + hn[:, None]
     first, piece = first.tolist(), piece.tolist()
 
-    def step(k, y):
-        for s in range(first[k + 1] - 1, first[k] - 1, -1):
-            num = y + h[s] * (a_g[piece[s]] @ y + beta[piece[s]])
-            y = num / den[s]
-            if penalized:
-                y = np.where(y < g[s], (num + hng[s]) / den_n[s], y)
-        return y
+    def level(n):
+        if penalized:
+            hn = h * n
+            hng, den_n = hn[:, None] * g, den + hn[:, None]
 
-    return step
+        def step(k, y):
+            for s in range(first[k + 1] - 1, first[k] - 1, -1):
+                num = y + h[s] * (a_g[piece[s]] @ y + beta[piece[s]])
+                y = num / den[s]
+                if penalized:
+                    y = np.where(y < g[s], (num + hng[s]) / den_n[s], y)
+            return y
+
+        return step
+
+    return level
 
 
 def _callback_step(spec, driver, scheme, grid):
@@ -234,17 +251,9 @@ def _callback_step(spec, driver, scheme, grid):
     return step
 
 
-def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
-               strict_contraction=False):
-    """Integrate the backward state-space reduction on a uniform grid.
-
-    scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
-    node is the given vector exactly; no integration touches it. A driver
-    with an affine form is stepped in closed form: RK4 by per-piece step
-    matrices (a penalized form falls back to ``evaluate`` there), implicit
-    Euler by ``_linear_implicit``. A failed ``check_contraction`` warns,
-    or raises under ``strict_contraction``.
-    """
+def _checked(spec, driver, terminal, steps, scheme, strict_contraction):
+    """(terminal, grid) of a ``solve_bsde`` call, after its checks of the
+    inputs and of the contraction condition."""
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.n_states,):
         raise ValueError("terminal condition must be a length-N vector")
@@ -259,9 +268,22 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
                    f"{report['worst_margin']:.3g} at {report['worst_time_state']}")
             if strict_contraction:
                 raise ContractionViolatedError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return terminal, uniform_grid(spec.horizon, steps)
 
-    grid = uniform_grid(spec.horizon, steps)
+
+def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
+               strict_contraction=False):
+    """Integrate the backward state-space reduction on a uniform grid.
+
+    scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
+    node is the given vector exactly; no integration touches it. A driver
+    with an affine form is stepped in closed form: RK4 by per-piece step
+    matrices (a penalized form falls back to ``evaluate`` there), implicit
+    Euler by ``_linear_implicit``. A failed ``check_contraction`` warns,
+    or raises under ``strict_contraction``.
+    """
+    terminal, grid = _checked(spec, driver, terminal, steps, scheme, strict_contraction)
     form = driver.affine
     if form is not None and scheme == "implicit_euler":
         step = _linear_implicit(spec, form, grid)

@@ -1,6 +1,7 @@
 """Finite-state Markov chain core: generator schedules, the backward sweep
 of every solver with its sub-step table and RK4 step maps, simulation into
-batches of paths, the batched path walk by stretches, martingale
+batches of paths (per seed, and by uniformization a block of paths at a
+time), the batched path walk by stretches, martingale
 decomposition, the quadratic-variation matrix calculus and the
 pseudoinverse-based contraction check.
 
@@ -10,6 +11,7 @@ Most textbooks use the transposed (row) convention; everything in this
 package is written in the column convention.
 """
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -25,6 +27,11 @@ _GEN_TOL = 1e-12
 # of 256 columns do; the CLI writes its grid files in blocks of nodes of at
 # most this many bytes, about 128 a field of text.
 _CELLS = 64 * 256
+# ``draw_paths`` draws paths in blocks of this many path indices, block b
+# from the generator of SeedSequence((_STREAM, b)): a fixed tag, so that no
+# block shares its key with the plain seed of a ``simulate_paths`` stream.
+_BLOCK = 1024
+_STREAM = 1953
 
 
 def piece_index(starts, t):
@@ -167,7 +174,9 @@ class ChainSpec:
     i, computed once: ``jumps[k][i]`` is the jump table that
     ``simulate_paths`` reads, (1 / exit rate, jump CDF), or None when state i
     is absorbing there (see ``_jump_table``); ``psi[k][i]`` is the read-only
-    quadratic-variation density with X frozen at state i.
+    quadratic-variation density with X frozen at state i. Per piece k,
+    ``uniformized[k]`` is the event table that ``draw_paths`` reads (see
+    ``_uniformized``).
     """
 
     n_states: int
@@ -177,6 +186,7 @@ class ChainSpec:
     starts: tuple = field(init=False, repr=False, compare=False)
     jumps: tuple = field(init=False, repr=False, compare=False)
     psi: tuple = field(init=False, repr=False, compare=False)
+    uniformized: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "starts", tuple(s for s, _ in self.schedule))
@@ -184,6 +194,8 @@ class ChainSpec:
             object.__setattr__(self, name, tuple(
                 tuple(build(a, i) for i in range(self.n_states))
                 for _, a in self.schedule))
+        object.__setattr__(self, "uniformized", tuple(
+            _uniformized(a, jumps) for (_, a), jumps in zip(self.schedule, self.jumps)))
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
@@ -216,6 +228,23 @@ def _jump_table(a, state):
         return None
     cdf /= cdf[-1]
     return float(1.0 / rate), tuple(cdf.tolist())
+
+
+def _uniformized(a, jumps):
+    """(rate, thresholds) of the uniformized chain under generator ``a``:
+    events at ``rate``, the largest exit rate of a state that can jump
+    (``jumps[i]`` not None); after an event in state i, the next state is
+    the number of thresholds[:, i] that a uniform reaches. Column i is the
+    CDF, less its last entry, of column i of I + A / rate with the rates
+    ``_jump_table`` drops taken as zero, normalised by its sum; an absorbing
+    state keeps its state. Without a state that can jump, None."""
+    can_jump = np.array([table is not None for table in jumps])
+    if not can_jump.any():
+        return None
+    rate = float(np.max(-np.diag(a)[can_jump]))
+    eye = np.eye(a.shape[0])
+    cdf = np.where(can_jump, np.maximum(eye + a / rate, 0.0), eye).cumsum(axis=0)
+    return rate, np.ascontiguousarray((cdf / cdf[-1])[:-1])
 
 
 def counts_at(rows, values, n_rows, times):
@@ -260,11 +289,11 @@ def sums_at(n_paths, rows, terms, ends, times, op=np.add):
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Many trajectories in one ragged store: path p, drawn from seeds[p],
-    jumps at the times jump_times[offsets[p]:offsets[p + 1]] through the
-    states states[offsets[p] + p:offsets[p + 1] + p + 1]. Its jump times
-    must increase strictly in (0, horizon], and no jump may keep the
-    state."""
+    """Many trajectories in one ragged store: path p, the path of seeds[p]
+    in the stream it was drawn from, jumps at the times
+    jump_times[offsets[p]:offsets[p + 1]] through the states
+    states[offsets[p] + p:offsets[p + 1] + p + 1]. Its jump times must
+    increase strictly in (0, horizon], and no jump may keep the state."""
 
     offsets: np.ndarray
     jump_times: np.ndarray
@@ -306,8 +335,14 @@ class PathBatch:
         for lo in range(0, max(self.n_paths, 1), size):
             hi = min(lo + size, self.n_paths)
             a, b = self.offsets[lo], self.offsets[hi]
-            yield PathBatch(self.offsets[lo:hi + 1] - a, self.jump_times[a:b],
-                            self.states[a + lo:b + hi], self.horizon, self.seeds[lo:hi])
+            # slices of a validated batch: set, not checked again
+            part = object.__new__(PathBatch)
+            for name, value in (("offsets", self.offsets[lo:hi + 1] - a),
+                                ("jump_times", self.jump_times[a:b]),
+                                ("states", self.states[a + lo:b + hi]),
+                                ("horizon", self.horizon), ("seeds", self.seeds[lo:hi])):
+                object.__setattr__(part, name, value)
+            yield part
 
     def sum_width(self, n_cuts):
         """Columns of a ``path_sums`` table over this batch with up to one
@@ -464,20 +499,100 @@ def simulate_path(spec, seed):
     return simulate_paths(spec, [seed])
 
 
-def path_chunks(spec, seeds, width, paths=None):
-    """The paths of ``seeds``, at least two as a standard error needs, as
-    the consecutive batches ``batch.chunks(width(batch))`` of the batch of
-    them all: ``paths`` when given, which must hold exactly those seeds,
-    else drawn in one ``simulate_paths`` call. ``width(batch)`` is the
-    column count of the caller's widest per-path table."""
-    seeds = tuple(seeds)
-    if len(seeds) < 2:
+def _uniformized_block(spec, block):
+    """(counts, times, states) of the ``_BLOCK`` paths of ``block``, drawn
+    from the generator of SeedSequence((_STREAM, block)): each path's jump
+    count, and the times of the jumps and the states they enter, path by
+    path in time order.
+
+    On each schedule piece [start, end) with an event table (rate,
+    thresholds): Poisson(rate (end - start)) event counts of all paths,
+    then, for a group of paths whose (most events x paths) tables fit in
+    ``_CELLS`` cells (the whole block unless a path has more than 16
+    events), their event times end - u (end - start), u uniform in [0, 1),
+    so that no time is the start, sorted; then one uniform per event, which
+    picks the next state, event rank by event rank. Events that keep the
+    state are dropped."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((_STREAM, block))))
+    state = np.full(_BLOCK, spec.initial_state, dtype=np.intp)
+    rows, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    ends = spec.starts[1:] + (spec.horizon,)
+    for start, end, table in zip(spec.starts, ends, spec.uniformized):
+        if table is None:
+            continue
+        rate, thresholds = table
+        length = end - start
+        counts = rng.poisson(rate * length, _BLOCK)
+        size = max(1, _CELLS // max(int(counts.max()), 1))
+        for lo in range(0, _BLOCK, size):
+            n = counts[lo:lo + size]
+            live = np.arange(n.max())[:, None] < n  # (rank, path)
+            t = np.where(live, end - rng.random(live.shape) * length, np.inf)
+            t.sort(axis=0)
+            u = rng.random(live.shape)
+            walk = np.zeros((live.shape[0] + 1, n.size), dtype=np.intp)
+            walk[0] = state[lo:lo + size]
+            for r in range(live.shape[0]):
+                for row in thresholds:  # the next state: the thresholds u reaches
+                    walk[r + 1] += u[r] >= row.take(walk[r])
+            state[lo:lo + size] = walk[n, np.arange(n.size)]
+            rank, path = np.nonzero(live & (walk[1:] != walk[:-1]))
+            rows.append(path + lo)
+            times.append(t[rank, path])
+            entered.append(walk[rank + 1, path])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # by path; pieces and ranks in time order
+    return (np.bincount(rows, minlength=_BLOCK), np.concatenate(times)[order],
+            np.concatenate(entered)[order])
+
+
+def draw_paths(spec, seed_base, n_paths):
+    """The paths seed_base .. seed_base + n_paths - 1 of the uniformized
+    stream as a PathBatch with those seeds, exact in distribution
+    (uniformization: Jensen, Skand. Aktuarietidskr. 36, 1953).
+
+    Determinism contract: paths come in blocks of ``_BLOCK`` path indices,
+    block b drawn whole by ``_uniformized_block`` from the generator of
+    SeedSequence((_STREAM, b)); a call draws every block it touches and
+    keeps the paths asked for. Path i is thus a fixed function of (spec,
+    i), whichever call draws it; a negative index raises numpy's
+    ``ValueError``, and a non-integer one ``TypeError``. This is not the
+    stream of ``simulate_paths``."""
+    lo = operator.index(seed_base)
+    hi = lo + max(operator.index(n_paths), 0)
+    counts, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    for block in range(lo // _BLOCK, -(-hi // _BLOCK)) if hi > lo else ():
+        n, t, s = _uniformized_block(spec, block)
+        a, b = max(lo - block * _BLOCK, 0), min(hi - block * _BLOCK, _BLOCK)
+        edges = np.concatenate([[0], np.cumsum(n)])
+        counts.append(n[a:b])
+        times.append(t[edges[a]:edges[b]])
+        entered.append(s[edges[a]:edges[b]])
+    counts = np.concatenate(counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    states = np.full(offsets[-1] + counts.size, spec.initial_state, dtype=np.intp)
+    jumped = np.ones(states.size, dtype=bool)
+    jumped[offsets[:-1] + np.arange(counts.size)] = False  # each path's start
+    states[jumped] = np.concatenate(entered)
+    return PathBatch(offsets=offsets, jump_times=np.concatenate(times), states=states,
+                     horizon=spec.horizon, seeds=range(lo, hi))
+
+
+def path_chunks(spec, seed_base, n_paths, width, paths=None):
+    """The paths seed_base .. seed_base + n_paths - 1, at least two as a
+    standard error needs, as the consecutive batches
+    ``batch.chunks(width(batch))`` of the batch of them all: ``paths`` when
+    given, which must hold exactly those seeds, else drawn by
+    ``draw_paths``. ``width(batch)`` is the column count of the caller's
+    widest per-path table."""
+    if n_paths < 2:
         raise TooFewPathsError(f"a Monte Carlo estimate needs at least 2 paths, "
-                               f"got {len(seeds)}")
+                               f"got {n_paths}")
     if paths is None:
-        paths = simulate_paths(spec, seeds)
-    elif paths.seeds != seeds:
-        raise ValueError(f"paths must be those of seeds {seeds[0]} .. {seeds[-1]}")
+        paths = draw_paths(spec, seed_base, n_paths)
+    elif paths.seeds != tuple(range(seed_base, seed_base + n_paths)):
+        raise ValueError(f"paths must be those of seeds {seed_base} .. "
+                         f"{seed_base + n_paths - 1}")
     return paths.chunks(width(paths))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_bsde
-from .chain import _CELLS, simulate_paths
+from .chain import _CELLS, draw_paths, simulate_paths
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
@@ -196,8 +196,8 @@ def _cmd_verify(config, out):
     z[0] = 1.0
     if solver.n_paths < 2:
         raise ConfigError(f"verify needs at least 2 paths, got {solver.n_paths}")
-    # both checks run on the paths of seeds seed .. seed + n_paths - 1
-    paths = simulate_paths(config.chain, range(solver.seed, solver.seed + solver.n_paths))
+    # both checks run on the paths seed .. seed + n_paths - 1 of draw_paths
+    paths = draw_paths(config.chain, solver.seed, solver.n_paths)
     reports["isometry"] = isometry_check(config.chain, z, n_paths=solver.n_paths,
                                          seed_base=solver.seed, paths=paths)
     if config.market is not None:

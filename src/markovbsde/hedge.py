@@ -227,14 +227,14 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     discounted driver integral up to the stop and add the deflated payoff
     there; the average must match the time-zero value within 3 standard
     errors. Also checks the deflated value dominates the deflated payoff
-    along every path. Paths are drawn in one pass and checked batch by
-    batch, each batch as many paths as its (paths x grid nodes) tables, or
-    the wider table of ``sdf_path``'s log-factor sums, fit in
-    ``chain._CELLS`` cells.
+    along every path. Paths are drawn in one ``draw_paths`` pass and
+    checked batch by batch, each batch as many paths as its (paths x grid
+    nodes) tables, or the wider table of ``sdf_path``'s log-factor sums,
+    fit in ``chain._CELLS`` cells.
     """
     grid = solution.grid
     n_cuts = len(market.breakpoints())
-    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths),
+    chunks = path_chunks(market.chain, seed_base, n_paths,
                          lambda batch: max(grid.size, 2 * batch.sum_width(n_cuts)))
     h_mat = _discounted_h_matrix(market, solution)
     g_mat = payoff.sample(grid, market.chain.n_states)

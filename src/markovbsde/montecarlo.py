@@ -5,8 +5,9 @@ Functionals receive exact jump paths, so stochastic integrals against the
 chain martingale carry no time-discretization bias; only dt integrals use
 quadrature. They take a ``PathBatch`` and return one value per path, each
 summed left to right as a loop over the path would. All estimates are
-deterministic given (seed_base, n_paths), with path p drawn from
-seed_base + p. Each check draws its paths in one pass and runs its
+deterministic given (seed_base, n_paths): path p is the path seed_base + p
+of the uniformized stream of ``chain.draw_paths``. Each check draws its
+paths in one pass and runs its
 functionals batch by batch, each batch as many paths as its widest
 per-path table fits in ``chain._CELLS`` cells: the padded ``path_sums``
 row of the stretch functionals, a few dozen columns, gives batches of
@@ -42,8 +43,7 @@ def mc_estimate(chain, functional, n_paths, seed_base=0):
     if not isinstance(chain, ChainSpec):
         raise TypeError(f"expected ChainSpec, got {type(chain)}")
     samples = []
-    for batch in path_chunks(chain, range(seed_base, seed_base + n_paths),
-                             lambda paths: _OPAQUE_WIDTH):
+    for batch in path_chunks(chain, seed_base, n_paths, lambda paths: _OPAQUE_WIDTH):
         vals = np.asarray(functional(batch), dtype=float)
         if vals.shape != (batch.n_paths,):
             raise ValueError(f"functional returned shape {vals.shape} for "
@@ -87,10 +87,10 @@ def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):
 
     The per-path difference of the two functionals must have mean within 3
     standard errors of zero. ``paths``, when given, is the already drawn
-    PathBatch of seeds seed_base .. seed_base + n_paths - 1.
+    ``draw_paths(spec, seed_base, n_paths)``.
     """
     z = np.asarray(z, dtype=float)
-    chunks = path_chunks(spec, range(seed_base, seed_base + n_paths),
+    chunks = path_chunks(spec, seed_base, n_paths,
                          lambda batch: batch.sum_width(len(spec.breakpoints())), paths)
     parts = [(stochastic_integral(spec, z, batch), seminorm_time_integral(spec, z, batch))
              for batch in chunks]
@@ -110,10 +110,10 @@ def european_consistency(market, terminal_claim, n_paths, steps=400,
     """Compare the BSDE value of a terminal claim under the pricing driver
     with the Monte Carlo deflated expectation E[pi_T claim'X_T].
 
-    ``paths``, when given, is the already drawn PathBatch of seeds
-    seed_base .. seed_base + n_paths - 1.
+    ``paths``, when given, is the already drawn
+    ``draw_paths(market.chain, seed_base, n_paths)``.
     """
-    chunks = path_chunks(market.chain, range(seed_base, seed_base + n_paths),
+    chunks = path_chunks(market.chain, seed_base, n_paths,
                          lambda batch: batch.sum_width(len(market.breakpoints())), paths)
     claim = np.asarray(terminal_claim, dtype=float)
     driver = make_hedge_driver(market)

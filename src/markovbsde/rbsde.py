@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import MarkovDriver, _linear_pieces, _rhs, solve_bsde
+from .bsde import (MarkovDriver, _checked, _implicit_levels, _linear_pieces, _rhs,
+                   solve_bsde)
 from .chain import pieces_at, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid, uniform_grid
@@ -192,34 +193,44 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     decay of the successive distances. The doubling starts at n of order
     1/dt; below that the penalty is too weak for the distance sequence to
     have entered its decaying O(1/n) tail. It stops with
-    ``NoConvergenceError`` past n = ``_PENALTY_CAP``.
+    ``NoConvergenceError`` past n = ``_PENALTY_CAP``. An affine driver's
+    implicit steps are tabled once for all levels (``_implicit_levels``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     terminal = np.asarray(terminal, dtype=float)
     grid = uniform_grid(spec.horizon, steps)
     obstacle_vals = obstacle.sample(grid, spec.n_states)
+    form, levels = driver.affine, None
+    if form is not None and form.obstacle is None:
+        levels = _implicit_levels(spec, replace(form, obstacle=obstacle), grid)
+
+    def solve(n):
+        """The values of ``solve_penalized`` at level n under implicit Euler."""
+        if levels is None:
+            return solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
+                              scheme="implicit_euler").values
+        _checked(spec, driver, terminal, steps, "implicit_euler", False)
+        return sweep(levels(float(n)), terminal, grid, "driver blow-up")
+
     trace = []
     n = max(4, int(np.ceil(steps / spec.horizon)))
-    prev = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
-                      scheme="implicit_euler")
+    prev = solve(n)
     while True:
         n *= 2
         if n > _PENALTY_CAP:
             raise NoConvergenceError(
                 f"penalty cap {_PENALTY_CAP} reached without tol {tol}", trace=trace)
-        cur = solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal,
-                         steps, scheme="implicit_euler")
-        dist = float(np.abs(cur.values - prev.values).max())
+        cur = solve(n)
+        dist = float(np.abs(cur - prev).max())
         trace.append((n, dist))
         prev = cur
         if dist < tol:
             break
-    vals = prev.values
     # k^n density is n (v^n - g)^-; trapezoid per step
-    density = n * np.maximum(obstacle_vals - vals, 0.0)
+    density = n * np.maximum(obstacle_vals - prev, 0.0)
     pushes = 0.5 * (density[:-1] + density[1:]) * (grid[1] - grid[0])
-    return _assemble(grid, vals, pushes, obstacle_vals, trace=trace)
+    return _assemble(grid, prev, pushes, obstacle_vals, trace=trace)
 
 
 def skorokhod_integral(solution):

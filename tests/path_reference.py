@@ -6,7 +6,9 @@ functionals became array operations over a ``PathBatch``. The
 batched code must reproduce them bit for bit: every sum here runs left to
 right in the same term order, and the trapezoid of
 ``discounted_value_check`` is one ``np.sum`` per path. Each path is
-given as raw arrays: its jump times and the states it visits.
+given as raw arrays: its jump times and the states it visits; the checks
+take the batch of paths the package drew and walk it path by path
+(``path_of``).
 
 The pathwise residuals, their one-step-at-a-time Hermite curve and the
 scalar linear interpolation are the loops the package ran before they too
@@ -117,12 +119,13 @@ def sdf_path(market, times, states, grid):
     return np.exp(log_pi)
 
 
-def isometry_check(spec, z, n_paths, seed_base=0):
+def isometry_check(spec, z, paths):
     z = np.asarray(z, dtype=float)
+    n_paths = paths.n_paths
     lhs = np.empty(n_paths)
     rhs = np.empty(n_paths)
     for p in range(n_paths):
-        path = draw(spec, seed_base + p)
+        path = path_of(paths, p)
         lhs[p] = stochastic_integral(spec, z, *path) ** 2
         rhs[p] = seminorm_time_integral(spec, z, *path)
     diff = lhs - rhs
@@ -133,11 +136,11 @@ def isometry_check(spec, z, n_paths, seed_base=0):
             "pass": bool(passed), "n_paths": int(n_paths)}
 
 
-def european_samples(market, claim, n_paths, seed_base=0):
+def european_samples(market, claim, paths):
     """The per-path deflated claims of ``european_consistency``."""
-    samples = np.empty(n_paths)
-    for p in range(n_paths):
-        times, states = draw(market.chain, seed_base + p)
+    samples = np.empty(paths.n_paths)
+    for p in range(paths.n_paths):
+        times, states = path_of(paths, p)
         samples[p] = terminal_sdf(market, times, states) * claim[states[-1]]
     return samples
 
@@ -159,7 +162,8 @@ def discounted_h_matrix(market, solution):
     return out
 
 
-def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
+def discounted_value_check(market, payoff, solution, paths):
+    n_paths = paths.n_paths
     grid = solution.grid
     steps = grid.size - 1
     dt = grid[1] - grid[0]
@@ -171,7 +175,7 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     samples = np.empty(n_paths)
     domination_ok = True
     for p in range(n_paths):
-        times, path_states = draw(market.chain, seed_base + p)
+        times, path_states = path_of(paths, p)
         pi = sdf_path(market, times, path_states, grid)
         states = states_at(times, path_states, grid)
         v_path = v[idx, states]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import path_reference as ref
 from markovbsde import (MarkovDriver, PathBatch, build_chain_spec, build_market_spec,
-                        chain, discount_driver, discounted_value_check,
+                        chain, discount_driver, discounted_value_check, draw_paths,
                         european_consistency, isometry_check, martingale_path,
                         mc_estimate, optimal_stop_time, pathwise_residual,
                         price_american, replicate_forward, sdf_dynamics_residual,
@@ -231,20 +231,20 @@ def batch_counts(monkeypatch):
 def test_checks_equal_the_path_loops_across_a_chunk_boundary(batch_counts):
     market, put, sol = put_market()
     spec, n_paths = market.chain, 67
+    paths = draw_paths(spec, 5, n_paths)  # the paths every check below draws
     got = discounted_value_check(market, put, sol, n_paths, seed_base=5)
-    assert got == ref.discounted_value_check(market, put, sol, n_paths, seed_base=5)
+    assert got == ref.discounted_value_check(market, put, sol, paths)
     assert got["dominates"] and got["std_error"] > 0.0
     z = np.array([1.0, -0.5, 2.0])
-    assert isometry_check(spec, z, n_paths, seed_base=5) == \
-        ref.isometry_check(spec, z, n_paths, seed_base=5)
+    assert isometry_check(spec, z, n_paths, seed_base=5) == ref.isometry_check(spec, z, paths)
     claim = np.array([1.0, 2.0, 0.5])
     rep = european_consistency(market, claim, n_paths, steps=50, seed_base=5)
-    samples = ref.european_samples(market, claim, n_paths, seed_base=5)
+    samples = ref.european_samples(market, claim, paths)
     assert rep["rhs"] == float(samples.mean())
     assert rep["std_error"] == float(samples.std(ddof=1) / np.sqrt(n_paths))
     est = mc_estimate(spec, lambda b: stochastic_integral(spec, z, b), n_paths,
                       seed_base=5)
-    samples = np.array([ref.stochastic_integral(spec, z, *ref.draw(spec, 5 + p))
+    samples = np.array([ref.stochastic_integral(spec, z, *ref.path_of(paths, p))
                         for p in range(n_paths)])
     assert est.mean == float(samples.mean())
     assert est.std_error == float(samples.std(ddof=1) / np.sqrt(n_paths))

@@ -244,6 +244,32 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
         assert np.array_equal(y, z), k
 
 
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 30), kinds=KINDS,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_penalization_levels_on_one_table_equal_a_solve_per_level(n, steps, kinds, seed):
+    """``penalization_limit`` tables an affine driver's implicit steps once
+    for all its levels; each level's values, the trace and the result
+    equal those of one implicit Euler ``solve_bsde`` per level, bit for
+    bit, with chain breakpoints on and off the nodes."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps))
+    driver, terminal = make_hedge_driver(market), rng.uniform(0.8, 1.2, n)
+    obstacle = penalty_obstacle(rng, n)
+    got = penalization_limit(market.chain, driver, terminal, obstacle, steps, 1e-3)
+    prev = None
+    for level, dist in [(got.penalization_trace[0][0] // 2, None), *got.penalization_trace]:
+        cur = solve_bsde(market.chain, penalized_driver(driver, obstacle, level), terminal,
+                         steps, scheme="implicit_euler").values
+        if dist is not None:
+            assert float(np.abs(cur - prev).max()) == dist
+        prev = cur
+    assert np.array_equal(got.values, prev)
+
+
 def penalty_obstacle(rng, n):
     """A callback obstacle below a terminal of about 1, falling in t."""
     level, slope = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.5, n)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from markovbsde import (build_chain_spec, build_market_spec,
-                        european_consistency, isometry_check, mc_estimate,
-                        simulate_paths)
+from markovbsde import (build_chain_spec, build_market_spec, draw_paths,
+                        european_consistency, isometry_check, mc_estimate)
 from markovbsde.cli import report_rows
 from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 from markovbsde.errors import NonFiniteError
@@ -43,7 +42,7 @@ def test_mc_estimate_names_the_seed_of_a_bad_path(two_state_chain):
     # the first path after seed 100 that jumps twice or more, in its chunk
     def functional(b):
         return np.where(n_jumps(b) >= 2, np.inf, 1.0)
-    counts = [simulate_paths(two_state_chain, [s]).jump_times.size
+    counts = [draw_paths(two_state_chain, s, 1).jump_times.size
               for s in range(100, 200)]
     first = 100 + next(k for k, c in enumerate(counts) if c >= 2)
     with pytest.raises(NonFiniteError, match=f"inf for seed {first}$"):
@@ -104,7 +103,7 @@ def test_functionals_sum_over_off_grid_stretches():
 def test_checks_take_the_drawn_paths(market_c0):
     chain = market_c0.chain
     z = np.array([1.0, 0.0])
-    paths = simulate_paths(chain, range(40, 340))
+    paths = draw_paths(chain, 40, 300)
     assert isometry_check(chain, z, 300, seed_base=40, paths=paths) == \
         isometry_check(chain, z, 300, seed_base=40)
     claim = np.array([1.0, 2.0])
