@@ -8,14 +8,15 @@ For each bundled market config with a put payoff, times (best of 3):
   ``price_american``, ``extract_hedge`` and ``replicate_forward`` on 100
   paths, all with the config's pricing driver and payoff;
 - at each path count P = 1e4 and 1e5, on the paths 0 .. P - 1:
-  ``simulate_paths`` (the per-seed stream) and ``draw_paths`` (the
-  uniformized stream of the Monte Carlo checks); on the batch
-  ``draw_paths`` drew, ``sdf_path`` on a grid of 201 nodes, over the batch
+  ``draw_paths``; on the batch it drew, ``sdf_path`` on a grid of 201
+  nodes, over the batch
   cut into batches of 1e4 paths (one table of 1e5 paths by 201 nodes
   would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
   (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
   batch; and ``discounted_value_check`` of the put priced at K = 200,
   which draws its own paths;
+- ``draw_paths`` of 1e4 paths on a two-state chain with both rates 1e3 on
+  [0, 1], about 1000 jumps a path;
 - end to end, on every bundled config at ``--steps 250`` and the
   config's own seed and path count: each CLI subcommand through
   ``cli.main``, writing to a temporary directory, and ``plot-data`` on
@@ -58,10 +59,10 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from markovbsde import (PathBatch, cli, discounted_value_check, draw_paths,  # noqa: E402
-                        extract_hedge, isometry_check, penalization_limit, price_american,
-                        replicate_forward, simulate_paths, solve_bsde,
-                        solve_reflected, stock_curves)
+from markovbsde import (PathBatch, build_chain_spec, cli,  # noqa: E402
+                        discounted_value_check, draw_paths, extract_hedge,
+                        isometry_check, penalization_limit, price_american,
+                        replicate_forward, solve_bsde, solve_reflected, stock_curves)
 from markovbsde.config import load_config  # noqa: E402
 from markovbsde.hedge import make_hedge_driver  # noqa: E402
 from markovbsde.market import sdf_path, terminal_sdf  # noqa: E402
@@ -73,6 +74,7 @@ SIZES = (1000, 10000)
 PATHS = 100
 MC_PATHS = (10_000, 100_000)
 MC_STEPS = 200
+FAST_RATE = 1e3
 SDF_BATCH = 10_000
 CLI_STEPS = 250
 REPEATS = 3
@@ -88,7 +90,7 @@ def layers(cfg, steps):
     terminal = payoff.terminal(chain.horizon, chain.n_states)
     priced = price_american(market, payoff, steps)
     strategy = extract_hedge(market, curves, priced)
-    paths = simulate_paths(chain, range(PATHS))
+    paths = draw_paths(chain, 0, PATHS)
     return [
         ("stock_curves", lambda: stock_curves(market, steps=steps)),
         ("solve_bsde explicit_rk4",
@@ -126,7 +128,6 @@ def path_layers(cfg, n_paths):
     z = np.eye(chain.n_states)[0]
     paths = draw_paths(chain, 0, n_paths)
     return [
-        ("simulate_paths", lambda: simulate_paths(chain, range(n_paths))),
         ("draw_paths", lambda: draw_paths(chain, 0, n_paths)),
         (f"sdf_path {grid.size} nodes",
          lambda: [sdf_path(market, batch, grid) for batch in batches(paths, SDF_BATCH)]),
@@ -211,6 +212,10 @@ def measure():
                 key = f"{name} {size} {layer}"
                 times[key] = best_time(call)
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
+    fast = build_chain_spec(2, FAST_RATE * np.array([[-1.0, 1.0], [1.0, -1.0]]), 0, 1.0)
+    key = f"two_state rate={FAST_RATE:g} P={MC_PATHS[0]} draw_paths"
+    times[key] = best_time(lambda: draw_paths(fast, 0, MC_PATHS[0]))
+    print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted((ROOT / "configs").glob("*.yaml")):
             for job, argv in cli_jobs(config, Path(tmp) / config.stem):

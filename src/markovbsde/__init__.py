@@ -8,8 +8,7 @@ from .bsde import (BsdeSolution, MarkovDriver, comparison_check,
                    discount_driver, pathwise_residual, solve_bsde, zero_driver)
 from .chain import (ChainSpec, PathBatch, build_chain_spec,
                     check_contraction, draw_paths, martingale_path, pseudoinverse,
-                    psi_matrix, rate_bound_m, seminorm_sq, simulate_path,
-                    simulate_paths)
+                    psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from .grids import StateGridFunction, uniform_grid
 from .hedge import (HedgeStrategy, contraction_report,
                     discounted_value_check, extract_hedge, hedge_driver,

@@ -1,9 +1,9 @@
 """Finite-state Markov chain core: generator schedules, the backward sweep
-of every solver with its sub-step table and RK4 step maps, simulation into
-batches of paths (per seed, and by uniformization a block of paths at a
-time), the batched path walk by stretches, martingale
-decomposition, the quadratic-variation matrix calculus and the
-pseudoinverse-based contraction check.
+of every solver with its sub-step table and RK4 step maps, simulation of
+the jump chain into batches of paths, a block of paths at a time, the
+batched path walk by stretches, martingale decomposition, the
+quadratic-variation matrix calculus and the pseudoinverse-based
+contraction check.
 
 Convention: rate matrices act on indicator columns, dX = A X dt + dM, so
 A[i, j] is the rate of jumping j -> i and every column of A sums to zero.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (BadScheduleError, BadStateError, NonFiniteError,
                      NonGeneratorError, TooFewPathsError)
-from .seeding import pcg64_states
 
 _GEN_TOL = 1e-12
 # Table cells per batch: the Monte Carlo checks cut their paths into batches
@@ -28,8 +27,7 @@ _GEN_TOL = 1e-12
 # most this many bytes, about 128 a field of text.
 _CELLS = 64 * 256
 # ``draw_paths`` draws paths in blocks of this many path indices, block b
-# from the generator of SeedSequence((_STREAM, b)): a fixed tag, so that no
-# block shares its key with the plain seed of a ``simulate_paths`` stream.
+# from the generator of SeedSequence((_STREAM, b)), _STREAM a fixed tag.
 _BLOCK = 1024
 _STREAM = 1953
 
@@ -170,13 +168,10 @@ class ChainSpec:
 
     ``schedule`` is a tuple of (start_time, matrix) pairs from
     ``freeze_schedule``: piece k applies on [start_k, start_{k+1}), and
-    start_0 = 0.0. ``starts`` holds the start times. Per piece k and state
-    i, computed once: ``jumps[k][i]`` is the jump table that
-    ``simulate_paths`` reads, (1 / exit rate, jump CDF), or None when state i
-    is absorbing there (see ``_jump_table``); ``psi[k][i]`` is the read-only
-    quadratic-variation density with X frozen at state i. Per piece k,
-    ``uniformized[k]`` is the event table that ``draw_paths`` reads (see
-    ``_uniformized``).
+    start_0 = 0.0. ``starts`` holds the start times. Per piece k, computed
+    once: ``jump_chain[k]`` is the (mean holding times, thresholds) table
+    that ``draw_paths`` reads (see ``_jump_chain``), and ``psi[k][i]`` the
+    read-only quadratic-variation density with X frozen at state i.
     """
 
     n_states: int
@@ -184,18 +179,14 @@ class ChainSpec:
     initial_state: int
     horizon: float
     starts: tuple = field(init=False, repr=False, compare=False)
-    jumps: tuple = field(init=False, repr=False, compare=False)
+    jump_chain: tuple = field(init=False, repr=False, compare=False)
     psi: tuple = field(init=False, repr=False, compare=False)
-    uniformized: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "starts", tuple(s for s, _ in self.schedule))
-        for name, build in (("jumps", _jump_table), ("psi", _psi)):
-            object.__setattr__(self, name, tuple(
-                tuple(build(a, i) for i in range(self.n_states))
-                for _, a in self.schedule))
-        object.__setattr__(self, "uniformized", tuple(
-            _uniformized(a, jumps) for (_, a), jumps in zip(self.schedule, self.jumps)))
+        object.__setattr__(self, "jump_chain", tuple(_jump_chain(a) for _, a in self.schedule))
+        object.__setattr__(self, "psi", tuple(
+            tuple(_psi(a, i) for i in range(self.n_states)) for _, a in self.schedule))
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
@@ -206,45 +197,24 @@ class ChainSpec:
         return self.starts[1:]
 
 
-def _jump_table(a, state):
-    """(1 / exit rate, jump CDF) of ``state`` under generator ``a``, or None
-    when the state is absorbing.
-
-    The CDF is built as ``Generator.choice`` builds it from the jump
-    probabilities A[:, state] / exit rate: cumulative sum, then division by
-    the last entry. Off-diagonal rates in the validation tolerance below
-    zero count as zero, and the division normalises a column whose sum is
-    off by a tolerated amount. A state whose exit rate -A[state, state] is
-    not positive, or which has no positive off-diagonal rate, is absorbing.
-    """
-    rate = -a[state, state]
-    if rate <= 0.0:
-        return None
-    probs = np.maximum(a[:, state], 0.0)
-    probs[state] = 0.0
-    probs /= rate
-    cdf = probs.cumsum()
-    if cdf[-1] <= 0.0:
-        return None
-    cdf /= cdf[-1]
-    return float(1.0 / rate), tuple(cdf.tolist())
-
-
-def _uniformized(a, jumps):
-    """(rate, thresholds) of the uniformized chain under generator ``a``:
-    events at ``rate``, the largest exit rate of a state that can jump
-    (``jumps[i]`` not None); after an event in state i, the next state is
-    the number of thresholds[:, i] that a uniform reaches. Column i is the
-    CDF, less its last entry, of column i of I + A / rate with the rates
-    ``_jump_table`` drops taken as zero, normalised by its sum; an absorbing
-    state keeps its state. Without a state that can jump, None."""
-    can_jump = np.array([table is not None for table in jumps])
-    if not can_jump.any():
-        return None
-    rate = float(np.max(-np.diag(a)[can_jump]))
-    eye = np.eye(a.shape[0])
-    cdf = np.where(can_jump, np.maximum(eye + a / rate, 0.0), eye).cumsum(axis=0)
-    return rate, np.ascontiguousarray((cdf / cdf[-1])[:-1])
+def _jump_chain(a):
+    """(mean, thresholds) of the jump chain under generator ``a``: mean[i]
+    is state i's mean holding time 1 / -A[i, i], inf where it is absorbing;
+    after a jump from state i, the next state is the number of
+    thresholds[:, i] that a uniform reaches. Column i is the jump CDF of
+    state i less its last entry: the cumulative sum of the off-diagonal
+    rates A[:, i] divided by their total. Off-diagonal rates in the
+    validation tolerance below zero count as zero. A state whose exit rate
+    is not positive, or which has no positive off-diagonal rate, is
+    absorbing."""
+    rates = np.maximum(a, 0.0)
+    np.fill_diagonal(rates, 0.0)
+    cdf = rates.cumsum(axis=0)
+    exit_rate = -np.diag(a)
+    can_jump = (exit_rate > 0.0) & (cdf[-1] > 0.0)
+    mean = np.full(a.shape[0], np.inf)
+    mean[can_jump] = 1.0 / exit_rate[can_jump]
+    return mean, np.ascontiguousarray((cdf / np.where(can_jump, cdf[-1], 1.0))[:-1])
 
 
 def counts_at(rows, values, n_rows, times):
@@ -289,8 +259,8 @@ def sums_at(n_paths, rows, terms, ends, times, op=np.add):
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Many trajectories in one ragged store: path p, the path of seeds[p]
-    in the stream it was drawn from, jumps at the times
+    """Many trajectories in one ragged store: path p, the path of index
+    seeds[p] of ``draw_paths`` (or given by hand), jumps at the times
     jump_times[offsets[p]:offsets[p + 1]] through the states
     states[offsets[p] + p:offsets[p + 1] + p + 1]. Its jump times must
     increase strictly in (0, horizon], and no jump may keep the state."""
@@ -435,134 +405,65 @@ def rate_bound_m(spec):
     return max(float(np.sqrt(np.trace(a.T @ a))) for _, a in spec.schedule)
 
 
-def simulate_paths(spec, seeds):
-    """Draw one trajectory per seed into a PathBatch, exact in
-    distribution.
-
-    Holding times are exponential at the current diagonal rate, drawn as
-    the mean times ``rng.standard_exponential()``, which is
-    ``rng.exponential(mean)`` bit for bit; a holding time reaching a
-    schedule boundary is resampled from the boundary on (memorylessness). The state after a jump is drawn from the jump table
-    of ``spec.jumps`` with one ``rng.random()`` and a right-sided search of
-    the CDF, which is how ``Generator.choice`` samples: for any generator
-    ``choice`` accepts, the path and the stream position after each draw
-    equal those of ``rng.choice(n_states, p=A[:, i] / rate)``.
-
-    Determinism contract: path p is a fixed function of (spec, seeds[p]),
-    drawn from the stream of ``Generator(PCG64(seeds[p]))``, the generator
-    ``numpy.random.default_rng(seeds[p])`` builds; the CLI's CSVs rest on
-    this stream, and a batch draws the same paths as its seeds one at a
-    time. The seeds' PCG64 states are computed in one pass
-    (``seeding.pcg64_states``), and one generator draws every path from its
-    seed's state; a seed numpy refuses raises numpy's error. Off-diagonal
-    rates within the validation tolerance below zero never carry a jump,
-    and states without a positive off-diagonal rate are absorbing (see
-    ``_jump_table``).
-    """
-    seeds = tuple(seeds)
-    bitgen = np.random.PCG64(0)  # put in each seed's state below
-    rng = np.random.Generator(bitgen)
-    exponential, uniform = rng.standard_exponential, rng.random
-    jumps = spec.jumps
-    boundaries = spec.starts[1:] + (spec.horizon,)
-    last = len(boundaries) - 1
-    offsets = [0]
-    jump_times = []
-    states = []
-    for seeded in pcg64_states(seeds):
-        bitgen.state = seeded
-        t = 0.0
-        piece = 0
-        state = spec.initial_state
-        states.append(state)
-        while True:  # until the last piece's boundary, the horizon
-            table = jumps[piece][state]
-            end = boundaries[piece]
-            hold = np.inf if table is None else table[0] * exponential()
-            if t + hold >= end:
-                t = end
-                if piece < last:
-                    piece += 1
-                    continue
-                break
-            t += hold
-            state = bisect_right(table[1], uniform())
-            jump_times.append(t)
-            states.append(state)
-        offsets.append(len(jump_times))
-    return PathBatch(offsets=offsets, jump_times=jump_times, states=states,
-                     horizon=spec.horizon, seeds=seeds)
-
-
-def simulate_path(spec, seed):
-    """One trajectory, as the PathBatch ``simulate_paths(spec, [seed])``."""
-    return simulate_paths(spec, [seed])
-
-
-def _uniformized_block(spec, block):
+def _jump_block(spec, block):
     """(counts, times, states) of the ``_BLOCK`` paths of ``block``, drawn
     from the generator of SeedSequence((_STREAM, block)): each path's jump
     count, and the times of the jumps and the states they enter, path by
     path in time order.
 
-    On each schedule piece [start, end) with an event table (rate,
-    thresholds): Poisson(rate (end - start)) event counts of all paths,
-    then, for a group of paths whose (most events x paths) tables fit in
-    ``_CELLS`` cells (the whole block unless a path has more than 16
-    events), their event times end - u (end - start), u uniform in [0, 1),
-    so that no time is the start, sorted; then one uniform per event, which
-    picks the next state, event rank by event rank. Events that keep the
-    state are dropped."""
+    On each schedule piece [start, end) the paths in a state that can jump
+    there are live. Each round draws one holding time for every live path,
+    its state's mean times a standard exponential; a path whose time
+    reaches the piece end stops there and, by memorylessness, starts the
+    next piece afresh. Each other path jumps: one uniform against its
+    state's column of the piece's thresholds picks the next state, and a
+    path that enters an absorbing state leaves the live set."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((_STREAM, block))))
     state = np.full(_BLOCK, spec.initial_state, dtype=np.intp)
     rows, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
     ends = spec.starts[1:] + (spec.horizon,)
-    for start, end, table in zip(spec.starts, ends, spec.uniformized):
-        if table is None:
-            continue
-        rate, thresholds = table
-        length = end - start
-        counts = rng.poisson(rate * length, _BLOCK)
-        size = max(1, _CELLS // max(int(counts.max()), 1))
-        for lo in range(0, _BLOCK, size):
-            n = counts[lo:lo + size]
-            live = np.arange(n.max())[:, None] < n  # (rank, path)
-            t = np.where(live, end - rng.random(live.shape) * length, np.inf)
-            t.sort(axis=0)
-            u = rng.random(live.shape)
-            walk = np.zeros((live.shape[0] + 1, n.size), dtype=np.intp)
-            walk[0] = state[lo:lo + size]
-            for r in range(live.shape[0]):
-                for row in thresholds:  # the next state: the thresholds u reaches
-                    walk[r + 1] += u[r] >= row.take(walk[r])
-            state[lo:lo + size] = walk[n, np.arange(n.size)]
-            rank, path = np.nonzero(live & (walk[1:] != walk[:-1]))
-            rows.append(path + lo)
-            times.append(t[rank, path])
-            entered.append(walk[rank + 1, path])
+    for start, end, (mean, thresholds) in zip(spec.starts, ends, spec.jump_chain):
+        live = np.flatnonzero(np.isfinite(mean[state]))
+        t = np.full(live.size, start)
+        while live.size:
+            t = t + mean[state[live]] * rng.standard_exponential(live.size)
+            jumped = t < end
+            live, t = live[jumped], t[jumped]
+            u, at = rng.random(live.size), state[live]
+            to = np.zeros(live.size, dtype=np.intp)
+            for row in thresholds:  # the next state: the thresholds u reaches
+                to += u >= row[at]
+            state[live] = to
+            rows.append(live)
+            times.append(t)
+            entered.append(to)
+            holds = np.isfinite(mean[to])
+            live, t = live[holds], t[holds]
     rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")  # by path; pieces and ranks in time order
+    order = np.argsort(rows, kind="stable")  # by path; pieces and rounds in time order
     return (np.bincount(rows, minlength=_BLOCK), np.concatenate(times)[order],
             np.concatenate(entered)[order])
 
 
 def draw_paths(spec, seed_base, n_paths):
-    """The paths seed_base .. seed_base + n_paths - 1 of the uniformized
-    stream as a PathBatch with those seeds, exact in distribution
-    (uniformization: Jensen, Skand. Aktuarietidskr. 36, 1953).
+    """The paths seed_base .. seed_base + n_paths - 1 of the chain as a
+    PathBatch with those seeds, exact in distribution: the jump chain with
+    exponential holding times (Gillespie, J. Phys. Chem. 81(25), 1977),
+    drawn for a block of paths at a time by ``_jump_block``.
 
     Determinism contract: paths come in blocks of ``_BLOCK`` path indices,
-    block b drawn whole by ``_uniformized_block`` from the generator of
-    SeedSequence((_STREAM, b)); a call draws every block it touches and
-    keeps the paths asked for. Path i is thus a fixed function of (spec,
-    i), whichever call draws it; a negative index raises numpy's
-    ``ValueError``, and a non-integer one ``TypeError``. This is not the
-    stream of ``simulate_paths``."""
+    block b drawn whole from the generator of SeedSequence((_STREAM, b));
+    a call draws every block it touches and keeps the paths asked for.
+    Path i is thus a fixed function of (spec, i), whichever call draws it;
+    a negative index raises numpy's ``ValueError``, and a non-integer one
+    ``TypeError``. Off-diagonal rates within the validation tolerance
+    below zero never carry a jump, and states without a positive
+    off-diagonal rate are absorbing (see ``_jump_chain``)."""
     lo = operator.index(seed_base)
     hi = lo + max(operator.index(n_paths), 0)
     counts, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
     for block in range(lo // _BLOCK, -(-hi // _BLOCK)) if hi > lo else ():
-        n, t, s = _uniformized_block(spec, block)
+        n, t, s = _jump_block(spec, block)
         a, b = max(lo - block * _BLOCK, 0), min(hi - block * _BLOCK, _BLOCK)
         edges = np.concatenate([[0], np.cumsum(n)])
         counts.append(n[a:b])
@@ -576,6 +477,11 @@ def draw_paths(spec, seed_base, n_paths):
     states[jumped] = np.concatenate(entered)
     return PathBatch(offsets=offsets, jump_times=np.concatenate(times), states=states,
                      horizon=spec.horizon, seeds=range(lo, hi))
+
+
+def simulate_path(spec, seed):
+    """One trajectory, as the PathBatch ``draw_paths(spec, seed, 1)``."""
+    return draw_paths(spec, seed, 1)
 
 
 def path_chunks(spec, seed_base, n_paths, width, paths=None):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import solve_bsde
-from .chain import _CELLS, draw_paths, simulate_paths
+from .chain import _CELLS, draw_paths
 from .config import load_config
 from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
@@ -109,7 +109,7 @@ def _cmd_validate(config, out):
 
 def _cmd_simulate(config, out):
     seed, n_paths = config.solver.seed, min(config.solver.n_paths, 100)
-    paths = simulate_paths(config.chain, range(seed, seed + n_paths))
+    paths = draw_paths(config.chain, seed, n_paths)
     for p in range(n_paths):
         _write_csv(out / f"path_{p:04d}.csv", ("jump_index", "time", "state"),
                    path_rows(paths, p))
@@ -181,7 +181,7 @@ def _cmd_hedge(config, out):
                 curves.grid, s.transpose(1, 0, 2).reshape(s.shape[1], -1),
                 labels=[f"{j},{i}" for j in range(n) for i in range(s.shape[2])])
     seed, n_paths = config.solver.seed, min(config.solver.n_paths, 20)
-    paths = simulate_paths(config.chain, range(seed, seed + n_paths))
+    paths = draw_paths(config.chain, seed, n_paths)
     rep = replicate_forward(strat, sol, paths)
     _write_csv(out / "replication_report.csv",
                ("path", "max_gap", "terminal_gap", "dominates"),

@@ -6,9 +6,8 @@ chain martingale carry no time-discretization bias; only dt integrals use
 quadrature. They take a ``PathBatch`` and return one value per path, each
 summed left to right as a loop over the path would. All estimates are
 deterministic given (seed_base, n_paths): path p is the path seed_base + p
-of the uniformized stream of ``chain.draw_paths``. Each check draws its
-paths in one pass and runs its
-functionals batch by batch, each batch as many paths as its widest
+of ``chain.draw_paths``. Each check draws its paths in one pass and runs
+its functionals batch by batch, each batch as many paths as its widest
 per-path table fits in ``chain._CELLS`` cells: the padded ``path_sums``
 row of the stretch functionals, a few dozen columns, gives batches of
 hundreds of paths; a functional ``mc_estimate`` cannot see into gets 64.

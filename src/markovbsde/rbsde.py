@@ -194,7 +194,8 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     1/dt; below that the penalty is too weak for the distance sequence to
     have entered its decaying O(1/n) tail. It stops with
     ``NoConvergenceError`` past n = ``_PENALTY_CAP``. An affine driver's
-    implicit steps are tabled once for all levels (``_implicit_levels``).
+    implicit steps are tabled once for all levels (``_implicit_levels``),
+    and ``solve_bsde``'s checks run once for them all.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -204,13 +205,14 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     form, levels = driver.affine, None
     if form is not None and form.obstacle is None:
         levels = _implicit_levels(spec, replace(form, obstacle=obstacle), grid)
+        # the checks of solve_bsde, once: no level changes what they read
+        _checked(spec, driver, terminal, steps, "implicit_euler", False)
 
     def solve(n):
         """The values of ``solve_penalized`` at level n under implicit Euler."""
         if levels is None:
             return solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
                               scheme="implicit_euler").values
-        _checked(spec, driver, terminal, steps, "implicit_euler", False)
         return sweep(levels(float(n)), terminal, grid, "driver blow-up")
 
     trace = []

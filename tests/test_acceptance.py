@@ -13,14 +13,14 @@ import pytest
 
 from markovbsde import (MarkovDriver, Obstacle, build_chain_spec,
                         build_market_spec, comparison_check, constant_obstacle,
-                        discount_driver, discounted_value_check, extract_hedge,
-                        gamma_matrix, isometry_check, penalization_limit,
-                        price_american, pseudoinverse, psi_matrix,
-                        rate_bound_m, replicate_forward, sdf_dynamics_residual,
-                        seminorm_sq, short_rate, sigma_matrix, simulate_path,
-                        simulate_paths, skorokhod_integral, snell_oracle,
-                        solve_bsde, solve_reflected, stock_curves,
-                        stock_sde_residual, zero_driver)
+                        discount_driver, discounted_value_check, draw_paths,
+                        extract_hedge, gamma_matrix, isometry_check,
+                        penalization_limit, price_american, pseudoinverse,
+                        psi_matrix, rate_bound_m, replicate_forward,
+                        sdf_dynamics_residual, seminorm_sq, short_rate,
+                        sigma_matrix, simulate_path, skorokhod_integral,
+                        snell_oracle, solve_bsde, solve_reflected,
+                        stock_curves, stock_sde_residual, zero_driver)
 from markovbsde.hedge import make_hedge_driver
 from markovbsde.montecarlo import european_consistency
 from markovbsde.rbsde import solve_penalized
@@ -283,7 +283,7 @@ def test_criterion_09_hedging(capsys, market_c0):
     strat = extract_hedge(market_c0, curves, sol)
     phi_res = float(np.abs(np.einsum("knj,kj->kn", curves.phi_all(), strat.h)
                            - sol.values).max())
-    rep = replicate_forward(strat, sol, simulate_paths(market_c0.chain, range(100)))
+    rep = replicate_forward(strat, sol, draw_paths(market_c0.chain, 0, 100))
     max_gap = float(rep["max_gap"].max())
     term_gap = float(rep["terminal_gap"].max())
     dominated = bool(np.all(rep["dominates"]))

@@ -17,7 +17,7 @@ from markovbsde import (MarkovDriver, PathBatch, build_chain_spec, build_market_
                         european_consistency, isometry_check, martingale_path,
                         mc_estimate, optimal_stop_time, pathwise_residual,
                         price_american, replicate_forward, sdf_dynamics_residual,
-                        simulate_path, simulate_paths, solve_bsde, stock_curves,
+                        simulate_path, solve_bsde, stock_curves,
                         stock_sde_residual, uniform_grid)
 from markovbsde.bsde import _hermite_curve
 from markovbsde.chain import counts_at
@@ -140,7 +140,7 @@ def test_states_at_equals_the_counts_form(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng)
     grid = uniform_grid(1.0, int(rng.integers(1, 20)))
-    drawn = simulate_paths(market.chain, rng.integers(0, 10_000, 10))
+    drawn = draw_paths(market.chain, int(rng.integers(0, 10_000)), 10)
     paths = edge_paths(market, grid) + [ref.path_of(drawn, p) for p in range(10)]
     paths = [paths[k] for k in rng.permutation(len(paths))]
     batch = ref.batch_of(paths)
@@ -258,7 +258,7 @@ def test_replication_in_batches_equals_one_batch(batch_counts, monkeypatch):
     # replication only gathers the strategy's terms along the paths
     strategy = SimpleNamespace(carry=rng.normal(size=(50, 3)),
                                stock_leg=rng.normal(size=(51, 3)))
-    paths = simulate_paths(market.chain, range(23))
+    paths = draw_paths(market.chain, 0, 23)
     cut = replicate_forward(strategy, sol, paths)
     monkeypatch.setattr(chain, "_CELLS", 10 ** 6)
     whole = replicate_forward(strategy, sol, paths)
@@ -266,7 +266,7 @@ def test_replication_in_batches_equals_one_batch(batch_counts, monkeypatch):
     for key, value in whole.items():
         assert value.shape == (23,)
         assert np.array_equal(cut[key], value)
-    empty = replicate_forward(strategy, sol, simulate_paths(market.chain, []))
+    empty = replicate_forward(strategy, sol, draw_paths(market.chain, 0, 0))
     assert [value.shape for value in empty.values()] == [(0,)] * 3
 
 
@@ -287,18 +287,17 @@ def test_batches_draw_seed_by_seed(monkeypatch):
     market, _, _ = put_market()
     spec = market.chain
     seeds = range(100, 100 + 2 * size + 3)
-    batch = simulate_paths(spec, seeds)
+    batch = draw_paths(spec, seeds[0], len(seeds))
     chunks = list(batch.chunks(20))
     assert batch.seeds == tuple(seeds)
     assert [c.seeds for c in chunks] == [tuple(seeds[:size]), tuple(seeds[size:2 * size]),
                                          tuple(seeds[2 * size:])]
-    # path p of the batch, of its chunk, of a batch of one and simulate_path
+    # path p of the batch, of its chunk and simulate_path of its seed
     for p in (0, 1, size - 1, size, 2 * size + 2):
-        one = simulate_paths(spec, [seeds[p]])
-        assert one.seeds == simulate_path(spec, seeds[p]).seeds == (seeds[p],)
+        one = simulate_path(spec, seeds[p])
+        assert one.seeds == (seeds[p],)
         for times, states in (ref.path_of(batch, p),
-                              ref.path_of(chunks[p // size], p % size),
-                              ref.path_of(simulate_path(spec, seeds[p]), 0)):
+                              ref.path_of(chunks[p // size], p % size)):
             assert np.array_equal(times, one.jump_times)
             assert np.array_equal(states, one.states)
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
-                        discount_driver, pathwise_residual, simulate_path,
-                        simulate_paths, solve_bsde, zero_driver)
+                        discount_driver, draw_paths, pathwise_residual,
+                        simulate_path, solve_bsde, zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
@@ -150,7 +150,7 @@ def test_pathwise_residual_converges_across_a_breakpoint():
     res = []
     for steps in (50, 100, 200, 400):
         sol = solve_bsde(chain, drv, xi, steps)
-        res.append(pathwise_residual(sol, simulate_paths(chain, range(5)), chain,
+        res.append(pathwise_residual(sol, draw_paths(chain, 0, 5), chain,
                                      drv, xi).max())
     assert all(a >= 8.0 * b for a, b in zip(res, res[1:])), res
 

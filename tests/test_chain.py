@@ -1,22 +1,20 @@
 """Chain core: validation, simulation, the martingale decomposition, the
 Psi calculus, the pseudoinverse and the contraction check."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovbsde import (build_chain_spec, check_contraction,
+from markovbsde import (build_chain_spec, check_contraction, draw_paths,
                         martingale_path, mc_estimate, pseudoinverse,
                         psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from markovbsde.cli import path_rows
-from markovbsde.config import load_config
 from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
 
 from conftest import one_path, random_chain, random_generator
+from path_reference import path_of
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -97,72 +95,15 @@ def test_simulate_is_deterministic_per_seed(two_state_chain):
 
 
 def test_simulated_paths_are_well_formed(two_state_chain):
-    for seed in range(50):
-        p = simulate_path(two_state_chain, seed)
-        assert p.states[0] == two_state_chain.initial_state
-        if p.jump_times.size:
-            assert np.all(np.diff(p.jump_times) > 0)
-            assert p.jump_times[0] > 0 and p.jump_times[-1] <= p.horizon
-        assert np.all(p.states[1:] != p.states[:-1])
-        assert np.all((0 <= p.states) & (p.states < 2))
-
-
-def choice_oracle(spec, seed):
-    """The simulation loop written with numpy's own sampler: holding times
-    from ``rng.exponential``, each jump from ``rng.choice``."""
-    rng = np.random.default_rng(seed)
-    ends = list(spec.starts[1:]) + [spec.horizon]
-    times, states = [], [spec.initial_state]
-    t, piece, state = 0.0, 0, spec.initial_state
-    while True:
-        a = spec.schedule[piece][1]
-        rate = -a[state, state]
-        hold = rng.exponential(1.0 / rate) if rate > 0 else np.inf
-        if t + hold >= ends[piece]:
-            if piece + 1 == len(ends):
-                return np.array(times), np.array(states)
-            t, piece = ends[piece], piece + 1
-            continue
-        t += hold
-        probs = a[:, state].copy()
-        probs[state] = 0.0
-        state = int(rng.choice(spec.n_states, p=probs / rate))
-        times.append(t)
-        states.append(state)
-
-
-def stream_chains():
-    """Random chains (N = 1..5, absorbing states, 1-4 pieces starting off
-    any grid) and the bundled configs' chains."""
-    rng = np.random.default_rng(2024)
-    chains = []
-    for k in range(16):
-        n = 1 + k % 5
-        starts = [0.0] + sorted(rng.uniform(0.05, 0.95, k % 4).tolist())
-        pieces = []
-        for start in starts:
-            a = random_generator(rng, n, scale=float(rng.choice([0.5, 3.0, 20.0])))
-            if n > 1 and k % 3 == 0:
-                a[:, rng.integers(n)] = 0.0  # an absorbing state
-            pieces.append((start, a))
-        chains.append(build_chain_spec(n, pieces, int(rng.integers(n)), 1.0))
-    configs = Path(__file__).resolve().parent.parent / "configs"
-    return chains + [load_config(str(p)).chain for p in sorted(configs.glob("*.yaml"))]
-
-
-def test_simulate_path_reproduces_the_choice_stream():
-    chains = stream_chains()
-    assert {c.n_states for c in chains} >= {1, 2, 3, 4, 5}
-    assert {len(c.schedule) for c in chains} == {1, 2, 3, 4}
-    jumps = 0
-    for spec in chains:
-        for seed in range(200):
-            path = simulate_path(spec, seed)
-            times, states = choice_oracle(spec, seed)
-            assert np.array_equal(path.jump_times, times)
-            assert np.array_equal(path.states, states)
-            jumps += path.jump_times.size
-    assert jumps > 10_000
+    paths = draw_paths(two_state_chain, 0, 50)
+    for p in range(50):
+        times, states = path_of(paths, p)
+        assert states[0] == two_state_chain.initial_state
+        if times.size:
+            assert np.all(np.diff(times) > 0)
+            assert times[0] > 0 and times[-1] <= paths.horizon
+        assert np.all(states[1:] != states[:-1])
+        assert np.all((0 <= states) & (states < 2))
 
 
 @pytest.mark.parametrize("a, horizon", [
@@ -173,10 +114,11 @@ def test_simulate_path_reproduces_the_choice_stream():
 ])
 def test_simulate_path_on_tolerated_generators(a, horizon):
     spec = build_chain_spec(len(a), a, 0, horizon)
+    paths = draw_paths(spec, 0, 200)
     from_zero = 0
-    for seed in range(200):
-        path = simulate_path(spec, seed)
-        after_zero = path.states[1:][path.states[:-1] == 0]
+    for p in range(200):
+        _, states = path_of(paths, p)
+        after_zero = states[1:][states[:-1] == 0]
         assert np.all(after_zero == 1)  # never along the zero rate 0 -> 2
         from_zero += after_zero.size
     assert from_zero > 100

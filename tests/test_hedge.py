@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
-                        discounted_value_check, extract_hedge, hedge_driver,
-                        make_hedge_driver, price_american, replicate_forward,
-                        simulate_paths, solve_bsde, stock_curves)
+                        discounted_value_check, draw_paths, extract_hedge,
+                        hedge_driver, make_hedge_driver, price_american,
+                        replicate_forward, solve_bsde, stock_curves)
 from markovbsde.cli import main
 from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
@@ -173,7 +173,7 @@ def test_replication_tracks_value_to_machine_precision(market_c0, curves_c0,
                                                        put_payoff):
     sol = price_american(market_c0, put_payoff, 1000)
     strat = extract_hedge(market_c0, curves_c0, sol)
-    rep = replicate_forward(strat, sol, simulate_paths(market_c0.chain, range(10)))
+    rep = replicate_forward(strat, sol, draw_paths(market_c0.chain, 0, 10))
     assert rep["max_gap"].shape == (10,)
     assert np.all(rep["max_gap"] < 1e-10)
     assert np.all(rep["dominates"])
@@ -190,7 +190,7 @@ def test_replication_reads_the_piece_of_each_left_node():
     put = put_on(curves, 30.0)
     sol = price_american(mkt, put, 200)
     strat = extract_hedge(mkt, curves, sol)
-    rep = replicate_forward(strat, sol, simulate_paths(chain, range(20)))
+    rep = replicate_forward(strat, sol, draw_paths(chain, 0, 20))
     assert np.all(rep["max_gap"] < 1e-10)
 
 

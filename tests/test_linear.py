@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, build_market_spec,
+from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import (AffineForm, _callback_step, _linear_implicit,
                             _linear_pieces, _scalar_implicit, zero_driver)
@@ -268,6 +268,24 @@ def test_penalization_levels_on_one_table_equal_a_solve_per_level(n, steps, kind
             assert float(np.abs(cur - prev).max()) == dist
         prev = cur
     assert np.array_equal(got.values, prev)
+
+
+def test_penalization_limit_checks_contraction_once(monkeypatch):
+    """The tabled levels share one run of ``solve_bsde``'s checks, whose
+    contraction warning is issued once."""
+    rng = np.random.default_rng(3)
+    market, _ = random_market(rng, 3, [0.0, 0.4], [0.0], [0.0])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return {"holds": False, "worst_margin": -1.0, "worst_time_state": (0.0, 0)}
+
+    monkeypatch.setattr(bsde, "check_contraction", counted)
+    with pytest.warns(RuntimeWarning, match="contraction fails") as caught:
+        got = penalization_limit(market.chain, make_hedge_driver(market), np.full(3, 0.5),
+                                 penalty_obstacle(rng, 3), 40, 1e-3)
+    assert len(got.penalization_trace) > 1 and len(calls) == 1 and len(caught) == 1
 
 
 def penalty_obstacle(rng, n):

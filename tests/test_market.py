@@ -4,7 +4,7 @@ stock curves and pathwise SDE residuals."""
 import numpy as np
 import pytest
 
-from markovbsde import (build_chain_spec, build_market_spec,
+from markovbsde import (build_chain_spec, build_market_spec, draw_paths,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
@@ -170,10 +170,9 @@ def test_sdf_path_matches_terminal_on_simulated_paths():
     mkt = build_market_spec(chain(), c_schedule=[(0.0, np.zeros((2, 2))), (0.4, c)],
                             d_schedule=[(0.0, [0.05, 0.06]), (0.5, [0.07, 0.04])],
                             dividends=[[1.0, 1.0]])
-    for seed in range(30):
-        path = simulate_path(mkt.chain, seed)
-        pi = sdf_path(mkt, path, np.linspace(0.0, 1.0, 58))[0]
-        assert pi[-1] == pytest.approx(terminal_sdf(mkt, path)[0], abs=1e-13)
+    paths = draw_paths(mkt.chain, 0, 30)
+    pi = sdf_path(mkt, paths, np.linspace(0.0, 1.0, 58))
+    assert pi[:, -1] == pytest.approx(terminal_sdf(mkt, paths), abs=1e-13)
 
 
 def test_sdf_dynamics_residual_zero_when_c0():

@@ -1,10 +1,11 @@
-"""The uniformized path stream of ``draw_paths`` against independent
-references, and the batches it cuts into.
+"""The path stream of ``draw_paths`` against independent references, and
+the batches it cuts into.
 
 The law of the drawn paths is checked against expm of the generator pieces
-(the occupation law and the mean jump count) and against the closed-form
-law of the first jump, on random piecewise chains with absorbing states,
-one state, and breakpoints off any grid. Each check allows K standard
+(the occupation law, the mean jump count and the isometry's expectation)
+and against the closed-form law of the first jump, on random piecewise
+chains with absorbing states, one state, breakpoints off any grid, fast
+rates and rates twelve orders of magnitude apart. Each check allows K standard
 errors of the fixed path count, with a floor of K / n_paths for laws whose
 standard error is near zero; Hypothesis runs derandomized, so each run
 draws the same instances.
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import path_reference as ref
-from markovbsde import PathBatch, build_chain_spec, draw_paths, simulate_paths
+from markovbsde import PathBatch, build_chain_spec, draw_paths
 from markovbsde.chain import _BLOCK
-from markovbsde.montecarlo import stochastic_integral
+from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
 
 from conftest import expm, random_generator
 
@@ -59,19 +60,25 @@ def occupation(spec, t):
                      np.eye(spec.n_states)[spec.initial_state], t)
 
 
-def mean_jumps(spec):
-    """E[jumps on [0, T]] = int sum_i p_i q_i du, q_i the exit rate, as the
-    last entry of [p; count] under the generator [[A, 0], [q', 0]]."""
+def expected_integral(spec, rates):
+    """E[int_0^T w_k(X_u) du] = int sum_i p_i w_i du for the per-state
+    rates w = rates(A) of each piece, as the last entry of [p; acc] under
+    the generator [[A, 0], [w', 0]]."""
     n = spec.n_states
     mats = []
     for _, _, a in pieces(spec):
         m = np.zeros((n + 1, n + 1))
         m[:n, :n] = a
-        m[n, :n] = -np.diag(a)
+        m[n, :n] = rates(a)
         mats.append(m)
     start = np.zeros(n + 1)
     start[spec.initial_state] = 1.0
     return propagate(spec, mats, start, spec.horizon)[n]
+
+
+def mean_jumps(spec):
+    """E[jumps on [0, T]]: the expected integral of the exit rates."""
+    return expected_integral(spec, lambda a: -np.diag(a))
 
 
 def first_jump_law(spec, times):
@@ -93,7 +100,8 @@ def first_jump_law(spec, times):
 
 def assert_frequencies(freq, prob, what):
     """Frequencies of N_PATHS draws within K binomial standard errors."""
-    tol = K * np.sqrt(prob * (1.0 - prob) / N_PATHS) + K / N_PATHS
+    # expm's rounding can put a probability a hair outside [0, 1]
+    tol = K * np.sqrt(np.maximum(prob * (1.0 - prob), 0.0) / N_PATHS) + K / N_PATHS
     bad = np.abs(freq - prob) > tol
     assert not bad.any(), f"{what}: {freq[bad]} against {prob[bad]}"
 
@@ -102,10 +110,9 @@ chains = st.builds(piecewise_chain, st.integers(0, 2 ** 32 - 1), st.integers(1, 
                    st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.0]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(chains, st.integers(0, 5 * _BLOCK))
-def test_draw_matches_the_occupation_law_and_mean_jumps(spec, seed_base):
-    paths = draw_paths(spec, seed_base, N_PATHS)
+def assert_occupation_and_mean_jumps(spec, paths):
+    """The paths' states at four times against ``occupation`` and their
+    jump counts against ``mean_jumps``."""
     times = spec.horizon * np.array([0.2, 0.5, 0.8, 1.0])
     states = paths.states_at(times)
     for k, t in enumerate(times):
@@ -114,6 +121,31 @@ def test_draw_matches_the_occupation_law_and_mean_jumps(spec, seed_base):
     counts = np.diff(paths.offsets)
     se = counts.std(ddof=1) / np.sqrt(N_PATHS)
     assert abs(counts.mean() - mean_jumps(spec)) <= K * (se + 1.0 / N_PATHS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(chains, st.integers(0, 5 * _BLOCK))
+def test_draw_matches_the_occupation_law_and_mean_jumps(spec, seed_base):
+    assert_occupation_and_mean_jumps(spec, draw_paths(spec, seed_base, N_PATHS))
+
+
+def fast_chain():
+    """Three states with exit rates of order 1e2 on two pieces, the second
+    from an off-grid start."""
+    rng = np.random.default_rng(12)
+    return build_chain_spec(3, [(0.0, random_generator(rng, 3, scale=150.0)),
+                                (0.3 + 1 / 7000, random_generator(rng, 3, scale=80.0))],
+                            1, 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    fast_chain(),
+    # rates 1e4 and 1e-3 on [0, 3000]: about six jumps a path, where a
+    # uniformized path would have about 3e7 events
+    build_chain_spec(2, [[-1e-3, 1e4], [1e-3 + 5e-9, -1e4]], 0, 3000.0),
+], ids=["fast", "multiscale"])
+def test_draw_on_fast_and_multiscale_chains(spec):
+    assert_occupation_and_mean_jumps(spec, draw_paths(spec, 0, N_PATHS))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -132,20 +164,18 @@ def test_draw_matches_the_first_jump_law(spec, seed_base):
                        "first jump enters j")
 
 
-def test_the_two_streams_agree_within_their_combined_standard_error():
-    """The uniformized and the per-seed stream estimate the same mean jump
-    count, terminal law and E[(int z'dM)^2] on a chain with absorbing
-    states and off-grid breakpoints."""
+def test_isometry_sides_match_the_expected_jump_variance():
+    """E[(int z'dM)^2] and E[int z'Psi z du] both equal int sum_i p_i w_i du,
+    w_i = sum_j A_ji (z_j - z_i)^2 the jump variance out of state i, on a
+    chain with absorbing states and off-grid breakpoints."""
     spec = piecewise_chain(21, 3, 3, 1.0)
     z = np.array([1.0, -0.5, 2.0])
-    samples = []
-    for paths in (draw_paths(spec, 0, N_PATHS), simulate_paths(spec, range(N_PATHS))):
-        end = paths.states_at(np.array([spec.horizon]))[:, 0]
-        samples.append(np.column_stack([np.diff(paths.offsets), end == 0, end == 1,
-                                        stochastic_integral(spec, z, paths) ** 2]))
-    a, b = samples
-    se = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / np.sqrt(N_PATHS)
-    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= K * se)
+    want = expected_integral(spec, lambda a: (a * (z[:, None] - z) ** 2).sum(axis=0))
+    paths = draw_paths(spec, 0, N_PATHS)
+    for samples in (stochastic_integral(spec, z, paths) ** 2,
+                    seminorm_time_integral(spec, z, paths)):
+        se = samples.std(ddof=1) / np.sqrt(N_PATHS)
+        assert abs(samples.mean() - want) <= K * se
 
 
 def test_a_draw_is_the_same_paths_as_a_wider_draw():
