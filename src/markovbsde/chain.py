@@ -411,20 +411,19 @@ def _jump_block(spec, block):
     count, and the times of the jumps and the states they enter, path by
     path in time order.
 
-    On each schedule piece [start, end) the paths in a state that can jump
-    there are live. Each round draws one holding time for every live path,
-    its state's mean times a standard exponential; a path whose time
-    reaches the piece end stops there and, by memorylessness, starts the
-    next piece afresh. Each other path jumps: one uniform against its
-    state's column of the piece's thresholds picks the next state, and a
-    path that enters an absorbing state leaves the live set."""
+    On each schedule piece [start, end) every path starts live. Each round
+    draws one holding time for every live path, its state's mean times a
+    standard exponential; a path whose time reaches the piece end stops
+    there and, by memorylessness, starts the next piece afresh, and a path
+    in an absorbing state, whose mean is inf, always does. Each other path
+    jumps: one uniform against its state's column of the piece's
+    thresholds picks the next state."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((_STREAM, block))))
     state = np.full(_BLOCK, spec.initial_state, dtype=np.intp)
     rows, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
     ends = spec.starts[1:] + (spec.horizon,)
     for start, end, (mean, thresholds) in zip(spec.starts, ends, spec.jump_chain):
-        live = np.flatnonzero(np.isfinite(mean[state]))
-        t = np.full(live.size, start)
+        live, t = np.arange(_BLOCK), np.full(_BLOCK, start)
         while live.size:
             t = t + mean[state[live]] * rng.standard_exponential(live.size)
             jumped = t < end
@@ -437,8 +436,6 @@ def _jump_block(spec, block):
             rows.append(live)
             times.append(t)
             entered.append(to)
-            holds = np.isfinite(mean[to])
-            live, t = live[holds], t[holds]
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")  # by path; pieces and rounds in time order
     return (np.bincount(rows, minlength=_BLOCK), np.concatenate(times)[order],

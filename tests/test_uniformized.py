@@ -218,6 +218,11 @@ def test_draw_edge_cases():
 ])
 def test_draw_on_tolerated_generators(a, horizon, start, after):
     spec = build_chain_spec(len(a), a, start, horizon)
+    # the jump probabilities the thresholds give: a tolerated negative
+    # rate counts as zero, so none is negative
+    thresholds = spec.jump_chain[0][1]
+    edges = np.vstack([np.zeros(len(a)), thresholds, np.ones(len(a))])
+    assert np.all(np.diff(edges, axis=0) >= 0.0)
     paths = draw_paths(spec, 0, 2000)
     jump = np.ones(paths.states.size, dtype=bool)
     jump[paths.offsets[:-1] + np.arange(paths.n_paths)] = False  # a path's start
