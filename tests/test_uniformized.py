@@ -5,10 +5,10 @@ The law of the drawn paths is checked against expm of the generator pieces
 (the occupation law, the mean jump count and the isometry's expectation)
 and against the closed-form law of the first jump, on random piecewise
 chains with absorbing states, one state, breakpoints off any grid, fast
-rates and rates twelve orders of magnitude apart. Each check allows K standard
-errors of the fixed path count, with a floor of K / n_paths for laws whose
-standard error is near zero; Hypothesis runs derandomized, so each run
-draws the same instances.
+rates and rates seven orders of magnitude apart. Each check allows K
+standard errors of the fixed path count, with a floor of K / n_paths for
+laws whose standard error is near zero; Hypothesis runs derandomized, so
+each run draws the same instances.
 """
 
 import numpy as np
