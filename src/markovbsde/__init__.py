@@ -11,7 +11,7 @@ from .chain import (ChainSpec, PathBatch, build_chain_spec,
                     psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from .grids import StateGridFunction, uniform_grid
 from .hedge import (HedgeStrategy, contraction_report,
-                    discounted_value_check, extract_hedge, hedge_driver,
+                    discounted_value_check, extract_hedge,
                     make_hedge_driver, price_american, replicate_forward)
 from .market import (MarketSpec, StockCurves, build_market_spec, gamma_matrix,
                      sdf_dynamics_residual, sdf_path, short_rate, sigma_matrix,

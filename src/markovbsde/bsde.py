@@ -51,7 +51,8 @@ class MarkovDriver:
     the same f as an ``AffineForm``, which the solvers use in place of
     ``evaluate``; without an ``evaluate``, f is read off the (unpenalized)
     form, and an f read off one form is read again off the form a copy
-    made by ``dataclasses.replace`` holds.
+    made by ``dataclasses.replace`` holds. A driver with neither f nor a
+    form to read it off raises ``ValueError``.
     """
 
     evaluate: callable = None
@@ -62,6 +63,8 @@ class MarkovDriver:
     def __post_init__(self):
         if self.evaluate is None \
                 or getattr(self.evaluate, "form", self.affine) is not self.affine:
+            if self.affine is None:
+                raise ValueError("a driver needs its f or an affine form to read f off")
             object.__setattr__(self, "evaluate", _affine_evaluate(self.affine))
 
 
@@ -168,29 +171,23 @@ def _linear_pieces(spec, form):
     starts = sorted(set(spec.starts) | set(form.starts))
     n = spec.n_states
     shape = (len(form.starts), n)
-    k = [piece_index(form.starts, t) for t in starts]
-    a_g = (np.array([spec.generator_at(t).T for t in starts])
-           + np.broadcast_to(form.gz, shape + (n,))[k])
+    k = pieces_at(form.starts, starts)
+    gens_t = spec.gens[pieces_at(spec.starts, starts)].transpose(0, 2, 1)
+    # C order, as the matrix-vector products of the implicit steps read it
+    a_g = np.ascontiguousarray(gens_t + np.broadcast_to(form.gz, shape + (n,))[k])
     return (starts, a_g, np.broadcast_to(form.alpha, shape)[k],
             np.broadcast_to(form.beta, shape)[k])
 
 
-def _linear_implicit(spec, form, grid):
-    """Implicit Euler steps of the affine form on the sub-steps of
-    ``chain.substeps`` at the chain breakpoints, in closed form per state.
-    With z frozen at the top value y, b + h beta' = y + h ((A' + G) y +
-    beta), and v = (b + h beta') / (1 - h alpha) where that is at least g,
-    else (b + h beta' + h n g) / (1 - h alpha + h n). Coefficients and g
-    are those at the bottom time: the step(k, y) of ``_implicit_levels``
-    at the form's own n."""
-    return _implicit_levels(spec, form, grid)(form.n)
-
-
 def _implicit_levels(spec, form, grid):
-    """n -> the step(k, y) of ``_linear_implicit`` with the penalty level n
-    in place of form.n. Each sub-step's h, piece, denominators and
-    obstacle row are tabled once, for every level; a level adds only its
-    h n terms."""
+    """n -> step(k, y), the implicit Euler steps of the affine form at the
+    penalty level n, on the sub-steps of ``chain.substeps`` at the chain
+    breakpoints, in closed form per state. With z frozen at the top value
+    y, b + h beta' = y + h ((A' + G) y + beta), and v = (b + h beta') /
+    (1 - h alpha) where that is at least g, else (b + h beta' + h n g) /
+    (1 - h alpha + h n). Coefficients and g are those at the bottom time.
+    Each sub-step's h, piece, denominators and obstacle row are tabled
+    once, for every level; a level adds only its h n terms."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
@@ -231,7 +228,7 @@ def _callback_step(spec, driver, scheme, grid):
     generator, one RK4 step of the reduced ODE or one implicit Euler step,
     each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
     times, first = substeps(spec.breakpoints(), grid)
-    gens = [spec.schedule[p][1] for p in pieces_at(spec.starts, times[:-1])]
+    gens = spec.gens[pieces_at(spec.starts, times[:-1])]
     lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
 
     def rk4(s, y):
@@ -280,13 +277,13 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     node is the given vector exactly; no integration touches it. A driver
     with an affine form is stepped in closed form: RK4 by per-piece step
     matrices (a penalized form falls back to ``evaluate`` there), implicit
-    Euler by ``_linear_implicit``. A failed ``check_contraction`` warns,
-    or raises under ``strict_contraction``.
+    Euler by ``_implicit_levels`` at the form's own n. A failed
+    ``check_contraction`` warns, or raises under ``strict_contraction``.
     """
     terminal, grid = _checked(spec, driver, terminal, steps, scheme, strict_contraction)
     form = driver.affine
     if form is not None and scheme == "implicit_euler":
-        step = _linear_implicit(spec, form, grid)
+        step = _implicit_levels(spec, form, grid)(form.n)
     elif form is not None and form.obstacle is None:
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
         step = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta,
@@ -309,7 +306,7 @@ def _hermite_curve(spec, driver, sol):
     dt = (grid[-1] - grid[0]) / steps
     f = np.array([[driver.evaluate(t, i, y[i], y) for i in range(y.size)]
                   for t, y in zip(grid.tolist(), vals)])
-    gens_t = np.array([a.T for _, a in spec.schedule])
+    gens_t = np.ascontiguousarray(spec.gens.transpose(0, 2, 1))
     lo = -(gens_t[pieces_at(spec.starts, grid[:-1])] @ vals[:-1, :, None])[:, :, 0] - f[:-1]
     hi = -(gens_t[pieces_at(spec.starts, grid[1:], side="left")]
            @ vals[1:, :, None])[:, :, 0] - f[1:]
@@ -348,7 +345,7 @@ def pathwise_residual(solution, paths, spec, driver, terminal):
     curve = _hermite_curve(spec, driver, solution)
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
     path, t0, t1, state, piece, to = paths.stretches(cuts, spec.starts)
-    cols = np.array([a for _, a in spec.schedule])[piece, :, state]
+    cols = spec.gens[piece, :, state]
     f_int = np.zeros(path.size)
     m_int = np.zeros(path.size)
     for t, weight in ((t0, 1.0), (0.5 * (t0 + t1), 4.0), (t1, 1.0)):

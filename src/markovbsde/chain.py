@@ -127,8 +127,9 @@ def freeze_schedule(entries, shape, horizon, what, check):
     finite horizon; at least one piece; finite, distinct starts, the first
     within 1e-12 of 0 (stored as 0.0), the last below the horizon.
     ``check(value)`` validates one value, raising the caller's error type,
-    and returns it as a float array. Returns a tuple of (start, read-only
-    array) pairs sorted by start.
+    and returns it as a float array. Returns (starts, values): the sorted
+    starts as a tuple, and the read-only (pieces, *shape) stack of the
+    values in their order.
     """
     if not 0.0 < horizon < np.inf:
         raise BadScheduleError(f"horizon must be positive and finite, got {horizon}")
@@ -146,7 +147,7 @@ def freeze_schedule(entries, shape, horizon, what, check):
         except (TypeError, ValueError) as exc:
             raise BadScheduleError(
                 f"{what} schedule entry {entry!r} is not (start, value)") from exc
-        pieces.append((float(start), check(value).copy()))
+        pieces.append((float(start), check(value)))
     if not pieces:
         raise BadScheduleError(f"empty {what} schedule")
     pieces.sort(key=lambda p: p[0])
@@ -156,9 +157,9 @@ def freeze_schedule(entries, shape, horizon, what, check):
             and starts[-1] < horizon):
         raise BadScheduleError(
             f"{what} schedule starts {starts} do not partition [0, {horizon})")
-    for _, value in pieces:
-        value.setflags(write=False)
-    return ((0.0, pieces[0][1]), *pieces[1:])
+    values = np.array([v for _, v in pieces])
+    values.setflags(write=False)
+    return (0.0, *starts[1:]), values
 
 
 @dataclass(frozen=True)
@@ -166,55 +167,60 @@ class ChainSpec:
     """A finite-state chain on [0, horizon] with a piecewise-constant
     generator schedule.
 
-    ``schedule`` is a tuple of (start_time, matrix) pairs from
-    ``freeze_schedule``: piece k applies on [start_k, start_{k+1}), and
-    start_0 = 0.0. ``starts`` holds the start times. Per piece k, computed
-    once: ``jump_chain[k]`` is the (mean holding times, thresholds) table
-    that ``draw_paths`` reads (see ``_jump_chain``), and ``psi[k][i]`` the
-    read-only quadratic-variation density with X frozen at state i.
+    ``starts`` and ``gens`` are the schedule of ``freeze_schedule``: the
+    generator gens[k] applies on [starts[k], starts[k + 1]), and starts[0]
+    = 0.0. Per piece k, computed once as read-only stacks:
+    ``jump_chain`` = (mean, thresholds), the (pieces, N) mean holding times
+    and (pieces, N - 1, N) jump thresholds that ``draw_paths`` reads (see
+    ``_jump_chain``), and ``psi[k, i]`` the quadratic-variation density
+    with X frozen at state i.
     """
 
     n_states: int
-    schedule: tuple
+    starts: tuple
+    gens: np.ndarray
     initial_state: int
     horizon: float
-    starts: tuple = field(init=False, repr=False, compare=False)
     jump_chain: tuple = field(init=False, repr=False, compare=False)
-    psi: tuple = field(init=False, repr=False, compare=False)
+    psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", tuple(s for s, _ in self.schedule))
-        object.__setattr__(self, "jump_chain", tuple(_jump_chain(a) for _, a in self.schedule))
-        object.__setattr__(self, "psi", tuple(
-            tuple(_psi(a, i) for i in range(self.n_states)) for _, a in self.schedule))
+        psi = np.array([[_psi(a, i) for i in range(self.n_states)] for a in self.gens])
+        jump_chain = _jump_chain(self.gens)
+        for arr in (psi, *jump_chain):
+            arr.setflags(write=False)
+        object.__setattr__(self, "jump_chain", jump_chain)
+        object.__setattr__(self, "psi", psi)
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
-        return self.schedule[piece_index(self.starts, t)][1]
+        return self.gens[piece_index(self.starts, t)]
 
     def breakpoints(self):
         """Interior schedule boundaries: the piece starts after the first."""
         return self.starts[1:]
 
 
-def _jump_chain(a):
-    """(mean, thresholds) of the jump chain under generator ``a``: mean[i]
-    is state i's mean holding time 1 / -A[i, i], inf where it is absorbing;
-    after a jump from state i, the next state is the number of
-    thresholds[:, i] that a uniform reaches. Column i is the jump CDF of
-    state i less its last entry: the cumulative sum of the off-diagonal
-    rates A[:, i] divided by their total. Off-diagonal rates in the
-    validation tolerance below zero count as zero. A state whose exit rate
-    is not positive, or which has no positive off-diagonal rate, is
-    absorbing."""
-    rates = np.maximum(a, 0.0)
-    np.fill_diagonal(rates, 0.0)
-    cdf = rates.cumsum(axis=0)
-    exit_rate = -np.diag(a)
-    can_jump = (exit_rate > 0.0) & (cdf[-1] > 0.0)
-    mean = np.full(a.shape[0], np.inf)
+def _jump_chain(gens):
+    """(mean, thresholds) of the jump chain under each generator of the
+    (pieces, N, N) stack ``gens``: mean[k, i] is state i's mean holding
+    time 1 / -A[i, i], inf where it is absorbing; after a jump from state
+    i, the next state is the number of thresholds[k, :, i] that a uniform
+    reaches. Column i is the jump CDF of state i less its last entry: the
+    cumulative sum of the off-diagonal rates A[:, i] divided by their
+    total. Off-diagonal rates in the validation tolerance below zero count
+    as zero. A state whose exit rate is not positive, or which has no
+    positive off-diagonal rate, is absorbing."""
+    diag = np.arange(gens.shape[-1])
+    rates = np.maximum(gens, 0.0)
+    rates[:, diag, diag] = 0.0
+    cdf = rates.cumsum(axis=1)
+    exit_rate = -gens[:, diag, diag]
+    can_jump = (exit_rate > 0.0) & (cdf[:, -1] > 0.0)
+    mean = np.full(exit_rate.shape, np.inf)
     mean[can_jump] = 1.0 / exit_rate[can_jump]
-    return mean, np.ascontiguousarray((cdf / np.where(can_jump, cdf[-1], 1.0))[:-1])
+    total = np.where(can_jump, cdf[:, -1], 1.0)
+    return mean, np.ascontiguousarray((cdf / total[:, None, :])[:, :-1])
 
 
 def counts_at(rows, values, n_rows, times):
@@ -224,12 +230,6 @@ def counts_at(rows, values, n_rows, times):
     hist = np.bincount(rows * width + np.searchsorted(times, values),
                        minlength=n_rows * width)
     return np.cumsum(hist.reshape(n_rows, width), axis=1)[:, :-1]
-
-
-def path_totals(n_paths, rows, terms):
-    """Each path's total of ``path_sums``, in an array of its own: the
-    table goes when this returns."""
-    return path_sums(n_paths, rows, terms)[:, -1].copy()
 
 
 def path_sums(n_paths, rows, terms, op=np.add):
@@ -394,15 +394,16 @@ def build_chain_spec(n_states, generator_schedule, initial_state, horizon):
         raise BadStateError("need at least one state")
     if not 0 <= int(initial_state) < n_states:
         raise BadStateError(f"initial state {initial_state} outside [0, {n_states})")
-    schedule = freeze_schedule(generator_schedule, (n_states, n_states), float(horizon),
-                               "generator", lambda a: _validate_generator(a, n_states))
-    return ChainSpec(n_states=n_states, schedule=schedule,
+    starts, gens = freeze_schedule(generator_schedule, (n_states, n_states), float(horizon),
+                                   "generator", lambda a: _validate_generator(a, n_states))
+    return ChainSpec(n_states=n_states, starts=starts, gens=gens,
                      initial_state=int(initial_state), horizon=float(horizon))
 
 
 def rate_bound_m(spec):
     """Frobenius-norm bound of the generator over the whole schedule."""
-    return max(float(np.sqrt(np.trace(a.T @ a))) for _, a in spec.schedule)
+    gens = spec.gens
+    return float(np.sqrt(np.trace(gens.transpose(0, 2, 1) @ gens, axis1=1, axis2=2)).max())
 
 
 def _jump_block(spec, block):
@@ -422,7 +423,7 @@ def _jump_block(spec, block):
     state = np.full(_BLOCK, spec.initial_state, dtype=np.intp)
     rows, times, entered = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
     ends = spec.starts[1:] + (spec.horizon,)
-    for start, end, (mean, thresholds) in zip(spec.starts, ends, spec.jump_chain):
+    for start, end, mean, thresholds in zip(spec.starts, ends, *spec.jump_chain):
         live, t = np.arange(_BLOCK), np.full(_BLOCK, start)
         while live.size:
             t = t + mean[state[live]] * rng.standard_exponential(live.size)
@@ -511,7 +512,7 @@ def martingale_path(paths, spec, grid_steps):
     grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
     path, t0, t1, state, piece, _ = paths.stretches(cuts, spec.starts)
-    columns = np.array([a for _, a in spec.schedule])[piece, :, state]
+    columns = spec.gens[piece, :, state]
     drift = sums_at(paths.n_paths, path, columns * (t1 - t0)[:, None], t1, grid)
     eye = np.eye(spec.n_states)
     out = eye[paths.states_at(grid)] - eye[spec.initial_state] - drift
@@ -521,14 +522,13 @@ def martingale_path(paths, spec, grid_steps):
 
 def _psi(a, state):
     """Quadratic-variation density under generator ``a`` with X frozen at
-    the given state; read-only."""
+    the given state."""
     x = np.zeros(a.shape[0])
     x[state] = 1.0
     psi = np.diag(a @ x) - np.outer(x, a[:, state]) - np.outer(a[:, state], x)
     # diag(x) A' has row `state` equal to column `state` of A; A diag(x)
     # mirrors it in the column. Written with outer products for symmetry.
     psi[state, state] = -a[state, state]
-    psi.setflags(write=False)
     return psi
 
 
@@ -537,31 +537,38 @@ def psi_matrix(spec, t, state):
     at the given state: the read-only matrix of ``spec.psi``."""
     if not 0 <= state < spec.n_states:
         raise BadStateError(f"state {state} outside [0, {spec.n_states})")
-    return spec.psi[piece_index(spec.starts, t)][state]
+    return spec.psi[piece_index(spec.starts, t), state]
+
+
+def dots(x, y):
+    """Dot products of ``x`` and ``y`` along their last axis, broadcast over
+    the others: each a one-row by one-column product, which ``np.matmul``
+    rounds as ``np.dot`` of the two vectors does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def seminorm_sq(c, psi):
-    """Squared seminorm c' Psi c (instantaneous variance of c' dM)."""
+    """Squared seminorm c' Psi c (instantaneous variance of c' dM), of one
+    Psi or of each of a stack of them."""
     c = np.asarray(c, dtype=float)
-    val = float(c @ np.asarray(psi, dtype=float) @ c)
-    return max(val, 0.0)
+    return np.maximum(dots(c @ np.asarray(psi, dtype=float), c), 0.0)
 
 
 def pseudoinverse(q):
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
+    """Moore-Penrose pseudoinverse of a symmetric matrix, or of each of a
+    stack of them.
 
     Symmetric eigendecomposition; eigenvalues with magnitude at most
-    1e-10 * max|eigenvalue| are treated as exact zeros.
+    1e-10 * max|eigenvalue| of their matrix are treated as exact zeros.
     """
     q = np.asarray(q, dtype=float)
-    if not np.allclose(q, q.T, atol=1e-10 * max(1.0, np.abs(q).max())):
+    qt = np.swapaxes(q, -1, -2)
+    if not np.allclose(q, qt, atol=1e-10 * max(1.0, np.abs(q).max())):
         raise ValueError("pseudoinverse expects a symmetric matrix")
-    w, v = np.linalg.eigh(0.5 * (q + q.T))
-    top = np.abs(w).max() if w.size else 0.0
-    if top == 0.0:
-        return np.zeros_like(q)
+    w, v = np.linalg.eigh(0.5 * (q + qt))
+    top = np.abs(w).max(axis=-1, keepdims=True)
     inv = np.where(np.abs(w) > 1e-10 * top, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    return (v * inv) @ v.T
+    return (v * inv[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def check_contraction(spec, lipschitz_z):
@@ -569,20 +576,15 @@ def check_contraction(spec, lipschitz_z):
     on every schedule piece and state (Psi is constant on each piece).
 
     Returns a dict with the overall verdict, the worst margin
-    1 - l2 ||Psi^+|| sqrt(6m), and the (piece start, state) attaining it.
+    1 - l2 ||Psi^+|| sqrt(6m), and the (piece start, state) attaining it,
+    the first in piece, then state order.
     """
     if lipschitz_z < 0:
         raise ValueError("lipschitz_z must be nonnegative")
     m = rate_bound_m(spec)
-    worst = np.inf
-    worst_at = (0.0, 0)
-    for start, psis in zip(spec.starts, spec.psi):
-        for i, psi in enumerate(psis):
-            pinv = pseudoinverse(psi)
-            norm = float(np.sqrt(np.trace(pinv.T @ pinv)))
-            margin = 1.0 - lipschitz_z * norm * np.sqrt(6.0 * m)
-            if margin < worst:
-                worst = margin
-                worst_at = (start, i)
-    return {"holds": bool(worst > 0.0), "worst_margin": float(worst),
-            "worst_time_state": worst_at}
+    pinv = pseudoinverse(spec.psi)
+    norm = np.sqrt(np.trace(np.swapaxes(pinv, -1, -2) @ pinv, axis1=-2, axis2=-1))
+    margin = 1.0 - lipschitz_z * norm * np.sqrt(6.0 * m)
+    k, i = np.unravel_index(np.argmin(margin), margin.shape)
+    return {"holds": bool(margin[k, i] > 0.0), "worst_margin": float(margin[k, i]),
+            "worst_time_state": (spec.starts[k], int(i))}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AffineForm, MarkovDriver
-from .chain import check_contraction, path_chunks, pieces_at, rate_bound_m
+from .chain import check_contraction, dots, path_chunks, pieces_at, rate_bound_m
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
 from .market import sdf_path
@@ -30,23 +30,15 @@ class HedgeStrategy:
     carry: np.ndarray      # (K, N) drift and bond leg, minus the push
 
 
-def hedge_driver(market, t, state, v, z):
-    """Pricing driver: -r v + r z_i - ((A' - Gamma') z)_i at state i."""
-    piece = market.piece_at(t)
-    r = float(piece.rates[state])
-    return -r * v + r * z[state] - float((piece.drift @ z)[state])
-
-
 def make_hedge_driver(market):
-    """MarkovDriver wrapper with measured Lipschitz constants. Its affine
-    form holds, per market piece, alpha = -r and G = diag(r) - (A' - Gamma')."""
+    """The pricing driver f = -r v + r z_i - ((A' - Gamma') z)_i with
+    measured Lipschitz constants, as its affine form: per market piece,
+    alpha = -r and G = diag(r) - (A' - Gamma'); f is read off the form."""
     rep = driver_constants(market)
-    rates = np.array([piece.rates for piece in market.pieces])
-    gz = np.array([np.diag(piece.rates) - piece.drift for piece in market.pieces])
-    return MarkovDriver(
-        evaluate=lambda t, i, v, z: hedge_driver(market, t, i, v, z),
-        lipschitz_y=rep["c4"], lipschitz_z=rep["c6"],
-        affine=AffineForm(starts=market.piece_starts, alpha=-rates, gz=gz))
+    gz = market.rates[:, :, None] * np.eye(market.chain.n_states) - market.drift
+    return MarkovDriver(lipschitz_y=rep["c4"], lipschitz_z=rep["c6"],
+                        affine=AffineForm(starts=market.piece_starts, alpha=-market.rates,
+                                          gz=gz))
 
 
 def driver_constants(market):
@@ -55,20 +47,17 @@ def driver_constants(market):
     c1 bounds |(A - Gamma)X|, c4 the short rate, c5 the full z-coefficient
     |(-r + (A - Gamma))X|; c6 converts to a combined Lipschitz constant
     (the Euclidean z-slope scaled by sqrt(3m) to sit against the
-    quadratic-variation seminorm). Maxima run over ``market.pieces``.
+    quadratic-variation seminorm). Maxima run over the market's pieces and
+    states; each norm is rounded as ``np.linalg.norm`` of its vector.
     """
-    chain = market.chain
-    c1 = c4 = c5 = 0.0
-    for piece in market.pieces:
-        diff = piece.drift.T  # A - Gamma
-        for i in range(chain.n_states):
-            r = float(piece.rates[i])
-            c1 = max(c1, float(np.linalg.norm(diff[:, i])))
-            c4 = max(c4, abs(r))
-            vec = diff[:, i].copy()
-            vec[i] -= r
-            c5 = max(c5, float(np.linalg.norm(vec)))
-    m = rate_bound_m(chain)
+    # row i of drift[k] is column i of A - Gamma on piece k; in C order,
+    # as np.linalg.norm takes the norm of a contiguous copy of a column
+    diff = np.ascontiguousarray(market.drift)
+    vec = diff - market.rates[:, :, None] * np.eye(market.chain.n_states)
+    c1 = float(np.sqrt(dots(diff, diff)).max(initial=0.0))
+    c4 = float(np.abs(market.rates).max(initial=0.0))
+    c5 = float(np.sqrt(dots(vec, vec)).max(initial=0.0))
+    m = rate_bound_m(market.chain)
     c6 = max(c4, c5 * np.sqrt(3.0 * m) if m > 0 else 0.0)
     return {"c1": c1, "c4": c4, "c5": c5, "c6": c6, "m": m}
 
@@ -123,7 +112,7 @@ def extract_hedge(market, curves, solution):
             f"phi singular at t={grid[k]:.6g} (smallest sv {sv[k, -1]:.3g})")
     h = np.linalg.solve(phis, solution.values[:, :, None])[:, :, 0]
     piece_of = pieces_at(market.piece_starts, grid)  # the piece in force at each node
-    rates = np.array([piece.rates for piece in market.pieces])[piece_of]
+    rates = market.rates[piece_of]
     dt = grid[1] - grid[0]
     bond = np.ones((grid.size, n))
     bond[1:] = np.cumprod(np.exp(0.5 * (rates[:-1] + rates[1:]) * dt), axis=0)
@@ -133,12 +122,8 @@ def extract_hedge(market, curves, solution):
     # vectors at the step's right node and rate matrices at its left node;
     # per stock, price drift plus dividend minus the jump compensator
     # telescopes to -(Gamma' s), so the drift is -(Gamma' phi h)
-    drift = np.empty((grid.size - 1, n))
-    bond_leg = np.empty((grid.size - 1, n))
-    for k, piece in enumerate(market.pieces):
-        mask = piece_of[:-1] == k
-        drift[mask] = -(stock_leg[1:][mask] @ piece.gamma)
-        bond_leg[mask] = h0[1:][mask] * piece.rates * bond[1:][mask]
+    drift = -(stock_leg[1:, None, :] @ market.gamma[piece_of[:-1]])[:, 0]
+    bond_leg = h0[1:] * rates[:-1] * bond[1:]
     carry = dt * (drift + bond_leg) - solution.step_pushes
     return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, stock_leg=stock_leg,
                          carry=carry)
@@ -182,18 +167,15 @@ def _replicate(strategy, solution, paths):
 
 def _discounted_h_matrix(market, solution):
     """Per-(node, state) value of the discounted driver applied to the
-    undeflated canonical integrand; linear in the deflator. Built per
-    schedule piece, on the nodes where it is in force."""
+    undeflated canonical integrand; linear in the deflator. Each node
+    reads the rate data of the piece in force there."""
     z = solution.values
-    out = np.empty(z.shape)
     piece_of = pieces_at(market.piece_starts, solution.grid)
-    for k, piece in enumerate(market.pieces):
-        mask = piece_of == k
-        zk = z[mask]
-        # row i: sum_j A_ji sigma_ij (z_j - z_i), summed as one row of N
-        cross = np.sum(piece.a.T * piece.sigma * (zk[:, None, :] - zk[:, :, None]), axis=2)
-        out[mask] = -piece.rates * zk + (piece.drift @ zk[:, :, None])[:, :, 0] - cross
-    return out
+    # row i: sum_j A_ji sigma_ij (z_j - z_i), summed as one row of N
+    cross = np.sum(market.a.transpose(0, 2, 1)[piece_of] * market.sigma[piece_of]
+                   * (z[:, None, :] - z[:, :, None]), axis=2)
+    return (-market.rates[piece_of] * z + (market.drift[piece_of] @ z[:, :, None])[:, :, 0]
+            - cross)
 
 
 def _stopped_values(market, batch, solution, h_mat, g_mat):

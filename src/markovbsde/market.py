@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, affine_rk4, counts_at, freeze_schedule, path_sums,
-                    path_totals, piece_index, pieces_at, sums_at, sweep)
+from .chain import (ChainSpec, affine_rk4, counts_at, dots, freeze_schedule, path_sums,
+                    piece_index, pieces_at, sums_at, sweep)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import interp, uniform_grid
@@ -24,61 +24,45 @@ def _check_discount(value, shape, what):
     return arr
 
 
+def _diag(m):
+    """The diagonals of a matrix or of each of a stack of them."""
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
 def sigma_matrix(c):
     """Jump-factor matrix of the discount function: entry (i, j) is
-    exp(C_ii - C_ij) - 1, with an exactly zero diagonal."""
+    exp(C_ii - C_ij) - 1, with an exactly zero diagonal; of one C or of
+    each of a stack of them."""
     c = np.asarray(c, dtype=float)
-    sig = np.exp(np.diag(c)[:, None] - c) - 1.0
-    np.fill_diagonal(sig, 0.0)
+    sig = np.exp(_diag(c)[..., :, None] - c) - 1.0
+    sig[..., range(c.shape[-1]), range(c.shape[-1])] = 0.0
     return sig
 
 
 def gamma_matrix(a, c, d):
     """Discount-adjusted rate matrix: diagonal A_ii - D_i, off-diagonal
-    A_ij exp(C_jj - C_ji)."""
+    A_ij exp(C_jj - C_ji); of one (A, C, D) or of each of stacks of them."""
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    gamma = a * np.exp(np.diag(c)[None, :] - c.T)
-    np.fill_diagonal(gamma, np.diag(a) - d)
+    gamma = a * np.exp(_diag(c)[..., None, :] - np.swapaxes(c, -1, -2))
+    gamma[..., range(a.shape[-1]), range(a.shape[-1])] = _diag(a) - d
     return gamma
-
-
-@dataclass(frozen=True)
-class MarketPiece:
-    """Rate data in force on one piece of the merged A, C and D schedules.
-    Every array is read-only."""
-
-    a: np.ndarray      # generator A
-    c: np.ndarray
-    d: np.ndarray
-    sigma: np.ndarray  # sigma_matrix(C)
-    gamma: np.ndarray  # gamma_matrix(A, C, D)
-    drift: np.ndarray  # A' - Gamma', the z-coefficient of the pricing driver
-    rates: np.ndarray  # short rate per state, D_i - sigma_i . A_{:,i}
-    log_jump: np.ndarray  # C_ii - C_ij, the log-factor of a jump i -> j
-
-
-def _market_piece(a, c, d):
-    sig = sigma_matrix(c)
-    gamma = gamma_matrix(a, c, d)
-    drift = a.T - gamma.T
-    rates = np.array([d[i] - sig[i, :] @ a[:, i] for i in range(d.size)])
-    log_jump = np.diag(c)[:, None] - c
-    for arr in (sig, gamma, drift, rates, log_jump):
-        arr.setflags(write=False)
-    return MarketPiece(a=a, c=c, d=d, sigma=sig, gamma=gamma, drift=drift,
-                       rates=rates, log_jump=log_jump)
 
 
 @dataclass(frozen=True)
 class MarketSpec:
     """Chain plus discount data C(t), D(t) and per-stock dividend vectors.
 
-    ``pieces`` holds the rate data of each piece of the merged A, C and D
-    schedules, computed once; piece k applies on
-    [piece_starts[k], piece_starts[k + 1]), the merged starts of the three
-    schedules.
+    ``c_schedule`` and ``d_schedule`` are (starts, values) schedules of
+    ``chain.freeze_schedule``. The rate data of the merged A, C and D
+    schedules are computed once, as read-only stacks whose entry k applies
+    on [piece_starts[k], piece_starts[k + 1]), the merged starts of the
+    three schedules: ``a``, ``c`` and ``d``; ``sigma`` = sigma_matrix(C);
+    ``gamma`` = gamma_matrix(A, C, D); ``drift`` = A' - Gamma', the
+    z-coefficient of the pricing driver; ``rates``, the short rate per
+    state, D_i - sigma_i . A_{:,i}; and ``log_jump``, C_ii - C_ij, the
+    log-factor of a jump i -> j.
     """
 
     chain: ChainSpec
@@ -88,24 +72,31 @@ class MarketSpec:
     n_stocks: int
     r_max: float = 1.0
     piece_starts: tuple = field(init=False, repr=False, compare=False)
-    pieces: tuple = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    drift: np.ndarray = field(init=False, repr=False, compare=False)
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
+    log_jump: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c_starts = tuple(s for s, _ in self.c_schedule)
-        d_starts = tuple(s for s, _ in self.d_schedule)
+        (c_starts, cs), (d_starts, ds) = self.c_schedule, self.d_schedule
         starts = tuple(sorted(set(c_starts) | set(d_starts) | set(self.chain.starts)))
-        pieces = tuple(
-            _market_piece(self.chain.generator_at(t),
-                          self.c_schedule[piece_index(c_starts, t)][1],
-                          self.d_schedule[piece_index(d_starts, t)][1])
-            for t in starts)
+        a = self.chain.gens[pieces_at(self.chain.starts, starts)]
+        c = cs[pieces_at(c_starts, starts)]
+        d = ds[pieces_at(d_starts, starts)]
+        sig = sigma_matrix(c)
+        gamma = gamma_matrix(a, c, d)
+        a_t = a.transpose(0, 2, 1)
+        tables = {"a": a, "c": c, "d": d, "sigma": sig, "gamma": gamma,
+                  "drift": a_t - gamma.transpose(0, 2, 1), "rates": d - dots(sig, a_t),
+                  "log_jump": _diag(c)[:, :, None] - c}
         object.__setattr__(self, "piece_starts", starts)
-        object.__setattr__(self, "pieces", pieces)
-
-    def piece_at(self, t):
-        """Rate data in force at time t (right-continuous pieces, clamped
-        to the first and last piece outside [0, horizon))."""
-        return self.pieces[piece_index(self.piece_starts, t)]
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def breakpoints(self):
         """Interior boundaries of the merged A, C and D schedules: the piece
@@ -137,25 +128,25 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
         d.setflags(write=False)
     market = MarketSpec(chain=chain, c_schedule=cs, d_schedule=ds,
                         dividends=divs, n_stocks=len(divs), r_max=float(r_max))
-    for t, piece in zip(market.piece_starts, market.pieces):
-        for i, r in enumerate(piece.rates):
-            if r < -1e-12 or r > market.r_max + 1e-12:
-                raise RateBoundViolatedError(
-                    f"short rate {r:.6g} outside [0, {market.r_max}] "
-                    f"at t={t:.4g}, state={i}")
+    bad = np.argwhere((market.rates < -1e-12) | (market.rates > market.r_max + 1e-12))
+    if bad.size:
+        k, i = bad[0]
+        raise RateBoundViolatedError(
+            f"short rate {market.rates[k, i]:.6g} outside [0, {market.r_max}] "
+            f"at t={market.piece_starts[k]:.4g}, state={i}")
     return market
 
 
 def short_rate(market, t, state):
     """r(t, i) = D_i - (sigma A)_{ii} with X frozen at state i."""
-    return float(market.piece_at(t).rates[state])
+    return float(market.rates[piece_index(market.piece_starts, t), state])
 
 
 def _log_jumps(market, t1, state, to):
     """Log-factor C_ii - C_ij of the jump i -> j = ``to`` at the end t1 of
     each stretch, or 0.0 where the stretch ends without a jump."""
-    table = np.array([piece.log_jump for piece in market.pieces])
-    return np.where(to >= 0, table[pieces_at(market.piece_starts, t1), state, to], 0.0)
+    return np.where(to >= 0, market.log_jump[pieces_at(market.piece_starts, t1), state, to],
+                    0.0)
 
 
 def sdf_path(market, paths, grid):
@@ -172,7 +163,7 @@ def sdf_path(market, paths, grid):
     n = paths.n_paths
     path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
                                                      market.piece_starts)
-    slopes = -np.array([p.d for p in market.pieces])[piece, state]
+    slopes = -market.d[piece, state]
     steps = np.column_stack([slopes * (t1 - t0), _log_jumps(market, t1, state, to)])
     # log pi at 0 and after each stretch (even columns), then the total
     sums = path_sums(n, np.repeat(path, 2), steps.ravel())
@@ -194,12 +185,11 @@ def terminal_sdf(market, paths):
     D-drift of every stretch, then the log-factor of every jump."""
     path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
                                                      market.piece_starts)
-    d = np.array([p.d for p in market.pieces])
     jump = to >= 0
     rows = np.concatenate([path, path[jump]])
-    terms = np.concatenate([-(d[piece, state] * (t1 - t0)),
+    terms = np.concatenate([-(market.d[piece, state] * (t1 - t0)),
                             _log_jumps(market, t1, state, to)[jump]])
-    return np.exp(path_totals(paths.n_paths, rows, terms))
+    return np.exp(np.bincount(rows, weights=terms, minlength=paths.n_paths))
 
 
 def sdf_dynamics_residual(market, paths, grid_steps):
@@ -217,13 +207,13 @@ def sdf_dynamics_residual(market, paths, grid_steps):
     grid = uniform_grid(paths.horizon, grid_steps)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
     path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
-    rates = np.array([p.rates for p in market.pieces])
     # X' sigma A X per piece and state
-    comp = np.array([np.einsum("ij,ji->i", p.sigma, p.a) for p in market.pieces])
-    sigma = np.array([p.sigma for p in market.pieces])
+    comp = np.einsum("kij,kji->ki", market.sigma, market.a)
     dt = t1 - t0
-    jump = np.where(to >= 0, sigma[pieces_at(market.piece_starts, t1), state, to], 0.0)
-    factors = (np.exp(-rates[piece, state] * dt) - comp[piece, state] * dt) * (1.0 + jump)
+    at_end = pieces_at(market.piece_starts, t1)
+    jump = np.where(to >= 0, market.sigma[at_end, state, to], 0.0)
+    factors = ((np.exp(-market.rates[piece, state] * dt) - comp[piece, state] * dt)
+               * (1.0 + jump))
     pi = sums_at(paths.n_paths, path, factors, t1, grid, op=np.multiply)
     return np.abs(pi - sdf_path(market, paths, grid)).max(axis=1)
 
@@ -259,7 +249,7 @@ def stock_curves(market, steps=1000):
     """
     chain = market.chain
     horizon = chain.horizon
-    gamma_end = market.piece_at(horizon).gamma.T
+    gamma_end = market.gamma[-1].T
     eig = np.linalg.eigvals(gamma_end)
     if np.any(eig.real >= -1e-12):
         raise UnstableGammaError(
@@ -268,8 +258,8 @@ def stock_curves(market, steps=1000):
     n, m = chain.n_states, market.n_stocks
     deltas = np.reshape(market.dividends, (m, n)).T
     # S' = -Gamma' S - deltas, one column per stock
-    step = affine_rk4(market.piece_starts, np.array([p.gamma.T for p in market.pieces]),
-                      np.broadcast_to(deltas, (len(market.pieces), n, m)), grid)
+    step = affine_rk4(market.piece_starts, market.gamma.transpose(0, 2, 1),
+                      np.broadcast_to(deltas, (len(market.piece_starts), n, m)), grid)
     # a stack of one-column solves: each stock's seed rounds as its own solve
     s = np.linalg.solve(gamma_end, -deltas.T[:, :, None])[:, :, 0].T
     curves = sweep(step, s, grid, "stock curve blow-up").transpose(2, 0, 1)
@@ -290,8 +280,8 @@ def stock_sde_residual(market, curves, paths, grid_steps):
     path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
     s = curves.s.transpose(1, 0, 2)  # (K+1, stocks, N)
     s0 = interp(curves.grid, s, t0)
-    drift = np.array([p.drift for p in market.pieces])[piece, state]
-    a_col = np.array([p.a for p in market.pieces])[piece, :, state]
+    drift = market.drift[piece, state]
+    a_col = market.a[piece, :, state]
     deltas = np.reshape(market.dividends, (market.n_stocks, market.chain.n_states))
     slope = (np.einsum("sn,smn->sm", drift, s0) - deltas[:, state].T
              - np.einsum("smn,sn->sm", s0, a_col))

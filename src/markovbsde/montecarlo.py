@@ -8,9 +8,10 @@ summed left to right as a loop over the path would. All estimates are
 deterministic given (seed_base, n_paths): path p is the path seed_base + p
 of ``chain.draw_paths``. Each check draws its paths in one pass and runs
 its functionals batch by batch, each batch as many paths as its widest
-per-path table fits in ``chain._CELLS`` cells: the padded ``path_sums``
-row of the stretch functionals, a few dozen columns, gives batches of
-hundreds of paths; a functional ``mc_estimate`` cannot see into gets 64.
+per-path table fits in ``chain._CELLS`` cells: the stretch functionals,
+whose per-path arrays hold a few dozen stretches and jumps
+(``PathBatch.sum_width``), get batches of hundreds of paths; a functional
+``mc_estimate`` cannot see into gets 64.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .chain import ChainSpec, path_chunks, path_totals, seminorm_sq
+from .chain import ChainSpec, dots, path_chunks, seminorm_sq
 from .errors import NonFiniteError
 from .hedge import make_hedge_driver
 from .market import terminal_sdf
@@ -63,22 +64,21 @@ def stochastic_integral(spec, z, paths):
     batch: the jump increments, then minus the drift compensator z'A e_i
     of each stretch of constant state i and constant generator A."""
     z = np.asarray(z, dtype=float)
-    za = np.array([[z @ a[:, i] for i in range(spec.n_states)]
-                   for _, a in spec.schedule])
+    za = dots(z, spec.gens.transpose(0, 2, 1))  # z'A e_i per piece and state
     path, t0, t1, state, piece, to = paths.stretches(spec.breakpoints(), spec.starts)
     jump = to >= 0
     rows = np.concatenate([path[jump], path])
     terms = np.concatenate([z[to[jump]] - z[state[jump]],
                             -(za[piece, state] * (t1 - t0))])
-    return path_totals(paths.n_paths, rows, terms)
+    return np.bincount(rows, weights=terms, minlength=paths.n_paths)
 
 
 def seminorm_time_integral(spec, z, paths):
     """Exact pathwise int ||z||^2_{X_u} du for a constant vector z, per
     path of the batch, from the per-piece Psi matrices of ``spec.psi``."""
-    sq = np.array([[seminorm_sq(z, psi) for psi in psis] for psis in spec.psi])
+    sq = seminorm_sq(z, spec.psi)
     path, t0, t1, state, piece, _ = paths.stretches(spec.breakpoints(), spec.starts)
-    return path_totals(paths.n_paths, path, sq[piece, state] * (t1 - t0))
+    return np.bincount(path, weights=sq[piece, state] * (t1 - t0), minlength=paths.n_paths)
 
 
 def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):

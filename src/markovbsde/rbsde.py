@@ -28,13 +28,16 @@ class Obstacle:
     (len(times), N) array of g there, which sampling uses in place of one
     call of g per time and state; without a ``g``, g is read off it, and
     a g read off one ``values`` is read again off the ``values`` a copy
-    made by ``dataclasses.replace`` holds."""
+    made by ``dataclasses.replace`` holds. An obstacle with neither g nor
+    ``values`` to read it off raises ``ValueError``."""
 
     g: callable = None
     values: callable = None
 
     def __post_init__(self):
         if self.g is None or getattr(self.g, "values", self.values) is not self.values:
+            if self.values is None:
+                raise ValueError("an obstacle needs its g or the values to read g off")
             object.__setattr__(self, "g", _values_g(self.values))
 
     def sample(self, times, n_states):

@@ -1,10 +1,14 @@
 """Shared fixtures and random-instance builders for the test suite."""
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
 from markovbsde import (Obstacle, PathBatch, build_chain_spec,
-                        build_market_spec, stock_curves)
+                        build_market_spec, make_hedge_driver, stock_curves)
+from markovbsde.chain import piece_index
 from markovbsde.grids import interp
 
 
@@ -29,6 +33,20 @@ def expm(m):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def pricing_f(market, t, i, v, z):
+    """The paper's pricing driver -r v + r z_i - ((A' - Gamma') z)_i at state
+    i, from the market's rate data on the piece in force at t."""
+    k = piece_index(market.piece_starts, t)
+    r = float(market.rates[k, i])
+    return -r * v + r * z[i] - float((market.drift[k] @ z)[i])
+
+
+def pricing_callback(market):
+    """``make_hedge_driver(market)`` without its affine form: f is
+    ``pricing_f``, called back per state."""
+    return replace(make_hedge_driver(market), evaluate=partial(pricing_f, market), affine=None)
 
 
 def put_on(curves, strike):

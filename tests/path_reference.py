@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from markovbsde import PathBatch, seminorm_sq, simulate_path
+from markovbsde import PathBatch, draw_paths, seminorm_sq
 from markovbsde.bsde import _rhs
 from markovbsde.chain import piece_index
 from markovbsde.grids import sample_on_grid, uniform_grid
@@ -42,9 +42,11 @@ def path_of(batch, p):
     return batch.jump_times[a:b], batch.states[a + p:b + p + 1]
 
 
-def draw(spec, seed):
-    """The path of ``seed`` as (jump times, states)."""
-    return path_of(simulate_path(spec, seed), 0)
+def draws(spec, n_paths):
+    """The paths of seeds 0 .. n_paths - 1, each as (jump times, states),
+    from one ``draw_paths`` call."""
+    batch = draw_paths(spec, 0, n_paths)
+    return [path_of(batch, p) for p in range(n_paths)]
 
 
 def states_at(times, states, grid):
@@ -74,7 +76,7 @@ def stochastic_integral(spec, z, times, states):
         total += z[new] - z[old]
     for t0, t1, state, piece, _ in stretches(times, states, spec.horizon,
                                              spec.breakpoints(), spec.starts):
-        total -= float(z @ spec.schedule[piece][1][:, state]) * (t1 - t0)
+        total -= float(z @ spec.gens[piece][:, state]) * (t1 - t0)
     return total
 
 
@@ -82,7 +84,7 @@ def seminorm_time_integral(spec, z, times, states):
     total = 0.0
     for t0, t1, state, piece, _ in stretches(times, states, spec.horizon,
                                              spec.breakpoints(), spec.starts):
-        total += seminorm_sq(z, spec.psi[piece][state]) * (t1 - t0)
+        total += seminorm_sq(z, spec.psi[piece, state]) * (t1 - t0)
     return total
 
 
@@ -90,10 +92,10 @@ def terminal_sdf(market, times, states):
     acc = 0.0
     for t0, t1, state, piece, _ in stretches(times, states, market.chain.horizon,
                                              market.breakpoints(), market.piece_starts):
-        acc -= market.pieces[piece].d[state] * (t1 - t0)
+        acc -= market.d[piece, state] * (t1 - t0)
     for idx, t in enumerate(times):
         old, new = int(states[idx]), int(states[idx + 1])
-        acc += market.piece_at(t).log_jump[old, new]
+        acc += market.log_jump[piece_index(market.piece_starts, t), old, new]
     return float(np.exp(acc))
 
 
@@ -105,11 +107,11 @@ def sdf_path(market, times, states, grid):
     slopes = np.zeros(events.size - 1)
     acc = 0.0
     for k, (t0, t1, state, piece, to) in enumerate(walk):
-        slope = -float(market.pieces[piece].d[state])
+        slope = -float(market.d[piece, state])
         slopes[k] = slope
         acc += slope * (t1 - t0)
         if to >= 0:
-            acc += market.piece_at(t1).log_jump[state, to]
+            acc += market.log_jump[piece_index(market.piece_starts, t1), state, to]
         log_after[k + 1] = acc
     pos = np.searchsorted(events, grid, side="right") - 1
     at_end = pos >= events.size - 1
@@ -151,12 +153,12 @@ def discounted_h_matrix(market, solution):
     z = solution.values
     out = np.empty((grid.size, n))
     for k, t in enumerate(grid):
-        piece = market.piece_at(t)
-        a, sig = piece.a, piece.sigma
+        piece = piece_index(market.piece_starts, t)
+        a, sig = market.a[piece], market.sigma[piece]
         zv = z[k]
-        lin = piece.drift @ zv
+        lin = market.drift[piece] @ zv
         for i in range(n):
-            r = float(piece.rates[i])
+            r = float(market.rates[piece, i])
             cross = float(np.sum(a[:, i] * sig[i, :] * (zv - zv[i])))
             out[k, i] = -r * zv[i] + float(lin[i]) - cross
     return out
@@ -271,7 +273,7 @@ def pathwise_residual(solution, spec, driver, terminal, times, states):
     cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
     walk = stretches(times, states, spec.horizon, cuts, spec.starts)
     for (t0, t1, i, piece, to), nodes in _nodes_after(grid, walk):
-        col = spec.schedule[piece][1][:, i]
+        col = spec.gens[piece][:, i]
         f_int += simpson(lambda t: f_at(t, i), t0, t1)
         m_int -= simpson(lambda t: float(curve(t) @ col), t0, t1)
         if to >= 0:
@@ -292,12 +294,11 @@ def sdf_dynamics_residual(market, grid_steps, times, states):
     pi, worst = 1.0, 0.0
     for (t0, t1, state, k, to), nodes in _nodes_after(grid, walk):
         dt = t1 - t0
-        piece = market.pieces[k]
-        r = float(piece.rates[state])
-        comp = float(piece.sigma[state, :] @ piece.a[:, state])
+        r = float(market.rates[k, state])
+        comp = float(market.sigma[k, state, :] @ market.a[k, :, state])
         pi = pi * np.exp(-r * dt) - pi * comp * dt
         if to >= 0:
-            pi += pi * market.piece_at(t1).sigma[state, to]
+            pi += pi * market.sigma[piece_index(market.piece_starts, t1), state, to]
         for gi in nodes:
             worst = max(worst, abs(pi - closed[gi]))
     return worst
@@ -313,10 +314,9 @@ def stock_sde_residual(market, curves, grid_steps, times, states):
     for s, delta in zip(curves.s, market.dividends):
         val = interp_at(curves.grid, s, 0.0)[at[0]]
         for (t0, t1, state, k, to), nodes in _nodes_after(grid, walk):
-            piece = market.pieces[k]
             s_vec = interp_at(curves.grid, s, t0)
-            drift = float((piece.drift @ s_vec)[state] - delta[state])
-            comp = float(s_vec @ piece.a[:, state])
+            drift = float((market.drift[k] @ s_vec)[state] - delta[state])
+            comp = float(s_vec @ market.a[k, :, state])
             val += (drift - comp) * (t1 - t0)
             if to >= 0:
                 sv = interp_at(curves.grid, s, t1)

@@ -113,8 +113,8 @@ def stock_loop(market, grid, seed):
     RK4 step matrices of S' = -Gamma' S - deltas acting on [S; I]."""
     n, m = market.chain.n_states, market.n_stocks
     deltas = np.reshape(market.dividends, (m, n)).T
-    aug = np.zeros((len(market.pieces), n + m, n + m))
-    aug[:, :n, :n] = [piece.gamma.T for piece in market.pieces]
+    aug = np.zeros((len(market.piece_starts), n + m, n + m))
+    aug[:, :n, :n] = market.gamma.transpose(0, 2, 1)
     aug[:, :n, n:] = deltas
     maps, which = rk4_maps(market.piece_starts, aug, grid)
     p, c = maps[:, :n, :n], maps[:, :n, n:]

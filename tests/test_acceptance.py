@@ -218,7 +218,7 @@ def test_criterion_07_market_identities(capsys):
     mkt_s = build_market_spec(chain, d_schedule=[0.05, 0.05],
                               dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt_s, steps=500)
-    gamma_t = mkt_s.piece_at(0.0).gamma.T
+    gamma_t = mkt_s.gamma[0].T
     stat_res = max(
         float(np.abs(gamma_t @ curves.s[j, 0] + np.asarray(dv)).max())
         for j, dv in enumerate(([1.0, 2.0], [2.0, 1.0])))

@@ -68,7 +68,7 @@ def test_batched_functionals_equal_the_path_loops(seed):
     market = random_market(rng)
     spec = market.chain
     grid = np.linspace(0.0, 1.0, int(rng.integers(1, 40)) + 1)
-    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(15)]
+    paths = edge_paths(market, grid) + ref.draws(spec, 15)
     batch = ref.batch_of(paths)
     z = rng.normal(size=spec.n_states)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
@@ -104,13 +104,13 @@ def test_batched_residuals_equal_the_path_loops(seed):
     grid = uniform_grid(1.0, steps)
     # one more generator piece, starting on a node: there the Hermite curve
     # takes the left limit of the slope below and the right limit above
-    pieces = dict(market.chain.schedule)
+    pieces = dict(zip(market.chain.starts, market.chain.gens))
     pieces[float(grid[int(rng.integers(1, steps))])] = random_generator(rng, n)
     spec = build_chain_spec(n, list(pieces.items()), market.chain.initial_state, 1.0)
-    market = build_market_spec(spec, c_schedule=market.c_schedule,
-                               d_schedule=market.d_schedule, r_max=10.0,
+    market = build_market_spec(spec, c_schedule=list(zip(*market.c_schedule)),
+                               d_schedule=list(zip(*market.d_schedule)), r_max=10.0,
                                dividends=rng.uniform(1.0, 2.0, (2, n)))
-    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(10)]
+    paths = edge_paths(market, grid) + ref.draws(spec, 10)
     batch = ref.batch_of(paths)
     curves = stock_curves(market, steps=int(rng.integers(3, 100)))
     b = rng.normal(size=n)
@@ -166,10 +166,10 @@ def test_path_consumers_give_each_path_what_it_gets_alone(seed):
     spec, n = market.chain, market.chain.n_states
     steps = int(rng.integers(4, 30))
     grid = uniform_grid(1.0, steps)
-    paths = edge_paths(market, grid) + [ref.draw(spec, s) for s in range(8)]
+    paths = edge_paths(market, grid) + ref.draws(spec, 8)
     paths = [paths[k] for k in rng.permutation(len(paths))]
-    stocked = build_market_spec(spec, c_schedule=market.c_schedule,
-                                d_schedule=market.d_schedule, r_max=10.0,
+    stocked = build_market_spec(spec, c_schedule=list(zip(*market.c_schedule)),
+                                d_schedule=list(zip(*market.d_schedule)), r_max=10.0,
                                 dividends=[rng.uniform(1.0, 2.0, n)])
     curves = stock_curves(stocked, steps=200)
     driver, xi = discount_driver(0.3), rng.uniform(0.5, 1.5, n)

@@ -64,7 +64,6 @@ def test_first_start_near_zero_is_stored_as_zero():
     for first in (1e-13, -1e-13):
         spec = build_chain_spec(2, [(0.5, 2.0 * SYM), (first, SYM)], 0, 1.0)
         assert spec.starts == (0.0, 0.5)
-        assert spec.schedule[0][0] == 0.0
         assert spec.breakpoints() == (0.5,)
 
 

@@ -10,29 +10,32 @@ import pytest
 
 from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         discounted_value_check, draw_paths, extract_hedge,
-                        hedge_driver, make_hedge_driver, price_american,
+                        make_hedge_driver, price_american,
                         replicate_forward, solve_bsde, stock_curves)
+from markovbsde.chain import piece_index
 from markovbsde.cli import main
 from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
                                SingularPhiError)
 
-from conftest import put_on
+from conftest import pricing_f, put_on
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_driver_collapses_to_discounting_when_c0(market_c0):
-    # with C = 0, A' - Gamma' = diag(D) and r = D_i, so f = -r v exactly
+    # with C = 0, A' - Gamma' = diag(D) and r = D_i, so f = -r v exactly:
+    # the paper's formula and the f read off the driver's affine form
     rng = np.random.default_rng(0)
+    driver = make_hedge_driver(market_c0)
     for _ in range(20):
         t = float(rng.uniform(0.0, 1.0))
         i = int(rng.integers(2))
         v = float(rng.normal())
         z = rng.normal(size=2)
-        assert hedge_driver(market_c0, t, i, v, z) == pytest.approx(
-            -0.05 * v, abs=1e-14)
+        for f in (pricing_f(market_c0, t, i, v, z), driver.evaluate(t, i, v, z)):
+            assert f == pytest.approx(-0.05 * v, abs=1e-14)
 
 
 def test_driver_constants_single_state():
@@ -141,7 +144,8 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
     for k, t in enumerate(grid):
         h[k] = np.linalg.solve(curves.phi_all()[k], sol.values[k])
         if k:
-            rates = mkt.piece_at(grid[k - 1]).rates + mkt.piece_at(t).rates
+            rates = mkt.rates[piece_index(mkt.piece_starts, grid[k - 1])] \
+                + mkt.rates[piece_index(mkt.piece_starts, t)]
             bond[k] = bond[k - 1] * np.exp(0.5 * rates * dt)
     assert np.array_equal(strat.h, h)
     assert np.array_equal(strat.bond, bond)

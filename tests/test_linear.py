@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
-from markovbsde.bsde import (AffineForm, _callback_step, _linear_implicit,
+from markovbsde.bsde import (AffineForm, _callback_step, _implicit_levels,
                             _linear_pieces, _scalar_implicit, zero_driver)
 from markovbsde.chain import affine_rk4, sweep
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
-from markovbsde.hedge import hedge_driver, make_hedge_driver
+from markovbsde.hedge import make_hedge_driver
 from markovbsde.market import stock_curves
 from markovbsde.rbsde import penalized_driver
 
 import step_reference as ref
-from conftest import expm
+from conftest import expm, pricing_callback, pricing_f
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PIECES = CONFIGS / "market_pieces.yaml"
@@ -126,7 +126,7 @@ def test_affine_path_equals_callback_path(n, pieces, seed):
     starts = [off_grid(rng, 1, 40) if pieces else (0.0,) for _ in "ACD"]
     market, _ = random_market(rng, n, *starts)
     driver = make_hedge_driver(market)
-    callback = replace(driver, affine=None)
+    callback = pricing_callback(market)
     terminal = rng.uniform(0.8, 1.2, n)
     level, slope = terminal * rng.uniform(0.7, 1.0, n), rng.uniform(0.0, 0.3, n)
     obstacle = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t))
@@ -166,7 +166,7 @@ def test_piecewise_market_matches_exponential_reference(n, seed):
     sol = solve_bsde(market.chain, make_hedge_driver(market), terminal, steps)
     exact = exact_pricing(sol.grid, schedules, terminal)
     # RK4's local error is the Taylor remainder (h Gamma')^5 / 5! y
-    lip = max(np.linalg.norm(p.gamma, 2) for p in market.pieces)
+    lip = max(np.linalg.norm(gamma, 2) for gamma in market.gamma)
     tol = (1.0 / steps) ** 4 * lip ** 5 / 120.0 * np.abs(exact).max() + 1e-13
     assert np.abs(sol.values - exact).max() <= tol
 
@@ -191,7 +191,7 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
                             values=lambda times: np.tile(g, (times.size, 1)))
         driver = penalized_driver(driver, obstacle, float(rng.uniform(1.0, 1e4)))
     y = rng.normal(size=n)
-    got = _linear_implicit(spec, driver.affine, uniform_grid(h, 1))(0, y)
+    got = _implicit_levels(spec, driver.affine, uniform_grid(h, 1))(driver.affine.n)(0, y)
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -236,7 +236,7 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
         g = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t)) if obstacle == "g" \
             else Obstacle(values=values)
         driver = penalized_driver(driver, g, float(rng.integers(4, 2 ** 20)))
-    tabled = _linear_implicit(market.chain, driver.affine, grid)
+    tabled = _implicit_levels(market.chain, driver.affine, grid)(driver.affine.n)
     looped = ref.linear_implicit(market.chain, driver.affine, grid)
     y = z = rng.uniform(0.5, 1.5, n)
     for k in range(steps - 1, -1, -1):
@@ -308,7 +308,7 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
-    driver = replace(make_hedge_driver(market), affine=None)
+    driver = pricing_callback(market)
     if penalized:
         driver = penalized_driver(driver, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
     tabled = _callback_step(market.chain, driver, scheme, grid)
@@ -360,7 +360,7 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, se
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
     drv = make_hedge_driver(market)
     if driver == "callback":
-        drv = replace(drv, affine=None)
+        drv = pricing_callback(market)
     elif driver == "penalized":
         drv = penalized_driver(drv, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
     chain = market.chain
@@ -400,7 +400,7 @@ def test_evaluate_read_off_the_form_is_the_pricing_driver(n, seed):
     for t in times:
         i = int(rng.integers(n))
         y, z = rng.normal(), rng.normal(size=n)
-        want = hedge_driver(market, t, i, y, z)
+        want = pricing_f(market, t, i, y, z)
         assert abs(driver.evaluate(t, i, y, z) - want) <= 1e-13 * (1.0 + abs(want))
     assert zero_driver().evaluate(0.5, 0, 2.0, np.ones(n)) == 0.0
 
@@ -428,6 +428,18 @@ def test_config_kinds_read_f_and_g_off_their_array_forms(tmp_path):
         for i in range(2):
             assert affine.g(t, i) == [0.4, 0.6][i]
             assert put_payoff.g(t, i) == max(strike - float(interp(curves.grid, curves.s[0], [t])[0, i]), 0.0)
+
+
+def test_driver_and_obstacle_without_f_or_g_are_rejected():
+    """A driver with neither f nor a form to read it off, and an obstacle
+    with neither g nor values, raise ValueError when made, as does a copy
+    that drops the form or the values its f or g was read off."""
+    form_only = MarkovDriver(affine=AffineForm(beta=1.0))
+    values_only = Obstacle(values=lambda times: np.ones((times.size, 2)))
+    for make in (MarkovDriver, Obstacle, lambda: replace(form_only, affine=None),
+                 lambda: replace(values_only, values=None)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_replace_reads_f_and_g_off_the_new_form():

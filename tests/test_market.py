@@ -8,6 +8,7 @@ from markovbsde import (build_chain_spec, build_market_spec, draw_paths,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
+from markovbsde.chain import piece_index
 from markovbsde.cli import _write_grid
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.errors import (BadScheduleError, NonFiniteError, RateBoundViolatedError,
@@ -198,7 +199,7 @@ def test_stationary_stock_curve_exact():
     mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=500)
-    gamma_t = mkt.piece_at(0.0).gamma.T
+    gamma_t = mkt.gamma[0].T
     for j, delta in enumerate(([1.0, 2.0], [2.0, 1.0])):
         target = np.linalg.solve(gamma_t, -np.asarray(delta))
         assert np.abs(curves.s[j] - target[None, :]).max() < 1e-12
@@ -306,20 +307,21 @@ def test_rate_table_matches_direct_formulas():
     for t in probes:
         a, c, d = (value_at(s, t) for s in (A_SCHED, C_SCHED, D_SCHED))
         assert np.array_equal(mkt.chain.generator_at(t), a)
-        piece = mkt.piece_at(t)
-        assert np.array_equal(piece.c, c) and np.array_equal(piece.d, d)
-        assert np.array_equal(piece.gamma, gamma_matrix(a, c, d))
+        k = piece_index(mkt.piece_starts, t)
+        assert np.array_equal(mkt.a[k], a)
+        assert np.array_equal(mkt.c[k], c) and np.array_equal(mkt.d[k], d)
+        assert np.array_equal(mkt.gamma[k], gamma_matrix(a, c, d))
         sig = sigma_matrix(c)
         for i in range(3):
             assert short_rate(mkt, t, i) == float(d[i] - sig[i, :] @ a[:, i])
         for i in range(3):
             for j in range(3):
-                assert piece.log_jump[i, j] == c[i, i] - c[i, j]
-        for arr in (piece.sigma, piece.gamma, piece.drift, piece.rates,
-                    piece.log_jump):
+                assert mkt.log_jump[k, i, j] == c[i, i] - c[i, j]
+        for arr in (mkt.a, mkt.c, mkt.d, mkt.sigma, mkt.gamma, mkt.drift, mkt.rates,
+                    mkt.log_jump):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            piece.gamma[0, 0] = 0.0
+            mkt.gamma[k, 0, 0] = 0.0
 
 
 def test_terminal_sdf_sums_over_off_grid_stretches():

@@ -43,7 +43,7 @@ def piecewise_chain(seed, n, pieces, horizon):
 def pieces(spec):
     """(start, end, generator) of each schedule piece."""
     ends = spec.starts[1:] + (spec.horizon,)
-    return [(s, e, a) for (s, a), e in zip(spec.schedule, ends)]
+    return list(zip(spec.starts, ends, spec.gens))
 
 
 def propagate(spec, mats, x, t):
@@ -220,7 +220,7 @@ def test_draw_on_tolerated_generators(a, horizon, start, after):
     spec = build_chain_spec(len(a), a, start, horizon)
     # the jump probabilities the thresholds give: a tolerated negative
     # rate counts as zero, so none is negative
-    thresholds = spec.jump_chain[0][1]
+    thresholds = spec.jump_chain[1][0]
     edges = np.vstack([np.zeros(len(a)), thresholds, np.ones(len(a))])
     assert np.all(np.diff(edges, axis=0) >= 0.0)
     paths = draw_paths(spec, 0, 2000)
