@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AffineForm, MarkovDriver
-from .chain import check_contraction, dots, path_chunks, pieces_at, rate_bound_m
+from .chain import check_contraction, dots, path_chunks, pieces_at, rate_bound_m, substeps
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
 from .market import sdf_path
@@ -91,9 +91,12 @@ def extract_hedge(market, curves, solution):
     """Solve phi h = z at every node for the stock holdings, then read the
     bond holdings off the accounting identity V = h0 B + sum h_j S_j.
 
-    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), by the
-    trapezoid rule over the node rates. The strategy also carries the
-    path-independent terms that ``replicate_forward`` gathers along paths.
+    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), exact
+    for the piecewise-constant short rate: each step adds r h per sub-step
+    of ``chain.substeps`` at the market breakpoints, under the sub-step's
+    piece, and a step that holds no breakpoint adds r dt. The strategy
+    also carries the path-independent terms that ``replicate_forward``
+    gathers along paths.
     """
     n = market.chain.n_states
     if market.n_stocks != n:
@@ -111,19 +114,22 @@ def extract_hedge(market, curves, solution):
         raise SingularPhiError(
             f"phi singular at t={grid[k]:.6g} (smallest sv {sv[k, -1]:.3g})")
     h = np.linalg.solve(phis, solution.values[:, :, None])[:, :, 0]
-    piece_of = pieces_at(market.piece_starts, grid)  # the piece in force at each node
-    rates = market.rates[piece_of]
     dt = grid[1] - grid[0]
+    times, first = substeps(market.breakpoints(), grid)
+    h_sub = np.diff(times)
+    h_sub[first[:-1][np.diff(first) == 1]] = dt  # a step of one sub-step
+    r_dt = market.rates[pieces_at(market.piece_starts, times[:-1])] * h_sub[:, None]
     bond = np.ones((grid.size, n))
-    bond[1:] = np.cumprod(np.exp(0.5 * (rates[:-1] + rates[1:]) * dt), axis=0)
+    bond[1:] = np.cumprod(np.exp(np.add.reduceat(r_dt, first[:-1])), axis=0)
     stock_leg = np.einsum("knj,kj->kn", phis, h)
     h0 = (solution.values - stock_leg) / bond
     # per-(step, state) drift of the risky leg, with holdings and stock
     # vectors at the step's right node and rate matrices at its left node;
     # per stock, price drift plus dividend minus the jump compensator
     # telescopes to -(Gamma' s), so the drift is -(Gamma' phi h)
-    drift = -(stock_leg[1:, None, :] @ market.gamma[piece_of[:-1]])[:, 0]
-    bond_leg = h0[1:] * rates[:-1] * bond[1:]
+    left = pieces_at(market.piece_starts, grid[:-1])  # the piece at each step's left node
+    drift = -(stock_leg[1:, None, :] @ market.gamma[left])[:, 0]
+    bond_leg = h0[1:] * market.rates[left] * bond[1:]
     carry = dt * (drift + bond_leg) - solution.step_pushes
     return HedgeStrategy(grid=grid, h=h, h0=h0, bond=bond, stock_leg=stock_leg,
                          carry=carry)

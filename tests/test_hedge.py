@@ -127,9 +127,10 @@ def test_extract_hedge_solves_phi_h_equals_z(market_c0, curves_c0, put_payoff):
 
 
 def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
-    # the batched solve, the per-node piece lookup and the cumulative bond
+    # the batched solve, the per-step piece lookup and the cumulative bond
     # product repeat the per-node arithmetic exactly; the short rate
-    # changes at 0.5123, between two nodes of the 200-step grid
+    # changes at 0.5123, between two nodes of the 200-step grid, where the
+    # bond's step adds the rate of each side over its part of the step
     mkt = build_market_spec(two_state_chain,
                             d_schedule=[(0.0, [0.05, 0.05]), (0.5123, [0.2, 0.1])],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
@@ -144,12 +145,30 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
     for k, t in enumerate(grid):
         h[k] = np.linalg.solve(curves.phi_all()[k], sol.values[k])
         if k:
-            rates = mkt.rates[piece_index(mkt.piece_starts, grid[k - 1])] \
-                + mkt.rates[piece_index(mkt.piece_starts, t)]
-            bond[k] = bond[k - 1] * np.exp(0.5 * rates * dt)
+            cuts = [grid[k - 1], *(b for b in mkt.breakpoints() if grid[k - 1] < b < t), t]
+            r_dt = mkt.rates[piece_index(mkt.piece_starts, grid[k - 1])] * dt
+            if len(cuts) > 2:
+                r_dt = sum(mkt.rates[piece_index(mkt.piece_starts, a)] * (b - a)
+                           for a, b in zip(cuts[:-1], cuts[1:]))
+            bond[k] = bond[k - 1] * np.exp(r_dt)
     assert np.array_equal(strat.h, h)
     assert np.array_equal(strat.bond, bond)
     assert not np.array_equal(bond[:, 0], bond[:, 1])
+
+
+def test_bond_account_is_the_closed_form_across_an_off_grid_breakpoint(two_state_chain):
+    # with C = 0 the short rate is D: 0.05 before 0.5123 and (0.2, 0.1)
+    # after, so B_i(t) = exp(0.05 t) before and exp(0.05 b + D_i (t - b))
+    # after; the breakpoint lies strictly inside a step of the 200-step grid
+    b = 0.5123
+    mkt = build_market_spec(two_state_chain,
+                            d_schedule=[(0.0, [0.05, 0.05]), (b, [0.2, 0.1])],
+                            dividends=[[1.0, 2.0], [2.0, 1.0]])
+    curves = stock_curves(mkt, steps=200)
+    strat = extract_hedge(mkt, curves, price_american(mkt, put_on(curves, 30.0), 200))
+    t = strat.grid[:, None]
+    exact = np.exp(np.where(t < b, 0.05 * t, 0.05 * b + np.array([0.2, 0.1]) * (t - b)))
+    assert np.abs(strat.bond / exact - 1.0).max() <= 1e-14
 
 
 def test_extract_hedge_requires_square_system(two_state_chain):
