@@ -10,9 +10,8 @@ from .chain import (ChainSpec, PathBatch, build_chain_spec,
                     check_contraction, draw_paths, martingale_path, pseudoinverse,
                     psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
 from .grids import StateGridFunction, uniform_grid
-from .hedge import (HedgeStrategy, contraction_report,
-                    discounted_value_check, extract_hedge,
-                    make_hedge_driver, price_american, replicate_forward)
+from .hedge import (HedgeStrategy, contraction_report, discounted_value_check,
+                    extract_hedge, make_hedge_driver, price_american, replicate_forward)
 from .market import (MarketSpec, StockCurves, build_market_spec, gamma_matrix,
                      sdf_dynamics_residual, sdf_path, short_rate, sigma_matrix,
                      stock_curves, stock_sde_residual, terminal_sdf)

@@ -130,8 +130,9 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
     # the batched solve, the per-step piece lookup and the cumulative bond
     # product repeat the per-node arithmetic exactly; the short rate
     # changes at 0.5123, between two nodes of the 200-step grid, where the
-    # bond's step adds the rate of each side over its part of the step
-    mkt = build_market_spec(two_state_chain,
+    # bond's step adds the rate of each side over its part of the step, and
+    # every other step the rate times dt; C moves the rates off round values
+    mkt = build_market_spec(two_state_chain, c_schedule=[[0.0, 0.02], [0.03, 0.0]],
                             d_schedule=[(0.0, [0.05, 0.05]), (0.5123, [0.2, 0.1])],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
     curves = stock_curves(mkt, steps=200)

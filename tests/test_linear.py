@@ -16,12 +16,12 @@ from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_ma
                         penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import (AffineForm, _callback_step, _implicit_levels,
                             _linear_pieces, _scalar_implicit, zero_driver)
-from markovbsde.chain import affine_rk4, sweep
+from markovbsde.chain import affine_rk4, check_contraction, pseudoinverse, rate_bound_m, sweep
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
-from markovbsde.hedge import make_hedge_driver
-from markovbsde.market import stock_curves
+from markovbsde.hedge import driver_constants, make_hedge_driver
+from markovbsde.market import gamma_matrix, sigma_matrix, stock_curves
 from markovbsde.rbsde import penalized_driver
 
 import step_reference as ref
@@ -85,11 +85,13 @@ def test_pricing_bsde_is_fourth_order_across_market_breakpoints():
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
 
 
-def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,), stocks=0):
+def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,), stocks=0,
+                  c_high=0.03):
     """A market on an n-state chain with absorbing states, one generator per
-    entry of ``starts``, C and D schedules on their own starts, and
-    ``stocks`` dividend vectors. As C >= 0 off the diagonal, every short
-    rate is at least its D entry."""
+    entry of ``starts``, C and D schedules on their own starts, C off the
+    diagonal up to ``c_high``, and ``stocks`` dividend vectors. As C >= 0
+    off the diagonal, every short rate is at least its D entry; with
+    ``c_high`` up to 1 it stays below 10, the market's r_max."""
     gens = []
     for _ in starts:
         a = rng.uniform(0.2, 2.0, size=(n, n))
@@ -99,7 +101,7 @@ def random_market(rng, n, starts=(0.0,), c_starts=(0.0,), d_starts=(0.0,), stock
         gens.append(a)
     cs = []
     for _ in c_starts:
-        c = rng.uniform(0.0, 0.03, size=(n, n))
+        c = rng.uniform(0.0, c_high, size=(n, n))
         np.fill_diagonal(c, 0.0)
         cs.append(c)
     ds = [rng.uniform(0.01, 0.1, n) for _ in d_starts]
@@ -385,6 +387,41 @@ def test_closed_form_implicit_step_rejects_non_positive_denominator():
                           affine=AffineForm(alpha=20.0))
     with pytest.raises(NonFiniteError):
         solve_bsde(spec, driver, np.ones(1), 10, scheme="implicit_euler")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_tables_equal_the_per_piece_loops(n, seed):
+    """The market's rate tables, the driver constants, the rate bound and
+    the contraction check, each computed over the stacks of pieces at
+    once, equal the loops over pieces and states that took one matrix or
+    vector at a time, bit for bit."""
+    rng = np.random.default_rng(seed)
+    market, _ = random_market(rng, n, *(off_grid(rng, 2, 40) for _ in "ACD"), c_high=1.0)
+    for k, (a, c, d) in enumerate(zip(market.a, market.c, market.d)):
+        sig, gamma = sigma_matrix(c), gamma_matrix(a, c, d)
+        assert np.array_equal(market.sigma[k], sig) and np.array_equal(market.gamma[k], gamma)
+        assert np.array_equal(market.drift[k], a.T - gamma.T)
+        assert market.rates[k].tolist() == [d[i] - sig[i, :] @ a[:, i] for i in range(n)]
+    c1 = c4 = c5 = 0.0
+    for drift, rates in zip(market.drift, market.rates):
+        diff = drift.T  # A - Gamma
+        for i, r in enumerate(rates.tolist()):
+            vec = diff[:, i].copy()
+            vec[i] -= r
+            c1, c4 = max(c1, float(np.linalg.norm(diff[:, i]))), max(c4, abs(r))
+            c5 = max(c5, float(np.linalg.norm(vec)))
+    consts = driver_constants(market)
+    assert (consts["c1"], consts["c4"], consts["c5"]) == (c1, c4, c5)
+    chain, lip = market.chain, float(rng.uniform(0.0, 0.2))
+    m = max(float(np.sqrt(np.trace(a.T @ a))) for a in chain.gens)
+    assert rate_bound_m(chain) == m
+    margins = [(1.0 - lip * float(np.sqrt(np.trace(p.T @ p))) * np.sqrt(6.0 * m), (start, i))
+               for start, psis in zip(chain.starts, chain.psi)
+               for i, p in enumerate(pseudoinverse(psi) for psi in psis)]
+    report = check_contraction(chain, lip)
+    assert (report["worst_margin"], report["worst_time_state"]) == min(margins,
+                                                                      key=lambda x: x[0])
 
 
 @settings(max_examples=20, deadline=None)
