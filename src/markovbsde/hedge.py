@@ -117,7 +117,7 @@ def extract_hedge(market, curves, solution):
     dt = grid[1] - grid[0]
     times, first = substeps(market.breakpoints(), grid)
     h_sub = np.diff(times)
-    h_sub[first[:-1][np.diff(first) == 1]] = dt  # a step of one sub-step
+    h_sub[first[:-1][np.diff(first) == 1]] = dt  # an uncut step is dt long, as solved
     r_dt = market.rates[pieces_at(market.piece_starts, times[:-1])] * h_sub[:, None]
     bond = np.ones((grid.size, n))
     bond[1:] = np.cumprod(np.exp(np.add.reduceat(r_dt, first[:-1])), axis=0)
@@ -127,7 +127,7 @@ def extract_hedge(market, curves, solution):
     # vectors at the step's right node and rate matrices at its left node;
     # per stock, price drift plus dividend minus the jump compensator
     # telescopes to -(Gamma' s), so the drift is -(Gamma' phi h)
-    left = pieces_at(market.piece_starts, grid[:-1])  # the piece at each step's left node
+    left = pieces_at(market.piece_starts, grid[:-1])  # the piece at each left node
     drift = -(stock_leg[1:, None, :] @ market.gamma[left])[:, 0]
     bond_leg = h0[1:] * market.rates[left] * bond[1:]
     carry = dt * (drift + bond_leg) - solution.step_pushes
