@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (affine_rk4, check_contraction, piece_index, pieces_at, rk4_down,
-                    substeps, sums_at, sweep)
+from .chain import (affine_rk4, check_contraction, dots, piece_index, pieces_at,
+                    rk4_down, substeps, sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -86,6 +86,23 @@ def _affine_evaluate(form):
 
     evaluate.form = form
     return evaluate
+
+
+def _driver_at(driver, times, states, ys):
+    """f(times[p], states[p], ys[p, states[p]], ys[p]) at each point p: off
+    the driver's unpenalized affine form in one pass, as ``_affine_evaluate``
+    rounds it, else by one call of ``evaluate`` a point."""
+    form = driver.affine
+    if form is None or form.obstacle is not None:
+        return np.array([driver.evaluate(t, i, y[i], y)
+                         for t, i, y in zip(times.tolist(), states.tolist(), ys)])
+    n = ys.shape[1]
+    shape = (len(form.starts), n)
+    k = pieces_at(form.starts, times)
+    own = ys[np.arange(states.size), states]
+    return (np.broadcast_to(form.alpha, shape)[k, states] * own
+            + dots(np.broadcast_to(form.gz, shape + (n,))[k, states], ys)
+            + np.broadcast_to(form.beta, shape)[k, states])
 
 
 @dataclass(frozen=True)
@@ -297,15 +314,16 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
 def _hermite_curve(spec, driver, sol):
     """times -> (len(times), N) values y(t), the cubic Hermite interpolant
     of the grid values with slopes dy/dt = -A'y - f from the reduced ODE,
-    f read once per node. Each step takes the slope at either end under
-    the generator of its own piece there: at a breakpoint on a node, the
-    step ending there takes the left limit and the step starting there the
-    right limit."""
+    f read once per node and state by ``_driver_at``. Each step takes the
+    slope at either end under the generator of its own piece there: at a
+    breakpoint on a node, the step ending there takes the left limit and
+    the step starting there the right limit."""
     grid, vals = sol.grid, sol.values
     steps = grid.size - 1
     dt = (grid[-1] - grid[0]) / steps
-    f = np.array([[driver.evaluate(t, i, y[i], y) for i in range(y.size)]
-                  for t, y in zip(grid.tolist(), vals)])
+    n = vals.shape[1]
+    f = _driver_at(driver, np.repeat(grid, n), np.tile(np.arange(n), grid.size),
+                   np.repeat(vals, n, axis=0)).reshape(vals.shape)
     gens_t = np.ascontiguousarray(spec.gens.transpose(0, 2, 1))
     lo = -(gens_t[pieces_at(spec.starts, grid[:-1])] @ vals[:-1, :, None])[:, :, 0] - f[:-1]
     hi = -(gens_t[pieces_at(spec.starts, grid[1:], side="left")]
@@ -337,8 +355,8 @@ def pathwise_residual(solution, paths, spec, driver, terminal):
     piece (``PathBatch.stretches`` cut at the grid nodes and the schedule
     breakpoints), with that stretch's generator, so the residual tracks
     the scheme error. The integrals over [0, t] are running sums over the
-    stretches, read at the grid nodes (``chain.sums_at``); f is called
-    once per Simpson point.
+    stretches, read at the grid nodes (``chain.sums_at``); f is read at
+    every Simpson point by ``_driver_at``.
     """
     terminal = np.asarray(terminal, dtype=float)
     grid = solution.grid
@@ -350,8 +368,7 @@ def pathwise_residual(solution, paths, spec, driver, terminal):
     m_int = np.zeros(path.size)
     for t, weight in ((t0, 1.0), (0.5 * (t0 + t1), 4.0), (t1, 1.0)):
         ys = curve(t)
-        f_int += weight * np.array([driver.evaluate(u, i, y[i], y) for u, i, y
-                                    in zip(t.tolist(), state.tolist(), ys)])
+        f_int += weight * _driver_at(driver, t, state, ys)
         m_int -= weight * np.einsum("sn,sn->s", ys, cols)
     rows = np.arange(path.size)
     jumped = np.where(to >= 0, ys[rows, to] - ys[rows, state], 0.0)  # ys at t1

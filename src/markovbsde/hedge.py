@@ -11,7 +11,7 @@ from .bsde import AffineForm, MarkovDriver
 from .chain import check_contraction, dots, path_chunks, pieces_at, rate_bound_m, substeps
 from .errors import (ContractionViolatedError, DimensionMismatchError,
                      SingularPhiError)
-from .market import sdf_path
+from .market import sdf_stretches
 from .rbsde import solve_reflected
 
 
@@ -184,28 +184,61 @@ def _discounted_h_matrix(market, solution):
             - cross)
 
 
-def _stopped_values(market, batch, solution, h_mat, g_mat):
+def _stopped_values(market, batch, grid, tables):
     """Per path of the batch: the discounted driver integral up to the
-    first touch of the obstacle plus the deflated payoff there; and whether
-    the deflated value dominates the deflated payoff all along. The
-    batch's (paths x nodes) tables live until this returns."""
-    grid = solution.grid
-    idx = np.arange(grid.size)
-    pi = sdf_path(market, batch, grid)
-    states = batch.states_at(grid)
-    v_path = solution.values[idx, states]
-    g_path = g_mat[idx, states]
-    dominates = not np.any(pi * v_path < pi * g_path - 1e-9)
-    touch = v_path <= g_path + 1e-9
-    stop = np.where(touch.any(axis=1), touch.argmax(axis=1), grid.size - 1)
-    # trapezoid over [0, t_stop]; no steps, and 0.0, when stopping at 0.
-    # One reduction per path over its own slice groups the terms as the
-    # sum of that slice alone does.
-    seg = pi * h_mat[idx, states]
-    trap = 0.5 * (seg[:, :-1] + seg[:, 1:])
-    integral = np.array([np.add.reduce(row[:k]) for row, k in zip(trap, stop)])
-    rows = np.arange(batch.n_paths)
-    return integral * (grid[1] - grid[0]) + pi[rows, stop] * g_path[rows, stop], dominates
+    first node where the value touches the obstacle plus the deflated
+    payoff there; and whether the deflated value dominates the deflated
+    payoff at every node. ``tables`` holds the check's (nodes, states)
+    tables v, g, the discounted driver h, the next touching node and where
+    v < g (None where it is nowhere). pi is evaluated only at the (stretch,
+    node) cells a path visits up to its stop, with ``sdf_path``'s bits, and
+    at the visited cells where v < g."""
+    v, g, h, nxt, below = tables
+    last = grid.size - 1
+    path, t0, t1, state, slope, start, total, first = sdf_stretches(market, batch)
+    final = batch.states[batch.offsets[1:] + np.arange(batch.n_paths)]  # each state at T
+    # each stretch holds the nodes [lo, hi); a path's last one also node K
+    lo, hi = np.searchsorted(grid, t0), np.searchsorted(grid, t1)
+    tail = np.append(first[1:], path.size) - 1
+    hi[tail] = grid.size
+
+    def cells(counts):
+        """The first counts[j] nodes of each stretch j, as flat cells in
+        path, then time order: (node, state, log pi, each path's last
+        cell). Node K takes the state after a jump there and log pi at the
+        horizon, as ``sdf_path`` does."""
+        ends = np.cumsum(counts)
+        node = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
+        log_pi = np.repeat(slope, counts) * (grid[node] - np.repeat(t0, counts))
+        log_pi += np.repeat(start, counts)
+        s = np.repeat(state, counts)
+        ends = ends[tail] - 1
+        at_k = node[ends] == last
+        s[ends[at_k]] = final[at_k]
+        log_pi[ends[at_k]] = total[at_k]
+        return node, s, log_pi, ends
+
+    # where v >= g, rounding is monotone and pi > 0, so fl(pi v) >= fl(pi g)
+    # > fl(pi g) - 1e-9: only the cells where v < g can fail
+    dominates = True
+    if below is not None:
+        node, s, log_pi, _ = cells(hi - lo)
+        low = below[node, s]
+        node, s, pi = node[low], s[low], np.exp(log_pi[low])
+        dominates = not np.any(pi * v[node, s] < pi * g[node, s] - 1e-9)
+    # the first touch over a path's stretches, or node K
+    at = nxt[lo, state]
+    stop = np.minimum.reduceat(np.where(at < hi, at, last), first)
+    node, s, log_pi, ends = cells(np.maximum(np.minimum(hi, stop[path] + 1) - lo, 0))
+    pi = np.exp(log_pi, out=log_pi)
+    x = pi * h[node, s]
+    # trapezoid over [0, t_stop]: each path's terms, from its first cell to
+    # its last, reduced as the sum of that slice alone is (the odd segments
+    # hold one term across two paths); none, and 0.0, when stopping at 0
+    trap = np.append(0.5 * (x[:-1] + x[1:]), 0.0)
+    bounds = np.column_stack([np.append(0, ends[:-1] + 1), ends]).ravel()
+    integral = np.where(stop > 0, np.add.reduceat(trap, bounds)[::2], 0.0)
+    return integral * (grid[1] - grid[0]) + pi[ends] * g[node[ends], s[ends]], dominates
 
 
 def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
@@ -216,17 +249,27 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     there; the average must match the time-zero value within 3 standard
     errors. Also checks the deflated value dominates the deflated payoff
     along every path. Paths are drawn in one ``draw_paths`` pass and
-    checked batch by batch, each batch as many paths as its (paths x grid
-    nodes) tables, or the wider table of ``sdf_path``'s log-factor sums,
-    fit in ``chain._CELLS`` cells.
+    checked batch by batch on their stretches (``sdf_stretches``): a path
+    stops at the first of its stretches' next touching nodes, read off a
+    (nodes, states) table built once per check, and pi is evaluated only
+    at the nodes up to the stop. Each batch has as many paths as its flat
+    cells (at most paths x grid nodes), or the wider table of
+    ``sdf_stretches``' log-factor sums, fit in ``chain._CELLS`` cells.
     """
     grid = solution.grid
     n_cuts = len(market.breakpoints())
     chunks = path_chunks(market.chain, seed_base, n_paths,
                          lambda batch: max(grid.size, 2 * batch.sum_width(n_cuts)))
-    h_mat = _discounted_h_matrix(market, solution)
-    g_mat = payoff.sample(grid, market.chain.n_states)
-    samples, dominates = zip(*(_stopped_values(market, batch, solution, h_mat, g_mat)
+    v = solution.values
+    g = payoff.sample(grid, market.chain.n_states)
+    # per node and state, the first node from it on where the value
+    # touches the obstacle in that state, or K + 1
+    node = np.arange(grid.size)[:, None]
+    nxt = np.minimum.accumulate(np.where(v <= g + 1e-9, node, grid.size)[::-1])[::-1]
+    below = v < g
+    tables = (v, g, _discounted_h_matrix(market, solution), nxt,
+              below if below.any() else None)
+    samples, dominates = zip(*(_stopped_values(market, batch, grid, tables)
                                for batch in chunks))
     samples = np.concatenate(samples)
     mean = float(samples.mean())

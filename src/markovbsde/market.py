@@ -149,16 +149,18 @@ def _log_jumps(market, t1, state, to):
                     0.0)
 
 
-def sdf_path(market, paths, grid):
-    """Discount factor along each path of the batch at the sorted times of
-    ``grid``, closed form, as a (paths, len(grid)) array.
+def sdf_stretches(market, paths):
+    """The stretches of each path of the batch with log pi along them:
+    (path, t0, t1, state, slope, start, total, first), where path, t0, t1
+    and state are those of ``PathBatch.stretches`` cut at the market's
+    breakpoints, log pi is start + slope (t - t0) on [t0, t1), total is
+    each path's log pi at the horizon and first the index of its first
+    stretch.
 
-    The dX integral of the exponent is a pure-jump Stieltjes sum, so the
-    discount factor is exp of minus the D-drift integral times the exact
-    jump factors exp(C_ii - C_ij). Starts at 1. The log is piecewise
-    linear between jump/schedule events: its value after each stretch is a
-    running sum over the path's stretches, and the grid values interpolate
-    it.
+    The dX integral of the exponent is a pure-jump Stieltjes sum, so log pi
+    is minus the D-drift integral plus the exact jump log-factors
+    C_ii - C_ij: its value after each stretch is a running sum over the
+    path's stretches.
     """
     n = paths.n_paths
     path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
@@ -170,13 +172,25 @@ def sdf_path(market, paths, grid):
     count = np.bincount(path, minlength=n)
     first = np.cumsum(count) - count
     start = sums[path, 2 * (np.arange(path.size) - first[path])]
+    return path, t0, t1, state, slopes, start, sums[:, -1], first
+
+
+def sdf_path(market, paths, grid):
+    """Discount factor along each path of the batch at the sorted times of
+    ``grid``, closed form, as a (paths, len(grid)) array: exp of the log
+    of ``sdf_stretches`` in the stretch in force at each time, and of the
+    path's total at the horizon. Starts at 1.
+    """
+    n = paths.n_paths
+    path, t0, t1, _, slopes, start, total, first = sdf_stretches(market, paths)
+    count = np.diff(first, append=path.size)
     # the stretch in force at each grid time, clamped to the path's last
     k = counts_at(path, t1, n, grid)
     at_end = k >= count[:, None]
     k += first[:, None]
     np.minimum(k, (first + count - 1)[:, None], out=k)
     log_pi = start[k] + slopes[k] * (grid - t0[k])
-    np.copyto(log_pi, sums[:, -1:], where=at_end)
+    np.copyto(log_pi, total[:, None], where=at_end)
     return np.exp(log_pi, out=log_pi)
 
 

@@ -5,7 +5,11 @@ discounted driver table) the package ran before its Monte Carlo
 functionals became array operations over a ``PathBatch``. The
 batched code must reproduce them bit for bit: every sum here runs left to
 right in the same term order, and the trapezoid of
-``discounted_value_check`` is one ``np.sum`` per path. Each path is
+``discounted_value_check`` is one ``np.sum`` per path. Here that check
+evaluates pi and the states at every grid node of a path and then stops;
+the package reads the stop off the path's stretches first and evaluates
+pi only up to it, and its ``np.add.reduceat`` of each path's trapezoid
+terms rounds as this ``np.sum`` does. Each path is
 given as raw arrays: its jump times and the states it visits; the checks
 take the batch of paths the package drew and walk it path by path
 (``path_of``).

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import path_reference as ref
-from markovbsde import (MarkovDriver, PathBatch, build_chain_spec, build_market_spec,
-                        chain, discount_driver, discounted_value_check, draw_paths,
-                        european_consistency, isometry_check, martingale_path,
-                        mc_estimate, optimal_stop_time, pathwise_residual,
+from markovbsde import (MarkovDriver, Obstacle, PathBatch, build_chain_spec,
+                        build_market_spec, chain, discount_driver, discounted_value_check,
+                        draw_paths, european_consistency, hedge, isometry_check,
+                        martingale_path, mc_estimate, optimal_stop_time, pathwise_residual,
                         price_american, replicate_forward, sdf_dynamics_residual,
                         simulate_path, solve_bsde, stock_curves,
                         stock_sde_residual, uniform_grid)
-from markovbsde.bsde import _hermite_curve
+from markovbsde.bsde import AffineForm, _hermite_curve
 from markovbsde.chain import counts_at
 from markovbsde.errors import MarkovBsdeError
 from markovbsde.hedge import _discounted_h_matrix
@@ -90,6 +90,33 @@ def test_batched_functionals_equal_the_path_loops(seed):
     sol = SimpleNamespace(grid=grid, values=rng.normal(size=(grid.size, spec.n_states)))
     assert np.array_equal(_discounted_h_matrix(market, sol),
                           ref.discounted_h_matrix(market, sol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_discounted_value_check_equals_the_path_loop(seed):
+    # values at, above and pushed below a random obstacle at random cells,
+    # on the edge paths and drawn ones, cut into batches of a random size
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    n, x0 = market.chain.n_states, market.chain.initial_state
+    grid = uniform_grid(1.0, int(rng.integers(2, 40)))
+    paths = edge_paths(market, grid) + ref.draws(market.chain, 20)
+    batch = ref.batch_of(paths)
+    g = rng.uniform(0.0, 1.0, (grid.size, n))
+    cell = rng.choice(4, size=g.shape, p=rng.dirichlet(np.ones(4)))
+    v = g + np.choose(cell, [0.0, 1e-9, rng.uniform(0.1, 1.0, g.shape),
+                             -rng.uniform(1e-12, 0.5, g.shape)])
+    if rng.random() < 0.25:
+        v[0, x0] = g[0, x0]  # every path stops at node 0
+    sol = SimpleNamespace(grid=grid, values=v)
+    payoff = Obstacle(values=lambda times: g[np.searchsorted(grid, times)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain, "_CELLS", int(rng.integers(1, 3000)))
+        patch.setattr(hedge, "path_chunks",
+                      lambda *args: chain.path_chunks(*args, paths=batch))
+        got = discounted_value_check(market, payoff, sol, batch.n_paths)
+    assert got == ref.discounted_value_check(market, payoff, sol, batch)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,6 +219,34 @@ def test_path_consumers_give_each_path_what_it_gets_alone(seed):
         assert len(got) == len(paths)
         for p, path in enumerate(paths):
             assert np.array_equal(got[p], consumer(ref.batch_of([path]))[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_affine_driver_residual_equals_its_callback_twin(seed):
+    # f read off the form as arrays, against the same f called per point
+    rng = np.random.default_rng(seed)
+    market = random_market(rng)
+    spec, n = market.chain, market.chain.n_states
+    steps = int(rng.integers(2, 40))
+    # pieces of the form's own, one of them starting on a node
+    starts = sorted({0.0, float(uniform_grid(1.0, steps)[rng.integers(1, steps)]),
+                     *rng.uniform(0.05, 0.95, int(rng.integers(0, 3))).tolist()})
+    size = (len(starts), n)
+    form = AffineForm(starts=tuple(starts),
+                      alpha=rng.normal(size=size) if rng.random() < 0.5 else -0.3,
+                      gz=rng.normal(size=size + (n,)) if rng.random() < 0.5 else 0.0,
+                      beta=rng.normal(size=size))
+    driver = MarkovDriver(affine=form)
+    twin = MarkovDriver(evaluate=lambda t, i, y, z: driver.evaluate(t, i, y, z))
+    xi = rng.uniform(0.5, 1.5, n)
+    sol = solve_bsde(spec, driver, xi, steps)
+    times = np.concatenate([sol.grid, rng.uniform(0.0, 1.0, 30), starts])
+    assert np.array_equal(_hermite_curve(spec, driver, sol)(times),
+                          _hermite_curve(spec, twin, sol)(times))
+    batch = ref.batch_of(edge_paths(market, sol.grid) + ref.draws(spec, 10))
+    assert np.array_equal(pathwise_residual(sol, batch, spec, driver, xi),
+                          pathwise_residual(sol, batch, spec, twin, xi))
 
 
 def put_market():
