@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (affine_rk4, check_contraction, dots, piece_index, pieces_at,
-                    rk4_down, substeps, sums_at, sweep)
+from .chain import (affine_rk4, check_contraction, dots, pieces_at, rk4_down, substeps,
+                    sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -30,16 +30,13 @@ from .grids import StateGridFunction, uniform_grid
 @dataclass(frozen=True)
 class AffineForm:
     """f(t, i, y, z) = alpha[k, i] y + (gz[k] z)_i + beta[k, i] on the piece
-    k in force at t, which starts at starts[k]; with an ``obstacle``, plus
-    the penalty n (g(t, i) - y)^+. ``alpha``, ``gz`` and ``beta`` broadcast
-    to (pieces, N), (pieces, N, N) and (pieces, N)."""
+    k in force at t, which starts at starts[k]. ``alpha``, ``gz`` and
+    ``beta`` broadcast to (pieces, N), (pieces, N, N) and (pieces, N)."""
 
     starts: tuple = (0.0,)
     alpha: object = 0.0
     gz: object = 0.0
     beta: object = 0.0
-    obstacle: object = None
-    n: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,10 @@ class MarkovDriver:
     ``lipschitz_y`` bounds the y-increment, ``lipschitz_z`` the increment
     against the quadratic-variation seminorm. ``affine``, when given, is
     the same f as an ``AffineForm``, which the solvers use in place of
-    ``evaluate``; without an ``evaluate``, f is read off the (unpenalized)
-    form, and an f read off one form is read again off the form a copy
-    made by ``dataclasses.replace`` holds. A driver with neither f nor a
-    form to read it off raises ``ValueError``.
+    ``evaluate``; without an ``evaluate``, f is read off the form, and an
+    f read off one form is read again off the form a copy made by
+    ``dataclasses.replace`` holds. A driver with neither f nor a form to
+    read it off raises ``ValueError``.
     """
 
     evaluate: callable = None
@@ -69,40 +66,33 @@ class MarkovDriver:
 
 
 def _affine_evaluate(form):
-    """f(t, i, y, z) = alpha_i y + (G z)_i + beta_i of the form's piece at t,
-    with the form's arrays broadcast once per number of states."""
-    arrays = {}
-
+    """f(t, i, y, z) of the affine form ``form``, by ``_form_at`` at one point."""
     def evaluate(t, i, y, z):
-        n = len(z)
-        if n not in arrays:
-            shape = (len(form.starts), n)
-            arrays[n] = (np.broadcast_to(form.alpha, shape),
-                         np.broadcast_to(form.gz, shape + (n,)),
-                         np.broadcast_to(form.beta, shape))
-        alpha, gz, beta = arrays[n]
-        k = piece_index(form.starts, t)
-        return alpha[k, i] * y + gz[k, i] @ z + beta[k, i]
+        return _form_at(form, t, i, y, np.asarray(z))
 
     evaluate.form = form
     return evaluate
 
 
-def _driver_at(driver, times, states, ys):
-    """f(times[p], states[p], ys[p, states[p]], ys[p]) at each point p: off
-    the driver's unpenalized affine form in one pass, as ``_affine_evaluate``
-    rounds it, else by one call of ``evaluate`` a point."""
-    form = driver.affine
-    if form is None or form.obstacle is not None:
-        return np.array([driver.evaluate(t, i, y[i], y)
-                         for t, i, y in zip(times.tolist(), states.tolist(), ys)])
-    n = ys.shape[1]
+def _form_at(form, times, states, y, z):
+    """alpha y + dots(G, z) + beta of the affine form at each point p (or at
+    one point): the piece at times[p], the state states[p], y[p] and z[p]."""
+    n = z.shape[-1]
     shape = (len(form.starts), n)
     k = pieces_at(form.starts, times)
-    own = ys[np.arange(states.size), states]
-    return (np.broadcast_to(form.alpha, shape)[k, states] * own
-            + dots(np.broadcast_to(form.gz, shape + (n,))[k, states], ys)
+    return (np.broadcast_to(form.alpha, shape)[k, states] * y
+            + dots(np.broadcast_to(form.gz, shape + (n,))[k, states], z)
             + np.broadcast_to(form.beta, shape)[k, states])
+
+
+def _driver_at(driver, times, states, ys):
+    """f(times[p], states[p], ys[p, states[p]], ys[p]) at each point p: off
+    the driver's affine form in one pass, else by one call of ``evaluate``
+    a point."""
+    if driver.affine is None:
+        return np.array([driver.evaluate(t, i, y[i], y)
+                         for t, i, y in zip(times.tolist(), states.tolist(), ys)])
+    return _form_at(driver.affine, times, states, ys[np.arange(states.size), states], ys)
 
 
 @dataclass(frozen=True)
@@ -172,13 +162,13 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     return 0.5 * (lo + hi)
 
 
-def _rhs(gen, driver, t, y):
+def _rhs(gen, f, t, y):
     """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
     the generator ``gen``, for every state i."""
     at_y = gen.T @ y
     out = np.empty(y.size)
     for i in range(y.size):
-        out[i] = -at_y[i] - driver.evaluate(t, i, y[i], y)
+        out[i] = -at_y[i] - f(t, i, y[i], y)
     return out
 
 
@@ -196,15 +186,32 @@ def _linear_pieces(spec, form):
             np.broadcast_to(form.beta, shape)[k])
 
 
-def _implicit_levels(spec, form, grid):
-    """n -> step(k, y), the implicit Euler steps of the affine form at the
-    penalty level n, on the sub-steps of ``chain.substeps`` at the chain
-    breakpoints, in closed form per state. With z frozen at the top value
-    y, b + h beta' = y + h ((A' + G) y + beta), and v = (b + h beta') /
-    (1 - h alpha) where that is at least g, else (b + h beta' + h n g) /
-    (1 - h alpha + h n). Coefficients and g are those at the bottom time.
-    Each sub-step's h, piece, denominators and obstacle row are tabled
-    once, for every level; a level adds only its h n terms."""
+def _levels(spec, driver, scheme, grid, obstacle=None):
+    """n -> step(k, y), the steps of ``driver`` under ``scheme`` down the
+    ``grid``, f plus the penalty n (g - y)^+ of ``obstacle`` if given: the
+    one builder entry of every backward solve. An affine form is stepped by
+    ``_implicit_levels`` under implicit Euler and, without a penalty, by
+    the ``chain.affine_rk4`` maps under RK4; anything else by ``_callback_step``."""
+    form = driver.affine
+    if form is not None and scheme == "implicit_euler":
+        return _implicit_levels(spec, form, grid, obstacle)
+    if form is not None and obstacle is None:
+        starts, a_g, alpha, beta = _linear_pieces(spec, form)
+        step = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta,
+                          grid)
+        return lambda n: step
+    return lambda n: _callback_step(spec, driver, scheme, grid, obstacle, n)
+
+
+def _implicit_levels(spec, form, grid, obstacle):
+    """n -> step(k, y), the implicit Euler steps of the affine form with the
+    penalty of ``obstacle`` at level n, on the sub-steps of ``chain.substeps``
+    at the chain breakpoints, in closed form per state. With z frozen at the
+    top value y, b + h beta' = y + h ((A' + G) y + beta), and
+    v = (b + h beta') / (1 - h alpha) where that is at least g, else
+    v = (b + h beta' + h n g) / (1 - h alpha + h n). Coefficients and g are
+    those at the bottom time. Each sub-step's h, piece, denominators and
+    obstacle row are tabled once, for every level; a level adds its h n terms."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
@@ -212,13 +219,13 @@ def _implicit_levels(spec, form, grid):
     bottom, h = times[:-1], np.diff(times)
     piece = pieces_at(starts, bottom)
     den = 1.0 - h[:, None] * alpha[piece]
-    penalized = form.obstacle is not None
+    penalized = obstacle is not None
     if penalized:
         g = np.empty_like(den)
-        g[first[:-1]] = form.obstacle.sample(grid, spec.n_states)[:-1]
+        g[first[:-1]] = obstacle.sample(grid, spec.n_states)[:-1]
         off = np.delete(np.arange(bottom.size), first[:-1])  # breakpoints off the nodes
         if off.size:
-            g[off] = form.obstacle.sample(bottom[off], spec.n_states)
+            g[off] = obstacle.sample(bottom[off], spec.n_states)
     first, piece = first.tolist(), piece.tolist()
 
     def level(n):
@@ -239,22 +246,29 @@ def _implicit_levels(spec, form, grid):
     return level
 
 
-def _callback_step(spec, driver, scheme, grid):
-    """step(k, y) of ``driver.evaluate`` down from grid[k + 1]: per sub-step
-    of ``chain.substeps`` at the chain breakpoints, under its piece's
+def _callback_step(spec, driver, scheme, grid, obstacle, n):
+    """step(k, y) down from grid[k + 1] of f = ``driver.evaluate`` plus
+    n (g - y)^+, g = ``obstacle.g``, if given: per sub-step of
+    ``chain.substeps`` at the chain breakpoints, under its piece's
     generator, one RK4 step of the reduced ODE or one implicit Euler step,
     each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
     times, first = substeps(spec.breakpoints(), grid)
     gens = spec.gens[pieces_at(spec.starts, times[:-1])]
-    lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
+    lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
+    evaluate, g = driver.evaluate, getattr(obstacle, "g", None)
+
+    def penalized(t, i, y, z):
+        return evaluate(t, i, y, z) + n * max(g(t, i) - y, 0.0)
+
+    f = evaluate if obstacle is None else penalized
 
     def rk4(s, y):
-        return rk4_down(lambda t, y: _rhs(gens[s], driver, t, y), times[s + 1], times[s], y)
+        return rk4_down(lambda t, y: _rhs(gens[s], f, t, y), times[s + 1], times[s], y)
 
     def implicit(s, y):
         h = times[s + 1] - times[s]
         b = y + h * (gens[s].T @ y)
-        return np.array([_scalar_implicit(driver.evaluate, times[s], i, b[i], h, y, lip)
+        return np.array([_scalar_implicit(f, times[s], i, b[i], h, y, lip)
                          for i in range(y.size)])
 
     def step(k, y):
@@ -265,25 +279,28 @@ def _callback_step(spec, driver, scheme, grid):
     return step
 
 
-def _checked(spec, driver, terminal, steps, scheme, strict_contraction):
-    """(terminal, grid) of a ``solve_bsde`` call, after its checks of the
-    inputs and of the contraction condition."""
+def _inputs(spec, terminal, steps):
+    """(terminal, grid) of a backward solve, after the checks that every
+    solve makes of them: a length-N terminal and at least 2 steps."""
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.n_states,):
         raise ValueError("terminal condition must be a length-N vector")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if scheme not in ("explicit_rk4", "implicit_euler"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if driver.lipschitz_z > 0:
-        report = check_contraction(spec, driver.lipschitz_z)
+    return terminal, uniform_grid(spec.horizon, steps)
+
+
+def _contraction(spec, lipschitz_z, strict_contraction):
+    """Warn where a driver of z-Lipschitz constant ``lipschitz_z`` fails
+    ``check_contraction``, or raise ``ContractionViolatedError`` if strict."""
+    if lipschitz_z > 0:
+        report = check_contraction(spec, lipschitz_z)
         if not report["holds"]:
             msg = (f"z-Lipschitz contraction fails, margin "
                    f"{report['worst_margin']:.3g} at {report['worst_time_state']}")
             if strict_contraction:
                 raise ContractionViolatedError(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
-    return terminal, uniform_grid(spec.horizon, steps)
 
 
 def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
@@ -291,23 +308,16 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     """Integrate the backward state-space reduction on a uniform grid.
 
     scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
-    node is the given vector exactly; no integration touches it. A driver
-    with an affine form is stepped in closed form: RK4 by per-piece step
-    matrices (a penalized form falls back to ``evaluate`` there), implicit
-    Euler by ``_implicit_levels`` at the form's own n. A failed
-    ``check_contraction`` warns, or raises under ``strict_contraction``.
+    node is the given vector exactly; no integration touches it. The steps
+    are those of ``_levels`` at n = 0: a driver with an affine form is
+    stepped in closed form. A failed ``check_contraction`` warns, or raises
+    under ``strict_contraction``.
     """
-    terminal, grid = _checked(spec, driver, terminal, steps, scheme, strict_contraction)
-    form = driver.affine
-    if form is not None and scheme == "implicit_euler":
-        step = _implicit_levels(spec, form, grid)(form.n)
-    elif form is not None and form.obstacle is None:
-        starts, a_g, alpha, beta = _linear_pieces(spec, form)
-        step = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta,
-                          grid)
-    else:
-        step = _callback_step(spec, driver, scheme, grid)
-    values = sweep(step, terminal, grid, "driver blow-up")
+    terminal, grid = _inputs(spec, terminal, steps)
+    if scheme not in ("explicit_rk4", "implicit_euler"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    _contraction(spec, driver.lipschitz_z, strict_contraction)
+    values = sweep(_levels(spec, driver, scheme, grid)(0.0), terminal, grid, "driver blow-up")
     return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 
@@ -361,8 +371,7 @@ def pathwise_residual(solution, paths, spec, driver, terminal):
     terminal = np.asarray(terminal, dtype=float)
     grid = solution.grid
     curve = _hermite_curve(spec, driver, solution)
-    cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    path, t0, t1, state, piece, to = paths.stretches(cuts, spec.starts)
+    path, t0, t1, state, piece, to = paths.stretches(spec.starts, grid)
     cols = spec.gens[piece, :, state]
     f_int = np.zeros(path.size)
     m_int = np.zeros(path.size)

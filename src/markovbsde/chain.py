@@ -12,7 +12,6 @@ package is written in the column convention.
 """
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +31,11 @@ _BLOCK = 1024
 _STREAM = 1953
 
 
-def piece_index(starts, t):
-    """Index of the schedule piece in force at time t, for sorted piece
-    starts: right-continuous, and clamped to the first piece before it
-    starts and to the last piece after it."""
-    return max(bisect_right(starts, t) - 1, 0)
-
-
 def pieces_at(starts, times, side="right"):
-    """``piece_index`` of each of ``times``, as an array; with
-    ``side="left"``, the piece in force just before each time."""
+    """Index of the schedule piece in force at each of ``times`` (or at one
+    time), for sorted piece starts: right-continuous, clamped to the first
+    piece before it starts and to the last after it; with ``side="left"``,
+    the piece in force just before each time."""
     return np.maximum(np.searchsorted(starts, times, side=side) - 1, 0)
 
 
@@ -194,7 +188,7 @@ class ChainSpec:
 
     def generator_at(self, t):
         """Generator in force at time t (right-continuous pieces)."""
-        return self.gens[piece_index(self.starts, t)]
+        return self.gens[pieces_at(self.starts, t)]
 
     def breakpoints(self):
         """Interior schedule boundaries: the piece starts after the first."""
@@ -335,16 +329,17 @@ class PathBatch:
         end[self.offsets[1:] + paths] = times.size  # each path's last state
         return np.repeat(self.states, end - start).reshape(self.n_paths, times.size)
 
-    def stretches(self, cuts, starts):
+    def stretches(self, starts, grid=()):
         """Stretches of constant state and constant schedule piece of every
         path, as flat arrays (path, t0, t1, state, piece, to) in path, then
-        time order. Each segment between jumps is cut at the ``cuts``
-        strictly inside it; ``piece`` is ``piece_index(starts, t0)``, and
-        ``to`` is the state entered by a jump at t1, or -1 without one.
+        time order. Each segment between jumps is cut at the breakpoints
+        starts[1:] of the schedule and at the ``grid`` times strictly
+        inside it; ``piece`` is ``pieces_at(starts, t0)``, and ``to`` is
+        the state entered by a jump at t1, or -1 without one.
         """
         n = self.n_paths
         paths = np.arange(n)
-        cuts = np.asarray(cuts, dtype=float)
+        cuts = np.union1d(np.asarray(grid, dtype=float), starts[1:])
         cuts = cuts[(cuts > 0.0) & (cuts < self.horizon)]
         # every path's events, sorted: its start, jumps, cuts and horizon;
         # at equal times the jump comes first and the others are dropped
@@ -482,6 +477,15 @@ def simulate_path(spec, seed):
     return draw_paths(spec, seed, 1)
 
 
+def gate(samples, target):
+    """(mean, standard error, pass) of the Monte Carlo ``samples`` against
+    ``target``: pass when the mean lies within 3 standard errors (and
+    1e-12) of it."""
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / np.sqrt(samples.size))
+    return mean, se, abs(mean - target) <= 3.0 * se + 1e-12
+
+
 def path_chunks(spec, seed_base, n_paths, width, paths=None):
     """The paths seed_base .. seed_base + n_paths - 1, at least two as a
     standard error needs, as the consecutive batches
@@ -510,8 +514,7 @@ def martingale_path(paths, spec, grid_steps):
     each node after the stretch that ends there.
     """
     grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
-    cuts = sorted(set(grid.tolist()) | set(spec.breakpoints()))
-    path, t0, t1, state, piece, _ = paths.stretches(cuts, spec.starts)
+    path, t0, t1, state, piece, _ = paths.stretches(spec.starts, grid)
     columns = spec.gens[piece, :, state]
     drift = sums_at(paths.n_paths, path, columns * (t1 - t0)[:, None], t1, grid)
     eye = np.eye(spec.n_states)
@@ -537,7 +540,7 @@ def psi_matrix(spec, t, state):
     at the given state: the read-only matrix of ``spec.psi``."""
     if not 0 <= state < spec.n_states:
         raise BadStateError(f"state {state} outside [0, {spec.n_states})")
-    return spec.psi[piece_index(spec.starts, t), state]
+    return spec.psi[pieces_at(spec.starts, t), state]
 
 
 def dots(x, y):

@@ -25,9 +25,6 @@ from .market import stock_curves
 from .montecarlo import european_consistency, isometry_check
 from .rbsde import penalization_limit, solve_reflected
 
-SUBCOMMANDS = ("validate", "simulate", "solve-bsde", "solve-rbsde",
-               "price-american", "hedge", "verify", "plot-data")
-
 
 def _fmt(x):
     if isinstance(x, (bool, np.bool_)):
@@ -255,6 +252,19 @@ def emit_plot_data(result_dir):
     return produced
 
 
+# the jobs on a config by subcommand, in command-line order; plot-data has none
+_JOBS = {
+    "validate": _cmd_validate,
+    "simulate": _cmd_simulate,
+    "solve-bsde": _cmd_solve_bsde,
+    "solve-rbsde": _cmd_solve_rbsde,
+    "price-american": _cmd_price_american,
+    "hedge": _cmd_hedge,
+    "verify": _cmd_verify,
+}
+SUBCOMMANDS = (*_JOBS, "plot-data")
+
+
 def run(config_path, subcommand, out_dir=None, seed=None, steps=None,
         paths=None, strict_contraction=False):
     """Load the config, dispatch one job and return the exit code."""
@@ -270,16 +280,7 @@ def run(config_path, subcommand, out_dir=None, seed=None, steps=None,
         overrides["strict_contraction"] = True
     config = load_config(config_path, overrides)
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    dispatch = {
-        "validate": _cmd_validate,
-        "simulate": _cmd_simulate,
-        "solve-bsde": _cmd_solve_bsde,
-        "solve-rbsde": _cmd_solve_rbsde,
-        "price-american": _cmd_price_american,
-        "hedge": _cmd_hedge,
-        "verify": _cmd_verify,
-    }
-    return dispatch[subcommand](config, out)
+    return _JOBS[subcommand](config, out)
 
 
 @functools.cache

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import AffineForm, MarkovDriver
-from .chain import check_contraction, dots, path_chunks, pieces_at, rate_bound_m, substeps
-from .errors import (ContractionViolatedError, DimensionMismatchError,
-                     SingularPhiError)
+from .bsde import AffineForm, MarkovDriver, _contraction
+from .chain import (check_contraction, dots, gate, path_chunks, pieces_at, rate_bound_m,
+                    substeps)
+from .errors import DimensionMismatchError, SingularPhiError
 from .market import sdf_stretches
 from .rbsde import solve_reflected
 
@@ -78,11 +78,7 @@ def price_american(market, payoff, steps, strict_contraction=False):
     check raises ``ContractionViolatedError``."""
     driver = make_hedge_driver(market)
     if strict_contraction:
-        rep = check_contraction(market.chain, driver.lipschitz_z)
-        if not rep["holds"]:
-            raise ContractionViolatedError(
-                f"pricing driver violates the contraction condition, "
-                f"margin {rep['worst_margin']:.3g}")
+        _contraction(market.chain, driver.lipschitz_z, True)
     terminal = payoff.terminal(market.chain.horizon, market.chain.n_states)
     return solve_reflected(market.chain, driver, terminal, payoff, steps)
 
@@ -91,12 +87,12 @@ def extract_hedge(market, curves, solution):
     """Solve phi h = z at every node for the stock holdings, then read the
     bond holdings off the accounting identity V = h0 B + sum h_j S_j.
 
-    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), exact
-    for the piecewise-constant short rate: each step adds r h per sub-step
-    of ``chain.substeps`` at the market breakpoints, under the sub-step's
-    piece, and a step that holds no breakpoint adds r dt. The strategy
-    also carries the path-independent terms that ``replicate_forward``
-    gathers along paths.
+    The bond account is state-frozen: B_i(t) = exp(int r(u, i) du), one exp
+    of a running sum over the steps, exact for the piecewise-constant short
+    rate: each step adds r h per sub-step of ``chain.substeps`` at the
+    market breakpoints, under the sub-step's piece, and a step that holds
+    no breakpoint adds r dt. The strategy also carries the path-independent
+    terms that ``replicate_forward`` gathers along paths.
     """
     n = market.chain.n_states
     if market.n_stocks != n:
@@ -120,7 +116,7 @@ def extract_hedge(market, curves, solution):
     h_sub[first[:-1][np.diff(first) == 1]] = dt  # an uncut step is dt long, as solved
     r_dt = market.rates[pieces_at(market.piece_starts, times[:-1])] * h_sub[:, None]
     bond = np.ones((grid.size, n))
-    bond[1:] = np.cumprod(np.exp(np.add.reduceat(r_dt, first[:-1])), axis=0)
+    bond[1:] = np.exp(np.cumsum(np.add.reduceat(r_dt, first[:-1]), axis=0))
     stock_leg = np.einsum("knj,kj->kn", phis, h)
     h0 = (solution.values - stock_leg) / bond
     # per-(step, state) drift of the risky leg, with holdings and stock
@@ -271,11 +267,8 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
               below if below.any() else None)
     samples, dominates = zip(*(_stopped_values(market, batch, grid, tables)
                                for batch in chunks))
-    samples = np.concatenate(samples)
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_paths))
     target = float(solution.values[0, market.chain.initial_state])
-    passed = abs(mean - target) <= 3.0 * se + 1e-12
+    mean, se, passed = gate(np.concatenate(samples), target)
     return {"mc_value": mean, "std_error": se, "solver_value": target,
-            "pass": bool(passed), "dominates": all(dominates),
+            "pass": passed, "dominates": all(dominates),
             "n_paths": int(n_paths)}

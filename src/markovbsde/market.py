@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (ChainSpec, affine_rk4, counts_at, dots, freeze_schedule, path_sums,
-                    piece_index, pieces_at, sums_at, sweep)
+                    pieces_at, sums_at, sweep)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import interp, uniform_grid
@@ -139,7 +139,7 @@ def build_market_spec(chain, c_schedule=None, d_schedule=None, dividends=(),
 
 def short_rate(market, t, state):
     """r(t, i) = D_i - (sigma A)_{ii} with X frozen at state i."""
-    return float(market.rates[piece_index(market.piece_starts, t), state])
+    return float(market.rates[pieces_at(market.piece_starts, t), state])
 
 
 def _log_jumps(market, t1, state, to):
@@ -152,8 +152,8 @@ def _log_jumps(market, t1, state, to):
 def sdf_stretches(market, paths):
     """The stretches of each path of the batch with log pi along them:
     (path, t0, t1, state, slope, start, total, first), where path, t0, t1
-    and state are those of ``PathBatch.stretches`` cut at the market's
-    breakpoints, log pi is start + slope (t - t0) on [t0, t1), total is
+    and state are those of ``PathBatch.stretches`` on the market's
+    pieces, log pi is start + slope (t - t0) on [t0, t1), total is
     each path's log pi at the horizon and first the index of its first
     stretch.
 
@@ -163,8 +163,7 @@ def sdf_stretches(market, paths):
     path's stretches.
     """
     n = paths.n_paths
-    path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
-                                                     market.piece_starts)
+    path, t0, t1, state, piece, to = paths.stretches(market.piece_starts)
     slopes = -market.d[piece, state]
     steps = np.column_stack([slopes * (t1 - t0), _log_jumps(market, t1, state, to)])
     # log pi at 0 and after each stretch (even columns), then the total
@@ -197,8 +196,7 @@ def sdf_path(market, paths, grid):
 def terminal_sdf(market, paths):
     """Exact discount factor at the horizon for each path of the batch: the
     D-drift of every stretch, then the log-factor of every jump."""
-    path, t0, t1, state, piece, to = paths.stretches(market.breakpoints(),
-                                                     market.piece_starts)
+    path, t0, t1, state, piece, to = paths.stretches(market.piece_starts)
     jump = to >= 0
     rows = np.concatenate([path, path[jump]])
     terms = np.concatenate([-(market.d[piece, state] * (t1 - t0)),
@@ -219,8 +217,7 @@ def sdf_dynamics_residual(market, paths, grid_steps):
     not positive when dt is large.
     """
     grid = uniform_grid(paths.horizon, grid_steps)
-    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
+    path, t0, t1, state, piece, to = paths.stretches(market.piece_starts, grid)
     # X' sigma A X per piece and state
     comp = np.einsum("kij,kji->ki", market.sigma, market.a)
     dt = t1 - t0
@@ -290,8 +287,7 @@ def stock_sde_residual(market, curves, paths, grid_steps):
     value per path. Each stretch takes its drift and compensator at its
     start, with the stock vectors interpolated linearly in t."""
     grid = uniform_grid(paths.horizon, grid_steps)
-    cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    path, t0, t1, state, piece, to = paths.stretches(cuts, market.piece_starts)
+    path, t0, t1, state, piece, to = paths.stretches(market.piece_starts, grid)
     s = curves.s.transpose(1, 0, 2)  # (K+1, stocks, N)
     s0 = interp(curves.grid, s, t0)
     drift = market.drift[piece, state]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .chain import ChainSpec, dots, path_chunks, seminorm_sq
+from .chain import ChainSpec, dots, gate, path_chunks, seminorm_sq
 from .errors import NonFiniteError
 from .hedge import make_hedge_driver
 from .market import terminal_sdf
@@ -53,10 +53,8 @@ def mc_estimate(chain, functional, n_paths, seed_base=0):
             raise NonFiniteError(f"functional returned {vals[bad[0]]} for seed "
                                  f"{batch.seeds[bad[0]]}")
         samples.append(vals)
-    samples = np.concatenate(samples)
-    return McEstimate(mean=float(samples.mean()),
-                      std_error=float(samples.std(ddof=1) / np.sqrt(n_paths)),
-                      n_paths=int(n_paths), seed_base=int(seed_base))
+    mean, se, _ = gate(np.concatenate(samples), 0.0)
+    return McEstimate(mean=mean, std_error=se, n_paths=int(n_paths), seed_base=int(seed_base))
 
 
 def stochastic_integral(spec, z, paths):
@@ -65,7 +63,7 @@ def stochastic_integral(spec, z, paths):
     of each stretch of constant state i and constant generator A."""
     z = np.asarray(z, dtype=float)
     za = dots(z, spec.gens.transpose(0, 2, 1))  # z'A e_i per piece and state
-    path, t0, t1, state, piece, to = paths.stretches(spec.breakpoints(), spec.starts)
+    path, t0, t1, state, piece, to = paths.stretches(spec.starts)
     jump = to >= 0
     rows = np.concatenate([path[jump], path])
     terms = np.concatenate([z[to[jump]] - z[state[jump]],
@@ -77,7 +75,7 @@ def seminorm_time_integral(spec, z, paths):
     """Exact pathwise int ||z||^2_{X_u} du for a constant vector z, per
     path of the batch, from the per-piece Psi matrices of ``spec.psi``."""
     sq = seminorm_sq(z, spec.psi)
-    path, t0, t1, state, piece, _ = paths.stretches(spec.breakpoints(), spec.starts)
+    path, t0, t1, state, piece, _ = paths.stretches(spec.starts)
     return np.bincount(path, weights=sq[piece, state] * (t1 - t0), minlength=paths.n_paths)
 
 
@@ -96,12 +94,9 @@ def isometry_check(spec, z, n_paths, seed_base=0, *, paths=None):
     lhs, rhs = (np.concatenate(column) for column in zip(*parts))
     # squared with the C library's pow, as float ** 2 squares
     lhs = np.float_power(lhs, 2)
-    diff = lhs - rhs
-    se = float(diff.std(ddof=1) / np.sqrt(n_paths))
-    passed = abs(float(diff.mean())) <= 3.0 * se + 1e-12
-    return {"lhs": float(lhs.mean()), "rhs": float(rhs.mean()),
-            "diff": float(diff.mean()), "std_error": se,
-            "pass": bool(passed), "n_paths": int(n_paths)}
+    diff, se, passed = gate(lhs - rhs, 0.0)
+    return {"lhs": float(lhs.mean()), "rhs": float(rhs.mean()), "diff": diff,
+            "std_error": se, "pass": passed, "n_paths": int(n_paths)}
 
 
 def european_consistency(market, terminal_claim, n_paths, steps=400,
@@ -119,11 +114,8 @@ def european_consistency(market, terminal_claim, n_paths, steps=400,
     sol = solve_bsde(market.chain, driver, claim, steps)
     bsde_value = float(sol.values[0, market.chain.initial_state])
     horizon = np.array([market.chain.horizon])
-    samples = np.concatenate([
+    mean, se, passed = gate(np.concatenate([
         terminal_sdf(market, batch) * claim[batch.states_at(horizon)[:, 0]]
-        for batch in chunks])
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_paths))
-    passed = abs(mean - bsde_value) <= 3.0 * se + 1e-12
-    return {"lhs": bsde_value, "rhs": mean, "std_error": se,
-            "pass": bool(passed), "n_paths": int(n_paths)}
+        for batch in chunks]), bsde_value)
+    return {"lhs": bsde_value, "rhs": mean, "std_error": se, "pass": passed,
+            "n_paths": int(n_paths)}

@@ -7,15 +7,14 @@ formula arrived at from two directions (constraint reflection vs optimal
 stopping); both entry points are kept and must agree to machine precision.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (MarkovDriver, _checked, _implicit_levels, _linear_pieces, _rhs,
-                   solve_bsde)
+from .bsde import BsdeSolution, _contraction, _inputs, _levels, _linear_pieces, _rhs
 from .chain import pieces_at, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
-from .grids import StateGridFunction, sample_on_grid, uniform_grid
+from .grids import StateGridFunction, sample_on_grid
 
 _PENALTY_CAP = 2 ** 20  # the highest penalty level penalization_limit tries
 
@@ -29,7 +28,8 @@ class Obstacle:
     call of g per time and state; without a ``g``, g is read off it, and
     a g read off one ``values`` is read again off the ``values`` a copy
     made by ``dataclasses.replace`` holds. An obstacle with neither g nor
-    ``values`` to read it off raises ``ValueError``."""
+    ``values`` to read it off raises ``ValueError``, and so does a sample
+    of ``values`` of any other shape."""
 
     g: callable = None
     values: callable = None
@@ -46,6 +46,9 @@ class Obstacle:
             vals = sample_on_grid(self.g, times, n_states)
         else:
             vals = self.values(times)
+        if np.shape(vals) != (times.size, n_states):
+            raise ValueError(f"obstacle values have shape {np.shape(vals)}, "
+                             f"want {(times.size, n_states)}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("obstacle produced non-finite values")
         return vals
@@ -84,10 +87,11 @@ class RbsdeSolution(StateGridFunction):
     penalization_trace: list = field(default_factory=list)
 
 
-def _check_terminal(terminal, obstacle_vals_T):
-    if np.any(obstacle_vals_T > terminal + 1e-9):
-        raise ObstacleIncompatibleError(
-            "obstacle exceeds the terminal condition at the horizon")
+def _sampled(spec, terminal, obstacle, steps):
+    """(terminal, grid, g) of a reflected solve: the terminal and grid after
+    the checks of ``bsde._inputs``, and the obstacle sampled on the grid."""
+    terminal, grid = _inputs(spec, terminal, steps)
+    return terminal, grid, obstacle.sample(grid, spec.n_states)
 
 
 def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
@@ -96,12 +100,13 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
 
     Each step takes the generator and driver in force at its left node and
     is not cut at a breakpoint that falls between two nodes. With an affine
-    form the predictor is one matrix per piece, (I + dt M) v + dt beta.
+    form the predictor is one matrix per piece, (I + dt M) v + dt beta;
+    else it calls the driver back under a generator tabled per node.
     """
     n = spec.n_states
     dt = grid[1] - grid[0]
     form = driver.affine
-    if form is not None and form.obstacle is None:
+    if form is not None:
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
         q = np.eye(n) + dt * (a_g + alpha[:, :, None] * np.eye(n))
         c = dt * beta
@@ -110,8 +115,10 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
         def predict(k, v):
             return q[piece[k]] @ v + c[piece[k]]
     else:
+        gens = spec.gens[pieces_at(spec.starts, grid[:-1])]
+
         def predict(k, v):
-            return v - dt * _rhs(spec.generator_at(grid[k]), driver, grid[k], v)
+            return v - dt * _rhs(gens[k], driver.evaluate, grid[k], v)
     return sweep(predict, terminal, grid, "reflected sweep blew up", floor=obstacle_vals)
 
 
@@ -133,10 +140,10 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     projection onto the obstacle; the projection excess is the reflection
     increment, accumulated so k(0) = 0 and k is nondecreasing.
     """
-    terminal = np.asarray(terminal, dtype=float)
-    grid = uniform_grid(spec.horizon, steps)
-    obstacle_vals = obstacle.sample(grid, spec.n_states)
-    _check_terminal(terminal, obstacle_vals[-1])
+    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
+    if np.any(obstacle_vals[-1] > terminal + 1e-9):
+        raise ObstacleIncompatibleError(
+            "obstacle exceeds the terminal condition at the horizon")
     vals, pushes = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
     return _assemble(grid, vals, pushes, obstacle_vals)
 
@@ -148,43 +155,26 @@ def snell_oracle(spec, driver, terminal, obstacle, steps):
     Independent derivation of the reflected value; the recursion is
     literally identical to solve_reflected and the two must agree exactly.
     """
-    terminal = np.asarray(terminal, dtype=float)
-    grid = uniform_grid(spec.horizon, steps)
-    obstacle_vals = obstacle.sample(grid, spec.n_states)
+    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     vals, _ = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
     return StateGridFunction(grid=grid, values=vals)
 
 
-def penalized_driver(driver, obstacle, n):
-    """f + n * (v - g(t))^-, the penalty approximation of the reflection.
-    An unpenalized affine form of f carries over with the obstacle and n."""
-    base = driver.evaluate
-    g = obstacle.g
-    n = float(n)
-    form = None  # a second penalty has no affine form
-    if driver.affine is not None and driver.affine.obstacle is None:
-        form = replace(driver.affine, obstacle=obstacle, n=n)
-
-    def evaluate(t, i, y, z):
-        return base(t, i, y, z) + n * max(g(t, i) - y, 0.0)
-
-    return MarkovDriver(evaluate=evaluate,
-                        lipschitz_y=driver.lipschitz_y + n,
-                        lipschitz_z=driver.lipschitz_z, affine=form)
-
-
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):
-    """Solve the penalized BSDE for penalty level n.
+    """Solve the penalized BSDE for penalty level n: f plus n (g - y)^+.
 
     Implicit Euler whenever n * dt >= 1, explicit RK4 below: the penalty
     makes the reduced system stiff and the explicit scheme unstable.
     """
     if n < 1:
         raise ValueError("penalty level must be >= 1")
+    terminal, grid = _inputs(spec, terminal, steps)
     dt = spec.horizon / steps
     scheme = "implicit_euler" if n * dt >= 1.0 else "explicit_rk4"
-    return solve_bsde(spec, penalized_driver(driver, obstacle, n),
-                      np.asarray(terminal, dtype=float), steps, scheme=scheme)
+    _contraction(spec, driver.lipschitz_z, False)
+    values = sweep(_levels(spec, driver, scheme, grid, obstacle)(float(n)), terminal, grid,
+                   "driver blow-up")
+    return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 
 def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
@@ -196,26 +186,18 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     decay of the successive distances. The doubling starts at n of order
     1/dt; below that the penalty is too weak for the distance sequence to
     have entered its decaying O(1/n) tail. It stops with
-    ``NoConvergenceError`` past n = ``_PENALTY_CAP``. An affine driver's
-    implicit steps are tabled once for all levels (``_implicit_levels``),
-    and ``solve_bsde``'s checks run once for them all.
+    ``NoConvergenceError`` past n = ``_PENALTY_CAP``. The levels come from
+    one ``bsde._levels``, which tables whatever no level changes once, and
+    ``solve_bsde``'s checks run once for them all.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    terminal = np.asarray(terminal, dtype=float)
-    grid = uniform_grid(spec.horizon, steps)
-    obstacle_vals = obstacle.sample(grid, spec.n_states)
-    form, levels = driver.affine, None
-    if form is not None and form.obstacle is None:
-        levels = _implicit_levels(spec, replace(form, obstacle=obstacle), grid)
-        # the checks of solve_bsde, once: no level changes what they read
-        _checked(spec, driver, terminal, steps, "implicit_euler", False)
+    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
+    _contraction(spec, driver.lipschitz_z, False)
+    levels = _levels(spec, driver, "implicit_euler", grid, obstacle)
 
     def solve(n):
         """The values of ``solve_penalized`` at level n under implicit Euler."""
-        if levels is None:
-            return solve_bsde(spec, penalized_driver(driver, obstacle, n), terminal, steps,
-                              scheme="implicit_euler").values
         return sweep(levels(float(n)), terminal, grid, "driver blow-up")
 
     trace = []

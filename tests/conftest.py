@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance builders for the test suite."""
 
+from bisect import bisect_right
 from dataclasses import replace
 from functools import partial
 
@@ -8,7 +9,6 @@ import pytest
 
 from markovbsde import (Obstacle, PathBatch, build_chain_spec,
                         build_market_spec, make_hedge_driver, stock_curves)
-from markovbsde.chain import piece_index
 from markovbsde.grids import interp
 
 
@@ -35,10 +35,16 @@ def expm(m):
     return out
 
 
+def piece_of(starts, t):
+    """Index of the schedule piece in force at time t, for sorted piece
+    starts: right-continuous, and the first piece before it starts."""
+    return max(bisect_right(starts, t) - 1, 0)
+
+
 def pricing_f(market, t, i, v, z):
     """The paper's pricing driver -r v + r z_i - ((A' - Gamma') z)_i at state
     i, from the market's rate data on the piece in force at t."""
-    k = piece_index(market.piece_starts, t)
+    k = piece_of(market.piece_starts, t)
     r = float(market.rates[k, i])
     return -r * v + r * z[i] - float((market.drift[k] @ z)[i])
 

@@ -26,9 +26,9 @@ import numpy as np
 
 from markovbsde import PathBatch, draw_paths, seminorm_sq
 from markovbsde.bsde import _rhs
-from markovbsde.chain import piece_index
 from markovbsde.grids import sample_on_grid, uniform_grid
 
+from conftest import piece_of
 from step_reference import split_down
 
 
@@ -69,7 +69,7 @@ def stretches(times, states, horizon, cuts, starts):
             continue
         inner = cuts[bisect_right(cuts, t0):bisect_left(cuts, t1)]
         for a, b in zip([t0, *inner], [*inner, t1]):
-            yield a, b, state, piece_index(starts, a), to if b == t1 else -1
+            yield a, b, state, piece_of(starts, a), to if b == t1 else -1
 
 
 def stochastic_integral(spec, z, times, states):
@@ -99,7 +99,7 @@ def terminal_sdf(market, times, states):
         acc -= market.d[piece, state] * (t1 - t0)
     for idx, t in enumerate(times):
         old, new = int(states[idx]), int(states[idx + 1])
-        acc += market.log_jump[piece_index(market.piece_starts, t), old, new]
+        acc += market.log_jump[piece_of(market.piece_starts, t), old, new]
     return float(np.exp(acc))
 
 
@@ -115,7 +115,7 @@ def sdf_path(market, times, states, grid):
         slopes[k] = slope
         acc += slope * (t1 - t0)
         if to >= 0:
-            acc += market.log_jump[piece_index(market.piece_starts, t1), state, to]
+            acc += market.log_jump[piece_of(market.piece_starts, t1), state, to]
         log_after[k + 1] = acc
     pos = np.searchsorted(events, grid, side="right") - 1
     at_end = pos >= events.size - 1
@@ -157,7 +157,7 @@ def discounted_h_matrix(market, solution):
     z = solution.values
     out = np.empty((grid.size, n))
     for k, t in enumerate(grid):
-        piece = piece_index(market.piece_starts, t)
+        piece = piece_of(market.piece_starts, t)
         a, sig = market.a[piece], market.sigma[piece]
         zv = z[k]
         lin = market.drift[piece] @ zv
@@ -227,10 +227,10 @@ def hermite_curve(spec, driver, sol):
     hi = np.empty_like(lo)
     for k in range(grid.size - 1):
         cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
-        lo[k] = _rhs(spec.generator_at(0.5 * (cuts[-2] + grid[k])), driver,
-                     grid[k], vals[k])
-        hi[k] = _rhs(spec.generator_at(0.5 * (grid[k + 1] + cuts[1])), driver,
-                     grid[k + 1], vals[k + 1])
+        lo[k] = _rhs(spec.gens[piece_of(spec.starts, 0.5 * (cuts[-2] + grid[k]))],
+                     driver.evaluate, grid[k], vals[k])
+        hi[k] = _rhs(spec.gens[piece_of(spec.starts, 0.5 * (grid[k + 1] + cuts[1]))],
+                     driver.evaluate, grid[k + 1], vals[k + 1])
 
     def curve(t):
         if t <= grid[0]:
@@ -302,7 +302,7 @@ def sdf_dynamics_residual(market, grid_steps, times, states):
         comp = float(market.sigma[k, state, :] @ market.a[k, :, state])
         pi = pi * np.exp(-r * dt) - pi * comp * dt
         if to >= 0:
-            pi += pi * market.sigma[piece_index(market.piece_starts, t1), state, to]
+            pi += pi * market.sigma[piece_of(market.piece_starts, t1), state, to]
         for gi in nodes:
             worst = max(worst, abs(pi - closed[gi]))
     return worst

@@ -7,7 +7,8 @@ each sub-step looks up its piece as it goes. ``rk4_down`` with a field is
 the callback RK4 step, ``implicit_step`` the callback implicit Euler
 step, ``rk4_maps`` the RK4 step matrices of a linear equation, and
 ``linear_implicit`` the closed-form implicit Euler sweep before it tabled
-its sub-steps. ``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are
+its sub-steps; ``penalized_driver`` is the penalized equation's driver as
+one callback. ``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are
 the hand-written backward loops of ``solve_bsde``, ``_reflected_sweep``
 and ``stock_curves``. The package's steppers do the same arithmetic in
 the same order and must reproduce these bit for bit.
@@ -15,9 +16,11 @@ the same order and must reproduce these bit for bit.
 
 import numpy as np
 
-from markovbsde.bsde import _linear_pieces, _rhs, _scalar_implicit
-from markovbsde.chain import piece_index, pieces_at
+from markovbsde.bsde import MarkovDriver, _linear_pieces, _rhs, _scalar_implicit
+from markovbsde.chain import pieces_at
 from markovbsde.errors import NonFiniteError
+
+from conftest import piece_of
 
 
 def split_down(breakpoints, t_lo, t_hi):
@@ -53,7 +56,7 @@ def rk4_maps(starts, mats, grid):
     eye = np.eye(mats.shape[-1])
 
     def field(t_mid):
-        m = mats[piece_index(starts, t_mid)]
+        m = mats[piece_of(starts, t_mid)]
         return lambda t, z: -(m @ z)
 
     lo, hi = grid[:-1], grid[1:]
@@ -74,7 +77,7 @@ def implicit_step(spec, driver, t_hi, t_lo, y):
     lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
     for a_t, b_t in zip(cuts[:-1], cuts[1:]):
         dt = a_t - b_t
-        gen = spec.generator_at(0.5 * (a_t + b_t))
+        gen = spec.gens[piece_of(spec.starts, 0.5 * (a_t + b_t))]
         b = y + dt * (gen.T @ y)
         new = np.empty(n)
         for i in range(n):
@@ -87,8 +90,8 @@ def callback_step(spec, driver, scheme, grid):
     """step(k, y): the callback RK4 or implicit Euler step of ``driver``
     from grid[k + 1] down to grid[k]."""
     def field(t_mid):
-        gen = spec.generator_at(t_mid)
-        return lambda t, y: _rhs(gen, driver, t, y)
+        gen = spec.gens[piece_of(spec.starts, t_mid)]
+        return lambda t, y: _rhs(gen, driver.evaluate, t, y)
 
     if scheme == "explicit_rk4":
         return lambda k, y: rk4_down(spec.breakpoints(), grid[k + 1], grid[k], y, field)
@@ -149,27 +152,40 @@ def reflected_loop(predict, terminal, obstacle_vals, grid):
     return vals, vals[:-1] - preds
 
 
-def linear_implicit(spec, form, grid):
-    """step(k, y): the implicit Euler step of the affine form ``form`` from
-    grid[k + 1] down to grid[k], one sub-step at a time."""
+def penalized_driver(driver, obstacle, n):
+    """f + n (g - y)^+ as a callback driver without an affine form, its
+    y-Lipschitz constant raised by n."""
+    base, g, n = driver.evaluate, obstacle.g, float(n)
+
+    def evaluate(t, i, y, z):
+        return base(t, i, y, z) + n * max(g(t, i) - y, 0.0)
+
+    return MarkovDriver(evaluate=evaluate, lipschitz_y=driver.lipschitz_y + n,
+                        lipschitz_z=driver.lipschitz_z)
+
+
+def linear_implicit(spec, form, grid, obstacle=None, n=0.0):
+    """step(k, y): the implicit Euler step of the affine form ``form``, with
+    the penalty of ``obstacle`` at level n, from grid[k + 1] down to
+    grid[k], one sub-step at a time."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    if form.obstacle is not None:
-        g_grid = form.obstacle.sample(grid, spec.n_states)
+    if obstacle is not None:
+        g_grid = obstacle.sample(grid, spec.n_states)
 
     def step(k, y):
         cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
         for a_t, b_t in zip(cuts[:-1], cuts[1:]):
             h = a_t - b_t
-            p = piece_index(starts, b_t)
+            p = piece_of(starts, b_t)
             num = y + h * (a_g[p] @ y + beta[p])
             den = 1.0 - h * alpha[p]
             y = num / den
-            if form.obstacle is not None:
+            if obstacle is not None:
                 if b_t == grid[k]:
                     g = g_grid[k]
                 else:
-                    g = form.obstacle.sample([b_t], y.size)[0]
-                y = np.where(y < g, (num + h * form.n * g) / (den + h * form.n), y)
+                    g = obstacle.sample([b_t], y.size)[0]
+                y = np.where(y < g, (num + h * n * g) / (den + h * n), y)
         return y
 
     return step

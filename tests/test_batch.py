@@ -72,7 +72,7 @@ def test_batched_functionals_equal_the_path_loops(seed):
     batch = ref.batch_of(paths)
     z = rng.normal(size=spec.n_states)
     cuts = sorted(set(grid.tolist()) | set(market.breakpoints()))
-    path, *walk = batch.stretches(cuts, market.piece_starts)
+    path, *walk = batch.stretches(market.piece_starts, grid)
     for p, (times, states) in enumerate(paths):
         assert list(zip(*(a[path == p].tolist() for a in walk))) == \
             list(ref.stretches(times, states, 1.0, cuts, market.piece_starts))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
-                        discount_driver, draw_paths, pathwise_residual,
-                        simulate_path, solve_bsde, zero_driver)
+                        constant_obstacle, discount_driver, draw_paths,
+                        pathwise_residual, penalization_limit, simulate_path,
+                        snell_oracle, solve_bsde, solve_reflected, zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
@@ -99,10 +100,17 @@ def test_strict_contraction_sees_a_short_piece():
 
 
 def test_solver_input_validation(two_state_chain):
-    with pytest.raises(ValueError):
-        solve_bsde(two_state_chain, zero_driver(), np.ones(3), 50)
-    with pytest.raises(ValueError):
-        solve_bsde(two_state_chain, zero_driver(), np.ones(2), 1)
+    # the reflected entry points make solve_bsde's checks of the terminal
+    # and the steps
+    spec, drv, obs = two_state_chain, zero_driver(), constant_obstacle(0.0)
+    for solve in (lambda xi, steps: solve_bsde(spec, drv, xi, steps),
+                  lambda xi, steps: solve_reflected(spec, drv, xi, obs, steps),
+                  lambda xi, steps: snell_oracle(spec, drv, xi, obs, steps),
+                  lambda xi, steps: penalization_limit(spec, drv, xi, obs, steps, 1e-3)):
+        with pytest.raises(ValueError, match="length-N"):
+            solve(np.ones(3), 50)
+        with pytest.raises(ValueError):
+            solve(np.ones(2), 1)
     with pytest.raises(ValueError):
         solve_bsde(two_state_chain, zero_driver(), np.ones(2), 50, scheme="magic")
 

@@ -123,9 +123,9 @@ def test_simulate_path_on_tolerated_generators(a, horizon):
     assert from_zero > 100
 
 
-def walk_rows(path, cuts, starts):
+def walk_rows(path, starts, grid=()):
     """The stretches of a path as (t0, t1, state, piece, to) tuples."""
-    _, *walk = path.stretches(cuts, starts)
+    _, *walk = path.stretches(starts, grid)
     return list(zip(*(a.tolist() for a in walk)))
 
 
@@ -133,15 +133,16 @@ def test_path_state_lookup_is_right_continuous():
     p = one_path([0.25, 0.5], [0, 1, 0])
     assert p.states_at([0.0, 0.25, 0.49, 0.5]).tolist() == [[0, 1, 1, 0]]
     # each stretch names the state a jump at its end enters, or -1
-    assert walk_rows(p, (), (0.0,)) == [
+    assert walk_rows(p, (0.0,)) == [
         (0.0, 0.25, 0, 0, 1), (0.25, 0.5, 1, 0, 0), (0.5, 1.0, 0, 0, -1)]
-    # cut at 0.4 and 0.5 (a jump time already); pieces start at 0 and 0.4
-    assert walk_rows(p, [0.4, 0.5], (0.0, 0.4)) == [
+    # pieces start at 0 and 0.4; grid times at 0.4 and 0.5 (a jump time
+    # already) cut nothing more
+    assert walk_rows(p, (0.0, 0.4), [0.4, 0.5]) == [
         (0.0, 0.25, 0, 0, 1), (0.25, 0.4, 1, 0, -1), (0.4, 0.5, 1, 1, 0),
         (0.5, 1.0, 0, 1, -1)]
     # a jump at the horizon ends the last stretch
     p = one_path([0.25, 1.0], [0, 1, 0])
-    assert walk_rows(p, (), (0.0,)) == [(0.0, 0.25, 0, 0, 1), (0.25, 1.0, 1, 0, 0)]
+    assert walk_rows(p, (0.0,)) == [(0.0, 0.25, 0, 0, 1), (0.25, 1.0, 1, 0, 0)]
 
 
 def test_path_rejects_malformed_data():

@@ -12,13 +12,12 @@ from markovbsde import (Obstacle, build_chain_spec, build_market_spec,
                         discounted_value_check, draw_paths, extract_hedge,
                         make_hedge_driver, price_american,
                         replicate_forward, solve_bsde, stock_curves)
-from markovbsde.chain import piece_index
 from markovbsde.cli import main
 from markovbsde.hedge import contraction_report, driver_constants
 from markovbsde.errors import (ContractionViolatedError, DimensionMismatchError,
                                SingularPhiError)
 
-from conftest import pricing_f, put_on
+from conftest import piece_of, pricing_f, put_on
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -127,11 +126,12 @@ def test_extract_hedge_solves_phi_h_equals_z(market_c0, curves_c0, put_payoff):
 
 
 def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
-    # the batched solve, the per-step piece lookup and the cumulative bond
-    # product repeat the per-node arithmetic exactly; the short rate
-    # changes at 0.5123, between two nodes of the 200-step grid, where the
-    # bond's step adds the rate of each side over its part of the step, and
-    # every other step the rate times dt; C moves the rates off round values
+    # the batched solve, the per-step piece lookup and the bond's one exp of
+    # the running sum of r dt repeat the per-node arithmetic exactly; the
+    # short rate changes at 0.5123, between two nodes of the 200-step grid,
+    # where the bond's step adds the rate of each side over its part of the
+    # step, and every other step the rate times dt; C moves the rates off
+    # round values
     mkt = build_market_spec(two_state_chain, c_schedule=[[0.0, 0.02], [0.03, 0.0]],
                             d_schedule=[(0.0, [0.05, 0.05]), (0.5123, [0.2, 0.1])],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
@@ -143,15 +143,17 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
     dt = grid[1] - grid[0]
     h = np.empty_like(strat.h)
     bond = np.ones_like(strat.bond)
+    log_bond = np.zeros(2)
     for k, t in enumerate(grid):
         h[k] = np.linalg.solve(curves.phi_all()[k], sol.values[k])
         if k:
             cuts = [grid[k - 1], *(b for b in mkt.breakpoints() if grid[k - 1] < b < t), t]
-            r_dt = mkt.rates[piece_index(mkt.piece_starts, grid[k - 1])] * dt
+            r_dt = mkt.rates[piece_of(mkt.piece_starts, grid[k - 1])] * dt
             if len(cuts) > 2:
-                r_dt = sum(mkt.rates[piece_index(mkt.piece_starts, a)] * (b - a)
+                r_dt = sum(mkt.rates[piece_of(mkt.piece_starts, a)] * (b - a)
                            for a, b in zip(cuts[:-1], cuts[1:]))
-            bond[k] = bond[k - 1] * np.exp(r_dt)
+            log_bond = log_bond + r_dt
+            bond[k] = np.exp(log_bond)
     assert np.array_equal(strat.h, h)
     assert np.array_equal(strat.bond, bond)
     assert not np.array_equal(bond[:, 0], bond[:, 1])
@@ -160,16 +162,18 @@ def test_extract_hedge_equals_the_per_node_loops(two_state_chain):
 def test_bond_account_is_the_closed_form_across_an_off_grid_breakpoint(two_state_chain):
     # with C = 0 the short rate is D: 0.05 before 0.5123 and (0.2, 0.1)
     # after, so B_i(t) = exp(0.05 t) before and exp(0.05 b + D_i (t - b))
-    # after; the breakpoint lies strictly inside a step of the 200-step grid
+    # after; the breakpoint lies strictly inside a step of the 200-step and
+    # of the 1000-step grid, and the relative error holds over both
     b = 0.5123
     mkt = build_market_spec(two_state_chain,
                             d_schedule=[(0.0, [0.05, 0.05]), (b, [0.2, 0.1])],
                             dividends=[[1.0, 2.0], [2.0, 1.0]])
-    curves = stock_curves(mkt, steps=200)
-    strat = extract_hedge(mkt, curves, price_american(mkt, put_on(curves, 30.0), 200))
-    t = strat.grid[:, None]
-    exact = np.exp(np.where(t < b, 0.05 * t, 0.05 * b + np.array([0.2, 0.1]) * (t - b)))
-    assert np.abs(strat.bond / exact - 1.0).max() <= 1e-14
+    for steps in (200, 1000):
+        curves = stock_curves(mkt, steps=steps)
+        strat = extract_hedge(mkt, curves, price_american(mkt, put_on(curves, 30.0), steps))
+        t = strat.grid[:, None]
+        exact = np.exp(np.where(t < b, 0.05 * t, 0.05 * b + np.array([0.2, 0.1]) * (t - b)))
+        assert np.abs(strat.bond / exact - 1.0).max() <= 1e-14, steps
 
 
 def test_extract_hedge_requires_square_system(two_state_chain):

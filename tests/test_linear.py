@@ -22,7 +22,7 @@ from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.hedge import driver_constants, make_hedge_driver
 from markovbsde.market import gamma_matrix, sigma_matrix, stock_curves
-from markovbsde.rbsde import penalized_driver
+from markovbsde.rbsde import solve_penalized
 
 import step_reference as ref
 from conftest import expm, pricing_callback, pricing_f
@@ -187,13 +187,15 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
                       gz=rng.normal(size=(1, n, n)), beta=rng.normal(size=(1, n)))
     driver = MarkovDriver(evaluate=lambda t, i, y, z: float(
         form.alpha[0, i] * y + form.gz[0, i] @ z + form.beta[0, i]), affine=form)
+    obstacle, level = None, 0.0
     if penalized:
         g = rng.normal(size=n)
         obstacle = Obstacle(g=lambda t, i: g[i],
                             values=lambda times: np.tile(g, (times.size, 1)))
-        driver = penalized_driver(driver, obstacle, float(rng.uniform(1.0, 1e4)))
+        level = float(rng.uniform(1.0, 1e4))
+        driver = ref.penalized_driver(driver, obstacle, level)
     y = rng.normal(size=n)
-    got = _implicit_levels(spec, driver.affine, uniform_grid(h, 1))(driver.affine.n)(0, y)
+    got = _implicit_levels(spec, form, uniform_grid(h, 1), obstacle)(level)(0, y)
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -231,15 +233,15 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
-    driver = make_hedge_driver(market)
+    form, g, penalty = make_hedge_driver(market).affine, None, 0.0
     if obstacle is not None:
         level, slope = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 0.5, n)
         values = lambda times: level * (1.0 - slope * np.asarray(times)[:, None])
         g = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t)) if obstacle == "g" \
             else Obstacle(values=values)
-        driver = penalized_driver(driver, g, float(rng.integers(4, 2 ** 20)))
-    tabled = _implicit_levels(market.chain, driver.affine, grid)(driver.affine.n)
-    looped = ref.linear_implicit(market.chain, driver.affine, grid)
+        penalty = float(rng.integers(4, 2 ** 20))
+    tabled = _implicit_levels(market.chain, form, grid, g)(penalty)
+    looped = ref.linear_implicit(market.chain, form, grid, g, penalty)
     y = z = rng.uniform(0.5, 1.5, n)
     for k in range(steps - 1, -1, -1):
         y, z = tabled(k, y), looped(k, z)
@@ -253,8 +255,8 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
 def test_penalization_levels_on_one_table_equal_a_solve_per_level(n, steps, kinds, seed):
     """``penalization_limit`` tables an affine driver's implicit steps once
     for all its levels; each level's values, the trace and the result
-    equal those of one implicit Euler ``solve_bsde`` per level, bit for
-    bit, with chain breakpoints on and off the nodes."""
+    equal those of one implicit Euler ``solve_penalized`` per level, bit
+    for bit, with chain breakpoints on and off the nodes."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -264,8 +266,9 @@ def test_penalization_levels_on_one_table_equal_a_solve_per_level(n, steps, kind
     got = penalization_limit(market.chain, driver, terminal, obstacle, steps, 1e-3)
     prev = None
     for level, dist in [(got.penalization_trace[0][0] // 2, None), *got.penalization_trace]:
-        cur = solve_bsde(market.chain, penalized_driver(driver, obstacle, level), terminal,
-                         steps, scheme="implicit_euler").values
+        sol = solve_penalized(market.chain, driver, terminal, obstacle, level, steps)
+        assert sol.scheme == "implicit_euler"
+        cur = sol.values
         if dist is not None:
             assert float(np.abs(cur - prev).max()) == dist
         prev = cur
@@ -311,9 +314,12 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
     driver = pricing_callback(market)
+    obstacle, level = None, 0.0
     if penalized:
-        driver = penalized_driver(driver, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
-    tabled = _callback_step(market.chain, driver, scheme, grid)
+        obstacle, level = penalty_obstacle(rng, n), float(rng.integers(1, 50))
+    tabled = _callback_step(market.chain, driver, scheme, grid, obstacle, level)
+    if penalized:
+        driver = ref.penalized_driver(driver, obstacle, level)
     looped = ref.callback_step(market.chain, driver, scheme, grid)
     y = z = rng.uniform(0.5, 1.5, n)
     for k in range(steps - 1, -1, -1):
@@ -354,26 +360,33 @@ def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, seed):
     """``solve_bsde`` on ``chain.sweep`` equals the loop that checked every
-    step, over the reference step of each driver and scheme, and a sweep
-    with a floor equals the reflected loop, values and pushes, bit for bit."""
+    step, over the reference step of each driver and scheme (a penalized
+    one swept on its ``bsde._levels`` steps, as ``solve_penalized`` is),
+    and a sweep with a floor equals the reflected loop, values and pushes,
+    bit for bit."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
-    drv = make_hedge_driver(market)
+    drv, obstacle, level = make_hedge_driver(market), None, 0.0
     if driver == "callback":
         drv = pricing_callback(market)
     elif driver == "penalized":
-        drv = penalized_driver(drv, penalty_obstacle(rng, n), float(rng.integers(1, 50)))
+        obstacle, level = penalty_obstacle(rng, n), float(rng.integers(1, 50))
     chain = market.chain
     if drv.affine is not None and scheme == "implicit_euler":
-        step = ref.linear_implicit(chain, drv.affine, grid)
+        step = ref.linear_implicit(chain, drv.affine, grid, obstacle, level)
     elif driver == "affine":
         step = ref.linear_rk4(chain, drv.affine, grid)
     else:
-        step = ref.callback_step(chain, drv, scheme, grid)
+        penalized = drv if obstacle is None else ref.penalized_driver(drv, obstacle, level)
+        step = ref.callback_step(chain, penalized, scheme, grid)
     terminal = rng.uniform(0.8, 1.2, n)
-    got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
+    if obstacle is None:
+        got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
+    else:
+        got = sweep(bsde._levels(chain, drv, scheme, grid, obstacle)(level), terminal, grid,
+                    "driver blow-up")
     assert np.array_equal(got, ref.bsde_loop(step, terminal, grid))
     floor = rng.uniform(0.5, 1.5, (steps + 1, n))
     got = sweep(step, terminal, grid, "blow-up", floor=floor)

@@ -8,7 +8,6 @@ from markovbsde import (build_chain_spec, build_market_spec, draw_paths,
                         gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
-from markovbsde.chain import piece_index
 from markovbsde.cli import _write_grid
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.errors import (BadScheduleError, NonFiniteError, RateBoundViolatedError,
@@ -16,7 +15,7 @@ from markovbsde.errors import (BadScheduleError, NonFiniteError, RateBoundViolat
 
 import path_reference as ref
 from csv_reference import read_rows
-from conftest import expm, one_path
+from conftest import expm, one_path, piece_of
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -143,7 +142,7 @@ def test_sdf_path_c0_is_pure_discount():
     pi = sdf_path(mkt, path, grid)[0]
     # independent accumulation of exp(-int D'X du)
     d = np.array([0.05, 0.08])
-    _, t0s, t1s, states, _, _ = path.stretches((), (0.0,))
+    _, t0s, t1s, states, _, _ = path.stretches((0.0,))
     expected = np.array([
         np.exp(-sum(d[s] * (min(t1, t) - min(t0, t))
                     for t0, t1, s in zip(t0s.tolist(), t1s.tolist(), states.tolist())))
@@ -307,7 +306,7 @@ def test_rate_table_matches_direct_formulas():
     for t in probes:
         a, c, d = (value_at(s, t) for s in (A_SCHED, C_SCHED, D_SCHED))
         assert np.array_equal(mkt.chain.generator_at(t), a)
-        k = piece_index(mkt.piece_starts, t)
+        k = piece_of(mkt.piece_starts, t)
         assert np.array_equal(mkt.a[k], a)
         assert np.array_equal(mkt.c[k], c) and np.array_equal(mkt.d[k], d)
         assert np.array_equal(mkt.gamma[k], gamma_matrix(a, c, d))

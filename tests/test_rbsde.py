@@ -66,6 +66,15 @@ def test_inactive_obstacle_reduces_to_bsde(two_state_chain):
     assert np.abs(sol.values - ref.values).max() < 5e-4
 
 
+def test_obstacle_values_of_the_wrong_shape_raise(two_state_chain):
+    # one value per time, not per time and state: no solve returns it
+    flat = Obstacle(values=lambda t: 0.5 * np.ones(t.size))
+    with pytest.raises(ValueError, match="shape"):
+        flat.sample([0.0, 0.5], 2)
+    with pytest.raises(ValueError, match="shape"):
+        solve_reflected(two_state_chain, zero_driver(), np.ones(2), flat, 10)
+
+
 def test_terminal_incompatible_obstacle_raises(two_state_chain):
     with pytest.raises(ObstacleIncompatibleError):
         solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
