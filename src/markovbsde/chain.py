@@ -339,10 +339,11 @@ class PathBatch:
         """
         n = self.n_paths
         paths = np.arange(n)
-        cuts = np.union1d(np.asarray(grid, dtype=float), starts[1:])
+        cuts = np.concatenate([np.asarray(grid, dtype=float), starts[1:]])
         cuts = cuts[(cuts > 0.0) & (cuts < self.horizon)]
         # every path's events, sorted: its start, jumps, cuts and horizon;
-        # at equal times the jump comes first and the others are dropped
+        # at equal times the jump comes first and the others (a breakpoint
+        # on a grid time too) are dropped
         path = np.concatenate([paths, np.repeat(paths, np.diff(self.offsets)),
                                np.repeat(paths, cuts.size), paths])
         time = np.concatenate([np.zeros(n), self.jump_times, np.tile(cuts, n),
