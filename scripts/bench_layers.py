@@ -8,13 +8,17 @@ For each bundled market config with a put payoff, times (best of 3):
   ``price_american``, ``extract_hedge`` and ``replicate_forward`` on 100
   paths, all with the config's pricing driver and payoff;
 - at each path count P = 1e4 and 1e5, on the paths 0 .. P - 1:
-  ``draw_paths``; on the batch it drew, ``sdf_path`` on a grid of 201
-  nodes, over the batch
-  cut into batches of 1e4 paths (one table of 1e5 paths by 201 nodes
-  would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
+  ``draw_paths``; on the batch it drew, ``PathBatch.stretches`` on the
+  market's pieces, alone and cut at a grid of 201 nodes too, on the
+  whole batch; ``sdf_path`` and ``martingale_path`` on that grid, over
+  the batch cut into batches of 1e4 paths (one table of 1e5 paths by 201
+  nodes would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
   (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
   batch; and ``discounted_value_check`` of the put priced at K = 200,
   which draws its own paths;
+- ``PathBatch.stretches`` on the market's pieces of the 81 paths 0 .. 80,
+  the batch ``discounted_value_check`` cuts at K = 200, as the best of 3
+  runs of 1000 cuts, per cut;
 - ``draw_paths`` of 1e4 paths on a two-state chain with both rates 1e3 on
   [0, 1], about 1000 jumps a path;
 - end to end, on every bundled config at ``--steps 250`` and the
@@ -61,8 +65,9 @@ import yaml  # noqa: E402
 
 from markovbsde import (PathBatch, build_chain_spec, cli,  # noqa: E402
                         discounted_value_check, draw_paths, extract_hedge,
-                        isometry_check, penalization_limit, price_american,
-                        replicate_forward, solve_bsde, solve_reflected, stock_curves)
+                        isometry_check, martingale_path, penalization_limit,
+                        price_american, replicate_forward, solve_bsde, solve_reflected,
+                        stock_curves)
 from markovbsde.config import load_config  # noqa: E402
 from markovbsde.hedge import make_hedge_driver  # noqa: E402
 from markovbsde.market import sdf_path, terminal_sdf  # noqa: E402
@@ -76,6 +81,8 @@ MC_PATHS = (10_000, 100_000)
 MC_STEPS = 200
 FAST_RATE = 1e3
 SDF_BATCH = 10_000
+CUT_BATCH = 81
+CUT_CALLS = 1000
 CLI_STEPS = 250
 REPEATS = 3
 
@@ -129,14 +136,28 @@ def path_layers(cfg, n_paths):
     paths = draw_paths(chain, 0, n_paths)
     return [
         ("draw_paths", lambda: draw_paths(chain, 0, n_paths)),
+        ("stretches", lambda: paths.stretches(market.piece_starts)),
+        (f"stretches {grid.size} nodes", lambda: paths.stretches(market.piece_starts, grid)),
         (f"sdf_path {grid.size} nodes",
          lambda: [sdf_path(market, batch, grid) for batch in batches(paths, SDF_BATCH)]),
+        (f"martingale_path {grid.size} nodes",
+         lambda: [martingale_path(batch, chain, MC_STEPS)
+                  for batch in batches(paths, SDF_BATCH)]),
         ("terminal_sdf", lambda: terminal_sdf(market, paths)),
         ("stochastic_integral", lambda: stochastic_integral(chain, z, paths)),
         ("isometry_check", lambda: isometry_check(chain, z, n_paths, paths=paths)),
         (f"discounted_value_check K={MC_STEPS}",
          lambda: discounted_value_check(market, payoff, priced, n_paths)),
     ]
+
+
+def cut_layers(cfg, n_paths):
+    """The one layer timed per call on ``n_paths`` paths: ``CUT_CALLS``
+    cuts of them on the market's pieces, whose time ``measure`` divides
+    by ``CUT_CALLS``."""
+    paths = draw_paths(cfg.chain, 0, n_paths)
+    starts = cfg.market.piece_starts
+    return [("stretches", lambda: [paths.stretches(starts) for _ in range(CUT_CALLS)])]
 
 
 def cli_jobs(config, out):
@@ -207,10 +228,11 @@ def measure():
         cfg = load_config(ROOT / "configs" / f"{name}.yaml")
         sizes = [(f"K={steps}", layers, steps) for steps in SIZES]
         sizes += [(f"P={n}", path_layers, n) for n in MC_PATHS]
+        sizes += [(f"P={CUT_BATCH}", cut_layers, CUT_BATCH)]
         for size, build, arg in sizes:
             for layer, call in build(cfg, arg):
                 key = f"{name} {size} {layer}"
-                times[key] = best_time(call)
+                times[key] = best_time(call) / (CUT_CALLS if build is cut_layers else 1)
                 print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
     fast = build_chain_spec(2, FAST_RATE * np.array([[-1.0, 1.0], [1.0, -1.0]]), 0, 1.0)
     key = f"two_state rate={FAST_RATE:g} P={MC_PATHS[0]} draw_paths"

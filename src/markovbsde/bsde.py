@@ -14,6 +14,7 @@ piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then step it
 with per-piece matrices and never call the driver back.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,23 +67,34 @@ class MarkovDriver:
 
 
 def _affine_evaluate(form):
-    """f(t, i, y, z) of the affine form ``form``, by ``_form_at`` at one point."""
+    """f(t, i, y, z) of the affine form ``form``, by ``_form_at`` at one
+    point, on the form's tables made once per number of states."""
+    tables = functools.cache(functools.partial(_form_tables, form))
+
     def evaluate(t, i, y, z):
-        return _form_at(form, t, i, y, np.asarray(z))
+        z = np.asarray(z)
+        return _form_at(tables(z.shape[-1]), t, i, y, z)
 
     evaluate.form = form
     return evaluate
 
 
-def _form_at(form, times, states, y, z):
-    """alpha y + dots(G, z) + beta of the affine form at each point p (or at
-    one point): the piece at times[p], the state states[p], y[p] and z[p]."""
-    n = z.shape[-1]
+def _form_tables(form, n):
+    """(starts, alpha, G, beta) of the affine form with n states: its
+    starts as an array, and its arrays broadcast to (pieces, n),
+    (pieces, n, n) and (pieces, n)."""
     shape = (len(form.starts), n)
-    k = pieces_at(form.starts, times)
-    return (np.broadcast_to(form.alpha, shape)[k, states] * y
-            + dots(np.broadcast_to(form.gz, shape + (n,))[k, states], z)
-            + np.broadcast_to(form.beta, shape)[k, states])
+    return (np.asarray(form.starts, dtype=float), np.broadcast_to(form.alpha, shape),
+            np.broadcast_to(form.gz, shape + (n,)), np.broadcast_to(form.beta, shape))
+
+
+def _form_at(tables, times, states, y, z):
+    """alpha y + dots(G, z) + beta of an affine form's ``_form_tables`` at
+    each point p (or at one point): the piece at times[p], the state
+    states[p], y[p] and z[p]."""
+    starts, alpha, gz, beta = tables
+    k = pieces_at(starts, times)
+    return alpha[k, states] * y + dots(gz[k, states], z) + beta[k, states]
 
 
 def _driver_at(driver, times, states, ys):
@@ -92,7 +104,8 @@ def _driver_at(driver, times, states, ys):
     if driver.affine is None:
         return np.array([driver.evaluate(t, i, y[i], y)
                          for t, i, y in zip(times.tolist(), states.tolist(), ys)])
-    return _form_at(driver.affine, times, states, ys[np.arange(states.size), states], ys)
+    return _form_at(_form_tables(driver.affine, ys.shape[-1]), times, states,
+                    ys[np.arange(states.size), states], ys)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ def pieces_at(starts, times, side="right"):
     """Index of the schedule piece in force at each of ``times`` (or at one
     time), for sorted piece starts: right-continuous, clamped to the first
     piece before it starts and to the last after it; with ``side="left"``,
-    the piece in force just before each time."""
-    return np.maximum(np.searchsorted(starts, times, side=side) - 1, 0)
+    the piece in force just before each time: the count of the starts
+    after the first at or below each time (below it, with "left")."""
+    return np.searchsorted(starts[1:], times, side=side)
 
 
 def substeps(breaks, grid):
@@ -336,30 +337,55 @@ class PathBatch:
         starts[1:] of the schedule and at the ``grid`` times strictly
         inside it; ``piece`` is ``pieces_at(starts, t0)``, and ``to`` is
         the state entered by a jump at t1, or -1 without one.
+
+        A merge with no sort, O(stretches): the cuts and the horizon are
+        one sorted, deduplicated row of ends that every path shares. Each
+        jump is placed among them by ``searchsorted``; a jump on an end
+        (a cut, or the horizon) takes its place, and any other is one row
+        more, so a path's rows are the ends with its other jumps inserted,
+        and each row's index follows from the jumps before it. ``np.place``
+        writes the ends' times and pieces into their rows, path after path,
+        and ``np.repeat`` each state over its run of rows.
         """
-        n = self.n_paths
-        paths = np.arange(n)
-        cuts = np.concatenate([np.asarray(grid, dtype=float), starts[1:]])
-        cuts = cuts[(cuts > 0.0) & (cuts < self.horizon)]
-        # every path's events, sorted: its start, jumps, cuts and horizon;
-        # at equal times the jump comes first and the others (a breakpoint
-        # on a grid time too) are dropped
-        path = np.concatenate([paths, np.repeat(paths, np.diff(self.offsets)),
-                               np.repeat(paths, cuts.size), paths])
-        time = np.concatenate([np.zeros(n), self.jump_times, np.tile(cuts, n),
-                               np.full(n, self.horizon)])
-        kind = np.repeat([0, 1, 2, 3], [n, self.jump_times.size, n * cuts.size, n])
-        order = np.lexsort((kind, time, path))
-        path, time, kind = path[order], time[order], kind[order]
-        keep = np.ones(path.size, dtype=bool)
-        keep[1:] = (path[1:] != path[:-1]) | (time[1:] != time[:-1])
-        path, time, jump = path[keep], time[keep], kind[keep] == 1
-        state = self.states[np.cumsum(jump) + path]  # jumps so far, past the path's start
-        inner = path[1:] == path[:-1]
-        t0 = time[:-1][inner]
-        return (path[:-1][inner], t0, time[1:][inner], state[:-1][inner],
-                pieces_at(starts, t0),
-                np.where(jump[1:], state[1:], -1)[inner])
+        n, times, horizon = self.n_paths, self.jump_times, self.horizon
+        ends = np.sort(np.concatenate([grid, starts[1:], [horizon]]))
+        keep = (ends > 0.0) & (ends <= horizon)
+        keep[1:] &= ends[1:] != ends[:-1]  # a grid time on a breakpoint counts once
+        ends = ends[keep]
+        width = ends.size
+        paths, jumps = np.arange(n), np.arange(times.size)
+        owner = np.repeat(paths, self.offsets[1:] - self.offsets[:-1])
+        below = np.searchsorted(ends, times)  # the ends before each jump
+        inside = ends[below] != times  # a jump off the ends: a row of its own
+        before = np.concatenate([[0], inside.cumsum()])
+        row = owner * width + below + before[:-1]  # each jump's row, ending there
+        first = before[self.offsets] + np.arange(n + 1) * width  # each path's first row
+        size = first[-1]
+        on_end = np.ones(size, dtype=bool)
+        on_end[row[inside]] = False
+        # the rows of the ends, path by path: each path's ends in order
+        t1 = np.empty(size)
+        np.place(t1, on_end, ends)
+        t1[row] = times
+        t0 = np.empty(size)
+        t0[1:] = t1[:-1]
+        t0[first[:-1]] = 0.0
+        # the piece of each end's row, in force just before the end
+        lookup = pieces_at(starts, ends, side="left")
+        piece = np.empty(size, dtype=np.intp)
+        np.place(piece, on_end, lookup)
+        piece[row] = lookup[below]
+        entered = jumps + owner + 1  # in ``states``
+        to = np.full(size, -1, dtype=np.intp)
+        to[row] = self.states[entered]
+        # each state holds from its path's first row, or the row after
+        # its jump, to the next such row
+        begin = np.empty(self.states.size + 1, dtype=np.intp)
+        begin[self.offsets[:-1] + paths] = first[:-1]
+        begin[entered] = row + 1
+        begin[-1] = size
+        return (np.repeat(paths, first[1:] - first[:-1]), t0, t1,
+                np.repeat(self.states, begin[1:] - begin[:-1]), piece, to)
 
 
 def _validate_generator(a, n_states):

@@ -22,7 +22,7 @@ from .errors import ConfigError, MarkovBsdeError, MissingInputsError
 from .hedge import (contraction_report, extract_hedge, price_american,
                     replicate_forward)
 from .market import stock_curves
-from .montecarlo import european_consistency, isometry_check
+from .montecarlo import verify_checks
 from .rbsde import penalization_limit, solve_reflected
 
 
@@ -187,23 +187,19 @@ def _cmd_hedge(config, out):
 
 
 def _cmd_verify(config, out):
-    reports = {}
     solver = config.solver
     z = np.zeros(config.chain.n_states)
     z[0] = 1.0
     if solver.n_paths < 2:
         raise ConfigError(f"verify needs at least 2 paths, got {solver.n_paths}")
-    # both checks run on the paths seed .. seed + n_paths - 1 of draw_paths
-    paths = draw_paths(config.chain, solver.seed, solver.n_paths)
-    reports["isometry"] = isometry_check(config.chain, z, n_paths=solver.n_paths,
-                                         seed_base=solver.seed, paths=paths)
-    if config.market is not None:
-        claim = config.terminal
-        if claim is None:
-            claim = np.ones(config.chain.n_states)
-        reports["european_consistency"] = european_consistency(
-            config.market, claim, n_paths=solver.n_paths,
-            steps=min(solver.steps, 400), seed_base=solver.seed, paths=paths)
+    claim = config.terminal
+    if claim is None:
+        claim = np.ones(config.chain.n_states)
+    # both checks walk the paths seed .. seed + n_paths - 1 of draw_paths
+    # once, each batch cut once per distinct starts tuple
+    reports = verify_checks(config.chain, z, solver.n_paths, solver.seed,
+                            market=config.market, claim=claim,
+                            steps=min(solver.steps, 400))
     _write_csv(out / "verify_report.csv",
                ("check_name", "lhs", "rhs", "std_error", "pass"),
                report_rows(reports))

@@ -196,12 +196,18 @@ def sdf_path(market, paths, grid):
 def terminal_sdf(market, paths):
     """Exact discount factor at the horizon for each path of the batch: the
     D-drift of every stretch, then the log-factor of every jump."""
-    path, t0, t1, state, piece, to = paths.stretches(market.piece_starts)
+    return _terminal_sdf(market, paths.n_paths, paths.stretches(market.piece_starts))
+
+
+def _terminal_sdf(market, n, cut):
+    """``terminal_sdf`` of the n paths whose ``stretches`` on the market's
+    pieces are ``cut``."""
+    path, t0, t1, state, piece, to = cut
     jump = to >= 0
     rows = np.concatenate([path, path[jump]])
     terms = np.concatenate([-(market.d[piece, state] * (t1 - t0)),
-                            _log_jumps(market, t1, state, to)[jump]])
-    return np.exp(np.bincount(rows, weights=terms, minlength=paths.n_paths))
+                            _log_jumps(market, t1[jump], state[jump], to[jump])])
+    return np.exp(np.bincount(rows, weights=terms, minlength=n))
 
 
 def sdf_dynamics_residual(market, paths, grid_steps):

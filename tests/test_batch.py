@@ -92,6 +92,50 @@ def test_batched_functionals_equal_the_path_loops(seed):
                           ref.discounted_h_matrix(market, sol))
 
 
+CUT_DTYPES = [np.intp, float, float, np.intp, np.intp, np.intp]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stretches_equal_the_path_loop_on_tied_times(data):
+    # jump times from a pool of every grid time, every breakpoint and the
+    # horizon, plus a few times off them all, so that jumps fall on cuts,
+    # at T and several between two cuts; breakpoints on grid times too
+    n = data.draw(st.integers(1, 4), label="states")
+    grid = np.linspace(0.0, 1.0, data.draw(st.integers(1, 8)) + 1)
+    if data.draw(st.booleans(), label="no grid"):
+        grid = np.zeros(0)
+    nodes = np.linspace(0.0, 1.0, 9)[1:-1].tolist()
+    breaks = data.draw(st.lists(st.sampled_from([*nodes, 0.3, 0.55]), unique=True,
+                                max_size=4), label="breakpoints")
+    starts = (0.0, *sorted(breaks))
+    off = data.draw(st.lists(st.floats(0.01, 0.99), max_size=4), label="off the cuts")
+    pool = sorted({*grid[1:].tolist(), *breaks, 1.0, *off})
+    paths = []
+    for _ in range(data.draw(st.integers(1, 5), label="paths")):
+        times = sorted(data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                          max_size=8 if n > 1 else 0)))
+        states = [data.draw(st.integers(0, n - 1))]
+        for _ in times:  # no jump keeps the state
+            states.append((states[-1] + data.draw(st.integers(1, max(n - 1, 1)))) % n)
+        paths.append((times, states))
+    got = ref.batch_of(paths).stretches(starts, grid)
+    assert [a.dtype for a in got] == CUT_DTYPES
+    assert {a.shape for a in got} == {got[0].shape}
+    cuts = sorted({*grid.tolist(), *breaks})
+    want = [(p, *row) for p, (times, states) in enumerate(paths)
+            for row in ref.stretches(times, states, 1.0, cuts, starts)]
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
+def test_stretches_of_a_batch_without_paths():
+    batch = next(draw_paths(random_market(np.random.default_rng(3)).chain, 0, 0).chunks(50))
+    assert batch.n_paths == 0
+    got = batch.stretches((0.0, 0.25, 0.5), np.linspace(0.0, 1.0, 11))
+    assert [a.dtype for a in got] == CUT_DTYPES
+    assert [a.shape for a in got] == [(0,)] * 6
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_discounted_value_check_equals_the_path_loop(seed):

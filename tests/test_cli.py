@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovbsde import PathBatch, chain
 from markovbsde.chain import _CELLS
 from markovbsde.cli import _fmt, _write_csv, _write_grid, main, report_rows
 from markovbsde.config import load_config
@@ -367,6 +368,35 @@ def test_verify_report_equals_separate_checks(tmp_path):
             float(r["std_error"]), r["pass"])
            for r in read_csv(out / "verify_report.csv")]
     assert got == want
+
+
+@pytest.mark.parametrize("name, n_starts", [("market_put", 1), ("market_pieces", 2)])
+def test_verify_cuts_each_batch_once_per_distinct_starts(tmp_path, monkeypatch, name,
+                                                         n_starts):
+    # the chain and the market share their pieces on market_put, so one cut
+    # of a batch serves all three functionals; market_pieces has market
+    # pieces of its own, so each batch is cut on both
+    monkeypatch.setattr(chain, "_CELLS", 2000)  # several batches
+    batches, calls = [], []
+    chunks, stretches = PathBatch.chunks, PathBatch.stretches
+
+    def counted_chunks(batch, width):
+        for part in chunks(batch, width):
+            batches.append(part.seeds)
+            yield part
+
+    def counted_stretches(batch, starts, grid=()):
+        calls.append((batch.seeds, starts))
+        return stretches(batch, starts, grid)
+
+    monkeypatch.setattr(PathBatch, "chunks", counted_chunks)
+    monkeypatch.setattr(PathBatch, "stretches", counted_stretches)
+    main(["verify", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(tmp_path),
+          "--paths", "300", "--steps", "50"])
+    cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+    starts = {cfg.chain.starts, cfg.market.piece_starts}
+    assert len(starts) == n_starts and len(batches) > 1
+    assert sorted(calls) == sorted((seeds, s) for seeds in batches for s in starts)
 
 
 def test_cli_requires_config(capsys):
