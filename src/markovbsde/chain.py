@@ -357,8 +357,10 @@ class PathBatch:
         owner = np.repeat(paths, self.offsets[1:] - self.offsets[:-1])
         below = np.searchsorted(ends, times)  # the ends before each jump
         inside = ends[below] != times  # a jump off the ends: a row of its own
-        before = np.concatenate([[0], inside.cumsum()])
-        row = owner * width + below + before[:-1]  # each jump's row, ending there
+        before = np.concatenate([[0], inside.cumsum()])  # off-end jumps before each
+        # each jump's row, ending there: the rows of the paths before its
+        # own, then its path's ends and off-end jumps before it
+        row = owner * width + below + before[:-1]
         first = before[self.offsets] + np.arange(n + 1) * width  # each path's first row
         size = first[-1]
         on_end = np.ones(size, dtype=bool)
