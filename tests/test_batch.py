@@ -128,8 +128,8 @@ def test_stretches_equal_the_path_loop_on_tied_times(data):
     assert list(zip(*(a.tolist() for a in got))) == want
 
 
-def test_stretches_of_a_batch_without_paths():
-    batch = next(draw_paths(random_market(np.random.default_rng(3)).chain, 0, 0).chunks(50))
+def test_stretches_of_a_batch_without_paths(two_state_chain):
+    batch = next(draw_paths(two_state_chain, 0, 0).chunks(50))
     assert batch.n_paths == 0
     got = batch.stretches((0.0, 0.25, 0.5), np.linspace(0.0, 1.0, 11))
     assert [a.dtype for a in got] == CUT_DTYPES
