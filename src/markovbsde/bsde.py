@@ -10,8 +10,9 @@ because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
 ``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``)
 and the reflected predictor of ``rbsde``.
 A driver that carries its ``AffineForm`` makes the system linear on each
-piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then step it
-with per-piece matrices and never call the driver back.
+piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then solve it
+on the affine maps of its steps (``chain.scan``, and ``chain.solve_floored``
+under a penalty) and never call the driver back.
 """
 
 import functools
@@ -21,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (affine_rk4, check_contraction, dots, pieces_at, rk4_down, substeps,
-                    sums_at, sweep)
+from .chain import (affine_rk4, check_contraction, dots, pieces_at, rk4_down, solve_affine,
+                    solve_floored, substeps, sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
+
+_BLOW_UP = "driver blow-up"
 
 
 @dataclass(frozen=True)
@@ -200,63 +203,90 @@ def _linear_pieces(spec, form):
 
 
 def _levels(spec, driver, scheme, grid, obstacle=None):
-    """n -> step(k, y), the steps of ``driver`` under ``scheme`` down the
-    ``grid``, f plus the penalty n (g - y)^+ of ``obstacle`` if given: the
-    one builder entry of every backward solve. An affine form is stepped by
-    ``_implicit_levels`` under implicit Euler and, without a penalty, by
-    the ``chain.affine_rk4`` maps under RK4; anything else by ``_callback_step``."""
+    """(n, top, start=None) -> (values, choice): the solve of ``driver``
+    under ``scheme`` down the ``grid`` from values[-1] = ``top``, f plus the
+    penalty n (g - y)^+ of ``obstacle`` if given: the one builder entry of
+    every backward solve. An affine form is solved on maps: under implicit
+    Euler by ``_implicit_levels``, and under RK4 without a penalty on the
+    ``chain.affine_rk4`` maps by ``chain.solve_affine``; anything else is
+    swept step by step by ``_callback_step``. ``choice`` is that of a
+    penalized implicit solve, which ``start`` takes back at the next
+    level, else None."""
     form = driver.affine
     if form is not None and scheme == "implicit_euler":
         return _implicit_levels(spec, form, grid, obstacle)
     if form is not None and obstacle is None:
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
-        step = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta,
-                          grid)
-        return lambda n: step
-    return lambda n: _callback_step(spec, driver, scheme, grid, obstacle, n)
+        maps = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta, grid)
+        first = np.arange(grid.size)
+        return lambda n, top, start=None: (
+            solve_affine(maps, top, grid, first, _BLOW_UP), None)
+    return lambda n, top, start=None: (
+        sweep(_callback_step(spec, driver, scheme, grid, obstacle, n), top, grid, _BLOW_UP),
+        None)
 
 
 def _implicit_levels(spec, form, grid, obstacle):
-    """n -> step(k, y), the implicit Euler steps of the affine form with the
-    penalty of ``obstacle`` at level n, on the sub-steps of ``chain.substeps``
-    at the chain breakpoints, in closed form per state. With z frozen at the
-    top value y, b + h beta' = y + h ((A' + G) y + beta), and
-    v = (b + h beta') / (1 - h alpha) where that is at least g, else
-    v = (b + h beta' + h n g) / (1 - h alpha + h n). Coefficients and g are
-    those at the bottom time. Each sub-step's h, piece, denominators and
-    obstacle row are tabled once, for every level; a level adds its h n terms."""
+    """(n, top, start=None) -> (values, choice), the implicit Euler solve of
+    the affine form with the penalty of ``obstacle`` at level n on the maps
+    of ``_implicit_maps``: by ``chain.solve_floored`` from ``start`` with
+    the penalty, else by ``chain.solve_affine``."""
+    times, first, maps = _implicit_maps(spec, form, grid, obstacle)
+    if obstacle is None:
+        plain = maps(np.arange(times.size))
+        return lambda n, top, start=None: (
+            solve_affine(plain, top, times, first, _BLOW_UP), None)
+
+    def level(n, top, start=None):
+        table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times, first,
+                                            _BLOW_UP, start)
+        return table[first], choice
+
+    return level
+
+
+def _implicit_maps(spec, form, grid, obstacle):
+    """(times, first, maps): the sub-steps of ``chain.substeps`` at the
+    chain breakpoints, and maps(nodes, n=None), the implicit Euler maps of
+    the affine form on each step between the table ``nodes``, in closed
+    form per state. With z frozen at the top value y, a step of length h
+    maps y to num / (1 - h alpha), num = y + h ((A' + G) y + beta), the
+    rows [P c] of maps(nodes). At a level n, maps(nodes, n) stacks them
+    with those of the penalized step (num + h n g) / (1 - h alpha + h n),
+    which the solve takes where num / (1 - h alpha) < g: it is the larger
+    of the two there, since it averages the plain step with g.
+    Coefficients and g are those at the bottom time; each sub-step's piece
+    and obstacle row are tabled once, for every level."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
     if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
     times, first = substeps(spec.breakpoints(), grid)
-    bottom, h = times[:-1], np.diff(times)
+    bottom = times[:-1]
     piece = pieces_at(starts, bottom)
-    den = 1.0 - h[:, None] * alpha[piece]
-    penalized = obstacle is not None
-    if penalized:
-        g = np.empty_like(den)
-        g[first[:-1]] = obstacle.sample(grid, spec.n_states)[:-1]
+    n_states = spec.n_states
+    if obstacle is not None:
+        g = np.empty((bottom.size, n_states))
+        g[first[:-1]] = obstacle.sample(grid, n_states)[:-1]
         off = np.delete(np.arange(bottom.size), first[:-1])  # breakpoints off the nodes
         if off.size:
-            g[off] = obstacle.sample(bottom[off], spec.n_states)
-    first, piece = first.tolist(), piece.tolist()
+            g[off] = obstacle.sample(bottom[off], n_states)
 
-    def level(n):
-        if penalized:
-            hn = h * n
-            hng, den_n = hn[:, None] * g, den + hn[:, None]
+    def maps(nodes, n=None):
+        h = np.diff(times[nodes])[:, None]
+        p = piece[nodes[:-1]]
+        num = np.empty((p.size, n_states, n_states + 1))
+        num[..., :n_states] = np.eye(n_states) + h[:, :, None] * a_g[p]
+        num[..., n_states] = h * beta[p]
+        den = 1.0 - h * alpha[p]
+        if n is None:
+            return num / den[:, :, None]
+        hn = h * n
+        pair = np.stack([num, num])
+        pair[1, ..., n_states] += hn * g[nodes[:-1]]
+        pair /= np.stack([den, den + hn])[..., None]
+        return pair
 
-        def step(k, y):
-            for s in range(first[k + 1] - 1, first[k] - 1, -1):
-                num = y + h[s] * (a_g[piece[s]] @ y + beta[piece[s]])
-                y = num / den[s]
-                if penalized:
-                    y = np.where(y < g[s], (num + hng[s]) / den_n[s], y)
-            return y
-
-        return step
-
-    return level
+    return times, first, maps
 
 
 def _callback_step(spec, driver, scheme, grid, obstacle, n):
@@ -323,14 +353,14 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     scheme is "explicit_rk4" (default) or "implicit_euler". The terminal
     node is the given vector exactly; no integration touches it. The steps
     are those of ``_levels`` at n = 0: a driver with an affine form is
-    stepped in closed form. A failed ``check_contraction`` warns, or raises
+    solved on its step maps by ``chain.scan``. A failed ``check_contraction`` warns, or raises
     under ``strict_contraction``.
     """
     terminal, grid = _inputs(spec, terminal, steps)
     if scheme not in ("explicit_rk4", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _contraction(spec, driver.lipschitz_z, strict_contraction)
-    values = sweep(_levels(spec, driver, scheme, grid)(0.0), terminal, grid, "driver blow-up")
+    values, _ = _levels(spec, driver, scheme, grid)(0.0, terminal)
     return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 

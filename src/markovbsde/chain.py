@@ -1,5 +1,7 @@
-"""Finite-state Markov chain core: generator schedules, the backward sweep
-of every solver with its sub-step table and RK4 step maps, simulation of
+"""Finite-state Markov chain core: generator schedules, the backward solves
+of every solver (the step-by-step sweep, the scan of affine step maps and
+the policy solve of floored ones) with their sub-step table and RK4 step
+maps, simulation of
 the jump chain into batches of paths, a block of paths at a time, the
 batched path walk by stretches, martingale decomposition, the
 quadratic-variation matrix calculus and the pseudoinverse-based
@@ -29,6 +31,12 @@ _CELLS = 64 * 256
 # from the generator of SeedSequence((_STREAM, b)), _STREAM a fixed tag.
 _BLOCK = 1024
 _STREAM = 1953
+# ``solve_floored`` starts from the solve on every _COARSE-th node, sweeps
+# step by step after _POLICIES policies, and sweeps a solve of fewer than
+# _LOOP steps, where a policy costs about as much as the loop.
+_COARSE = 8
+_POLICIES = 8
+_LOOP = 64
 
 
 def pieces_at(starts, times, side="right"):
@@ -65,12 +73,14 @@ def rk4_down(f, t_hi, t_lo, y):
 
 
 def affine_rk4(starts, mats, rhs, grid):
-    """step(k, y) -> P y + c, the RK4 step of y' = -M y - B from grid[k + 1]
-    down to grid[k], for M = mats[p] and B = rhs[p] on the piece p from
-    starts[p]; ``rhs`` is (pieces, N) for a vector y, (pieces, N, m) for an
-    N x m matrix y. Each map is the RK4 sub-steps of ``substeps`` run once
-    on the identity of [y; 1]: the steps inside one piece share the map of
-    the first of them, and a step that holds a breakpoint has its own."""
+    """The RK4 steps of y' = -M y - B from grid[k + 1] down to grid[k], for
+    M = mats[p] and B = rhs[p] on the piece p from starts[p], as the
+    (steps, N, N + m) stack of the rows [P c] of each step's augmented map
+    [P c; 0 I] on [y; 1]: ``rhs`` is (pieces, N) for a vector y (m = 1),
+    (pieces, N, m) for an N x m matrix y. Each map is the RK4 sub-steps of
+    ``substeps`` run once on the identity of [y; 1]: the steps inside one
+    piece share the map of the first of them, and a step that holds a
+    breakpoint has its own."""
     times, first = substeps(starts[1:], grid)
     piece = pieces_at(starts, times[:-1])
     n = mats.shape[-1]
@@ -86,11 +96,8 @@ def affine_rk4(starts, mats, rhs, grid):
         for k in np.flatnonzero(which == m)[:1]:
             for s in range(first[k + 1] - 1, first[k] - 1, -1):
                 z = rk4_down(lambda t, z: -(aug[piece[s]] @ z), times[s + 1], times[s], z)
-        maps.append(z)
-    maps = np.array(maps)
-    # a vector y takes an offset vector, so that P y + c adds as vectors
-    p, c = maps[:, :n, :n], (maps[:, :n, n] if rhs.ndim == 2 else maps[:, :n, n:])
-    return lambda k, y: p[which[k]] @ y + c[which[k]]
+        maps.append(z[:n])
+    return np.array(maps)[which]
 
 
 def sweep(step, top, grid, what, floor=None):
@@ -112,6 +119,193 @@ def sweep(step, top, grid, what, floor=None):
     if bad.size:
         raise NonFiniteError(f"{what} at t={grid[bad[-1]]:.6g}")
     return values if floor is None else (values, values[:-1] - preds)
+
+
+def scan(maps, top):
+    """values[s] = P_s values[s + 1] + c_s down from values[-1] = ``top`` (a
+    vector, or an N x m matrix), for the rows maps[s] = [P_s c_s] of the
+    augmented maps [P_s c_s; 0 I], as a (len(maps) + 1, *top.shape) array.
+
+    Composing affine maps is associative, so a work-efficient scan
+    (Blelloch, CMU-CS-90-190, 1990) solves the recursion in 2 ceil(log2 S)
+    stacked matmuls of about 3 S products in all: going up, each level
+    composes the pairs of adjacent blocks of the level below (a last block
+    without a pair goes up as it is); going down, each level applies the
+    map of every second block to [value; I] at its end, known from the
+    level above, for the value at its start. The value at node s reads
+    only the maps from s on, grouped by their positions, so two stacks
+    that share their maps from s on give the nodes from s on the same
+    bits."""
+    steps, n, d = maps.shape
+    top = np.asarray(top, dtype=float)
+    aug = np.zeros((steps, d, d))
+    aug[:, :n] = maps
+    aug[:, n:, n:] = np.eye(d - n)
+    levels = [aug]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        pairs = below[0:len(below) - 1:2] @ below[1::2]
+        levels.append(np.concatenate([pairs, below[-1:]]) if len(below) % 2 else pairs)
+    # [value; I] at the start of each block of a level, and at the end
+    end = np.concatenate([top.reshape(n, -1), np.eye(d - n)])
+    values = np.stack([levels[-1][0] @ end, end])
+    for blocks in reversed(levels[:-1]):
+        above, values = values, np.empty((len(blocks) + 1, d, d - n))
+        values[-1] = end
+        values[0:-1:2] = above[:-1]
+        values[1:-1:2] = blocks[1::2] @ values[2::2]
+    return values[:, :n].reshape(steps + 1, *top.shape)
+
+
+def _mapped_sweep(lo, hi, top, times, first, what):
+    """``sweep`` down the nodes times[first] of the table steps of ``lo``:
+    each grid step runs its table steps s = first[k + 1] - 1 down to
+    first[k], y -> P y + c of lo[s], and with ``hi``, raised row by row to
+    that of hi[s] where it is above. Returns the values at every table time
+    and lo's value at each table step; ``sweep``'s check names the node."""
+    n = lo.shape[1]
+    table = np.empty((lo.shape[0] + 1, *np.shape(top)))
+    preds = np.empty_like(table[:-1])
+    table[-1] = top
+    # C order, as sweep's steps read them
+    p_lo, c_lo = np.ascontiguousarray(lo[..., :n]), lo[..., n:].reshape(preds.shape).copy()
+    if hi is not None:
+        p_hi, c_hi = np.ascontiguousarray(hi[..., :n]), hi[..., n].copy()
+
+    def step(k, y):
+        for s in range(first[k + 1] - 1, first[k] - 1, -1):
+            preds[s] = p_lo[s] @ y + c_lo[s]
+            table[s] = preds[s] if hi is None else np.maximum(preds[s], p_hi[s] @ y + c_hi[s])
+            y = table[s]
+        return y
+
+    sweep(step, top, times[first], what)
+    return table, preds
+
+
+def _steady(maps):
+    """Whether no step of the augmented ``maps`` more than doubles a vector
+    (each P's infinity norm is at most 2). A step past that, as the
+    explicit Euler map is past h * rate = 1.5 and the stiff chain's maps
+    (norm 199) are, amplifies rounding at every step, and the sweep stays
+    the reference for what it returns."""
+    n = maps.shape[-2]
+    # column by column: a sum over a short last axis is slow
+    return sum(np.abs(maps[..., j]) for j in range(n)).max(initial=0.0) <= 2.0
+
+
+def solve_affine(maps, top, times, first, what):
+    """The values at the nodes times[first] of the table recursion
+    values[s] = P_s values[s + 1] + c_s of ``scan``, or of ``sweep`` on the
+    same maps (``_mapped_sweep``) where they are not ``_steady`` or the
+    scan is not finite: the sweep raises at the first node that is not, or
+    returns its values if all are."""
+    if _steady(maps):
+        values = scan(maps, top)[first]
+        if np.isfinite(values).all():
+            return values
+    return _mapped_sweep(maps, None, top, times, first, what)[0][first]
+
+
+def solve_floored(maps, top, times, first, what, start=None):
+    """values[s] = max(lo_s(values[s + 1]), hi_s(values[s + 1])) row by row
+    down the table ``times`` from values[-1] = ``top``, for the two affine
+    maps of each step between consecutive table ``nodes``, the rows [P c]
+    of maps(nodes) = (lo, hi) stacked. Returns (values at every table time,
+    lo's value at each step, choice, policies): choice[s, i] tells where hi
+    is above lo, and values[s] is the larger of the two.
+
+    With the choice of every (step, state) fixed, the recursion is affine,
+    so ``scan`` solves it; one vectorised pass takes both maps of every
+    step at the scanned values, and where a choice disagrees, it is made
+    again (Howard's policy iteration). Row s of a scan reads only the
+    choices from s on, so the highest step that disagrees takes the choice
+    of the exact recursion for good: a solve ends at the one
+    self-consistent choice, whatever ``start``, in at most as many
+    policies as steps. ``_recurse`` makes the choices below that step
+    again one at a time, for as long as they move. ``start`` defaults to
+    the choice of the same solve on every ``_COARSE``-th table node
+    (``_coarse_start``). Past ``_POLICIES`` policies, on values that are
+    not finite, on maps that are not ``_steady`` and on fewer than
+    ``_LOOP`` steps, it is ``_mapped_sweep`` on the same maps (0
+    policies), whose check names the first node that is not finite."""
+    nodes = np.arange(times.size)
+    pair = maps(nodes)
+    got = None
+    if times.size > _LOOP and _steady(pair):
+        got = _policies(maps, nodes, top, start, pair)
+    if got is None:
+        table, preds = _mapped_sweep(pair[0], pair[1], top, times, first, what)
+        got = table, preds, table[:-1] > preds, 0
+    return got
+
+
+def _policies(maps, nodes, top, start=None, pair=None):
+    """(values, preds, choice, policies) of ``solve_floored``'s policy
+    iteration on the steps between the table ``nodes``, or None past the
+    cap or on values that are not finite; ``pair`` is maps(nodes) if made."""
+    if start is None:
+        start = _coarse_start(maps, nodes, top)
+    if pair is None:
+        pair = maps(nodes)
+    n = pair.shape[2]
+    choice = start
+    for count in range(1, _POLICIES + 1):
+        values = scan(np.where(choice[:, :, None], pair[1], pair[0]), top)
+        # both maps of every step at the scanned values
+        both = (pair[..., :n] @ values[1:, :, None])[..., 0] + pair[..., n]
+        if not np.isfinite(both).all():
+            return None
+        again = both[1] > both[0]
+        wrong = np.flatnonzero((again != choice).any(axis=1))
+        if not wrong.size:
+            np.maximum(both[0], both[1], out=values[:-1])
+            return values, both[0], choice, count
+        _recurse(pair, values[wrong[-1] + 1], again, wrong[-1], _COARSE)
+        choice = again
+    return None
+
+
+def _recurse(pair, top, choice, last, stand=None):
+    """Make ``choice`` of the steps from ``last`` down again one at a time,
+    as the recursion does from ``top``, the values at step last + 1: to the
+    first step, or, with ``stand``, until the choice has stood at that many
+    steps in a row. Run from the highest step that disagrees, it makes the
+    choices below it at once where a policy moves them one step, as it does
+    the edge of a region that stops too early."""
+    n = pair.shape[2]
+    p, c = pair[..., :n], pair[..., n]
+    stood = 0
+    for s in range(last, -1, -1):
+        lo, hi = p[:, s] @ top + c[:, s]
+        exact = hi > lo
+        if (exact == choice[s]).all():
+            stood += 1
+            if stood == stand:
+                return
+        else:
+            stood = 0
+            choice[s] = exact
+        top = np.maximum(lo, hi)
+
+
+def _coarse_start(maps, nodes, top):
+    """The choice of each step between ``nodes`` under the solve on every
+    ``_COARSE``-th of them: that of the coarse step that holds it. The
+    coarse solve is ``_policies``, or ``_recurse`` on fewer than ``_LOOP``
+    coarse steps; where it fails, the start is lo everywhere."""
+    steps = nodes.size - 1
+    coarse = nodes[::_COARSE]
+    if coarse[-1] != nodes[-1]:
+        coarse = np.append(coarse, nodes[-1])
+    choice = np.zeros((coarse.size - 1, top.size), dtype=bool)
+    with np.errstate(all="ignore"):  # a coarse step may be far from steady
+        if coarse.size > _LOOP:
+            got = _policies(maps, coarse, top)
+            choice = got[2] if got is not None else choice
+        else:
+            _recurse(maps(coarse), top, choice, coarse.size - 2)
+    return choice[np.arange(steps) // _COARSE]
 
 
 def freeze_schedule(entries, shape, horizon, what, check):
@@ -229,25 +423,25 @@ def counts_at(rows, values, n_rows, times):
 
 def path_sums(n_paths, rows, terms, op=np.add):
     """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
-    ``terms`` (numbers, or rows added entry by entry) in their given order
-    (``rows`` names each term's path), padded with the total: ``accumulate``
-    adds left to right, as a loop over the terms does. With
-    ``op=np.multiply``, running products from 1.0."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
+    ``terms`` (numbers, or rows added entry by entry) in their given order,
+    padded with the total: ``accumulate`` adds left to right, as a loop
+    over the terms does. ``rows`` names each term's path and must not
+    decrease, as the rows of ``PathBatch.stretches`` do: the terms come path
+    by path. With ``op=np.multiply``, running products from 1.0."""
     counts = np.bincount(rows, minlength=n_paths)
     cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     shape = (n_paths, 1 + counts.max(initial=0), *terms.shape[1:])
     # np.zeros leaves the pages of a large table untouched until written
     table = np.zeros(shape) if op is np.add else np.ones(shape)
-    table[rows, cols] = terms[order]
+    table[rows, cols] = terms
     return op.accumulate(table, axis=1)
 
 
 def sums_at(n_paths, rows, terms, ends, times, op=np.add):
     """(n_paths, len(times), ...) running sums (or products) of ``path_sums``
     read at the sorted ``times``: at each, the sum over the path's terms
-    whose ``ends`` are at or below it, for terms in time order."""
+    whose ``ends`` are at or below it, for terms path by path and in time
+    order."""
     reach = counts_at(rows, ends, n_paths, times)
     return path_sums(n_paths, rows, terms, op)[np.arange(n_paths)[:, None], reach]
 

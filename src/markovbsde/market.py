@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import (ChainSpec, affine_rk4, counts_at, dots, freeze_schedule, path_sums,
-                    pieces_at, sums_at, sweep)
+                    pieces_at, solve_affine, sums_at)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import interp, uniform_grid
@@ -275,11 +275,12 @@ def stock_curves(market, steps=1000):
     n, m = chain.n_states, market.n_stocks
     deltas = np.reshape(market.dividends, (m, n)).T
     # S' = -Gamma' S - deltas, one column per stock
-    step = affine_rk4(market.piece_starts, market.gamma.transpose(0, 2, 1),
+    maps = affine_rk4(market.piece_starts, market.gamma.transpose(0, 2, 1),
                       np.broadcast_to(deltas, (len(market.piece_starts), n, m)), grid)
     # a stack of one-column solves: each stock's seed rounds as its own solve
     s = np.linalg.solve(gamma_end, -deltas.T[:, :, None])[:, :, 0].T
-    curves = sweep(step, s, grid, "stock curve blow-up").transpose(2, 0, 1)
+    curves = solve_affine(maps, s, grid, np.arange(grid.size),
+                          "stock curve blow-up").transpose(2, 0, 1)
     # a market without stocks has no prices to check
     if market.n_stocks and curves.min() <= 0.0:
         raise NonPositivePricesError(f"stock component hit {curves.min():.6g} <= 0")

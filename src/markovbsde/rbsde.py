@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import BsdeSolution, _contraction, _inputs, _levels, _linear_pieces, _rhs
-from .chain import pieces_at, sweep
+from .chain import pieces_at, solve_floored, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid
 
 _PENALTY_CAP = 2 ** 20  # the highest penalty level penalization_limit tries
+_BLOW_UP = "reflected sweep blew up"
 
 
 @dataclass(frozen=True)
@@ -100,26 +101,45 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
 
     Each step takes the generator and driver in force at its left node and
     is not cut at a breakpoint that falls between two nodes. With an affine
-    form the predictor is one matrix per piece, (I + dt M) v + dt beta;
-    else it calls the driver back under a generator tabled per node.
+    form the predictor is one map per step, (I + h M) v + h beta, and a row
+    of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
+    the larger of the two by policy iteration. Else the predictor calls the
+    driver back under a generator tabled per node, swept by ``chain.sweep``
+    with the obstacle as its floor.
     """
-    n = spec.n_states
-    dt = grid[1] - grid[0]
     form = driver.affine
-    if form is not None:
-        starts, a_g, alpha, beta = _linear_pieces(spec, form)
-        q = np.eye(n) + dt * (a_g + alpha[:, :, None] * np.eye(n))
-        c = dt * beta
-        piece = pieces_at(starts, grid).tolist()
-
-        def predict(k, v):
-            return q[piece[k]] @ v + c[piece[k]]
-    else:
+    if form is None:
+        dt = grid[1] - grid[0]
         gens = spec.gens[pieces_at(spec.starts, grid[:-1])]
 
         def predict(k, v):
             return v - dt * _rhs(gens[k], driver.evaluate, grid[k], v)
-    return sweep(predict, terminal, grid, "reflected sweep blew up", floor=obstacle_vals)
+
+        return sweep(predict, terminal, grid, _BLOW_UP, floor=obstacle_vals)
+    maps = _reflected_maps(spec, form, grid, obstacle_vals)
+    values, preds, _, _ = solve_floored(maps, terminal, grid, np.arange(grid.size), _BLOW_UP)
+    return values, values[:-1] - preds
+
+
+def _reflected_maps(spec, form, grid, obstacle_vals):
+    """nodes -> maps: per step between the grid ``nodes``, the rows [P c] of
+    the affine form's predictor (I + h M) v + h beta under the piece at the
+    step's bottom (maps[0]), and of the obstacle map v -> g there (maps[1])."""
+    n = spec.n_states
+    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    mats = a_g + alpha[:, :, None] * np.eye(n)
+    piece = pieces_at(starts, grid[:-1])
+
+    def maps(nodes):
+        h = np.diff(grid[nodes])[:, None]
+        p = piece[nodes[:-1]]
+        pair = np.zeros((2, p.size, n, n + 1))
+        pair[0, ..., :n] = np.eye(n) + h[:, :, None] * mats[p]
+        pair[0, ..., n] = h * beta[p]
+        pair[1, ..., n] = obstacle_vals[nodes[:-1]]
+        return pair
+
+    return maps
 
 
 def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
@@ -172,8 +192,7 @@ def solve_penalized(spec, driver, terminal, obstacle, n, steps):
     dt = spec.horizon / steps
     scheme = "implicit_euler" if n * dt >= 1.0 else "explicit_rk4"
     _contraction(spec, driver.lipschitz_z, False)
-    values = sweep(_levels(spec, driver, scheme, grid, obstacle)(float(n)), terminal, grid,
-                   "driver blow-up")
+    values, _ = _levels(spec, driver, scheme, grid, obstacle)(float(n), terminal)
     return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 
@@ -188,27 +207,25 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     have entered its decaying O(1/n) tail. It stops with
     ``NoConvergenceError`` past n = ``_PENALTY_CAP``. The levels come from
     one ``bsde._levels``, which tables whatever no level changes once, and
-    ``solve_bsde``'s checks run once for them all.
+    ``solve_bsde``'s checks run once for them all; each level's policy
+    iteration starts from the choice of the level before, and ends at the
+    values ``solve_penalized`` gives.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     _contraction(spec, driver.lipschitz_z, False)
     levels = _levels(spec, driver, "implicit_euler", grid, obstacle)
-
-    def solve(n):
-        """The values of ``solve_penalized`` at level n under implicit Euler."""
-        return sweep(levels(float(n)), terminal, grid, "driver blow-up")
-
     trace = []
     n = max(4, int(np.ceil(steps / spec.horizon)))
-    prev = solve(n)
+    prev, choice = levels(float(n), terminal)
     while True:
         n *= 2
         if n > _PENALTY_CAP:
             raise NoConvergenceError(
                 f"penalty cap {_PENALTY_CAP} reached without tol {tol}", trace=trace)
-        cur = solve(n)
+        # the values of solve_penalized at level n, started from the last choice
+        cur, choice = levels(float(n), terminal, choice)
         dist = float(np.abs(cur - prev).max())
         trace.append((n, dist))
         prev = cur

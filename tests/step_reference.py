@@ -7,11 +7,13 @@ each sub-step looks up its piece as it goes. ``rk4_down`` with a field is
 the callback RK4 step, ``implicit_step`` the callback implicit Euler
 step, ``rk4_maps`` the RK4 step matrices of a linear equation, and
 ``linear_implicit`` the closed-form implicit Euler sweep before it tabled
-its sub-steps; ``penalized_driver`` is the penalized equation's driver as
-one callback. ``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are
+its sub-steps, ``linear_euler`` the affine predictor of the reflected
+sweep; ``penalized_driver`` is the penalized equation's driver as one
+callback. ``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are
 the hand-written backward loops of ``solve_bsde``, ``_reflected_sweep``
-and ``stock_curves``. The package's steppers do the same arithmetic in
-the same order and must reproduce these bit for bit.
+and ``stock_curves``. The package's callback steppers do the same
+arithmetic in the same order and must reproduce these bit for bit; its
+affine solves run on ``chain.scan`` and agree with them to rounding.
 """
 
 import numpy as np
@@ -109,6 +111,20 @@ def linear_rk4(spec, form, grid):
     maps, which = rk4_maps(starts, aug, grid)
     p, c = maps[:, :n, :n], maps[:, :n, n]
     return lambda k, y: p[which[k]] @ y + c[which[k]]
+
+
+def linear_euler(spec, form, grid):
+    """step(k, v): the reflected sweep's predictor of the affine form from
+    grid[k + 1] down to grid[k], v + h ((A' + G + diag alpha) v + beta)
+    under the piece in force at grid[k], not cut at a breakpoint."""
+    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    h = grid[1] - grid[0]
+
+    def step(k, v):
+        p = piece_of(starts, grid[k])
+        return v + h * (a_g[p] @ v + alpha[p] * v + beta[p])
+
+    return step
 
 
 def stock_loop(market, grid, seed):

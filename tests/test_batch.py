@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import path_reference as ref
@@ -21,7 +21,7 @@ from markovbsde import (MarkovDriver, Obstacle, PathBatch, build_chain_spec,
                         stock_sde_residual, uniform_grid)
 from markovbsde.bsde import AffineForm, _hermite_curve
 from markovbsde.chain import counts_at
-from markovbsde.errors import MarkovBsdeError
+from markovbsde.errors import MarkovBsdeError, NonPositivePricesError
 from markovbsde.hedge import _discounted_h_matrix
 from markovbsde.market import sdf_path, terminal_sdf
 from markovbsde.montecarlo import seminorm_time_integral, stochastic_integral
@@ -165,6 +165,7 @@ def test_discounted_value_check_equals_the_path_loop(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
+@example(seed=2326)
 def test_batched_residuals_equal_the_path_loops(seed):
     # the residuals are differences of values of order 1 to 40, summed in
     # another order than the loops sum them: an absolute bound
@@ -183,7 +184,12 @@ def test_batched_residuals_equal_the_path_loops(seed):
                                dividends=rng.uniform(1.0, 2.0, (2, n)))
     paths = edge_paths(market, grid) + ref.draws(spec, 10)
     batch = ref.batch_of(paths)
-    curves = stock_curves(market, steps=int(rng.integers(3, 100)))
+    try:
+        curves = stock_curves(market, steps=int(rng.integers(3, 100)))
+    except NonPositivePricesError:
+        # RK4 at a few steps is unstable for some Gamma (seed 2326: three
+        # steps, a component below zero): a typed error, and no curves
+        curves = None
     b = rng.normal(size=n)
     driver = MarkovDriver(evaluate=lambda t, i, y, z: b[i] * t - 0.3 * y + np.sin(z.sum()),
                           lipschitz_y=0.3)
@@ -193,13 +199,14 @@ def test_batched_residuals_equal_the_path_loops(seed):
     want = ref.hermite_curve(spec, driver, sol)
     assert np.abs(_hermite_curve(spec, driver, sol)(times)
                   - np.array([want(t) for t in times])).max() <= 1e-12
-    for got, want in [
-            (pathwise_residual(sol, batch, spec, driver, xi),
-             [ref.pathwise_residual(sol, spec, driver, xi, *p) for p in paths]),
-            (sdf_dynamics_residual(market, batch, steps),
-             [ref.sdf_dynamics_residual(market, steps, *p) for p in paths]),
-            (stock_sde_residual(market, curves, batch, steps),
-             [ref.stock_sde_residual(market, curves, steps, *p) for p in paths])]:
+    pairs = [(pathwise_residual(sol, batch, spec, driver, xi),
+              [ref.pathwise_residual(sol, spec, driver, xi, *p) for p in paths]),
+             (sdf_dynamics_residual(market, batch, steps),
+              [ref.sdf_dynamics_residual(market, steps, *p) for p in paths])]
+    if curves is not None:
+        pairs.append((stock_sde_residual(market, curves, batch, steps),
+                      [ref.stock_sde_residual(market, curves, steps, *p) for p in paths]))
+    for got, want in pairs:
         assert got.shape == (len(paths),)
         assert np.abs(got - np.array(want)).max() <= 1e-12
 

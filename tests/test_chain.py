@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from markovbsde import (build_chain_spec, check_contraction, draw_paths,
                         martingale_path, mc_estimate, pseudoinverse,
                         psi_matrix, rate_bound_m, seminorm_sq, simulate_path)
+from markovbsde.chain import path_sums
 from markovbsde.cli import path_rows
 from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
@@ -303,3 +304,28 @@ def test_path_csv_rows(two_state_chain):
     rows = list(path_rows(p, 0))
     assert rows[0] == (-1, 0.0, two_state_chain.initial_state)
     assert len(rows) == p.jump_times.size + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_paths=st.integers(1, 6),
+       width=st.sampled_from([(), (1,), (3,)]), product=st.booleans())
+def test_path_sums_equal_a_loop_over_each_path(seed, n_paths, width, product):
+    """Running sums and products of terms given path by path equal a loop
+    over each path's terms, bit for bit, padded with the path's total;
+    paths without a term hold the start value throughout."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, n_paths)
+    counts[rng.integers(n_paths)] = 0
+    rows = np.repeat(np.arange(n_paths), counts)
+    terms = rng.normal(size=(rows.size, *width))
+    op, start = (np.multiply, 1.0) if product else (np.add, 0.0)
+    got = path_sums(n_paths, rows, terms, op)
+    assert got.shape == (n_paths, 1 + counts.max(), *width)
+    for p in range(n_paths):
+        run = np.full(width, start)
+        want = [run]
+        for term in terms[rows == p]:
+            run = op(run, term)
+            want.append(run)
+        want += [run] * (got.shape[1] - len(want))
+        assert np.array_equal(got[p], np.array(want))

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
-from markovbsde.bsde import (AffineForm, _callback_step, _implicit_levels,
+from markovbsde.bsde import (AffineForm, _callback_step, _implicit_levels, _implicit_maps,
                             _linear_pieces, _scalar_implicit, zero_driver)
-from markovbsde.chain import affine_rk4, check_contraction, pseudoinverse, rate_bound_m, sweep
+from markovbsde.chain import (_LOOP, _POLICIES, affine_rk4, check_contraction, pseudoinverse,
+                              rate_bound_m, solve_floored, sweep)
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.hedge import driver_constants, make_hedge_driver
 from markovbsde.market import gamma_matrix, sigma_matrix, stock_curves
-from markovbsde.rbsde import solve_penalized
+from markovbsde.rbsde import _reflected_maps, solve_penalized
 
 import step_reference as ref
 from conftest import expm, pricing_callback, pricing_f
@@ -116,6 +117,18 @@ def sup_rel(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
+def rounding_bound(steps, values):
+    """The bound on the gap between an affine solve on maps (``chain.scan``,
+    and the policy solve of ``chain.solve_floored``) and the loop over the
+    same steps: 32 ceil(log2(K + 1)) eps times the largest |value|. The
+    scan groups its products of maps in about 2 log2 K levels, each adding
+    rounding of a few eps of that scale; the loop adds its own, which grows
+    like sqrt(K) eps. Over 300 random instances of
+    ``test_scan_and_policy_solves_equal_the_loops`` the gap stayed below
+    12 log2(K) eps times that scale."""
+    return 32 * np.ceil(np.log2(steps + 1)) * np.finfo(float).eps * np.abs(values).max()
+
+
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 5), pieces=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
@@ -195,7 +208,7 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
         level = float(rng.uniform(1.0, 1e4))
         driver = ref.penalized_driver(driver, obstacle, level)
     y = rng.normal(size=n)
-    got = _implicit_levels(spec, form, uniform_grid(h, 1), obstacle)(level)(0, y)
+    got = _implicit_levels(spec, form, uniform_grid(h, 1), obstacle)(level, y)[0][0]
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -225,10 +238,11 @@ def chain_starts(rng, kinds, grid):
 @given(n=st.integers(1, 4), steps=st.integers(3, 30), kinds=KINDS,
        obstacle=st.sampled_from([None, "g", "values"]), seed=st.integers(0, 2 ** 32 - 1))
 def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, seed):
-    """The implicit Euler sweep on its sub-step table equals the loop that
-    cuts and looks up each sub-step as it goes, bit for bit, plain and
-    penalized, with chain breakpoints on nodes, inside steps, two in one
-    step and in the last step, and C and D breakpoints of their own."""
+    """The implicit Euler solve on the maps of its sub-step table equals the
+    loop that cuts and looks up each sub-step as it goes, to the
+    ``rounding_bound``, plain and penalized, with chain breakpoints on
+    nodes, inside steps, two in one step and in the last step, and C and D
+    breakpoints of their own."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -240,12 +254,10 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
         g = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t)) if obstacle == "g" \
             else Obstacle(values=values)
         penalty = float(rng.integers(4, 2 ** 20))
-    tabled = _implicit_levels(market.chain, form, grid, g)(penalty)
-    looped = ref.linear_implicit(market.chain, form, grid, g, penalty)
-    y = z = rng.uniform(0.5, 1.5, n)
-    for k in range(steps - 1, -1, -1):
-        y, z = tabled(k, y), looped(k, z)
-        assert np.array_equal(y, z), k
+    top = rng.uniform(0.5, 1.5, n)
+    got = _implicit_levels(market.chain, form, grid, g)(penalty, top)[0]
+    want = ref.bsde_loop(ref.linear_implicit(market.chain, form, grid, g, penalty), top, grid)
+    assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
@@ -332,9 +344,11 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
        stocks=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
     """``chain.affine_rk4`` equals the ``rk4_maps`` matrices on [y; 1] bit
-    for bit: with a vector right-hand side, the affine form's steps cut at
-    the chain's breakpoints and the form's own off-grid ones; with a matrix
-    one, the stock curves cut at the market's."""
+    for bit, for the affine form's steps cut at the chain's breakpoints and
+    the form's own off-grid ones; its solves on ``chain.scan`` equal the
+    loops over those matrices to the ``rounding_bound``: with a vector
+    right-hand side, the affine BSDE, and with a matrix one, the stock
+    curves cut at the market's breakpoints."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -343,13 +357,18 @@ def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
     form = replace(form, beta=rng.normal(size=(len(form.starts), n)))
     starts, a_g, alpha, beta = _linear_pieces(market.chain, form)
     mapped = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(n), beta, grid)
-    looped = ref.linear_rk4(market.chain, form, grid)
-    y = z = rng.uniform(0.5, 1.5, n)
-    for k in range(steps - 1, -1, -1):
-        y, z = mapped(k, y), looped(k, z)
-        assert np.array_equal(y, z), k
+    aug = np.zeros((len(starts), n + 1, n + 1))
+    aug[:, :n, :n] = a_g + alpha[:, :, None] * np.eye(n)
+    aug[:, :n, n] = beta
+    maps, which = ref.rk4_maps(starts, aug, grid)
+    assert np.array_equal(mapped, maps[which, :n])
+    top = rng.uniform(0.5, 1.5, n)
+    got = solve_bsde(market.chain, MarkovDriver(affine=form), top, steps).values
+    want = ref.bsde_loop(ref.linear_rk4(market.chain, form, grid), top, grid)
+    assert np.abs(got - want).max() <= rounding_bound(steps, want)
     curves = stock_curves(market, steps=steps).s.transpose(1, 2, 0)
-    assert np.array_equal(curves, ref.stock_loop(market, grid, curves[-1]))
+    want = ref.stock_loop(market, grid, curves[-1])
+    assert np.abs(curves - want).max() <= rounding_bound(steps, want)
 
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
@@ -359,11 +378,12 @@ def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
        scheme=st.sampled_from(["explicit_rk4", "implicit_euler"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, seed):
-    """``solve_bsde`` on ``chain.sweep`` equals the loop that checked every
-    step, over the reference step of each driver and scheme (a penalized
-    one swept on its ``bsde._levels`` steps, as ``solve_penalized`` is),
-    and a sweep with a floor equals the reflected loop, values and pushes,
-    bit for bit."""
+    """``solve_bsde`` equals the loop that checked every step, over the
+    reference step of each driver and scheme (a penalized one solved by
+    ``bsde._levels``, as ``solve_penalized`` is): bit for bit where a
+    callback is swept by ``chain.sweep``, to the ``rounding_bound`` where an
+    affine form is solved on its maps. A sweep with a floor equals the
+    reflected loop, values and pushes, bit for bit."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -385,9 +405,12 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, se
     if obstacle is None:
         got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
     else:
-        got = sweep(bsde._levels(chain, drv, scheme, grid, obstacle)(level), terminal, grid,
-                    "driver blow-up")
-    assert np.array_equal(got, ref.bsde_loop(step, terminal, grid))
+        got = bsde._levels(chain, drv, scheme, grid, obstacle)(level, terminal)[0]
+    want = ref.bsde_loop(step, terminal, grid)
+    if drv.affine is not None and (obstacle is None or scheme == "implicit_euler"):
+        assert np.abs(got - want).max() <= rounding_bound(steps, want)
+    else:
+        assert np.array_equal(got, want)
     floor = rng.uniform(0.5, 1.5, (steps + 1, n))
     got = sweep(step, terminal, grid, "blow-up", floor=floor)
     want = ref.reflected_loop(step, terminal, floor, grid)
@@ -512,3 +535,96 @@ def test_replace_reads_f_and_g_off_the_new_form():
     kept = replace(Obstacle(g=lambda t, i: 3.0, values=obstacle.values),
                    values=raised.values)
     assert kept.g(0.5, 1) == 3.0
+
+
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), steps=st.integers(3, 300), kinds=KINDS,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
+    """The affine solves on ``chain.scan`` and the floored ones by policy
+    iteration equal the loops of ``step_reference`` and ``chain.sweep`` with
+    a floor to the ``rounding_bound``, with N = 1..6, absorbing states and
+    chain breakpoints on nodes, inside steps, two in one step and in the
+    last step: the BSDE under both schemes, the stock curves, the reflected
+    sweep (values and pushes) and a penalty level, with a drift beta that
+    moves the values across the obstacle. The reflected values are at
+    least g and the pushes at least 0 exactly, and from ``chain._LOOP``
+    steps on, each policy solve converges within the cap."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps), stocks=2)
+    chain = market.chain
+    form = replace(make_hedge_driver(market).affine,
+                   beta=rng.normal(size=(len(market.piece_starts), n)))
+    driver, terminal = MarkovDriver(affine=form), rng.uniform(0.8, 1.2, n)
+    for scheme, step in (("explicit_rk4", ref.linear_rk4(chain, form, grid)),
+                         ("implicit_euler", ref.linear_implicit(chain, form, grid))):
+        got = solve_bsde(chain, driver, terminal, steps, scheme=scheme).values
+        want = ref.bsde_loop(step, terminal, grid)
+        assert np.abs(got - want).max() <= rounding_bound(steps, want)
+    curves = stock_curves(market, steps=steps).s.transpose(1, 2, 0)
+    want = ref.stock_loop(market, grid, curves[-1])
+    assert np.abs(curves - want).max() <= rounding_bound(steps, want)
+
+    obstacle = penalty_obstacle(rng, n)
+    g = obstacle.sample(grid, n)
+    top = np.maximum(terminal, g[-1])
+    sol = solve_reflected(chain, driver, top, obstacle, steps)
+    values, pushes = sweep(ref.linear_euler(chain, form, grid), top, grid, "blow-up", floor=g)
+    bound = rounding_bound(steps, values)
+    assert np.abs(sol.values - values).max() <= bound
+    assert np.abs(sol.step_pushes - pushes).max() <= bound
+    assert np.all(sol.values >= g) and np.all(sol.step_pushes >= 0.0)
+    level = float(rng.integers(steps, 64 * steps))
+    got = solve_penalized(chain, driver, terminal, obstacle, level, steps).values
+    want = ref.bsde_loop(ref.linear_implicit(chain, form, grid, obstacle, level), terminal, grid)
+    assert np.abs(got - want).max() <= rounding_bound(steps, want)
+
+    times, first, level_maps = _implicit_maps(chain, form, grid, obstacle)
+    for maps, tops, table, at in (
+            (_reflected_maps(chain, form, grid, g), top, grid, np.arange(grid.size)),
+            (lambda nodes: level_maps(nodes, level), terminal, times, first)):
+        policies = solve_floored(maps, tops, table, at, "blow-up")[3]
+        assert 1 <= policies <= _POLICIES if table.size > _LOOP else policies == 0
+
+
+def test_solves_on_maps_that_are_not_steady_are_the_sweep():
+    """On the stiff chain (rates 1e4, 100 steps, discount 0.1 as an affine
+    form) a step map has infinity norm 199: the reflected solve and the
+    implicit Euler BSDE are ``chain.sweep`` on the same maps, values and
+    pushes bit for bit, with no policy iteration."""
+    spec = build_chain_spec(2, [[-1e4, 1e4], [1e4, -1e4]], 0, 1.0)
+    driver = MarkovDriver(lipschitz_y=0.1, affine=AffineForm(alpha=-0.1))
+    top = np.array([1.0, 0.0])
+    obstacle = Obstacle(g=lambda t, i: 1.0 - t)
+    sol = solve_reflected(spec, driver, top, obstacle, 100)
+    grid, each = sol.grid, np.arange(sol.grid.size)
+    maps = _reflected_maps(spec, driver.affine, grid, sol.g)
+    assert solve_floored(maps, top, grid, each, "blow-up")[3] == 0
+    p, c = np.ascontiguousarray(maps(each)[0, ..., :2]), maps(each)[0, ..., 2].copy()
+    values, pushes = sweep(lambda k, v: p[k] @ v + c[k], top, grid, "blow-up", floor=sol.g)
+    assert np.array_equal(sol.values, values) and np.array_equal(sol.step_pushes, pushes)
+    times, first, plain = _implicit_maps(spec, driver.affine, grid, None)
+    p, c = np.ascontiguousarray(plain(each)[..., :2]), plain(each)[..., 2].copy()
+    values = solve_bsde(spec, driver, top, 100, scheme="implicit_euler").values
+    assert np.array_equal(values, sweep(lambda k, v: p[k] @ v + c[k], top, grid, "blow-up"))
+
+
+@pytest.mark.parametrize("name", ["market_put", "market_regime", "market_pieces"])
+def test_bundled_markets_price_in_one_to_three_policies(name):
+    """The policy solve starts close on every bundled market: the American
+    price and a penalty level of its put each take 1 to 3 policies at
+    K = 250 and 1000, the sizes the CLI and the benchmark run."""
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    driver = make_hedge_driver(cfg.market)
+    for steps in (250, 1000):
+        grid = uniform_grid(cfg.chain.horizon, steps)
+        payoff = cfg.build_payoff(stock_curves(cfg.market, steps))
+        g = payoff.sample(grid, cfg.chain.n_states)
+        times, first, level_maps = _implicit_maps(cfg.chain, driver.affine, grid, payoff)
+        for maps, table, at in (
+                (_reflected_maps(cfg.chain, driver.affine, grid, g), grid, np.arange(grid.size)),
+                (lambda nodes: level_maps(nodes, 2.0 * steps), times, first)):
+            assert 1 <= solve_floored(maps, g[-1], table, at, "blow-up")[3] <= 3
