@@ -128,7 +128,7 @@ def scan(maps, top):
 
     Composing affine maps is associative, so a work-efficient scan
     (Blelloch, CMU-CS-90-190, 1990) solves the recursion in 2 ceil(log2 S)
-    stacked matmuls of about 3 S products in all: going up, each level
+    stacked matmuls of about 2 S products in all: going up, each level
     composes the pairs of adjacent blocks of the level below (a last block
     without a pair goes up as it is); going down, each level applies the
     map of every second block to [value; I] at its end, known from the
