@@ -628,3 +628,25 @@ def test_bundled_markets_price_in_one_to_three_policies(name):
                 (_reflected_maps(cfg.chain, driver.affine, grid, g), grid, np.arange(grid.size)),
                 (lambda nodes: level_maps(nodes, 2.0 * steps), times, first)):
             assert 1 <= solve_floored(maps, g[-1], table, at, "blow-up")[3] <= 3
+
+
+def test_penalty_levels_by_policy_iteration_equal_a_solve_per_level():
+    """From ``chain._LOOP`` steps on, each level of ``penalization_limit``
+    starts its policy iteration from the level before, and
+    ``solve_penalized`` from the coarse solve: both end at the one
+    self-consistent choice, so the trace and the values are those of one
+    solve per level, bit for bit (market_pieces, K = 250, eleven levels)."""
+    cfg = load_config(PIECES)
+    steps = 250
+    payoff = cfg.build_payoff(stock_curves(cfg.market, steps))
+    driver = make_hedge_driver(cfg.market)
+    terminal = payoff.terminal(cfg.chain.horizon, cfg.chain.n_states)
+    got = penalization_limit(cfg.chain, driver, terminal, payoff, steps, 1e-6)
+    assert len(got.penalization_trace) > 8
+    prev = solve_penalized(cfg.chain, driver, terminal, payoff,
+                           got.penalization_trace[0][0] // 2, steps).values
+    for level, dist in got.penalization_trace:
+        cur = solve_penalized(cfg.chain, driver, terminal, payoff, level, steps).values
+        assert float(np.abs(cur - prev).max()) == dist
+        prev = cur
+    assert np.array_equal(got.values, prev)
