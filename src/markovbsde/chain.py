@@ -31,12 +31,10 @@ _CELLS = 64 * 256
 # from the generator of SeedSequence((_STREAM, b)), _STREAM a fixed tag.
 _BLOCK = 1024
 _STREAM = 1953
-# ``solve_floored`` starts from the solve on every _COARSE-th node, sweeps
-# step by step after _POLICIES policies, and sweeps a solve of fewer than
-# _LOOP steps, where a policy costs about as much as the loop.
+# ``solve_floored`` starts from the solve on every _COARSE-th node, and
+# sweeps step by step after _POLICIES policies.
 _COARSE = 8
 _POLICIES = 8
-_LOOP = 64
 
 
 def pieces_at(starts, times, side="right"):
@@ -226,14 +224,12 @@ def solve_floored(maps, top, times, first, what, start=None):
     again one at a time, for as long as they move. ``start`` defaults to
     the choice of the same solve on every ``_COARSE``-th table node
     (``_coarse_start``). Past ``_POLICIES`` policies, on values that are
-    not finite, on maps that are not ``_steady`` and on fewer than
-    ``_LOOP`` steps, it is ``_mapped_sweep`` on the same maps (0
-    policies), whose check names the first node that is not finite."""
+    not finite and on maps that are not ``_steady``, it is
+    ``_mapped_sweep`` on the same maps (0 policies), whose check names the
+    first node that is not finite."""
     nodes = np.arange(times.size)
     pair = maps(nodes)
-    got = None
-    if times.size > _LOOP and _steady(pair):
-        got = _policies(maps, nodes, top, start, pair)
+    got = _policies(maps, nodes, top, start, pair) if _steady(pair) else None
     if got is None:
         table, preds = _mapped_sweep(pair[0], pair[1], top, times, first, what)
         got = table, preds, table[:-1] > preds, 0
@@ -292,15 +288,17 @@ def _recurse(pair, top, choice, last, stand=None):
 def _coarse_start(maps, nodes, top):
     """The choice of each step between ``nodes`` under the solve on every
     ``_COARSE``-th of them: that of the coarse step that holds it. The
-    coarse solve is ``_policies``, or ``_recurse`` on fewer than ``_LOOP``
-    coarse steps; where it fails, the start is lo everywhere."""
+    coarse solve is ``_policies``, started in turn from a coarser grid, and
+    on a coarse grid of at most ``_COARSE`` steps, where coarsening ends,
+    the recursion itself (``_recurse``); where it fails, the start is lo
+    everywhere."""
     steps = nodes.size - 1
     coarse = nodes[::_COARSE]
     if coarse[-1] != nodes[-1]:
         coarse = np.append(coarse, nodes[-1])
     choice = np.zeros((coarse.size - 1, top.size), dtype=bool)
     with np.errstate(all="ignore"):  # a coarse step may be far from steady
-        if coarse.size > _LOOP:
+        if coarse.size - 1 > _COARSE:
             got = _policies(maps, coarse, top)
             choice = got[2] if got is not None else choice
         else:
