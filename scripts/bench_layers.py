@@ -7,6 +7,10 @@ For each bundled market config with a put payoff, times (best of 3):
   under both schemes, ``solve_reflected``, ``penalization_limit``,
   ``price_american``, ``extract_hedge`` and ``replicate_forward`` on 100
   paths, all with the config's pricing driver and payoff;
+- on ``market_pieces`` at K = 1e3, the step-by-step walk of a driver
+  without an affine form: ``solve_bsde`` under both schemes,
+  ``solve_reflected`` and ``penalization_limit``, all with the callback
+  driver ``discount_driver(0.05)`` and the config's put as obstacle;
 - at each path count P = 1e4 and 1e5, on the paths 0 .. P - 1:
   ``draw_paths``; on the batch it drew, ``PathBatch.stretches`` on the
   market's pieces, alone and cut at a grid of 201 nodes too, on the
@@ -64,7 +68,7 @@ import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 from markovbsde import (PathBatch, build_chain_spec, cli,  # noqa: E402
-                        discounted_value_check, draw_paths, extract_hedge,
+                        discount_driver, discounted_value_check, draw_paths, extract_hedge,
                         isometry_check, martingale_path, penalization_limit,
                         price_american, replicate_forward, solve_bsde, solve_reflected,
                         stock_curves)
@@ -84,6 +88,7 @@ SDF_BATCH = 10_000
 CUT_BATCH = 81
 CUT_CALLS = 1000
 CLI_STEPS = 250
+CALLBACK_CONFIG, CALLBACK_STEPS, CALLBACK_RATE = "market_pieces", 1000, 0.05
 REPEATS = 3
 
 
@@ -112,6 +117,27 @@ def layers(cfg, steps):
         ("extract_hedge", lambda: extract_hedge(market, curves, priced)),
         (f"replicate_forward {PATHS} paths",
          lambda: replicate_forward(strategy, priced, paths)),
+    ]
+
+
+def callback_layers(cfg, steps):
+    """(name, call) of each solve of the callback driver
+    ``discount_driver(CALLBACK_RATE)`` on the config's chain at ``steps``
+    grid steps, with the config's put as obstacle; the inputs of each call
+    are made before it is timed."""
+    chain = cfg.chain
+    driver = discount_driver(CALLBACK_RATE)
+    payoff = cfg.build_payoff(curves=stock_curves(cfg.market, steps=steps))
+    terminal = payoff.terminal(chain.horizon, chain.n_states)
+    return [
+        ("callback solve_bsde explicit_rk4", lambda: solve_bsde(chain, driver, terminal, steps)),
+        ("callback solve_bsde implicit_euler",
+         lambda: solve_bsde(chain, driver, terminal, steps, scheme="implicit_euler")),
+        ("callback solve_reflected",
+         lambda: solve_reflected(chain, driver, terminal, payoff, steps)),
+        ("callback penalization_limit",
+         lambda: penalization_limit(chain, driver, terminal, payoff, steps,
+                                    cfg.solver.penalization_tol)),
     ]
 
 
@@ -227,6 +253,8 @@ def measure():
     for name in CONFIGS:
         cfg = load_config(ROOT / "configs" / f"{name}.yaml")
         sizes = [(f"K={steps}", layers, steps) for steps in SIZES]
+        if name == CALLBACK_CONFIG:
+            sizes += [(f"K={CALLBACK_STEPS}", callback_layers, CALLBACK_STEPS)]
         sizes += [(f"P={n}", path_layers, n) for n in MC_PATHS]
         sizes += [(f"P={CUT_BATCH}", cut_layers, CUT_BATCH)]
         for size, build, arg in sizes:

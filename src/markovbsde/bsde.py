@@ -207,42 +207,37 @@ def _levels(spec, driver, scheme, grid, obstacle=None):
     under ``scheme`` down the ``grid`` from values[-1] = ``top``, f plus the
     penalty n (g - y)^+ of ``obstacle`` if given: the one builder entry of
     every backward solve. An affine form is solved on maps: under implicit
-    Euler by ``_implicit_levels``, and under RK4 without a penalty on the
-    ``chain.affine_rk4`` maps by ``chain.solve_affine``; anything else is
-    swept step by step by ``_callback_step``. ``choice`` is that of a
-    penalized implicit solve, which ``start`` takes back at the next
+    Euler on those of ``_implicit_maps``, by ``chain.solve_floored`` from
+    ``start`` with the penalty, else by ``chain.solve_affine``, and under
+    RK4 without a penalty on the ``chain.affine_rk4`` maps by
+    ``chain.solve_affine``; anything else is swept step by step by
+    ``chain.sweep`` on the steps of ``_callback_step``. ``choice`` is that
+    of a penalized implicit solve, which ``start`` takes back at the next
     level, else None."""
     form = driver.affine
     if form is not None and scheme == "implicit_euler":
-        return _implicit_levels(spec, form, grid, obstacle)
+        times, first, maps = _implicit_maps(spec, form, grid, obstacle)
+        if obstacle is None:
+            plain = maps(np.arange(times.size))
+            return lambda n, top, start=None: (
+                solve_affine(plain, top, times, first, _BLOW_UP), None)
+
+        def level(n, top, start=None):
+            table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
+                                                first, _BLOW_UP, start)
+            return table[first], choice
+
+        return level
     if form is not None and obstacle is None:
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
         maps = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta, grid)
         first = np.arange(grid.size)
         return lambda n, top, start=None: (
             solve_affine(maps, top, grid, first, _BLOW_UP), None)
+    times, first = substeps(spec.breakpoints(), grid)
     return lambda n, top, start=None: (
-        sweep(_callback_step(spec, driver, scheme, grid, obstacle, n), top, grid, _BLOW_UP),
-        None)
-
-
-def _implicit_levels(spec, form, grid, obstacle):
-    """(n, top, start=None) -> (values, choice), the implicit Euler solve of
-    the affine form with the penalty of ``obstacle`` at level n on the maps
-    of ``_implicit_maps``: by ``chain.solve_floored`` from ``start`` with
-    the penalty, else by ``chain.solve_affine``."""
-    times, first, maps = _implicit_maps(spec, form, grid, obstacle)
-    if obstacle is None:
-        plain = maps(np.arange(times.size))
-        return lambda n, top, start=None: (
-            solve_affine(plain, top, times, first, _BLOW_UP), None)
-
-    def level(n, top, start=None):
-        table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times, first,
-                                            _BLOW_UP, start)
-        return table[first], choice
-
-    return level
+        sweep(_callback_step(spec, driver, scheme, times, obstacle, n), top, times, first,
+              _BLOW_UP)[first], None)
 
 
 def _implicit_maps(spec, form, grid, obstacle):
@@ -289,13 +284,12 @@ def _implicit_maps(spec, form, grid, obstacle):
     return times, first, maps
 
 
-def _callback_step(spec, driver, scheme, grid, obstacle, n):
-    """step(k, y) down from grid[k + 1] of f = ``driver.evaluate`` plus
-    n (g - y)^+, g = ``obstacle.g``, if given: per sub-step of
-    ``chain.substeps`` at the chain breakpoints, under its piece's
+def _callback_step(spec, driver, scheme, times, obstacle, n):
+    """step(s, y) down the table step s of ``chain.substeps`` at the chain
+    breakpoints, from times[s + 1] to times[s], of f = ``driver.evaluate``
+    plus n (g - y)^+, g = ``obstacle.g``, if given: under its piece's
     generator, one RK4 step of the reduced ODE or one implicit Euler step,
     each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
-    times, first = substeps(spec.breakpoints(), grid)
     gens = spec.gens[pieces_at(spec.starts, times[:-1])]
     lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
     evaluate, g = driver.evaluate, getattr(obstacle, "g", None)
@@ -314,12 +308,7 @@ def _callback_step(spec, driver, scheme, grid, obstacle, n):
         return np.array([_scalar_implicit(f, times[s], i, b[i], h, y, lip)
                          for i in range(y.size)])
 
-    def step(k, y):
-        for s in range(first[k + 1] - 1, first[k] - 1, -1):
-            y = rk4(s, y) if scheme == "explicit_rk4" else implicit(s, y)
-        return y
-
-    return step
+    return rk4 if scheme == "explicit_rk4" else implicit
 
 
 def _inputs(spec, terminal, steps):

@@ -98,25 +98,20 @@ def affine_rk4(starts, mats, rhs, grid):
     return np.array(maps)[which]
 
 
-def sweep(step, top, grid, what, floor=None):
-    """values[k] = step(k, values[k + 1]) down the ``grid`` from values[-1] =
-    ``top``, as a (len(grid), *top.shape) array. With a ``floor``, each row
-    is raised to at least floor[k] after its step, and the sweep returns
-    (values, pushes), pushes[k] what row k was raised by. One check after
-    the loop raises ``NonFiniteError`` "{what} at t=..." at the highest
-    node that is not finite: the first the sweep reached."""
-    values = np.empty((grid.size, *np.shape(top)))
+def sweep(step, top, times, first, what):
+    """values[s] = step(s, values[s + 1]) down the table ``times`` from
+    values[-1] = ``top``, one call per table step, as a (len(times),
+    *top.shape) array. One check after the loop raises ``NonFiniteError``
+    "{what} at t=..." at the highest of the nodes times[first] that is not
+    finite: the first node the sweep reached."""
+    values = np.empty((times.size, *np.shape(top)))
     values[-1] = top
-    # without a floor each step writes its row of values itself
-    preds = values[:-1] if floor is None else np.empty_like(values[:-1])
-    for k in range(grid.size - 2, -1, -1):
-        preds[k] = step(k, values[k + 1])
-        if floor is not None:
-            np.maximum(floor[k], preds[k], out=values[k])
-    bad = np.flatnonzero(~np.isfinite(values.reshape(grid.size, -1)).all(axis=1))
+    for s in range(times.size - 2, -1, -1):
+        values[s] = step(s, values[s + 1])
+    bad = np.flatnonzero(~np.isfinite(values[first].reshape(first.size, -1)).all(axis=1))
     if bad.size:
-        raise NonFiniteError(f"{what} at t={grid[bad[-1]]:.6g}")
-    return values if floor is None else (values, values[:-1] - preds)
+        raise NonFiniteError(f"{what} at t={times[first[bad[-1]]]:.6g}")
+    return values
 
 
 def scan(maps, top):
@@ -156,29 +151,22 @@ def scan(maps, top):
 
 
 def _mapped_sweep(lo, hi, top, times, first, what):
-    """``sweep`` down the nodes times[first] of the table steps of ``lo``:
-    each grid step runs its table steps s = first[k + 1] - 1 down to
-    first[k], y -> P y + c of lo[s], and with ``hi``, raised row by row to
-    that of hi[s] where it is above. Returns the values at every table time
-    and lo's value at each table step; ``sweep``'s check names the node."""
+    """``sweep`` down the table steps of ``lo``: step s maps y to P y + c of
+    lo[s], and with ``hi``, raised row by row to that of hi[s] where it is
+    above. Returns the values at every table time and lo's value at each
+    table step."""
     n = lo.shape[1]
-    table = np.empty((lo.shape[0] + 1, *np.shape(top)))
-    preds = np.empty_like(table[:-1])
-    table[-1] = top
-    # C order, as sweep's steps read them
+    preds = np.empty((lo.shape[0], *np.shape(top)))
+    # C order, as the steps read them
     p_lo, c_lo = np.ascontiguousarray(lo[..., :n]), lo[..., n:].reshape(preds.shape).copy()
     if hi is not None:
         p_hi, c_hi = np.ascontiguousarray(hi[..., :n]), hi[..., n].copy()
 
-    def step(k, y):
-        for s in range(first[k + 1] - 1, first[k] - 1, -1):
-            preds[s] = p_lo[s] @ y + c_lo[s]
-            table[s] = preds[s] if hi is None else np.maximum(preds[s], p_hi[s] @ y + c_hi[s])
-            y = table[s]
-        return y
+    def step(s, y):
+        preds[s] = p_lo[s] @ y + c_lo[s]
+        return preds[s] if hi is None else np.maximum(preds[s], p_hi[s] @ y + c_hi[s])
 
-    sweep(step, top, times[first], what)
-    return table, preds
+    return sweep(step, top, times, first, what), preds
 
 
 def _steady(maps):

@@ -24,7 +24,7 @@ class StateGridFunction:
         steps = np.diff(grid)
         if not np.all(steps > 0):
             raise ValueError("grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-9 * max(steps[0], 1.0)):
+        if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1.0):
             raise ValueError("grid must be uniform")
         if values.shape[0] != grid.size:
             raise ValueError("values must have one slice per grid node")

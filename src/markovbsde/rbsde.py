@@ -104,20 +104,24 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     form the predictor is one map per step, (I + h M) v + h beta, and a row
     of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
     the larger of the two by policy iteration. Else the predictor calls the
-    driver back under a generator tabled per node, swept by ``chain.sweep``
-    with the obstacle as its floor.
+    driver back under a generator tabled per node, and ``chain.sweep``
+    steps down the nodes, each step raising its prediction to the obstacle.
     """
     form = driver.affine
+    each = np.arange(grid.size)
     if form is None:
         dt = grid[1] - grid[0]
         gens = spec.gens[pieces_at(spec.starts, grid[:-1])]
+        preds = np.empty((grid.size - 1, spec.n_states))
 
-        def predict(k, v):
-            return v - dt * _rhs(gens[k], driver.evaluate, grid[k], v)
+        def step(k, v):
+            preds[k] = v - dt * _rhs(gens[k], driver.evaluate, grid[k], v)
+            return np.maximum(obstacle_vals[k], preds[k])
 
-        return sweep(predict, terminal, grid, _BLOW_UP, floor=obstacle_vals)
-    maps = _reflected_maps(spec, form, grid, obstacle_vals)
-    values, preds, _, _ = solve_floored(maps, terminal, grid, np.arange(grid.size), _BLOW_UP)
+        values = sweep(step, terminal, grid, each, _BLOW_UP)
+    else:
+        maps = _reflected_maps(spec, form, grid, obstacle_vals)
+        values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)
     return values, values[:-1] - preds
 
 

@@ -127,6 +127,19 @@ def linear_euler(spec, form, grid):
     return step
 
 
+def callback_euler(spec, driver, grid):
+    """step(k, v): the reflected sweep's predictor of a callback driver from
+    grid[k + 1] down to grid[k], v - h * _rhs, under the generator in force
+    at grid[k], not cut at a breakpoint."""
+    h = grid[1] - grid[0]
+
+    def step(k, v):
+        gen = spec.gens[piece_of(spec.starts, grid[k])]
+        return v - h * _rhs(gen, driver.evaluate, grid[k], v)
+
+    return step
+
+
 def stock_loop(market, grid, seed):
     """The (K+1, N, stocks) stock curves down ``grid`` from ``seed``, the
     RK4 step matrices of S' = -Gamma' S - deltas acting on [S; I]."""

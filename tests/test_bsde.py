@@ -12,6 +12,7 @@ from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
+from markovbsde.grids import StateGridFunction
 
 from conftest import random_chain
 from csv_reference import read_rows
@@ -30,6 +31,22 @@ def test_occupancy_closed_form(two_state_chain):
     sol = solve_bsde(two_state_chain, zero_driver(), np.array([1.0, 0.0]), 1000)
     assert sol.values[0, 0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-10)
     assert sol.values[0, 1] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), abs=1e-10)
+
+
+def test_state_grid_function_checks_its_grid():
+    """A grid must have two nodes or more, increase strictly and have every
+    step within 1e-9 max(h, 1) of its first step h; values need one finite
+    slice per node."""
+    grid = np.linspace(0.0, 1.0, 11)
+    values = np.ones((11, 2))
+    nudged = grid.copy()
+    nudged[5] += 9e-10  # two steps move by 9e-10, within 1e-9 of the first
+    assert StateGridFunction(grid=nudged, values=values).grid[5] == nudged[5]
+    nudged[5] += 2e-10
+    for bad_grid, bad_values in ((grid[:1], values[:1]), (grid[::-1], values), (nudged, values),
+                                 (grid, values[1:]), (grid, np.full((11, 2), np.nan))):
+        with pytest.raises(ValueError):
+            StateGridFunction(grid=bad_grid, values=bad_values)
 
 
 def test_terminal_node_is_exact(two_state_chain):
@@ -126,14 +143,21 @@ def test_bsde_sweep_names_the_first_node_that_blows_up(two_state_chain):
     """One finiteness check after the sweep names the first non-finite node
     down from the horizon, for a callback and an affine driver alike, and
     for a callback implicit step without a root: 2.5 v^2 - v + 5 = 0 has
-    none, so the first step down from the horizon fails."""
+    none, so the first step down from the horizon fails. It reads only the
+    nodes: with the rates tripled from a breakpoint strictly inside the
+    step where the values overflow, the sub-step down to the breakpoint
+    overflows first, and the message still names the node below it."""
     square = MarkovDriver(lambda t, i, y, z: 50.0 * y * y, lipschitz_y=1.0)
     steep = MarkovDriver(affine=AffineForm(alpha=1e200))
-    for driver, node, scheme in ((square, "0.85", "explicit_rk4"),
-                                 (steep, "0.95", "explicit_rk4"),
-                                 (square, "0.95", "implicit_euler")):
+    for driver, node, scheme, breakpoint in ((square, "0.85", "explicit_rk4", None),
+                                             (steep, "0.95", "explicit_rk4", None),
+                                             (square, "0.95", "implicit_euler", None),
+                                             (square, "0.85", "explicit_rk4", 0.87),
+                                             (square, "0.95", "implicit_euler", 0.97)):
+        chain = two_state_chain if breakpoint is None else build_chain_spec(
+            2, [(0.0, SYM), (breakpoint, 3.0 * SYM)], 0, 1.0)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"t={node}$"):
-            solve_bsde(two_state_chain, driver, np.full(2, 5.0), 20, scheme=scheme)
+            solve_bsde(chain, driver, np.full(2, 5.0), 20, scheme=scheme)
 
 
 def test_pathwise_residual_small_and_decaying(two_state_chain):

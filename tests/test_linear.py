@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         penalization_limit, solve_bsde, solve_reflected)
-from markovbsde.bsde import (AffineForm, _callback_step, _implicit_levels, _implicit_maps,
+from markovbsde.bsde import (AffineForm, _callback_step, _implicit_maps, _levels,
                             _linear_pieces, _scalar_implicit, zero_driver)
 from markovbsde.chain import (_POLICIES, _steady, affine_rk4, check_contraction,
-                              pseudoinverse, rate_bound_m, solve_floored, sweep)
+                              pseudoinverse, rate_bound_m, solve_floored, substeps, sweep)
 from markovbsde.config import load_config
 from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
@@ -208,7 +208,8 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
         level = float(rng.uniform(1.0, 1e4))
         driver = ref.penalized_driver(driver, obstacle, level)
     y = rng.normal(size=n)
-    got = _implicit_levels(spec, form, uniform_grid(h, 1), obstacle)(level, y)[0][0]
+    got = _levels(spec, MarkovDriver(affine=form), "implicit_euler", uniform_grid(h, 1),
+                  obstacle)(level, y)[0][0]
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -259,7 +260,8 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
             else Obstacle(values=values)
         penalty = float(rng.integers(4, 2 ** 20))
     top = rng.uniform(0.5, 1.5, n)
-    got = _implicit_levels(market.chain, form, grid, g)(penalty, top)[0]
+    got = _levels(market.chain, MarkovDriver(affine=form), "implicit_euler", grid, g)(
+        penalty, top)[0]
     want = ref.bsde_loop(ref.linear_implicit(market.chain, form, grid, g, penalty), top, grid)
     assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
@@ -330,10 +332,11 @@ def penalty_obstacle(rng, n):
        penalized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme,
                                                          penalized, seed):
-    """The callback RK4 and implicit Euler steps on ``chain.substeps``
-    equal the steps that cut and look up each sub-step as they go, bit
-    for bit, with chain breakpoints on nodes, inside steps, two in one step
-    and in the last step, and C and D breakpoints of the driver's own."""
+    """The callback RK4 and implicit Euler steps of ``chain.substeps``'
+    table, one ``chain.sweep`` call each, equal at every node the steps
+    that cut and look up each sub-step as they go, bit for bit, with chain
+    breakpoints on nodes, inside steps, two in one step and in the last
+    step, and C and D breakpoints of the driver's own."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -342,14 +345,14 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     obstacle, level = None, 0.0
     if penalized:
         obstacle, level = penalty_obstacle(rng, n), float(rng.integers(1, 50))
-    tabled = _callback_step(market.chain, driver, scheme, grid, obstacle, level)
+    times, first = substeps(market.chain.breakpoints(), grid)
+    tabled = _callback_step(market.chain, driver, scheme, times, obstacle, level)
     if penalized:
         driver = ref.penalized_driver(driver, obstacle, level)
     looped = ref.callback_step(market.chain, driver, scheme, grid)
-    y = z = rng.uniform(0.5, 1.5, n)
-    for k in range(steps - 1, -1, -1):
-        y, z = tabled(k, y), looped(k, z)
-        assert np.array_equal(y, z), k
+    top = rng.uniform(0.5, 1.5, n)
+    got = sweep(tabled, top, times, first, "blow-up")[first]
+    assert np.array_equal(got, ref.bsde_loop(looped, top, grid))
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,8 +398,9 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, se
     reference step of each driver and scheme (a penalized one solved by
     ``bsde._levels``, as ``solve_penalized`` is): bit for bit where a
     callback is swept by ``chain.sweep``, to the ``rounding_bound`` where an
-    affine form is solved on its maps. A sweep with a floor equals the
-    reflected loop, values and pushes, bit for bit."""
+    affine form is solved on its maps. The reflected sweep of a callback
+    driver equals the reflected loop of its explicit Euler predictor,
+    values and pushes, bit for bit."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -424,10 +428,12 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, se
         assert np.abs(got - want).max() <= rounding_bound(steps, want)
     else:
         assert np.array_equal(got, want)
-    floor = rng.uniform(0.5, 1.5, (steps + 1, n))
-    got = sweep(step, terminal, grid, "blow-up", floor=floor)
-    want = ref.reflected_loop(step, terminal, floor, grid)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    callback, obstacle = pricing_callback(market), penalty_obstacle(rng, n)
+    top = np.maximum(terminal, obstacle.terminal(1.0, n))
+    sol = solve_reflected(chain, callback, top, obstacle, steps)
+    values, pushes = ref.reflected_loop(ref.callback_euler(chain, callback, grid), top,
+                                        sol.g, grid)
+    assert np.array_equal(sol.values, values) and np.array_equal(sol.step_pushes, pushes)
 
 
 def test_closed_form_implicit_step_rejects_non_positive_denominator():
@@ -556,8 +562,8 @@ def test_replace_reads_f_and_g_off_the_new_form():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
     """The affine solves on ``chain.scan`` and the floored ones by policy
-    iteration equal the loops of ``step_reference`` and ``chain.sweep`` with
-    a floor to the ``rounding_bound``, with N = 1..6, absorbing states and
+    iteration equal the loops of ``step_reference`` to the
+    ``rounding_bound``, with N = 1..6, absorbing states and
     chain breakpoints on nodes, inside steps, two in one step and in the
     last step: the BSDE under both schemes, the stock curves, the reflected
     sweep (values and pushes) and a penalty level, with a drift beta that
@@ -586,7 +592,7 @@ def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
     g = obstacle.sample(grid, n)
     top = np.maximum(terminal, g[-1])
     sol = solve_reflected(chain, driver, top, obstacle, steps)
-    values, pushes = sweep(ref.linear_euler(chain, form, grid), top, grid, "blow-up", floor=g)
+    values, pushes = ref.reflected_loop(ref.linear_euler(chain, form, grid), top, g, grid)
     bound = rounding_bound(steps, values)
     assert np.abs(sol.values - values).max() <= bound
     assert np.abs(sol.step_pushes - pushes).max() <= bound
@@ -607,9 +613,9 @@ def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
 
 def test_solves_on_maps_that_are_not_steady_are_the_sweep():
     """On the stiff chain (rates 1e4, 100 steps, discount 0.1 as an affine
-    form) a step map has infinity norm 199: the reflected solve and the
-    implicit Euler BSDE are ``chain.sweep`` on the same maps, values and
-    pushes bit for bit, with no policy iteration."""
+    form) a step map has infinity norm 199: the reflected solve is the
+    reflected loop and the implicit Euler BSDE ``chain.sweep`` on the same
+    maps, values and pushes bit for bit, with no policy iteration."""
     spec = build_chain_spec(2, [[-1e4, 1e4], [1e4, -1e4]], 0, 1.0)
     driver = MarkovDriver(lipschitz_y=0.1, affine=AffineForm(alpha=-0.1))
     top = np.array([1.0, 0.0])
@@ -619,12 +625,13 @@ def test_solves_on_maps_that_are_not_steady_are_the_sweep():
     maps = _reflected_maps(spec, driver.affine, grid, sol.g)
     assert solve_floored(maps, top, grid, each, "blow-up")[3] == 0
     p, c = np.ascontiguousarray(maps(each)[0, ..., :2]), maps(each)[0, ..., 2].copy()
-    values, pushes = sweep(lambda k, v: p[k] @ v + c[k], top, grid, "blow-up", floor=sol.g)
+    values, pushes = ref.reflected_loop(lambda k, v: p[k] @ v + c[k], top, sol.g, grid)
     assert np.array_equal(sol.values, values) and np.array_equal(sol.step_pushes, pushes)
     times, first, plain = _implicit_maps(spec, driver.affine, grid, None)
     p, c = np.ascontiguousarray(plain(each)[..., :2]), plain(each)[..., 2].copy()
     values = solve_bsde(spec, driver, top, 100, scheme="implicit_euler").values
-    assert np.array_equal(values, sweep(lambda k, v: p[k] @ v + c[k], top, grid, "blow-up"))
+    assert np.array_equal(values, sweep(lambda k, v: p[k] @ v + c[k], top, grid, each,
+                                        "blow-up"))
 
 
 @pytest.mark.parametrize("name", ["market_put", "market_regime", "market_pieces"])

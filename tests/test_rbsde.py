@@ -4,7 +4,7 @@ Skorokhod flatness condition."""
 import numpy as np
 import pytest
 
-from markovbsde import (MarkovDriver, Obstacle, constant_obstacle,
+from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, constant_obstacle,
                         discount_driver, optimal_stop_time,
                         penalization_limit, simulate_path, skorokhod_integral,
                         snell_oracle, solve_bsde, solve_reflected,
@@ -17,6 +17,8 @@ from markovbsde.errors import (NoConvergenceError, NonFiniteError,
 
 from conftest import random_chain
 from csv_reference import read_rows
+
+SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
 def decreasing_obstacle(horizon):
@@ -171,10 +173,13 @@ def test_reflected_on_random_chains_dominates_obstacle():
 
 def test_reflected_sweep_names_the_first_node_that_blows_up(two_state_chain):
     """A sweep that overflows raises at the first non-finite node down from
-    the horizon, for a callback and an affine driver alike."""
+    the horizon, for a callback and an affine driver alike, and names a
+    node where a breakpoint falls strictly inside the step that overflows."""
     square = MarkovDriver(lambda t, i, y, z: 50.0 * y * y, lipschitz_y=1.0)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.55$"):
-        solve_reflected(two_state_chain, square, np.full(2, 5.0), constant_obstacle(0.0), 20)
+    cut = build_chain_spec(2, [(0.0, SYM), (0.57, 3.0 * SYM)], 0, 1.0)
+    for chain in (two_state_chain, cut):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.55$"):
+            solve_reflected(chain, square, np.full(2, 5.0), constant_obstacle(0.0), 20)
     # the predictor multiplies by about 1 + 5e198 per step: inf two nodes down
     steep = MarkovDriver(affine=AffineForm(alpha=1e200))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.9$"):
