@@ -1,20 +1,22 @@
 """Step-at-a-time references for the backward steppers.
 
 These are the steppers the package ran before every backward recursion
-shared ``chain.substeps``, ``chain.affine_rk4`` and ``chain.sweep``: each
-step is cut at the breakpoints strictly inside it (``split_down``) and
-each sub-step looks up its piece as it goes. ``rk4_down`` with a field is
-the callback RK4 step, ``implicit_step`` the callback implicit Euler
-step, ``rk4_maps`` the RK4 step matrices of a linear equation, and
-``linear_implicit`` the closed-form implicit Euler sweep before it tabled
-its sub-steps, ``linear_euler`` the affine predictor of the reflected
-sweep; ``penalized_driver`` is the penalized equation's driver as one
-callback. ``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are
-the hand-written backward loops of ``solve_bsde``, ``_reflected_sweep``
-and ``stock_curves``. The package's callback steppers do the same
-arithmetic in the same order and must reproduce these bit for bit; its
-affine solves run on ``chain.scan`` and agree with them to rounding.
-"""
+shared ``chain.substeps``, ``chain.affine_rk4`` and the one walk
+``chain.sweep``, which calls a step once per sub-step of the table: here
+each grid step is cut at the breakpoints strictly inside it
+(``split_down``) and each sub-step looks up its piece as it goes.
+``rk4_down`` with a field is the callback RK4 step, ``implicit_step`` the
+callback implicit Euler step, ``rk4_maps`` the RK4 step matrices of a
+linear equation, and ``linear_implicit`` the closed-form implicit Euler
+sweep before it tabled its sub-steps; ``linear_euler`` and
+``callback_euler`` are the reflected sweep's predictors of an affine and
+a callback driver, and ``penalized_driver`` is the penalized equation's
+driver as one callback. ``bsde_loop``, ``reflected_loop`` and
+``stock_loop`` are the hand-written backward loops of ``solve_bsde``,
+``_reflected_sweep`` and ``stock_curves``, one grid step at a time. The
+package's callback steppers do the same arithmetic in the same order and
+must reproduce these bit for bit; its affine solves run on ``chain.scan``
+and agree with them to rounding."""
 
 import numpy as np
 
