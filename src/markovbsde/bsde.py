@@ -235,8 +235,10 @@ def _levels(spec, driver, scheme, grid, obstacle=None):
         return lambda n, top, start=None: (
             solve_affine(maps, top, grid, first, _BLOW_UP), None)
     times, first = substeps(spec.breakpoints(), grid)
+    # g of each (t, i) a step asks for, called once for every level
+    g = None if obstacle is None else functools.cache(obstacle.g)
     return lambda n, top, start=None: (
-        sweep(_callback_step(spec, driver, scheme, times, obstacle, n), top, times, first,
+        sweep(_callback_step(spec, driver, scheme, times, g, n), top, times, first,
               _BLOW_UP)[first], None)
 
 
@@ -284,20 +286,20 @@ def _implicit_maps(spec, form, grid, obstacle):
     return times, first, maps
 
 
-def _callback_step(spec, driver, scheme, times, obstacle, n):
+def _callback_step(spec, driver, scheme, times, g, n):
     """step(s, y) down the table step s of ``chain.substeps`` at the chain
     breakpoints, from times[s + 1] to times[s], of f = ``driver.evaluate``
-    plus n (g - y)^+, g = ``obstacle.g``, if given: under its piece's
+    plus n (g - y)^+ for an obstacle's g(t, i), if given: under its piece's
     generator, one RK4 step of the reduced ODE or one implicit Euler step,
     each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
     gens = spec.gens[pieces_at(spec.starts, times[:-1])]
     lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
-    evaluate, g = driver.evaluate, getattr(obstacle, "g", None)
+    evaluate = driver.evaluate
 
     def penalized(t, i, y, z):
         return evaluate(t, i, y, z) + n * max(g(t, i) - y, 0.0)
 
-    f = evaluate if obstacle is None else penalized
+    f = evaluate if g is None else penalized
 
     def rk4(s, y):
         return rk4_down(lambda t, y: _rhs(gens[s], f, t, y), times[s + 1], times[s], y)

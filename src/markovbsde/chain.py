@@ -407,6 +407,18 @@ def counts_at(rows, values, n_rows, times):
     return np.cumsum(hist.reshape(n_rows, width), axis=1)[:, :-1]
 
 
+def runs(times, t0, first):
+    """(lo, hi): segment j holds the sorted ``times`` [lo[j], hi[j]),
+    right-continuously, for segments given path by path in time order,
+    segment j from t0[j]. Path p's segments are first[p] .. first[p + 1] - 1;
+    its first also holds the times before it, its last every time after it."""
+    lo = np.searchsorted(times, t0)
+    lo[first[:-1]] = 0
+    hi = np.concatenate([lo[1:], lo[:1]])  # the next segment's lo
+    hi[first[1:] - 1] = times.size
+    return lo, hi
+
+
 def path_sums(n_paths, rows, terms, op=np.add):
     """Running sums 0.0, 0.0 + t_1, (0.0 + t_1) + t_2, ... of each path's
     ``terms`` (numbers, or rows added entry by entry) in their given order,
@@ -497,18 +509,16 @@ class PathBatch:
 
     def states_at(self, times):
         """(paths, len(times)) states occupied at the sorted ``times``
-        (right-continuous): each state repeated for the times from its
-        jump, or the path's start, to the path's next jump."""
+        (right-continuous): each state repeated over the times it holds
+        (``runs``), from its jump, or the path's start, to the next jump."""
         times = np.asarray(times, dtype=float)
-        paths = np.arange(self.n_paths)
-        first = self.offsets[:-1] + paths  # each path's start in ``states``
-        start = np.zeros(self.states.size, dtype=np.intp)
+        first = self.offsets + np.arange(self.n_paths + 1)  # each path's first state, and the end
+        t0 = np.zeros(self.states.size)
         jumped = np.ones(self.states.size, dtype=bool)
-        jumped[first] = False
-        start[jumped] = np.searchsorted(times, self.jump_times)
-        end = np.roll(start, -1)
-        end[self.offsets[1:] + paths] = times.size  # each path's last state
-        return np.repeat(self.states, end - start).reshape(self.n_paths, times.size)
+        jumped[first[:-1]] = False
+        np.place(t0, jumped, self.jump_times)
+        lo, hi = runs(times, t0, first)
+        return np.repeat(self.states, hi - lo).reshape(self.n_paths, times.size)
 
     def stretches(self, starts, grid=()):
         """Stretches of constant state and constant schedule piece of every

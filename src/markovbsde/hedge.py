@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AffineForm, MarkovDriver, _contraction
-from .chain import (check_contraction, dots, gate, path_chunks, pieces_at, rate_bound_m,
+from .chain import (check_contraction, dots, gate, path_chunks, pieces_at, rate_bound_m, runs,
                     substeps)
 from .errors import DimensionMismatchError, SingularPhiError
 from .market import sdf_stretches
@@ -187,16 +187,13 @@ def _stopped_values(market, batch, grid, tables):
     payoff at every node. ``tables`` holds the check's (nodes, states)
     tables v, g, the discounted driver h, the next touching node and where
     v < g (None where it is nowhere). pi is evaluated only at the (stretch,
-    node) cells a path visits up to its stop, with ``sdf_path``'s bits, and
-    at the visited cells where v < g."""
+    node) cells a path visits up to its stop, each stretch's nodes those it
+    holds (``chain.runs``), and at the visited cells where v < g."""
     v, g, h, nxt, below = tables
     last = grid.size - 1
-    path, t0, t1, state, slope, start, total, first = sdf_stretches(market, batch)
+    path, t0, _, state, slope, start, total, first = sdf_stretches(market, batch)
     final = batch.states[batch.offsets[1:] + np.arange(batch.n_paths)]  # each state at T
-    # each stretch holds the nodes [lo, hi); a path's last one also node K
-    lo, hi = np.searchsorted(grid, t0), np.searchsorted(grid, t1)
-    tail = np.append(first[1:], path.size) - 1
-    hi[tail] = grid.size
+    lo, hi = runs(grid, t0, first)
 
     def cells(counts):
         """The first counts[j] nodes of each stretch j, as flat cells in
@@ -208,7 +205,7 @@ def _stopped_values(market, batch, grid, tables):
         log_pi = np.repeat(slope, counts) * (grid[node] - np.repeat(t0, counts))
         log_pi += np.repeat(start, counts)
         s = np.repeat(state, counts)
-        ends = ends[tail] - 1
+        ends = ends[first[1:] - 1] - 1
         at_k = node[ends] == last
         s[ends[at_k]] = final[at_k]
         log_pi[ends[at_k]] = total[at_k]
@@ -224,7 +221,7 @@ def _stopped_values(market, batch, grid, tables):
         dominates = not np.any(pi * v[node, s] < pi * g[node, s] - 1e-9)
     # the first touch over a path's stretches, or node K
     at = nxt[lo, state]
-    stop = np.minimum.reduceat(np.where(at < hi, at, last), first)
+    stop = np.minimum.reduceat(np.where(at < hi, at, last), first[:-1])
     node, s, log_pi, ends = cells(np.maximum(np.minimum(hi, stop[path] + 1) - lo, 0))
     pi = np.exp(log_pi, out=log_pi)
     x = pi * h[node, s]

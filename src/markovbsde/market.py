@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (ChainSpec, affine_rk4, counts_at, dots, freeze_schedule, path_sums,
-                    pieces_at, solve_affine, sums_at)
+from .chain import (ChainSpec, affine_rk4, dots, freeze_schedule, path_sums, pieces_at, runs,
+                    solve_affine, sums_at)
 from .errors import (BadScheduleError, NonPositivePricesError,
                      RateBoundViolatedError, UnstableGammaError)
 from .grids import interp, uniform_grid
@@ -154,8 +154,8 @@ def sdf_stretches(market, paths):
     (path, t0, t1, state, slope, start, total, first), where path, t0, t1
     and state are those of ``PathBatch.stretches`` on the market's
     pieces, log pi is start + slope (t - t0) on [t0, t1), total is
-    each path's log pi at the horizon and first the index of its first
-    stretch.
+    each path's log pi at the horizon and path p's stretches are
+    first[p] .. first[p + 1] - 1.
 
     The dX integral of the exponent is a pure-jump Stieltjes sum, so log pi
     is minus the D-drift integral plus the exact jump log-factors
@@ -168,28 +168,25 @@ def sdf_stretches(market, paths):
     steps = np.column_stack([slopes * (t1 - t0), _log_jumps(market, t1, state, to)])
     # log pi at 0 and after each stretch (even columns), then the total
     sums = path_sums(n, np.repeat(path, 2), steps.ravel())
-    count = np.bincount(path, minlength=n)
-    first = np.cumsum(count) - count
+    first = np.searchsorted(path, np.arange(n + 1))
     start = sums[path, 2 * (np.arange(path.size) - first[path])]
     return path, t0, t1, state, slopes, start, sums[:, -1], first
 
 
 def sdf_path(market, paths, grid):
     """Discount factor along each path of the batch at the sorted times of
-    ``grid``, closed form, as a (paths, len(grid)) array: exp of the log
-    of ``sdf_stretches`` in the stretch in force at each time, and of the
-    path's total at the horizon. Starts at 1.
+    ``grid``, closed form, as a (paths, len(grid)) array starting at 1: exp
+    of slope (t - t0) + start of ``sdf_stretches`` at the times each stretch
+    holds (``chain.runs``), and of the path's total from the horizon on.
     """
-    n = paths.n_paths
-    path, t0, t1, _, slopes, start, total, first = sdf_stretches(market, paths)
-    count = np.diff(first, append=path.size)
-    # the stretch in force at each grid time, clamped to the path's last
-    k = counts_at(path, t1, n, grid)
-    at_end = k >= count[:, None]
-    k += first[:, None]
-    np.minimum(k, (first + count - 1)[:, None], out=k)
-    log_pi = start[k] + slopes[k] * (grid - t0[k])
-    np.copyto(log_pi, total[:, None], where=at_end)
+    _, t0, _, _, slopes, start, total, first = sdf_stretches(market, paths)
+    lo, hi = runs(grid, t0, first)
+
+    def held(a):  # each stretch's a at the times it holds, path by path
+        return np.repeat(a, hi - lo).reshape(paths.n_paths, grid.size)
+
+    log_pi = (grid - held(t0)) * held(slopes) + held(start)
+    np.copyto(log_pi, total[:, None], where=grid >= paths.horizon)
     return np.exp(log_pi, out=log_pi)
 
 

@@ -90,9 +90,14 @@ class RbsdeSolution(StateGridFunction):
 
 def _sampled(spec, terminal, obstacle, steps):
     """(terminal, grid, g) of a reflected solve: the terminal and grid after
-    the checks of ``bsde._inputs``, and the obstacle sampled on the grid."""
+    the checks of ``bsde._inputs``, and the obstacle sampled on the grid,
+    which must not exceed the terminal at the horizon."""
     terminal, grid = _inputs(spec, terminal, steps)
-    return terminal, grid, obstacle.sample(grid, spec.n_states)
+    g = obstacle.sample(grid, spec.n_states)
+    if np.any(g[-1] > terminal + 1e-9):
+        raise ObstacleIncompatibleError(
+            "obstacle exceeds the terminal condition at the horizon")
+    return terminal, grid, g
 
 
 def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
@@ -165,9 +170,6 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     increment, accumulated so k(0) = 0 and k is nondecreasing.
     """
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    if np.any(obstacle_vals[-1] > terminal + 1e-9):
-        raise ObstacleIncompatibleError(
-            "obstacle exceeds the terminal condition at the horizon")
     vals, pushes = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
     return _assemble(grid, vals, pushes, obstacle_vals)
 

@@ -90,6 +90,14 @@ def test_batched_functionals_equal_the_path_loops(seed):
     sol = SimpleNamespace(grid=grid, values=rng.normal(size=(grid.size, spec.n_states)))
     assert np.array_equal(_discounted_h_matrix(market, sol),
                           ref.discounted_h_matrix(market, sol))
+    # times that no linspace grid has: sorted draws in [0, T] with ties,
+    # every jump time of the edge paths, and T
+    draws = rng.uniform(0.0, 1.0, int(rng.integers(0, 30)))
+    jumps = [t for times, _ in edge_paths(market, grid) for t in times]
+    odd = np.sort(np.concatenate([draws, draws[:3], jumps, [1.0]]))
+    assert np.array_equal(sdf_path(market, batch, odd),
+                          np.array([ref.sdf_path(market, *p, odd) for p in paths]))
+    assert np.array_equal(batch.states_at(odd), np.array([ref.states_at(*p, odd) for p in paths]))
 
 
 CUT_DTYPES = [np.intp, float, float, np.intp, np.intp, np.intp]

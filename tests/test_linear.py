@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
-                        penalization_limit, solve_bsde, solve_reflected)
+                        chain, penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import (AffineForm, _callback_step, _implicit_maps, _levels,
                             _linear_pieces, _scalar_implicit, zero_driver)
 from markovbsde.chain import (_POLICIES, _steady, affine_rk4, check_contraction,
@@ -290,6 +290,7 @@ def test_penalization_levels_on_one_table_equal_a_solve_per_level(n, steps, kind
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
     driver, terminal = make_hedge_driver(market), rng.uniform(0.8, 1.2, n)
     obstacle = penalty_obstacle(rng, n)
+    terminal = np.maximum(terminal, obstacle.terminal(1.0, n))  # g(T) at most the terminal
     got = penalization_limit(market.chain, driver, terminal, obstacle, steps, 1e-3)
     prev = None
     for level, dist in [(got.penalization_trace[0][0] // 2, None), *got.penalization_trace]:
@@ -307,6 +308,7 @@ def test_penalization_limit_checks_contraction_once(monkeypatch):
     contraction warning is issued once."""
     rng = np.random.default_rng(3)
     market, _ = random_market(rng, 3, [0.0, 0.4], [0.0], [0.0])
+    obstacle = penalty_obstacle(rng, 3)
     calls = []
 
     def counted(*args):
@@ -315,8 +317,8 @@ def test_penalization_limit_checks_contraction_once(monkeypatch):
 
     monkeypatch.setattr(bsde, "check_contraction", counted)
     with pytest.warns(RuntimeWarning, match="contraction fails") as caught:
-        got = penalization_limit(market.chain, make_hedge_driver(market), np.full(3, 0.5),
-                                 penalty_obstacle(rng, 3), 40, 1e-3)
+        got = penalization_limit(market.chain, make_hedge_driver(market),
+                                 obstacle.terminal(1.0, 3), obstacle, 40, 1e-3)
     assert len(got.penalization_trace) > 1 and len(calls) == 1 and len(caught) == 1
 
 
@@ -346,7 +348,8 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     if penalized:
         obstacle, level = penalty_obstacle(rng, n), float(rng.integers(1, 50))
     times, first = substeps(market.chain.breakpoints(), grid)
-    tabled = _callback_step(market.chain, driver, scheme, times, obstacle, level)
+    tabled = _callback_step(market.chain, driver, scheme, times, getattr(obstacle, "g", None),
+                            level)
     if penalized:
         driver = ref.penalized_driver(driver, obstacle, level)
     looped = ref.callback_step(market.chain, driver, scheme, grid)
@@ -632,6 +635,39 @@ def test_solves_on_maps_that_are_not_steady_are_the_sweep():
     values = solve_bsde(spec, driver, top, 100, scheme="implicit_euler").values
     assert np.array_equal(values, sweep(lambda k, v: p[k] @ v + c[k], top, grid, each,
                                         "blow-up"))
+
+
+def test_policy_solve_past_the_cap_is_the_sweep(monkeypatch):
+    """Past ``chain._POLICIES`` policies the floored solve is the sweep on
+    the same maps, with 0 policies: capped at 1, the American price of
+    market_pieces' put at K = 250, which takes 2, is the reflected loop,
+    values and pushes bit for bit."""
+    cfg = load_config(PIECES)
+    steps, n = 250, cfg.chain.n_states
+    grid, each = uniform_grid(cfg.chain.horizon, steps), np.arange(steps + 1)
+    g = cfg.build_payoff(stock_curves(cfg.market, steps)).sample(grid, n)
+    maps = _reflected_maps(cfg.chain, make_hedge_driver(cfg.market).affine, grid, g)
+    assert solve_floored(maps, g[-1], grid, each, "blow-up")[3] == 2
+    monkeypatch.setattr(chain, "_POLICIES", 1)
+    values, preds, _, policies = solve_floored(maps, g[-1], grid, each, "blow-up")
+    p, c = np.ascontiguousarray(maps(each)[0, ..., :n]), maps(each)[0, ..., n].copy()
+    want, pushes = ref.reflected_loop(lambda k, v: p[k] @ v + c[k], g[-1], g, grid)
+    assert policies == 0
+    assert np.array_equal(values, want) and np.array_equal(values[:-1] - preds, pushes)
+
+
+def test_implicit_step_bisects_where_newton_has_no_slope():
+    """f = min(y, c) / h is flat at the start of ``_scalar_implicit``'s
+    Newton iteration, 2 b < c, so the implicit step brackets and bisects
+    for the root b + c: with no generator, b is the top value. The same
+    with a penalty n (g - y)^+ under g = 0.5 < b, whose n the first
+    bracket's size reads."""
+    h, c, top = 0.25, 5.0, np.array([1.0, 2.0])
+    spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
+    driver = MarkovDriver(lambda t, i, y, z: min(y, c) / h, lipschitz_y=1.0 / h)
+    for g, n in ((None, 0.0), (lambda t, i: 0.5, 10.0)):
+        step = _callback_step(spec, driver, "implicit_euler", np.array([0.0, h]), g, n)
+        assert np.abs(step(0, top) - (top + c)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["market_put", "market_regime", "market_pieces"])

@@ -78,9 +78,12 @@ def test_obstacle_values_of_the_wrong_shape_raise(two_state_chain):
 
 
 def test_terminal_incompatible_obstacle_raises(two_state_chain):
-    with pytest.raises(ObstacleIncompatibleError):
-        solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
-                        constant_obstacle(1.0), 100)
+    # every reflected entry point: none solves under an obstacle above the
+    # terminal at the horizon
+    for solve in (solve_reflected, snell_oracle,
+                  lambda *args: penalization_limit(*args, tol=1e-3)):
+        with pytest.raises(ObstacleIncompatibleError):
+            solve(two_state_chain, zero_driver(), np.zeros(2), constant_obstacle(2.0), 100)
 
 
 def test_penalized_solutions_increase_in_n(two_state_chain):
@@ -174,7 +177,9 @@ def test_reflected_on_random_chains_dominates_obstacle():
 def test_reflected_sweep_names_the_first_node_that_blows_up(two_state_chain):
     """A sweep that overflows raises at the first non-finite node down from
     the horizon, for a callback and an affine driver alike, and names a
-    node where a breakpoint falls strictly inside the step that overflows."""
+    node where a breakpoint falls strictly inside the step that overflows.
+    So does the policy solve of steady maps whose values overflow: it hands
+    them to the sweep."""
     square = MarkovDriver(lambda t, i, y, z: 50.0 * y * y, lipschitz_y=1.0)
     cut = build_chain_spec(2, [(0.0, SYM), (0.57, 3.0 * SYM)], 0, 1.0)
     for chain in (two_state_chain, cut):
@@ -184,3 +189,8 @@ def test_reflected_sweep_names_the_first_node_that_blows_up(two_state_chain):
     steep = MarkovDriver(affine=AffineForm(alpha=1e200))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.9$"):
         solve_reflected(two_state_chain, steep, np.ones(2), constant_obstacle(0.0), 20)
+    # each step map has infinity norm 1.95, at most 2, and multiplies by
+    # 1.95: 1.95^1063 overflows at node 37 of 1100
+    doubling = MarkovDriver(affine=AffineForm(alpha=0.95 * 1100))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="t=0.0336364$"):
+        solve_reflected(two_state_chain, doubling, np.ones(2), constant_obstacle(0.0), 1100)
