@@ -191,7 +191,7 @@ def _stopped_values(market, batch, grid, tables):
     holds (``chain.runs``), and at the visited cells where v < g."""
     v, g, h, nxt, below = tables
     last = grid.size - 1
-    path, t0, _, state, slope, start, total, first = sdf_stretches(market, batch)
+    path, t0, state, slope, start, total, first = sdf_stretches(market, batch)
     final = batch.states[batch.offsets[1:] + np.arange(batch.n_paths)]  # each state at T
     lo, hi = runs(grid, t0, first)
 

@@ -151,10 +151,10 @@ def _log_jumps(market, t1, state, to):
 
 def sdf_stretches(market, paths):
     """The stretches of each path of the batch with log pi along them:
-    (path, t0, t1, state, slope, start, total, first), where path, t0, t1
-    and state are those of ``PathBatch.stretches`` on the market's
-    pieces, log pi is start + slope (t - t0) on [t0, t1), total is
-    each path's log pi at the horizon and path p's stretches are
+    (path, t0, state, slope, start, total, first), where path, t0 and
+    state are those of ``PathBatch.stretches`` on the market's pieces,
+    log pi is start + slope (t - t0) on the stretch, total is each
+    path's log pi at the horizon and path p's stretches are
     first[p] .. first[p + 1] - 1.
 
     The dX integral of the exponent is a pure-jump Stieltjes sum, so log pi
@@ -170,7 +170,7 @@ def sdf_stretches(market, paths):
     sums = path_sums(n, np.repeat(path, 2), steps.ravel())
     first = np.searchsorted(path, np.arange(n + 1))
     start = sums[path, 2 * (np.arange(path.size) - first[path])]
-    return path, t0, t1, state, slopes, start, sums[:, -1], first
+    return path, t0, state, slopes, start, sums[:, -1], first
 
 
 def sdf_path(market, paths, grid):
@@ -179,7 +179,7 @@ def sdf_path(market, paths, grid):
     of slope (t - t0) + start of ``sdf_stretches`` at the times each stretch
     holds (``chain.runs``), and of the path's total from the horizon on.
     """
-    _, t0, _, _, slopes, start, total, first = sdf_stretches(market, paths)
+    _, t0, _, slopes, start, total, first = sdf_stretches(market, paths)
     lo, hi = runs(grid, t0, first)
 
     def held(a):  # each stretch's a at the times it holds, path by path
