@@ -34,9 +34,11 @@ For each bundled market config with a put payoff, times (best of 3):
   from the repository root in a child process.
 
 Each time is given in seconds and in units of
-``benchmark/run.py``'s ``reference_kernel`` (the median of its runs before
-and after the layers), which cancels part of the CPU's changes of speed.
-The record also holds the machine, the versions and the git revision.
+``benchmark/run.py``'s ``reference_kernel``: the row's time over the mean
+of the kernel's times just before and just after that row (each the best
+of 3 runs, as the row is), as ``benchmark/run.py`` reads each operation,
+which cancels part of the CPU's changes of speed where the row ran. The
+record also holds the machine, the versions and the git revision.
 
     python scripts/bench_layers.py --out BENCH.json [--compare OLD.json]
 
@@ -214,13 +216,17 @@ def best_time(call):
     return min(times)
 
 
-def kernel_time(runs=30):
-    times = []
-    for _ in range(runs):
-        t0 = perf_counter()
-        reference_kernel(np)
-        times.append(perf_counter() - t0)
-    return times
+def kernel_time():
+    """The best of ``REPEATS`` runs of the reference kernel."""
+    return best_time(lambda: reference_kernel(np))
+
+
+def with_kernel(measure_row):
+    """(seconds, kernel): the time ``measure_row()`` returns and the mean
+    of the kernel's times just before and just after it."""
+    before = kernel_time()
+    seconds = measure_row()
+    return seconds, 0.5 * (before + kernel_time())
 
 
 def tier1_time():
@@ -248,8 +254,14 @@ def revision():
 
 def measure():
     warnings.simplefilter("ignore", RuntimeWarning)
-    kernel = kernel_time()
-    times = {}
+    rows = {}
+
+    def record(key, measure_row):
+        seconds, kernel = with_kernel(measure_row)
+        if seconds is not None:
+            rows[key] = {"s": seconds, "ref": seconds / kernel, "kernel_s": kernel}
+            print(f"{seconds:10.6f} s {seconds / kernel:9.3f} ref  {key}", file=sys.stderr)
+
     for name in CONFIGS:
         cfg = load_config(ROOT / "configs" / f"{name}.yaml")
         sizes = [(f"K={steps}", layers, steps) for steps in SIZES]
@@ -258,14 +270,12 @@ def measure():
         sizes += [(f"P={n}", path_layers, n) for n in MC_PATHS]
         sizes += [(f"P={CUT_BATCH}", cut_layers, CUT_BATCH)]
         for size, build, arg in sizes:
+            per = CUT_CALLS if build is cut_layers else 1
             for layer, call in build(cfg, arg):
-                key = f"{name} {size} {layer}"
-                times[key] = best_time(call) / (CUT_CALLS if build is cut_layers else 1)
-                print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
+                record(f"{name} {size} {layer}", lambda: best_time(call) / per)
     fast = build_chain_spec(2, FAST_RATE * np.array([[-1.0, 1.0], [1.0, -1.0]]), 0, 1.0)
-    key = f"two_state rate={FAST_RATE:g} P={MC_PATHS[0]} draw_paths"
-    times[key] = best_time(lambda: draw_paths(fast, 0, MC_PATHS[0]))
-    print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
+    record(f"two_state rate={FAST_RATE:g} P={MC_PATHS[0]} draw_paths",
+           lambda: best_time(lambda: draw_paths(fast, 0, MC_PATHS[0])))
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted((ROOT / "configs").glob("*.yaml")):
             for job, argv in cli_jobs(config, Path(tmp) / config.stem):
@@ -274,14 +284,8 @@ def measure():
                 if code != 0:
                     print(f"  skipped, exit {code}  {key}", file=sys.stderr)
                     continue
-                times[key] = best_time(lambda: run_cli(argv))
-                print(f"{times[key]:10.6f} s  {key}", file=sys.stderr)
-    tier1 = tier1_time()
-    if tier1 is not None:
-        times["tier-1 tests"] = tier1
-        print(f"{tier1:10.6f} s  tier-1 tests", file=sys.stderr)
-    kernel += kernel_time()
-    unit = statistics.median(kernel)
+                record(key, lambda: best_time(lambda: run_cli(argv)))
+    record("tier-1 tests", tier1_time)
     return {
         "machine": {"platform": platform.platform(), "processor": platform.processor(),
                     "cpus": os.cpu_count()},
@@ -289,8 +293,8 @@ def measure():
                      "pyyaml": yaml.__version__},
         "revision": revision(),
         "repeats": REPEATS,
-        "kernel_s": unit,
-        "layers": {key: {"s": t, "ref": t / unit} for key, t in times.items()},
+        "kernel_s": statistics.median(row["kernel_s"] for row in rows.values()),
+        "layers": rows,
     }
 
 

@@ -7,8 +7,10 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
     dy_i/dt = -(A'(t) y(t))_i - f(t, i, y_i(t), y(t)),   y(T) = terminal,
 
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
-``_rhs`` is that right-hand side, for the RK4 stages (``chain.rk4_down``)
-and the reflected predictor of ``rbsde``.
+``_rhs`` is that right-hand side on Python floats, for the RK4 stages of
+``_callback_step`` and the reflected predictor of ``rbsde``; a driver's f
+gets t and y as floats and z as a float64 array, and its value is read
+with ``float()``.
 A driver that carries its ``AffineForm`` makes the system linear on each
 piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then solve it
 on the affine maps of its steps (``chain.scan``, and ``chain.solve_floored``
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (affine_rk4, check_contraction, dots, pieces_at, rk4_down, solve_affine,
-                    solve_floored, substeps, sums_at, sweep)
+from .chain import (affine_rk4, check_contraction, dots, pieces_at, solve_affine, solve_floored,
+                    substeps, sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -105,7 +107,7 @@ def _driver_at(driver, times, states, ys):
     the driver's affine form in one pass, else by one call of ``evaluate``
     a point."""
     if driver.affine is None:
-        return np.array([driver.evaluate(t, i, y[i], y)
+        return np.array([float(driver.evaluate(t, i, y.item(i), y))
                          for t, i, y in zip(times.tolist(), states.tolist(), ys)])
     return _form_at(_form_tables(driver.affine, ys.shape[-1]), times, states,
                     ys[np.arange(states.size), states], ys)
@@ -129,27 +131,35 @@ def discount_driver(rate):
     return MarkovDriver(evaluate=lambda t, i, y, z: -r * y, lipschitz_y=abs(r))
 
 
-def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
-    """Solve v = b + dt * f(t, i, v, zref) for v.
+def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
+    """Solve v = b + dt * (f(t, i, v, z) + n (g - v)^+) for v on Python
+    floats, the penalty only for an obstacle value g.
 
     Newton with a secant slope, bisection fallback. The implicit part is
-    only the local v-dependence; the z argument stays frozen at zref. A
-    non-finite b is returned as it is, and nan where no root is bracketed:
+    only the local v-dependence; the z argument stays frozen. A non-finite
+    b is returned as it is, and nan where no root is bracketed:
     ``chain.sweep`` then names the node.
     """
     if not math.isfinite(b):
         return b
 
-    def phi(v):
-        return v - b - dt * f(t, i, v, zref)
+    if g is None:
+        def fv(v):
+            return float(f(t, i, v, z))
+    else:
+        def fv(v):
+            return float(f(t, i, v, z)) + n * max(g - v, 0.0)
 
-    v = b + dt * f(t, i, b, zref)
-    for _ in range(50):
-        r0 = phi(v)
+    def phi(v):
+        return v - b - dt * fv(v)
+
+    v = b + dt * fv(b)
+    for _ in range(50):  # phi written out: the hot loop of every implicit step
+        r0 = v - b - dt * fv(v)
         if abs(r0) <= 1e-14 * (1.0 + abs(v)):
             return v
         h = 1e-7 * (1.0 + abs(v))
-        slope = (phi(v + h) - r0) / h
+        slope = (v + h - b - dt * fv(v + h) - r0) / h
         if slope <= 1e-12:
             break
         step = r0 / slope
@@ -166,7 +176,7 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
         hi += span
         span *= 2.0
     else:
-        return np.nan
+        return math.nan
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if phi(mid) <= 0:
@@ -178,14 +188,18 @@ def _scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     return 0.5 * (lo + hi)
 
 
-def _rhs(gen, f, t, y):
+def _rhs(gen_t, f, t, ys, n=0.0, gs=None):
     """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
-    the generator ``gen``, for every state i."""
-    at_y = gen.T @ y
-    out = np.empty(y.size)
-    for i in range(y.size):
-        out[i] = -at_y[i] - f(t, i, y[i], y)
-    return out
+    the generator's transpose ``gen_t`` = A' for every state i, f plus the
+    penalty n (g_i - y_i)^+ of the obstacle values ``gs`` at t if given, as
+    a list of Python floats: y is the list ``ys``, read into one float64
+    array for A'y and z."""
+    z = np.array(ys)
+    at_y = gen_t.dot(z).tolist()
+    if gs is None:
+        return [-a - float(f(t, i, y, z)) for i, (a, y) in enumerate(zip(at_y, ys))]
+    return [-a - (float(f(t, i, y, z)) + n * max(g - y, 0.0))
+            for i, (a, y, g) in enumerate(zip(at_y, ys, gs))]
 
 
 def _linear_pieces(spec, form):
@@ -290,25 +304,40 @@ def _callback_step(spec, driver, scheme, times, g, n):
     """step(s, y) down the table step s of ``chain.substeps`` at the chain
     breakpoints, from times[s + 1] to times[s], of f = ``driver.evaluate``
     plus n (g - y)^+ for an obstacle's g(t, i), if given: under its piece's
-    generator, one RK4 step of the reduced ODE or one implicit Euler step,
-    each state by ``_scalar_implicit`` with A'y and z frozen at the top."""
-    gens = spec.gens[pieces_at(spec.starts, times[:-1])]
+    generator, one RK4 step of ``_rhs`` or one implicit Euler step, each
+    state by ``_scalar_implicit`` with A'y and z frozen at the top. Each
+    step runs on Python floats, with g read once a state at each time it
+    asks for, and returns its values as a list."""
+    gens_t = list(spec.gens[pieces_at(spec.starts, times[:-1])].transpose(0, 2, 1))
     lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
-    evaluate = driver.evaluate
+    f = driver.evaluate
+    at = times.tolist()
+    states = range(spec.n_states)
 
-    def penalized(t, i, y, z):
-        return evaluate(t, i, y, z) + n * max(g(t, i) - y, 0.0)
+    def obstacle(t):
+        return None if g is None else [float(g(t, i)) for i in states]
 
-    f = evaluate if g is None else penalized
+    def rhs(s, t, ys):
+        return _rhs(gens_t[s], f, t, ys, n, obstacle(t))
 
     def rk4(s, y):
-        return rk4_down(lambda t, y: _rhs(gens[s], f, t, y), times[s + 1], times[s], y)
+        t_hi, t_lo = at[s + 1], at[s]
+        h = t_hi - t_lo
+        half = 0.5 * h
+        ys = y.tolist()
+        k1 = rhs(s, t_hi, ys)
+        k2 = rhs(s, t_hi - half, [v - half * k for v, k in zip(ys, k1)])
+        k3 = rhs(s, t_hi - half, [v - half * k for v, k in zip(ys, k2)])
+        k4 = rhs(s, t_lo, [v - h * k for v, k in zip(ys, k3)])
+        c = h / 6.0  # chain.rk4_down's order, term by term, and so its bits
+        return [v - c * (a + 2.0 * b + 2.0 * d + e) for v, a, b, d, e in zip(ys, k1, k2, k3, k4)]
 
     def implicit(s, y):
-        h = times[s + 1] - times[s]
-        b = y + h * (gens[s].T @ y)
-        return np.array([_scalar_implicit(f, times[s], i, b[i], h, y, lip)
-                         for i in range(y.size)])
+        t = at[s]
+        h = at[s + 1] - t
+        b = [v + h * a for v, a in zip(y.tolist(), gens_t[s].dot(y).tolist())]
+        return [_scalar_implicit(f, t, i, b_i, h, y, lip, n, g_i)
+                for i, (b_i, g_i) in enumerate(zip(b, obstacle(t) or [None] * len(b)))]
 
     return rk4 if scheme == "explicit_rk4" else implicit
 
@@ -431,20 +460,21 @@ def comparison_check(spec, driver1, terminal1, driver2, terminal2, steps,
     give y1 <= y2 everywhere (up to 1e-9).
 
     The driver ordering is spot-checked on 64 random (t, state, y, z)
-    quadruples; driver1 must satisfy the contraction condition, checked by
-    its ``solve_bsde`` under ``strict_contraction``.
+    quadruples, drawn as four vectors; driver1 must satisfy the
+    contraction condition, checked by its ``solve_bsde`` under
+    ``strict_contraction``.
     """
     t1 = np.asarray(terminal1, dtype=float)
     t2 = np.asarray(terminal2, dtype=float)
     if np.any(t1 > t2 + 1e-12):
         raise PreconditionUnmetError("terminal conditions are not ordered")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(64):
-        t = rng.uniform(0.0, spec.horizon)
-        i = int(rng.integers(spec.n_states))
-        y = rng.normal(scale=2.0)
-        z = rng.normal(scale=2.0, size=spec.n_states)
-        if driver1.evaluate(t, i, y, z) > driver2.evaluate(t, i, y, z) + 1e-12:
+    spots = zip(rng.uniform(0.0, spec.horizon, 64).tolist(),
+                rng.integers(spec.n_states, size=64).tolist(),
+                rng.normal(scale=2.0, size=64).tolist(),
+                rng.normal(scale=2.0, size=(64, spec.n_states)))
+    for t, i, y, z in spots:
+        if float(driver1.evaluate(t, i, y, z)) > float(driver2.evaluate(t, i, y, z)) + 1e-12:
             raise PreconditionUnmetError(
                 f"driver ordering fails at t={t:.4g}, state={i}")
     sol1 = solve_bsde(spec, driver1, t1, steps, strict_contraction=True)

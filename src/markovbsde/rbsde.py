@@ -59,9 +59,14 @@ class Obstacle:
 
 
 def _values_g(values):
-    """g(t, i) read off the array form ``values``, one time at a time."""
+    """g(t, i) read off the array form ``values``, one time at a time: the
+    row of the last time read is kept for the next call at that time."""
+    last = [None, None]
+
     def g(t, i):
-        return values(np.array([t]))[0, i]
+        if t != last[0]:
+            last[:] = t, values(np.array([t]))[0]
+        return last[1][i]
 
     g.values = values
     return g
@@ -115,12 +120,15 @@ def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
     form = driver.affine
     each = np.arange(grid.size)
     if form is None:
-        dt = grid[1] - grid[0]
-        gens = spec.gens[pieces_at(spec.starts, grid[:-1])]
+        dt = float(grid[1] - grid[0])
+        at = grid.tolist()
+        gens_t = list(spec.gens[pieces_at(spec.starts, grid[:-1])].transpose(0, 2, 1))
         preds = np.empty((grid.size - 1, spec.n_states))
 
         def step(k, v):
-            preds[k] = v - dt * _rhs(gens[k], driver.evaluate, grid[k], v)
+            vs = v.tolist()
+            rhs = _rhs(gens_t[k], driver.evaluate, at[k], vs)
+            preds[k] = [y - dt * r for y, r in zip(vs, rhs)]
             return np.maximum(obstacle_vals[k], preds[k])
 
         values = sweep(step, terminal, grid, each, _BLOW_UP)

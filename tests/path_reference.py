@@ -25,11 +25,10 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from markovbsde import PathBatch, draw_paths, seminorm_sq
-from markovbsde.bsde import _rhs
 from markovbsde.grids import sample_on_grid, uniform_grid
 
 from conftest import piece_of
-from step_reference import split_down
+from step_reference import reduced_rhs, split_down
 
 
 def batch_of(paths, horizon=1.0):
@@ -219,18 +218,18 @@ def interp_at(grid, values, t):
 
 def hermite_curve(spec, driver, sol):
     """t -> y(t), the cubic Hermite interpolant of the grid values, with
-    each step's end slopes from ``_rhs`` under the generator of the step's
-    own piece at that end."""
+    each step's end slopes from ``reduced_rhs`` under the generator of the
+    step's own piece at that end."""
     grid, vals = sol.grid, sol.values
     dt = (grid[-1] - grid[0]) / (grid.size - 1)
     lo = np.empty((grid.size - 1, vals.shape[1]))
     hi = np.empty_like(lo)
     for k in range(grid.size - 1):
         cuts = split_down(spec.breakpoints(), grid[k], grid[k + 1])
-        lo[k] = _rhs(spec.gens[piece_of(spec.starts, 0.5 * (cuts[-2] + grid[k]))],
-                     driver.evaluate, grid[k], vals[k])
-        hi[k] = _rhs(spec.gens[piece_of(spec.starts, 0.5 * (grid[k + 1] + cuts[1]))],
-                     driver.evaluate, grid[k + 1], vals[k + 1])
+        lo[k] = reduced_rhs(spec.gens[piece_of(spec.starts, 0.5 * (cuts[-2] + grid[k]))],
+                             driver.evaluate, grid[k], vals[k])
+        hi[k] = reduced_rhs(spec.gens[piece_of(spec.starts, 0.5 * (grid[k + 1] + cuts[1]))],
+                             driver.evaluate, grid[k + 1], vals[k + 1])
 
     def curve(t):
         if t <= grid[0]:

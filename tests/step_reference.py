@@ -5,10 +5,14 @@ shared ``chain.substeps``, ``chain.affine_rk4`` and the one walk
 ``chain.sweep``, which calls a step once per sub-step of the table: here
 each grid step is cut at the breakpoints strictly inside it
 (``split_down``) and each sub-step looks up its piece as it goes.
-``rk4_down`` with a field is the callback RK4 step, ``implicit_step`` the
-callback implicit Euler step, ``rk4_maps`` the RK4 step matrices of a
-linear equation, and ``linear_implicit`` the closed-form implicit Euler
-sweep before it tabled its sub-steps; ``linear_euler`` and
+``reduced_rhs`` and ``scalar_implicit`` are the reduced right-hand side
+and the one-state implicit solve on numpy arrays and scalars, as the
+package ran them before its callback steps moved to Python floats;
+``rk4_down`` with a field of ``reduced_rhs`` is the callback RK4 step,
+``implicit_step`` the callback implicit Euler step, ``rk4_maps`` the RK4
+step matrices of a linear equation, and ``linear_implicit`` the
+closed-form implicit Euler sweep before it tabled its sub-steps;
+``linear_euler`` and
 ``callback_euler`` are the reflected sweep's predictors of an affine and
 a callback driver, and ``penalized_driver`` is the penalized equation's
 driver as one callback. ``bsde_loop``, ``reflected_loop`` and
@@ -18,13 +22,70 @@ package's callback steppers do the same arithmetic in the same order and
 must reproduce these bit for bit; its affine solves run on ``chain.scan``
 and agree with them to rounding."""
 
+import math
+
 import numpy as np
 
-from markovbsde.bsde import MarkovDriver, _linear_pieces, _rhs, _scalar_implicit
+from markovbsde.bsde import MarkovDriver, _linear_pieces
 from markovbsde.chain import pieces_at
 from markovbsde.errors import NonFiniteError
 
 from conftest import piece_of
+
+
+def reduced_rhs(gen, f, t, y):
+    """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
+    the generator ``gen``, for every state i, on numpy arrays and scalars."""
+    at_y = gen.T @ y
+    out = np.empty(y.size)
+    for i in range(y.size):
+        out[i] = -at_y[i] - f(t, i, y[i], y)
+    return out
+
+
+def scalar_implicit(f, t, i, b, dt, zref, lip_hint):
+    """Solve v = b + dt * f(t, i, v, zref) for v: Newton with a secant
+    slope, bisection fallback, on the numpy scalars it is given. A
+    non-finite b is returned as it is, and nan where no root is
+    bracketed."""
+    if not math.isfinite(b):
+        return b
+
+    def phi(v):
+        return v - b - dt * f(t, i, v, zref)
+
+    v = b + dt * f(t, i, b, zref)
+    for _ in range(50):
+        r0 = phi(v)
+        if abs(r0) <= 1e-14 * (1.0 + abs(v)):
+            return v
+        h = 1e-7 * (1.0 + abs(v))
+        slope = (phi(v + h) - r0) / h
+        if slope <= 1e-12:
+            break
+        step = r0 / slope
+        v -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(v)):
+            return v
+    span = max(1.0, abs(b)) * (1.0 + dt * lip_hint)
+    lo, hi = b - span, b + span
+    for _ in range(200):
+        if phi(lo) <= 0 <= phi(hi):
+            break
+        lo -= span
+        hi += span
+        span *= 2.0
+    else:
+        return np.nan
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * (1.0 + abs(mid)):
+            break
+    return 0.5 * (lo + hi)
 
 
 def split_down(breakpoints, t_lo, t_hi):
@@ -85,7 +146,7 @@ def implicit_step(spec, driver, t_hi, t_lo, y):
         b = y + dt * (gen.T @ y)
         new = np.empty(n)
         for i in range(n):
-            new[i] = _scalar_implicit(driver.evaluate, b_t, i, b[i], dt, y, lip)
+            new[i] = scalar_implicit(driver.evaluate, b_t, i, b[i], dt, y, lip)
         y = new
     return y
 
@@ -95,7 +156,7 @@ def callback_step(spec, driver, scheme, grid):
     from grid[k + 1] down to grid[k]."""
     def field(t_mid):
         gen = spec.gens[piece_of(spec.starts, t_mid)]
-        return lambda t, y: _rhs(gen, driver.evaluate, t, y)
+        return lambda t, y: reduced_rhs(gen, driver.evaluate, t, y)
 
     if scheme == "explicit_rk4":
         return lambda k, y: rk4_down(spec.breakpoints(), grid[k + 1], grid[k], y, field)
@@ -131,13 +192,13 @@ def linear_euler(spec, form, grid):
 
 def callback_euler(spec, driver, grid):
     """step(k, v): the reflected sweep's predictor of a callback driver from
-    grid[k + 1] down to grid[k], v - h * _rhs, under the generator in force
-    at grid[k], not cut at a breakpoint."""
+    grid[k + 1] down to grid[k], v - h * reduced_rhs, under the generator
+    in force at grid[k], not cut at a breakpoint."""
     h = grid[1] - grid[0]
 
     def step(k, v):
         gen = spec.gens[piece_of(spec.starts, grid[k])]
-        return v - h * _rhs(gen, driver.evaluate, grid[k], v)
+        return v - h * reduced_rhs(gen, driver.evaluate, grid[k], v)
 
     return step
 

@@ -4,16 +4,18 @@ comparison theorem."""
 import numpy as np
 import pytest
 
-from markovbsde import (MarkovDriver, build_chain_spec, comparison_check,
+from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, comparison_check,
                         constant_obstacle, discount_driver, draw_paths,
                         pathwise_residual, penalization_limit, simulate_path,
-                        snell_oracle, solve_bsde, solve_reflected, zero_driver)
+                        snell_oracle, solve_bsde, solve_penalized, solve_reflected,
+                        zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
-from markovbsde.grids import StateGridFunction
+from markovbsde.grids import StateGridFunction, uniform_grid
 
+import step_reference as ref
 from conftest import random_chain
 from csv_reference import read_rows
 
@@ -206,7 +208,7 @@ def test_comparison_rejects_unordered_terminal(two_state_chain):
 def test_comparison_rejects_unordered_drivers(two_state_chain):
     d1 = MarkovDriver(evaluate=lambda t, i, y, z: 1.0)
     d2 = MarkovDriver(evaluate=lambda t, i, y, z: -1.0)
-    with pytest.raises(PreconditionUnmetError):
+    with pytest.raises(PreconditionUnmetError, match=r"at t=[0-9.e-]+, state=[01]$"):
         comparison_check(two_state_chain, d1, np.zeros(2), d2, np.zeros(2), 50)
 
 
@@ -215,6 +217,98 @@ def test_comparison_requires_contraction_for_driver1(two_state_chain):
     d2 = MarkovDriver(evaluate=lambda t, i, y, z: 1.0, lipschitz_z=0.9)
     with pytest.raises(ContractionViolatedError):
         comparison_check(two_state_chain, d1, np.zeros(2), d2, np.ones(2), 50)
+
+
+# every solve and check that calls a callback driver back, on a 3-state
+# chain with a breakpoint between two nodes and an obstacle g = 0.9 - 0.1 t
+CALLBACK_SOLVES = {
+    "explicit_rk4": lambda spec, d, xi, ob: solve_bsde(spec, d, xi, 10).values,
+    "implicit_euler": lambda spec, d, xi, ob: solve_bsde(
+        spec, d, xi, 10, scheme="implicit_euler").values,
+    "solve_reflected": lambda spec, d, xi, ob: solve_reflected(spec, d, xi, ob, 10).values,
+    "penalized explicit_rk4": lambda spec, d, xi, ob: solve_penalized(
+        spec, d, xi, ob, 5, 10).values,
+    "penalization_limit": lambda spec, d, xi, ob: penalization_limit(
+        spec, d, xi, ob, 10, 1e-3).values,
+    "pathwise_residual": lambda spec, d, xi, ob: pathwise_residual(
+        solve_bsde(spec, d, xi, 10), draw_paths(spec, 0, 4), spec, d, xi),
+    "comparison_check": lambda spec, d, xi, ob: np.array(
+        comparison_check(spec, d, xi, d, xi, 10)["max_violation"]),
+}
+
+
+def callback_instance():
+    a = np.array([[-1.0, 0.5, 0.2], [0.6, -0.9, 0.3], [0.4, 0.4, -0.5]])
+    spec = build_chain_spec(3, [(0.0, a), (0.43, 2.0 * a)], 0, 1.0)
+    return spec, np.array([1.0, 0.95, 1.05]), Obstacle(g=lambda t, i: 0.9 - 0.1 * t)
+
+
+@pytest.mark.parametrize("solve", CALLBACK_SOLVES)
+def test_callback_driver_sees_float_t_and_y_and_a_float64_z(solve):
+    """The driver protocol: f(t, i, y, z) gets t and y as Python floats,
+    the state as an int and z as a float64 array of shape (N,), under each
+    scheme, the reflected sweep, both penalized solves, the pathwise
+    residual and the comparison check's spot checks."""
+    spec, xi, obstacle = callback_instance()
+    seen = set()
+
+    def evaluate(t, i, y, z):
+        seen.add((type(t), type(i), type(y), type(z), z.dtype, z.shape))
+        return -0.1 * y + 0.05 * z[-1]
+
+    CALLBACK_SOLVES[solve](spec, MarkovDriver(evaluate=evaluate, lipschitz_y=0.1), xi, obstacle)
+    assert seen == {(float, int, float, np.ndarray, np.dtype(float), (3,))}
+
+
+@pytest.mark.parametrize("kind", ["numpy scalar", "0-d array", "int"])
+def test_callback_driver_values_are_read_as_floats(kind):
+    """f's value is read with float(): a driver that returns a numpy
+    scalar, a 0-d array or an int gives every solve the bits of its twin
+    that returns the same value as a float."""
+    spec, xi, obstacle = callback_instance()
+
+    def base(t, i, y, z):
+        return i - 1 if kind == "int" else -0.3 * y + 0.1 * z[-1] + 0.05 * t
+
+    wrap = {"numpy scalar": np.float64, "0-d array": np.array, "int": int}[kind]
+    as_float = MarkovDriver(evaluate=lambda t, i, y, z: float(base(t, i, y, z)),
+                            lipschitz_y=0.3)
+    wrapped = MarkovDriver(evaluate=lambda t, i, y, z: wrap(base(t, i, y, z)),
+                           lipschitz_y=0.3)
+    for solve in CALLBACK_SOLVES.values():
+        assert (solve(spec, wrapped, xi, obstacle).tobytes()
+                == solve(spec, as_float, xi, obstacle).tobytes())
+
+
+def test_callback_driver_divides_as_python_floats(two_state_chain):
+    """y reaches f as a Python float, so a division by y = 0 inside f
+    raises ZeroDivisionError, as it does on floats."""
+    inverse = MarkovDriver(evaluate=lambda t, i, y, z: 1.0 / y)
+    for scheme in ("explicit_rk4", "implicit_euler"):
+        with pytest.raises(ZeroDivisionError):
+            solve_bsde(two_state_chain, inverse, np.zeros(2), 4, scheme=scheme)
+
+
+def test_penalized_callback_steps_keep_the_sign_of_zero():
+    """The penalized RK4 and implicit Euler steps equal the reference steps
+    of f + n (g - y)^+ byte for byte where every value is a signed zero:
+    no generator, terminals of +0 and -0, g = +0 or -0 and f = -y, y or a
+    signed zero."""
+    spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
+    grid = uniform_grid(1.0, 2)
+    for sign in (0.0, -0.0):
+        obstacle = Obstacle(g=lambda t, i, sign=sign: sign)
+        for f in (lambda t, i, y, z: -y, lambda t, i, y, z: y,
+                  lambda t, i, y, z: 0.0, lambda t, i, y, z: -0.0):
+            driver = MarkovDriver(evaluate=f)
+            for xi in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]):
+                xi = np.array(xi)
+                for n, scheme in ((1, "explicit_rk4"), (4, "implicit_euler")):
+                    got = solve_penalized(spec, driver, xi, obstacle, n, 2).values
+                    penalized = ref.penalized_driver(driver, obstacle, n)
+                    want = ref.bsde_loop(ref.callback_step(spec, penalized, scheme, grid),
+                                         xi, grid)
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_solution_csv_rows(two_state_chain, tmp_path):
