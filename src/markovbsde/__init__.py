@@ -19,4 +19,4 @@ from .montecarlo import (McEstimate, european_consistency, isometry_check,
                          mc_estimate)
 from .rbsde import (Obstacle, RbsdeSolution, constant_obstacle,
                     optimal_stop_time, penalization_limit, skorokhod_integral,
-                    snell_oracle, solve_penalized, solve_reflected)
+                    solve_penalized, solve_reflected)

@@ -206,14 +206,11 @@ def _linear_pieces(spec, form):
     """The merged pieces of the chain and the affine form ``form``: their
     starts, and per piece A' + G, alpha and beta."""
     starts = sorted(set(spec.starts) | set(form.starts))
-    n = spec.n_states
-    shape = (len(form.starts), n)
-    k = pieces_at(form.starts, starts)
+    form_starts, alpha, gz, beta = _form_tables(form, spec.n_states)
+    k = pieces_at(form_starts, starts)
     gens_t = spec.gens[pieces_at(spec.starts, starts)].transpose(0, 2, 1)
     # C order, as the matrix-vector products of the implicit steps read it
-    a_g = np.ascontiguousarray(gens_t + np.broadcast_to(form.gz, shape + (n,))[k])
-    return (starts, a_g, np.broadcast_to(form.alpha, shape)[k],
-            np.broadcast_to(form.beta, shape)[k])
+    return starts, np.ascontiguousarray(gens_t + gz[k]), alpha[k], beta[k]
 
 
 def _levels(spec, driver, scheme, grid, obstacle=None):

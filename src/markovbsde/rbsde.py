@@ -1,10 +1,7 @@
-"""Reflected BSDEs: direct reflected backward scheme, the penalization
-sequence, the Skorokhod flatness check and a dynamic-programming optimal
-stopping oracle.
-
-The reflected scheme and the stopping recursion are deliberately the same
-formula arrived at from two directions (constraint reflection vs optimal
-stopping); both entry points are kept and must agree to machine precision.
+"""Reflected BSDEs: the direct reflected backward scheme, whose value is
+the Snell envelope of the obstacle under the scheme's one-step
+continuation, the penalization sequence, the Skorokhod flatness check and
+optimal stopping times.
 """
 
 from dataclasses import dataclass, field
@@ -105,39 +102,6 @@ def _sampled(spec, terminal, obstacle, steps):
     return terminal, grid, g
 
 
-def _reflected_sweep(spec, driver, terminal, obstacle_vals, grid):
-    """Shared backward recursion: explicit Euler predictor then projection
-    on the obstacle. Returns (values, per-step pushes).
-
-    Each step takes the generator and driver in force at its left node and
-    is not cut at a breakpoint that falls between two nodes. With an affine
-    form the predictor is one map per step, (I + h M) v + h beta, and a row
-    of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
-    the larger of the two by policy iteration. Else the predictor calls the
-    driver back under a generator tabled per node, and ``chain.sweep``
-    steps down the nodes, each step raising its prediction to the obstacle.
-    """
-    form = driver.affine
-    each = np.arange(grid.size)
-    if form is None:
-        dt = float(grid[1] - grid[0])
-        at = grid.tolist()
-        gens_t = list(spec.gens[pieces_at(spec.starts, grid[:-1])].transpose(0, 2, 1))
-        preds = np.empty((grid.size - 1, spec.n_states))
-
-        def step(k, v):
-            vs = v.tolist()
-            rhs = _rhs(gens_t[k], driver.evaluate, at[k], vs)
-            preds[k] = [y - dt * r for y, r in zip(vs, rhs)]
-            return np.maximum(obstacle_vals[k], preds[k])
-
-        values = sweep(step, terminal, grid, each, _BLOW_UP)
-    else:
-        maps = _reflected_maps(spec, form, grid, obstacle_vals)
-        values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)
-    return values, values[:-1] - preds
-
-
 def _reflected_maps(spec, form, grid, obstacle_vals):
     """nodes -> maps: per step between the grid ``nodes``, the rows [P c] of
     the affine form's predictor (I + h M) v + h beta under the piece at the
@@ -171,27 +135,38 @@ def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
 
 
 def solve_reflected(spec, driver, terminal, obstacle, steps):
-    """Direct reflected backward scheme.
+    """Direct reflected backward scheme: per step an explicit Euler
+    predictor for the unconstrained value, then projection onto the
+    obstacle; the projection excess is the reflection increment,
+    accumulated so k(0) = 0 and k is nondecreasing.
 
-    Per step: explicit predictor for the unconstrained value, then
-    projection onto the obstacle; the projection excess is the reflection
-    increment, accumulated so k(0) = 0 and k is nondecreasing.
+    Each step takes the generator and driver in force at its left node and
+    is not cut at a breakpoint that falls between two nodes. With an affine
+    form the predictor is one map per step, (I + h M) v + h beta, and a row
+    of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
+    the larger of the two by policy iteration. Else the predictor calls the
+    driver back under a generator tabled per node, and ``chain.sweep``
+    steps down the nodes, each step raising its prediction to the obstacle.
     """
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    vals, pushes = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
-    return _assemble(grid, vals, pushes, obstacle_vals)
+    each = np.arange(grid.size)
+    if driver.affine is None:
+        dt = float(grid[1] - grid[0])
+        at = grid.tolist()
+        gens_t = list(spec.gens[pieces_at(spec.starts, grid[:-1])].transpose(0, 2, 1))
+        preds = np.empty((grid.size - 1, spec.n_states))
 
+        def step(k, v):
+            vs = v.tolist()
+            rhs = _rhs(gens_t[k], driver.evaluate, at[k], vs)
+            preds[k] = [y - dt * r for y, r in zip(vs, rhs)]
+            return np.maximum(obstacle_vals[k], preds[k])
 
-def snell_oracle(spec, driver, terminal, obstacle, steps):
-    """Dynamic-programming value of optimal stopping against the obstacle:
-    continue one step (explicit Euler on the reduced ODE) or take g now.
-
-    Independent derivation of the reflected value; the recursion is
-    literally identical to solve_reflected and the two must agree exactly.
-    """
-    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    vals, _ = _reflected_sweep(spec, driver, terminal, obstacle_vals, grid)
-    return StateGridFunction(grid=grid, values=vals)
+        values = sweep(step, terminal, grid, each, _BLOW_UP)
+    else:
+        maps = _reflected_maps(spec, driver.affine, grid, obstacle_vals)
+        values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)
+    return _assemble(grid, values, values[:-1] - preds, obstacle_vals)
 
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):

@@ -41,6 +41,20 @@ def piece_of(starts, t):
     return max(bisect_right(starts, t) - 1, 0)
 
 
+def snell_dp(spec, rate, terminal, g, grid):
+    """The explicit Euler Snell dynamic program of f = -rate y down the
+    uniform ``grid``: v_K = terminal, and v_k = max(g(t_k, .), v + dt (A'v
+    - rate v)) with v = v_{k+1} and A the generator in force at t_k."""
+    dt = grid[1] - grid[0]
+    values = np.empty((grid.size, spec.n_states))
+    values[-1] = v = np.asarray(terminal, dtype=float)
+    for k in range(grid.size - 2, -1, -1):
+        a = spec.gens[piece_of(spec.starts, grid[k])]
+        stop = np.array([g(grid[k], i) for i in range(spec.n_states)])
+        values[k] = v = np.maximum(stop, v + dt * (a.T @ v - rate * v))
+    return values
+
+
 def pricing_f(market, t, i, v, z):
     """The paper's pricing driver -r v + r z_i - ((A' - Gamma') z)_i at state
     i, from the market's rate data on the piece in force at t."""

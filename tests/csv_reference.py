@@ -10,17 +10,28 @@ import csv
 
 import numpy as np
 
-from markovbsde.cli import _fmt
-
-# %-conversions of the cell types that _fmt writes, giving the same text
+# %-conversions of the cell types that cell() writes, giving the same text
 _CONVERSIONS = {bool: "%s", np.bool_: "%s", int: "%d", np.int64: "%d",
                 float: "%.17g", np.float64: "%.17g"}
 
 
+def cell(x):
+    """The text of one CSV cell: a bool as True or False, an integer in
+    decimal, a float to 17 significant digits (``%.17g``), anything else
+    as ``str``."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, float):
+        return "%.17g" % x
+    return str(x)
+
+
 def write_rows(path, header, rows):
-    """Write the header and rows as ``csv.writer`` writes ``cli._fmt`` of
-    each cell. A row of numbers and booleans goes through one %-format
-    string of its cell types; any other row through ``csv.writer``."""
+    """Write the header and rows as ``csv.writer`` writes ``cell`` of each
+    cell. A row of numbers and booleans goes through one %-format string
+    of its cell types; any other row through ``csv.writer``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -30,7 +41,7 @@ def write_rows(path, header, rows):
             try:
                 line = ",".join([_CONVERSIONS[type(x)] for x in row]) % row
             except KeyError:
-                writer.writerow([_fmt(x) for x in row])
+                writer.writerow([cell(x) for x in row])
             else:
                 fh.write(line + "\r\n")
 

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from markovbsde import PathBatch, draw_paths, seminorm_sq
+from markovbsde import PathBatch, draw_paths
 from markovbsde.grids import sample_on_grid, uniform_grid
 
 from conftest import piece_of
@@ -83,11 +83,20 @@ def stochastic_integral(spec, z, times, states):
     return total
 
 
+def psi_of(a, i):
+    """d<X, X>/dt with X frozen at state i under the generator a, by its
+    definition diag(A x) - diag(x) A' - A diag(x) at x = e_i."""
+    x = np.diag(np.eye(a.shape[0])[i])
+    return np.diag(a[:, i]) - x @ a.T - a @ x
+
+
 def seminorm_time_integral(spec, z, times, states):
+    z = np.asarray(z, dtype=float)
     total = 0.0
     for t0, t1, state, piece, _ in stretches(times, states, spec.horizon,
                                              spec.breakpoints(), spec.starts):
-        total += seminorm_sq(z, spec.psi[piece, state]) * (t1 - t0)
+        psi = psi_of(spec.gens[piece], state)
+        total += max(float(np.dot(z @ psi, z)), 0.0) * (t1 - t0)
     return total
 
 

@@ -17,17 +17,18 @@ closed-form implicit Euler sweep before it tabled its sub-steps;
 a callback driver, and ``penalized_driver`` is the penalized equation's
 driver as one callback. ``bsde_loop``, ``reflected_loop`` and
 ``stock_loop`` are the hand-written backward loops of ``solve_bsde``,
-``_reflected_sweep`` and ``stock_curves``, one grid step at a time. The
-package's callback steppers do the same arithmetic in the same order and
-must reproduce these bit for bit; its affine solves run on ``chain.scan``
-and agree with them to rounding."""
+``solve_reflected`` and ``stock_curves``, one grid step at a time;
+``linear_pieces`` is the merge of the chain's and an affine form's
+pieces that the linear steps read. The package's callback steppers do
+the same arithmetic in the same order and must reproduce these bit for
+bit; its affine solves run on ``chain.scan`` and agree with them to
+rounding."""
 
 import math
 
 import numpy as np
 
-from markovbsde.bsde import MarkovDriver, _linear_pieces
-from markovbsde.chain import pieces_at
+from markovbsde.bsde import MarkovDriver
 from markovbsde.errors import NonFiniteError
 
 from conftest import piece_of
@@ -88,6 +89,23 @@ def scalar_implicit(f, t, i, b, dt, zref, lip_hint):
     return 0.5 * (lo + hi)
 
 
+def linear_pieces(spec, form):
+    """(starts, a_g, alpha, beta): the sorted starts of the chain's and the
+    affine form's pieces merged, and per merged piece A' + G (C order, as
+    the implicit steps' matrix-vector products read it), alpha and beta,
+    each looked up at the piece's start."""
+    starts = sorted(set(spec.starts) | set(form.starts))
+    n = spec.n_states
+    shape = (len(form.starts), n)
+    alpha = np.broadcast_to(form.alpha, shape)
+    gz = np.broadcast_to(form.gz, shape + (n,))
+    beta = np.broadcast_to(form.beta, shape)
+    forms = [piece_of(form.starts, t) for t in starts]
+    a_g = np.array([spec.gens[piece_of(spec.starts, t)].T + gz[k]
+                    for t, k in zip(starts, forms)])
+    return starts, a_g, alpha[forms], beta[forms]
+
+
 def split_down(breakpoints, t_lo, t_hi):
     """[t_lo, t_hi] cut at the sorted ``breakpoints`` strictly inside it:
     the ends of its constant-piece sub-steps, in decreasing time."""
@@ -125,7 +143,7 @@ def rk4_maps(starts, mats, grid):
         return lambda t, z: -(m @ z)
 
     lo, hi = grid[:-1], grid[1:]
-    piece = pieces_at(starts, lo)
+    piece = np.array([piece_of(starts, t) for t in lo])
     cut = np.searchsorted(breaks, hi) > np.searchsorted(breaks, lo, side="right")
     which = np.where(cut, len(starts) + np.cumsum(cut) - 1, piece)
     maps = []
@@ -166,7 +184,7 @@ def callback_step(spec, driver, scheme, grid):
 def linear_rk4(spec, form, grid):
     """step(k, y): the RK4 step of the affine form, one ``rk4_maps``
     matrix acting on [y; 1]."""
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    starts, a_g, alpha, beta = linear_pieces(spec, form)
     n = spec.n_states
     aug = np.zeros((len(starts), n + 1, n + 1))
     aug[:, :n, :n] = a_g + alpha[:, :, None] * np.eye(n)
@@ -180,7 +198,7 @@ def linear_euler(spec, form, grid):
     """step(k, v): the reflected sweep's predictor of the affine form from
     grid[k + 1] down to grid[k], v + h ((A' + G + diag alpha) v + beta)
     under the piece in force at grid[k], not cut at a breakpoint."""
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    starts, a_g, alpha, beta = linear_pieces(spec, form)
     h = grid[1] - grid[0]
 
     def step(k, v):
@@ -260,7 +278,7 @@ def linear_implicit(spec, form, grid, obstacle=None, n=0.0):
     """step(k, y): the implicit Euler step of the affine form ``form``, with
     the penalty of ``obstacle`` at level n, from grid[k + 1] down to
     grid[k], one sub-step at a time."""
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    starts, a_g, alpha, beta = linear_pieces(spec, form)
     if obstacle is not None:
         g_grid = obstacle.sample(grid, spec.n_states)
 

@@ -19,13 +19,13 @@ from markovbsde import (MarkovDriver, Obstacle, build_chain_spec,
                         psi_matrix, rate_bound_m, replicate_forward,
                         sdf_dynamics_residual, seminorm_sq, short_rate,
                         sigma_matrix, simulate_path, skorokhod_integral,
-                        snell_oracle, solve_bsde, solve_reflected,
-                        stock_curves, stock_sde_residual, zero_driver)
+                        solve_bsde, solve_reflected, stock_curves,
+                        stock_sde_residual, zero_driver)
 from markovbsde.hedge import make_hedge_driver
 from markovbsde.montecarlo import european_consistency
 from markovbsde.rbsde import solve_penalized
 
-from conftest import put_on, random_chain, random_generator
+from conftest import put_on, random_chain, random_generator, snell_dp
 
 ROOT = Path(__file__).resolve().parent.parent
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -122,7 +122,8 @@ def test_criterion_05_rbsde_triple_consistency(capsys):
     spec = build_chain_spec(2, SYM, 0, 1.0)
     rng = np.random.default_rng(5)
 
-    # (a) reflected scheme vs Snell dynamic program, identical grids
+    # (a) reflected scheme vs a Snell dynamic program written here from A
+    # and f = -rate y, identical grids
     snell_gap = 0.0
     for _ in range(20):
         inst = random_chain(rng, scale=1.5)
@@ -133,9 +134,8 @@ def test_criterion_05_rbsde_triple_consistency(capsys):
         xi = rng.uniform(lvl, lvl + 1.0, size=n)
         obs = constant_obstacle(lvl)
         sol = solve_reflected(inst, drv, xi, obs, 150)
-        oracle = snell_oracle(inst, drv, xi, obs, 150)
-        snell_gap = max(snell_gap, float(np.abs(sol.values
-                                                - oracle.values).max()))
+        oracle = snell_dp(inst, rate, xi, obs.g, sol.grid)
+        snell_gap = max(snell_gap, float(np.abs(sol.values - oracle).max()))
 
     # (b) penalization limit within 1e-3 of the reflected solution
     drv = discount_driver(0.1)

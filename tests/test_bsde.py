@@ -7,8 +7,7 @@ import pytest
 from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, comparison_check,
                         constant_obstacle, discount_driver, draw_paths,
                         pathwise_residual, penalization_limit, simulate_path,
-                        snell_oracle, solve_bsde, solve_penalized, solve_reflected,
-                        zero_driver)
+                        solve_bsde, solve_penalized, solve_reflected, zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
@@ -124,7 +123,6 @@ def test_solver_input_validation(two_state_chain):
     spec, drv, obs = two_state_chain, zero_driver(), constant_obstacle(0.0)
     for solve in (lambda xi, steps: solve_bsde(spec, drv, xi, steps),
                   lambda xi, steps: solve_reflected(spec, drv, xi, obs, steps),
-                  lambda xi, steps: snell_oracle(spec, drv, xi, obs, steps),
                   lambda xi, steps: penalization_limit(spec, drv, xi, obs, steps, 1e-3)):
         with pytest.raises(ValueError, match="length-N"):
             solve(np.ones(3), 50)

@@ -1,5 +1,5 @@
-"""Reflected BSDEs: exact cases, the Snell oracle, penalization and the
-Skorokhod flatness condition."""
+"""Reflected BSDEs: exact cases, a hand-written Snell dynamic program,
+penalization and the Skorokhod flatness condition."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ import pytest
 from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, constant_obstacle,
                         discount_driver, optimal_stop_time,
                         penalization_limit, simulate_path, skorokhod_integral,
-                        snell_oracle, solve_bsde, solve_reflected,
-                        zero_driver)
+                        solve_bsde, solve_reflected, zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.rbsde import solve_penalized
 from markovbsde.errors import (NoConvergenceError, NonFiniteError,
                                ObstacleIncompatibleError)
 
-from conftest import random_chain
+from conftest import random_chain, snell_dp
 from csv_reference import read_rows
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -49,13 +48,13 @@ def test_reflection_is_nonnegative_and_k_starts_at_zero(two_state_chain):
     assert np.array_equal(sol.g, g)
 
 
-def test_snell_oracle_agrees_exactly(two_state_chain):
+def test_reflected_scheme_equals_a_hand_written_snell_dp(two_state_chain):
     drv = discount_driver(0.2)
     xi = np.array([0.5, 0.9])
     obs = Obstacle(g=lambda t, i: 0.7 - 0.4 * t + 0.05 * i)
     sol = solve_reflected(two_state_chain, drv, xi, obs, 250)
-    oracle = snell_oracle(two_state_chain, drv, xi, obs, 250)
-    assert np.abs(sol.values - oracle.values).max() == 0.0
+    oracle = snell_dp(two_state_chain, 0.2, xi, obs.g, sol.grid)
+    assert np.abs(sol.values - oracle).max() <= 1e-13
 
 
 def test_inactive_obstacle_reduces_to_bsde(two_state_chain):
@@ -80,8 +79,7 @@ def test_obstacle_values_of_the_wrong_shape_raise(two_state_chain):
 def test_terminal_incompatible_obstacle_raises(two_state_chain):
     # every reflected entry point: none solves under an obstacle above the
     # terminal at the horizon
-    for solve in (solve_reflected, snell_oracle,
-                  lambda *args: penalization_limit(*args, tol=1e-3)):
+    for solve in (solve_reflected, lambda *args: penalization_limit(*args, tol=1e-3)):
         with pytest.raises(ObstacleIncompatibleError):
             solve(two_state_chain, zero_driver(), np.zeros(2), constant_obstacle(2.0), 100)
 
