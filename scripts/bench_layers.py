@@ -30,6 +30,11 @@ For each bundled market config with a put payoff, times (best of 3):
   ``cli.main``, writing to a temporary directory, and ``plot-data`` on
   the output of ``solve-bsde``. A job that exits non-zero (a config
   without the sections it needs) is left out;
+- the CLI's own input and output: ``load_config`` of every bundled
+  config (the mean of ``LOAD_CALLS`` loads; the load does no work that
+  depends on the steps), and on each market config above at K = 250 and
+  1e4 the time the ``hedge`` and ``price-american`` jobs spend in
+  ``cli._write_grid`` writing their grid files;
 - the Tier-1 test suite's wall time, one run of ``python -m pytest -q``
   from the repository root in a child process.
 
@@ -91,6 +96,9 @@ CUT_BATCH = 81
 CUT_CALLS = 1000
 CLI_STEPS = 250
 CALLBACK_CONFIG, CALLBACK_STEPS, CALLBACK_RATE = "market_pieces", 1000, 0.05
+LOAD_CALLS = 20
+WRITE_SIZES = (CLI_STEPS, 10000)
+WRITE_JOBS = ("hedge", "price-american")
 REPEATS = 3
 
 
@@ -207,6 +215,26 @@ def run_cli(argv):
         return cli.main(argv)
 
 
+def write_time(argv):
+    """The best of ``REPEATS`` runs of the CLI job ``argv`` of the seconds
+    it spends in ``cli._write_grid``."""
+    write, spent = cli._write_grid, []
+
+    def timed(*args, **kwargs):
+        t0 = perf_counter()
+        write(*args, **kwargs)
+        spent[-1] += perf_counter() - t0
+
+    cli._write_grid = timed
+    try:
+        for _ in range(REPEATS):
+            spent.append(0.0)
+            run_cli(argv)
+    finally:
+        cli._write_grid = write
+    return min(spent)
+
+
 def best_time(call):
     times = []
     for _ in range(REPEATS):
@@ -285,6 +313,16 @@ def measure():
                     print(f"  skipped, exit {code}  {key}", file=sys.stderr)
                     continue
                 record(key, lambda: best_time(lambda: run_cli(argv)))
+        for config in sorted((ROOT / "configs").glob("*.yaml")):
+            record(f"{config.stem} load_config", lambda: best_time(
+                lambda: [load_config(config) for _ in range(LOAD_CALLS)]) / LOAD_CALLS)
+        for name in CONFIGS:
+            config = ROOT / "configs" / f"{name}.yaml"
+            for steps in WRITE_SIZES:
+                for job in WRITE_JOBS:
+                    argv = [job, "--config", str(config), "--out",
+                            str(Path(tmp) / "write" / name / job), "--steps", str(steps)]
+                    record(f"{name} K={steps} {job} _write_grid", lambda: write_time(argv))
     record("tier-1 tests", tier1_time)
     return {
         "machine": {"platform": platform.platform(), "processor": platform.processor(),

@@ -25,7 +25,7 @@ _GEN_TOL = 1e-12
 # Table cells per batch: the Monte Carlo checks cut their paths into batches
 # whose widest (paths x columns) table holds at most this many, as 64 paths
 # of 256 columns do; the CLI writes its grid files in blocks of nodes of at
-# most this many bytes, about 128 a field of text.
+# most this many fields.
 _CELLS = 64 * 256
 # ``draw_paths`` draws paths in blocks of this many path indices, block b
 # from the generator of SeedSequence((_STREAM, b)), _STREAM a fixed tag.
@@ -360,7 +360,7 @@ class ChainSpec:
     psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        psi = np.array([[_psi(a, i) for i in range(self.n_states)] for a in self.gens])
+        psi = _psi(self.gens)
         jump_chain = _jump_chain(self.gens)
         for arr in (psi, *jump_chain):
             arr.setflags(write=False)
@@ -742,15 +742,20 @@ def martingale_path(paths, spec, grid_steps):
     return out
 
 
-def _psi(a, state):
-    """Quadratic-variation density under generator ``a`` with X frozen at
-    the given state."""
-    x = np.zeros(a.shape[0])
-    x[state] = 1.0
-    psi = np.diag(a @ x) - np.outer(x, a[:, state]) - np.outer(a[:, state], x)
-    # diag(x) A' has row `state` equal to column `state` of A; A diag(x)
-    # mirrors it in the column. Written with outer products for symmetry.
-    psi[state, state] = -a[state, state]
+def _psi(gens):
+    """The (pieces, N, N, N) quadratic-variation densities of the
+    (pieces, N, N) generator stack ``gens``: psi[k, i] = diag(A x) -
+    x (A x)' - (A x) x' under A = gens[k] with X frozen at x = e_i, whose
+    [i, i] entry is -A_ii. diag(x) A' has row i equal to column i of A, and
+    A diag(x) mirrors it in the column."""
+    n = gens.shape[-1]
+    x, d = np.eye(n), np.arange(n)
+    cols = gens.transpose(0, 2, 1)  # cols[k, i] = A e_i under gens[k]
+    psi = np.zeros((len(gens), n, n, n))
+    psi[:, :, d, d] = cols
+    psi -= x[:, :, None] * cols[:, :, None, :]
+    psi -= cols[:, :, :, None] * x[:, None, :]
+    psi[:, d, d, d] = -gens[:, d, d]
     return psi
 
 

@@ -8,7 +8,6 @@ floats so runs round-trip losslessly. Exit codes: 0 ok, 1 failed check,
 import argparse
 import csv
 import functools
-import itertools
 import sys
 from pathlib import Path
 
@@ -46,34 +45,41 @@ def _write_csv(path, header, rows):
         writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
+def _texts(a):
+    """``%.17g`` of each value of ``a``, as an object array of its shape."""
+    return np.fromiter(map("%.17g".__mod__, a.ravel().tolist()), dtype=object,
+                       count=a.size).reshape(a.shape)
+
+
 def _write_grid(path, header, grid, *columns, labels=None):
     """Write the rows (time, label, value in each column) of arrays on
     ``grid``, node by node and entry by entry, as ``_write_csv`` writes
     them. ``labels`` holds the text of a node's M entries, by default the
     state numbers of the first column; each column is a (K+1, M) array, or
-    (K+1, 1) for one value per node, the same in every entry. Lines are
-    made as they are written, in blocks of at most ``chain._CELLS // 128``
-    fields, in which each distinct array is formatted once."""
-    fmt = "%.17g".__mod__
+    (K+1, 1) for one value per node, the same in every entry. The file is
+    written in blocks of nodes of at most ``chain._CELLS`` fields: each
+    distinct array of a block (an array passed twice once) is formatted
+    once, its texts gathered node by node into one object array, and the
+    block's lines made by one ``%`` of a per-node template over it."""
     if labels is None:
         labels = [str(i) for i in range(columns[0].shape[1])]
-    m, ids = len(labels), [id(c) for c in columns]
-    size = max(1, _CELLS // max(1, 128 * m * (len(columns) + 2)))
+    m, width = len(labels), len(columns) + 1  # an entry's time and column texts
+    node = "".join("%s," + label + ",%s" * len(columns) + "\r\n" for label in labels)
+    size = max(1, _CELLS // max(1, m * (width + 1)))  # an entry's fields: its label too
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, grid.size, size):
+            times = grid[lo:lo + size]
+            cells = np.empty((times.size, m, width), dtype=object)
+            cells[:, :, 0] = _texts(times)[:, None]
             texts = {}
-            for c in columns:
+            for j, c in enumerate(columns, 1):
                 if id(c) not in texts:
-                    text = map(fmt, c[lo:lo + size].flat)
-                    if c.shape[1] != m:  # one value per node, in each of its entries
-                        text = (x for x in text for _ in labels)
-                    # an array passed twice is formatted once
-                    texts[id(c)] = list(text) if ids.count(id(c)) > 1 else text
-            times = (t for t in map(fmt, grid[lo:lo + size]) for _ in labels)
-            lines = zip(times, itertools.cycle(labels), *[texts[i] for i in ids])
-            fh.writelines(",".join(line) + "\r\n" for line in lines)
+                    texts[id(c)] = _texts(c[lo:lo + size])
+                # a (K+1, 1) column broadcasts over the node's entries
+                cells[:, :, j] = texts[id(c)]
+            fh.write(node * times.size % tuple(cells.ravel().tolist()))
 
 
 def path_rows(paths, p):

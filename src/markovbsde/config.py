@@ -6,6 +6,7 @@ One reader per section converts and checks each field as it reads it, so
 a malformed value raises ``ConfigError`` at load, before any job starts.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -58,16 +59,18 @@ class RunConfig:
         return self.payoff(curves, self.solver.steps)
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise ``ConfigError(msg % args)`` unless ``cond``: a message is
+    formatted only on failure, so a load that passes formats none."""
     if not cond:
-        raise ConfigError(msg)
+        raise ConfigError(msg % args)
 
 
 def _section(raw, key):
     """raw[key] as a mapping; None when the key is missing or null."""
     value = raw.get(key)
     _require(value is None or isinstance(value, dict),
-             f"'{key}' must be a mapping, got {value!r}")
+             "'%s' must be a mapping, got %r", key, value)
     return value
 
 
@@ -77,7 +80,7 @@ def _float(value, what):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    _require(np.isfinite(out), f"{what} must be finite, got {value!r}")
+    _require(math.isfinite(out), "%s must be finite, got %r", what, value)
     return out
 
 
@@ -85,7 +88,7 @@ def _integer(value, what):
     """One integer: an int that is not a bool, or a float of integral value."""
     _require((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
              or (isinstance(value, float) and value.is_integer()),
-             f"{what} must be an integer, got {value!r}")
+             "%s must be an integer, got %r", what, value)
     return int(value)
 
 
@@ -96,8 +99,8 @@ def _vector(value, n, what, broadcast=False):
         value = [value]
     sizes = (1, n) if broadcast else (n,)
     _require(isinstance(value, list) and len(value) in sizes,
-             f"{what} must be {'a number or ' if broadcast else ''}"
-             f"a list of {n} numbers, got {value!r}")
+             "%s must be %sa list of %s numbers, got %r",
+             what, "a number or " if broadcast else "", n, value)
     vec = np.array([_float(x, what) for x in value])
     return np.full(n, vec[0]) if vec.size != n else vec
 
@@ -106,9 +109,9 @@ def _parse_schedule(entries, key_name):
     out = []
     for entry in entries:
         _require(isinstance(entry, dict) and "start" in entry,
-                 f"schedule entries need a 'start' key in {key_name}")
+                 "schedule entries need a 'start' key in %s", key_name)
         val = entry.get("matrix", entry.get("vector"))
-        _require(val is not None, f"schedule entry in {key_name} needs matrix/vector")
+        _require(val is not None, "schedule entry in %s needs matrix/vector", key_name)
         out.append((float(entry["start"]), val))
     return out
 
@@ -149,7 +152,7 @@ def _read_payoff(spec, n, market):
         strike = _float(spec.get("strike"), "payoff.strike")
         stock = _integer(spec.get("stock", 0), "payoff.stock")
         _require(0 <= stock < market.n_stocks,
-                 f"stock index {stock} outside [0, {market.n_stocks})")
+                 "stock index %s outside [0, %s)", stock, market.n_stocks)
 
         def build(curves, steps):
             if curves is None:
@@ -180,10 +183,10 @@ def _read_solver(raw):
     _require(solver.n_paths >= 1, "solver.n_paths must be >= 1")
     _require(solver.seed >= 0, "solver.seed must be >= 0")
     _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
-             f"unknown scheme {solver.scheme!r}")
+             "unknown scheme %r", solver.scheme)
     _require(isinstance(solver.strict_contraction, bool),
-             f"solver.strict_contraction must be true or false, "
-             f"got {solver.strict_contraction!r}")
+             "solver.strict_contraction must be true or false, got %r",
+             solver.strict_contraction)
     return solver
 
 
@@ -202,7 +205,7 @@ def load_config(path, overrides=None):
     _require(isinstance(raw, dict), "config must be a mapping")
     version = raw.get("schema_version")
     _require(version == SCHEMA_VERSION,
-             f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+             "schema_version must be %s, got %r", SCHEMA_VERSION, version)
 
     chain_raw = _section(raw, "chain")
     _require(chain_raw is not None, "config needs a 'chain' section")

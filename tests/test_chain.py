@@ -15,7 +15,7 @@ from markovbsde.errors import (BadScheduleError, BadStateError,
                                NonGeneratorError)
 
 from conftest import one_path, random_chain, random_generator
-from path_reference import path_of
+from path_reference import path_of, psi_of
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -229,6 +229,28 @@ def test_psi_structure_random(seed, n):
     c = rng.normal(size=n)
     m = rate_bound_m(spec)
     assert seminorm_sq(c, psi) <= 3.0 * m * float(c @ c) + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3))
+def test_psi_stack_is_its_definition_per_piece_and_state(seed, n, pieces):
+    """spec.psi[k, i] equals diag(A x) - diag(x) A' - A diag(x) at x = e_i
+    under the k-th generator exactly, entry for entry, on schedules with
+    absorbing states (zero columns). The two differ only in the sign of a
+    zero: -A_ii is +0.0 where A_ii = -0.0."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(pieces):
+        a = random_generator(rng, n) * (rng.uniform(size=(n, n)) < 0.7)
+        a[:, rng.uniform(size=n) < 0.3] = 0.0
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -a.sum(axis=0))
+        gens.append(a)
+    starts = np.sort(rng.uniform(0.0, 1.0, pieces))
+    starts[0] = 0.0
+    spec = build_chain_spec(n, list(zip(starts, gens)), 0, 1.0)
+    want = [[psi_of(a, i) for i in range(n)] for a in spec.gens]
+    assert np.array_equal(spec.psi, want)
 
 
 # ------------------------------------------------------------ pseudoinverse

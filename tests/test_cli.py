@@ -2,6 +2,7 @@
 determinism and the plot-data derivations."""
 
 import csv
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -126,40 +127,82 @@ market:
   dividends: [[1.0, 2.0], [2.0, 1.0]]
 """
 
-# field -> (the job that reads it, a config with that field malformed)
+# field -> (the job that reads it, a config with that field malformed, the
+# text of its ConfigError)
 MALFORMED = {
-    "driver.rate": ("solve-bsde", MINIMAL + "driver: {kind: discount, rate: abc}\n"),
-    "driver.value": ("solve-bsde", MINIMAL + "driver: {kind: constant, value: x}\n"),
-    "driver.a": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: x}\n"),
-    "driver.b": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: 0.1, b: x}\n"),
-    "driver not a mapping": ("solve-bsde", MINIMAL + "driver: hedge\n"),
-    "payoff.value": ("solve-rbsde", MINIMAL + "payoff: {kind: constant, value: x}\n"),
-    "payoff.a": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: x}\n"),
-    "payoff.b": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: 0.1, b: x}\n"),
+    "driver.rate": ("solve-bsde", MINIMAL + "driver: {kind: discount, rate: abc}\n",
+                    "driver.rate must be a number, got 'abc'"),
+    "driver.rate infinite": ("solve-bsde", MINIMAL + "driver: {kind: discount, rate: .inf}\n",
+                             "driver.rate must be finite, got inf"),
+    "driver.value": ("solve-bsde", MINIMAL + "driver: {kind: constant, value: x}\n",
+                     "driver.value must be a number, got 'x'"),
+    "driver.a": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: x}\n",
+                 "driver.a must be a number, got 'x'"),
+    "driver.b": ("solve-bsde", MINIMAL + "driver: {kind: affine, a: 0.1, b: x}\n",
+                 "driver.b must be a number, got 'x'"),
+    "driver not a mapping": ("solve-bsde", MINIMAL + "driver: hedge\n",
+                             "'driver' must be a mapping, got 'hedge'"),
+    "payoff.value": ("solve-rbsde", MINIMAL + "payoff: {kind: constant, value: x}\n",
+                     "payoff.value must be a number, got 'x'"),
+    "payoff.a": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: x}\n",
+                 "payoff.a must be a number, got 'x'"),
+    "payoff.b": ("solve-rbsde", MINIMAL + "payoff: {kind: affine, a: 0.1, b: x}\n",
+                 "payoff.b must be a number, got 'x'"),
     "payoff.b length": ("solve-rbsde",
-                        MINIMAL + "payoff: {kind: affine, a: 0.1, b: [0.1, 0.2, 0.3]}\n"),
+                        MINIMAL + "payoff: {kind: affine, a: 0.1, b: [0.1, 0.2, 0.3]}\n",
+                        "payoff.b must be a number or a list of 2 numbers, got [0.1, 0.2, 0.3]"),
     "payoff.strike": ("price-american",
-                      MARKET + "payoff: {kind: put_on_stock, strike: abc}\n"),
+                      MARKET + "payoff: {kind: put_on_stock, strike: abc}\n",
+                      "payoff.strike must be a number, got 'abc'"),
     "payoff.stock": ("price-american",
-                     MARKET + "payoff: {kind: put_on_stock, strike: 30.0, stock: abc}\n"),
+                     MARKET + "payoff: {kind: put_on_stock, strike: 30.0, stock: abc}\n",
+                     "payoff.stock must be an integer, got 'abc'"),
+    "payoff.stock range": ("price-american",
+                           MARKET + "payoff: {kind: put_on_stock, strike: 30.0, stock: 2}\n",
+                           "stock index 2 outside [0, 2)"),
     "solver not a mapping": ("solve-bsde", MINIMAL.replace(
-        "solver: {steps: 100, n_paths: 50, seed: 0}", "solver: [1, 2]")),
-    "solver.steps": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: abc")),
-    "solver.n_paths": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: 0")),
-    "solver.seed": ("simulate", MINIMAL.replace("seed: 0", "seed: -1")),
+        "solver: {steps: 100, n_paths: 50, seed: 0}", "solver: [1, 2]"),
+        "'solver' must be a mapping, got [1, 2]"),
+    "solver.steps": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: abc"),
+                     "solver.steps must be an integer, got 'abc'"),
+    "solver.n_paths": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: 0"),
+                       "solver.n_paths must be >= 1"),
+    "solver.seed": ("simulate", MINIMAL.replace("seed: 0", "seed: -1"),
+                    "solver.seed must be >= 0"),
+    "solver.scheme": ("solve-bsde", MINIMAL.replace("seed: 0}", "seed: 0, scheme: euler}"),
+                      "unknown scheme 'euler'"),
+    "solver.strict_contraction": ("solve-bsde", MINIMAL.replace(
+        "seed: 0}", "seed: 0, strict_contraction: maybe}"),
+        "solver.strict_contraction must be true or false, got 'maybe'"),
     # integer fields take integers and integral floats, never a truncation
-    "solver.steps fraction": ("solve-bsde", MINIMAL.replace("steps: 100",
-                                                            "steps: 250.9")),
-    "solver.n_paths bool": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: true")),
+    "solver.steps fraction": ("solve-bsde", MINIMAL.replace("steps: 100", "steps: 250.9"),
+                              "solver.steps must be an integer, got 250.9"),
+    "solver.n_paths bool": ("simulate", MINIMAL.replace("n_paths: 50", "n_paths: true"),
+                            "solver.n_paths must be an integer, got True"),
     "payoff.stock fraction": ("price-american", MARKET + (
-        "payoff: {kind: put_on_stock, strike: 30.0, stock: 0.9}\n")),
-    "chain.n_states fraction": ("solve-bsde", MINIMAL.replace("n_states: 2",
-                                                              "n_states: 2.5")),
+        "payoff: {kind: put_on_stock, strike: 30.0, stock: 0.9}\n"),
+        "payoff.stock must be an integer, got 0.9"),
+    "chain.n_states fraction": ("solve-bsde", MINIMAL.replace("n_states: 2", "n_states: 2.5"),
+                                "invalid chain section: "
+                                "chain.n_states must be an integer, got 2.5"),
     "chain.initial_state fraction": ("solve-bsde", MINIMAL.replace(
-        "initial_state: 0", "initial_state: 0.5")),
+        "initial_state: 0", "initial_state: 0.5"),
+        "invalid chain section: chain.initial_state must be an integer, got 0.5"),
     "chain.initial_state bool": ("solve-bsde", MINIMAL.replace(
-        "initial_state: 0", "initial_state: true")),
-    "terminal": ("solve-bsde", MINIMAL.replace("[1.0, 0.0]", "[a, b]")),
+        "initial_state: 0", "initial_state: true"),
+        "invalid chain section: chain.initial_state must be an integer, got True"),
+    "chain schedule start": ("solve-bsde", MINIMAL.replace("- start: 0.0\n      matrix:",
+                                                           "- matrix:"),
+                             "invalid chain section: "
+                             "schedule entries need a 'start' key in chain"),
+    "chain schedule matrix": ("solve-bsde", MINIMAL.replace("      matrix: [[-1.0, 1.0], "
+                                                            "[1.0, -1.0]]\n", ""),
+                              "invalid chain section: "
+                              "schedule entry in chain needs matrix/vector"),
+    "schema_version": ("solve-bsde", MINIMAL.replace("schema_version: 1", "schema_version: 2"),
+                       "schema_version must be 1, got 2"),
+    "terminal": ("solve-bsde", MINIMAL.replace("[1.0, 0.0]", "[a, b]"),
+                 "terminal must be a number, got 'a'"),
 }
 
 
@@ -172,11 +215,11 @@ def test_integer_fields_take_integral_floats(tmp_path):
 
 @pytest.mark.parametrize("field", MALFORMED)
 def test_malformed_field_exits_2_at_load(tmp_path, capsys, field):
-    # every field is read once, at load, into a ConfigError: validate and
-    # the job that uses the field both exit 2
-    job, text = MALFORMED[field]
+    # every field is read once, at load, into a ConfigError with its whole
+    # message: validate and the job that uses the field both exit 2
+    job, text, message = MALFORMED[field]
     path = write_yaml(tmp_path, text)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_config(path)
     for subcommand in ("validate", job):
         assert run_cli(subcommand, "--config", path,
@@ -452,7 +495,7 @@ def test_grid_writer_matches_row_writer(n, stocks, edge, seed):
     rng = np.random.default_rng(seed)
 
     def nodes(m, n_columns):
-        block = _CELLS // max(1, 128 * m * (n_columns + 2))
+        block = _CELLS // max(1, m * (n_columns + 2))
         return int(rng.integers(1, 9)) if edge is None else block + edge
 
     with tempfile.TemporaryDirectory() as tmp:

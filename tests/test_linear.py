@@ -661,13 +661,20 @@ def test_implicit_step_bisects_where_newton_has_no_slope():
     Newton iteration, 2 b < c, so the implicit step brackets and bisects
     for the root b + c: with no generator, b is the top value. The same
     with a penalty n (g - y)^+ under g = 0.5 < b, whose n the first
-    bracket's size reads."""
+    bracket's size reads: the step's hint lipschitz_y + n + lipschitz_z + 1
+    is the reference's hint of f + n (g - y)^+ as one callback
+    (``penalized_driver``), so the bisection ends on the reference's bits."""
     h, c, top = 0.25, 5.0, np.array([1.0, 2.0])
+    grid = np.array([0.0, h])
     spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
     driver = MarkovDriver(lambda t, i, y, z: min(y, c) / h, lipschitz_y=1.0 / h)
-    for g, n in ((None, 0.0), (lambda t, i: 0.5, 10.0)):
-        step = _callback_step(spec, driver, "implicit_euler", np.array([0.0, h]), g, n)
+    obstacle = Obstacle(g=lambda t, i: 0.5)
+    for g, n in ((None, 0.0), (obstacle.g, 1.0), (obstacle.g, 10.0), (obstacle.g, 100.0)):
+        step = _callback_step(spec, driver, "implicit_euler", grid, g, n)
         assert np.abs(step(0, top) - (top + c)).max() <= 1e-13
+        penalized = driver if g is None else ref.penalized_driver(driver, obstacle, n)
+        want = ref.callback_step(spec, penalized, "implicit_euler", grid)(0, top)
+        assert np.array(step(0, top)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["market_put", "market_regime", "market_pieces"])
