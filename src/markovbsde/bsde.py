@@ -7,10 +7,10 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
     dy_i/dt = -(A'(t) y(t))_i - f(t, i, y_i(t), y(t)),   y(T) = terminal,
 
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
-``_rhs`` is that right-hand side on Python floats, for the RK4 stages of
-``_callback_step`` and the reflected predictor of ``rbsde``; a driver's f
-gets t and y as floats and z as a float64 array, and its value is read
-with ``float()``.
+``_rhs`` is that right-hand side on Python floats, for the reflected
+predictor of ``rbsde``, and ``_callback_step`` writes it out in its RK4
+stages; a driver's f gets t and y as floats and z as a float64 array, and
+its value is read with ``float()``.
 A driver that carries its ``AffineForm`` makes the system linear on each
 piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then solve it
 on the affine maps of its steps (``chain.scan``, and ``chain.solve_floored``
@@ -135,37 +135,44 @@ def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
     """Solve v = b + dt * (f(t, i, v, z) + n (g - v)^+) for v on Python
     floats, the penalty only for an obstacle value g.
 
-    Newton with a secant slope, bisection fallback. The implicit part is
-    only the local v-dependence; the z argument stays frozen. A non-finite
-    b is returned as it is, and nan where no root is bracketed:
-    ``chain.sweep`` then names the node.
+    Newton with a secant slope, calling f itself at each point, and a
+    bisection fallback, the only part that builds a residual function.
+    The implicit part is only the local v-dependence; the z argument stays
+    frozen. A non-finite b is returned as it is, and nan where no root is
+    bracketed: ``chain.sweep`` then names the node.
     """
     if not math.isfinite(b):
         return b
-
-    if g is None:
-        def fv(v):
-            return float(f(t, i, v, z))
-    else:
-        def fv(v):
-            return float(f(t, i, v, z)) + n * max(g - v, 0.0)
-
-    def phi(v):
-        return v - b - dt * fv(v)
-
-    v = b + dt * fv(b)
-    for _ in range(50):  # phi written out: the hot loop of every implicit step
-        r0 = v - b - dt * fv(v)
+    fb = float(f(t, i, b, z))
+    if g is not None:
+        fb += n * max(g - b, 0.0)
+    v = b + dt * fb
+    for _ in range(50):
+        fv = float(f(t, i, v, z))
+        if g is not None:
+            fv += n * max(g - v, 0.0)
+        r0 = v - b - dt * fv
         if abs(r0) <= 1e-14 * (1.0 + abs(v)):
             return v
         h = 1e-7 * (1.0 + abs(v))
-        slope = (v + h - b - dt * fv(v + h) - r0) / h
+        vh = v + h
+        fv = float(f(t, i, vh, z))
+        if g is not None:
+            fv += n * max(g - vh, 0.0)
+        slope = (vh - b - dt * fv - r0) / h
         if slope <= 1e-12:
             break
         step = r0 / slope
         v -= step
         if abs(step) <= 1e-15 * (1.0 + abs(v)):
             return v
+
+    def phi(v):
+        fv = float(f(t, i, v, z))
+        if g is not None:
+            fv += n * max(g - v, 0.0)
+        return v - b - dt * fv
+
     # bracket and bisect
     span = max(1.0, abs(b)) * (1.0 + dt * lip_hint)
     lo, hi = b - span, b + span
@@ -188,18 +195,15 @@ def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
     return 0.5 * (lo + hi)
 
 
-def _rhs(gen_t, f, t, ys, n=0.0, gs=None):
+def _rhs(gen_t, f, t, ys):
     """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
-    the generator's transpose ``gen_t`` = A' for every state i, f plus the
-    penalty n (g_i - y_i)^+ of the obstacle values ``gs`` at t if given, as
-    a list of Python floats: y is the list ``ys``, read into one float64
-    array for A'y and z."""
+    the generator's transpose ``gen_t`` = A' for every state i, as a list
+    of Python floats: y is the list ``ys``, read into one float64 array
+    for A'y and z. It is the reflected sweep's predictor slope;
+    ``_callback_step`` writes the same stage out in its RK4 step."""
     z = np.array(ys)
-    at_y = gen_t.dot(z).tolist()
-    if gs is None:
-        return [-a - float(f(t, i, y, z)) for i, (a, y) in enumerate(zip(at_y, ys))]
-    return [-a - (float(f(t, i, y, z)) + n * max(g - y, 0.0))
-            for i, (a, y, g) in enumerate(zip(at_y, ys, gs))]
+    return [-a - float(f(t, i, y, z))
+            for i, a, y in zip(range(len(ys)), gen_t.dot(z).tolist(), ys)]
 
 
 def _linear_pieces(spec, form):
@@ -297,44 +301,69 @@ def _implicit_maps(spec, form, grid, obstacle):
     return times, first, maps
 
 
+def _generators(spec, times):
+    """(gens_t, piece): A' of each piece of the chain, as transposed views
+    of ``spec.gens`` (the layout every callback step's A'y product reads,
+    and so its bits), and the piece in force at each of ``times``, as a
+    list."""
+    return list(spec.gens.transpose(0, 2, 1)), pieces_at(spec.starts, times).tolist()
+
+
 def _callback_step(spec, driver, scheme, times, g, n):
     """step(s, y) down the table step s of ``chain.substeps`` at the chain
     breakpoints, from times[s + 1] to times[s], of f = ``driver.evaluate``
     plus n (g - y)^+ for an obstacle's g(t, i), if given: under its piece's
-    generator, one RK4 step of ``_rhs`` or one implicit Euler step, each
-    state by ``_scalar_implicit`` with A'y and z frozen at the top. Each
-    step runs on Python floats, with g read once a state at each time it
-    asks for, and returns its values as a list."""
-    gens_t = list(spec.gens[pieces_at(spec.starts, times[:-1])].transpose(0, 2, 1))
+    generator, one RK4 step or one implicit Euler step, each state by
+    ``_scalar_implicit`` with A'y and z frozen at the top. Each step runs
+    on Python floats and returns its values as a list; g is read once a
+    state at each distinct time a step asks for.
+
+    The RK4 stages k = -A'u - f(t, i, u_i, u) are written out state by
+    state, each with the input of the next, and the last with the sum:
+    ``chain.rk4_down``'s order, term by term, and so its bits. Under a
+    penalty they step f plus the penalty as one callback."""
+    gens_t, piece = _generators(spec, times[:-1])
     lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
     f = driver.evaluate
     at = times.tolist()
     states = range(spec.n_states)
+    if g is None:
+        fs = f
+    else:
+        obstacle = functools.cache(lambda t: [float(g(t, i)) for i in states])
 
-    def obstacle(t):
-        return None if g is None else [float(g(t, i)) for i in states]
-
-    def rhs(s, t, ys):
-        return _rhs(gens_t[s], f, t, ys, n, obstacle(t))
+        def fs(t, i, y, z):
+            return float(f(t, i, y, z)) + n * max(obstacle(t)[i] - y, 0.0)
 
     def rk4(s, y):
+        gen_t = gens_t[piece[s]]
         t_hi, t_lo = at[s + 1], at[s]
         h = t_hi - t_lo
         half = 0.5 * h
-        ys = y.tolist()
-        k1 = rhs(s, t_hi, ys)
-        k2 = rhs(s, t_hi - half, [v - half * k for v, k in zip(ys, k1)])
-        k3 = rhs(s, t_hi - half, [v - half * k for v, k in zip(ys, k2)])
-        k4 = rhs(s, t_lo, [v - h * k for v, k in zip(ys, k3)])
-        c = h / 6.0  # chain.rk4_down's order, term by term, and so its bits
-        return [v - c * (a + 2.0 * b + 2.0 * d + e) for v, a, b, d, e in zip(ys, k1, k2, k3, k4)]
+        t_mid = t_hi - half
+        top = u = y.tolist()
+        ks = []
+        for t, w in ((t_hi, half), (t_mid, half), (t_mid, h)):
+            z = np.array(u)
+            k, nxt = [], []
+            for i, a, v, v0 in zip(states, gen_t.dot(z).tolist(), u, top):
+                k.append(r := -a - float(fs(t, i, v, z)))
+                nxt.append(v0 - w * r)
+            ks.append(k)
+            u = nxt
+        z = np.array(u)
+        c = h / 6.0
+        return [v0 - c * (a1 + 2.0 * a2 + 2.0 * a3 + (-a - float(fs(t_lo, i, v, z))))
+                for i, a, v, v0, a1, a2, a3 in zip(states, gen_t.dot(z).tolist(), u, top, *ks)]
 
     def implicit(s, y):
         t = at[s]
         h = at[s + 1] - t
-        b = [v + h * a for v, a in zip(y.tolist(), gens_t[s].dot(y).tolist())]
+        b = [v + h * a for v, a in zip(y.tolist(), gens_t[piece[s]].dot(y).tolist())]
+        if g is None:
+            return [_scalar_implicit(f, t, i, b_i, h, y, lip) for i, b_i in zip(states, b)]
         return [_scalar_implicit(f, t, i, b_i, h, y, lip, n, g_i)
-                for i, (b_i, g_i) in enumerate(zip(b, obstacle(t) or [None] * len(b)))]
+                for i, b_i, g_i in zip(states, b, obstacle(t))]
 
     return rk4 if scheme == "explicit_rk4" else implicit
 

@@ -108,6 +108,8 @@ def sweep(step, top, times, first, what):
     values[-1] = top
     for s in range(times.size - 2, -1, -1):
         values[s] = step(s, values[s + 1])
+    if np.isfinite(values).all():
+        return values
     bad = np.flatnonzero(~np.isfinite(values[first].reshape(first.size, -1)).all(axis=1))
     if bad.size:
         raise NonFiniteError(f"{what} at t={times[first[bad[-1]]]:.6g}")
@@ -310,7 +312,7 @@ def freeze_schedule(entries, shape, horizon, what, check):
         raise BadScheduleError(f"horizon must be positive and finite, got {horizon}")
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is not None and arr.shape == shape:
         # a bare value means a constant schedule

@@ -75,11 +75,14 @@ def _section(raw, key):
 
 
 def _float(value, what):
-    """One finite number; a missing field reads as None and fails here."""
+    """One finite number; a missing field reads as None and fails here, and
+    an integer beyond the float range is not finite."""
     try:
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        out = math.inf
     _require(math.isfinite(out), "%s must be finite, got %r", what, value)
     return out
 
@@ -218,7 +221,7 @@ def load_config(path, overrides=None):
                                    "chain.initial_state"),
             horizon=chain_raw.get("horizon"),
         )
-    except (MarkovBsdeError, TypeError, ValueError) as exc:
+    except (MarkovBsdeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid chain section: {exc}") from exc
     n = chain.n_states
 
@@ -235,7 +238,7 @@ def load_config(path, overrides=None):
                 dividends=mk.get("dividends", ()),
                 r_max=mk.get("r_max", 1.0),
             )
-        except (MarkovBsdeError, TypeError, ValueError, KeyError) as exc:
+        except (MarkovBsdeError, TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"invalid market section: {exc}") from exc
 
     solver = _read_solver({**(_section(raw, "solver") or {}), **(overrides or {})})

@@ -21,14 +21,14 @@ class StateGridFunction:
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two nodes")
-        steps = np.diff(grid)
-        if not np.all(steps > 0):
+        steps = grid[1:] - grid[:-1]
+        if not (steps > 0).all():
             raise ValueError("grid must be strictly increasing")
         if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1.0):
             raise ValueError("grid must be uniform")
         if values.shape[0] != grid.size:
             raise ValueError("values must have one slice per grid node")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -56,9 +56,8 @@ def interp(grid, values, times):
 
 
 def sample_on_grid(fn, grid, n_states):
-    """Sample a scalar fn(t, state) into a (K+1, N) array."""
-    out = np.empty((grid.size, n_states))
-    for k, t in enumerate(grid):
-        for i in range(n_states):
-            out[k, i] = fn(t, i)
-    return out
+    """Sample a scalar fn(t, state) into a (K+1, N) array: fn is called
+    at each node of ``grid`` in turn, for the states 0 .. N-1."""
+    states = range(n_states)
+    return np.array([fn(t, i) for t in grid for i in states],
+                    dtype=float).reshape(grid.size, n_states)

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeSolution, _contraction, _inputs, _levels, _linear_pieces, _rhs
+from .bsde import (BsdeSolution, _contraction, _generators, _inputs, _levels, _linear_pieces,
+                   _rhs)
 from .chain import pieces_at, solve_floored, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid
@@ -47,7 +48,7 @@ class Obstacle:
         if np.shape(vals) != (times.size, n_states):
             raise ValueError(f"obstacle values have shape {np.shape(vals)}, "
                              f"want {(times.size, n_states)}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteError("obstacle produced non-finite values")
         return vals
 
@@ -144,29 +145,41 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     is not cut at a breakpoint that falls between two nodes. With an affine
     form the predictor is one map per step, (I + h M) v + h beta, and a row
     of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
-    the larger of the two by policy iteration. Else the predictor calls the
-    driver back under a generator tabled per node, and ``chain.sweep``
-    steps down the nodes, each step raising its prediction to the obstacle.
+    the larger of the two by policy iteration. Else ``chain.sweep`` steps
+    down the nodes on Python floats: the predictor calls the driver back
+    (``bsde._rhs``) under the generator of the node's piece, and each step
+    raises its prediction to the obstacle as ``np.maximum`` does, a nan
+    prediction staying nan. On either path a prediction of -inf, which the
+    obstacle raises to a finite value, still raises ``NonFiniteError`` at
+    its node: its push is not finite.
     """
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     each = np.arange(grid.size)
     if driver.affine is None:
         dt = float(grid[1] - grid[0])
+        f = driver.evaluate
         at = grid.tolist()
-        gens_t = list(spec.gens[pieces_at(spec.starts, grid[:-1])].transpose(0, 2, 1))
-        preds = np.empty((grid.size - 1, spec.n_states))
+        gens_t, piece = _generators(spec, grid[:-1])
+        floors = obstacle_vals.tolist()
+        preds = [None] * (grid.size - 1)
 
         def step(k, v):
             vs = v.tolist()
-            rhs = _rhs(gens_t[k], driver.evaluate, at[k], vs)
-            preds[k] = [y - dt * r for y, r in zip(vs, rhs)]
-            return np.maximum(obstacle_vals[k], preds[k])
+            preds[k] = pred = [y - dt * r
+                               for y, r in zip(vs, _rhs(gens_t[piece[k]], f, at[k], vs))]
+            # np.maximum(g, pred) on floats: a tie gives pred, a nan pred stays
+            return [g if g > p else p for g, p in zip(floors[k], pred)]
 
         values = sweep(step, terminal, grid, each, _BLOW_UP)
+        preds = np.array(preds)
     else:
         maps = _reflected_maps(spec, driver.affine, grid, obstacle_vals)
         values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)
-    return _assemble(grid, values, values[:-1] - preds, obstacle_vals)
+    pushes = values[:-1] - preds
+    bad = np.flatnonzero(~np.isfinite(pushes).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{_BLOW_UP} at t={grid[bad[-1]]:.6g}")
+    return _assemble(grid, values, pushes, obstacle_vals)
 
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):

@@ -12,7 +12,7 @@ from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
 from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
-from markovbsde.grids import StateGridFunction, uniform_grid
+from markovbsde.grids import StateGridFunction, sample_on_grid, uniform_grid
 
 import step_reference as ref
 from conftest import random_chain
@@ -158,6 +158,60 @@ def test_bsde_sweep_names_the_first_node_that_blows_up(two_state_chain):
             2, [(0.0, SYM), (breakpoint, 3.0 * SYM)], 0, 1.0)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"t={node}$"):
             solve_bsde(chain, driver, np.full(2, 5.0), 20, scheme=scheme)
+
+
+def spike(value, node=0.6):
+    """A callback driver that is 0 but at the node t = ``node`` of state 0,
+    where it is ``value``."""
+    return MarkovDriver(lambda t, i, y, z: value if i == 0 and abs(t - node) < 1e-9 else 0.0)
+
+
+SPIKE_SOLVES = {
+    "explicit_rk4": lambda spec, d: solve_bsde(spec, d, np.ones(2), 20),
+    "implicit_euler": lambda spec, d: solve_bsde(spec, d, np.ones(2), 20,
+                                                 scheme="implicit_euler"),
+    "solve_reflected": lambda spec, d: solve_reflected(spec, d, np.ones(2),
+                                                       constant_obstacle(0.5), 20),
+    "penalization_limit": lambda spec, d: penalization_limit(
+        spec, d, np.ones(2), constant_obstacle(0.5), 20, 1e-3),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", SPIKE_SOLVES)
+def test_a_driver_not_finite_at_one_node_raises_there(two_state_chain, solve, value):
+    """f = nan, +inf or -inf at the one node t = 0.6 of state 0 raises
+    ``NonFiniteError`` naming that node under RK4, implicit Euler, the
+    reflected sweep and the penalty levels. The reflected sweep raises a
+    prediction of -inf to the obstacle 0.5, a finite value, and still
+    raises there: the push from -inf is not finite."""
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="at t=0.6$"):
+        SPIKE_SOLVES[solve](two_state_chain, spike(value))
+
+
+def test_sample_on_grid_equals_the_per_element_loop():
+    """``sample_on_grid`` gives the bits of setting each element in turn,
+    from calls of g at the same (t, i) in the same order: the grid's own
+    numpy times and int states. g returns a float, a numpy scalar, an
+    int, a 0-d array and a signed zero."""
+    grid = np.linspace(0.0, 0.9, 8) ** 2
+    kinds = (float, np.float64, lambda x: int(10 * x), np.array, lambda x: -0.0)
+
+    def recorder(calls):
+        def g(t, i):
+            calls.append((t, type(t), i, type(i)))
+            return kinds[i](np.sin(3.0 * t + i))
+        return g
+
+    got_calls, want_calls = [], []
+    got = sample_on_grid(recorder(got_calls), grid, 5)
+    g = recorder(want_calls)
+    want = np.empty((grid.size, 5))
+    for k, t in enumerate(grid):
+        for i in range(5):
+            want[k, i] = g(t, i)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert got_calls == want_calls
 
 
 def test_pathwise_residual_small_and_decaying(two_state_chain):
@@ -307,6 +361,27 @@ def test_penalized_callback_steps_keep_the_sign_of_zero():
                     want = ref.bsde_loop(ref.callback_step(spec, penalized, scheme, grid),
                                          xi, grid)
                     assert got.tobytes() == want.tobytes()
+
+
+def test_reflected_callback_step_keeps_the_sign_of_zero():
+    """The callback reflected sweep raises its prediction to the obstacle
+    as ``np.maximum(g, prediction)`` does, byte for byte where every value
+    is a signed zero, so a tie gives the prediction: no generator,
+    terminals of +0 and -0, g = +0 or -0 and f = -y, y or a signed zero."""
+    spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
+    grid = uniform_grid(1.0, 2)
+    for sign in (0.0, -0.0):
+        obstacle = Obstacle(g=lambda t, i, sign=sign: sign)
+        for f in (lambda t, i, y, z: -y, lambda t, i, y, z: y,
+                  lambda t, i, y, z: 0.0, lambda t, i, y, z: -0.0):
+            driver = MarkovDriver(evaluate=f)
+            for xi in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]):
+                xi = np.array(xi)
+                got = solve_reflected(spec, driver, xi, obstacle, 2)
+                want, pushes = ref.reflected_loop(ref.callback_euler(spec, driver, grid), xi,
+                                                  obstacle.sample(grid, 2), grid)
+                assert got.values.tobytes() == want.tobytes()
+                assert got.step_pushes.tobytes() == pushes.tobytes()
 
 
 def test_solution_csv_rows(two_state_chain, tmp_path):

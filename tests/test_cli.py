@@ -227,6 +227,31 @@ def test_malformed_field_exits_2_at_load(tmp_path, capsys, field):
         assert "config error" in capsys.readouterr().err
 
 
+# field -> twostate.yaml's text of that field; a 401-digit integer replaces it
+TWOSTATE = (CONFIGS / "twostate.yaml").read_text()
+TOO_BIG = {
+    "rate": (TWOSTATE, "rate: 0.1", "rate: {}"),
+    "schedule start": (TWOSTATE, "- start: 0.0", "- start: {}"),
+    "generator entry": (TWOSTATE, "- [-1.0, 1.0]", "- [-{}, 1.0]"),
+    "terminal entry": (TWOSTATE, "terminal: [1.0, 1.0]", "terminal: [1.0, {}]"),
+    "payoff.strike": (MARKET + "payoff: {kind: put_on_stock, strike: 30.0}\n",
+                      "strike: 30.0", "strike: {}"),
+}
+
+
+@pytest.mark.parametrize("field", TOO_BIG)
+def test_an_integer_beyond_the_float_range_exits_2(tmp_path, capsys, field):
+    """An integer too large for a float is a ``ConfigError`` at load, and
+    ``validate`` exits 2 with a config error, not a traceback."""
+    text, old, new = TOO_BIG[field]
+    assert old in text
+    path = write_yaml(tmp_path, text.replace(old, new.format(10 ** 400), 1))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert run_cli("validate", "--config", path, "--out", str(tmp_path / "v")) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("job, config, flags", [
     ("solve-bsde", "twostate.yaml", ["--steps", "1"]),
     ("price-american", "market_put.yaml", ["--steps", "1"]),
