@@ -7,10 +7,10 @@ taking the canonical integrand Z_t = y(t) turns the backward equation into
     dy_i/dt = -(A'(t) y(t))_i - f(t, i, y_i(t), y(t)),   y(T) = terminal,
 
 because the jump of Y at a transition i -> j is exactly y_j - y_i = Z'dX.
-``_rhs`` is that right-hand side on Python floats, for the reflected
-predictor of ``rbsde``, and ``_callback_step`` writes it out in its RK4
-stages; a driver's f gets t and y as floats and z as a float64 array, and
-its value is read with ``float()``.
+``_callback_step`` writes that right-hand side out on Python floats in
+each of its steps (RK4, implicit Euler and the reflected predictor); a
+driver's f gets t and y as floats and z as a float64 array, and its value
+is read with ``float()``.
 A driver that carries its ``AffineForm`` makes the system linear on each
 piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then solve it
 on the affine maps of its steps (``chain.scan``, and ``chain.solve_floored``
@@ -195,17 +195,6 @@ def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
     return 0.5 * (lo + hi)
 
 
-def _rhs(gen_t, f, t, ys):
-    """Right-hand side -(A'y)_i - f(t, i, y_i, y) of the reduced ODE under
-    the generator's transpose ``gen_t`` = A' for every state i, as a list
-    of Python floats: y is the list ``ys``, read into one float64 array
-    for A'y and z. It is the reflected sweep's predictor slope;
-    ``_callback_step`` writes the same stage out in its RK4 step."""
-    z = np.array(ys)
-    return [-a - float(f(t, i, y, z))
-            for i, a, y in zip(range(len(ys)), gen_t.dot(z).tolist(), ys)]
-
-
 def _linear_pieces(spec, form):
     """The merged pieces of the chain and the affine form ``form``: their
     starts, and per piece A' + G, alpha and beta."""
@@ -220,15 +209,16 @@ def _linear_pieces(spec, form):
 def _levels(spec, driver, scheme, grid, obstacle=None):
     """(n, top, start=None) -> (values, choice): the solve of ``driver``
     under ``scheme`` down the ``grid`` from values[-1] = ``top``, f plus the
-    penalty n (g - y)^+ of ``obstacle`` if given: the one builder entry of
-    every backward solve. An affine form is solved on maps: under implicit
-    Euler on those of ``_implicit_maps``, by ``chain.solve_floored`` from
-    ``start`` with the penalty, else by ``chain.solve_affine``, and under
-    RK4 without a penalty on the ``chain.affine_rk4`` maps by
-    ``chain.solve_affine``; anything else is swept step by step by
-    ``chain.sweep`` on the steps of ``_callback_step``. ``choice`` is that
-    of a penalized implicit solve, which ``start`` takes back at the next
-    level, else None."""
+    penalty n (g - y)^+ of ``obstacle`` if given, for ``solve_bsde`` (n = 0)
+    and the penalty levels. An affine form is solved on maps: under
+    implicit Euler on those of ``_implicit_maps``, by
+    ``chain.solve_floored`` from ``start`` with the penalty, else by
+    ``chain.solve_affine``, and under RK4 without a penalty on the
+    ``chain.affine_rk4`` maps by ``chain.solve_affine``; anything else is
+    swept step by step by ``chain.sweep`` on the steps of
+    ``_callback_step``, which read the obstacle's rows off one cache for
+    every level. ``choice`` is that of a penalized implicit solve, which
+    ``start`` takes back at the next level, else None."""
     form = driver.affine
     if form is not None and scheme == "implicit_euler":
         times, first, maps = _implicit_maps(spec, form, grid, obstacle)
@@ -250,10 +240,11 @@ def _levels(spec, driver, scheme, grid, obstacle=None):
         return lambda n, top, start=None: (
             solve_affine(maps, top, grid, first, _BLOW_UP), None)
     times, first = substeps(spec.breakpoints(), grid)
-    # g of each (t, i) a step asks for, called once for every level
-    g = None if obstacle is None else functools.cache(obstacle.g)
+    # the obstacle row at each time a step asks for, read once for every level
+    rows = None if obstacle is None else functools.cache(
+        lambda t: [float(obstacle.g(t, i)) for i in range(spec.n_states)])
     return lambda n, top, start=None: (
-        sweep(_callback_step(spec, driver, scheme, times, g, n), top, times, first,
+        sweep(_callback_step(spec, driver, scheme, times, rows, n), top, times, first,
               _BLOW_UP)[first], None)
 
 
@@ -301,39 +292,54 @@ def _implicit_maps(spec, form, grid, obstacle):
     return times, first, maps
 
 
-def _generators(spec, times):
-    """(gens_t, piece): A' of each piece of the chain, as transposed views
-    of ``spec.gens`` (the layout every callback step's A'y product reads,
-    and so its bits), and the piece in force at each of ``times``, as a
-    list."""
-    return list(spec.gens.transpose(0, 2, 1)), pieces_at(spec.starts, times).tolist()
+def _reflected_maps(spec, form, grid, obstacle_vals):
+    """nodes -> maps: per step between the grid ``nodes``, the rows [P c] of
+    the affine form's predictor (I + h M) v + h beta under the piece at the
+    step's bottom (maps[0]), and of the obstacle map v -> g there (maps[1])."""
+    n = spec.n_states
+    starts, a_g, alpha, beta = _linear_pieces(spec, form)
+    mats = a_g + alpha[:, :, None] * np.eye(n)
+    piece = pieces_at(starts, grid[:-1])
+
+    def maps(nodes):
+        h = np.diff(grid[nodes])[:, None]
+        p = piece[nodes[:-1]]
+        pair = np.zeros((2, p.size, n, n + 1))
+        pair[0, ..., :n] = np.eye(n) + h[:, :, None] * mats[p]
+        pair[0, ..., n] = h * beta[p]
+        pair[1, ..., n] = obstacle_vals[nodes[:-1]]
+        return pair
+
+    return maps
 
 
-def _callback_step(spec, driver, scheme, times, g, n):
-    """step(s, y) down the table step s of ``chain.substeps`` at the chain
-    breakpoints, from times[s + 1] to times[s], of f = ``driver.evaluate``
-    plus n (g - y)^+ for an obstacle's g(t, i), if given: under its piece's
-    generator, one RK4 step or one implicit Euler step, each state by
-    ``_scalar_implicit`` with A'y and z frozen at the top. Each step runs
-    on Python floats and returns its values as a list; g is read once a
-    state at each distinct time a step asks for.
+def _callback_step(spec, driver, scheme, times, rows, n):
+    """step(s, y) down the table step s from times[s + 1] to times[s], of
+    length h = times[s + 1] - times[s], of f = ``driver.evaluate`` plus
+    n (g - y)^+ for the obstacle rows g = rows(t), a list of floats, if
+    given, under the generator of the piece in force at times[s]. The
+    scheme is one RK4 step ("explicit_rk4"), one implicit Euler step
+    ("implicit_euler"), each state by ``_scalar_implicit`` with A'y and z
+    frozen at the top, or the reflected predictor ("reflected")
+    v_i - h (-(A'v)_i - f(t, i, v_i, v)) at the bottom time t. Each step
+    runs on Python floats and returns its values as a list.
 
     The RK4 stages k = -A'u - f(t, i, u_i, u) are written out state by
     state, each with the input of the next, and the last with the sum:
     ``chain.rk4_down``'s order, term by term, and so its bits. Under a
     penalty they step f plus the penalty as one callback."""
-    gens_t, piece = _generators(spec, times[:-1])
+    # transposed views of spec.gens: the layout every A'y product reads
+    gens_t = list(spec.gens.transpose(0, 2, 1))
+    piece = pieces_at(spec.starts, times[:-1]).tolist()
     lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
     f = driver.evaluate
     at = times.tolist()
     states = range(spec.n_states)
-    if g is None:
+    if rows is None:
         fs = f
     else:
-        obstacle = functools.cache(lambda t: [float(g(t, i)) for i in states])
-
         def fs(t, i, y, z):
-            return float(f(t, i, y, z)) + n * max(obstacle(t)[i] - y, 0.0)
+            return float(f(t, i, y, z)) + n * max(rows(t)[i] - y, 0.0)
 
     def rk4(s, y):
         gen_t = gens_t[piece[s]]
@@ -360,12 +366,17 @@ def _callback_step(spec, driver, scheme, times, g, n):
         t = at[s]
         h = at[s + 1] - t
         b = [v + h * a for v, a in zip(y.tolist(), gens_t[piece[s]].dot(y).tolist())]
-        if g is None:
-            return [_scalar_implicit(f, t, i, b_i, h, y, lip) for i, b_i in zip(states, b)]
+        gs = [None] * len(b) if rows is None else rows(t)
         return [_scalar_implicit(f, t, i, b_i, h, y, lip, n, g_i)
-                for i, b_i, g_i in zip(states, b, obstacle(t))]
+                for i, b_i, g_i in zip(states, b, gs)]
 
-    return rk4 if scheme == "explicit_rk4" else implicit
+    def reflected(s, y):
+        t = at[s]
+        h = at[s + 1] - t
+        return [v - h * (-a - float(fs(t, i, v, y)))
+                for i, a, v in zip(states, gens_t[piece[s]].dot(y).tolist(), y.tolist())]
+
+    return {"explicit_rk4": rk4, "implicit_euler": implicit, "reflected": reflected}[scheme]
 
 
 def _inputs(spec, terminal, steps):

@@ -32,7 +32,11 @@ _CELLS = 64 * 256
 _BLOCK = 1024
 _STREAM = 1953
 # ``solve_floored`` starts from the solve on every _COARSE-th node, and
-# sweeps step by step after _POLICIES policies.
+# sweeps step by step after _POLICIES policies. The repair after policy p
+# runs on until the choice has stood _COARSE 2^(p - 1) steps: a stand of
+# _COARSE at every policy took 9 policies, one past the cap, on a 256-step
+# instance whose coarse start is far off; the doubling stand takes 5 there,
+# and its first repair costs what it did.
 _COARSE = 8
 _POLICIES = 8
 
@@ -211,9 +215,10 @@ def solve_floored(maps, top, times, first, what, start=None):
     of the exact recursion for good: a solve ends at the one
     self-consistent choice, whatever ``start``, in at most as many
     policies as steps. ``_recurse`` makes the choices below that step
-    again one at a time, for as long as they move. ``start`` defaults to
-    the choice of the same solve on every ``_COARSE``-th table node
-    (``_coarse_start``). Past ``_POLICIES`` policies, on values that are
+    again one at a time, until they have stood ``_COARSE`` steps in a row
+    after the first policy, twice as many after each next one. ``start``
+    defaults to the choice of the same solve on every ``_COARSE``-th table
+    node (``_coarse_start``). Past ``_POLICIES`` policies, on values that are
     not finite and on maps that are not ``_steady``, it is
     ``_mapped_sweep`` on the same maps (0 policies), whose check names the
     first node that is not finite."""
@@ -247,7 +252,7 @@ def _policies(maps, nodes, top, start=None, pair=None):
         if not wrong.size:
             np.maximum(both[0], both[1], out=values[:-1])
             return values, both[0], choice, count
-        _recurse(pair, values[wrong[-1] + 1], again, wrong[-1], _COARSE)
+        _recurse(pair, values[wrong[-1] + 1], again, wrong[-1], _COARSE << (count - 1))
         choice = again
     return None
 

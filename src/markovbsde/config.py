@@ -184,6 +184,11 @@ def _read_solver(raw):
     solver.strict_contraction = raw.get("strict_contraction", solver.strict_contraction)
     _require(solver.steps >= 2, "solver.steps must be >= 2")
     _require(solver.n_paths >= 1, "solver.n_paths must be >= 1")
+    size_max = np.iinfo(np.int64).max  # numpy takes sizes as int64
+    for key in ("steps", "n_paths"):
+        _require(getattr(solver, key) <= size_max, "solver.%s must be at most %s", key, size_max)
+    _require(solver.penalization_tol > 0, "solver.penalization_tol must be > 0, got %r",
+             solver.penalization_tol)
     _require(solver.seed >= 0, "solver.seed must be >= 0")
     _require(solver.scheme in ("explicit_rk4", "implicit_euler"),
              "unknown scheme %r", solver.scheme)

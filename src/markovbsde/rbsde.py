@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (BsdeSolution, _contraction, _generators, _inputs, _levels, _linear_pieces,
-                   _rhs)
-from .chain import pieces_at, solve_floored, sweep
+from .bsde import (BsdeSolution, _callback_step, _contraction, _inputs, _levels,
+                   _reflected_maps)
+from .chain import solve_floored, sweep
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid
 
@@ -103,27 +103,6 @@ def _sampled(spec, terminal, obstacle, steps):
     return terminal, grid, g
 
 
-def _reflected_maps(spec, form, grid, obstacle_vals):
-    """nodes -> maps: per step between the grid ``nodes``, the rows [P c] of
-    the affine form's predictor (I + h M) v + h beta under the piece at the
-    step's bottom (maps[0]), and of the obstacle map v -> g there (maps[1])."""
-    n = spec.n_states
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    mats = a_g + alpha[:, :, None] * np.eye(n)
-    piece = pieces_at(starts, grid[:-1])
-
-    def maps(nodes):
-        h = np.diff(grid[nodes])[:, None]
-        p = piece[nodes[:-1]]
-        pair = np.zeros((2, p.size, n, n + 1))
-        pair[0, ..., :n] = np.eye(n) + h[:, :, None] * mats[p]
-        pair[0, ..., n] = h * beta[p]
-        pair[1, ..., n] = obstacle_vals[nodes[:-1]]
-        return pair
-
-    return maps
-
-
 def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
     # k(t_m) accumulates the pushes applied on steps fully inside [0, t_m]
     steps, n = pushes.shape
@@ -141,37 +120,31 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     obstacle; the projection excess is the reflection increment,
     accumulated so k(0) = 0 and k is nondecreasing.
 
-    Each step takes the generator and driver in force at its left node and
-    is not cut at a breakpoint that falls between two nodes. With an affine
-    form the predictor is one map per step, (I + h M) v + h beta, and a row
-    of the obstacle step is the map v -> g: ``chain.solve_floored`` takes
-    the larger of the two by policy iteration. Else ``chain.sweep`` steps
-    down the nodes on Python floats: the predictor calls the driver back
-    (``bsde._rhs``) under the generator of the node's piece, and each step
-    raises its prediction to the obstacle as ``np.maximum`` does, a nan
-    prediction staying nan. On either path a prediction of -inf, which the
-    obstacle raises to a finite value, still raises ``NonFiniteError`` at
-    its node: its push is not finite.
+    Each step takes its own length and the generator and driver in force
+    at its left node, and is not cut at a breakpoint that falls between two
+    nodes. With an affine form the predictor is one map per step,
+    (I + h M) v + h beta (``bsde._reflected_maps``), and a row of the
+    obstacle step is the map v -> g: ``chain.solve_floored`` takes the
+    larger of the two by policy iteration. Else ``chain.sweep`` steps down
+    the nodes on ``bsde._callback_step``'s reflected predictor, and each
+    step raises its prediction to the obstacle as ``np.maximum`` does, a
+    nan prediction staying nan. On either path a prediction of -inf, which
+    the obstacle raises to a finite value, still raises ``NonFiniteError``
+    at its node: its push is not finite.
     """
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     each = np.arange(grid.size)
     if driver.affine is None:
-        dt = float(grid[1] - grid[0])
-        f = driver.evaluate
-        at = grid.tolist()
-        gens_t, piece = _generators(spec, grid[:-1])
+        predict = _callback_step(spec, driver, "reflected", grid, None, 0.0)
         floors = obstacle_vals.tolist()
-        preds = [None] * (grid.size - 1)
+        preds = np.empty((grid.size - 1, spec.n_states))
 
         def step(k, v):
-            vs = v.tolist()
-            preds[k] = pred = [y - dt * r
-                               for y, r in zip(vs, _rhs(gens_t[piece[k]], f, at[k], vs))]
+            preds[k] = pred = predict(k, v)
             # np.maximum(g, pred) on floats: a tie gives pred, a nan pred stays
             return [g if g > p else p for g, p in zip(floors[k], pred)]
 
         values = sweep(step, terminal, grid, each, _BLOW_UP)
-        preds = np.array(preds)
     else:
         maps = _reflected_maps(spec, driver.affine, grid, obstacle_vals)
         values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)

@@ -197,11 +197,12 @@ def linear_rk4(spec, form, grid):
 def linear_euler(spec, form, grid):
     """step(k, v): the reflected sweep's predictor of the affine form from
     grid[k + 1] down to grid[k], v + h ((A' + G + diag alpha) v + beta)
-    under the piece in force at grid[k], not cut at a breakpoint."""
+    under the piece in force at grid[k], not cut at a breakpoint, with
+    h = grid[k + 1] - grid[k]."""
     starts, a_g, alpha, beta = linear_pieces(spec, form)
-    h = grid[1] - grid[0]
 
     def step(k, v):
+        h = grid[k + 1] - grid[k]
         p = piece_of(starts, grid[k])
         return v + h * (a_g[p] @ v + alpha[p] * v + beta[p])
 
@@ -211,10 +212,10 @@ def linear_euler(spec, form, grid):
 def callback_euler(spec, driver, grid):
     """step(k, v): the reflected sweep's predictor of a callback driver from
     grid[k + 1] down to grid[k], v - h * reduced_rhs, under the generator
-    in force at grid[k], not cut at a breakpoint."""
-    h = grid[1] - grid[0]
-
+    in force at grid[k], not cut at a breakpoint, with h = grid[k + 1] -
+    grid[k]."""
     def step(k, v):
+        h = grid[k + 1] - grid[k]
         gen = spec.gens[piece_of(spec.starts, grid[k])]
         return v - h * reduced_rhs(gen, driver.evaluate, grid[k], v)
 

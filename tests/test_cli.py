@@ -169,6 +169,12 @@ MALFORMED = {
                        "solver.n_paths must be >= 1"),
     "solver.seed": ("simulate", MINIMAL.replace("seed: 0", "seed: -1"),
                     "solver.seed must be >= 0"),
+    "solver.penalization_tol zero": ("solve-rbsde", MINIMAL.replace(
+        "seed: 0}", "seed: 0, penalization_tol: 0}"),
+        "solver.penalization_tol must be > 0, got 0.0"),
+    "solver.penalization_tol negative": ("solve-rbsde", MINIMAL.replace(
+        "seed: 0}", "seed: 0, penalization_tol: -1}"),
+        "solver.penalization_tol must be > 0, got -1.0"),
     "solver.scheme": ("solve-bsde", MINIMAL.replace("seed: 0}", "seed: 0, scheme: euler}"),
                       "unknown scheme 'euler'"),
     "solver.strict_contraction": ("solve-bsde", MINIMAL.replace(
@@ -236,13 +242,16 @@ TOO_BIG = {
     "terminal entry": (TWOSTATE, "terminal: [1.0, 1.0]", "terminal: [1.0, {}]"),
     "payoff.strike": (MARKET + "payoff: {kind: put_on_stock, strike: 30.0}\n",
                       "strike: 30.0", "strike: {}"),
+    "solver.steps": (TWOSTATE, "steps: 1000", "steps: {}"),
+    "solver.n_paths": (TWOSTATE, "n_paths: 20000", "n_paths: {}"),
 }
 
 
 @pytest.mark.parametrize("field", TOO_BIG)
 def test_an_integer_beyond_the_float_range_exits_2(tmp_path, capsys, field):
-    """An integer too large for a float is a ``ConfigError`` at load, and
-    ``validate`` exits 2 with a config error, not a traceback."""
+    """An integer too large for a float, or a size too large for an int64,
+    is a ``ConfigError`` at load, and ``validate`` exits 2 with a config
+    error, not a traceback."""
     text, old, new = TOO_BIG[field]
     assert old in text
     path = write_yaml(tmp_path, text.replace(old, new.format(10 ** 400), 1))

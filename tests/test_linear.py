@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         chain, penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import (AffineForm, _callback_step, _implicit_maps, _levels,
-                            _linear_pieces, _scalar_implicit, zero_driver)
+                            _linear_pieces, _reflected_maps, _scalar_implicit, zero_driver)
 from markovbsde.chain import (_POLICIES, _steady, affine_rk4, check_contraction,
                               pseudoinverse, rate_bound_m, solve_floored, substeps, sweep)
 from markovbsde.config import load_config
@@ -23,7 +23,7 @@ from markovbsde.errors import NonFiniteError
 from markovbsde.grids import interp, uniform_grid
 from markovbsde.hedge import driver_constants, make_hedge_driver
 from markovbsde.market import gamma_matrix, sigma_matrix, stock_curves
-from markovbsde.rbsde import _reflected_maps, solve_penalized
+from markovbsde.rbsde import solve_penalized
 
 import step_reference as ref
 from conftest import expm, pricing_callback, pricing_f
@@ -348,8 +348,9 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     if penalized:
         obstacle, level = penalty_obstacle(rng, n), float(rng.integers(1, 50))
     times, first = substeps(market.chain.breakpoints(), grid)
-    tabled = _callback_step(market.chain, driver, scheme, times, getattr(obstacle, "g", None),
-                            level)
+    tabled = _callback_step(market.chain, driver, scheme, times,
+                            None if obstacle is None else
+                            lambda t: [obstacle.g(t, i) for i in range(n)], level)
     if penalized:
         driver = ref.penalized_driver(driver, obstacle, level)
     looped = ref.callback_step(market.chain, driver, scheme, grid)
@@ -563,6 +564,7 @@ def test_replace_reads_f_and_g_off_the_new_form():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), steps=st.integers(3, 300), kinds=KINDS,
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=6, steps=256, kinds=["last", "node", "inside", "last"], seed=6)
 def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
     """The affine solves on ``chain.scan`` and the floored ones by policy
     iteration equal the loops of ``step_reference`` to the
@@ -670,7 +672,8 @@ def test_implicit_step_bisects_where_newton_has_no_slope():
     driver = MarkovDriver(lambda t, i, y, z: min(y, c) / h, lipschitz_y=1.0 / h)
     obstacle = Obstacle(g=lambda t, i: 0.5)
     for g, n in ((None, 0.0), (obstacle.g, 1.0), (obstacle.g, 10.0), (obstacle.g, 100.0)):
-        step = _callback_step(spec, driver, "implicit_euler", grid, g, n)
+        step = _callback_step(spec, driver, "implicit_euler", grid,
+                              None if g is None else lambda t: [g(t, 0), g(t, 1)], n)
         assert np.abs(step(0, top) - (top + c)).max() <= 1e-13
         penalized = driver if g is None else ref.penalized_driver(driver, obstacle, n)
         want = ref.callback_step(spec, penalized, "implicit_euler", grid)(0, top)

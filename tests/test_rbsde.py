@@ -24,6 +24,19 @@ def decreasing_obstacle(horizon):
     return Obstacle(g=lambda t, i: horizon - t)
 
 
+def test_callback_reflected_step_takes_its_own_length():
+    """With no generator and a constant driver c, each predictor of the
+    callback reflected sweep adds its own step's (t_{k+1} - t_k) c, bit for
+    bit, above an obstacle that never binds: at K = 10, 8 of the uniform
+    grid's steps differ from grid[1] - grid[0] in their last bits."""
+    spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
+    c = 3.0
+    sol = solve_reflected(spec, MarkovDriver(evaluate=lambda t, i, y, z: c), np.zeros(2),
+                          constant_obstacle(-1.0), 10)
+    assert np.array_equal(sol.values[:-1], sol.values[1:] + np.diff(sol.grid)[:, None] * c)
+    assert not sol.step_pushes.any()
+
+
 def test_decreasing_obstacle_exact(two_state_chain):
     # g = T - t, xi = 0, f = 0: V = T - t and K = t exactly
     sol = solve_reflected(two_state_chain, zero_driver(), np.zeros(2),
