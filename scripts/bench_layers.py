@@ -19,10 +19,11 @@ For each bundled market config with a put payoff, times (best of 3):
   nodes would take 160 MB); ``terminal_sdf`` and ``stochastic_integral``
   (z = e_0) on the whole batch; ``isometry_check`` (z = e_0) on the drawn
   batch; and ``discounted_value_check`` of the put priced at K = 200,
-  which draws its own paths;
-- ``PathBatch.stretches`` on the market's pieces of the 81 paths 0 .. 80,
-  the batch ``discounted_value_check`` cuts at K = 200, as the best of 3
-  runs of 1000 cuts, per cut;
+  which draws its own paths. Beside each of these rows, the tracemalloc
+  peak of one more call, in MB (``peak_mb``): a record, not a gate;
+- ``PathBatch.stretches`` on the market's pieces of the first batch that
+  ``discounted_value_check`` of that put cuts of the paths 0 .. 999, the
+  benchmark's path count, as the best of 3 runs of 1000 cuts, per cut;
 - ``draw_paths`` of 1e4 paths on a two-state chain with both rates 1e3 on
   [0, 1], about 1000 jumps a path;
 - end to end, on every bundled config at ``--steps 250`` and the
@@ -63,6 +64,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from time import perf_counter
@@ -74,7 +76,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from markovbsde import (PathBatch, build_chain_spec, cli,  # noqa: E402
+from markovbsde import (PathBatch, build_chain_spec, cli, hedge,  # noqa: E402
                         discount_driver, discounted_value_check, draw_paths, extract_hedge,
                         isometry_check, martingale_path, penalization_limit,
                         price_american, replicate_forward, solve_bsde, solve_reflected,
@@ -92,7 +94,7 @@ MC_PATHS = (10_000, 100_000)
 MC_STEPS = 200
 FAST_RATE = 1e3
 SDF_BATCH = 10_000
-CUT_BATCH = 81
+CHECK_PATHS = 1000
 CUT_CALLS = 1000
 CLI_STEPS = 250
 CALLBACK_CONFIG, CALLBACK_STEPS, CALLBACK_RATE = "market_pieces", 1000, 0.05
@@ -187,13 +189,29 @@ def path_layers(cfg, n_paths):
     ]
 
 
+def check_batch(cfg, n_paths):
+    """The first batch that ``discounted_value_check`` of the config's put,
+    priced at K = ``MC_STEPS``, cuts of the paths 0 .. n_paths - 1: the one
+    its first call of ``sdf_stretches`` receives."""
+    payoff = cfg.build_payoff(curves=stock_curves(cfg.market, steps=MC_STEPS))
+    priced = price_american(cfg.market, payoff, MC_STEPS)
+    seen, cut = [], hedge.sdf_stretches
+    hedge.sdf_stretches = lambda market, batch: seen.append(batch) or cut(market, batch)
+    try:
+        discounted_value_check(cfg.market, payoff, priced, n_paths)
+    finally:
+        hedge.sdf_stretches = cut
+    return seen[0]
+
+
 def cut_layers(cfg, n_paths):
-    """The one layer timed per call on ``n_paths`` paths: ``CUT_CALLS``
-    cuts of them on the market's pieces, whose time ``measure`` divides
-    by ``CUT_CALLS``."""
-    paths = draw_paths(cfg.chain, 0, n_paths)
+    """The one layer timed per call: ``CUT_CALLS`` cuts on the market's
+    pieces of ``check_batch(cfg, n_paths)``, whose time ``measure``
+    divides by ``CUT_CALLS``."""
+    paths = check_batch(cfg, n_paths)
     starts = cfg.market.piece_starts
-    return [("stretches", lambda: [paths.stretches(starts) for _ in range(CUT_CALLS)])]
+    return [(f"stretches of its first check batch, {paths.n_paths} paths",
+             lambda: [paths.stretches(starts) for _ in range(CUT_CALLS)])]
 
 
 def cli_jobs(config, out):
@@ -244,6 +262,16 @@ def best_time(call):
     return min(times)
 
 
+def peak_mb(call):
+    """The tracemalloc peak of one ``call()``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def kernel_time():
     """The best of ``REPEATS`` runs of the reference kernel."""
     return best_time(lambda: reference_kernel(np))
@@ -284,10 +312,13 @@ def measure():
     warnings.simplefilter("ignore", RuntimeWarning)
     rows = {}
 
-    def record(key, measure_row):
+    def record(key, measure_row, peak=None):
+        """Time the row; with ``peak``, record ``peak_mb(peak)`` beside it."""
         seconds, kernel = with_kernel(measure_row)
         if seconds is not None:
             rows[key] = {"s": seconds, "ref": seconds / kernel, "kernel_s": kernel}
+            if peak is not None:
+                rows[key]["peak_mb"] = peak_mb(peak)
             print(f"{seconds:10.6f} s {seconds / kernel:9.3f} ref  {key}", file=sys.stderr)
 
     for name in CONFIGS:
@@ -296,11 +327,12 @@ def measure():
         if name == CALLBACK_CONFIG:
             sizes += [(f"K={CALLBACK_STEPS}", callback_layers, CALLBACK_STEPS)]
         sizes += [(f"P={n}", path_layers, n) for n in MC_PATHS]
-        sizes += [(f"P={CUT_BATCH}", cut_layers, CUT_BATCH)]
+        sizes += [(f"P={CHECK_PATHS}", cut_layers, CHECK_PATHS)]
         for size, build, arg in sizes:
             per = CUT_CALLS if build is cut_layers else 1
             for layer, call in build(cfg, arg):
-                record(f"{name} {size} {layer}", lambda: best_time(call) / per)
+                record(f"{name} {size} {layer}", lambda: best_time(call) / per,
+                       peak=call if build is path_layers else None)
     fast = build_chain_spec(2, FAST_RATE * np.array([[-1.0, 1.0], [1.0, -1.0]]), 0, 1.0)
     record(f"two_state rate={FAST_RATE:g} P={MC_PATHS[0]} draw_paths",
            lambda: best_time(lambda: draw_paths(fast, 0, MC_PATHS[0])))
@@ -337,11 +369,14 @@ def measure():
 
 
 def compare(new, old):
-    print(f"{'layer':50s} {'new/old s':>10s} {'new/old ref':>12s}")
+    print(f"{'layer':50s} {'new/old s':>10s} {'new/old ref':>12s} {'new/old peak':>13s}")
     for key, rec in new["layers"].items():
         if key in old["layers"]:
             base = old["layers"][key]
-            print(f"{key:50s} {rec['s'] / base['s']:10.3f} {rec['ref'] / base['ref']:12.3f}")
+            peak = (f"{rec['peak_mb'] / base['peak_mb']:13.3f}"
+                    if "peak_mb" in rec and "peak_mb" in base else f"{'-':>13s}")
+            print(f"{key:50s} {rec['s'] / base['s']:10.3f} {rec['ref'] / base['ref']:12.3f} "
+                  f"{peak}")
 
 
 def main(argv=None):

@@ -718,7 +718,8 @@ def path_chunks(spec, seed_base, n_paths, width, paths=None):
     ``batch.chunks(width(batch))`` of the batch of them all: ``paths`` when
     given, which must hold exactly those seeds, else drawn by
     ``draw_paths``. ``width(batch)`` is the column count of the caller's
-    widest per-path table."""
+    widest per-path table; a caller whose flat cells per path vary cuts
+    each batch further by ``cell_parts``."""
     if n_paths < 2:
         raise TooFewPathsError(f"a Monte Carlo estimate needs at least 2 paths, "
                                f"got {n_paths}")
@@ -728,6 +729,17 @@ def path_chunks(spec, seed_base, n_paths, width, paths=None):
         raise ValueError(f"paths must be those of seeds {seed_base} .. "
                          f"{seed_base + n_paths - 1}")
     return paths.chunks(width(paths))
+
+
+def cell_parts(cells):
+    """Consecutive runs [a, b) of whole paths, one path's flat cells
+    ``cells[p]``: as many paths as fit in ``_CELLS`` cells, at least one."""
+    ends = np.cumsum(cells)
+    a = 0
+    while a < ends.size:
+        b = max(int(np.searchsorted(ends, ends[a] - cells[a] + _CELLS, side="right")), a + 1)
+        yield a, b
+        a = b
 
 
 def martingale_path(paths, spec, grid_steps):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AffineForm, MarkovDriver, _contraction
-from .chain import (check_contraction, dots, gate, path_chunks, pieces_at, rate_bound_m, runs,
-                    substeps)
+from .chain import (cell_parts, check_contraction, dots, gate, path_chunks, pieces_at,
+                    rate_bound_m, runs, substeps)
 from .errors import DimensionMismatchError, SingularPhiError
 from .market import sdf_stretches
 from .rbsde import solve_reflected
@@ -186,52 +186,107 @@ def _stopped_values(market, batch, grid, tables):
     payoff there; and whether the deflated value dominates the deflated
     payoff at every node. ``tables`` holds the check's (nodes, states)
     tables v, g, the discounted driver h, the next touching node and where
-    v < g (None where it is nowhere). pi is evaluated only at the (stretch,
-    node) cells a path visits up to its stop, each stretch's nodes those it
-    holds (``chain.runs``), and at the visited cells where v < g."""
-    v, g, h, nxt, below = tables
+    v < g (None where it is nowhere), then its row (``_row``): the terms pi
+    h of the stretch every path starts on, the first node where the row
+    fails dominance, and the values of a path that stops on the row at its
+    first touch and at node K.
+
+    A path reads its head off the row: the nodes of its first stretch up to
+    node K - 1, and node K too on a path that never leaves the row. A path
+    that stops in its head takes the row's value. For the others, pi is
+    evaluated only at the (stretch, node) cells after the head up to the
+    stop, each stretch's nodes those it holds (``chain.runs``), and, for
+    dominance, at the cells after the head where v < g; both in parts of
+    whole paths of at most ``chain._CELLS`` cells (``cell_parts``)."""
+    v, g, h, nxt, below, x_row, fail, (at_touch, at_k) = tables
     last = grid.size - 1
     path, t0, state, slope, start, total, first = sdf_stretches(market, batch)
     final = batch.states[batch.offsets[1:] + np.arange(batch.n_paths)]  # each state at T
     lo, hi = runs(grid, t0, first)
-
-    def cells(counts):
-        """The first counts[j] nodes of each stretch j, as flat cells in
-        path, then time order: (node, state, log pi, each path's last
-        cell). Node K takes the state after a jump there and log pi at the
-        horizon, as ``sdf_path`` does."""
-        ends = np.cumsum(counts)
-        node = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
-        log_pi = np.repeat(slope, counts) * (grid[node] - np.repeat(t0, counts))
-        log_pi += np.repeat(start, counts)
-        s = np.repeat(state, counts)
-        ends = ends[first[1:] - 1] - 1
-        at_k = node[ends] == last
-        s[ends[at_k]] = final[at_k]
-        log_pi[ends[at_k]] = total[at_k]
-        return node, s, log_pi, ends
-
-    # where v >= g, rounding is monotone and pi > 0, so fl(pi v) >= fl(pi g)
-    # > fl(pi g) - 1e-9: only the cells where v < g can fail
-    dominates = True
-    if below is not None:
-        node, s, log_pi, _ = cells(hi - lo)
-        low = below[node, s]
-        node, s, pi = node[low], s[low], np.exp(log_pi[low])
-        dominates = not np.any(pi * v[node, s] < pi * g[node, s] - 1e-9)
     # the first touch over a path's stretches, or node K
     at = nxt[lo, state]
     stop = np.minimum.reduceat(np.where(at < hi, at, last), first[:-1])
-    node, s, log_pi, ends = cells(np.maximum(np.minimum(hi, stop[path] + 1) - lo, 0))
-    pi = np.exp(log_pi, out=log_pi)
-    x = pi * h[node, s]
-    # trapezoid over [0, t_stop]: each path's terms, from its first cell to
-    # its last, reduced as the sum of that slice alone is (the odd segments
-    # hold one term across two paths); none, and 0.0, when stopping at 0
+    stays = (np.diff(first) == 1) & (final == state[first[:-1]])  # one stretch, no jump at T
+    head = np.where(stays, grid.size, np.minimum(hi[first[:-1]], last))
+    lo[first[:-1]] = head  # each path's cells off the row begin after its head
+
+    def cells(a, b, counts):
+        """The first counts[j] nodes from lo[j] of each stretch j of the
+        paths a .. b - 1, as flat cells in path, then time order: (node,
+        state, log pi, the end of each stretch's cells). Node K takes the
+        state after a jump there and log pi at the horizon, as ``sdf_path``
+        does."""
+        j = slice(first[a], first[b])
+        counts = counts[j]
+        ends = np.cumsum(counts)
+        node = np.arange(ends[-1])
+        node -= np.repeat(ends - counts - lo[j], counts)
+        log_pi = grid[node]
+        log_pi -= np.repeat(t0[j], counts)
+        log_pi *= np.repeat(slope[j], counts)
+        log_pi += np.repeat(start[j], counts)
+        s = np.repeat(state[j], counts)
+        at_k = (counts > 0) & (lo[j] + counts == grid.size)
+        s[ends[at_k] - 1] = final[path[j][at_k]]
+        log_pi[ends[at_k] - 1] = total[path[j][at_k]]
+        return node, s, log_pi, ends
+
+    def fails(part):
+        node, s, log_pi, _ = cells(*part, hi - lo)
+        low = below[node, s]
+        node, s, pi = node[low], s[low], np.exp(log_pi[low])
+        return np.any(pi * v[node, s] < pi * g[node, s] - 1e-9)
+
+    # where v >= g, rounding is monotone and pi > 0, so fl(pi v) >= fl(pi g)
+    # > fl(pi g) - 1e-9: only the cells where v < g can fail
+    dominates = below is None or not (np.any(fail < head)
+                                      or any(map(fails, cell_parts(grid.size - head))))
+    samples = np.where(stop < last, at_touch, at_k)  # the paths that stop on the row
+    rest = np.maximum(np.minimum(hi, stop[path] + 1) - lo, 0)
+    n_cells = np.where(stop < head, 0, stop + 1)
+    for a, b in cell_parts(n_cells):
+        n = n_cells[a:b]
+        leave = n > 0
+        if not leave.any():
+            continue
+        begin = np.cumsum(n) - n
+        node, s, pi, ends = cells(a, b, rest)
+        pi = np.exp(pi, out=pi)
+        # a path's cells are its nodes 0 .. stop: its head's terms off the
+        # row, then its own
+        j = slice(first[a], first[b])
+        x = np.arange(begin[-1] + n[-1])
+        x -= np.repeat(begin, n)
+        x = x_row[x]
+        x[node + np.repeat(begin[path[j] - a], rest[j])] = pi * h[node, s]
+        # trapezoid over [0, t_stop]: each path's terms, from its first cell
+        # to its last, reduced by ``np.add.reduceat`` (the odd segments hold
+        # one term across two paths)
+        trap = np.add(x[:-1], x[1:], out=x[:-1])
+        trap *= 0.5
+        bounds = np.column_stack([begin, begin + n - 1])[leave].ravel()[:-1]
+        end = ends[first[a + 1:b + 1] - 1 - first[a]][leave] - 1  # each path's stop
+        samples[a:b][leave] = (np.add.reduceat(trap, bounds)[::2] * (grid[1] - grid[0])
+                               + pi[end] * g[node[end], s[end]])
+    return samples, dominates
+
+
+def _row(market, grid, v, g, h, nxt):
+    """The row of ``_stopped_values``. Every path starts on a stretch from
+    t = 0 in the initial state x0, on the first market piece, with log pi =
+    0: along it log pi = slope t at the nodes, and a path that never leaves
+    it has log pi = slope T at node K, its value at the horizon."""
+    x0 = market.chain.initial_state
+    pi = np.exp(-market.d[0, x0] * np.append(grid[:-1], market.chain.horizon))
+    x = pi * h[:, x0]
+    fail = np.append(np.flatnonzero((v[:, x0] < g[:, x0])
+                                    & (pi * v[:, x0] < pi * g[:, x0] - 1e-9)), grid.size)[0]
+    # a prefix of the row's trapezoid terms reduces as a path's own do in
+    # ``_stopped_values``: by ``np.add.reduceat``, and to 0.0 when stopping at 0
     trap = np.append(0.5 * (x[:-1] + x[1:]), 0.0)
-    bounds = np.column_stack([np.append(0, ends[:-1] + 1), ends]).ravel()
-    integral = np.where(stop > 0, np.add.reduceat(trap, bounds)[::2], 0.0)
-    return integral * (grid[1] - grid[0]) + pi[ends] * g[node[ends], s[ends]], dominates
+    stops = min(nxt[0, x0], grid.size - 1), grid.size - 1
+    return x, fail, [(np.add.reduceat(trap, [0, k])[0] if k else 0.0) * (grid[1] - grid[0])
+                     + pi[k] * g[k, x0] for k in stops]
 
 
 def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
@@ -242,26 +297,26 @@ def discounted_value_check(market, payoff, solution, n_paths, seed_base=0):
     there; the average must match the time-zero value within 3 standard
     errors. Also checks the deflated value dominates the deflated payoff
     along every path. Paths are drawn in one ``draw_paths`` pass and
-    checked batch by batch on their stretches (``sdf_stretches``): a path
-    stops at the first of its stretches' next touching nodes, read off a
-    (nodes, states) table built once per check, and pi is evaluated only
-    at the nodes up to the stop. Each batch has as many paths as its flat
-    cells (at most paths x grid nodes), or the wider table of
-    ``sdf_stretches``' log-factor sums, fit in ``chain._CELLS`` cells.
+    checked batch by batch on their stretches (``_stopped_values``) against
+    tables built once per check: the next touching node per node and
+    state, and the row of the stretch every path starts on (``_row``).
+    Each batch has as many paths as ``sdf_stretches``' table of log-factor
+    sums (``PathBatch.sum_width``) fits in ``chain._CELLS`` cells.
     """
     grid = solution.grid
     n_cuts = len(market.breakpoints())
     chunks = path_chunks(market.chain, seed_base, n_paths,
-                         lambda batch: max(grid.size, 2 * batch.sum_width(n_cuts)))
+                         lambda batch: 2 * batch.sum_width(n_cuts))
     v = solution.values
     g = payoff.sample(grid, market.chain.n_states)
+    h = _discounted_h_matrix(market, solution)
     # per node and state, the first node from it on where the value
     # touches the obstacle in that state, or K + 1
     node = np.arange(grid.size)[:, None]
     nxt = np.minimum.accumulate(np.where(v <= g + 1e-9, node, grid.size)[::-1])[::-1]
     below = v < g
-    tables = (v, g, _discounted_h_matrix(market, solution), nxt,
-              below if below.any() else None)
+    tables = (v, g, h, nxt, below if below.any() else None,
+              *_row(market, grid, v, g, h, nxt))
     samples, dominates = zip(*(_stopped_values(market, batch, grid, tables)
                                for batch in chunks))
     target = float(solution.values[0, market.chain.initial_state])

@@ -5,11 +5,13 @@ discounted driver table) the package ran before its Monte Carlo
 functionals became array operations over a ``PathBatch``. The
 batched code must reproduce them bit for bit: every sum here runs left to
 right in the same term order, and the trapezoid of
-``discounted_value_check`` is one ``np.sum`` per path. Here that check
-evaluates pi and the states at every grid node of a path and then stops;
-the package reads the stop off the path's stretches first and evaluates
-pi only up to it, and its ``np.add.reduceat`` of each path's trapezoid
-terms rounds as this ``np.sum`` does. Each path is
+``discounted_value_check`` adds each path's first term to the pairwise
+``np.sum`` of the rest, which is how ``np.add.reduceat`` reduces one
+segment of an array (one ``np.sum`` of all the terms rounds otherwise in
+about two of three sums of 9 or more terms). Here that check evaluates pi
+and the states at every grid node of a path and then stops; the package
+reads the stop off the path's stretches first and evaluates pi only up
+to it. Each path is
 given as raw arrays: its jump times and the states it visits; the checks
 take the batch of paths the package drew and walk it path by path
 (``path_of``).
@@ -199,7 +201,8 @@ def discounted_value_check(market, payoff, solution, paths):
         touch = np.nonzero(v_path <= g_path + 1e-9)[0]
         stop = int(touch[0]) if touch.size else steps
         seg = (pi * h_mat[idx, states])[: stop + 1]
-        integral = float(np.sum(0.5 * (seg[:-1] + seg[1:])) * dt)
+        trap = 0.5 * (seg[:-1] + seg[1:])
+        integral = float((trap[0] + np.sum(trap[1:]) if stop else 0.0) * dt)
         samples[p] = integral + pi[stop] * g_path[stop]
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))

@@ -171,6 +171,115 @@ def test_discounted_value_check_equals_the_path_loop(seed):
     assert got == ref.discounted_value_check(market, payoff, sol, batch)
 
 
+def row_market(absorbing=False, breakpoint=None):
+    """Three states, x0 = 1, absorbing or not; D on one piece, or on two
+    with a breakpoint at ``breakpoint``."""
+    rng = np.random.default_rng(11)
+    a = random_generator(rng, 3)
+    if absorbing:
+        a[:, 1] = 0.0
+    d = [1.0, 1.1, 1.2]
+    if breakpoint is not None:
+        d = [(0.0, d), (breakpoint, [1.2, 1.0, 1.1])]
+    return build_market_spec(build_chain_spec(3, a, 1, 1.0),
+                             c_schedule=rng.uniform(-0.03, 0.03, (3, 3)), d_schedule=d,
+                             r_max=10.0)
+
+
+def row_values(touch=None, below=0.0):
+    """(grid, v, g) on 120 steps of [0, 1]: v = g + 0.5, but v touches g at
+    node K, in the initial state also at node ``touch``, and lies ``below``
+    under g (and so touches it) at node 100 in the initial state and at
+    node 60 in state 0."""
+    grid = uniform_grid(1.0, 120)
+    g = np.random.default_rng(3).uniform(0.0, 1.0, (grid.size, 3))
+    v = g + 0.5
+    v[-1] = g[-1]
+    if touch is not None:
+        v[touch, 1] = g[touch, 1]
+    v[100, 1] = g[100, 1] - below
+    v[60, 0] = g[60, 0] - below
+    return grid, v, g
+
+
+def check_on_the_row(market, values, paths, monkeypatch):
+    """discounted_value_check of ``values`` on the given paths, at a budget
+    of 300 cells, against the path loop; returns the report and, per cut
+    into parts, the cells of each part, which must hold at most 300."""
+    grid, v, g = values
+    batch = ref.batch_of(paths)
+    sol = SimpleNamespace(grid=grid, values=v)
+    payoff = Obstacle(values=lambda times: g[np.searchsorted(grid, times)])
+    monkeypatch.setattr(chain, "_CELLS", 300)
+    monkeypatch.setattr(hedge, "path_chunks",
+                        lambda *args: chain.path_chunks(*args, paths=batch))
+    parts = []
+
+    def cell_parts(cells):
+        cut = list(chain.cell_parts(cells))
+        assert [a for a, _ in cut] == [0] + [b for _, b in cut[:-1]] and cut[-1][1] == cells.size
+        parts.append([int(cells[a:b].sum()) for a, b in cut])
+        return iter(cut)
+
+    monkeypatch.setattr(hedge, "cell_parts", cell_parts)
+    got = discounted_value_check(market, payoff, sol, batch.n_paths)
+    assert got == ref.discounted_value_check(market, payoff, sol, batch)
+    assert parts and max(map(max, parts)) <= 300
+    return got, parts
+
+
+def test_cell_parts_hold_whole_paths_within_the_budget(monkeypatch):
+    monkeypatch.setattr(chain, "_CELLS", 300)
+    cells = np.array([500, 0, 10, 290, 0, 0, 300, 1])
+    # a path above the budget alone; a part filled to the budget exactly
+    assert list(chain.cell_parts(cells)) == [(0, 1), (1, 6), (6, 7), (7, 8)]
+    assert list(chain.cell_parts(np.zeros(3, dtype=int))) == [(0, 3)]
+    assert list(chain.cell_parts(np.zeros(0, dtype=int))) == []
+
+
+@pytest.mark.parametrize("touch", [None, 0, 12])
+@pytest.mark.parametrize("below", [0.0, 1e-12, 0.1])
+def test_paths_that_never_leave_the_row_read_it_to_node_k(touch, below, monkeypatch):
+    # x0 absorbing: every path is one stretch to the horizon
+    market = row_market(absorbing=True)
+    paths = ref.draws(market.chain, 40)
+    assert all(len(times) == 0 for times, _ in paths)
+    got, _ = check_on_the_row(market, row_values(touch, below), paths, monkeypatch)
+    assert got["dominates"] == (below < 1e-9)
+    assert got["std_error"] == 0.0
+
+
+def test_every_path_exercises_at_node_0(monkeypatch):
+    market = row_market()
+    paths = ref.draws(market.chain, 40)
+    got, _ = check_on_the_row(market, row_values(touch=0), paths, monkeypatch)
+    assert got["std_error"] == 0.0 and got["mc_value"] == got["solver_value"]
+
+
+@pytest.mark.parametrize("below", [0.0, 1e-12, 0.1])
+def test_a_breakpoint_between_nodes_ends_the_row(below, monkeypatch):
+    # the market breakpoint lies between nodes 49 and 50, before the first
+    # touch in x0 at node 80: every path leaves the row there at the latest
+    market = row_market(breakpoint=0.4137)
+    paths = ref.draws(market.chain, 40)
+    got, parts = check_on_the_row(market, row_values(80, below), paths, monkeypatch)
+    assert got["dominates"] == (below < 1e-9)
+    assert max(map(len, parts)) > 1
+
+
+@pytest.mark.parametrize("touch", [None, 80])
+@pytest.mark.parametrize("below", [1e-12, 0.1])
+def test_jumps_on_a_node_and_at_the_horizon_leave_the_row(touch, below, monkeypatch):
+    market = row_market()
+    grid, *_ = values = row_values(touch, below)
+    node, x0 = float(grid[7]), 1
+    paths = [([], [x0]), ([node], [x0, 0]), ([1.0], [x0, 2]), ([node, 1.0], [x0, 0, x0]),
+             ([float(grid[3]), float(grid[9])], [x0, 2, x0])] + ref.draws(market.chain, 40)
+    got, parts = check_on_the_row(market, values, paths, monkeypatch)
+    assert got["dominates"] == (below < 1e-9)
+    assert max(map(len, parts)) > 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 @example(seed=2326)
