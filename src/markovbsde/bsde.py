@@ -206,73 +206,75 @@ def _linear_pieces(spec, form):
     return starts, np.ascontiguousarray(gens_t + gz[k]), alpha[k], beta[k]
 
 
-def _levels(spec, driver, scheme, grid, obstacle=None):
+def _levels(spec, driver, scheme, grid, obstacle=None, g=None):
     """(n, top, start=None) -> (values, choice): the solve of ``driver``
-    under ``scheme`` down the ``grid`` from values[-1] = ``top``, f plus the
-    penalty n (g - y)^+ of ``obstacle`` if given, for ``solve_bsde`` (n = 0)
-    and the penalty levels. An affine form is solved on maps: under
-    implicit Euler on those of ``_implicit_maps``, by
+    under ``scheme`` down the ``grid`` from values[-1] = ``top``: at n = 0
+    for ``solve_bsde``, and with an ``obstacle`` (of grid sample ``g``, if
+    taken) the penalty level n of f + n (g - y)^+ under implicit Euler, the
+    one scheme of a penalized solve. An affine form under RK4 is solved on
+    the ``chain.affine_rk4`` maps by ``chain.solve_affine``; every other
+    solve on the ``chain.substeps`` table and the ``_obstacle_rows`` there,
+    built once for every level: an affine form on ``_implicit_maps``, by
     ``chain.solve_floored`` from ``start`` with the penalty, else by
-    ``chain.solve_affine``, and under RK4 without a penalty on the
-    ``chain.affine_rk4`` maps by ``chain.solve_affine``; anything else is
-    swept step by step by ``chain.sweep`` on the steps of
-    ``_callback_step``, which read the obstacle's rows off one cache for
-    every level. ``choice`` is that of a penalized implicit solve, which
-    ``start`` takes back at the next level, else None."""
+    ``chain.solve_affine``, a callback driver by ``chain.sweep`` on
+    ``_callback_step``. ``choice`` is that of a penalized affine solve,
+    which ``start`` takes back at the next level, else None."""
     form = driver.affine
-    if form is not None and scheme == "implicit_euler":
-        times, first, maps = _implicit_maps(spec, form, grid, obstacle)
-        if obstacle is None:
-            plain = maps(np.arange(times.size))
-            return lambda n, top, start=None: (
-                solve_affine(plain, top, times, first, _BLOW_UP), None)
-
-        def level(n, top, start=None):
-            table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
-                                                first, _BLOW_UP, start)
-            return table[first], choice
-
-        return level
-    if form is not None and obstacle is None:
+    if form is not None and scheme == "explicit_rk4":
         starts, a_g, alpha, beta = _linear_pieces(spec, form)
         maps = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta, grid)
         first = np.arange(grid.size)
         return lambda n, top, start=None: (
             solve_affine(maps, top, grid, first, _BLOW_UP), None)
     times, first = substeps(spec.breakpoints(), grid)
-    # the obstacle row at each time a step asks for, read once for every level
-    rows = None if obstacle is None else functools.cache(
-        lambda t: [float(obstacle.g(t, i)) for i in range(spec.n_states)])
-    return lambda n, top, start=None: (
-        sweep(_callback_step(spec, driver, scheme, times, rows, n), top, times, first,
-              _BLOW_UP)[first], None)
+    rows = None if obstacle is None else _obstacle_rows(obstacle, spec.n_states, times,
+                                                        first, g)
+    if form is None:
+        return lambda n, top, start=None: (
+            sweep(_callback_step(spec, driver, scheme, times, rows, n), top, times, first,
+                  _BLOW_UP)[first], None)
+    maps = _implicit_maps(spec, form, times, rows)
+    if obstacle is None:
+        plain = maps(np.arange(times.size))
+        return lambda n, top, start=None: (
+            solve_affine(plain, top, times, first, _BLOW_UP), None)
+
+    def level(n, top, start=None):
+        table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
+                                            first, _BLOW_UP, start)
+        return table[first], choice
+
+    return level
 
 
-def _implicit_maps(spec, form, grid, obstacle):
-    """(times, first, maps): the sub-steps of ``chain.substeps`` at the
-    chain breakpoints, and maps(nodes, n=None), the implicit Euler maps of
-    the affine form on each step between the table ``nodes``, in closed
-    form per state. With z frozen at the top value y, a step of length h
-    maps y to num / (1 - h alpha), num = y + h ((A' + G) y + beta), the
-    rows [P c] of maps(nodes). At a level n, maps(nodes, n) stacks them
-    with those of the penalized step (num + h n g) / (1 - h alpha + h n),
-    which the solve takes where num / (1 - h alpha) < g: it is the larger
-    of the two there, since it averages the plain step with g.
-    Coefficients and g are those at the bottom time; each sub-step's piece
-    and obstacle row are tabled once, for every level."""
+def _obstacle_rows(obstacle, n_states, times, first, g=None):
+    """The (len(times), N) rows of ``obstacle`` at the table ``times``: its
+    grid sample ``g`` at the nodes times[first], taken here if not given,
+    and one sample of the breakpoints between them."""
+    rows = np.empty((times.size, n_states))
+    rows[first] = obstacle.sample(times[first], n_states) if g is None else g
+    off = np.delete(np.arange(times.size), first)
+    if off.size:
+        rows[off] = obstacle.sample(times[off], n_states)
+    return rows
+
+
+def _implicit_maps(spec, form, times, rows):
+    """maps(nodes, n=None): the implicit Euler maps of the affine form on
+    each step between the ``nodes`` of the table ``times``, in closed form
+    per state. With z frozen at the top value y, a step of length h maps y
+    to num / (1 - h alpha), num = y + h ((A' + G) y + beta), the rows
+    [P c] of maps(nodes). At a level n, maps(nodes, n) stacks them with
+    those of the penalized step (num + h n g) / (1 - h alpha + h n), g the
+    obstacle ``rows`` at the bottom time, which the solve takes where
+    num / (1 - h alpha) < g: it is the larger of the two there, since it
+    averages the plain step with g. Coefficients are those at the bottom
+    time; each table step's piece is looked up once, for every level."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    if np.any(1.0 - (grid[1] - grid[0]) * alpha <= 0.0):
+    if np.any(1.0 - np.diff(times).max() * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
-    times, first = substeps(spec.breakpoints(), grid)
-    bottom = times[:-1]
-    piece = pieces_at(starts, bottom)
+    piece = pieces_at(starts, times[:-1])
     n_states = spec.n_states
-    if obstacle is not None:
-        g = np.empty((bottom.size, n_states))
-        g[first[:-1]] = obstacle.sample(grid, n_states)[:-1]
-        off = np.delete(np.arange(bottom.size), first[:-1])  # breakpoints off the nodes
-        if off.size:
-            g[off] = obstacle.sample(bottom[off], n_states)
 
     def maps(nodes, n=None):
         h = np.diff(times[nodes])[:, None]
@@ -285,11 +287,11 @@ def _implicit_maps(spec, form, grid, obstacle):
             return num / den[:, :, None]
         hn = h * n
         pair = np.stack([num, num])
-        pair[1, ..., n_states] += hn * g[nodes[:-1]]
+        pair[1, ..., n_states] += hn * rows[nodes[:-1]]
         pair /= np.stack([den, den + hn])[..., None]
         return pair
 
-    return times, first, maps
+    return maps
 
 
 def _reflected_maps(spec, form, grid, obstacle_vals):
@@ -313,21 +315,20 @@ def _reflected_maps(spec, form, grid, obstacle_vals):
     return maps
 
 
-def _callback_step(spec, driver, scheme, times, rows, n):
+def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
     """step(s, y) down the table step s from times[s + 1] to times[s], of
-    length h = times[s + 1] - times[s], of f = ``driver.evaluate`` plus
-    n (g - y)^+ for the obstacle rows g = rows(t), a list of floats, if
-    given, under the generator of the piece in force at times[s]. The
-    scheme is one RK4 step ("explicit_rk4"), one implicit Euler step
-    ("implicit_euler"), each state by ``_scalar_implicit`` with A'y and z
-    frozen at the top, or the reflected predictor ("reflected")
+    length h = times[s + 1] - times[s], of f = ``driver.evaluate`` under
+    the generator of the piece in force at times[s]. The scheme is one RK4
+    step ("explicit_rk4"), one implicit Euler step ("implicit_euler"),
+    each state by ``_scalar_implicit`` with A'y and z frozen at the top and
+    f plus the penalty n (g - y)^+ of the obstacle ``rows`` at times[s] if
+    given, or the reflected predictor ("reflected")
     v_i - h (-(A'v)_i - f(t, i, v_i, v)) at the bottom time t. Each step
     runs on Python floats and returns its values as a list.
 
     The RK4 stages k = -A'u - f(t, i, u_i, u) are written out state by
     state, each with the input of the next, and the last with the sum:
-    ``chain.rk4_down``'s order, term by term, and so its bits. Under a
-    penalty they step f plus the penalty as one callback."""
+    ``chain.rk4_down``'s order, term by term, and so its bits."""
     # transposed views of spec.gens: the layout every A'y product reads
     gens_t = list(spec.gens.transpose(0, 2, 1))
     piece = pieces_at(spec.starts, times[:-1]).tolist()
@@ -335,11 +336,7 @@ def _callback_step(spec, driver, scheme, times, rows, n):
     f = driver.evaluate
     at = times.tolist()
     states = range(spec.n_states)
-    if rows is None:
-        fs = f
-    else:
-        def fs(t, i, y, z):
-            return float(f(t, i, y, z)) + n * max(rows(t)[i] - y, 0.0)
+    floors = None if rows is None else rows.tolist()
 
     def rk4(s, y):
         gen_t = gens_t[piece[s]]
@@ -353,27 +350,27 @@ def _callback_step(spec, driver, scheme, times, rows, n):
             z = np.array(u)
             k, nxt = [], []
             for i, a, v, v0 in zip(states, gen_t.dot(z).tolist(), u, top):
-                k.append(r := -a - float(fs(t, i, v, z)))
+                k.append(r := -a - float(f(t, i, v, z)))
                 nxt.append(v0 - w * r)
             ks.append(k)
             u = nxt
         z = np.array(u)
         c = h / 6.0
-        return [v0 - c * (a1 + 2.0 * a2 + 2.0 * a3 + (-a - float(fs(t_lo, i, v, z))))
+        return [v0 - c * (a1 + 2.0 * a2 + 2.0 * a3 + (-a - float(f(t_lo, i, v, z))))
                 for i, a, v, v0, a1, a2, a3 in zip(states, gen_t.dot(z).tolist(), u, top, *ks)]
 
     def implicit(s, y):
         t = at[s]
         h = at[s + 1] - t
         b = [v + h * a for v, a in zip(y.tolist(), gens_t[piece[s]].dot(y).tolist())]
-        gs = [None] * len(b) if rows is None else rows(t)
+        gs = [None] * len(b) if floors is None else floors[s]
         return [_scalar_implicit(f, t, i, b_i, h, y, lip, n, g_i)
                 for i, b_i, g_i in zip(states, b, gs)]
 
     def reflected(s, y):
         t = at[s]
         h = at[s + 1] - t
-        return [v - h * (-a - float(fs(t, i, v, y)))
+        return [v - h * (-a - float(f(t, i, v, y)))
                 for i, a, v in zip(states, gens_t[piece[s]].dot(y).tolist(), y.tolist())]
 
     return {"explicit_rk4": rk4, "implicit_euler": implicit, "reflected": reflected}[scheme]

@@ -57,14 +57,9 @@ class Obstacle:
 
 
 def _values_g(values):
-    """g(t, i) read off the array form ``values``, one time at a time: the
-    row of the last time read is kept for the next call at that time."""
-    last = [None, None]
-
+    """g(t, i) read off the array form ``values``, one time at a time."""
     def g(t, i):
-        if t != last[0]:
-            last[:] = t, values(np.array([t]))[0]
-        return last[1][i]
+        return values(np.array([t]))[0][i]
 
     g.values = values
     return g
@@ -135,7 +130,7 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     each = np.arange(grid.size)
     if driver.affine is None:
-        predict = _callback_step(spec, driver, "reflected", grid, None, 0.0)
+        predict = _callback_step(spec, driver, "reflected", grid)
         floors = obstacle_vals.tolist()
         preds = np.empty((grid.size - 1, spec.n_states))
 
@@ -156,33 +151,31 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
 
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):
-    """Solve the penalized BSDE for penalty level n: f plus n (g - y)^+.
-
-    Implicit Euler whenever n * dt >= 1, explicit RK4 below: the penalty
-    makes the reduced system stiff and the explicit scheme unstable.
+    """Solve the penalized BSDE for penalty level n: f plus n (g - y)^+, by
+    implicit Euler at every n, as one level of ``penalization_limit``'s
+    family: the same ``bsde._levels`` and the same checks of the inputs
+    and of the obstacle against the terminal.
     """
     if n < 1:
         raise ValueError("penalty level must be >= 1")
-    terminal, grid = _inputs(spec, terminal, steps)
-    dt = spec.horizon / steps
-    scheme = "implicit_euler" if n * dt >= 1.0 else "explicit_rk4"
+    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     _contraction(spec, driver.lipschitz_z, False)
-    values, _ = _levels(spec, driver, scheme, grid, obstacle)(float(n), terminal)
-    return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
+    values, _ = _levels(spec, driver, "implicit_euler", grid, obstacle,
+                        obstacle_vals)(float(n), terminal)
+    return BsdeSolution(grid=grid, values=values, scheme="implicit_euler", steps=int(steps))
 
 
 def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     """Double the penalty until successive solutions move less than tol in
     sup norm; reconstruct the reflection by quadrature of the penalty term.
 
-    Every level uses implicit Euler so the whole family shares one scheme:
-    mixing schemes across the stiffness threshold would break the monotone
-    decay of the successive distances. The doubling starts at n of order
-    1/dt; below that the penalty is too weak for the distance sequence to
-    have entered its decaying O(1/n) tail. It stops with
-    ``NoConvergenceError`` past n = ``_PENALTY_CAP``. The levels come from
-    one ``bsde._levels``, which tables whatever no level changes once, and
-    ``solve_bsde``'s checks run once for them all; each level's policy
+    Every level is a ``solve_penalized`` solve, by implicit Euler, which is
+    stable at every n. The doubling starts at n of order 1/dt; below that
+    the penalty is too weak for the distance sequence to have entered its
+    decaying O(1/n) tail. It stops with ``NoConvergenceError`` past
+    n = ``_PENALTY_CAP``. The levels come from one ``bsde._levels``, which
+    tables whatever no level changes once, the obstacle's grid sample
+    among it, and the checks run once for them all; each level's policy
     iteration starts from the choice of the level before, and ends at the
     values ``solve_penalized`` gives.
     """
@@ -190,7 +183,7 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
         raise ValueError("tol must be positive")
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     _contraction(spec, driver.lipschitz_z, False)
-    levels = _levels(spec, driver, "implicit_euler", grid, obstacle)
+    levels = _levels(spec, driver, "implicit_euler", grid, obstacle, obstacle_vals)
     trace = []
     n = max(4, int(np.ceil(steps / spec.horizon)))
     prev, choice = levels(float(n), terminal)

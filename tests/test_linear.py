@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         chain, penalization_limit, solve_bsde, solve_reflected)
 from markovbsde.bsde import (AffineForm, _callback_step, _implicit_maps, _levels,
-                            _linear_pieces, _reflected_maps, _scalar_implicit, zero_driver)
+                            _linear_pieces, _obstacle_rows, _reflected_maps,
+                            _scalar_implicit, zero_driver)
 from markovbsde.chain import (_POLICIES, _steady, affine_rk4, check_contraction,
                               pseudoinverse, rate_bound_m, solve_floored, substeps, sweep)
 from markovbsde.config import load_config
@@ -127,6 +128,15 @@ def rounding_bound(steps, values):
     ``test_scan_and_policy_solves_equal_the_loops`` the gap stayed below
     12 log2(K) eps times that scale."""
     return 32 * np.ceil(np.log2(steps + 1)) * np.finfo(float).eps * np.abs(values).max()
+
+
+def implicit_maps(chain, form, grid, obstacle):
+    """(times, first, maps): the sub-step table of ``grid`` at the chain's
+    breakpoints and ``bsde._implicit_maps`` on it, with the obstacle's rows
+    there if given."""
+    times, first = substeps(chain.breakpoints(), grid)
+    rows = None if obstacle is None else _obstacle_rows(obstacle, chain.n_states, times, first)
+    return times, first, _implicit_maps(chain, form, times, rows)
 
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
@@ -266,7 +276,7 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
     assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
     # the loop on the table times makes one sub-step per table step
-    times, _, maps = _implicit_maps(market.chain, form, grid, g)
+    times, _, maps = implicit_maps(market.chain, form, grid, g)
     each = np.arange(times.size)
     table = ref.bsde_loop(ref.linear_implicit(market.chain, form, times, g, penalty), top, times)
     pair = maps(each)[None] if g is None else maps(each, penalty)
@@ -330,15 +340,17 @@ def penalty_obstacle(rng, n):
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4), steps=st.integers(3, 20), kinds=KINDS,
-       scheme=st.sampled_from(["explicit_rk4", "implicit_euler"]),
-       penalized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme,
-                                                         penalized, seed):
+       case=st.sampled_from([("explicit_rk4", False), ("implicit_euler", False),
+                             ("implicit_euler", True)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, case, seed):
     """The callback RK4 and implicit Euler steps of ``chain.substeps``'
     table, one ``chain.sweep`` call each, equal at every node the steps
     that cut and look up each sub-step as they go, bit for bit, with chain
     breakpoints on nodes, inside steps, two in one step and in the last
-    step, and C and D breakpoints of the driver's own."""
+    step, and C and D breakpoints of the driver's own; penalized, under
+    implicit Euler, the scheme of every penalized solve."""
+    scheme, penalized = case
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -350,7 +362,7 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, scheme
     times, first = substeps(market.chain.breakpoints(), grid)
     tabled = _callback_step(market.chain, driver, scheme, times,
                             None if obstacle is None else
-                            lambda t: [obstacle.g(t, i) for i in range(n)], level)
+                            _obstacle_rows(obstacle, n, times, first), level)
     if penalized:
         driver = ref.penalized_driver(driver, obstacle, level)
     looped = ref.callback_step(market.chain, driver, scheme, grid)
@@ -394,17 +406,19 @@ def test_affine_rk4_equals_rk4_maps(n, steps, kinds, stocks, seed):
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4), steps=st.integers(3, 20), kinds=KINDS,
-       driver=st.sampled_from(["affine", "penalized", "callback"]),
-       scheme=st.sampled_from(["explicit_rk4", "implicit_euler"]),
+       case=st.sampled_from([("affine", "explicit_rk4"), ("affine", "implicit_euler"),
+                             ("penalized", "implicit_euler"), ("callback", "explicit_rk4"),
+                             ("callback", "implicit_euler")]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, seed):
+def test_sweep_equals_the_hand_written_loops(n, steps, kinds, case, seed):
     """``solve_bsde`` equals the loop that checked every step, over the
     reference step of each driver and scheme (a penalized one solved by
-    ``bsde._levels``, as ``solve_penalized`` is): bit for bit where a
-    callback is swept by ``chain.sweep``, to the ``rounding_bound`` where an
-    affine form is solved on its maps. The reflected sweep of a callback
-    driver equals the reflected loop of its explicit Euler predictor,
-    values and pushes, bit for bit."""
+    ``bsde._levels`` under implicit Euler, as ``solve_penalized`` is): bit
+    for bit where a callback is swept by ``chain.sweep``, to the
+    ``rounding_bound`` where an affine form is solved on its maps. The
+    reflected sweep of a callback driver equals the reflected loop of its
+    explicit Euler predictor, values and pushes, bit for bit."""
+    driver, scheme = case
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
@@ -420,15 +434,14 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, driver, scheme, se
     elif driver == "affine":
         step = ref.linear_rk4(chain, drv.affine, grid)
     else:
-        penalized = drv if obstacle is None else ref.penalized_driver(drv, obstacle, level)
-        step = ref.callback_step(chain, penalized, scheme, grid)
+        step = ref.callback_step(chain, drv, scheme, grid)
     terminal = rng.uniform(0.8, 1.2, n)
     if obstacle is None:
         got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
     else:
         got = bsde._levels(chain, drv, scheme, grid, obstacle)(level, terminal)[0]
     want = ref.bsde_loop(step, terminal, grid)
-    if drv.affine is not None and (obstacle is None or scheme == "implicit_euler"):
+    if drv.affine is not None:
         assert np.abs(got - want).max() <= rounding_bound(steps, want)
     else:
         assert np.array_equal(got, want)
@@ -603,11 +616,11 @@ def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
     assert np.abs(sol.step_pushes - pushes).max() <= bound
     assert np.all(sol.values >= g) and np.all(sol.step_pushes >= 0.0)
     level = float(rng.integers(steps, 64 * steps))
-    got = solve_penalized(chain, driver, terminal, obstacle, level, steps).values
-    want = ref.bsde_loop(ref.linear_implicit(chain, form, grid, obstacle, level), terminal, grid)
+    got = solve_penalized(chain, driver, top, obstacle, level, steps).values
+    want = ref.bsde_loop(ref.linear_implicit(chain, form, grid, obstacle, level), top, grid)
     assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
-    times, first, level_maps = _implicit_maps(chain, form, grid, obstacle)
+    times, first, level_maps = implicit_maps(chain, form, grid, obstacle)
     for maps, tops, table, at in (
             (_reflected_maps(chain, form, grid, g), top, grid, np.arange(grid.size)),
             (lambda nodes: level_maps(nodes, level), terminal, times, first)):
@@ -632,7 +645,7 @@ def test_solves_on_maps_that_are_not_steady_are_the_sweep():
     p, c = np.ascontiguousarray(maps(each)[0, ..., :2]), maps(each)[0, ..., 2].copy()
     values, pushes = ref.reflected_loop(lambda k, v: p[k] @ v + c[k], top, sol.g, grid)
     assert np.array_equal(sol.values, values) and np.array_equal(sol.step_pushes, pushes)
-    times, first, plain = _implicit_maps(spec, driver.affine, grid, None)
+    times, first, plain = implicit_maps(spec, driver.affine, grid, None)
     p, c = np.ascontiguousarray(plain(each)[..., :2]), plain(each)[..., 2].copy()
     values = solve_bsde(spec, driver, top, 100, scheme="implicit_euler").values
     assert np.array_equal(values, sweep(lambda k, v: p[k] @ v + c[k], top, grid, each,
@@ -673,7 +686,7 @@ def test_implicit_step_bisects_where_newton_has_no_slope():
     obstacle = Obstacle(g=lambda t, i: 0.5)
     for g, n in ((None, 0.0), (obstacle.g, 1.0), (obstacle.g, 10.0), (obstacle.g, 100.0)):
         step = _callback_step(spec, driver, "implicit_euler", grid,
-                              None if g is None else lambda t: [g(t, 0), g(t, 1)], n)
+                              None if g is None else obstacle.sample(grid, 2), n)
         assert np.abs(step(0, top) - (top + c)).max() <= 1e-13
         penalized = driver if g is None else ref.penalized_driver(driver, obstacle, n)
         want = ref.callback_step(spec, penalized, "implicit_euler", grid)(0, top)
@@ -691,7 +704,7 @@ def test_bundled_markets_price_in_one_to_three_policies(name):
         grid = uniform_grid(cfg.chain.horizon, steps)
         payoff = cfg.build_payoff(stock_curves(cfg.market, steps))
         g = payoff.sample(grid, cfg.chain.n_states)
-        times, first, level_maps = _implicit_maps(cfg.chain, driver.affine, grid, payoff)
+        times, first, level_maps = implicit_maps(cfg.chain, driver.affine, grid, payoff)
         for maps, table, at in (
                 (_reflected_maps(cfg.chain, driver.affine, grid, g), grid, np.arange(grid.size)),
                 (lambda nodes: level_maps(nodes, 2.0 * steps), times, first)):

@@ -16,6 +16,7 @@ from markovbsde.errors import (NoConvergenceError, NonFiniteError,
 
 from conftest import random_chain, snell_dp
 from csv_reference import read_rows
+from test_linear import rounding_bound
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -92,29 +93,35 @@ def test_obstacle_values_of_the_wrong_shape_raise(two_state_chain):
 def test_terminal_incompatible_obstacle_raises(two_state_chain):
     # every reflected entry point: none solves under an obstacle above the
     # terminal at the horizon
-    for solve in (solve_reflected, lambda *args: penalization_limit(*args, tol=1e-3)):
+    for solve in (solve_reflected, lambda *args: penalization_limit(*args, tol=1e-3),
+                  lambda spec, d, xi, ob, steps: solve_penalized(spec, d, xi, ob, 8, steps)):
         with pytest.raises(ObstacleIncompatibleError):
             solve(two_state_chain, zero_driver(), np.zeros(2), constant_obstacle(2.0), 100)
 
 
 def test_penalized_solutions_increase_in_n(two_state_chain):
-    drv = discount_driver(0.1)
+    """The penalized values increase with n, with n dt from 2/150 to 1024/150,
+    for a callback driver and for its affine form twin, which agree within
+    ``rounding_bound``."""
+    twin = MarkovDriver(lipschitz_y=0.1, affine=AffineForm(alpha=-0.1))
     xi = np.array([0.5, 0.8])
     obs = Obstacle(g=lambda t, i: 0.6 - 0.3 * t)
-    prev = solve_penalized(two_state_chain, drv, xi, obs, 2, 150)
-    for n in (4, 8, 16, 32):
-        cur = solve_penalized(two_state_chain, drv, xi, obs, n, 150)
-        assert np.all(cur.values >= prev.values - 1e-12)
+    prev = None
+    for n in 2 ** np.arange(1, 11):
+        cur, affine = (solve_penalized(two_state_chain, drv, xi, obs, n, 150).values
+                       for drv in (discount_driver(0.1), twin))
+        assert np.abs(cur - affine).max() <= rounding_bound(150, affine)
+        if prev is not None:
+            assert np.all(cur >= prev - 1e-12)
         prev = cur
 
 
-def test_penalized_forces_implicit_when_stiff(two_state_chain):
+def test_penalized_is_implicit_euler_at_every_n(two_state_chain):
     drv = zero_driver()
     obs = constant_obstacle(0.0)
-    sol = solve_penalized(two_state_chain, drv, np.ones(2), obs, 4096, 100)
-    assert sol.scheme == "implicit_euler"
-    sol = solve_penalized(two_state_chain, drv, np.ones(2), obs, 4, 100)
-    assert sol.scheme == "explicit_rk4"
+    for n in (4, 4096):
+        sol = solve_penalized(two_state_chain, drv, np.ones(2), obs, n, 100)
+        assert sol.scheme == "implicit_euler"
 
 
 def test_penalization_limit_approximates_reflection(two_state_chain):
