@@ -1,7 +1,10 @@
 """Digest every CLI output on the bundled configs.
 
 Runs each subcommand, then ``plot-data`` on that job's output directory,
-on every config in ``configs/`` at a fixed seed, grid and path count, in a
+on every config in ``configs/`` and on ``twostate`` with each payoff that
+CI's wheel step appends to it, a constant 0.95 and the affine 1.0 - 0.1 t
+(``twostate_<kind>``: a callback driver under an obstacle, which no
+bundled config pairs), at a fixed seed, grid and path count, in a
 temporary directory. Prints one ``<sha256>  <config>/<job>/<file>`` line
 per CSV written and one ``exit <code>  <config>/<job>`` line per run, and
 one ``<report>  market_put/discounted_value_check`` line: the ``repr`` of
@@ -69,6 +72,12 @@ def check_line(config):
 def main():
     configs = [(p.stem, p) for p in sorted((ROOT / "configs").glob("*.yaml"))]
     with tempfile.TemporaryDirectory() as tmp:
+        twostate = (ROOT / "configs" / "twostate.yaml").read_text()
+        for kind, payoff in (("constant", "payoff:\n  kind: constant\n  value: 0.95\n"),
+                             ("affine", "payoff:\n  kind: affine\n  a: 1.0\n  b: -0.1\n")):
+            config = Path(tmp) / f"twostate_{kind}.yaml"
+            config.write_text(twostate + payoff)
+            configs.append((config.stem, config))
         lines = digest_lines(configs, tmp)
     for line in sorted(lines + [check_line(ROOT / "configs" / "market_put.yaml")]):
         print(line)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (affine_rk4, check_contraction, dots, pieces_at, solve_affine, solve_floored,
-                    substeps, sums_at, sweep)
+from .chain import (affine_rk4, check_contraction, dots, frozen_starts, pieces_at, solve_affine,
+                    solve_floored, substeps, sums_at, sweep)
 from .errors import (ContractionViolatedError, NonFiniteError,
                      PreconditionUnmetError)
 from .grids import StateGridFunction, uniform_grid
@@ -36,13 +36,17 @@ _BLOW_UP = "driver blow-up"
 @dataclass(frozen=True)
 class AffineForm:
     """f(t, i, y, z) = alpha[k, i] y + (gz[k] z)_i + beta[k, i] on the piece
-    k in force at t, which starts at starts[k]. ``alpha``, ``gz`` and
-    ``beta`` broadcast to (pieces, N), (pieces, N, N) and (pieces, N)."""
+    k in force at t, which starts at starts[k], as ``chain.frozen_starts``
+    checks them with no horizon. ``alpha``, ``gz`` and ``beta`` broadcast
+    to (pieces, N), (pieces, N, N) and (pieces, N)."""
 
     starts: tuple = (0.0,)
     alpha: object = 0.0
     gz: object = 0.0
     beta: object = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", frozen_starts(self.starts, "affine form"))
 
 
 @dataclass(frozen=True)
@@ -131,35 +135,23 @@ def discount_driver(rate):
     return MarkovDriver(evaluate=lambda t, i, y, z: -r * y, lipschitz_y=abs(r))
 
 
-def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
-    """Solve v = b + dt * (f(t, i, v, z) + n (g - v)^+) for v on Python
-    floats, the penalty only for an obstacle value g.
-
-    Newton with a secant slope, calling f itself at each point, and a
-    bisection fallback, the only part that builds a residual function.
-    The implicit part is only the local v-dependence; the z argument stays
-    frozen. A non-finite b is returned as it is, and nan where no root is
-    bracketed: ``chain.sweep`` then names the node.
-    """
+def _scalar_implicit(f, t, i, b, dt, z, lip_hint):
+    """Solve v = b + dt * f(t, i, v, z) for v on Python floats: Newton with
+    a secant slope, calling f itself at each point, and a bisection
+    fallback, the only part that builds a residual function. The implicit
+    part is only the local v-dependence; the z argument stays frozen. A
+    non-finite b is returned as it is, and nan where no root is bracketed:
+    ``chain.sweep`` then names the node."""
     if not math.isfinite(b):
         return b
-    fb = float(f(t, i, b, z))
-    if g is not None:
-        fb += n * max(g - b, 0.0)
-    v = b + dt * fb
+    v = b + dt * float(f(t, i, b, z))
     for _ in range(50):
-        fv = float(f(t, i, v, z))
-        if g is not None:
-            fv += n * max(g - v, 0.0)
-        r0 = v - b - dt * fv
+        r0 = v - b - dt * float(f(t, i, v, z))
         if abs(r0) <= 1e-14 * (1.0 + abs(v)):
             return v
         h = 1e-7 * (1.0 + abs(v))
         vh = v + h
-        fv = float(f(t, i, vh, z))
-        if g is not None:
-            fv += n * max(g - vh, 0.0)
-        slope = (vh - b - dt * fv - r0) / h
+        slope = (vh - b - dt * float(f(t, i, vh, z)) - r0) / h
         if slope <= 1e-12:
             break
         step = r0 / slope
@@ -168,10 +160,7 @@ def _scalar_implicit(f, t, i, b, dt, z, lip_hint, n=0.0, g=None):
             return v
 
     def phi(v):
-        fv = float(f(t, i, v, z))
-        if g is not None:
-            fv += n * max(g - v, 0.0)
-        return v - b - dt * fv
+        return v - b - dt * float(f(t, i, v, z))
 
     # bracket and bisect
     span = max(1.0, abs(b)) * (1.0 + dt * lip_hint)
@@ -320,11 +309,12 @@ def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
     length h = times[s + 1] - times[s], of f = ``driver.evaluate`` under
     the generator of the piece in force at times[s]. The scheme is one RK4
     step ("explicit_rk4"), one implicit Euler step ("implicit_euler"),
-    each state by ``_scalar_implicit`` with A'y and z frozen at the top and
-    f plus the penalty n (g - y)^+ of the obstacle ``rows`` at times[s] if
-    given, or the reflected predictor ("reflected")
-    v_i - h (-(A'v)_i - f(t, i, v_i, v)) at the bottom time t. Each step
-    runs on Python floats and returns its values as a list.
+    each state by ``_scalar_implicit`` with A'y and z frozen at the top,
+    and under the obstacle ``rows`` at level n solved again below its row
+    g at times[s], b = y + hA'y and h put to (b + h n g) / (1 + h n) and
+    h / (1 + h n) as in ``_implicit_maps``, or the reflected predictor
+    ("reflected") v_i - h (-(A'v)_i - f(t, i, v_i, v)) at the bottom time
+    t. Each step runs on Python floats and returns its values as a list.
 
     The RK4 stages k = -A'u - f(t, i, u_i, u) are written out state by
     state, each with the input of the next, and the last with the sum:
@@ -332,7 +322,7 @@ def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
     # transposed views of spec.gens: the layout every A'y product reads
     gens_t = list(spec.gens.transpose(0, 2, 1))
     piece = pieces_at(spec.starts, times[:-1]).tolist()
-    lip = driver.lipschitz_y + n + driver.lipschitz_z + 1.0
+    lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
     f = driver.evaluate
     at = times.tolist()
     states = range(spec.n_states)
@@ -363,9 +353,14 @@ def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
         t = at[s]
         h = at[s + 1] - t
         b = [v + h * a for v, a in zip(y.tolist(), gens_t[piece[s]].dot(y).tolist())]
-        gs = [None] * len(b) if floors is None else floors[s]
-        return [_scalar_implicit(f, t, i, b_i, h, y, lip, n, g_i)
-                for i, b_i, g_i in zip(states, b, gs)]
+        vs = [_scalar_implicit(f, t, i, b_i, h, y, lip) for i, b_i in zip(states, b)]
+        if floors is not None:
+            hn = h * n
+            for i, v, b_i, g in zip(states, vs, b, floors[s]):
+                if v < g:
+                    vs[i] = _scalar_implicit(f, t, i, (b_i + hn * g) / (1.0 + hn),
+                                             h / (1.0 + hn), y, lip)
+        return vs
 
     def reflected(s, y):
         t = at[s]

@@ -301,13 +301,23 @@ def _coarse_start(maps, nodes, top):
     return choice[np.arange(steps) // _COARSE]
 
 
+def frozen_starts(starts, what, horizon=np.inf):
+    """The piece ``starts`` of a schedule, the first stored as 0.0, if they
+    are at least one, finite and strictly increasing, the first within
+    1e-12 of 0 and the last below ``horizon``; else ``BadScheduleError``."""
+    starts = [float(s) for s in starts]
+    if not (starts and np.all(np.isfinite(starts)) and abs(starts[0]) <= _GEN_TOL
+            and all(a < b for a, b in zip(starts, starts[1:])) and starts[-1] < horizon):
+        raise BadScheduleError(f"{what} starts {starts} do not partition [0, {horizon})")
+    return (0.0, *starts[1:])
+
+
 def freeze_schedule(entries, shape, horizon, what, check):
     """Validate and freeze a piecewise-constant schedule on [0, horizon).
 
     ``entries`` is a bare value of the given shape or (start, value) pairs.
     The rules, shared by A, C and D, else ``BadScheduleError``: a positive,
-    finite horizon; at least one piece; finite, distinct starts, the first
-    within 1e-12 of 0 (stored as 0.0), the last below the horizon.
+    finite horizon, and distinct starts that sorted pass ``frozen_starts``.
     ``check(value)`` validates one value, raising the caller's error type,
     and returns it as a float array. Returns (starts, values): the sorted
     starts as a tuple, and the read-only (pieces, *shape) stack of the
@@ -330,18 +340,10 @@ def freeze_schedule(entries, shape, horizon, what, check):
             raise BadScheduleError(
                 f"{what} schedule entry {entry!r} is not (start, value)") from exc
         pieces.append((float(start), check(value)))
-    if not pieces:
-        raise BadScheduleError(f"empty {what} schedule")
     pieces.sort(key=lambda p: p[0])
-    starts = [s for s, _ in pieces]
-    if not (np.all(np.isfinite(starts)) and abs(starts[0]) <= _GEN_TOL
-            and all(a < b for a, b in zip(starts, starts[1:]))
-            and starts[-1] < horizon):
-        raise BadScheduleError(
-            f"{what} schedule starts {starts} do not partition [0, {horizon})")
     values = np.array([v for _, v in pieces])
     values.setflags(write=False)
-    return (0.0, *starts[1:]), values
+    return frozen_starts([s for s, _ in pieces], f"{what} schedule", horizon), values
 
 
 @dataclass(frozen=True)

@@ -152,9 +152,9 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):
     """Solve the penalized BSDE for penalty level n: f plus n (g - y)^+, by
-    implicit Euler at every n, as one level of ``penalization_limit``'s
-    family: the same ``bsde._levels`` and the same checks of the inputs
-    and of the obstacle against the terminal.
+    implicit Euler at every n (the plain step, solved again below g), as
+    one level of ``penalization_limit``'s family: the same ``bsde._levels``
+    and the same checks of the inputs and of the obstacle against the terminal.
     """
     if n < 1:
         raise ValueError("penalty level must be >= 1")

@@ -9,15 +9,17 @@ each grid step is cut at the breakpoints strictly inside it
 and the one-state implicit solve on numpy arrays and scalars, as the
 package ran them before its callback steps moved to Python floats;
 ``rk4_down`` with a field of ``reduced_rhs`` is the callback RK4 step,
-``implicit_step`` the callback implicit Euler step, ``rk4_maps`` the RK4
+``implicit_step`` the callback implicit Euler step, plain or penalized
+(the plain step, solved again below the obstacle), ``rk4_maps`` the RK4
 step matrices of a linear equation, and ``linear_implicit`` the
 closed-form implicit Euler sweep before it tabled its sub-steps;
 ``linear_euler`` and
 ``callback_euler`` are the reflected sweep's predictors of an affine and
 a callback driver, and ``penalized_driver`` is the penalized equation's
-driver as one callback. ``bsde_loop``, ``reflected_loop`` and
-``stock_loop`` are the hand-written backward loops of ``solve_bsde``,
-``solve_reflected`` and ``stock_curves``, one grid step at a time;
+driver as one callback, the independent formulation of that step.
+``bsde_loop``, ``reflected_loop`` and ``stock_loop`` are the hand-written
+backward loops of ``solve_bsde``, ``solve_reflected`` and
+``stock_curves``, one grid step at a time;
 ``linear_pieces`` is the merge of the chain's and an affine form's
 pieces that the linear steps read. The package's callback steppers do
 the same arithmetic in the same order and must reproduce these bit for
@@ -153,8 +155,12 @@ def rk4_maps(starts, mats, grid):
     return np.array(maps), which
 
 
-def implicit_step(spec, driver, t_hi, t_lo, y):
-    """The callback implicit Euler step from t_hi down to t_lo."""
+def implicit_step(spec, driver, t_hi, t_lo, y, obstacle=None, level=0.0):
+    """The callback implicit Euler step from t_hi down to t_lo. With an
+    ``obstacle``, the step of f + level (g - y)^+: each state whose plain
+    value lies below g at the sub-step's bottom time is solved again on f
+    with b and dt put to (b + dt level g) / (1 + dt level) and
+    dt / (1 + dt level)."""
     cuts = split_down(spec.breakpoints(), t_lo, t_hi)
     n = y.size
     lip = driver.lipschitz_y + driver.lipschitz_z + 1.0
@@ -165,20 +171,25 @@ def implicit_step(spec, driver, t_hi, t_lo, y):
         new = np.empty(n)
         for i in range(n):
             new[i] = scalar_implicit(driver.evaluate, b_t, i, b[i], dt, y, lip)
+            if obstacle is not None and new[i] < (g := obstacle.g(b_t, i)):
+                hn = dt * level
+                new[i] = scalar_implicit(driver.evaluate, b_t, i, (b[i] + hn * g) / (1.0 + hn),
+                                         dt / (1.0 + hn), y, lip)
         y = new
     return y
 
 
-def callback_step(spec, driver, scheme, grid):
+def callback_step(spec, driver, scheme, grid, obstacle=None, level=0.0):
     """step(k, y): the callback RK4 or implicit Euler step of ``driver``
-    from grid[k + 1] down to grid[k]."""
+    from grid[k + 1] down to grid[k], the latter penalized at ``level``
+    under an ``obstacle``."""
     def field(t_mid):
         gen = spec.gens[piece_of(spec.starts, t_mid)]
         return lambda t, y: reduced_rhs(gen, driver.evaluate, t, y)
 
     if scheme == "explicit_rk4":
         return lambda k, y: rk4_down(spec.breakpoints(), grid[k + 1], grid[k], y, field)
-    return lambda k, y: implicit_step(spec, driver, grid[k + 1], grid[k], y)
+    return lambda k, y: implicit_step(spec, driver, grid[k + 1], grid[k], y, obstacle, level)
 
 
 def linear_rk4(spec, form, grid):

@@ -10,7 +10,7 @@ from markovbsde import (MarkovDriver, Obstacle, build_chain_spec, comparison_che
                         solve_bsde, solve_penalized, solve_reflected, zero_driver)
 from markovbsde.bsde import AffineForm
 from markovbsde.cli import _write_grid
-from markovbsde.errors import (ContractionViolatedError, NonFiniteError,
+from markovbsde.errors import (BadScheduleError, ContractionViolatedError, NonFiniteError,
                                PreconditionUnmetError)
 from markovbsde.grids import StateGridFunction, sample_on_grid, uniform_grid
 
@@ -356,6 +356,27 @@ def test_callback_driver_divides_as_python_floats(two_state_chain):
     for scheme in ("explicit_rk4", "implicit_euler"):
         with pytest.raises(ZeroDivisionError):
             solve_bsde(two_state_chain, inverse, np.zeros(2), 4, scheme=scheme)
+
+
+def test_affine_form_starts_partition_time(two_state_chain):
+    """An ``AffineForm`` takes its piece starts as a schedule does: out of
+    order, repeated, not finite or not starting at 0 they raise
+    ``BadScheduleError``. A first start within 1e-12 of 0 is stored as
+    0.0, so beta 1 then 3 from t = 0.5 integrates to 2 under both schemes,
+    and a start at or past the horizon, a piece never in force, is legal."""
+    z = np.zeros(2)
+    for starts in ((0.5, 0.0), (0.0, 0.5, 0.5), (0.0, float("nan")), (-1.0, 0.5)):
+        with pytest.raises(BadScheduleError):
+            AffineForm(starts=starts, beta=np.ones((len(starts), 1)))
+    form = AffineForm(starts=(1e-13, 0.5), beta=[[1.0], [3.0]])
+    assert form.starts == (0.0, 0.5)
+    driver = MarkovDriver(affine=form)
+    assert driver.evaluate(0.75, 0, 0.0, z) == 3.0
+    for scheme in ("explicit_rk4", "implicit_euler"):
+        v0 = solve_bsde(two_state_chain, driver, z, 100, scheme=scheme).values[0]
+        assert np.abs(v0 - 2.0).max() <= 1e-12
+    late = MarkovDriver(affine=AffineForm(starts=(0.0, 1.0, 2.0), beta=[[1.0], [5.0], [7.0]]))
+    assert np.abs(solve_bsde(two_state_chain, late, z, 100).values[0] - 1.0).max() <= 1e-12
 
 
 def test_penalized_callback_steps_keep_the_sign_of_zero():

@@ -349,7 +349,8 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, case, 
     that cut and look up each sub-step as they go, bit for bit, with chain
     breakpoints on nodes, inside steps, two in one step and in the last
     step, and C and D breakpoints of the driver's own; penalized, under
-    implicit Euler, the scheme of every penalized solve."""
+    implicit Euler, the scheme of every penalized solve, as the reference's
+    plain step solved again below the obstacle."""
     scheme, penalized = case
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
@@ -363,12 +364,48 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, case, 
     tabled = _callback_step(market.chain, driver, scheme, times,
                             None if obstacle is None else
                             _obstacle_rows(obstacle, n, times, first), level)
-    if penalized:
-        driver = ref.penalized_driver(driver, obstacle, level)
-    looped = ref.callback_step(market.chain, driver, scheme, grid)
+    looped = ref.callback_step(market.chain, driver, scheme, grid, obstacle, level)
     top = rng.uniform(0.5, 1.5, n)
     got = sweep(tabled, top, times, first, "blow-up")[first]
     assert np.array_equal(got, ref.bsde_loop(looped, top, grid))
+
+
+@pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), steps=st.integers(3, 20), kinds=KINDS,
+       log_level=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_penalized_callback_solve_is_the_penalized_driver_solve(n, steps, kinds, log_level,
+                                                                 seed):
+    """A callback ``solve_penalized`` at a level from 1 to 1e4, whose steps
+    are the plain step solved again below g, agrees within 1e-12 with the
+    implicit Euler loop of f + n (g - y)^+ as one callback
+    (``penalized_driver``), with chain breakpoints on and between nodes,
+    off-grid C and D pieces and an obstacle that crosses the values. From
+    the same top value, each penalized step is the plain step, bit for bit,
+    where that is at or above the obstacle's row, and lies between the
+    plain step and the row below it."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(1.0, steps)
+    market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
+                              off_grid(rng, 1, steps), off_grid(rng, 1, steps))
+    driver, level = pricing_callback(market), 10.0 ** log_level
+    base, slope = rng.uniform(0.3, 1.5, n), rng.uniform(-0.8, 0.8, n)
+    obstacle = Obstacle(g=lambda t, i: base[i] + slope[i] * t)
+    terminal = np.maximum(rng.uniform(0.5, 1.5, n), obstacle.terminal(1.0, n))
+    got = solve_penalized(market.chain, driver, terminal, obstacle, level, steps).values
+    want = ref.bsde_loop(ref.callback_step(market.chain, ref.penalized_driver(
+        driver, obstacle, level), "implicit_euler", grid), terminal, grid)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    times, first = substeps(market.chain.breakpoints(), grid)
+    rows = _obstacle_rows(obstacle, n, times, first)
+    penalized = _callback_step(market.chain, driver, "implicit_euler", times, rows, level)
+    plain = _callback_step(market.chain, driver, "implicit_euler", times)
+    table = sweep(penalized, terminal, times, first, "blow-up")
+    for s in range(times.size - 1):
+        v0, v = np.array(plain(s, table[s + 1])), np.array(penalized(s, table[s + 1]))
+        above = v0 >= rows[s]
+        assert np.array_equal(v[above], v0[above])
+        assert np.all(((v0 <= v) & (v <= rows[s]))[~above])
 
 
 @settings(max_examples=40, deadline=None)
@@ -675,10 +712,10 @@ def test_implicit_step_bisects_where_newton_has_no_slope():
     """f = min(y, c) / h is flat at the start of ``_scalar_implicit``'s
     Newton iteration, 2 b < c, so the implicit step brackets and bisects
     for the root b + c: with no generator, b is the top value. The same
-    with a penalty n (g - y)^+ under g = 0.5 < b, whose n the first
-    bracket's size reads: the step's hint lipschitz_y + n + lipschitz_z + 1
-    is the reference's hint of f + n (g - y)^+ as one callback
-    (``penalized_driver``), so the bisection ends on the reference's bits."""
+    with a penalty n (g - y)^+ under g = 0.5 < b: the plain root is above
+    g, so the penalized step is the plain one, whose bracket the hint
+    lipschitz_y + lipschitz_z + 1 sizes at every n, and it ends on the bits
+    of the reference's split step."""
     h, c, top = 0.25, 5.0, np.array([1.0, 2.0])
     grid = np.array([0.0, h])
     spec = build_chain_spec(2, np.zeros((2, 2)), 0, 1.0)
@@ -688,8 +725,8 @@ def test_implicit_step_bisects_where_newton_has_no_slope():
         step = _callback_step(spec, driver, "implicit_euler", grid,
                               None if g is None else obstacle.sample(grid, 2), n)
         assert np.abs(step(0, top) - (top + c)).max() <= 1e-13
-        penalized = driver if g is None else ref.penalized_driver(driver, obstacle, n)
-        want = ref.callback_step(spec, penalized, "implicit_euler", grid)(0, top)
+        want = ref.callback_step(spec, driver, "implicit_euler", grid,
+                                 None if g is None else obstacle, n)(0, top)
         assert np.array(step(0, top)).tobytes() == want.tobytes()
 
 
