@@ -14,7 +14,7 @@ is read with ``float()``.
 A driver that carries its ``AffineForm`` makes the system linear on each
 piece, y' = -(A' + G + diag(alpha)) y - beta; the solvers then solve it
 on the affine maps of its steps (``chain.scan``, and ``chain.solve_floored``
-under a penalty) and never call the driver back.
+under a penalty or an obstacle) and never call the driver back.
 """
 
 import functools
@@ -31,6 +31,7 @@ from .errors import (ContractionViolatedError, NonFiniteError,
 from .grids import StateGridFunction, uniform_grid
 
 _BLOW_UP = "driver blow-up"
+_REFLECTED_BLOW_UP = "reflected sweep blew up"
 
 
 @dataclass(frozen=True)
@@ -196,86 +197,103 @@ def _linear_pieces(spec, form):
 
 
 def _levels(spec, driver, scheme, grid, obstacle=None, g=None):
-    """(n, top, start=None) -> (values, choice): the solve of ``driver``
-    under ``scheme`` down the ``grid`` from values[-1] = ``top``: at n = 0
-    for ``solve_bsde``, and with an ``obstacle`` (of grid sample ``g``, if
-    taken) the penalty level n of f + n (g - y)^+ under implicit Euler, the
-    one scheme of a penalized solve. An affine form under RK4 is solved on
-    the ``chain.affine_rk4`` maps by ``chain.solve_affine``; every other
-    solve on the ``chain.substeps`` table and the ``_obstacle_rows`` there,
-    built once for every level: an affine form on ``_implicit_maps``, by
-    ``chain.solve_floored`` from ``start`` with the penalty, else by
-    ``chain.solve_affine``, a callback driver by ``chain.sweep`` on
-    ``_callback_step``. ``choice`` is that of a penalized affine solve,
-    which ``start`` takes back at the next level, else None."""
+    """(n, top, start=None) -> (values, preds, choice): the solve of
+    ``driver`` under ``scheme`` down the ``grid`` from values[-1] = ``top``:
+    at n = 0 for ``solve_bsde``; with an ``obstacle`` of grid sample ``g``,
+    under implicit Euler the penalty level n of f + n (g - y)^+, and under
+    "reflected" the reflected scheme. Implicit Euler steps the
+    ``chain.substeps`` table with the ``_obstacle_rows`` there; the
+    reflected scheme, and an affine form's RK4 maps, which cut their own
+    steps, step the grid itself, with g as its rows. The steps are those of
+    ``_form_maps`` for an affine form, built once for every level and
+    solved by ``chain.solve_floored`` from ``start`` under an obstacle,
+    else by ``chain.solve_affine``, and of ``_callback_step`` for a
+    callback driver, by ``chain.sweep``. ``preds`` is each step's value
+    before the floor raises it (under "reflected" the prediction, which the
+    pushes need), and ``choice`` a floored solve's, which ``start`` takes
+    back at the next level; each is None where the solve has none."""
     form = driver.affine
-    if form is not None and scheme == "explicit_rk4":
-        starts, a_g, alpha, beta = _linear_pieces(spec, form)
-        maps = affine_rk4(starts, a_g + alpha[:, :, None] * np.eye(spec.n_states), beta, grid)
-        first = np.arange(grid.size)
-        return lambda n, top, start=None: (
-            solve_affine(maps, top, grid, first, _BLOW_UP), None)
-    times, first = substeps(spec.breakpoints(), grid)
-    rows = None if obstacle is None else _obstacle_rows(obstacle, spec.n_states, times,
-                                                        first, g)
+    what = _REFLECTED_BLOW_UP if scheme == "reflected" else _BLOW_UP
+    if scheme == "reflected" or form is not None and scheme == "explicit_rk4":
+        times, first, rows = grid, np.arange(grid.size), g
+    else:
+        times, first = substeps(spec.breakpoints(), grid)
+        rows = None if obstacle is None else _obstacle_rows(obstacle, spec.n_states, times,
+                                                            first, g)
     if form is None:
-        return lambda n, top, start=None: (
-            sweep(_callback_step(spec, driver, scheme, times, rows, n), top, times, first,
-                  _BLOW_UP)[first], None)
-    maps = _implicit_maps(spec, form, times, rows)
-    if obstacle is None:
+        def swept(n, top, start=None):
+            preds = np.empty((times.size - 1, spec.n_states)) if scheme == "reflected" else None
+            step = _callback_step(spec, driver, scheme, times, rows, n, preds)
+            return sweep(step, top, times, first, what)[first], preds, None
+
+        return swept
+    maps = _form_maps(spec, form, scheme, times, rows)
+    if rows is None:
         plain = maps(np.arange(times.size))
         return lambda n, top, start=None: (
-            solve_affine(plain, top, times, first, _BLOW_UP), None)
+            solve_affine(plain, top, times, first, what), None, None)
 
     def level(n, top, start=None):
-        table, _, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
-                                            first, _BLOW_UP, start)
-        return table[first], choice
+        table, preds, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
+                                                first, what, start)
+        return table[first], preds, choice
 
     return level
 
 
-def _obstacle_rows(obstacle, n_states, times, first, g=None):
+def _obstacle_rows(obstacle, n_states, times, first, g):
     """The (len(times), N) rows of ``obstacle`` at the table ``times``: its
-    grid sample ``g`` at the nodes times[first], taken here if not given,
-    and one sample of the breakpoints between them."""
+    grid sample ``g`` at the nodes times[first], and one sample of the
+    breakpoints between them."""
     rows = np.empty((times.size, n_states))
-    rows[first] = obstacle.sample(times[first], n_states) if g is None else g
+    rows[first] = g
     off = np.delete(np.arange(times.size), first)
     if off.size:
         rows[off] = obstacle.sample(times[off], n_states)
     return rows
 
 
-def _implicit_maps(spec, form, times, rows):
-    """maps(nodes, n=None): the implicit Euler maps of the affine form on
-    each step between the ``nodes`` of the table ``times``, in closed form
-    per state. With z frozen at the top value y, a step of length h maps y
-    to num / (1 - h alpha), num = y + h ((A' + G) y + beta), the rows
-    [P c] of maps(nodes). At a level n, maps(nodes, n) stacks them with
+def _form_maps(spec, form, scheme, times, rows):
+    """maps(nodes, n=None): the rows [P c] of the affine form's step maps
+    under ``scheme`` between the ``nodes`` of the table ``times``, the
+    affine twin of ``_callback_step``. Under RK4 they are
+    ``chain.affine_rk4``'s, for uniform nodes. The other schemes take a
+    step of length h under the coefficients at its bottom time, with each
+    table step's piece looked up once, for every level.
+
+    Implicit Euler ("implicit_euler") maps y, with z frozen at the top
+    value y, to num / (1 - h alpha), num = y + h ((A' + G) y + beta): the
+    rows of maps(nodes). At a level n, maps(nodes, n) stacks them with
     those of the penalized step (num + h n g) / (1 - h alpha + h n), g the
     obstacle ``rows`` at the bottom time, which the solve takes where
     num / (1 - h alpha) < g: it is the larger of the two there, since it
-    averages the plain step with g. Coefficients are those at the bottom
-    time; each table step's piece is looked up once, for every level."""
+    averages the plain step with g. The reflected scheme ("reflected")
+    stacks, at every n, the predictor (I + h M) v + h beta, M = A' + G +
+    diag(alpha), with the obstacle map v -> g of the ``rows``."""
     starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    if np.any(1.0 - np.diff(times).max() * alpha <= 0.0):
+    implicit = scheme == "implicit_euler"
+    if implicit and np.any(1.0 - np.diff(times).max() * alpha <= 0.0):
         raise NonFiniteError("implicit step has a non-positive 1 - h alpha")
-    piece = pieces_at(starts, times[:-1])
     n_states = spec.n_states
+    mats = a_g if implicit else a_g + alpha[:, :, None] * np.eye(n_states)
+    if scheme == "explicit_rk4":
+        return lambda nodes, n=None: affine_rk4(starts, mats, beta, times[nodes])
+    piece = pieces_at(starts, times[:-1])
 
     def maps(nodes, n=None):
         h = np.diff(times[nodes])[:, None]
         p = piece[nodes[:-1]]
-        num = np.empty((p.size, n_states, n_states + 1))
-        num[..., :n_states] = np.eye(n_states) + h[:, :, None] * a_g[p]
-        num[..., n_states] = h * beta[p]
+        pair = np.zeros((2, p.size, n_states, n_states + 1))
+        pair[0, ..., :n_states] = np.eye(n_states) + h[:, :, None] * mats[p]
+        pair[0, ..., n_states] = h * beta[p]
+        if not implicit:
+            pair[1, ..., n_states] = rows[nodes[:-1]]
+            return pair
         den = 1.0 - h * alpha[p]
         if n is None:
-            return num / den[:, :, None]
+            return pair[0] / den[:, :, None]
         hn = h * n
-        pair = np.stack([num, num])
+        pair[1] = pair[0]
         pair[1, ..., n_states] += hn * rows[nodes[:-1]]
         pair /= np.stack([den, den + hn])[..., None]
         return pair
@@ -283,42 +301,24 @@ def _implicit_maps(spec, form, times, rows):
     return maps
 
 
-def _reflected_maps(spec, form, grid, obstacle_vals):
-    """nodes -> maps: per step between the grid ``nodes``, the rows [P c] of
-    the affine form's predictor (I + h M) v + h beta under the piece at the
-    step's bottom (maps[0]), and of the obstacle map v -> g there (maps[1])."""
-    n = spec.n_states
-    starts, a_g, alpha, beta = _linear_pieces(spec, form)
-    mats = a_g + alpha[:, :, None] * np.eye(n)
-    piece = pieces_at(starts, grid[:-1])
-
-    def maps(nodes):
-        h = np.diff(grid[nodes])[:, None]
-        p = piece[nodes[:-1]]
-        pair = np.zeros((2, p.size, n, n + 1))
-        pair[0, ..., :n] = np.eye(n) + h[:, :, None] * mats[p]
-        pair[0, ..., n] = h * beta[p]
-        pair[1, ..., n] = obstacle_vals[nodes[:-1]]
-        return pair
-
-    return maps
-
-
-def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
+def _callback_step(spec, driver, scheme, times, rows=None, n=0.0, preds=None):
     """step(s, y) down the table step s from times[s + 1] to times[s], of
     length h = times[s + 1] - times[s], of f = ``driver.evaluate`` under
     the generator of the piece in force at times[s]. The scheme is one RK4
-    step ("explicit_rk4"), one implicit Euler step ("implicit_euler"),
-    each state by ``_scalar_implicit`` with A'y and z frozen at the top,
-    and under the obstacle ``rows`` at level n solved again below its row
-    g at times[s], b = y + hA'y and h put to (b + h n g) / (1 + h n) and
-    h / (1 + h n) as in ``_implicit_maps``, or the reflected predictor
-    ("reflected") v_i - h (-(A'v)_i - f(t, i, v_i, v)) at the bottom time
-    t. Each step runs on Python floats and returns its values as a list.
+    step ("explicit_rk4"), one implicit Euler step ("implicit_euler"), each
+    state by ``_scalar_implicit`` with A'y and z frozen at the top, and
+    under the obstacle ``rows`` at level n solved again below its row g at
+    times[s], b = y + hA'y and h put to (b + h n g) / (1 + h n) and
+    h / (1 + h n) as in ``_form_maps``, or the reflected scheme
+    ("reflected"): the predictor v_i - h (-(A'v)_i - f(t, i, v_i, v)) at
+    the bottom time t, recorded in ``preds``[s] and raised to the row g at
+    t as ``np.maximum(g, prediction)`` does, a nan prediction staying nan.
+    Each step runs on Python floats and returns its values as a list.
 
     The RK4 stages k = -A'u - f(t, i, u_i, u) are written out state by
-    state, each with the input of the next, and the last with the sum:
-    ``chain.rk4_down``'s order, term by term, and so its bits."""
+    state, each with the input of the next, and the last with the sum
+    y - h/6 (k1 + 2 k2 + 2 k3 + k4), term by term in ``chain.affine_rk4``'s
+    order."""
     # transposed views of spec.gens: the layout every A'y product reads
     gens_t = list(spec.gens.transpose(0, 2, 1))
     piece = pieces_at(spec.starts, times[:-1]).tolist()
@@ -365,8 +365,10 @@ def _callback_step(spec, driver, scheme, times, rows=None, n=0.0):
     def reflected(s, y):
         t = at[s]
         h = at[s + 1] - t
-        return [v - h * (-a - float(f(t, i, v, y)))
-                for i, a, v in zip(states, gens_t[piece[s]].dot(y).tolist(), y.tolist())]
+        preds[s] = pred = [v - h * (-a - float(f(t, i, v, y))) for i, a, v in
+                           zip(states, gens_t[piece[s]].dot(y).tolist(), y.tolist())]
+        # np.maximum(g, pred) on floats: a tie gives pred, a nan pred stays
+        return [g if g > p else p for g, p in zip(floors[s], pred)]
 
     return {"explicit_rk4": rk4, "implicit_euler": implicit, "reflected": reflected}[scheme]
 
@@ -409,7 +411,7 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     if scheme not in ("explicit_rk4", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _contraction(spec, driver.lipschitz_z, strict_contraction)
-    values, _ = _levels(spec, driver, scheme, grid)(0.0, terminal)
+    values = _levels(spec, driver, scheme, grid)(0.0, terminal)[0]
     return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
 
 

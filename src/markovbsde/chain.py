@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (BadScheduleError, BadStateError, NonFiniteError,
                      NonGeneratorError, TooFewPathsError)
+from .grids import uniform_grid
 
 _GEN_TOL = 1e-12
 # Table cells per batch: the Monte Carlo checks cut their paths into batches
@@ -63,26 +64,16 @@ def substeps(breaks, grid):
     return times, np.searchsorted(times, grid)
 
 
-def rk4_down(f, t_hi, t_lo, y):
-    """One classical RK4 step of dy/dt = f(t, y) backward from t_hi to t_lo,
-    for an f that is smooth in t on the whole step."""
-    h = t_hi - t_lo
-    k1 = f(t_hi, y)
-    k2 = f(t_hi - 0.5 * h, y - 0.5 * h * k1)
-    k3 = f(t_hi - 0.5 * h, y - 0.5 * h * k2)
-    k4 = f(t_lo, y - h * k3)
-    return y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def affine_rk4(starts, mats, rhs, grid):
     """The RK4 steps of y' = -M y - B from grid[k + 1] down to grid[k], for
     M = mats[p] and B = rhs[p] on the piece p from starts[p], as the
     (steps, N, N + m) stack of the rows [P c] of each step's augmented map
     [P c; 0 I] on [y; 1]: ``rhs`` is (pieces, N) for a vector y (m = 1),
-    (pieces, N, m) for an N x m matrix y. Each map is the RK4 sub-steps of
-    ``substeps`` run once on the identity of [y; 1]: the steps inside one
-    piece share the map of the first of them, and a step that holds a
-    breakpoint has its own."""
+    (pieces, N, m) for an N x m matrix y. Each map is the classical RK4
+    steps of z' = -[M B; 0 0] z down the sub-steps of ``substeps``, run
+    once on the identity of [y; 1]: the steps inside one piece share the
+    map of the first of them, and a step that holds a breakpoint has its
+    own."""
     times, first = substeps(starts[1:], grid)
     piece = pieces_at(starts, times[:-1])
     n = mats.shape[-1]
@@ -97,7 +88,12 @@ def affine_rk4(starts, mats, rhs, grid):
         z = np.eye(aug.shape[-1])  # the map of a piece that holds no whole step
         for k in np.flatnonzero(which == m)[:1]:
             for s in range(first[k + 1] - 1, first[k] - 1, -1):
-                z = rk4_down(lambda t, z: -(aug[piece[s]] @ z), times[s + 1], times[s], z)
+                mat, h = aug[piece[s]], times[s + 1] - times[s]
+                k1 = -(mat @ z)
+                k2 = -(mat @ (z - 0.5 * h * k1))
+                k3 = -(mat @ (z - 0.5 * h * k2))
+                k4 = -(mat @ (z - h * k3))
+                z = z - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         maps.append(z[:n])
     return np.array(maps)[which]
 
@@ -610,8 +606,12 @@ def build_chain_spec(n_states, generator_schedule, initial_state, horizon):
     ``generator_schedule`` is either a single matrix (constant generator) or
     a list of (start_time, matrix) pairs under the rules of
     ``freeze_schedule``; a matrix that is no generator raises
-    ``NonGeneratorError``.
+    ``NonGeneratorError``, and a size or initial state that is not
+    integral (2.0 is) raises ``BadStateError``.
     """
+    for what, size in (("n_states", n_states), ("initial state", initial_state)):
+        if not isinstance(size, (int, np.integer)) and not float(size).is_integer():
+            raise BadStateError(f"{what} must be an integer, got {size}")
     n_states = int(n_states)
     if n_states < 1:
         raise BadStateError("need at least one state")
@@ -746,14 +746,15 @@ def cell_parts(cells):
 
 def martingale_path(paths, spec, grid_steps):
     """Martingale part M_t = X_t - X_0 - int A_u X_u du of each path of the
-    batch on a uniform grid, as a (paths, grid_steps+1, N) array.
+    batch on ``uniform_grid``'s grid of at least 1 step, as a
+    (paths, grid_steps+1, N) array.
 
     The drift integral is closed form on each stretch of constant state and
     constant generator piece, cut at the grid nodes; within-step jump times
     are honored exactly. Its running sum over a path's stretches is read at
     each node after the stretch that ends there.
     """
-    grid = np.linspace(0.0, spec.horizon, int(grid_steps) + 1)
+    grid = uniform_grid(spec.horizon, grid_steps)
     path, t0, t1, state, piece, _ = paths.stretches(spec.starts, grid)
     columns = spec.gens[piece, :, state]
     drift = sums_at(paths.n_paths, path, columns * (t1 - t0)[:, None], t1, grid)

@@ -8,14 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (BsdeSolution, _callback_step, _contraction, _inputs, _levels,
-                   _reflected_maps)
-from .chain import solve_floored, sweep
+from .bsde import _REFLECTED_BLOW_UP, BsdeSolution, _contraction, _inputs, _levels
 from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
 from .grids import StateGridFunction, sample_on_grid
 
 _PENALTY_CAP = 2 ** 20  # the highest penalty level penalization_limit tries
-_BLOW_UP = "reflected sweep blew up"
 
 
 @dataclass(frozen=True)
@@ -115,38 +112,20 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     obstacle; the projection excess is the reflection increment,
     accumulated so k(0) = 0 and k is nondecreasing.
 
-    Each step takes its own length and the generator and driver in force
-    at its left node, and is not cut at a breakpoint that falls between two
-    nodes. With an affine form the predictor is one map per step,
-    (I + h M) v + h beta (``bsde._reflected_maps``), and a row of the
-    obstacle step is the map v -> g: ``chain.solve_floored`` takes the
-    larger of the two by policy iteration. Else ``chain.sweep`` steps down
-    the nodes on ``bsde._callback_step``'s reflected predictor, and each
-    step raises its prediction to the obstacle as ``np.maximum`` does, a
-    nan prediction staying nan. On either path a prediction of -inf, which
-    the obstacle raises to a finite value, still raises ``NonFiniteError``
-    at its node: its push is not finite.
+    The steps are ``bsde._levels``' reflected scheme: each takes its own
+    length and the generator and driver in force at its left node, is not
+    cut at a breakpoint that falls between two nodes, and raises its
+    prediction to the obstacle's grid sample, as ``np.maximum`` does. A
+    prediction of -inf, which the obstacle raises to a finite value, still
+    raises ``NonFiniteError`` at its node: its push is not finite.
     """
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    each = np.arange(grid.size)
-    if driver.affine is None:
-        predict = _callback_step(spec, driver, "reflected", grid)
-        floors = obstacle_vals.tolist()
-        preds = np.empty((grid.size - 1, spec.n_states))
-
-        def step(k, v):
-            preds[k] = pred = predict(k, v)
-            # np.maximum(g, pred) on floats: a tie gives pred, a nan pred stays
-            return [g if g > p else p for g, p in zip(floors[k], pred)]
-
-        values = sweep(step, terminal, grid, each, _BLOW_UP)
-    else:
-        maps = _reflected_maps(spec, driver.affine, grid, obstacle_vals)
-        values, preds, _, _ = solve_floored(maps, terminal, grid, each, _BLOW_UP)
+    values, preds, _ = _levels(spec, driver, "reflected", grid, obstacle,
+                               obstacle_vals)(0.0, terminal)
     pushes = values[:-1] - preds
     bad = np.flatnonzero(~np.isfinite(pushes).all(axis=1))
     if bad.size:
-        raise NonFiniteError(f"{_BLOW_UP} at t={grid[bad[-1]]:.6g}")
+        raise NonFiniteError(f"{_REFLECTED_BLOW_UP} at t={grid[bad[-1]]:.6g}")
     return _assemble(grid, values, pushes, obstacle_vals)
 
 
@@ -160,8 +139,8 @@ def solve_penalized(spec, driver, terminal, obstacle, n, steps):
         raise ValueError("penalty level must be >= 1")
     terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
     _contraction(spec, driver.lipschitz_z, False)
-    values, _ = _levels(spec, driver, "implicit_euler", grid, obstacle,
-                        obstacle_vals)(float(n), terminal)
+    values = _levels(spec, driver, "implicit_euler", grid, obstacle,
+                     obstacle_vals)(float(n), terminal)[0]
     return BsdeSolution(grid=grid, values=values, scheme="implicit_euler", steps=int(steps))
 
 
@@ -186,14 +165,14 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     levels = _levels(spec, driver, "implicit_euler", grid, obstacle, obstacle_vals)
     trace = []
     n = max(4, int(np.ceil(steps / spec.horizon)))
-    prev, choice = levels(float(n), terminal)
+    prev, _, choice = levels(float(n), terminal)
     while True:
         n *= 2
         if n > _PENALTY_CAP:
             raise NoConvergenceError(
                 f"penalty cap {_PENALTY_CAP} reached without tol {tol}", trace=trace)
         # the values of solve_penalized at level n, started from the last choice
-        cur, choice = levels(float(n), terminal, choice)
+        cur, _, choice = levels(float(n), terminal, choice)
         dist = float(np.abs(cur - prev).max())
         trace.append((n, dist))
         prev = cur

@@ -40,8 +40,22 @@ def test_build_rejects_wrong_shape():
 
 
 def test_build_rejects_bad_initial_state():
-    with pytest.raises(BadStateError):
-        build_chain_spec(2, SYM, 2, 1.0)
+    # out of range, or not integral: int() would truncate 1.5 and 0.9
+    for initial in (2, 1.5, 0.9, -0.5, np.float64(0.5), float("nan")):
+        with pytest.raises(BadStateError):
+            build_chain_spec(2, SYM, initial, 1.0)
+
+
+def test_build_rejects_a_size_that_is_not_integral():
+    """A size of 2.5 raises, where int() would build a 2-state chain;
+    Python ints, numpy ints and integral floats build the same chain."""
+    for size in (2.5, np.float64(1.5), float("inf")):
+        with pytest.raises(BadStateError):
+            build_chain_spec(size, SYM, 0, 1.0)
+    for size, initial in ((2, 1), (np.int64(2), np.int32(1)), (2.0, 1.0), (np.float64(2.0), 1)):
+        spec = build_chain_spec(size, SYM, initial, 1.0)
+        assert (spec.n_states, spec.initial_state) == (2, 1)
+        assert type(spec.n_states) is int and type(spec.initial_state) is int
 
 
 def test_build_rejects_bad_schedule():

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from markovbsde import (MarkovDriver, Obstacle, bsde, build_chain_spec, build_market_spec,
                         chain, penalization_limit, solve_bsde, solve_reflected)
-from markovbsde.bsde import (AffineForm, _callback_step, _implicit_maps, _levels,
-                            _linear_pieces, _obstacle_rows, _reflected_maps,
-                            _scalar_implicit, zero_driver)
+from markovbsde.bsde import (AffineForm, _callback_step, _form_maps, _levels, _linear_pieces,
+                            _obstacle_rows, _scalar_implicit, zero_driver)
 from markovbsde.chain import (_POLICIES, _steady, affine_rk4, check_contraction,
                               pseudoinverse, rate_bound_m, solve_floored, substeps, sweep)
 from markovbsde.config import load_config
@@ -132,11 +131,12 @@ def rounding_bound(steps, values):
 
 def implicit_maps(chain, form, grid, obstacle):
     """(times, first, maps): the sub-step table of ``grid`` at the chain's
-    breakpoints and ``bsde._implicit_maps`` on it, with the obstacle's rows
-    there if given."""
+    breakpoints and ``bsde._form_maps``' implicit Euler maps on it, with the
+    obstacle's rows there if given."""
     times, first = substeps(chain.breakpoints(), grid)
-    rows = None if obstacle is None else _obstacle_rows(obstacle, chain.n_states, times, first)
-    return times, first, _implicit_maps(chain, form, times, rows)
+    rows = None if obstacle is None else _obstacle_rows(obstacle, chain.n_states, times, first,
+                                                        obstacle.sample(grid, chain.n_states))
+    return times, first, _form_maps(chain, form, "implicit_euler", times, rows)
 
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
@@ -218,8 +218,9 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
         level = float(rng.uniform(1.0, 1e4))
         driver = ref.penalized_driver(driver, obstacle, level)
     y = rng.normal(size=n)
-    got = _levels(spec, MarkovDriver(affine=form), "implicit_euler", uniform_grid(h, 1),
-                  obstacle)(level, y)[0][0]
+    grid = uniform_grid(h, 1)
+    got = _levels(spec, MarkovDriver(affine=form), "implicit_euler", grid, obstacle,
+                  None if obstacle is None else obstacle.sample(grid, n))(level, y)[0][0]
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -247,8 +248,9 @@ def chain_starts(rng, kinds, grid):
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), steps=st.integers(3, 30), kinds=KINDS,
-       obstacle=st.sampled_from([None, "g", "values"]), seed=st.integers(0, 2 ** 32 - 1))
-def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, seed):
+       obstacle=st.sampled_from([None, "g", "values"]),
+       scheme=st.sampled_from(["implicit_euler", "reflected"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, scheme, seed):
     """The implicit Euler solve on the maps of its sub-step table equals the
     loop that cuts and looks up each sub-step as it goes, to the
     ``rounding_bound``, plain and penalized, with chain breakpoints on
@@ -257,21 +259,40 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
     larger of its pair, penalized) on the loop's value at its top equals
     the loop's step to 4 (N + 1) eps times the larger |value| of the two
     ends: a few roundings of a product of N + 1 terms on either side (over
-    3000 random draws the gap stayed below 2 eps times that scale)."""
+    3000 random draws the gap stayed below 2 eps times that scale). The
+    same holds for the reflected scheme on the grid, always under an
+    obstacle: its solve against ``reflected_loop``, values and pushes, and
+    each step's predictor map, raised to g, against the loop's step (over
+    600 draws the gap stayed below (N + 1) eps / 2 times that scale)."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(1.0, steps)
     market, _ = random_market(rng, n, chain_starts(rng, kinds, grid),
                               off_grid(rng, 1, steps), off_grid(rng, 1, steps))
     form, g, penalty = make_hedge_driver(market).affine, None, 0.0
-    if obstacle is not None:
+    if obstacle is not None or scheme == "reflected":
         level, slope = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 0.5, n)
         values = lambda times: level * (1.0 - slope * np.asarray(times)[:, None])
         g = Obstacle(g=lambda t, i: level[i] * (1.0 - slope[i] * t)) if obstacle == "g" \
             else Obstacle(values=values)
         penalty = float(rng.integers(4, 2 ** 20))
     top = rng.uniform(0.5, 1.5, n)
-    got = _levels(market.chain, MarkovDriver(affine=form), "implicit_euler", grid, g)(
-        penalty, top)[0]
+    eps = np.finfo(float).eps
+    if scheme == "reflected":
+        rows = g.sample(grid, n)
+        top = np.maximum(top, rows[-1])
+        sol = solve_reflected(market.chain, MarkovDriver(affine=form), top, g, steps)
+        want, pushes = ref.reflected_loop(ref.linear_euler(market.chain, form, grid), top, rows,
+                                          grid)
+        bound = rounding_bound(steps, want)
+        assert np.abs(sol.values - want).max() <= bound
+        assert np.abs(sol.step_pushes - pushes).max() <= bound
+        pred = _form_maps(market.chain, form, "reflected", grid, rows)(np.arange(grid.size))[0]
+        stepped = np.maximum((pred[..., :n] @ want[1:, :, None])[..., 0] + pred[..., n], rows[:-1])
+        scale = np.maximum(np.abs(want[1:]), np.abs(want[:-1])).max(axis=1, keepdims=True)
+        assert np.all(np.abs(stepped - want[:-1]) <= 4 * (n + 1) * eps * scale)
+        return
+    got = _levels(market.chain, MarkovDriver(affine=form), "implicit_euler", grid, g,
+                  None if g is None else g.sample(grid, n))(penalty, top)[0]
     want = ref.bsde_loop(ref.linear_implicit(market.chain, form, grid, g, penalty), top, grid)
     assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
@@ -282,7 +303,7 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
     pair = maps(each)[None] if g is None else maps(each, penalty)
     stepped = ((pair[..., :n] @ table[1:, :, None])[..., 0] + pair[..., n]).max(axis=0)
     scale = np.maximum(np.abs(table[1:]), np.abs(table[:-1])).max(axis=1, keepdims=True)
-    assert np.all(np.abs(stepped - table[:-1]) <= 4 * (n + 1) * np.finfo(float).eps * scale)
+    assert np.all(np.abs(stepped - table[:-1]) <= 4 * (n + 1) * eps * scale)
 
 
 @pytest.mark.filterwarnings("ignore:z-Lipschitz contraction fails")
@@ -363,7 +384,8 @@ def test_callback_step_on_the_table_equals_sub_step_loop(n, steps, kinds, case, 
     times, first = substeps(market.chain.breakpoints(), grid)
     tabled = _callback_step(market.chain, driver, scheme, times,
                             None if obstacle is None else
-                            _obstacle_rows(obstacle, n, times, first), level)
+                            _obstacle_rows(obstacle, n, times, first, obstacle.sample(grid, n)),
+                            level)
     looped = ref.callback_step(market.chain, driver, scheme, grid, obstacle, level)
     top = rng.uniform(0.5, 1.5, n)
     got = sweep(tabled, top, times, first, "blow-up")[first]
@@ -397,7 +419,7 @@ def test_penalized_callback_solve_is_the_penalized_driver_solve(n, steps, kinds,
         driver, obstacle, level), "implicit_euler", grid), terminal, grid)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     times, first = substeps(market.chain.breakpoints(), grid)
-    rows = _obstacle_rows(obstacle, n, times, first)
+    rows = _obstacle_rows(obstacle, n, times, first, obstacle.sample(grid, n))
     penalized = _callback_step(market.chain, driver, "implicit_euler", times, rows, level)
     plain = _callback_step(market.chain, driver, "implicit_euler", times)
     table = sweep(penalized, terminal, times, first, "blow-up")
@@ -476,7 +498,8 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, case, seed):
     if obstacle is None:
         got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
     else:
-        got = bsde._levels(chain, drv, scheme, grid, obstacle)(level, terminal)[0]
+        got = bsde._levels(chain, drv, scheme, grid, obstacle, obstacle.sample(grid, n))(
+            level, terminal)[0]
     want = ref.bsde_loop(step, terminal, grid)
     if drv.affine is not None:
         assert np.abs(got - want).max() <= rounding_bound(steps, want)
@@ -659,7 +682,7 @@ def test_scan_and_policy_solves_equal_the_loops(n, steps, kinds, seed):
 
     times, first, level_maps = implicit_maps(chain, form, grid, obstacle)
     for maps, tops, table, at in (
-            (_reflected_maps(chain, form, grid, g), top, grid, np.arange(grid.size)),
+            (_form_maps(chain, form, "reflected", grid, g), top, grid, np.arange(grid.size)),
             (lambda nodes: level_maps(nodes, level), terminal, times, first)):
         policies = solve_floored(maps, tops, table, at, "blow-up")[3]
         steady = _steady(maps(np.arange(table.size)))
@@ -677,7 +700,7 @@ def test_solves_on_maps_that_are_not_steady_are_the_sweep():
     obstacle = Obstacle(g=lambda t, i: 1.0 - t)
     sol = solve_reflected(spec, driver, top, obstacle, 100)
     grid, each = sol.grid, np.arange(sol.grid.size)
-    maps = _reflected_maps(spec, driver.affine, grid, sol.g)
+    maps = _form_maps(spec, driver.affine, "reflected", grid, sol.g)
     assert solve_floored(maps, top, grid, each, "blow-up")[3] == 0
     p, c = np.ascontiguousarray(maps(each)[0, ..., :2]), maps(each)[0, ..., 2].copy()
     values, pushes = ref.reflected_loop(lambda k, v: p[k] @ v + c[k], top, sol.g, grid)
@@ -698,7 +721,7 @@ def test_policy_solve_past_the_cap_is_the_sweep(monkeypatch):
     steps, n = 250, cfg.chain.n_states
     grid, each = uniform_grid(cfg.chain.horizon, steps), np.arange(steps + 1)
     g = cfg.build_payoff(stock_curves(cfg.market, steps)).sample(grid, n)
-    maps = _reflected_maps(cfg.chain, make_hedge_driver(cfg.market).affine, grid, g)
+    maps = _form_maps(cfg.chain, make_hedge_driver(cfg.market).affine, "reflected", grid, g)
     assert solve_floored(maps, g[-1], grid, each, "blow-up")[3] == 2
     monkeypatch.setattr(chain, "_POLICIES", 1)
     values, preds, _, policies = solve_floored(maps, g[-1], grid, each, "blow-up")
@@ -743,7 +766,8 @@ def test_bundled_markets_price_in_one_to_three_policies(name):
         g = payoff.sample(grid, cfg.chain.n_states)
         times, first, level_maps = implicit_maps(cfg.chain, driver.affine, grid, payoff)
         for maps, table, at in (
-                (_reflected_maps(cfg.chain, driver.affine, grid, g), grid, np.arange(grid.size)),
+                (_form_maps(cfg.chain, driver.affine, "reflected", grid, g), grid,
+                 np.arange(grid.size)),
                 (lambda nodes: level_maps(nodes, 2.0 * steps), times, first)):
             assert 1 <= solve_floored(maps, g[-1], table, at, "blow-up")[3] <= 3
 

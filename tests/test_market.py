@@ -4,8 +4,8 @@ stock curves and pathwise SDE residuals."""
 import numpy as np
 import pytest
 
-from markovbsde import (build_chain_spec, build_market_spec, draw_paths,
-                        gamma_matrix, sdf_dynamics_residual, sdf_path, short_rate,
+from markovbsde import (build_chain_spec, build_market_spec, draw_paths, gamma_matrix,
+                        martingale_path, sdf_dynamics_residual, sdf_path, short_rate,
                         sigma_matrix, simulate_path, stock_curves,
                         stock_sde_residual, terminal_sdf)
 from markovbsde.cli import _write_grid
@@ -190,6 +190,20 @@ def test_sdf_dynamics_residual_first_order():
     r1 = sdf_dynamics_residual(mkt, path, 1000)[0]
     r2 = sdf_dynamics_residual(mkt, path, 2000)[0]
     assert r1 / r2 == pytest.approx(2.0, rel=0.2)
+
+
+def test_path_functionals_reject_a_grid_of_no_steps():
+    """The martingale path and both SDE residuals build their grids alike,
+    and reject 0 and -1 steps alike."""
+    mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05], dividends=[[1.0, 1.0]])
+    curves = stock_curves(mkt, steps=10)
+    path = simulate_path(mkt.chain, 7)
+    for steps in (0, -1):
+        for functional in (lambda: martingale_path(path, mkt.chain, steps),
+                           lambda: sdf_dynamics_residual(mkt, path, steps),
+                           lambda: stock_sde_residual(mkt, curves, path, steps)):
+            with pytest.raises(ValueError, match="^steps must be >= 1$"):
+                functional()
 
 
 # ---------------------------------------------------------------- stock ODE
