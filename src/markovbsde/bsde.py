@@ -26,9 +26,9 @@ import numpy as np
 
 from .chain import (affine_rk4, check_contraction, dots, frozen_starts, pieces_at, solve_affine,
                     solve_floored, substeps, sums_at, sweep)
-from .errors import (ContractionViolatedError, NonFiniteError,
+from .errors import (ContractionViolatedError, NonFiniteError, ObstacleIncompatibleError,
                      PreconditionUnmetError)
-from .grids import StateGridFunction, uniform_grid
+from .grids import StateGridFunction, integral, uniform_grid
 
 _BLOW_UP = "driver blow-up"
 _REFLECTED_BLOW_UP = "reflected sweep blew up"
@@ -196,10 +196,14 @@ def _linear_pieces(spec, form):
     return starts, np.ascontiguousarray(gens_t + gz[k]), alpha[k], beta[k]
 
 
-def _levels(spec, driver, scheme, grid, obstacle=None, g=None):
-    """(n, top, start=None) -> (values, preds, choice): the solve of
-    ``driver`` under ``scheme`` down the ``grid`` from values[-1] = ``top``:
-    at n = 0 for ``solve_bsde``; with an ``obstacle`` of grid sample ``g``,
+def _levels(spec, driver, scheme, terminal, steps, obstacle=None, strict=False):
+    """(grid, g, level) of a backward solve of ``driver`` under ``scheme``
+    from ``terminal`` down the uniform grid of ``steps`` steps, after every
+    check a solve makes, in this order: a length-N terminal, at least 2
+    steps, the ``obstacle`` sampled once on the grid as g (None without
+    one) and not above the terminal at the horizon, and ``_contraction``,
+    which raises under ``strict``. level(n, start=None) -> (values, preds,
+    choice) is the solve: at n = 0 for ``solve_bsde``; with an obstacle,
     under implicit Euler the penalty level n of f + n (g - y)^+, and under
     "reflected" the reflected scheme. Implicit Euler steps the
     ``chain.substeps`` table with the ``_obstacle_rows`` there; the
@@ -212,6 +216,17 @@ def _levels(spec, driver, scheme, grid, obstacle=None, g=None):
     before the floor raises it (under "reflected" the prediction, which the
     pushes need), and ``choice`` a floored solve's, which ``start`` takes
     back at the next level; each is None where the solve has none."""
+    terminal = np.asarray(terminal, dtype=float)
+    if terminal.shape != (spec.n_states,):
+        raise ValueError("terminal condition must be a length-N vector")
+    if integral(steps) and steps < 2:  # uniform_grid rejects a count that is no integer
+        raise ValueError("steps must be >= 2")
+    grid = uniform_grid(spec.horizon, steps)
+    g = None if obstacle is None else obstacle.sample(grid, spec.n_states)
+    if g is not None and np.any(g[-1] > terminal + 1e-9):
+        raise ObstacleIncompatibleError(
+            "obstacle exceeds the terminal condition at the horizon")
+    _contraction(spec, driver.lipschitz_z, strict)
     form = driver.affine
     what = _REFLECTED_BLOW_UP if scheme == "reflected" else _BLOW_UP
     if scheme == "reflected" or form is not None and scheme == "explicit_rk4":
@@ -221,24 +236,24 @@ def _levels(spec, driver, scheme, grid, obstacle=None, g=None):
         rows = None if obstacle is None else _obstacle_rows(obstacle, spec.n_states, times,
                                                             first, g)
     if form is None:
-        def swept(n, top, start=None):
+        def swept(n, start=None):
             preds = np.empty((times.size - 1, spec.n_states)) if scheme == "reflected" else None
             step = _callback_step(spec, driver, scheme, times, rows, n, preds)
-            return sweep(step, top, times, first, what)[first], preds, None
+            return sweep(step, terminal, times, first, what)[first], preds, None
 
-        return swept
+        return grid, g, swept
     maps = _form_maps(spec, form, scheme, times, rows)
     if rows is None:
         plain = maps(np.arange(times.size))
-        return lambda n, top, start=None: (
-            solve_affine(plain, top, times, first, what), None, None)
+        return grid, g, lambda n, start=None: (
+            solve_affine(plain, terminal, times, first, what), None, None)
 
-    def level(n, top, start=None):
-        table, preds, choice, _ = solve_floored(lambda nodes: maps(nodes, n), top, times,
+    def level(n, start=None):
+        table, preds, choice, _ = solve_floored(lambda nodes: maps(nodes, n), terminal, times,
                                                 first, what, start)
         return table[first], preds, choice
 
-    return level
+    return grid, g, level
 
 
 def _obstacle_rows(obstacle, n_states, times, first, g):
@@ -373,17 +388,6 @@ def _callback_step(spec, driver, scheme, times, rows=None, n=0.0, preds=None):
     return {"explicit_rk4": rk4, "implicit_euler": implicit, "reflected": reflected}[scheme]
 
 
-def _inputs(spec, terminal, steps):
-    """(terminal, grid) of a backward solve, after the checks that every
-    solve makes of them: a length-N terminal and at least 2 steps."""
-    terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (spec.n_states,):
-        raise ValueError("terminal condition must be a length-N vector")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    return terminal, uniform_grid(spec.horizon, steps)
-
-
 def _contraction(spec, lipschitz_z, strict_contraction):
     """Warn where a driver of z-Lipschitz constant ``lipschitz_z`` fails
     ``check_contraction``, or raise ``ContractionViolatedError`` if strict."""
@@ -394,7 +398,7 @@ def _contraction(spec, lipschitz_z, strict_contraction):
                    f"{report['worst_margin']:.3g} at {report['worst_time_state']}")
             if strict_contraction:
                 raise ContractionViolatedError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+            warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
 def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
@@ -407,12 +411,10 @@ def solve_bsde(spec, driver, terminal, steps, scheme="explicit_rk4",
     solved on its step maps by ``chain.scan``. A failed ``check_contraction`` warns, or raises
     under ``strict_contraction``.
     """
-    terminal, grid = _inputs(spec, terminal, steps)
     if scheme not in ("explicit_rk4", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    _contraction(spec, driver.lipschitz_z, strict_contraction)
-    values = _levels(spec, driver, scheme, grid)(0.0, terminal)[0]
-    return BsdeSolution(grid=grid, values=values, scheme=scheme, steps=int(steps))
+    grid, _, level = _levels(spec, driver, scheme, terminal, steps, strict=strict_contraction)
+    return BsdeSolution(grid=grid, values=level(0.0)[0], scheme=scheme, steps=int(steps))
 
 
 def _hermite_curve(spec, driver, sol):

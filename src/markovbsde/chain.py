@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (BadScheduleError, BadStateError, NonFiniteError,
                      NonGeneratorError, TooFewPathsError)
-from .grids import uniform_grid
+from .grids import integral, uniform_grid
 
 _GEN_TOL = 1e-12
 # Table cells per batch: the Monte Carlo checks cut their paths into batches
@@ -610,8 +610,8 @@ def build_chain_spec(n_states, generator_schedule, initial_state, horizon):
     integral (2.0 is) raises ``BadStateError``.
     """
     for what, size in (("n_states", n_states), ("initial state", initial_state)):
-        if not isinstance(size, (int, np.integer)) and not float(size).is_integer():
-            raise BadStateError(f"{what} must be an integer, got {size}")
+        if not integral(size):
+            raise BadStateError(f"{what} must be an integer, got {size!r}")
     n_states = int(n_states)
     if n_states < 1:
         raise BadStateError("need at least one state")

@@ -16,7 +16,7 @@ import yaml
 from .bsde import AffineForm, MarkovDriver, discount_driver, zero_driver
 from .chain import build_chain_spec
 from .errors import ConfigError, MarkovBsdeError
-from .grids import interp
+from .grids import integral, interp
 from .hedge import make_hedge_driver
 from .market import build_market_spec, stock_curves
 from .rbsde import Obstacle, constant_obstacle
@@ -88,10 +88,8 @@ def _float(value, what):
 
 
 def _integer(value, what):
-    """One integer: an int that is not a bool, or a float of integral value."""
-    _require((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
-             or (isinstance(value, float) and value.is_integer()),
-             "%s must be an integer, got %r", what, value)
+    """One integer, by the rule of ``grids.integral``."""
+    _require(integral(value), "%s must be an integer, got %r", what, value)
     return int(value)
 
 

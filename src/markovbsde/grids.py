@@ -34,7 +34,15 @@ class StateGridFunction:
         object.__setattr__(self, "values", values)
 
 
+def integral(value):
+    """Whether ``value`` is an int or numpy integer but no bool, or an integral float."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)) \
+        or (isinstance(value, float) and value.is_integer())
+
+
 def uniform_grid(horizon, steps):
+    if not integral(steps):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return np.linspace(0.0, float(horizon), int(steps) + 1)

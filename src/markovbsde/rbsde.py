@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import _REFLECTED_BLOW_UP, BsdeSolution, _contraction, _inputs, _levels
-from .errors import NoConvergenceError, NonFiniteError, ObstacleIncompatibleError
+from .bsde import _REFLECTED_BLOW_UP, BsdeSolution, _levels
+from .errors import NoConvergenceError, NonFiniteError
 from .grids import StateGridFunction, sample_on_grid
 
 _PENALTY_CAP = 2 ** 20  # the highest penalty level penalization_limit tries
@@ -83,18 +83,6 @@ class RbsdeSolution(StateGridFunction):
     penalization_trace: list = field(default_factory=list)
 
 
-def _sampled(spec, terminal, obstacle, steps):
-    """(terminal, grid, g) of a reflected solve: the terminal and grid after
-    the checks of ``bsde._inputs``, and the obstacle sampled on the grid,
-    which must not exceed the terminal at the horizon."""
-    terminal, grid = _inputs(spec, terminal, steps)
-    g = obstacle.sample(grid, spec.n_states)
-    if np.any(g[-1] > terminal + 1e-9):
-        raise ObstacleIncompatibleError(
-            "obstacle exceeds the terminal condition at the horizon")
-    return terminal, grid, g
-
-
 def _assemble(grid, vals, pushes, obstacle_vals, trace=None):
     # k(t_m) accumulates the pushes applied on steps fully inside [0, t_m]
     steps, n = pushes.shape
@@ -117,30 +105,31 @@ def solve_reflected(spec, driver, terminal, obstacle, steps):
     cut at a breakpoint that falls between two nodes, and raises its
     prediction to the obstacle's grid sample, as ``np.maximum`` does. A
     prediction of -inf, which the obstacle raises to a finite value, still
-    raises ``NonFiniteError`` at its node: its push is not finite.
+    raises ``NonFiniteError`` at its node: its push is not finite. The
+    checks are every solve's, in ``bsde._levels``: a driver that fails the
+    contraction check warns, as in the other solves.
     """
-    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    values, preds, _ = _levels(spec, driver, "reflected", grid, obstacle,
-                               obstacle_vals)(0.0, terminal)
+    grid, g, level = _levels(spec, driver, "reflected", terminal, steps, obstacle)
+    values, preds, _ = level(0.0)
     pushes = values[:-1] - preds
     bad = np.flatnonzero(~np.isfinite(pushes).all(axis=1))
     if bad.size:
         raise NonFiniteError(f"{_REFLECTED_BLOW_UP} at t={grid[bad[-1]]:.6g}")
-    return _assemble(grid, values, pushes, obstacle_vals)
+    return _assemble(grid, values, pushes, g)
 
 
 def solve_penalized(spec, driver, terminal, obstacle, n, steps):
     """Solve the penalized BSDE for penalty level n: f plus n (g - y)^+, by
     implicit Euler at every n (the plain step, solved again below g), as
-    one level of ``penalization_limit``'s family: the same ``bsde._levels``
-    and the same checks of the inputs and of the obstacle against the terminal.
+    one level of ``penalization_limit``'s family: the same ``bsde._levels``,
+    with its checks of the inputs, of the obstacle against the terminal and
+    of the contraction. An n that is not a finite number >= 1 raises
+    ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("penalty level must be >= 1")
-    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    _contraction(spec, driver.lipschitz_z, False)
-    values = _levels(spec, driver, "implicit_euler", grid, obstacle,
-                     obstacle_vals)(float(n), terminal)[0]
+    if not (np.isfinite(n) and n >= 1):
+        raise ValueError(f"penalty level must be a finite number >= 1, got {n!r}")
+    grid, _, level = _levels(spec, driver, "implicit_euler", terminal, steps, obstacle)
+    values = level(float(n))[0]
     return BsdeSolution(grid=grid, values=values, scheme="implicit_euler", steps=int(steps))
 
 
@@ -158,30 +147,28 @@ def penalization_limit(spec, driver, terminal, obstacle, steps, tol):
     iteration starts from the choice of the level before, and ends at the
     values ``solve_penalized`` gives.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    terminal, grid, obstacle_vals = _sampled(spec, terminal, obstacle, steps)
-    _contraction(spec, driver.lipschitz_z, False)
-    levels = _levels(spec, driver, "implicit_euler", grid, obstacle, obstacle_vals)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    grid, g, levels = _levels(spec, driver, "implicit_euler", terminal, steps, obstacle)
     trace = []
     n = max(4, int(np.ceil(steps / spec.horizon)))
-    prev, _, choice = levels(float(n), terminal)
+    prev, _, choice = levels(float(n))
     while True:
         n *= 2
         if n > _PENALTY_CAP:
             raise NoConvergenceError(
                 f"penalty cap {_PENALTY_CAP} reached without tol {tol}", trace=trace)
         # the values of solve_penalized at level n, started from the last choice
-        cur, _, choice = levels(float(n), terminal, choice)
+        cur, _, choice = levels(float(n), choice)
         dist = float(np.abs(cur - prev).max())
         trace.append((n, dist))
         prev = cur
         if dist < tol:
             break
     # k^n density is n (v^n - g)^-; trapezoid per step
-    density = n * np.maximum(obstacle_vals - prev, 0.0)
+    density = n * np.maximum(g - prev, 0.0)
     pushes = 0.5 * (density[:-1] + density[1:]) * (grid[1] - grid[0])
-    return _assemble(grid, prev, pushes, obstacle_vals, trace=trace)
+    return _assemble(grid, prev, pushes, g, trace=trace)
 
 
 def skorokhod_integral(solution):

@@ -58,6 +58,15 @@ def test_build_rejects_a_size_that_is_not_integral():
         assert type(spec.n_states) is int and type(spec.initial_state) is int
 
 
+@pytest.mark.parametrize("size, initial", [(True, 0), ("2", 0), (np.bool_(True), 0),
+                                           (2, True), (2, "1"), (2, np.bool_(True))])
+def test_build_rejects_a_bool_or_string_size(size, initial):
+    """The config's integer rule (``grids.integral``): a bool, which int()
+    reads as 1, and a string, which float() reads, are no integers."""
+    with pytest.raises(BadStateError, match="must be an integer"):
+        build_chain_spec(size, SYM, initial, 1.0)
+
+
 def test_build_rejects_bad_schedule():
     with pytest.raises(BadScheduleError):
         build_chain_spec(2, [(0.5, SYM)], 0, 1.0)  # does not start at 0

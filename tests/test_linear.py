@@ -204,8 +204,8 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
     a = rng.uniform(0.0, 2.0, size=(n, n))
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=0))
-    spec = build_chain_spec(n, a, 0, 1.0)
     h = float(rng.uniform(0.001, 0.2))
+    spec = build_chain_spec(n, a, 0, 2 * h)
     form = AffineForm(alpha=rng.uniform(-3.0, 2.0, (1, n)),
                       gz=rng.normal(size=(1, n, n)), beta=rng.normal(size=(1, n)))
     driver = MarkovDriver(evaluate=lambda t, i, y, z: float(
@@ -218,9 +218,13 @@ def test_closed_form_implicit_step_matches_scalar_solve(n, penalized, seed):
         level = float(rng.uniform(1.0, 1e4))
         driver = ref.penalized_driver(driver, obstacle, level)
     y = rng.normal(size=n)
-    grid = uniform_grid(h, 1)
-    got = _levels(spec, MarkovDriver(affine=form), "implicit_euler", grid, obstacle,
-                  None if obstacle is None else obstacle.sample(grid, n))(level, y)[0][0]
+    # the step from y at 2h of two steps on [0, 2h], under g below the horizon and an
+    # obstacle no higher than y at it, which the step does not read
+    if penalized:
+        obstacle = Obstacle(values=lambda times: np.where(times[:, None] < 2 * h, g,
+                                                          np.minimum(g, y)))
+    got = _levels(spec, MarkovDriver(affine=form), "implicit_euler", y, 2,
+                  obstacle)[2](level)[0][1]
     b = y + h * (a.T @ y)
     want = [_scalar_implicit(driver.evaluate, 0.0, i, b[i], h, y, 1.0) for i in range(n)]
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
@@ -291,8 +295,10 @@ def test_tabled_implicit_sweep_equals_sub_step_loop(n, steps, kinds, obstacle, s
         scale = np.maximum(np.abs(want[1:]), np.abs(want[:-1])).max(axis=1, keepdims=True)
         assert np.all(np.abs(stepped - want[:-1]) <= 4 * (n + 1) * eps * scale)
         return
-    got = _levels(market.chain, MarkovDriver(affine=form), "implicit_euler", grid, g,
-                  None if g is None else g.sample(grid, n))(penalty, top)[0]
+    if g is not None:  # the terminal no lower than the obstacle at the horizon
+        top = np.maximum(top, g.terminal(1.0, n))
+    got = _levels(market.chain, MarkovDriver(affine=form), "implicit_euler", top, steps,
+                  g)[2](penalty)[0]
     want = ref.bsde_loop(ref.linear_implicit(market.chain, form, grid, g, penalty), top, grid)
     assert np.abs(got - want).max() <= rounding_bound(steps, want)
 
@@ -497,9 +503,9 @@ def test_sweep_equals_the_hand_written_loops(n, steps, kinds, case, seed):
     terminal = rng.uniform(0.8, 1.2, n)
     if obstacle is None:
         got = solve_bsde(chain, drv, terminal, steps, scheme=scheme).values
-    else:
-        got = bsde._levels(chain, drv, scheme, grid, obstacle, obstacle.sample(grid, n))(
-            level, terminal)[0]
+    else:  # the terminal no lower than the obstacle at the horizon
+        terminal = np.maximum(terminal, obstacle.terminal(1.0, n))
+        got = bsde._levels(chain, drv, scheme, terminal, steps, obstacle)[2](level)[0]
     want = ref.bsde_loop(step, terminal, grid)
     if drv.affine is not None:
         assert np.abs(got - want).max() <= rounding_bound(steps, want)

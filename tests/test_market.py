@@ -4,12 +4,14 @@ stock curves and pathwise SDE residuals."""
 import numpy as np
 import pytest
 
-from markovbsde import (build_chain_spec, build_market_spec, draw_paths, gamma_matrix,
-                        martingale_path, sdf_dynamics_residual, sdf_path, short_rate,
-                        sigma_matrix, simulate_path, stock_curves,
-                        stock_sde_residual, terminal_sdf)
+from markovbsde import (build_chain_spec, build_market_spec, constant_obstacle, draw_paths,
+                        gamma_matrix, martingale_path, penalization_limit, sdf_dynamics_residual,
+                        sdf_path, short_rate, sigma_matrix, simulate_path, solve_bsde,
+                        solve_reflected, stock_curves, stock_sde_residual, terminal_sdf,
+                        zero_driver)
 from markovbsde.cli import _write_grid
 from markovbsde.grids import interp, uniform_grid
+from markovbsde.rbsde import solve_penalized
 from markovbsde.errors import (BadScheduleError, NonFiniteError, RateBoundViolatedError,
                                UnstableGammaError)
 
@@ -204,6 +206,34 @@ def test_path_functionals_reject_a_grid_of_no_steps():
                            lambda: stock_sde_residual(mkt, curves, path, steps)):
             with pytest.raises(ValueError, match="^steps must be >= 1$"):
                 functional()
+
+
+@pytest.mark.parametrize("steps", [2.7, True, "10"])
+def test_every_grid_rejects_a_step_count_that_is_no_integer(steps):
+    """``uniform_grid`` and each of its callers raise ``ValueError`` for a
+    step count outside the config's integer rule, where int() cut 2.7 to 2
+    and read True as 1, and "10" raised a bare ``TypeError``."""
+    mkt = build_market_spec(chain(), d_schedule=[0.05, 0.05], dividends=[[1.0, 1.0]])
+    spec, curves, path = mkt.chain, stock_curves(mkt, steps=10), simulate_path(mkt.chain, 7)
+    drv, xi, obs = zero_driver(), np.ones(2), constant_obstacle(0.0)
+    for call in (lambda: uniform_grid(1.0, steps),
+                 lambda: stock_curves(mkt, steps),
+                 lambda: martingale_path(path, spec, steps),
+                 lambda: sdf_dynamics_residual(mkt, path, steps),
+                 lambda: stock_sde_residual(mkt, curves, path, steps),
+                 lambda: solve_bsde(spec, drv, xi, steps),
+                 lambda: solve_reflected(spec, drv, xi, obs, steps),
+                 lambda: solve_penalized(spec, drv, xi, obs, 8, steps),
+                 lambda: penalization_limit(spec, drv, xi, obs, steps, 1e-3)):
+        with pytest.raises(ValueError, match="^steps must be an integer, got "):
+            call()
+
+
+def test_an_integral_float_step_count_builds_its_grid():
+    """2.0 steps build the 2-step grid, in the grid and in a solve."""
+    assert np.array_equal(uniform_grid(1.0, 2.0), [0.0, 0.5, 1.0])
+    sol = solve_bsde(chain(), zero_driver(), np.ones(2), np.float64(2.0))
+    assert np.array_equal(sol.grid, [0.0, 0.5, 1.0]) and sol.steps == 2
 
 
 # ---------------------------------------------------------------- stock ODE

@@ -99,6 +99,62 @@ def test_terminal_incompatible_obstacle_raises(two_state_chain):
             solve(two_state_chain, zero_driver(), np.zeros(2), constant_obstacle(2.0), 100)
 
 
+# the four backward solves, each as (spec, driver, terminal, obstacle, steps)
+SOLVES = {
+    "solve_bsde": lambda spec, drv, xi, obs, steps: solve_bsde(spec, drv, xi, steps),
+    "solve_reflected": solve_reflected,
+    "solve_penalized": lambda spec, drv, xi, obs, steps: solve_penalized(spec, drv, xi, obs,
+                                                                         8, steps),
+    "penalization_limit": lambda spec, drv, xi, obs, steps: penalization_limit(
+        spec, drv, xi, obs, steps, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_every_solve_makes_the_same_checks(two_state_chain, name):
+    """Every solve rejects a wrong-length terminal and 1 step, every
+    obstacle solve an obstacle above the terminal at the horizon, and each
+    warns once, with one message and at its caller, under a driver that
+    fails the contraction check (margin -85.6 on this chain)."""
+    solve, spec, obs = SOLVES[name], two_state_chain, constant_obstacle(0.0)
+    with pytest.raises(ValueError, match="length-N"):
+        solve(spec, zero_driver(), np.ones(3), obs, 10)
+    with pytest.raises(ValueError, match="^steps must be >= 2$"):
+        solve(spec, zero_driver(), np.ones(2), obs, 1)
+    if name != "solve_bsde":
+        with pytest.raises(ObstacleIncompatibleError):
+            solve(spec, zero_driver(), np.zeros(2), constant_obstacle(0.5), 10)
+    stiff = MarkovDriver(lambda t, i, y, z: 0.0, lipschitz_z=50.0)
+    with pytest.warns(RuntimeWarning) as caught:
+        solve(spec, stiff, np.ones(2), obs, 10)
+    assert [str(w.message) for w in caught] == [
+        "z-Lipschitz contraction fails, margin -85.6 at (0.0, 0)"]
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), 0.5])
+def test_penalized_solve_rejects_a_level_that_is_no_finite_number_of_at_least_1(
+        two_state_chain, n):
+    """nan and inf raise ``ValueError``, under an obstacle that binds (where
+    a solve raised a driver blow-up) and one that never does (where it
+    returned the unpenalized solve), with a callback and an affine driver."""
+    for drv in (discount_driver(0.1), MarkovDriver(affine=AffineForm(alpha=-0.1))):
+        for level in (0.95, 0.5):
+            with pytest.raises(ValueError, match="penalty level must be a finite number"):
+                solve_penalized(two_state_chain, drv, np.ones(2), constant_obstacle(level),
+                                n, 50)
+
+
+def test_penalization_limit_rejects_a_tol_that_is_not_positive(two_state_chain):
+    """A tol of nan raises ``ValueError`` as 0 and -1 do, where nan ran every
+    level to the cap; an infinite tol stops at the first distance."""
+    args = two_state_chain, discount_driver(0.1), np.ones(2), constant_obstacle(0.95), 50
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            penalization_limit(*args, tol)
+    assert len(penalization_limit(*args, float("inf")).penalization_trace) == 1
+
+
 def test_penalized_solutions_increase_in_n(two_state_chain):
     """The penalized values increase with n, with n dt from 2/150 to 1024/150,
     for a callback driver and for its affine form twin, which agree within
